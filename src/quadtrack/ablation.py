@@ -16,7 +16,6 @@ from .config import Scenario
 from .metrics import Metrics, compute_metrics
 from .replay import replay_track
 from .simulator import run
-from .tracker import TrackerConfig, TrackerWeights
 
 DEFAULT_GRID = ((3.0, 0.0, 0.0), (3.0, 3.0, 0.0), (3.0, 0.0, 4.0),
                 (3.0, 3.0, 4.0))
@@ -80,18 +79,8 @@ def _seed_task(args) -> list[dict]:
     cam = sc.camera.build()
     out = []
     for weights in grid:
-        cfg = TrackerConfig(
-            camera=cam,
-            weights=TrackerWeights(*weights),
-            memory_alpha=sc.tracker.memory_alpha,
-            acceptance_fraction=sc.tracker.acceptance_fraction,
-            q_diag=sc.tracker.q_diag,
-            r_diag=sc.tracker.r_diag,
-            p0_diag=sc.tracker.p0_diag,
-            gyro_compensation=sc.tracker.gyro_compensation,
-        )
         trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
-                             sc.prompt.t, cfg)
+                             sc.prompt.t, sc.tracker.build(cam, weights))
         m = compute_metrics(trace, art.truth_trace, sc.metrics.build())
         out.append(m.as_dict())
     return out

@@ -7,8 +7,10 @@
     quadtrack scenario ls | describe <name>
 
 <scenario> is a JSON file path or a bundled name (a missing ".json" is
-tried automatically, so `scenarios/occlusion_decoy` works).  Exit codes:
-0 success, 1 configuration/usage error, 2 runtime abort.
+tried automatically, so `scenarios/occlusion_decoy` works).  `track` and
+`metrics` rebuild the run's configs from the scenario recorded in the
+summary.json beside the log; the flags they take override single recorded
+values.  Exit codes: 0 success, 1 configuration/usage error, 2 runtime abort.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from . import scenarios as bundled
 from .ablation import DEFAULT_GRID, run_ablation
 from .config import Scenario, load_scenario
 from .errors import ConfigError, LogParseError, QuadtrackError, RuntimeAbort
-from .logio import read_events, write_jsonl
+from .logio import SCENARIO_KEY, read_events, read_jsonl, write_jsonl
 from .metrics import MetricsParams, compute_metrics
 from .replay import replay_track
 from .simulator import run, write_run
-from .tracker import TrackerConfig, TrackerWeights
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,6 +62,18 @@ def _parse_floats(text: str, n: int, what: str) -> tuple:
         return tuple(float(p) for p in parts)
     except ValueError as e:
         raise ConfigError(f"{what}: {e}") from e
+
+
+def _recorded_scenario(run_dir: str) -> Scenario:
+    """The scenario a run directory was simulated with (its summary.json)."""
+    path = os.path.join(run_dir, "summary.json")
+    if not os.path.isfile(path):
+        raise ConfigError(f"missing run summary: {path}")
+    records = read_jsonl(path)
+    if len(records) != 1 or SCENARIO_KEY not in records[0]:
+        raise ConfigError(f"{path}: no recorded {SCENARIO_KEY!r}; "
+                          "re-run `quadtrack sim`")
+    return Scenario.from_dict(records[0][SCENARIO_KEY])
 
 
 def _parse_grid(text: str) -> tuple:
@@ -105,16 +118,13 @@ def cmd_sim(args) -> int:
 
 
 def cmd_track(args) -> int:
-    events = read_events(args.log)
     px, py = _parse_floats(args.prompt, 2, "--prompt")
-    weights = TrackerWeights(*_parse_floats(args.weights, 3, "--weights"))
-    cam_w, cam_h, vfov = _parse_floats(args.camera, 3, "--camera")
-    from .geometry import CameraModel
-
-    cfg = TrackerConfig(camera=CameraModel.from_vfov(int(cam_w), int(cam_h), vfov),
-                        weights=weights,
-                        acceptance_fraction=args.acceptance_fraction)
-    trace = replay_track(events, (px, py), args.prompt_t, cfg)
+    weights = (None if args.weights is None
+               else _parse_floats(args.weights, 3, "--weights"))
+    sc = _recorded_scenario(os.path.dirname(args.log))
+    cfg = sc.tracker.build(sc.camera.build(), weights)
+    prompt_t = sc.prompt.t if args.prompt_t is None else args.prompt_t
+    trace = replay_track(read_events(args.log), (px, py), prompt_t, cfg)
     if args.out:
         write_jsonl(args.out, trace)
         print(f"wrote {args.out} ({len(trace)} frames)")
@@ -140,15 +150,16 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    from .logio import read_jsonl
-
     tracker_path = os.path.join(args.run_dir, "tracker.jsonl")
     truth_path = os.path.join(args.run_dir, "groundtruth.jsonl")
     for p in (tracker_path, truth_path):
         if not os.path.isfile(p):
             raise ConfigError(f"missing trace file: {p}")
-    m = compute_metrics(read_jsonl(tracker_path), read_jsonl(truth_path),
-                        MetricsParams(args.iou_threshold, args.coast_credit))
+    recorded = _recorded_scenario(args.run_dir).metrics
+    params = MetricsParams(
+        recorded.iou_threshold if args.iou_threshold is None else args.iou_threshold,
+        recorded.coast_credit_frames if args.coast_credit is None else args.coast_credit)
+    m = compute_metrics(read_jsonl(tracker_path), read_jsonl(truth_path), params)
     print(json.dumps(m.as_dict()))
     return 0
 
@@ -182,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("track", help="replay the tracker over a recorded log")
     pt.add_argument("log")
     pt.add_argument("--prompt", required=True, help="X,Y init point")
-    pt.add_argument("--prompt-t", type=float, default=0.0)
-    pt.add_argument("--weights", default="3,3,4")
-    pt.add_argument("--camera", default="960,544,1.047", help="W,H,VFOV")
-    pt.add_argument("--acceptance-fraction", type=float, default=0.05)
+    pt.add_argument("--prompt-t", type=float, default=None,
+                    help="default: the recorded prompt time")
+    pt.add_argument("--weights", default=None,
+                    help="a,b,c (default: the recorded weights)")
     pt.add_argument("--out", default=None, help="trace output file")
     pt.set_defaults(fn=cmd_track)
 
@@ -201,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("metrics", help="recompute metrics for a run directory")
     pm.add_argument("run_dir")
-    pm.add_argument("--iou-threshold", type=float, default=0.3)
-    pm.add_argument("--coast-credit", type=int, default=60)
+    pm.add_argument("--iou-threshold", type=float, default=None,
+                    help="default: the recorded value")
+    pm.add_argument("--coast-credit", type=int, default=None,
+                    help="default: the recorded value")
     pm.set_defaults(fn=cmd_metrics)
 
     pc = sub.add_parser("scenario", help="list or show bundled scenarios")

@@ -46,6 +46,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _check_layer(section: str, build, *args) -> None:
+    """Run a layer config's own validation; its ValueError becomes a
+    ConfigError naming the scenario section."""
+    try:
+        build(*args)
+    except ValueError as e:
+        raise ConfigError(f"scenario.{section}: {e}") from e
+
+
 @dataclass(frozen=True)
 class CameraConfig:
     width: int = 960
@@ -209,21 +218,13 @@ class DetectorParams:
     fp_size_min: float = 20.0
     fp_size_max: float = 160.0
 
+    def __post_init__(self):
+        _check_layer("detector", self.build)
+
     def build(self):
         from .detection import SyntheticDetectorConfig
 
-        return SyntheticDetectorConfig(
-            center_noise_px=self.center_noise_px,
-            size_noise_frac=self.size_noise_frac,
-            feature_noise=self.feature_noise,
-            p_dropout=self.p_dropout,
-            fp_rate=self.fp_rate,
-            p_duplicate=self.p_duplicate,
-            occlusion_threshold=self.occlusion_threshold,
-            descriptor_dim=self.descriptor_dim,
-            fp_size_min=self.fp_size_min,
-            fp_size_max=self.fp_size_max,
-        )
+        return SyntheticDetectorConfig(**asdict(self))
 
 
 @dataclass(frozen=True)
@@ -239,13 +240,20 @@ class TrackerParams:
     def __post_init__(self):
         _require(len(self.weights) == 3 and all(w >= 0 for w in self.weights),
                  "tracker: weights must be 3 non-negative values")
-        _require(len(self.q_diag) == 6 and len(self.p0_diag) == 6
-                 and len(self.r_diag) == 4, "tracker: bad covariance diagonals")
+        _check_layer("tracker", self.build, None)
 
     def build_weights(self):
         from .tracker import TrackerWeights
 
         return TrackerWeights(*self.weights)
+
+    def build(self, camera, weights=None):
+        """The tracker layer's TrackerConfig for `camera`; `weights` (an
+        ablation row or a CLI override) replaces the scenario's weights."""
+        from .tracker import TrackerConfig, TrackerWeights
+
+        kw = asdict(self if weights is None else replace(self, weights=tuple(weights)))
+        return TrackerConfig(camera, TrackerWeights(*kw.pop("weights")), **kw)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ from .geometry import BoundingBox
 
 Event = Union[GyroSample, DetectionSet]
 
+SCENARIO_KEY = "scenario_config"   # summary.json key of the run's scenario
+
 
 def fmt_float(x: float) -> str:
     x = float(x)
@@ -57,26 +59,31 @@ def event_line(ev: Event) -> str:
     raise TypeError(f"not a loggable event: {type(ev).__name__}")
 
 
+def _check_order(prev: Event | None, ev: Event, where: str = "") -> None:
+    """Raise StreamOrderError unless `ev` may follow `prev` in a stream:
+    timestamps never decrease and a detection closes its timestamp.
+    `where` prefixes the message (a log line number)."""
+    if prev is None:
+        return
+    if ev.t < prev.t:
+        raise StreamOrderError(
+            f"{where}timestamp regressed ({ev.t!r} after {prev.t!r})")
+    if ev.t == prev.t and isinstance(prev, DetectionSet):
+        raise StreamOrderError(
+            f"{where}event follows a detection at equal t={ev.t!r}")
+
+
 class EventWriter:
     """Validating writer: enforces the stream-order contract on append."""
 
     def __init__(self, fp):
         self.fp = fp
-        self._last_t: float | None = None
-        self._last_kind: str | None = None
+        self._last: Event | None = None
 
     def append(self, ev: Event) -> None:
-        kind = "gyro" if isinstance(ev, GyroSample) else "det"
-        if self._last_t is not None:
-            if ev.t < self._last_t:
-                raise StreamOrderError(
-                    f"timestamp regressed: {ev.t!r} after {self._last_t!r}")
-            if ev.t == self._last_t and self._last_kind == "det":
-                raise StreamOrderError(
-                    f"event at t={ev.t!r} after a detection at the same timestamp")
+        _check_order(self._last, ev)
         self.fp.write(event_line(ev) + "\n")
-        self._last_t = ev.t
-        self._last_kind = kind
+        self._last = ev
 
 
 def write_events(path, events: Iterable[Event]) -> None:
@@ -116,8 +123,6 @@ def read_events(path) -> list[Event]:
     """Parse and validate a sensor log.  Raises LogParseError (with the line
     number) on malformed lines, StreamOrderError on broken ordering."""
     events: list[Event] = []
-    last_t: float | None = None
-    last_kind: str | None = None
     with open(path) as fp:
         for line_no, line in enumerate(fp, start=1):
             line = line.strip()
@@ -130,15 +135,7 @@ def read_events(path) -> list[Event]:
             if not isinstance(obj, dict):
                 raise LogParseError(line_no, "record is not a JSON object")
             ev = _parse_event(obj, line_no)
-            kind = "gyro" if isinstance(ev, GyroSample) else "det"
-            if last_t is not None:
-                if ev.t < last_t:
-                    raise StreamOrderError(
-                        f"line {line_no}: timestamp regressed ({ev.t!r} after {last_t!r})")
-                if ev.t == last_t and last_kind == "det":
-                    raise StreamOrderError(
-                        f"line {line_no}: event follows a detection at equal t={ev.t!r}")
-            last_t, last_kind = ev.t, kind
+            _check_order(events[-1] if events else None, ev, f"line {line_no}: ")
             events.append(ev)
     return events
 
@@ -172,6 +169,15 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
     with open(path, "w") as fp:
         for rec in records:
             fp.write(_json_compact(rec) + "\n")
+
+
+def write_summary(path, summary: dict, scenario: dict) -> None:
+    """A run's summary.json: `summary` with %.9g floats, then the scenario
+    dict under SCENARIO_KEY at full float precision, so that the run's
+    configs rebuild exactly from it."""
+    exact = json.dumps(scenario, separators=(",", ":"))
+    with open(path, "w") as fp:
+        fp.write(f'{_json_compact(summary)[:-1]},"{SCENARIO_KEY}":{exact}}}\n')
 
 
 def read_jsonl(path) -> list[dict]:

@@ -1,10 +1,11 @@
 """Offline tracking over a recorded sensor stream.
 
-Replay consumes the gyro/detection event stream exactly as the live loop
-would: gyro samples advance the filter, each detection frame is scored and
-either accepted or coasted.  Appearance-memory updates use the accepted
-detection's own descriptor (there is no scene to re-query offline), which is
-also what the live loop's masked re-extraction returns up to feature noise.
+Replay feeds the gyro/detection event stream through `Tracker.feed`, the
+same dispatcher the live loop uses: gyro samples advance the filter, each
+detection frame is scored and either accepted or coasted.  Appearance-memory
+updates use the accepted detection's own descriptor (there is no scene to
+re-query offline), which is also what the live loop's masked re-extraction
+returns up to feature noise.
 
 Because the stream is replayed verbatim, every tracker configuration sees an
 identical detection sequence; that is what makes weight ablations comparable
@@ -13,8 +14,6 @@ row to row.
 
 from __future__ import annotations
 
-from .detection import DetectionSet, GyroSample
-from .simulator import init_trace_record
 from .tracker import Tracker, TrackerConfig
 
 
@@ -23,19 +22,5 @@ def replay_track(events, prompt_xy, prompt_t: float,
     """Run the tracker over a recorded event stream; returns the per-frame
     trace (same schema as the live loop's tracker.jsonl)."""
     tracker = Tracker(cfg)
-    trace: list[dict] = []
-    for ev in events:
-        if isinstance(ev, GyroSample):
-            if tracker.initialized:
-                tracker.predict(ev)
-            continue
-        if not isinstance(ev, DetectionSet):
-            raise TypeError(f"unexpected event type {type(ev).__name__}")
-        if not tracker.initialized:
-            if ev.t >= prompt_t - 1e-9:
-                tracker.initialize(prompt_xy, ev)
-                trace.append(init_trace_record(tracker, ev.t))
-        else:
-            res = tracker.step(ev)
-            trace.append(tracker.trace_record(res, ev.t))
-    return trace
+    rows = (tracker.feed(ev, prompt_xy, prompt_t) for ev in events)
+    return [row for row in rows if row is not None]

@@ -41,10 +41,10 @@ from .detection import DetectionSet, GyroSample, SyntheticDetector
 from .errors import InitializationError, SimulationAbort
 from .geometry import (CameraModel, CameraPose, nearest_rotation, hat,
                        pitch_yaw_from_rotation, project_box, rot_z)
-from .logio import EventWriter, event_line
+from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
 from .scene import SceneObject, SceneSnapshot, scene_step
-from .tracker import Tracker, TrackerConfig
+from .tracker import Tracker
 
 GRAVITY = 9.81
 
@@ -188,16 +188,8 @@ def run(scenario: Scenario) -> RunArtifacts:
     rng = np.random.default_rng(sc.seed)
     objects = build_scene(sc, rng)
     detector = SyntheticDetector(sc.detector.build(), rng)
-    tracker = Tracker(TrackerConfig(
-        camera=cam,
-        weights=sc.tracker.build_weights(),
-        memory_alpha=sc.tracker.memory_alpha,
-        acceptance_fraction=sc.tracker.acceptance_fraction,
-        q_diag=sc.tracker.q_diag,
-        r_diag=sc.tracker.r_diag,
-        p0_diag=sc.tracker.p0_diag,
-        gyro_compensation=sc.tracker.gyro_compensation,
-    ))
+    tracker = Tracker(sc.tracker.build(cam))
+    prompt_xy = (sc.prompt.x, sc.prompt.y)
     params = QuadParams(sc.quad.mass, sc.quad.inertia,
                         MixerGeometry(sc.quad.arm_length, sc.quad.yaw_coeff,
                                       sc.quad.max_rotor_thrust),
@@ -288,8 +280,8 @@ def run(scenario: Scenario) -> RunArtifacts:
         if kind == CTRL:
             gyro = imu_sample(t, quad, sc.quad.gyro_noise, rng)
             events.append(gyro)
+            tracker.feed(gyro, prompt_xy, sc.prompt.t)
             if tracker.initialized:
-                tracker.predict(gyro)
                 px, py = predicted_center(tracker)
                 cmd, motors = controller.tick(t, (px, py), quad.R, quad.omega)
             else:
@@ -305,18 +297,14 @@ def run(scenario: Scenario) -> RunArtifacts:
         if tracker.initialized and tracker.state.ekf.t < t:
             gyro = imu_sample(t, quad, sc.quad.gyro_noise, rng)
             events.append(gyro)
-            tracker.predict(gyro)
+            tracker.feed(gyro, prompt_xy, sc.prompt.t)
         dets = detector.detect(snapshot, pose, cam)
         events.append(dets)
         truth_trace.append(truth_record(t, snapshot, pose))
-        if not tracker.initialized:
-            if t >= sc.prompt.t - 1e-9:
-                tracker.initialize((sc.prompt.x, sc.prompt.y), dets)
-                tracker_trace.append(init_trace_record(tracker, t))
-        else:
-            fq = lambda box: detector.extract_target_feature(snapshot, pose, cam, box)
-            res = tracker.step(dets, feature_query=fq)
-            tracker_trace.append(tracker.trace_record(res, t))
+        fq = lambda box: detector.extract_target_feature(snapshot, pose, cam, box)
+        row = tracker.feed(dets, prompt_xy, sc.prompt.t, fq)
+        if row is not None:
+            tracker_trace.append(row)
         icam += 1
 
     metrics = (compute_metrics(tracker_trace, truth_trace, sc.metrics.build())
@@ -343,38 +331,20 @@ def predicted_center(tracker: Tracker) -> tuple[float, float]:
     return predicted_box(tracker.state.ekf).center
 
 
-def init_trace_record(tracker: Tracker, t: float) -> dict:
-    """Trace row for the initialization frame (counts as a lock)."""
-    st = tracker.state
-    return {
-        "t": t,
-        "status": "tracking",
-        "box": st.last_box.as_array(),
-        "s_iou": None, "s_ekf": None, "s_map": None, "s_total": None,
-        "pred": st.last_box.as_array(),
-        "mean": st.ekf.mean,
-        "coast": 0,
-    }
-
-
 # ---------------------------------------------------------------------------
 # output directory
 # ---------------------------------------------------------------------------
 
 
 def write_run(art: RunArtifacts, out_dir) -> None:
-    """Persist the four streams plus summary.  Files are byte-deterministic
-    for a fixed (scenario, seed)."""
+    """Persist the four streams plus summary, which embeds the scenario.
+    Files are byte-deterministic for a fixed (scenario, seed)."""
     import os
 
-    from .logio import write_jsonl
-
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "events.jsonl"), "w") as fp:
-        w = EventWriter(fp)
-        for ev in art.events:
-            w.append(ev)
+    write_events(os.path.join(out_dir, "events.jsonl"), art.events)
     write_jsonl(os.path.join(out_dir, "tracker.jsonl"), art.tracker_trace)
     write_jsonl(os.path.join(out_dir, "commands.jsonl"), art.command_trace)
     write_jsonl(os.path.join(out_dir, "groundtruth.jsonl"), art.truth_trace)
-    write_jsonl(os.path.join(out_dir, "summary.json"), [art.summary])
+    write_summary(os.path.join(out_dir, "summary.json"), art.summary,
+                  art.scenario.to_dict())

@@ -275,11 +275,12 @@ def cosine_score(memory: AppearanceMemory, descriptor: np.ndarray) -> float:
     return min(1.0, max(0.0, c))
 
 
-def score(det: Detection, state: TrackerState,
-          weights: TrackerWeights) -> tuple[float, float, float, float]:
-    """(s_iou, s_ekf, s_map, weighted total) for one candidate."""
+def score(det: Detection, state: TrackerState, weights: TrackerWeights,
+          pred: BoundingBox | None = None) -> tuple[float, float, float, float]:
+    """(s_iou, s_ekf, s_map, weighted total) for one candidate.  `pred` is
+    the filter's predicted box; by default it is taken from state.ekf."""
     s_iou = iou(state.last_box, det.box)
-    s_ekf = iou(predicted_box(state.ekf), det.box)
+    s_ekf = iou(predicted_box(state.ekf) if pred is None else pred, det.box)
     s_map = cosine_score(state.memory, det.descriptor)
     total = weights.w_iou * s_iou + weights.w_ekf * s_ekf + weights.w_map * s_map
     return (s_iou, s_ekf, s_map, total)
@@ -319,14 +320,9 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig,
         ekf = ekf_predict(ekf, GyroSample(dets.t, state.last_gyro_w), cfg)
 
     pred = predicted_box(ekf)
-    w = cfg.weights
     best = None  # (index, det, scores)
     for i, det in enumerate(dets.detections):
-        s_iou = iou(state.last_box, det.box)
-        s_ekf = iou(pred, det.box)
-        s_map = cosine_score(state.memory, det.descriptor)
-        s = (s_iou, s_ekf, s_map,
-             w.w_iou * s_iou + w.w_ekf * s_ekf + w.w_map * s_map)
+        s = score(det, state, cfg.weights, pred)
         if best is None or s[3] > best[2][3]:
             best = (i, det, s)
 
@@ -376,19 +372,44 @@ class Tracker:
         self.state = res.state
         return res
 
+    def feed(self, ev, prompt_xy, prompt_t: float, feature_query=None) -> dict | None:
+        """Consume one stream event; the one dispatcher for live runs and replay.
+
+        A GyroSample advances an initialized filter.  The first DetectionSet
+        at or after prompt_t initializes at prompt_xy; later ones are
+        stepped (feature_query as in `step`).  Returns the frame's trace
+        row, or None for gyro samples and frames before the prompt.
+        """
+        if isinstance(ev, GyroSample):
+            if self.state is not None:
+                self.predict(ev)
+            return None
+        if not isinstance(ev, DetectionSet):
+            raise TypeError(f"unexpected event type {type(ev).__name__}")
+        if self.state is not None:
+            res = self.step(ev, feature_query)
+        elif ev.t < prompt_t - 1e-9:
+            return None
+        else:
+            # the initialization frame counts as a lock, unscored, with the
+            # locked box as its prediction
+            self.initialize(prompt_xy, ev)
+            res = StepResult(self.state, None, None, None, self.state.last_box)
+        return self.trace_record(res, ev.t)
+
     def trace_record(self, res: StepResult, t: float) -> dict:
         """Per-frame trace row (fixed field order for byte-stable logs).
 
-        "pred" is the filter's box *before* the frame's update -- the
-        prediction that scored the candidates -- while "mean" is the
-        post-update state.
+        "box" is the box locked on this frame (none while coasting).  "pred"
+        is the filter's box *before* the frame's update -- the prediction
+        that scored the candidates -- while "mean" is the post-update state.
         """
         st = self.state
         pred = res.pred_box if res.pred_box is not None else predicted_box(st.ekf)
         rec = {
             "t": t,
             "status": st.status,
-            "box": None if res.selected is None else res.selected.box.as_array(),
+            "box": None if st.status == "coasting" else st.last_box.as_array(),
             "s_iou": None if res.scores is None else res.scores[0],
             "s_ekf": None if res.scores is None else res.scores[1],
             "s_map": None if res.scores is None else res.scores[2],

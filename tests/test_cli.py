@@ -7,6 +7,7 @@ import pytest
 from quadtrack import cli, scenarios
 from quadtrack.config import (
     DetectorParams,
+    MetricsConfig,
     MotionConfig,
     ObjectConfig,
     PromptConfig,
@@ -14,7 +15,8 @@ from quadtrack.config import (
     save_scenario,
 )
 from quadtrack.errors import ConfigError
-from quadtrack.logio import read_jsonl
+from quadtrack.logio import read_events, read_jsonl, write_jsonl
+from quadtrack.replay import replay_track
 
 ALL_NAMES = ["static_target", "corridor_approach", "occlusion_decoy",
              "sprint_7ms", "rotation_only", "false_positive_storm"]
@@ -113,6 +115,23 @@ def test_sim_runtime_abort_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("abort:")
 
 
+@pytest.mark.parametrize("section,key,value,message", [
+    ("detector", "p_dropout", 1.5, "scenario.detector: p_dropout must be in [0, 1]"),
+    ("tracker", "weights", [0, 0, 0],
+     "scenario.tracker: at least one weight must be positive"),
+    ("tracker", "memory_alpha", 2, "scenario.tracker: memory_alpha must be in [0, 1]"),
+])
+def test_sim_rejects_bad_layer_values_exits_1(tmp_path, capsys, section, key,
+                                              value, message):
+    d = make_scenario().to_dict()
+    d[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["sim", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_override_flags():
     parser = cli.build_parser()
     sc = make_scenario()
@@ -159,6 +178,45 @@ def test_track_replay_matches_live_decisions(sim_run, tmp_path):
         assert a["s_total"] == pytest.approx(b["s_total"], rel=1e-2)
 
 
+def test_track_readme_command_matches_live_run(tmp_path):
+    # README: quadtrack sim scenarios/occlusion_decoy.json --seed 7 --out runs/decoy-s7
+    #         quadtrack track runs/decoy-s7/events.jsonl --prompt 527,272 --weights 3,3,4
+    out = tmp_path / "decoy-s7"
+    assert cli.main(["sim", "occlusion_decoy", "--seed", "7", "--out", str(out)]) == 0
+    trace_path = tmp_path / "replayed.jsonl"
+    assert cli.main(["track", str(out / "events.jsonl"), "--prompt", "527,272",
+                     "--weights", "3,3,4", "--out", str(trace_path)]) == 0
+    live = read_jsonl(str(out / "tracker.jsonl"))
+    replayed = read_jsonl(str(trace_path))
+    assert len(live) == len(replayed) == 1800
+    decisions = lambda rows: [(r["t"], r["status"], r["box"], r["coast"]) for r in rows]
+    assert decisions(replayed) == decisions(live)
+
+
+def test_track_equals_library_replay_with_scenario_config(tmp_path):
+    sc = scenarios.get("false_positive_storm").with_seed(2)
+    out = tmp_path / "storm-s2"
+    assert cli.main(["sim", sc.name, "--seed", "2", "--out", str(out)]) == 0
+    events = str(out / "events.jsonl")
+    assert cli.main(["track", events, "--prompt", f"{sc.prompt.x},{sc.prompt.y}",
+                     "--out", str(tmp_path / "cli.jsonl")]) == 0
+    trace = replay_track(read_events(events), (sc.prompt.x, sc.prompt.y),
+                         sc.prompt.t, sc.tracker.build(sc.camera.build()))
+    write_jsonl(tmp_path / "lib.jsonl", trace)
+    assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
+
+
+def test_track_and_metrics_need_run_summary(sim_run, tmp_path, capsys):
+    _, out = sim_run
+    for name in ("events.jsonl", "tracker.jsonl", "groundtruth.jsonl"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    missing = str(tmp_path / "summary.json")
+    assert cli.main(["track", str(tmp_path / "events.jsonl"), "--prompt", "480,272"]) == 1
+    assert f"missing run summary: {missing}" in capsys.readouterr().err
+    assert cli.main(["metrics", str(tmp_path)]) == 1
+    assert f"missing run summary: {missing}" in capsys.readouterr().err
+
+
 def test_track_bad_arguments(sim_run, capsys):
     _, out = sim_run
     events = str(out / "events.jsonl")
@@ -185,6 +243,23 @@ def test_metrics_command(sim_run, capsys):
     assert cli.main(["metrics", str(out), "--iou-threshold", "0.9"]) == 0
     strict = json.loads(capsys.readouterr().out)
     assert strict["tracked_pct"] <= got["tracked_pct"]
+
+
+def test_metrics_defaults_to_recorded_settings(tmp_path, capsys):
+    path = tmp_path / "strict.json"
+    save_scenario(make_scenario(metrics=MetricsConfig(0.95, 0)), path)
+    out = tmp_path / "run"
+    assert cli.main(["sim", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["metrics", str(out)]) == 0
+    recorded = json.loads(capsys.readouterr().out)
+    assert cli.main(["metrics", str(out), "--iou-threshold", "0.3",
+                     "--coast-credit", "60"]) == 0
+    lenient = json.loads(capsys.readouterr().out)
+    with open(out / "summary.json") as fp:
+        stored = json.load(fp)["metrics"]
+    assert recorded["tracked_pct"] == pytest.approx(stored["tracked_pct"], rel=1e-8)
+    assert recorded["tracked_pct"] < lenient["tracked_pct"]
 
 
 def test_metrics_missing_file_exits_1(tmp_path, capsys):

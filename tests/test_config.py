@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pathlib
 
 import pytest
 
@@ -75,6 +76,16 @@ def test_save_load_save_byte_identical(tmp_path):
         assert loaded == sc
         save_scenario(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_scenario_corpus_matches_builders(tmp_path):
+    # the benchmark reads scenarios/*.json while the CLI uses the builders
+    corpus = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    assert sorted(p.stem for p in corpus.glob("*.json")) == sorted(ALL_NAMES)
+    for name in ALL_NAMES:
+        path = tmp_path / f"{name}.json"
+        save_scenario(scenarios.get(name), path)
+        assert path.read_bytes() == (corpus / f"{name}.json").read_bytes(), name
 
 
 def test_dict_round_trip_equality():
