@@ -66,7 +66,6 @@ class SyntheticDetectorConfig:
     descriptor_dim: int = DESCRIPTOR_DIM
     fp_size_min: float = 20.0          # false-positive box edge range, px
     fp_size_max: float = 160.0
-    seed: int | None = None            # used only when no generator is supplied
 
     def __post_init__(self):
         for name in ("p_dropout", "p_duplicate", "occlusion_threshold"):
@@ -93,11 +92,11 @@ def _in_image(box: BoundingBox, cam) -> bool:
 
 
 class SyntheticDetector:
-    """Ground-truth-derived detector.  Deterministic given (config, seed)."""
+    """Ground-truth-derived detector.  Deterministic given (config, rng state)."""
 
-    def __init__(self, cfg: SyntheticDetectorConfig, rng: np.random.Generator | None = None):
+    def __init__(self, cfg: SyntheticDetectorConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+        self.rng = rng
 
     # -- frame geometry ---------------------------------------------------
 

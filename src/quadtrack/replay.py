@@ -2,10 +2,10 @@
 
 Replay feeds the gyro/detection event stream through `Tracker.feed`, the
 same dispatcher the live loop uses: gyro samples advance the filter, each
-detection frame is scored and either accepted or coasted.  Appearance-memory
-updates use the accepted detection's own descriptor (there is no scene to
-re-query offline), which is also what the live loop's masked re-extraction
-returns up to feature noise.
+detection frame is scored and either accepted or coasted, and appearance
+memory is updated from the accepted detection's own descriptor.  Replaying a
+live run's in-memory event stream therefore reproduces its tracker trace
+exactly.
 
 Because the stream is replayed verbatim, every tracker configuration sees an
 identical detection sequence; that is what makes weight ablations comparable

@@ -23,7 +23,10 @@ The camera is rigidly mounted looking along body x: camera X right = -body y,
 camera Y down = -body z, camera Z forward = +body x.  Scenarios may script
 the camera platform ("static", "yaw_sine") instead of flying the closed loop;
 commands are still computed and logged but not applied, which gives
-tracker-only scenarios an actuation-independent detection stream.
+tracker-only scenarios an actuation-independent detection stream.  The
+tracker draws nothing (appearance memory follows the accepted detection's
+descriptor), so a scripted stream is independent of the tracker, and a
+closed-loop stream depends on it only through the flight.
 """
 
 from __future__ import annotations
@@ -301,8 +304,7 @@ def run(scenario: Scenario) -> RunArtifacts:
         dets = detector.detect(snapshot, pose, cam)
         events.append(dets)
         truth_trace.append(truth_record(t, snapshot, pose))
-        fq = lambda box: detector.extract_target_feature(snapshot, pose, cam, box)
-        row = tracker.feed(dets, prompt_xy, sc.prompt.t, fq)
+        row = tracker.feed(dets, prompt_xy, sc.prompt.t)
         if row is not None:
             tracker_trace.append(row)
         icam += 1

@@ -301,16 +301,14 @@ def update_memory(memory: AppearanceMemory, feature: np.ndarray) -> AppearanceMe
     return AppearanceMemory(blended / n, memory.alpha)
 
 
-def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig,
-         feature_query=None) -> StepResult:
+def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepResult:
     """Consume one detection frame.
 
     The filter must have been predicted up to dets.t; if the caller left a
     gap (detections between gyro ticks) it is filled here by zero-order-hold
     on the last seen gyro rate.  On acceptance: Kalman update with the
-    selected box, memory update (from feature_query(box) when the caller can
-    re-extract appearance at an arbitrary box, else from the detection's own
-    descriptor), coast counter reset.  Otherwise the frame coasts.
+    selected box, memory update from the detection's own descriptor, coast
+    counter reset.  Otherwise the frame coasts.
     """
     ekf = state.ekf
     if dets.t < ekf.t - 1e-12:
@@ -333,8 +331,7 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig,
 
     i, det, s = best
     ekf = ekf_update(ekf, det.box, cfg)
-    feature = feature_query(det.box) if feature_query is not None else det.descriptor
-    memory = update_memory(state.memory, feature)
+    memory = update_memory(state.memory, det.descriptor)
     new_state = replace(state, ekf=ekf, memory=memory, last_box=det.box,
                         status="tracking", coast_frames=0)
     return StepResult(new_state, det, i, s, pred)
@@ -365,20 +362,20 @@ class Tracker:
         self.state.ekf = ekf_predict(self.state.ekf, gyro, self.cfg)
         self.state.last_gyro_w = np.asarray(gyro.w, dtype=float)
 
-    def step(self, dets: DetectionSet, feature_query=None) -> StepResult:
+    def step(self, dets: DetectionSet) -> StepResult:
         if self.state is None:
             raise InitializationError("step before initialize")
-        res = step(self.state, dets, self.cfg, feature_query)
+        res = step(self.state, dets, self.cfg)
         self.state = res.state
         return res
 
-    def feed(self, ev, prompt_xy, prompt_t: float, feature_query=None) -> dict | None:
+    def feed(self, ev, prompt_xy, prompt_t: float) -> dict | None:
         """Consume one stream event; the one dispatcher for live runs and replay.
 
         A GyroSample advances an initialized filter.  The first DetectionSet
         at or after prompt_t initializes at prompt_xy; later ones are
-        stepped (feature_query as in `step`).  Returns the frame's trace
-        row, or None for gyro samples and frames before the prompt.
+        stepped.  Returns the frame's trace row, or None for gyro samples
+        and frames before the prompt.
         """
         if isinstance(ev, GyroSample):
             if self.state is not None:
@@ -387,7 +384,7 @@ class Tracker:
         if not isinstance(ev, DetectionSet):
             raise TypeError(f"unexpected event type {type(ev).__name__}")
         if self.state is not None:
-            res = self.step(ev, feature_query)
+            res = self.step(ev)
         elif ev.t < prompt_t - 1e-9:
             return None
         else:

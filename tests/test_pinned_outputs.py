@@ -17,24 +17,24 @@ from quadtrack.simulator import run, write_run
 # (scenario, seed, duration override) -> file -> sha256
 PINNED_RUNS = {
     ("false_positive_storm", 2, None): {
-        "events.jsonl": "68aa2fa70eb11c11004dd652ff545552a60c21cdba67795e8e157e9d0714d9e8",
-        "tracker.jsonl": "de0c9911a5ec0d91132c7f455b843662ef138f032c1a80fd62d23cff1f8b3fca",
-        "commands.jsonl": "9734fa37704885ed2e655bf3e11781d595f28fc5938aaaa495b947e95f82ced0",
+        "events.jsonl": "6ab57ebfedfea43387010c71acddc55125aa5857e16fa0d2ced4cec61e1d229e",
+        "tracker.jsonl": "cb8798d5a5d70d332e68ba9329ee387777893c87c6142d3e1a543d4b299ef215",
+        "commands.jsonl": "7e8f9a966d68638e8975363be24cc0788e0ac2363e84056146358fa828df3053",
         "groundtruth.jsonl": "43de0d4d52ac6364043dd6fb17b1fd9ef7f63f4d4426ba43ab779af1b3c86052",
-        "summary.json": "91947631160029850fad6b2a24a395361cbe0601df4bdb8c8225f2b3b6d16dfb",
+        "summary.json": "c9d4141e615d02369d9e8f17b8b8a1d3b385a65ab6efd675b8a3cb0bf63e7d8b",
     },
     ("corridor_approach", 21, 2.0): {
-        "events.jsonl": "74a293ba44f2fbdd6c8c34f4978fdf68ce7934dc6b8f9cade1654a7c34802920",
-        "tracker.jsonl": "d9a8132d973bdc8fed28645ecced3ceb3c0ba7082b3e2dd948b8e7f243d05f13",
-        "commands.jsonl": "efc562dbd8e8b3bc17720b057c8149956df20eea15985fd2bd3e9fb839b6101f",
-        "groundtruth.jsonl": "1fcfd6cc66602a2a1bc94c8f6c1ebf0ea92065203730e5eb59e23bcb42dfe465",
-        "summary.json": "6ffeda7085acfed1fa9ebf1f9f8ab3a84db43fbd04781bb1d1e9b6d16aa3848c",
+        "events.jsonl": "fab21efdaebac7370372910a209834bbb2b9a6660329e38a6e151eb76ebf0e5b",
+        "tracker.jsonl": "8e90558fad74b952104786ae21d04a99205a159a2f3fbf475af87185f25df83e",
+        "commands.jsonl": "5701fa9dd76bed57d2c918cb2920744f3db5f79fe30f4ec637400118acbd8e00",
+        "groundtruth.jsonl": "6340cf909969115cb03d45273c0d448eedb006b7c03e44a0f4395307cdd54a75",
+        "summary.json": "fca716f550423e76ea37c3e5ff315a91d4afe672f22c41d778c1e4a930d98fa6",
     },
 }
 
 # table-2 grid, false_positive_storm seed 2, one seed; digest of the
 # sorted-key JSON of AblationResult.as_dict()
-PINNED_ABLATION = "ca8c669831fa7120e9cd41d4b2011a0129fafaa609f8f02f7f5688cb0d00f6ef"
+PINNED_ABLATION = "7fda8f6bf2f3d40032d44e62d565a50469058afb9187c4fdee01d4e7f09cceff"
 
 
 def _scenario(name, seed, duration):

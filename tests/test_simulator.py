@@ -1,5 +1,6 @@
 """Rigid-body plant, IMU, scene scripts, and the merged event loop."""
 
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from quadtrack import scenarios
 from quadtrack.config import (CameraScriptConfig, DetectorParams,
                               MotionConfig, ObjectConfig, PromptConfig,
                               QuadConfig, RatesConfig, Scenario)
@@ -15,6 +17,7 @@ from quadtrack.detection import DetectionSet, GyroSample
 from quadtrack.errors import SimulationAbort
 from quadtrack.geometry import is_rotation, rot_z
 from quadtrack.logio import event_line
+from quadtrack.replay import replay_track
 from quadtrack.scene import (SceneObject, SinusoidMotion, StaticMotion,
                              WaypointMotion, scene_step)
 from quadtrack.simulator import (CAMERA_FROM_BODY, QuadParams, QuadState,
@@ -288,6 +291,43 @@ def test_different_seed_changes_stream():
     a = run(make_scenario())
     b = run(make_scenario(seed=6))
     assert [event_line(e) for e in a.events] != [event_line(e) for e in b.events]
+
+
+def _bundled(name, seed, duration=None):
+    sc = scenarios.get(name).with_seed(seed)
+    return sc if duration is None else dataclasses.replace(sc, duration=duration)
+
+
+def _exact(rows):
+    # repr-precision JSON: equal strings mean bit-equal floats
+    return [json.dumps(r, default=lambda a: a.tolist()) for r in rows]
+
+
+@pytest.mark.parametrize("name,seed,duration", [
+    ("false_positive_storm", 2, None),
+    ("corridor_approach", 21, 2.0),
+    ("occlusion_decoy", 7, None),
+])
+def test_live_tracker_trace_is_replay_of_own_stream(name, seed, duration):
+    sc = _bundled(name, seed, duration)
+    art = run(sc)
+    replayed = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
+                            sc.prompt.t, sc.tracker.build(sc.camera.build()))
+    assert _exact(replayed) == _exact(art.tracker_trace)
+
+
+@pytest.mark.parametrize("name,seed", [
+    ("false_positive_storm", 2),
+    ("occlusion_decoy", 7),
+    ("rotation_only", 41),
+])
+def test_scripted_stream_independent_of_tracker_weights(name, seed):
+    sc = _bundled(name, seed)
+    iou_only = dataclasses.replace(
+        sc, tracker=dataclasses.replace(sc.tracker, weights=(3.0, 0.0, 0.0)))
+    assert sc.tracker.weights == (3.0, 3.0, 4.0)
+    assert ([event_line(e) for e in run(iou_only).events]
+            == [event_line(e) for e in run(sc).events])
 
 
 def test_scripted_camera_holds_position():
