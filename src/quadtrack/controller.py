@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (DegenerateForceError, DegenerateHeadingError,
                      TimeRegressionError)
-from .geometry import (CameraModel, hat, pitch_yaw_from_rotation, vee,
+from .geometry import (CameraModel, cross3, pitch_yaw_from_rotation, vee,
                        wrap_angle)
 
 GRAVITY = 9.81  # m/s^2
@@ -229,13 +229,13 @@ def desired_rotation(f_des: np.ndarray, yaw_des: float) -> np.ndarray:
     if n <= 1e-6:
         raise DegenerateForceError(f"force demand norm {n:.3e} too small")
     r3 = f_des / n
-    h = np.array([math.cos(yaw_des), math.sin(yaw_des), 0.0])
-    r2 = np.cross(r3, h)
+    h = (math.cos(yaw_des), math.sin(yaw_des), 0.0)
+    r2 = np.array(cross3(r3, h))
     n2 = np.linalg.norm(r2)
     if n2 <= 1e-6:
         raise DegenerateHeadingError("heading parallel to thrust axis")
     r2 = r2 / n2
-    r1 = np.cross(r2, r3)
+    r1 = np.array(cross3(r2, r3))
     return np.column_stack([r1, r2, r3])
 
 
@@ -252,7 +252,7 @@ def attitude_control(R: np.ndarray, omega: np.ndarray, R_des: np.ndarray,
     J = np.asarray(inertia, dtype=float)
     Jw = J * omega if J.ndim == 1 else J @ omega
     return (-np.asarray(gains.kr) * e_R - np.asarray(gains.kw) * omega
-            + np.cross(omega, Jw))
+            + cross3(omega, Jw))
 
 
 def _allocation(geom: MixerGeometry) -> np.ndarray:

@@ -274,15 +274,29 @@ def is_rotation(R: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
-    """Orthogonal Procrustes projection of M onto SO(3)."""
+    """Orthogonal Procrustes projection of M onto SO(3): U diag(1, 1, d) Vt
+    with d the sign of det(U Vt), formed by flipping U's last column only
+    when U Vt is a reflection."""
     U, _, Vt = np.linalg.svd(M)
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
-    return U @ D @ Vt
+    Q = U @ Vt
+    if np.linalg.det(Q) < 0.0:
+        U[:, 2] = -U[:, 2]
+        Q = U @ Vt
+    return Q
+
+
+def cross3(a, b) -> tuple[float, float, float]:
+    """a x b for two 3-vectors (any length-3 sequences).  The same products
+    and differences as np.cross, so the same bits, without its per-call
+    array overhead."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
 
 
 def hat(w) -> np.ndarray:
     """Skew matrix such that hat(w) @ v == cross(w, v)."""
-    wx, wy, wz = (float(v) for v in w)
+    wx, wy, wz = w
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
 
 

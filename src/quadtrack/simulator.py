@@ -8,8 +8,11 @@ Plant: standard rigid-body quadrotor,
     J omega' = torque - omega x J omega
 
 integrated with fixed-step RK4 at the physics rate and re-orthonormalized
-(nearest rotation) after every step.  Motors are ideal by default; an
-optional first-order lag models spin-up.
+(nearest rotation) after every step.  Motors are ideal by default: the
+wrench is computed from the commanded rotor thrusts once per control tick
+and zero-order-held over the physics steps up to the next tick.  An optional
+first-order lag models spin-up; the realized thrusts, and so the wrench,
+then move on every physics step.
 
 Scheduling: three periodic event streams -- physics (integrate the interval
 ending at t), control/gyro, camera -- merged by timestamp with ties ordered
@@ -40,16 +43,17 @@ from .config import Scenario, scenario_hash
 from .controller import (AttitudeGains, BodyCommand, ControllerGains,
                          MixerGeometry, MotorCommand, VisualController,
                          motor_wrench)
-from .detection import DetectionSet, GyroSample, SyntheticDetector
-from .errors import InitializationError, SimulationAbort
-from .geometry import (CameraModel, CameraPose, nearest_rotation, hat,
+from .detection import GyroSample, SyntheticDetector
+from .errors import SimulationAbort
+from .geometry import (CameraPose, cross3, hat, nearest_rotation,
                        pitch_yaw_from_rotation, project_box, rot_z)
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
 from .scene import SceneObject, SceneSnapshot, scene_step
-from .tracker import Tracker
+from .tracker import Tracker, predicted_box
 
 GRAVITY = 9.81
+GRAVITY_VEC = (0.0, 0.0, -GRAVITY)
 
 # camera-from-body: rows are the camera axes expressed in body coordinates.
 CAMERA_FROM_BODY = np.array([
@@ -75,34 +79,57 @@ class QuadState:
     omega: np.ndarray                    # body rates, rad/s
 
 
-def _deriv(p, v, R, w, thrust, torque, params):
-    m = params.mass
-    J = np.asarray(params.inertia)
-    dv = (thrust / m) * R[:, 2] + np.array([0.0, 0.0, -GRAVITY])
-    dR = R @ hat(w)
-    dw = (torque - np.cross(w, J * w)) / J
-    return v, dv, dR, dw
+def _deriv(R, w, thrust, torque, m, J):
+    """(v', R', omega') at one RK4 stage; p' = v needs no work.  The
+    3-vectors are lists of floats, R is the stage's 3x3 array."""
+    s = thrust / m
+    dv = [s * r + g for r, g in zip(R[:, 2].tolist(), GRAVITY_VEC)]
+    gyro = cross3(w, [j * x for j, x in zip(J, w)])
+    dw = [(t - c) / j for t, c, j in zip(torque, gyro, J)]
+    return dv, R @ hat(w), dw
+
+
+def _axpy(x, a, y):
+    return [xi + a * yi for xi, yi in zip(x, y)]
+
+
+def _rk4_sum(x, c, k1, k2, k3, k4):
+    return [xi + c * (a + 2 * b + 2 * d + e)
+            for xi, a, b, d, e in zip(x, k1, k2, k3, k4)]
 
 
 def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadParams,
                   dt: float) -> QuadState:
-    """One RK4 step under a zero-order-held wrench, then SO(3) projection."""
-    thrust, torque = cmd.thrust, np.asarray(cmd.torques, dtype=float)
-    p, v, R, w = state.p, state.v, state.R, state.omega
+    """One RK4 step under a zero-order-held wrench, then SO(3) projection.
 
-    k1 = _deriv(p, v, R, w, thrust, torque, params)
-    k2 = _deriv(p + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1],
-                R + 0.5 * dt * k1[2], w + 0.5 * dt * k1[3], thrust, torque, params)
-    k3 = _deriv(p + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1],
-                R + 0.5 * dt * k2[2], w + 0.5 * dt * k2[3], thrust, torque, params)
-    k4 = _deriv(p + dt * k3[0], v + dt * k3[1],
-                R + dt * k3[2], w + dt * k3[3], thrust, torque, params)
+    p, v and omega are stepped as floats, one component at a time, with the
+    operations and order of the elementwise array form (x + h*k per stage,
+    x + dt/6*(k1 + 2k2 + 2k3 + k4) at the end), so the bits equal it; R keeps
+    its numpy 3x3 algebra.  A non-finite R is returned unprojected (an SVD of
+    it fails or never returns) for the caller's finiteness check.
+    """
+    thrust = cmd.thrust
+    torque = np.asarray(cmd.torques, dtype=float).tolist()
+    m, J = params.mass, [float(j) for j in params.inertia]
+    p, v, R, w = state.p.tolist(), state.v.tolist(), state.R, state.omega.tolist()
+    h = 0.5 * dt
 
-    p1 = p + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    v1 = v + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    R1 = R + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    w1 = w + (dt / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return QuadState(p1, v1, nearest_rotation(R1), w1)
+    dv1, dR1, dw1 = _deriv(R, w, thrust, torque, m, J)
+    v2, w2 = _axpy(v, h, dv1), _axpy(w, h, dw1)
+    dv2, dR2, dw2 = _deriv(R + h * dR1, w2, thrust, torque, m, J)
+    v3, w3 = _axpy(v, h, dv2), _axpy(w, h, dw2)
+    dv3, dR3, dw3 = _deriv(R + h * dR2, w3, thrust, torque, m, J)
+    v4, w4 = _axpy(v, dt, dv3), _axpy(w, dt, dw3)
+    dv4, dR4, dw4 = _deriv(R + dt * dR3, w4, thrust, torque, m, J)
+
+    c = dt / 6.0
+    p1 = _rk4_sum(p, c, v, v2, v3, v4)
+    v1 = _rk4_sum(v, c, dv1, dv2, dv3, dv4)
+    w1 = _rk4_sum(w, c, dw1, dw2, dw3, dw4)
+    R1 = R + c * (dR1 + 2 * dR2 + 2 * dR3 + dR4)
+    if np.isfinite(R1).all():
+        R1 = nearest_rotation(R1)
+    return QuadState(np.array(p1), np.array(v1), R1, np.array(w1))
 
 
 def imu_sample(t: float, state: QuadState, sigma: float,
@@ -224,6 +251,11 @@ def run(scenario: Scenario) -> RunArtifacts:
     command_trace: list[dict] = []
     truth_trace: list[dict] = []
     wrench = MotorCommand(np.zeros(4), False)
+    # ideal motors: the wrench changes only at a control tick, so it is
+    # computed there and held; with lag it moves on every physics step
+    hold_wrench = not scripted and params.motor_lag == 0.0
+    applied = (BodyCommand(*motor_wrench(wrench, params.geometry))
+               if hold_wrench else None)
     rotor_thrusts = np.zeros(4)  # realized thrusts when motor lag is on
     last_phys_t = 0.0
     ip, ic, icam = 1, 0, 0
@@ -263,18 +295,14 @@ def run(scenario: Scenario) -> RunArtifacts:
                 quad = script.state_at(t)
             else:
                 dt = t - last_phys_t
-                if params.motor_lag > 0.0:
+                if not hold_wrench:
                     a = 1.0 - math.exp(-dt / params.motor_lag)
                     rotor_thrusts = rotor_thrusts + a * (wrench.thrusts - rotor_thrusts)
-                    tau, torq = motor_wrench(MotorCommand(rotor_thrusts, False),
-                                             params.geometry)
-                    applied = BodyCommand(tau, torq)
-                else:
-                    tau, torq = motor_wrench(wrench, params.geometry)
-                    applied = BodyCommand(tau, torq)
+                    applied = BodyCommand(*motor_wrench(
+                        MotorCommand(rotor_thrusts, False), params.geometry))
                 quad = dynamics_step(quad, applied, params, dt)
-                if not (np.all(np.isfinite(quad.p)) and np.all(np.isfinite(quad.v))
-                        and np.all(np.isfinite(quad.R)) and np.all(np.isfinite(quad.omega))):
+                if not np.isfinite(np.concatenate(
+                        (quad.p, quad.v, quad.R.ravel(), quad.omega))).all():
                     raise SimulationAbort(last_phys_t, "non-finite state")
             last_phys_t = t
             ip += 1
@@ -291,6 +319,8 @@ def run(scenario: Scenario) -> RunArtifacts:
                 cmd, motors = controller.hover_tick(t, quad.R, quad.omega)
             command_trace.append(controller.command_record(t, cmd, motors))
             wrench = motors
+            if hold_wrench:
+                applied = BodyCommand(*motor_wrench(wrench, params.geometry))
             ic += 1
             continue
 
@@ -328,8 +358,6 @@ def run(scenario: Scenario) -> RunArtifacts:
 
 
 def predicted_center(tracker: Tracker) -> tuple[float, float]:
-    from .tracker import predicted_box
-
     return predicted_box(tracker.state.ekf).center
 
 

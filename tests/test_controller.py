@@ -18,7 +18,7 @@ from quadtrack.controller import (GRAVITY, AttitudeGains, BodyCommand,
 from quadtrack.errors import (DegenerateForceError, DegenerateHeadingError,
                               TimeRegressionError)
 from quadtrack.geometry import (CameraModel, is_rotation, rot_x, rot_y, rot_z,
-                                zyx_matrix)
+                                vee, zyx_matrix)
 
 CAM = CameraModel.from_vfov(960, 544, 1.047)
 GAINS = ControllerGains()
@@ -238,6 +238,38 @@ def test_desired_rotation_degenerate_inputs():
 # ---------------------------------------------------------------------------
 # attitude loop
 # ---------------------------------------------------------------------------
+
+
+def _ref_desired_rotation(f_des, yaw_des):
+    r3 = f_des / np.linalg.norm(f_des)
+    h = np.array([math.cos(yaw_des), math.sin(yaw_des), 0.0])
+    r2 = np.cross(r3, h)
+    r2 = r2 / np.linalg.norm(r2)
+    return np.column_stack([np.cross(r2, r3), r2, r3])
+
+
+def _ref_attitude_control(R, omega, R_des, gains, J):
+    e_R = 0.5 * vee(R_des.T @ R - R.T @ R_des)
+    return (-np.asarray(gains.kr) * e_R - np.asarray(gains.kw) * omega
+            + np.cross(omega, J * omega))
+
+
+def _random_rotation(rng):
+    return zyx_matrix(rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5),
+                      rng.uniform(-math.pi, math.pi))
+
+
+def test_controller_cross_bit_identical_to_numpy():
+    rng = np.random.default_rng(3)
+    for i in range(200):
+        f = rng.normal(0.0, 5.0, size=3) + np.array([0.0, 0.0, 12.0])
+        yaw = rng.uniform(-math.pi, math.pi)
+        assert np.array_equal(desired_rotation(f, yaw), _ref_desired_rotation(f, yaw)), i
+        R, R_des = _random_rotation(rng), _random_rotation(rng)
+        omega = rng.normal(0.0, 300.0 if i % 4 == 0 else 3.0, size=3)
+        J = rng.uniform(0.002, 0.05, size=3)
+        assert np.array_equal(attitude_control(R, omega, R_des, AttitudeGains(), J),
+                              _ref_attitude_control(R, omega, R_des, AttitudeGains(), J)), i
 
 
 def test_attitude_zero_error_zero_rate_zero_torque():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from quadtrack.errors import DegenerateAttitudeError
 from quadtrack.geometry import (BoundingBox, CameraModel, CameraPose,
-                                camera_depth, covered_fraction, hat, iou,
+                                camera_depth, covered_fraction, cross3, hat, iou,
                                 is_rotation, nearest_rotation,
                                 pitch_yaw_from_rotation, project_box,
                                 project_point, quat_from_rotation, rot_x,
@@ -277,6 +277,33 @@ def test_nearest_rotation_projects_noisy_matrix():
     assert np.max(np.abs(P - R)) < 5e-3
     # already-orthonormal input is a fixed point
     assert np.max(np.abs(nearest_rotation(R) - R)) < 1e-12
+
+
+def _diag_projection(M):
+    U, _, Vt = np.linalg.svd(M)
+    return U @ np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))]) @ Vt
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rotation", "reflection"])
+def test_nearest_rotation_is_proper_and_matches_diag_formula(sign):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        R = zyx_matrix(*rng.uniform(-1.5, 1.5, size=3))
+        M = R @ np.diag([1.0, 1.0, sign]) + rng.normal(0.0, 1e-2, size=(3, 3))
+        assert np.sign(np.linalg.det(M)) == sign
+        P = nearest_rotation(M)
+        assert is_rotation(P, tol=1e-12)
+        assert np.linalg.det(P) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(P, _diag_projection(M))
+
+
+def test_cross3_bit_identical_to_numpy():
+    rng = np.random.default_rng(13)
+    for scale in (1e-6, 1.0, 1e3, 1e150):
+        for _ in range(100):
+            a, b = rng.normal(0.0, scale, size=3), rng.normal(0.0, scale, size=3)
+            assert np.array_equal(np.array(cross3(a.tolist(), b.tolist())), np.cross(a, b))
+            assert np.array_equal(np.array(cross3(a, b)), np.cross(a, b))
 
 
 def test_hat_vee_cross():

@@ -14,21 +14,30 @@ from quadtrack import scenarios
 from quadtrack.ablation import run_ablation
 from quadtrack.simulator import run, write_run
 
-# (scenario, seed, duration override) -> file -> sha256
+# (scenario, seed, duration override, motor lag override) -> file -> sha256
 PINNED_RUNS = {
-    ("false_positive_storm", 2, None): {
+    ("false_positive_storm", 2, None, None): {
         "events.jsonl": "6ab57ebfedfea43387010c71acddc55125aa5857e16fa0d2ced4cec61e1d229e",
         "tracker.jsonl": "cb8798d5a5d70d332e68ba9329ee387777893c87c6142d3e1a543d4b299ef215",
         "commands.jsonl": "7e8f9a966d68638e8975363be24cc0788e0ac2363e84056146358fa828df3053",
         "groundtruth.jsonl": "43de0d4d52ac6364043dd6fb17b1fd9ef7f63f4d4426ba43ab779af1b3c86052",
         "summary.json": "c9d4141e615d02369d9e8f17b8b8a1d3b385a65ab6efd675b8a3cb0bf63e7d8b",
     },
-    ("corridor_approach", 21, 2.0): {
+    ("corridor_approach", 21, 2.0, None): {
         "events.jsonl": "fab21efdaebac7370372910a209834bbb2b9a6660329e38a6e151eb76ebf0e5b",
         "tracker.jsonl": "8e90558fad74b952104786ae21d04a99205a159a2f3fbf475af87185f25df83e",
         "commands.jsonl": "5701fa9dd76bed57d2c918cb2920744f3db5f79fe30f4ec637400118acbd8e00",
         "groundtruth.jsonl": "6340cf909969115cb03d45273c0d448eedb006b7c03e44a0f4395307cdd54a75",
         "summary.json": "fca716f550423e76ea37c3e5ff315a91d4afe672f22c41d778c1e4a930d98fa6",
+    },
+    # first-order motor lag: the rotor thrusts, and so the wrench, move on
+    # every physics step rather than once per control tick
+    ("corridor_approach", 21, 2.0, 0.02): {
+        "events.jsonl": "347174addef6d0db94a565a0349d6a2a3587794886a9361921c4bb5d1b37aa24",
+        "tracker.jsonl": "fa383a47dffb2261f9d531de732d91d8a765f99cd26c9dc9e09e89d93593260e",
+        "commands.jsonl": "89444c7020dcda972cba66fd44f9b6237002cba90cb1e48993ff307f2c0062e1",
+        "groundtruth.jsonl": "960a802bc3e4131dc14f0748d814876f72fdfede9c2bd9e5c75562fadff837ce",
+        "summary.json": "3ecae11b6008ed0b02a403c54700046e89f4f6f9c6a2db13e2ac381ef819892d",
     },
 }
 
@@ -37,12 +46,21 @@ PINNED_RUNS = {
 PINNED_ABLATION = "7fda8f6bf2f3d40032d44e62d565a50469058afb9187c4fdee01d4e7f09cceff"
 
 
-def _scenario(name, seed, duration):
+def _scenario(name, seed, duration, motor_lag=None):
     sc = scenarios.get(name).with_seed(seed)
-    return sc if duration is None else dataclasses.replace(sc, duration=duration)
+    if duration is not None:
+        sc = dataclasses.replace(sc, duration=duration)
+    if motor_lag is not None:
+        sc = dataclasses.replace(sc, quad=dataclasses.replace(sc.quad, motor_lag=motor_lag))
+    return sc
 
 
-@pytest.mark.parametrize("case", list(PINNED_RUNS), ids=lambda c: f"{c[0]}-s{c[1]}")
+def _case_id(case):
+    name, seed, _, motor_lag = case
+    return f"{name}-s{seed}" + ("" if motor_lag is None else f"-lag{motor_lag}")
+
+
+@pytest.mark.parametrize("case", list(PINNED_RUNS), ids=_case_id)
 def test_run_directory_matches_pinned_digests(tmp_path, case):
     write_run(run(_scenario(*case)), tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

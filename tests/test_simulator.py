@@ -8,14 +8,14 @@ import os
 import numpy as np
 import pytest
 
-from quadtrack import scenarios
+from quadtrack import cli, scenarios, simulator
 from quadtrack.config import (CameraScriptConfig, DetectorParams,
                               MotionConfig, ObjectConfig, PromptConfig,
-                              QuadConfig, RatesConfig, Scenario)
+                              QuadConfig, RatesConfig, Scenario, save_scenario)
 from quadtrack.controller import BodyCommand
 from quadtrack.detection import DetectionSet, GyroSample
 from quadtrack.errors import SimulationAbort
-from quadtrack.geometry import is_rotation, rot_z
+from quadtrack.geometry import is_rotation, rot_z, zyx_matrix
 from quadtrack.logio import event_line
 from quadtrack.replay import replay_track
 from quadtrack.scene import (SceneObject, SinusoidMotion, StaticMotion,
@@ -390,3 +390,120 @@ def test_simulation_abort_reports_last_good_time():
     err = SimulationAbort(1.234, "non-finite state")
     assert err.t == 1.234
     assert "1.234" in str(err) and "non-finite" in str(err)
+
+
+BAD_STEP = 250  # physics step that goes non-finite; step 249 ends at 0.249 s
+
+
+def _poison(what):
+    """A dynamics_step whose BAD_STEP-th call goes non-finite: one output
+    field set to NaN or inf, or (what == "torque") a NaN torque fed into
+    the real step so that the whole state, R included, turns NaN."""
+    real = simulator.dynamics_step
+    calls = [0]
+
+    def step(state, cmd, params, dt):
+        calls[0] += 1
+        if calls[0] != BAD_STEP:
+            return real(state, cmd, params, dt)
+        if what == "torque":
+            return real(state, BodyCommand(cmd.thrust, np.array([np.nan, 0.0, 0.0])),
+                        params, dt)
+        out = real(state, cmd, params, dt)
+        bad = getattr(out, what).copy()
+        bad.flat[1] = np.inf if what == "v" else np.nan
+        return dataclasses.replace(out, **{what: bad})
+
+    return step
+
+
+@pytest.mark.parametrize("what", ["p", "v", "R", "omega", "torque"])
+def test_non_finite_state_aborts_at_last_good_time(monkeypatch, tmp_path,
+                                                   capsys, what):
+    sc = make_scenario()
+    monkeypatch.setattr(simulator, "dynamics_step", _poison(what))
+    with pytest.raises(SimulationAbort, match="non-finite state") as err:
+        run(sc)
+    assert err.value.t == (BAD_STEP - 1) / sc.rates.physics_hz
+
+    monkeypatch.setattr(simulator, "dynamics_step", _poison(what))
+    path = tmp_path / "unit.json"
+    save_scenario(sc, path)
+    assert cli.main(["sim", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "abort: non-finite state (last good state at t=0.249000 s)")
+
+
+def test_dynamics_step_leaves_non_finite_attitude_unprojected():
+    # an SVD of a NaN matrix raises (and of an inf one may not return), so
+    # the step hands a non-finite state back for the caller's check
+    st = QuadState(np.zeros(3), np.zeros(3), np.eye(3), np.array([np.nan, 0.0, 0.0]))
+    out = dynamics_step(st, BodyCommand(10.0, np.zeros(3)), QuadParams(), 0.001)
+    assert not np.all(np.isfinite(out.R))
+
+
+# ---------------------------------------------------------------------------
+# step oracle: the elementwise numpy RK4 that dynamics_step must equal bit
+# for bit
+# ---------------------------------------------------------------------------
+
+
+def _ref_hat(w):
+    wx, wy, wz = (float(v) for v in w)
+    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+
+
+def _ref_nearest_rotation(M):
+    U, _, Vt = np.linalg.svd(M)
+    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
+    return U @ D @ Vt
+
+
+def _ref_deriv(p, v, R, w, thrust, torque, params):
+    m = params.mass
+    J = np.asarray(params.inertia)
+    dv = (thrust / m) * R[:, 2] + np.array([0.0, 0.0, -GRAVITY])
+    dR = R @ _ref_hat(w)
+    dw = (torque - np.cross(w, J * w)) / J
+    return v, dv, dR, dw
+
+
+def _ref_dynamics_step(state, cmd, params, dt):
+    thrust, torque = cmd.thrust, np.asarray(cmd.torques, dtype=float)
+    p, v, R, w = state.p, state.v, state.R, state.omega
+
+    k1 = _ref_deriv(p, v, R, w, thrust, torque, params)
+    k2 = _ref_deriv(p + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1],
+                    R + 0.5 * dt * k1[2], w + 0.5 * dt * k1[3], thrust, torque, params)
+    k3 = _ref_deriv(p + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1],
+                    R + 0.5 * dt * k2[2], w + 0.5 * dt * k2[3], thrust, torque, params)
+    k4 = _ref_deriv(p + dt * k3[0], v + dt * k3[1],
+                    R + dt * k3[2], w + dt * k3[3], thrust, torque, params)
+
+    p1 = p + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+    v1 = v + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    R1 = R + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+    w1 = w + (dt / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return QuadState(p1, v1, _ref_nearest_rotation(R1), w1)
+
+
+def test_dynamics_step_bit_identical_to_numpy_rk4():
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        params = QuadParams(mass=rng.uniform(0.3, 3.0),
+                            inertia=tuple(rng.uniform(0.002, 0.05, size=3)))
+        # every 4th state spins so fast that some steps leave SO(3) far
+        # enough to take the projection's reflection branch
+        rate_scale = 300.0 if i % 4 == 0 else 3.0
+        state = QuadState(rng.normal(0.0, 10.0, size=3), rng.normal(0.0, 3.0, size=3),
+                          zyx_matrix(rng.uniform(-math.pi, math.pi),
+                                     rng.uniform(-1.5, 1.5),
+                                     rng.uniform(-math.pi, math.pi)),
+                          rng.normal(0.0, rate_scale, size=3))
+        thrust = 0.0 if i % 5 == 0 else rng.uniform(0.0, 40.0)
+        cmd = BodyCommand(thrust, rng.normal(0.0, 0.3, size=3))
+        dt = rng.uniform(1e-4, 2e-2)
+        got = dynamics_step(state, cmd, params, dt)
+        want = _ref_dynamics_step(state, cmd, params, dt)
+        for name in ("p", "v", "R", "omega"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
