@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +82,23 @@ class MixerGeometry:
     arm_length: float = 0.17       # m, hub to rotor
     yaw_coeff: float = 0.016       # m, drag torque per unit thrust
     max_thrust: float = 8.0        # N per rotor
+
+    @cached_property
+    def allocation(self) -> np.ndarray:
+        """Rows: collective, roll, pitch, yaw.  Columns: rotors FR, FL, RL, RR.
+
+        Built on first use and kept (read-only) with the frozen geometry.
+        """
+        a = self.arm_length / math.sqrt(2.0)
+        k = self.yaw_coeff
+        A = np.array([
+            [1.0, 1.0, 1.0, 1.0],
+            [-a, a, a, -a],
+            [-a, -a, a, a],
+            [k, -k, k, -k],
+        ])
+        A.flags.writeable = False
+        return A
 
 
 @dataclass
@@ -255,24 +273,11 @@ def attitude_control(R: np.ndarray, omega: np.ndarray, R_des: np.ndarray,
             + cross3(omega, Jw))
 
 
-def _allocation(geom: MixerGeometry) -> np.ndarray:
-    """Rows: collective, roll, pitch, yaw.  Columns: rotors FR, FL, RL, RR."""
-    a = geom.arm_length / math.sqrt(2.0)
-    k = geom.yaw_coeff
-    return np.array([
-        [1.0, 1.0, 1.0, 1.0],
-        [-a, a, a, -a],
-        [-a, -a, a, a],
-        [k, -k, k, -k],
-    ])
-
-
 def mix(thrust: float, torques: np.ndarray, geom: MixerGeometry) -> MotorCommand:
     """Allocate 4 rotor thrusts; on saturation shrink the torque component
     toward pure collective (collective has priority and is preserved)."""
-    A = _allocation(geom)
     u = np.array([thrust, torques[0], torques[1], torques[2]], dtype=float)
-    f = np.linalg.solve(A, u)
+    f = np.linalg.solve(geom.allocation, u)
     base = thrust / 4.0
     saturated = False
     if base > geom.max_thrust:
@@ -295,7 +300,7 @@ def mix(thrust: float, torques: np.ndarray, geom: MixerGeometry) -> MotorCommand
 
 def motor_wrench(cmd: MotorCommand, geom: MixerGeometry) -> tuple[float, np.ndarray]:
     """Forward map: rotor thrusts -> (collective, body torques)."""
-    u = _allocation(geom) @ cmd.thrusts
+    u = geom.allocation @ cmd.thrusts
     return float(u[0]), u[1:]
 
 

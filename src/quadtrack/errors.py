@@ -38,7 +38,9 @@ class InitializationError(RuntimeAbort):
 
 
 class FilterDegenerateError(RuntimeAbort):
-    """Innovation covariance numerically singular (condition number > 1e12)."""
+    """Innovation covariance S not finite, not positive definite, or
+    numerically singular (condition number > 1e12); raised by the tracker's
+    measurement update, with the filter time in the message."""
 
 
 class LogParseError(QuadtrackError):

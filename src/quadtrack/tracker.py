@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,11 @@ class TrackerWeights:
         return self.w_iou + self.w_ekf + self.w_map
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class TrackerConfig:
     camera: CameraModel
@@ -90,6 +95,10 @@ class TrackerConfig:
             v = getattr(self, name)
             if len(v) != n or any(x < 0 for x in v):
                 raise ValueError(f"{name} must be {n} non-negative entries")
+        # noise matrices for the filter, built once (not dataclass fields)
+        self.q_matrix = _frozen(np.diag(np.asarray(self.q_diag, dtype=float)))
+        self.r_vector = _frozen(np.asarray(self.r_diag, dtype=float))
+        self.r_matrix = _frozen(np.diag(self.r_vector))
 
     @property
     def s_min(self) -> float:
@@ -169,7 +178,7 @@ def initialize(prompt_xy, dets: DetectionSet, cfg: TrackerConfig) -> TrackerStat
 # ---------------------------------------------------------------------------
 
 
-def _rotational_flow(mean: np.ndarray, w: np.ndarray, cam: CameraModel):
+def _rotational_flow(mean, w, cam: CameraModel):
     """Pixel-rate of the box center induced by camera rotation, plus the
     partials of (u', v') w.r.t. normalized center coordinates."""
     f = cam.focal
@@ -187,23 +196,25 @@ def _rotational_flow(mean: np.ndarray, w: np.ndarray, cam: CameraModel):
     return du, dv, a, b, c, d
 
 
+def _transition(dt: float, a: float, b: float, c: float, d: float) -> np.ndarray:
+    """F for flow partials (a, b, c, d); all zero without gyro compensation."""
+    return np.array([
+        [1.0 + dt * a, dt * b, dt * a / 2.0, dt * b / 2.0, dt, 0.0],
+        [dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0, 0.0, dt],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+
+
 def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel,
                      compensate: bool = True) -> np.ndarray:
     """State-transition Jacobian of one predict step."""
-    F = np.eye(6)
-    F[0, 4] = dt
-    F[1, 5] = dt
-    if compensate:
-        _, _, a, b, c, d = _rotational_flow(state.mean, w, cam)
-        F[0, 0] += dt * a
-        F[0, 1] = dt * b
-        F[0, 2] = dt * a / 2.0
-        F[0, 3] = dt * b / 2.0
-        F[1, 0] = dt * c
-        F[1, 1] += dt * d
-        F[1, 2] = dt * c / 2.0
-        F[1, 3] = dt * d / 2.0
-    return F
+    if not compensate:
+        return _transition(dt, 0.0, 0.0, 0.0, 0.0)
+    _, _, a, b, c, d = _rotational_flow(state.mean, w, cam)
+    return _transition(dt, a, b, c, d)
 
 
 def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfState:
@@ -211,7 +222,8 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
 
     dt = 0 is a no-op on the mean and adds no process noise.  A negative dt
     raises TimeRegressionError; dt beyond STALE_GYRO_DT logs a warning but
-    still propagates.
+    still propagates.  The mean is stepped on Python floats, with the same
+    operations in the same order as the array form, so the same bits.
     """
     dt = gyro.t - state.t
     if dt < 0.0:
@@ -220,38 +232,54 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     if dt > STALE_GYRO_DT:
         log.warning("stale gyro: dt=%.4f s exceeds %.2f s, propagating anyway",
                     dt, STALE_GYRO_DT)
-    w = np.asarray(gyro.w, dtype=float)
-    mean = state.mean.copy()
+    m = state.mean.tolist()
     if cfg.gyro_compensation:
-        du, dv, *_ = _rotational_flow(state.mean, w, cfg.camera)
+        w = np.asarray(gyro.w, dtype=float).tolist()
+        du, dv, a, b, c, d = _rotational_flow(m, w, cfg.camera)
     else:
-        du = dv = 0.0
-    mean[0] += (mean[4] + du) * dt
-    mean[1] += (mean[5] + dv) * dt
-    mean[2] = max(MIN_BOX_SIZE, mean[2])
-    mean[3] = max(MIN_BOX_SIZE, mean[3])
-    F = predict_jacobian(state, w, dt, cfg.camera, cfg.gyro_compensation)
-    cov = F @ state.cov @ F.T + np.diag(cfg.q_diag) * dt
+        du = dv = a = b = c = d = 0.0
+    x, y, bw, bh, vx, vy = m
+    mean = np.array([x + (vx + du) * dt, y + (vy + dv) * dt,
+                     max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy])
+    F = _transition(dt, a, b, c, d)
+    cov = F @ state.cov @ F.T + cfg.q_matrix * dt
     cov = 0.5 * (cov + cov.T)
     return EkfState(mean, cov, gyro.t)
 
 
 def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfState:
-    """Measurement update with z = [x, y, w, h] (Joseph-form covariance)."""
-    H = np.zeros((4, 6))
-    H[:4, :4] = np.eye(4)
-    R = np.diag(cfg.r_diag).astype(float)
-    S = H @ state.cov @ H.T + R
-    if np.linalg.cond(S) > MAX_INNOVATION_COND:
+    """Measurement update with z = [x, y, w, h] (Joseph-form covariance).
+
+    H = [I4 0] selects the box from the state, so each product with H is a
+    selection and the forms used here equal the matrix products bit for bit:
+    S = H P Hᵀ + R is P[:4, :4] + R, P Hᵀ is P[:, :4], H x is x[:4], and
+    I − K H is the identity with K subtracted from its first four columns.
+    With R diagonal, K R Kᵀ is (K * r) @ Kᵀ.
+
+    Fails closed: an innovation covariance S that is not finite, not
+    positive definite, or has condition number above MAX_INNOVATION_COND
+    raises FilterDegenerateError.
+    """
+    P = state.cov
+    S = P[:4, :4] + cfg.r_matrix
+    if not np.isfinite(S).all():
         raise FilterDegenerateError(
-            f"innovation covariance condition number exceeds {MAX_INNOVATION_COND:g}")
-    K = np.linalg.solve(S.T, (state.cov @ H.T).T).T
-    z = box.as_array()
-    mean = state.mean + K @ (z - H @ state.mean)
+            f"innovation covariance is not finite at t={state.t:.6f}")
+    ev = np.linalg.eigvalsh(S)  # ascending; S is exactly symmetric
+    if not ev[0] > 0.0:
+        raise FilterDegenerateError(
+            f"innovation covariance is not positive definite at t={state.t:.6f}")
+    if ev[-1] > MAX_INNOVATION_COND * ev[0]:
+        raise FilterDegenerateError(
+            f"innovation covariance condition number exceeds "
+            f"{MAX_INNOVATION_COND:g} at t={state.t:.6f}")
+    K = np.linalg.solve(S.T, P[:, :4].T).T
+    mean = state.mean + K @ (box.as_array() - state.mean[:4])
     mean[2] = max(MIN_BOX_SIZE, mean[2])
     mean[3] = max(MIN_BOX_SIZE, mean[3])
-    IKH = np.eye(6) - K @ H
-    cov = IKH @ state.cov @ IKH.T + K @ R @ K.T
+    IKH = np.eye(6)
+    IKH[:, :4] -= K
+    cov = IKH @ P @ IKH.T + (K * cfg.r_vector) @ K.T
     cov = 0.5 * (cov + cov.T)
     return EkfState(mean, cov, state.t)
 
@@ -268,10 +296,12 @@ def predicted_box(state: EkfState) -> BoundingBox:
 
 def cosine_score(memory: AppearanceMemory, descriptor: np.ndarray) -> float:
     """Cosine similarity clamped to [0, 1]; zero-norm descriptors score 0."""
-    n = np.linalg.norm(descriptor) * np.linalg.norm(memory.vector)
+    # sqrt(x . x) is how np.linalg.norm computes a 1-D norm: the same bits
+    v = memory.vector
+    n = math.sqrt(descriptor.dot(descriptor)) * math.sqrt(v.dot(v))
     if n == 0.0:
         return 0.0
-    c = float(np.dot(memory.vector, descriptor) / n)
+    c = float(v.dot(descriptor) / n)
     return min(1.0, max(0.0, c))
 
 
@@ -325,15 +355,15 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepRes
             best = (i, det, s)
 
     if best is None or best[2][3] < cfg.s_min:
-        new_state = replace(state, ekf=ekf, status="coasting",
-                            coast_frames=state.coast_frames + 1)
+        new_state = TrackerState(ekf, state.memory, state.last_box, "coasting",
+                                 state.coast_frames + 1, state.last_gyro_w)
         return StepResult(new_state, None, None, None, pred)
 
     i, det, s = best
     ekf = ekf_update(ekf, det.box, cfg)
     memory = update_memory(state.memory, det.descriptor)
-    new_state = replace(state, ekf=ekf, memory=memory, last_box=det.box,
-                        status="tracking", coast_frames=0)
+    new_state = TrackerState(ekf, memory, det.box, "tracking", 0,
+                             state.last_gyro_w)
     return StepResult(new_state, det, i, s, pred)
 
 

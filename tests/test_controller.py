@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from quadtrack.controller import (GRAVITY, AttitudeGains, BodyCommand,
                                   ControllerGains, ControllerState,
-                                  MixerGeometry, PixelErrors, Setpoints,
-                                  VisualController, attitude_control,
+                                  MixerGeometry, MotorCommand, PixelErrors,
+                                  Setpoints, VisualController, attitude_control,
                                   desired_force, desired_rotation,
                                   desired_yaw, mix, motor_wrench,
                                   next_pitch_accel, pixel_errors, setpoints,
@@ -365,6 +365,58 @@ def test_mix_collective_overflow_and_underflow():
     assert over.saturated and np.array_equal(over.thrusts, np.full(4, 8.0))
     under = mix(-1.0, np.zeros(3), GEOM)
     assert under.saturated and np.array_equal(under.thrusts, np.zeros(4))
+
+
+def per_call_allocation(geom):
+    """The mixer matrix as it was built on every call."""
+    a = geom.arm_length / math.sqrt(2.0)
+    k = geom.yaw_coeff
+    return np.array([[1.0, 1.0, 1.0, 1.0], [-a, a, a, -a], [-a, -a, a, a],
+                     [k, -k, k, -k]])
+
+
+def per_call_mix(thrust, torques, geom):
+    f = np.linalg.solve(per_call_allocation(geom),
+                        np.array([thrust, *torques], dtype=float))
+    base = thrust / 4.0
+    if base > geom.max_thrust:
+        return MotorCommand(np.full(4, geom.max_thrust), True)
+    if base < 0.0:
+        return MotorCommand(np.zeros(4), True)
+    d = f - base
+    scale = 1.0
+    for i in range(4):
+        if base + d[i] > geom.max_thrust and d[i] > 0:
+            scale = min(scale, (geom.max_thrust - base) / d[i])
+        elif base + d[i] < 0.0 and d[i] < 0:
+            scale = min(scale, base / -d[i])
+    if scale < 1.0:
+        return MotorCommand(base + scale * d, True)
+    return MotorCommand(f, False)
+
+
+def test_mixer_matrix_built_once_is_bit_identical():
+    rng = np.random.default_rng(11)
+    saturated = 0
+    for _ in range(300):
+        geom = MixerGeometry(rng.uniform(0.05, 0.5), rng.uniform(0.001, 0.05),
+                             rng.uniform(2.0, 15.0))
+        assert geom.allocation is geom.allocation
+        assert not geom.allocation.flags.writeable
+        assert np.array_equal(geom.allocation, per_call_allocation(geom))
+        for _ in range(2):  # the second call reads the kept matrix
+            thrust = rng.uniform(-1.0, 4.5 * geom.max_thrust)
+            torques = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 0)
+            got, want = mix(thrust, torques, geom), per_call_mix(thrust, torques, geom)
+            assert np.array_equal(got.thrusts, want.thrusts)
+            assert got.saturated == want.saturated
+            saturated += got.saturated
+            thrusts = rng.uniform(0.0, geom.max_thrust, 4)
+            got_thrust, got_torques = motor_wrench(MotorCommand(thrusts, False), geom)
+            u = per_call_allocation(geom) @ thrusts
+            assert got_thrust == float(u[0])
+            assert np.array_equal(got_torques, u[1:])
+    assert 50 < saturated < 550
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,132 @@ def test_update_degenerate_innovation_raises():
         ekf_update(st, BoundingBox(100, 100, 40, 30), make_cfg())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_update_non_finite_covariance_raises(bad):
+    cov = np.eye(6)
+    cov[1, 1] = bad
+    st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, 0.0, 0.0]), cov, 0.5)
+    with pytest.raises(FilterDegenerateError, match="not finite at t=0.500000"):
+        ekf_update(st, BoundingBox(100, 100, 40, 30), make_cfg())
+
+
+def test_update_indefinite_innovation_raises():
+    st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, 0.0, 0.0]),
+                  np.diag([-10.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 0.0)
+    with pytest.raises(FilterDegenerateError, match="not positive definite"):
+        ekf_update(st, BoundingBox(100, 100, 40, 30), make_cfg())
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the array form of the filter
+# ---------------------------------------------------------------------------
+
+
+def ref_ekf_predict(state, gyro, cfg):
+    """The filter's predict as plain numpy arrays: eye-built F, H-free."""
+    dt = gyro.t - state.t
+    w = np.asarray(gyro.w, dtype=float)
+    mean = state.mean.copy()
+    F = np.eye(6)
+    F[0, 4] = dt
+    F[1, 5] = dt
+    if cfg.gyro_compensation:
+        f = cfg.camera.focal
+        xn = (state.mean[0] + state.mean[2] / 2.0 - cfg.camera.cx) / f
+        yn = (state.mean[1] + state.mean[3] / 2.0 - cfg.camera.cy) / f
+        wx, wy, wz = w
+        du = f * (xn * yn * wx - (1.0 + xn * xn) * wy + yn * wz)
+        dv = f * ((1.0 + yn * yn) * wx - xn * yn * wy - xn * wz)
+        a = yn * wx - 2.0 * xn * wy
+        b = xn * wx + wz
+        c = -(yn * wy + wz)
+        d = 2.0 * yn * wx - xn * wy
+        F[0, 0] += dt * a
+        F[0, 1] = dt * b
+        F[0, 2] = dt * a / 2.0
+        F[0, 3] = dt * b / 2.0
+        F[1, 0] = dt * c
+        F[1, 1] += dt * d
+        F[1, 2] = dt * c / 2.0
+        F[1, 3] = dt * d / 2.0
+    else:
+        du = dv = 0.0
+    mean[0] += (mean[4] + du) * dt
+    mean[1] += (mean[5] + dv) * dt
+    mean[2] = max(1.0, mean[2])
+    mean[3] = max(1.0, mean[3])
+    cov = F @ state.cov @ F.T + np.diag(cfg.q_diag) * dt
+    cov = 0.5 * (cov + cov.T)
+    return EkfState(mean, cov, gyro.t)
+
+
+def ref_ekf_update(state, box, cfg):
+    """The filter's update with the full selection matrix H and R."""
+    H = np.zeros((4, 6))
+    H[:4, :4] = np.eye(4)
+    R = np.diag(cfg.r_diag).astype(float)
+    S = H @ state.cov @ H.T + R
+    K = np.linalg.solve(S.T, (state.cov @ H.T).T).T
+    mean = state.mean + K @ (box.as_array() - H @ state.mean)
+    mean[2] = max(1.0, mean[2])
+    mean[3] = max(1.0, mean[3])
+    IKH = np.eye(6) - K @ H
+    cov = IKH @ state.cov @ IKH.T + K @ R @ K.T
+    cov = 0.5 * (cov + cov.T)
+    return EkfState(mean, cov, state.t)
+
+
+def random_filter_state(rng, t, max_size):
+    mean = np.array([rng.uniform(-100, 1000), rng.uniform(-100, 600),
+                     rng.uniform(0.1, max_size), rng.uniform(0.1, max_size),
+                     rng.uniform(-300, 300), rng.uniform(-300, 300)])
+    A = rng.normal(size=(6, 6)) * 10.0 ** rng.uniform(-2, 2)
+    cov = A @ A.T + np.diag(rng.uniform(0.01, 50.0, 6))
+    return EkfState(mean, 0.5 * (cov + cov.T), t)
+
+
+def test_filter_bit_identical_to_array_form():
+    rng = np.random.default_rng(2024)
+    kinds = {"zero_dt": 0, "stale": 0, "clamped": 0}
+    for i in range(240):
+        cfg = make_cfg(gyro_compensation=bool(i % 2),
+                       q_diag=tuple(rng.uniform(0.0, 1.0, 6)),
+                       r_diag=tuple(rng.uniform(0.01, 5.0, 4)))
+        # every 4th box is below MIN_BOX_SIZE, so the mean gets clamped
+        st = random_filter_state(rng, rng.uniform(0.0, 10.0),
+                                 1.0 if i % 4 == 0 else 200.0)
+        dt = (0.0, rng.uniform(0.0, 0.05), rng.uniform(0.1, 2.0))[i % 3]
+        gyro = GyroSample(st.t + dt, rng.uniform(-3.0, 3.0, 3))
+        kinds["zero_dt"] += dt == 0.0
+        kinds["stale"] += gyro.t - st.t > 0.1
+        kinds["clamped"] += bool(min(st.mean[2:4]) < 1.0)
+        logging.disable(logging.WARNING)
+        try:
+            got = ekf_predict(st, gyro, cfg)
+        finally:
+            logging.disable(logging.NOTSET)
+        want = ref_ekf_predict(st, gyro, cfg)
+        assert np.array_equal(got.mean, want.mean) and got.t == want.t
+        assert np.array_equal(got.cov, want.cov)
+        z = BoundingBox(rng.uniform(-50, 950), rng.uniform(-50, 550),
+                        rng.uniform(1.0, 150), rng.uniform(1.0, 150))
+        got_u = ekf_update(got, z, cfg)
+        want_u = ref_ekf_update(want, z, cfg)
+        assert np.array_equal(got_u.mean, want_u.mean)
+        assert np.array_equal(got_u.cov, want_u.cov)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_cosine_score_bit_identical_to_norm_form():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        mem = AppearanceMemory(rng.normal(size=256) * rng.uniform(0.1, 10.0))
+        d = rng.normal(size=256) + rng.uniform(-1, 1) * mem.vector
+        n = np.linalg.norm(d) * np.linalg.norm(mem.vector)
+        want = min(1.0, max(0.0, float(np.dot(mem.vector, d) / n)))
+        assert cosine_score(mem, d) == want
+
+
 def test_predicted_box_reads_mean_and_clamps():
     st = EkfState(np.array([10.0, 20.0, 30.0, 40.0, 1.0, 1.0]), np.eye(6), 0.0)
     assert predicted_box(st) == BoundingBox(10.0, 20.0, 30.0, 40.0)
