@@ -38,9 +38,10 @@ class InitializationError(RuntimeAbort):
 
 
 class FilterDegenerateError(RuntimeAbort):
-    """Innovation covariance S not finite, not positive definite, or
-    numerically singular (condition number > 1e12); raised by the tracker's
-    measurement update, with the filter time in the message."""
+    """The tracker's filter broke down: a predicted or updated mean or
+    covariance that is not finite, or an innovation covariance S that is not
+    finite, not positive definite, or numerically singular (condition number
+    > 1e12).  The message carries the filter time."""
 
 
 class LogParseError(QuadtrackError):

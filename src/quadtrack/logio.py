@@ -39,8 +39,19 @@ def fmt_float(x: float) -> str:
     return format(x, ".9g")
 
 
+_FMT_9G = "{:.9g}".format   # format(x, ".9g") with one bound method
+
+
 def _fmt_list(xs) -> str:
-    return "[" + ",".join(fmt_float(x) for x in xs) + "]"
+    """A float sequence as a JSON list in fmt_float's format: one finiteness
+    check for the whole sequence, then one formatting pass."""
+    vals = np.asarray(xs, dtype=float).tolist()
+    # a sum is non-finite when any term is (or when it overflows); only
+    # then is each entry checked, so that the error names the culprit
+    if not math.isfinite(sum(vals)):
+        for x in vals:
+            fmt_float(x)
+    return "[" + ",".join(map(_FMT_9G, vals)) + "]"
 
 
 def _fmt_nested(xss) -> str:
@@ -52,7 +63,7 @@ def event_line(ev: Event) -> str:
         return f'{{"t":{fmt_float(ev.t)},"kind":"gyro","w":{_fmt_list(ev.w)}}}'
     if isinstance(ev, DetectionSet):
         boxes = _fmt_nested(d.box.as_array() for d in ev.detections)
-        conf = _fmt_list(d.confidence for d in ev.detections)
+        conf = _fmt_list([d.confidence for d in ev.detections])
         desc = _fmt_nested(d.descriptor for d in ev.detections)
         return (f'{{"t":{fmt_float(ev.t)},"kind":"det","boxes":{boxes},'
                 f'"conf":{conf},"desc":{desc}}}')
@@ -150,6 +161,8 @@ def _json_compact(value) -> str:
     if isinstance(value, dict):
         items = (f'"{k}":{_json_compact(v)}' for k, v in value.items())
         return "{" + ",".join(items) + "}"
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+        return _fmt_list(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json_compact(v) for v in value) + "]"
     if isinstance(value, (bool, np.bool_)):

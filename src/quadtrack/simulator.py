@@ -7,12 +7,13 @@ Plant: standard rigid-body quadrotor,
     R' = R hat(omega)
     J omega' = torque - omega x J omega
 
-integrated with fixed-step RK4 at the physics rate and re-orthonormalized
-(nearest rotation) after every step.  Motors are ideal by default: the
-wrench is computed from the commanded rotor thrusts once per control tick
-and zero-order-held over the physics steps up to the next tick.  An optional
-first-order lag models spin-up; the realized thrusts, and so the wrench,
-then move on every physics step.
+integrated with fixed-step RK4 at the physics rate, on Python floats (R as
+nine floats), and projected back onto SO(3) after every step by Newton's
+polar iteration, with the SVD nearest rotation as its fallback.  Motors are
+ideal by default: the wrench is computed from the commanded rotor thrusts
+once per control tick and zero-order-held over the physics steps up to the
+next tick.  An optional first-order lag models spin-up; the realized
+thrusts, and so the wrench, then move on every physics step.
 
 Scheduling: three periodic event streams -- physics (integrate the interval
 ending at t), control/gyro, camera -- merged by timestamp with ties ordered
@@ -45,7 +46,7 @@ from .controller import (AttitudeGains, BodyCommand, ControllerGains,
                          motor_wrench)
 from .detection import GyroSample, SyntheticDetector
 from .errors import SimulationAbort
-from .geometry import (CameraPose, cross3, hat, nearest_rotation,
+from .geometry import (CameraPose, nearest_rotation,
                        pitch_yaw_from_rotation, project_box, rot_z)
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
@@ -79,14 +80,24 @@ class QuadState:
     omega: np.ndarray                    # body rates, rad/s
 
 
-def _deriv(R, w, thrust, torque, m, J):
-    """(v', R', omega') at one RK4 stage; p' = v needs no work.  The
-    3-vectors are lists of floats, R is the stage's 3x3 array."""
-    s = thrust / m
-    dv = [s * r + g for r, g in zip(R[:, 2].tolist(), GRAVITY_VEC)]
-    gyro = cross3(w, [j * x for j, x in zip(J, w)])
-    dw = [(t - c) / j for t, c, j in zip(torque, gyro, J)]
-    return dv, R @ hat(w), dw
+def _deriv(R, w, s, torque, J):
+    """(v', R', omega') at one RK4 stage under specific thrust s = thrust/m;
+    p' = v needs no work.  The 3-vectors are lists of floats and R is the
+    stage's nine floats, row-major.  Row i of R hat(w) is row i of R cross w,
+    and omega x J omega has np.cross's products and differences."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    wx, wy, wz = w
+    jx, jy, jz = J
+    tx, ty, tz = torque
+    gx, gy, gz = GRAVITY_VEC
+    hx, hy, hz = jx * wx, jy * wy, jz * wz
+    dv = [s * r02 + gx, s * r12 + gy, s * r22 + gz]
+    dR = [r01 * wz - r02 * wy, r02 * wx - r00 * wz, r00 * wy - r01 * wx,
+          r11 * wz - r12 * wy, r12 * wx - r10 * wz, r10 * wy - r11 * wx,
+          r21 * wz - r22 * wy, r22 * wx - r20 * wz, r20 * wy - r21 * wx]
+    dw = [(tx - (wy * hz - wz * hy)) / jx, (ty - (wz * hx - wx * hz)) / jy,
+          (tz - (wx * hy - wy * hx)) / jz]
+    return dv, dR, dw
 
 
 def _axpy(x, a, y):
@@ -98,37 +109,81 @@ def _rk4_sum(x, c, k1, k2, k3, k4):
             for xi, a, b, d, e in zip(x, k1, k2, k3, k4)]
 
 
+# Newton polar iteration: stop once no entry moves by more than a few ulps
+# of 1 (the entries of a rotation are at most 1 in magnitude); from an RK4
+# step's near-rotation that takes one or two iterations.
+POLAR_TOL = 1e-15
+POLAR_MAX_ITER = 8
+
+
+def _project_rotation(X) -> np.ndarray:
+    """Nearest rotation to the 3x3 matrix X given as nine floats, row-major.
+
+    Newton's polar iteration X <- (X + X^-T) / 2 (Higham, SIAM J. Sci.
+    Stat. Comput. 7(4), 1986) converges quadratically to the orthogonal
+    polar factor, which is the nearest rotation when det(X) > 0; X^-T is
+    the cofactor matrix over the determinant.  When det(X) <= 0 (the polar
+    factor is then a reflection) or the iteration has not converged within
+    POLAR_MAX_ITER steps, the SVD projection `nearest_rotation` is used, so
+    the result is always a proper rotation.
+    """
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = X
+    for _ in range(POLAR_MAX_ITER):
+        # X^-T = cofactor(X) / det(X); the cofactor rows are b x c, c x a
+        # and a x b for the rows a, b, c of X
+        k0, k1, k2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+        k3, k4, k5 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+        k6, k7, k8 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        det = a0 * k0 + a1 * k1 + a2 * k2
+        if not det > 0.0:
+            break
+        d = 0.5 / det
+        y0, y1, y2 = 0.5 * a0 + d * k0, 0.5 * a1 + d * k1, 0.5 * a2 + d * k2
+        y3, y4, y5 = 0.5 * b0 + d * k3, 0.5 * b1 + d * k4, 0.5 * b2 + d * k5
+        y6, y7, y8 = 0.5 * c0 + d * k6, 0.5 * c1 + d * k7, 0.5 * c2 + d * k8
+        if max(abs(y0 - a0), abs(y1 - a1), abs(y2 - a2),
+               abs(y3 - b0), abs(y4 - b1), abs(y5 - b2),
+               abs(y6 - c0), abs(y7 - c1), abs(y8 - c2)) <= POLAR_TOL:
+            return np.array(((y0, y1, y2), (y3, y4, y5), (y6, y7, y8)))
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = y0, y1, y2, y3, y4, y5, y6, y7, y8
+    return nearest_rotation(np.array(X).reshape(3, 3))
+
+
 def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadParams,
                   dt: float) -> QuadState:
     """One RK4 step under a zero-order-held wrench, then SO(3) projection.
 
-    p, v and omega are stepped as floats, one component at a time, with the
-    operations and order of the elementwise array form (x + h*k per stage,
-    x + dt/6*(k1 + 2k2 + 2k3 + k4) at the end), so the bits equal it; R keeps
-    its numpy 3x3 algebra.  A non-finite R is returned unprojected (an SVD of
-    it fails or never returns) for the caller's finiteness check.
+    The whole step runs on Python floats: p, v and omega one component at a
+    time and R as nine floats, with the elementwise form's operations (x + h*k
+    per stage, x + dt/6*(k1 + 2k2 + 2k3 + k4) at the end).  The stepped R is
+    projected onto SO(3) by Newton's polar iteration, falling back to the SVD
+    `nearest_rotation` on a reflection or without convergence (see
+    `_project_rotation`).  A non-finite R is returned unprojected for the
+    caller's finiteness check.
     """
-    thrust = cmd.thrust
     torque = np.asarray(cmd.torques, dtype=float).tolist()
-    m, J = params.mass, [float(j) for j in params.inertia]
-    p, v, R, w = state.p.tolist(), state.v.tolist(), state.R, state.omega.tolist()
+    s, J = cmd.thrust / params.mass, [float(j) for j in params.inertia]
+    p, v, w = state.p.tolist(), state.v.tolist(), state.omega.tolist()
+    R = state.R.ravel().tolist()
     h = 0.5 * dt
 
-    dv1, dR1, dw1 = _deriv(R, w, thrust, torque, m, J)
+    dv1, dR1, dw1 = _deriv(R, w, s, torque, J)
     v2, w2 = _axpy(v, h, dv1), _axpy(w, h, dw1)
-    dv2, dR2, dw2 = _deriv(R + h * dR1, w2, thrust, torque, m, J)
+    dv2, dR2, dw2 = _deriv(_axpy(R, h, dR1), w2, s, torque, J)
     v3, w3 = _axpy(v, h, dv2), _axpy(w, h, dw2)
-    dv3, dR3, dw3 = _deriv(R + h * dR2, w3, thrust, torque, m, J)
+    dv3, dR3, dw3 = _deriv(_axpy(R, h, dR2), w3, s, torque, J)
     v4, w4 = _axpy(v, dt, dv3), _axpy(w, dt, dw3)
-    dv4, dR4, dw4 = _deriv(R + dt * dR3, w4, thrust, torque, m, J)
+    dv4, dR4, dw4 = _deriv(_axpy(R, dt, dR3), w4, s, torque, J)
 
     c = dt / 6.0
     p1 = _rk4_sum(p, c, v, v2, v3, v4)
     v1 = _rk4_sum(v, c, dv1, dv2, dv3, dv4)
     w1 = _rk4_sum(w, c, dw1, dw2, dw3, dw4)
-    R1 = R + c * (dR1 + 2 * dR2 + 2 * dR3 + dR4)
-    if np.isfinite(R1).all():
-        R1 = nearest_rotation(R1)
+    R1 = _rk4_sum(R, c, dR1, dR2, dR3, dR4)
+    if all(map(math.isfinite, R1)):
+        R1 = _project_rotation(R1)
+    else:
+        R1 = np.array(R1).reshape(3, 3)
     return QuadState(np.array(p1), np.array(v1), R1, np.array(w1))
 
 
@@ -291,9 +346,7 @@ def run(scenario: Scenario) -> RunArtifacts:
         t, kind = min((t_p, PHYS), (t_c, CTRL), (t_k, CAM))
 
         if kind == PHYS:
-            if scripted:
-                quad = script.state_at(t)
-            else:
+            if not scripted:
                 dt = t - last_phys_t
                 if not hold_wrench:
                     a = 1.0 - math.exp(-dt / params.motor_lag)
@@ -308,6 +361,9 @@ def run(scenario: Scenario) -> RunArtifacts:
             ip += 1
             continue
 
+        if scripted:
+            # sensors read the state held at the most recent physics tick
+            quad = script.state_at(last_phys_t)
         if kind == CTRL:
             gyro = imu_sample(t, quad, sc.quad.gyro_noise, rng)
             events.append(gyro)
@@ -339,6 +395,8 @@ def run(scenario: Scenario) -> RunArtifacts:
             tracker_trace.append(row)
         icam += 1
 
+    if scripted:
+        quad = script.state_at(last_phys_t)
     metrics = (compute_metrics(tracker_trace, truth_trace, sc.metrics.build())
                if tracker_trace else None)
     counts = {"physics": n_phys, "control": n_ctrl, "camera": n_cam}

@@ -217,6 +217,25 @@ def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel
     return _transition(dt, a, b, c, d)
 
 
+_ONES_36 = np.ones(36)  # cov.ravel() @ _ONES_36 sums a 6x6 covariance
+
+
+def _finite_state(mean: np.ndarray, mean_sum: float, cov: np.ndarray,
+                  t: float, step: str) -> EkfState:
+    """EkfState(mean, cov, t), or FilterDegenerateError naming the step and
+    the filter time if an entry is NaN or infinite.  One sum, of the mean's
+    entries (`mean_sum`, summed by the caller) and the covariance's (one dot
+    product, the cheapest whole-array reduction here), checks both: it is
+    non-finite when any entry is; only then, or if it overflowed, are the
+    entries checked one by one."""
+    if (not math.isfinite(mean_sum + cov.ravel().dot(_ONES_36))
+            and not (np.isfinite(cov).all() and np.isfinite(mean).all())):
+        raise FilterDegenerateError(
+            f"filter mean or covariance is not finite after {step} "
+            f"at t={t:.6f}")
+    return EkfState(mean, cov, t)
+
+
 def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfState:
     """Propagate to gyro.t under constant velocity plus rotational flow.
 
@@ -224,6 +243,8 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     raises TimeRegressionError; dt beyond STALE_GYRO_DT logs a warning but
     still propagates.  The mean is stepped on Python floats, with the same
     operations in the same order as the array form, so the same bits.
+    Fails closed: a non-finite mean or covariance raises
+    FilterDegenerateError.
     """
     dt = gyro.t - state.t
     if dt < 0.0:
@@ -239,12 +260,12 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     else:
         du = dv = a = b = c = d = 0.0
     x, y, bw, bh, vx, vy = m
-    mean = np.array([x + (vx + du) * dt, y + (vy + dv) * dt,
-                     max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy])
+    m = [x + (vx + du) * dt, y + (vy + dv) * dt,
+         max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy]
     F = _transition(dt, a, b, c, d)
     cov = F @ state.cov @ F.T + cfg.q_matrix * dt
     cov = 0.5 * (cov + cov.T)
-    return EkfState(mean, cov, gyro.t)
+    return _finite_state(np.array(m), sum(m), cov, gyro.t, "predict")
 
 
 def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfState:
@@ -258,7 +279,8 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
 
     Fails closed: an innovation covariance S that is not finite, not
     positive definite, or has condition number above MAX_INNOVATION_COND
-    raises FilterDegenerateError.
+    raises FilterDegenerateError, and so does a non-finite updated mean or
+    covariance.
     """
     P = state.cov
     S = P[:4, :4] + cfg.r_matrix
@@ -281,7 +303,7 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
     IKH[:, :4] -= K
     cov = IKH @ P @ IKH.T + (K * cfg.r_vector) @ K.T
     cov = 0.5 * (cov + cov.T)
-    return EkfState(mean, cov, state.t)
+    return _finite_state(mean, sum(mean.tolist()), cov, state.t, "update")
 
 
 def predicted_box(state: EkfState) -> BoundingBox:

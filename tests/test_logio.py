@@ -76,6 +76,28 @@ def test_event_line_empty_frame():
             '{"t":2.5,"kind":"det","boxes":[],"conf":[],"desc":[]}')
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_event_line_arrays_equal_per_float_form(xs):
+    # the array path formats in one pass; a kept per-float form is the oracle
+    want = "[" + ",".join(fmt_float(x) for x in xs) + "]"
+    ev = DetectionSet(1.0, [Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5,
+                                      np.array(xs, dtype=float))])
+    assert event_line(ev).endswith(f'"desc":[{want}]}}')
+
+
+def test_event_line_keeps_finite_values_whose_sum_overflows():
+    assert (event_line(gyro(0.5, (1e308, 1e308, -1e308))) ==
+            '{"t":0.5,"kind":"gyro","w":[1e+308,1e+308,-1e+308]}')
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_event_line_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
+        event_line(gyro(0.5, (0.1, bad, 0.3)))
+    with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
+        event_line(frame(1.0, [(1, 2, 3, 4)], descs=[[1.0, bad]]))
+
+
 def test_event_line_rejects_other_types():
     with pytest.raises(TypeError):
         event_line({"t": 0.0})
@@ -228,6 +250,16 @@ def test_write_jsonl_rounds_floats_to_nine_digits(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_jsonl(path, [{"x": 1.0 / 3.0}])
     assert path.read_text() == '{"x":0.333333333}\n'
+
+
+def test_write_jsonl_float_arrays_as_float_lists(tmp_path):
+    rec = {"a": np.array([1.0 / 3.0, -2.5e-7, 1e308]),
+           "b": np.array([1.0, 2.0], dtype=np.float32)}
+    path = tmp_path / "t.jsonl"
+    write_jsonl(path, [rec])
+    assert path.read_text() == '{"a":[0.333333333,-2.5e-07,1e+308],"b":[1,2]}\n'
+    with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
+        write_jsonl(path, [{"a": np.array([0.0, float("nan")])}])
 
 
 def test_write_jsonl_rejects_unknown_types(tmp_path):

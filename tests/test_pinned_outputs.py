@@ -24,7 +24,7 @@ PINNED_RUNS = {
         "summary.json": "c9d4141e615d02369d9e8f17b8b8a1d3b385a65ab6efd675b8a3cb0bf63e7d8b",
     },
     ("corridor_approach", 21, 2.0, None): {
-        "events.jsonl": "fab21efdaebac7370372910a209834bbb2b9a6660329e38a6e151eb76ebf0e5b",
+        "events.jsonl": "9c0d5a69cb878f1d04b70b553516d28fe2f95e173350397ac63872701c1a94bb",
         "tracker.jsonl": "8e90558fad74b952104786ae21d04a99205a159a2f3fbf475af87185f25df83e",
         "commands.jsonl": "5701fa9dd76bed57d2c918cb2920744f3db5f79fe30f4ec637400118acbd8e00",
         "groundtruth.jsonl": "6340cf909969115cb03d45273c0d448eedb006b7c03e44a0f4395307cdd54a75",
@@ -33,10 +33,10 @@ PINNED_RUNS = {
     # first-order motor lag: the rotor thrusts, and so the wrench, move on
     # every physics step rather than once per control tick
     ("corridor_approach", 21, 2.0, 0.02): {
-        "events.jsonl": "347174addef6d0db94a565a0349d6a2a3587794886a9361921c4bb5d1b37aa24",
+        "events.jsonl": "1d66a58b9fea8f60ebebd007fa3db65be8192e43284602a4c565724e0536108b",
         "tracker.jsonl": "fa383a47dffb2261f9d531de732d91d8a765f99cd26c9dc9e09e89d93593260e",
-        "commands.jsonl": "89444c7020dcda972cba66fd44f9b6237002cba90cb1e48993ff307f2c0062e1",
-        "groundtruth.jsonl": "960a802bc3e4131dc14f0748d814876f72fdfede9c2bd9e5c75562fadff837ce",
+        "commands.jsonl": "bf14ce1ef51213410b77be941ffeafc5eb498f14b00323b415336b5c00ea4793",
+        "groundtruth.jsonl": "ad44e48fbe936747f04c707243a14b0334dcbe94c93fa95f2e8a35f657646635",
         "summary.json": "3ecae11b6008ed0b02a403c54700046e89f4f6f9c6a2db13e2ac381ef819892d",
     },
 }

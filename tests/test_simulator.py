@@ -14,8 +14,9 @@ from quadtrack.config import (CameraScriptConfig, DetectorParams,
                               QuadConfig, RatesConfig, Scenario, save_scenario)
 from quadtrack.controller import BodyCommand
 from quadtrack.detection import DetectionSet, GyroSample
-from quadtrack.errors import SimulationAbort
-from quadtrack.geometry import is_rotation, rot_z, zyx_matrix
+from quadtrack.errors import FilterDegenerateError, SimulationAbort
+from quadtrack.geometry import (is_rotation, nearest_rotation, rot_z,
+                                zyx_matrix)
 from quadtrack.logio import event_line
 from quadtrack.replay import replay_track
 from quadtrack.scene import (SceneObject, SinusoidMotion, StaticMotion,
@@ -434,6 +435,21 @@ def test_non_finite_state_aborts_at_last_good_time(monkeypatch, tmp_path,
         "abort: non-finite state (last good state at t=0.249000 s)")
 
 
+def test_filter_overflow_aborts_in_the_tracker():
+    # huge centre noise and gyro noise with an aggressive pitch law: the
+    # filter's covariance overflows in predict, and the run must abort there,
+    # in the tracker, not later in the controller (DegenerateHeadingError)
+    sc = _bundled("corridor_approach", 21)
+    sc = dataclasses.replace(
+        sc,
+        detector=dataclasses.replace(sc.detector, center_noise_px=400.0),
+        quad=dataclasses.replace(sc.quad, gyro_noise=1.0),
+        controller=dataclasses.replace(sc.controller, pitch_accel=30.0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FilterDegenerateError, match="not finite after predict"):
+        run(sc)
+
+
 def test_dynamics_step_leaves_non_finite_attitude_unprojected():
     # an SVD of a NaN matrix raises (and of an inf one may not return), so
     # the step hands a non-finite state back for the caller's check
@@ -443,8 +459,8 @@ def test_dynamics_step_leaves_non_finite_attitude_unprojected():
 
 
 # ---------------------------------------------------------------------------
-# step oracle: the elementwise numpy RK4 that dynamics_step must equal bit
-# for bit
+# step oracle: the elementwise numpy RK4 with an SVD projection, which
+# dynamics_step must match within a rounding-error bound derived below
 # ---------------------------------------------------------------------------
 
 
@@ -468,7 +484,8 @@ def _ref_deriv(p, v, R, w, thrust, torque, params):
     return v, dv, dR, dw
 
 
-def _ref_dynamics_step(state, cmd, params, dt):
+def _ref_rk4(state, cmd, params, dt):
+    """(p, v, R, omega) after one RK4 step, R not yet projected."""
     thrust, torque = cmd.thrust, np.asarray(cmd.torques, dtype=float)
     p, v, R, w = state.p, state.v, state.R, state.omega
 
@@ -484,16 +501,27 @@ def _ref_dynamics_step(state, cmd, params, dt):
     v1 = v + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     R1 = R + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     w1 = w + (dt / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return p1, v1, R1, w1
+
+
+def _ref_dynamics_step(state, cmd, params, dt):
+    p1, v1, R1, w1 = _ref_rk4(state, cmd, params, dt)
     return QuadState(p1, v1, _ref_nearest_rotation(R1), w1)
 
 
-def test_dynamics_step_bit_identical_to_numpy_rk4():
+U = 2.0 ** -53                                 # unit roundoff of float64
+GAMMA_32 = 32 * U / (1 - 32 * U)
+PROJECTION_ALLOWANCE = 16 * U
+
+
+def _oracle_cases():
+    """200 random (state, cmd, params, dt); every 4th state spins at
+    ~300 rad/s, so that some steps leave SO(3) far enough to take the
+    projection's reflection branch."""
     rng = np.random.default_rng(2024)
     for i in range(200):
         params = QuadParams(mass=rng.uniform(0.3, 3.0),
                             inertia=tuple(rng.uniform(0.002, 0.05, size=3)))
-        # every 4th state spins so fast that some steps leave SO(3) far
-        # enough to take the projection's reflection branch
         rate_scale = 300.0 if i % 4 == 0 else 3.0
         state = QuadState(rng.normal(0.0, 10.0, size=3), rng.normal(0.0, 3.0, size=3),
                           zyx_matrix(rng.uniform(-math.pi, math.pi),
@@ -502,8 +530,101 @@ def test_dynamics_step_bit_identical_to_numpy_rk4():
                           rng.normal(0.0, rate_scale, size=3))
         thrust = 0.0 if i % 5 == 0 else rng.uniform(0.0, 40.0)
         cmd = BodyCommand(thrust, rng.normal(0.0, 0.3, size=3))
-        dt = rng.uniform(1e-4, 2e-2)
+        yield i, state, cmd, params, rng.uniform(1e-4, 2e-2)
+
+
+def _ref_magnitudes(state, cmd, params, dt):
+    """The reference step evaluated on absolute values: for p, v and the
+    unprojected R, every term's magnitude summed (the body rates of the
+    four stages taken from the reference itself)."""
+    torque = np.asarray(cmd.torques, dtype=float)
+    p, v, R, w = state.p, state.v, state.R, state.omega
+    rates = [w]
+    for a in (0.5 * dt, 0.5 * dt, dt):
+        rates.append(w + a * _ref_deriv(p, v, R, rates[-1], cmd.thrust, torque,
+                                        params)[3])
+    s, g = abs(cmd.thrust / params.mass), np.array([0.0, 0.0, GRAVITY])
+    A, av = np.abs(R), np.abs(v)
+    stage, kR, kv, vs = A, [], [], [av]
+    for a, rate in zip((0.5 * dt, 0.5 * dt, dt, None), rates):
+        kR.append(stage @ np.abs(_ref_hat(rate)))
+        kv.append(s * stage[:, 2] + g)
+        if a is not None:
+            stage = A + a * kR[-1]
+            vs.append(av + a * kv[-1])
+    c = dt / 6.0
+    return (np.abs(p) + c * (vs[0] + 2 * vs[1] + 2 * vs[2] + vs[3]),
+            av + c * (kv[0] + 2 * kv[1] + 2 * kv[2] + kv[3]),
+            A + c * (kR[0] + 2 * kR[1] + 2 * kR[2] + kR[3]))
+
+
+def test_dynamics_step_matches_numpy_rk4_within_rounding():
+    # Both sides evaluate the same RK4 polynomial in the same inputs; only
+    # the rounding differs (numpy's R @ hat(w) sums its products in another
+    # order, possibly fused).  No entry of p, v or the unprojected R passes
+    # through more than 32 roundings (about 25 for R), so each side is
+    # within GAMMA_32 * M of the exact value, M being the step evaluated on
+    # absolute values (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, sec. 3.1); the two sides differ by at most twice
+    # that.  omega's arithmetic is the same on both sides and stays exact.
+    # The nearest rotation moves by at most kappa = 2 / (s2 + sign(det) s3)
+    # times a Frobenius perturbation of its argument (s1 >= s2 >= s3 the
+    # singular values): the polar factor's condition number, with the
+    # smallest signed singular value flipped on the reflection branch.  Both
+    # projections are backward stable: each returns the exact projection of
+    # a matrix within PROJECTION_ALLOWANCE * |X|_F of its argument, up to an
+    # orthogonality residual of PROJECTION_ALLOWANCE per side; the Newton
+    # iteration stops with every entry within POLAR_TOL of its fixed point.
+    for i, state, cmd, params, dt in _oracle_cases():
         got = dynamics_step(state, cmd, params, dt)
         want = _ref_dynamics_step(state, cmd, params, dt)
-        for name in ("p", "v", "R", "omega"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
+        Mp, Mv, MR = _ref_magnitudes(state, cmd, params, dt)
+        assert np.all(np.abs(got.p - want.p) <= 2 * GAMMA_32 * Mp), i
+        assert np.all(np.abs(got.v - want.v) <= 2 * GAMMA_32 * Mv), i
+        assert np.array_equal(got.omega, want.omega), i
+        X = _ref_rk4(state, cmd, params, dt)[2]
+        sv = np.linalg.svd(X, compute_uv=False)
+        kappa = 2.0 / (sv[1] + np.sign(np.linalg.det(X)) * sv[2])
+        dX = (2 * GAMMA_32 * np.linalg.norm(MR)
+              + 2 * PROJECTION_ALLOWANCE * np.linalg.norm(X))
+        bound = kappa * dX + 2 * PROJECTION_ALLOWANCE + 3 * simulator.POLAR_TOL
+        assert np.linalg.norm(got.R - want.R) <= bound, i
+
+
+def test_dynamics_step_returns_a_rotation_on_every_oracle_state():
+    for i, state, cmd, params, dt in _oracle_cases():
+        assert is_rotation(dynamics_step(state, cmd, params, dt).R, tol=1e-12), i
+
+
+@pytest.mark.parametrize("X", [
+    # a reflection: det < 0
+    np.diag([1.0, 1.0, -1.0]) @ zyx_matrix(0.3, -0.2, 1.1) * 1.01,
+    # singular: det = 0
+    np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+    # det > 0 with singular values 1e4 .. 1e-4: Newton needs ~14 steps
+    zyx_matrix(0.3, -0.2, 1.1) @ np.diag([1e4, 1.0, 1e-4]),
+], ids=["reflection", "singular", "no_convergence"])
+def test_projection_fallback_equals_nearest_rotation(X):
+    got = simulator._project_rotation(X.ravel().tolist())
+    assert np.array_equal(got, nearest_rotation(X.copy()))
+    assert is_rotation(got, tol=1e-12)
+
+
+def test_dynamics_step_hands_fallback_result_back_unchanged(monkeypatch):
+    # the spinning oracle states take the fallback; the step returns the SVD
+    # projection of its own stepped R bit for bit
+    seen = []
+
+    def recording(M):
+        seen.append(M.copy())
+        return nearest_rotation(M)
+
+    monkeypatch.setattr(simulator, "nearest_rotation", recording)
+    fallbacks = 0
+    for i, state, cmd, params, dt in _oracle_cases():
+        seen.clear()
+        got = dynamics_step(state, cmd, params, dt)
+        if seen:
+            fallbacks += 1
+            assert np.array_equal(got.R, nearest_rotation(seen[0])), i
+    assert fallbacks > 0

@@ -163,6 +163,20 @@ def test_predict_stale_gap_warns_but_propagates(caplog):
     assert abs(out.mean[0] - 102.5) < 1e-12
 
 
+@pytest.mark.parametrize("vx,p_vx", [
+    (0.0, 1e306),   # F P F^T overflows: 1e306 times dt^2 = 1e4
+    (1e308, 1.0),   # the mean overflows: x + vx * dt
+], ids=["covariance", "mean"])
+def test_predict_overflow_raises(vx, p_vx):
+    cfg = make_cfg()
+    st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, vx, 0.0]),
+                  np.diag([1.0, 1.0, 1.0, 1.0, p_vx, 1.0]), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FilterDegenerateError,
+            match="not finite after predict at t=100.000000"):
+        ekf_predict(st, GyroSample(100.0, np.zeros(3)), cfg)
+
+
 def test_predict_jacobian_matches_finite_differences():
     rng = np.random.default_rng(23)
     for compensate in (True, False):
