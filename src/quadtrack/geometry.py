@@ -44,6 +44,10 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
+        # one sum is finite when every field is; only a non-finite (or
+        # overflowed) sum or a bad extent pays for the per-field messages
+        if math.isfinite(self.x + self.y + self.w + self.h) and self.w > 0 and self.h > 0:
+            return
         for name in ("x", "y", "w", "h"):
             v = getattr(self, name)
             if not math.isfinite(v):

@@ -354,8 +354,13 @@ def run(scenario: Scenario) -> RunArtifacts:
                     applied = BodyCommand(*motor_wrench(
                         MotorCommand(rotor_thrusts, False), params.geometry))
                 quad = dynamics_step(quad, applied, params, dt)
-                if not np.isfinite(np.concatenate(
-                        (quad.p, quad.v, quad.R.ravel(), quad.omega))).all():
+                # one sum is finite when every entry is; recheck entry by
+                # entry only when it is not, as finite entries can overflow it
+                if not math.isfinite(sum(quad.p.tolist() + quad.v.tolist()
+                                         + quad.R.ravel().tolist()
+                                         + quad.omega.tolist())) \
+                        and not np.isfinite(np.concatenate(
+                            (quad.p, quad.v, quad.R.ravel(), quad.omega))).all():
                     raise SimulationAbort(last_phys_t, "non-finite state")
             last_phys_t = t
             ip += 1

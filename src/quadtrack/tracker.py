@@ -25,6 +25,13 @@ normalized coordinates,
 with w the camera-frame angular rate, so ego-rotation does not masquerade as
 target velocity.  The covariance uses the exact Jacobian of this map,
 including the flow's dependence on (x, y, w, h) through the box center.
+
+The filter runs its small algebra on Python floats where numpy's per-call
+overhead would dominate.  Predict forms F P Fᵀ from F's structure (the
+identity but for two rows).  Update takes its gain from a 4×4 Cholesky of
+the innovation covariance S; an S that this fast path cannot vouch for goes
+to the exact gate (eigenvalues of S, then an LU solve), so every
+FilterDegenerateError on S comes from that gate.
 """
 
 from __future__ import annotations
@@ -95,10 +102,10 @@ class TrackerConfig:
             v = getattr(self, name)
             if len(v) != n or any(x < 0 for x in v):
                 raise ValueError(f"{name} must be {n} non-negative entries")
-        # noise matrices for the filter, built once (not dataclass fields)
-        self.q_matrix = _frozen(np.diag(np.asarray(self.q_diag, dtype=float)))
-        self.r_vector = _frozen(np.asarray(self.r_diag, dtype=float))
-        self.r_matrix = _frozen(np.diag(self.r_vector))
+        # noise diagonals for the filter, built once (not dataclass fields)
+        self.q_floats = tuple(float(v) for v in self.q_diag)
+        self.r_floats = tuple(float(v) for v in self.r_diag)
+        self.r_vector = _frozen(np.array(self.r_floats))
 
     @property
     def s_min(self) -> float:
@@ -218,17 +225,17 @@ def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel
 
 
 _ONES_36 = np.ones(36)  # cov.ravel() @ _ONES_36 sums a 6x6 covariance
+_EYE_6 = _frozen(np.eye(6))
 
 
-def _finite_state(mean: np.ndarray, mean_sum: float, cov: np.ndarray,
+def _finite_state(mean: np.ndarray, total: float, cov: np.ndarray,
                   t: float, step: str) -> EkfState:
     """EkfState(mean, cov, t), or FilterDegenerateError naming the step and
-    the filter time if an entry is NaN or infinite.  One sum, of the mean's
-    entries (`mean_sum`, summed by the caller) and the covariance's (one dot
-    product, the cheapest whole-array reduction here), checks both: it is
-    non-finite when any entry is; only then, or if it overflowed, are the
-    entries checked one by one."""
-    if (not math.isfinite(mean_sum + cov.ravel().dot(_ONES_36))
+    the filter time if an entry is NaN or infinite.  `total`, the caller's
+    sum of every entry of the mean and the covariance, is non-finite when
+    any entry is; only then, or if it overflowed, are the entries checked
+    one by one."""
+    if (not math.isfinite(total)
             and not (np.isfinite(cov).all() and np.isfinite(mean).all())):
         raise FilterDegenerateError(
             f"filter mean or covariance is not finite after {step} "
@@ -243,6 +250,13 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     raises TimeRegressionError; dt beyond STALE_GYRO_DT logs a warning but
     still propagates.  The mean is stepped on Python floats, with the same
     operations in the same order as the array form, so the same bits.
+
+    F P Fᵀ + Q dt is formed from F's structure, on Python floats: F is the
+    identity except its rows g0, g1, so only u0 = P g0, u1 = P g1 and the
+    2×2 corner gᵢ·uⱼ are computed; the block of rows and columns 2..5 is
+    P's (its upper triangle, mirrored) plus Q dt.  So the result is
+    symmetric by construction, with no averaging pass.
+
     Fails closed: a non-finite mean or covariance raises
     FilterDegenerateError.
     """
@@ -262,20 +276,149 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     x, y, bw, bh, vx, vy = m
     m = [x + (vx + du) * dt, y + (vy + dv) * dt,
          max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy]
-    F = _transition(dt, a, b, c, d)
-    cov = F @ state.cov @ F.T + cfg.q_matrix * dt
-    cov = 0.5 * (cov + cov.T)
-    return _finite_state(np.array(m), sum(m), cov, gyro.t, "predict")
+    # rows 0 and 1 of F (_transition): g0 = [f00 f01 f02 f03 dt 0],
+    # g1 = [f10 f11 f12 f13 0 dt]
+    f00, f01, f02, f03 = 1.0 + dt * a, dt * b, dt * a / 2.0, dt * b / 2.0
+    f10, f11, f12, f13 = dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0
+    P = state.cov.tolist()
+    u0 = [p0 * f00 + p1 * f01 + p2 * f02 + p3 * f03 + p4 * dt
+          for p0, p1, p2, p3, p4, _ in P]
+    u1 = [p0 * f10 + p1 * f11 + p2 * f12 + p3 * f13 + p5 * dt
+          for p0, p1, p2, p3, _, p5 in P]
+    q0, q1, q2, q3, q4, q5 = cfg.q_floats
+    c00 = (f00 * u0[0] + f01 * u0[1] + f02 * u0[2] + f03 * u0[3] + dt * u0[4]
+           + q0 * dt)
+    c01 = f00 * u1[0] + f01 * u1[1] + f02 * u1[2] + f03 * u1[3] + dt * u1[4]
+    c11 = (f10 * u1[0] + f11 * u1[1] + f12 * u1[2] + f13 * u1[3] + dt * u1[5]
+           + q1 * dt)
+    _, _, a2, a3, a4, a5 = u0
+    _, _, b2, b3, b4, b5 = u1
+    _, _, p22, p23, p24, p25 = P[2]
+    _, _, _, p33, p34, p35 = P[3]
+    _, _, _, _, p44, p45 = P[4]
+    p55 = P[5][5]
+    p22 += q2 * dt
+    p33 += q3 * dt
+    p44 += q4 * dt
+    p55 += q5 * dt
+    cov = [c00, c01, a2, a3, a4, a5,
+           c01, c11, b2, b3, b4, b5,
+           a2, b2, p22, p23, p24, p25,
+           a3, b3, p23, p33, p34, p35,
+           a4, b4, p24, p34, p44, p45,
+           a5, b5, p25, p35, p45, p55]
+    return _finite_state(np.array(m), sum(m) + sum(cov),
+                         np.array(cov).reshape(6, 6), gyro.t, "predict")
+
+
+def _innovation_gain(P: np.ndarray, r: tuple) -> np.ndarray | None:
+    """K = P[:, :4] S⁻¹ for S = P[:4, :4] + diag(r), from a Cholesky factor
+    S = L Lᵀ on Python floats and S⁻¹ = L⁻ᵀ L⁻¹; None when the fast path
+    cannot vouch for S.
+
+    It vouches only when S is exactly symmetric, every pivot is > 0 (so
+    not NaN) and trace(S)·trace(S⁻¹), which is at least κ₂(S), is at most
+    MAX_INNOVATION_COND / 2.  Both traces are sums of positive terms
+    (trace(S⁻¹) is the squared Frobenius norm of L⁻¹), and the computed
+    factor is the exact one of S + ΔS with ‖ΔS‖ ≤ c u ‖S‖, so rounding
+    cannot shrink the bound by anything near the factor 2 kept in hand:
+    an S the exact gate (_exact_gain) would reject is never accepted here
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §10.1,
+    §14.2).
+    """
+    (s00, s01, s02, s03, _, _), (s10, s11, s12, s13, _, _), \
+        (s20, s21, s22, s23, _, _), (s30, s31, s32, s33, _, _) = P[:4].tolist()
+    # exactly symmetric (a NaN never is), as every filter covariance is
+    if not (s10 == s01 and s20 == s02 and s30 == s03 and s21 == s12
+            and s31 == s13 and s32 == s23):
+        return None
+    r0, r1, r2, r3 = r
+    s00 += r0
+    s11 += r1
+    s22 += r2
+    s33 += r3
+    if not s00 > 0.0:
+        return None
+    l00 = math.sqrt(s00)
+    l10 = s01 / l00
+    l20 = s02 / l00
+    l30 = s03 / l00
+    d = s11 - l10 * l10
+    if not d > 0.0:
+        return None
+    l11 = math.sqrt(d)
+    l21 = (s12 - l20 * l10) / l11
+    l31 = (s13 - l30 * l10) / l11
+    d = s22 - l20 * l20 - l21 * l21
+    if not d > 0.0:
+        return None
+    l22 = math.sqrt(d)
+    l32 = (s23 - l30 * l20 - l31 * l21) / l22
+    d = s33 - l30 * l30 - l31 * l31 - l32 * l32
+    if not d > 0.0:
+        return None
+    l33 = math.sqrt(d)
+    # M = L⁻¹, lower triangular, by forward substitution
+    m00 = 1.0 / l00
+    m11 = 1.0 / l11
+    m22 = 1.0 / l22
+    m33 = 1.0 / l33
+    m10 = -l10 * m00 * m11
+    m21 = -l21 * m11 * m22
+    m20 = -(l20 * m00 + l21 * m10) * m22
+    m32 = -l32 * m22 * m33
+    m31 = -(l31 * m11 + l32 * m21) * m33
+    m30 = -(l30 * m00 + l31 * m10 + l32 * m20) * m33
+    # S⁻¹ = Mᵀ M
+    i00 = m00 * m00 + m10 * m10 + m20 * m20 + m30 * m30
+    i11 = m11 * m11 + m21 * m21 + m31 * m31
+    i22 = m22 * m22 + m32 * m32
+    i33 = m33 * m33
+    if not ((s00 + s11 + s22 + s33) * (i00 + i11 + i22 + i33)
+            <= MAX_INNOVATION_COND / 2.0):
+        return None
+    i01 = m10 * m11 + m20 * m21 + m30 * m31
+    i02 = m20 * m22 + m30 * m32
+    i03 = m30 * m33
+    i12 = m21 * m22 + m31 * m32
+    i13 = m31 * m33
+    i23 = m32 * m33
+    return P[:, :4] @ np.array([[i00, i01, i02, i03], [i01, i11, i12, i13],
+                                [i02, i12, i22, i23], [i03, i13, i23, i33]])
+
+
+def _exact_gain(P: np.ndarray, cfg: TrackerConfig, t: float) -> np.ndarray:
+    """K = P[:, :4] S⁻¹ by LU solve, behind the exact gate on S: raises
+    FilterDegenerateError when S is not finite, not positive definite, or
+    has condition number above MAX_INNOVATION_COND."""
+    S = P[:4, :4] + np.diag(cfg.r_vector)
+    if not np.isfinite(S).all():
+        raise FilterDegenerateError(
+            f"innovation covariance is not finite at t={t:.6f}")
+    ev = np.linalg.eigvalsh(S)  # ascending; reads S's lower triangle
+    if not ev[0] > 0.0:
+        raise FilterDegenerateError(
+            f"innovation covariance is not positive definite at t={t:.6f}")
+    if ev[-1] > MAX_INNOVATION_COND * ev[0]:
+        raise FilterDegenerateError(
+            f"innovation covariance condition number exceeds "
+            f"{MAX_INNOVATION_COND:g} at t={t:.6f}")
+    return np.linalg.solve(S.T, P[:, :4].T).T
 
 
 def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfState:
     """Measurement update with z = [x, y, w, h] (Joseph-form covariance).
 
     H = [I4 0] selects the box from the state, so each product with H is a
-    selection and the forms used here equal the matrix products bit for bit:
-    S = H P Hᵀ + R is P[:4, :4] + R, P Hᵀ is P[:, :4], H x is x[:4], and
-    I − K H is the identity with K subtracted from its first four columns.
-    With R diagonal, K R Kᵀ is (K * r) @ Kᵀ.
+    selection: S = H P Hᵀ + R is P[:4, :4] + R, P Hᵀ is P[:, :4], H x is
+    x[:4], and I − K H is the identity with K subtracted from its first four
+    columns.  With R diagonal, K R Kᵀ is (K * r) @ Kᵀ.
+
+    The gain K = P Hᵀ S⁻¹ comes from a 4×4 Cholesky of S on Python floats
+    (_innovation_gain).  When that fast path cannot vouch for S (not
+    exactly symmetric, a pivot not > 0, or a condition bound above
+    MAX_INNOVATION_COND / 2), S goes to the exact gate (_exact_gain:
+    eigenvalues, then an LU solve).
 
     Fails closed: an innovation covariance S that is not finite, not
     positive definite, or has condition number above MAX_INNOVATION_COND
@@ -283,27 +426,18 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
     covariance.
     """
     P = state.cov
-    S = P[:4, :4] + cfg.r_matrix
-    if not np.isfinite(S).all():
-        raise FilterDegenerateError(
-            f"innovation covariance is not finite at t={state.t:.6f}")
-    ev = np.linalg.eigvalsh(S)  # ascending; S is exactly symmetric
-    if not ev[0] > 0.0:
-        raise FilterDegenerateError(
-            f"innovation covariance is not positive definite at t={state.t:.6f}")
-    if ev[-1] > MAX_INNOVATION_COND * ev[0]:
-        raise FilterDegenerateError(
-            f"innovation covariance condition number exceeds "
-            f"{MAX_INNOVATION_COND:g} at t={state.t:.6f}")
-    K = np.linalg.solve(S.T, P[:, :4].T).T
+    K = _innovation_gain(P, cfg.r_floats)
+    if K is None:
+        K = _exact_gain(P, cfg, state.t)
     mean = state.mean + K @ (box.as_array() - state.mean[:4])
     mean[2] = max(MIN_BOX_SIZE, mean[2])
     mean[3] = max(MIN_BOX_SIZE, mean[3])
-    IKH = np.eye(6)
+    IKH = _EYE_6.copy()
     IKH[:, :4] -= K
     cov = IKH @ P @ IKH.T + (K * cfg.r_vector) @ K.T
     cov = 0.5 * (cov + cov.T)
-    return _finite_state(mean, sum(mean.tolist()), cov, state.t, "update")
+    return _finite_state(mean, sum(mean.tolist()) + cov.ravel().dot(_ONES_36),
+                         cov, state.t, "update")
 
 
 def predicted_box(state: EkfState) -> BoundingBox:
@@ -346,7 +480,7 @@ def update_memory(memory: AppearanceMemory, feature: np.ndarray) -> AppearanceMe
     zero vector.
     """
     blended = memory.alpha * memory.vector + (1.0 - memory.alpha) * feature
-    n = np.linalg.norm(blended)
+    n = math.sqrt(blended.dot(blended))  # np.linalg.norm's 1-D form: same bits
     if n < 1e-12:
         log.warning("appearance blend cancelled to zero norm; memory kept")
         return memory

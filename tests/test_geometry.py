@@ -45,6 +45,22 @@ def test_box_rejects_nonfinite():
         BoundingBox(0, float("inf"), 10, 10)
 
 
+def test_box_messages_name_the_bad_field():
+    with pytest.raises(ValueError, match="box field y is not finite: inf"):
+        BoundingBox(0.0, float("inf"), 10.0, 10.0)
+    with pytest.raises(ValueError, match="box field x is not finite: nan"):
+        BoundingBox(float("nan"), float("-inf"), 10.0, 10.0)
+    with pytest.raises(ValueError, match="positive extent, got w=10.0 h=0.0"):
+        BoundingBox(0.0, 0.0, 10.0, 0.0)
+
+
+def test_box_accepts_finite_fields_whose_sum_overflows():
+    # validity is checked on one sum of the fields first; an overflowing
+    # sum of finite fields falls back to the per-field check and passes
+    b = BoundingBox(1e308, 1e308, 1e308, 1e308)
+    assert b.x == 1e308 and b.h == 1e308
+
+
 def test_box_array_round_trip():
     b = BoundingBox(1.5, -2.25, 3.0, 4.0)
     assert BoundingBox.from_array(b.as_array()) == b

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,25 @@ def test_non_finite_state_aborts_at_last_good_time(monkeypatch, tmp_path,
         "abort: non-finite state (last good state at t=0.249000 s)")
 
 
+def test_finite_state_whose_sum_overflows_does_not_abort(monkeypatch):
+    # the post-step check sums the state; a sum that overflows on finite
+    # entries is rechecked entry by entry and must not abort the run
+    real = simulator.dynamics_step
+    calls = [0]
+
+    def step(state, cmd, params, dt):
+        calls[0] += 1
+        out = real(state, cmd, params, dt)
+        if calls[0] == BAD_STEP:
+            out = dataclasses.replace(out, p=np.array([1e308, 1e308, out.p[2]]))
+        return out
+
+    monkeypatch.setattr(simulator, "dynamics_step", step)
+    art = run(make_scenario())
+    assert calls[0] > BAD_STEP
+    assert art.summary["final_quad_p"][:2].tolist() == [1e308, 1e308]
+
+
 def test_filter_overflow_aborts_in_the_tracker():
     # huge centre noise and gyro noise with an aggressive pitch law: the
     # filter's covariance overflows in predict, and the run must abort there,
@@ -448,6 +468,22 @@ def test_filter_overflow_aborts_in_the_tracker():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FilterDegenerateError, match="not finite after predict"):
         run(sc)
+
+
+def test_filter_overflow_aborts_without_numpy_warnings():
+    # the same repro with every warning an error: the filter's predict runs
+    # on Python floats, so the overflow surfaces only as the typed abort
+    sc = _bundled("corridor_approach", 21)
+    sc = dataclasses.replace(
+        sc,
+        detector=dataclasses.replace(sc.detector, center_noise_px=400.0),
+        quad=dataclasses.replace(sc.quad, gyro_noise=1.0),
+        controller=dataclasses.replace(sc.controller, pitch_accel=30.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FilterDegenerateError,
+                           match="not finite after predict at t=0.600000"):
+            run(sc)
 
 
 def test_dynamics_step_leaves_non_finite_attitude_unprojected():

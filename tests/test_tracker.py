@@ -2,19 +2,23 @@
 
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from quadtrack import scenarios, tracker
 from quadtrack.detection import Detection, DetectionSet, GyroSample
 from quadtrack.errors import (FilterDegenerateError, InitializationError,
                               TimeRegressionError)
 from quadtrack.geometry import BoundingBox, CameraModel
+from quadtrack.replay import replay_track
+from quadtrack.simulator import run
 from quadtrack.tracker import (AppearanceMemory, EkfState, Tracker,
                                TrackerConfig, TrackerState, TrackerWeights,
-                               cosine_score, ekf_predict, ekf_update,
-                               initialize, predict_jacobian, predicted_box,
-                               score, step, update_memory)
+                               _innovation_gain, cosine_score, ekf_predict,
+                               ekf_update, initialize, predict_jacobian,
+                               predicted_box, score, step, update_memory)
 
 from conftest import fd_transition_jacobian
 
@@ -302,7 +306,8 @@ def test_update_indefinite_innovation_raises():
 
 
 # ---------------------------------------------------------------------------
-# bit identity with the array form of the filter
+# the array form of the filter: the oracle the scalar filter must match
+# within a rounding-error bound derived below
 # ---------------------------------------------------------------------------
 
 
@@ -369,9 +374,55 @@ def random_filter_state(rng, t, max_size):
     return EkfState(mean, 0.5 * (cov + cov.T), t)
 
 
-def test_filter_bit_identical_to_array_form():
+U = 2.0 ** -53  # unit roundoff of binary64
+
+
+def gamma(n):
+    """γₙ = n u / (1 − n u): the relative error bound of n roundings
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §3.1)."""
+    return n * U / (1.0 - n * U)
+
+
+# Normwise backward error of a 4×4 solve, as a multiple of u: LU with
+# partial pivoting gives |ΔS| ≤ γ₁₂ |L||U| (Higham Thm 9.4), with
+# ‖|L||U|‖∞ ≤ (1 + 2(n² − n)ρₙ)‖S‖∞ = 193‖S‖∞ for growth ρₙ ≤ 2ⁿ⁻¹ = 8, and a
+# factor n = 4 between the ∞- and 2-norms: 12 · 193 · 4 ≤ 10⁴.  The
+# Cholesky-based inverse's constant is smaller (Higham §10.1, §14.2).
+SOLVE_BACKWARD = 1e4
+
+
+def gain_difference_bound(P, r):
+    """Bound on ‖K_new − K_ref‖_F for K = B S⁻¹, B = P[:, :4], in terms of
+    κ₂(S).  With ε = SOLVE_BACKWARD·u and ρ = κε/(1 − κε), each route is
+    within ρ‖B‖_F‖S⁻¹‖₂ of the exact K (Higham Thm 7.2), and the scalar
+    route's product B·S⁻¹ adds γ₄‖|B||X̂|‖_F ≤ 2γ₄(1 + ρ)‖B‖_F‖S⁻¹‖₂."""
+    S = P[:4, :4] + np.diag(r)
+    ev = np.linalg.eigvalsh(S)
+    kappa = ev[-1] / ev[0]
+    eps = SOLVE_BACKWARD * U * kappa
+    assert eps < 0.5, kappa
+    rho = eps / (1.0 - eps)
+    scale = np.linalg.norm(P[:, :4]) / ev[0]
+    return (2.0 * rho + 2.0 * gamma(4) * (1.0 + rho)) * scale
+
+
+def test_filter_matches_array_form_within_rounding():
+    # Predict: the mean keeps the array form's expressions, so its bits.
+    # Both sides evaluate F P Fᵀ + Q dt with at most 15 roundings per entry
+    # (two 6-term products, the Q dt product and sum, and the symmetrizing
+    # sum), so each is within γ₁₅ M of the exact value, M = |F||P||F|ᵀ + Q dt
+    # (Higham §3.5); one more unit covers evaluating M: |Δ| ≤ 2γ₁₆ M.
+    # Update: both sides get the reference's predicted state.  The gains
+    # differ by δK (gain_difference_bound); the mean m + Kν then moves by at
+    # most δK‖ν‖₂ plus each side's 5-term rounding γ₅(|m| + |K||ν|); the
+    # Joseph form A P Aᵀ + K R Kᵀ (A = I − KH) by at most
+    # δK(‖P‖₂(2‖A‖₂ + δK) + ‖R‖₂(2‖K‖₂ + δK)) plus each side's γ₁₆
+    # (two 6-term products, K·r, a 4-term product, the sums, forming A)
+    # times W = |A||P||A|ᵀ + |K|R|K|ᵀ.  Observed worst: 12% of the predict
+    # bound; the update bounds are looser (5.5e-5 and 2.2e-6 of them), as
+    # the worst-case backward-error constant dominates.
     rng = np.random.default_rng(2024)
-    kinds = {"zero_dt": 0, "stale": 0, "clamped": 0}
+    kinds = {"zero_dt": 0, "stale": 0, "clamped": 0, "fast_gain": 0}
     for i in range(240):
         cfg = make_cfg(gyro_compensation=bool(i % 2),
                        q_diag=tuple(rng.uniform(0.0, 1.0, 6)),
@@ -391,14 +442,139 @@ def test_filter_bit_identical_to_array_form():
             logging.disable(logging.NOTSET)
         want = ref_ekf_predict(st, gyro, cfg)
         assert np.array_equal(got.mean, want.mean) and got.t == want.t
-        assert np.array_equal(got.cov, want.cov)
+        assert np.array_equal(got.cov, got.cov.T)
+        F = predict_jacobian(st, gyro.w, dt, CAM, cfg.gyro_compensation)
+        M = np.abs(F) @ np.abs(st.cov) @ np.abs(F).T + np.diag(cfg.q_diag) * dt
+        assert np.all(np.abs(got.cov - want.cov) <= 2.0 * gamma(16) * M)
+
         z = BoundingBox(rng.uniform(-50, 950), rng.uniform(-50, 550),
                         rng.uniform(1.0, 150), rng.uniform(1.0, 150))
-        got_u = ekf_update(got, z, cfg)
+        P, m = want.cov, want.mean
+        got_u = ekf_update(want, z, cfg)
         want_u = ref_ekf_update(want, z, cfg)
-        assert np.array_equal(got_u.mean, want_u.mean)
-        assert np.array_equal(got_u.cov, want_u.cov)
+        kinds["fast_gain"] += _innovation_gain(P, cfg.r_floats) is not None
+        r = np.asarray(cfg.r_diag)
+        dK = gain_difference_bound(P, r)
+        K = np.linalg.solve(P[:4, :4] + np.diag(r), P[:4, :]).T
+        A = np.eye(6)
+        A[:, :4] -= K
+        nu = z.as_array() - m[:4]
+        mean_bound = (dK * np.linalg.norm(nu)
+                      + 2.0 * gamma(5) * (np.abs(m) + np.abs(K) @ np.abs(nu)))
+        assert np.all(np.abs(got_u.mean - want_u.mean) <= mean_bound)
+        W = np.abs(A) @ np.abs(P) @ np.abs(A).T + (np.abs(K) * r) @ np.abs(K).T
+        cov_bound = (dK * (np.linalg.norm(P, 2) * (2.0 * np.linalg.norm(A, 2) + dK)
+                           + r.max() * (2.0 * np.linalg.norm(K, 2) + dK))
+                     + 2.0 * gamma(16) * W)
+        assert np.all(np.abs(got_u.cov - want_u.cov) <= cov_bound)
     assert min(kinds.values()) >= 20, kinds
+    # every oracle state is well conditioned, so the Cholesky path takes it
+    assert kinds["fast_gain"] == 240, kinds
+
+
+@pytest.mark.parametrize("name", ["occlusion_decoy", "corridor_approach",
+                                  "false_positive_storm"])
+def test_replay_selections_equal_array_form_filter(name, monkeypatch):
+    # AC7's three logs replayed with the scalar filter and with the array
+    # form patched in where step() and Tracker.predict look it up: every
+    # per-frame selection is the same, and the post-update means agree to
+    # 1e-9 px (px/s for velocities), a thousandth of the 1e-6 px step of a
+    # %.9g-formatted coordinate in the hundreds of px.  Observed: 4.8e-13.
+    def selections(trace):
+        return [(r["t"], r["status"], r["coast"],
+                 None if r["box"] is None else tuple(np.asarray(r["box"]).tolist()))
+                for r in trace]
+
+    sc = scenarios.get(name)
+    events = run(sc).events
+    cfg = sc.tracker.build(sc.camera.build())
+    prompt = (sc.prompt.x, sc.prompt.y)
+    got = replay_track(events, prompt, sc.prompt.t, cfg)
+    monkeypatch.setattr(tracker, "ekf_predict", ref_ekf_predict)
+    monkeypatch.setattr(tracker, "ekf_update", ref_ekf_update)
+    want = replay_track(events, prompt, sc.prompt.t, cfg)
+    assert len(got) > 0 and selections(got) == selections(want)
+    assert max(np.max(np.abs(a["mean"] - b["mean"]))
+               for a, b in zip(got, want)) <= 1e-9
+
+
+def ref_gate(S):
+    """The exact gate on S as it stood before the Cholesky fast path: the
+    message class it raises, or None to accept."""
+    if not np.isfinite(S).all():
+        return "innovation covariance is not finite"
+    ev = np.linalg.eigvalsh(S)
+    if not ev[0] > 0.0:
+        return "innovation covariance is not positive definite"
+    if ev[-1] > 1e12 * ev[0]:
+        return "innovation covariance condition number exceeds"
+    return None
+
+
+def gate_corpus(rng, n):
+    """(P, r) pairs, S = P[:4, :4] + diag(r) built as Q Λ Qᵀ: 60% positive
+    definite with κ log-uniform in [1e10, 1e14], 20% indefinite or
+    singular, 20% well conditioned with NaN or ±inf entries."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)))
+    for k in range(n):
+        kind = k % 5
+        if kind < 3:
+            lam = 10.0 ** (-rng.uniform(10.0, 14.0) * np.array(
+                [0.0, *rng.uniform(0.0, 1.0, 2), 1.0]))
+        else:
+            lam = 10.0 ** rng.uniform(-3.0, 0.0, 4)
+        if kind == 3:
+            neg = int(rng.integers(1, 4))
+            lam[4 - neg:] *= -(10.0 ** rng.uniform(-16.0, 0.0, neg))
+            if rng.uniform() < 0.2:
+                lam[3] = 0.0
+        scale = 10.0 ** rng.uniform(-2.0, 4.0)
+        S = scale * (Q[k] * lam) @ Q[k].T
+        r = scale * rng.uniform(0.0, 1.0, 4)
+        P = np.eye(6)
+        P[:4, :4] = 0.5 * (S + S.T) - np.diag(r)
+        if kind == 4:
+            i, j = rng.integers(0, 4, 2)
+            P[i, j] = rng.choice([math.nan, math.inf, -math.inf])
+            if rng.uniform() < 0.5:
+                P[j, i] = P[i, j]
+        yield P, r
+
+
+def test_cholesky_gate_decides_like_the_exact_gate():
+    # Every S the fast path declines goes to the exact gate unchanged, so a
+    # mismatch could only be an S the fast path accepts and the exact gate
+    # rejects.  The corpus straddles the 1e12 condition bound.
+    rng = np.random.default_rng(7)
+    box = BoundingBox(100.0, 100.0, 40.0, 30.0)
+    paths = Counter()  # (fast path took S, exact gate accepts S)
+    for n, (P, r) in enumerate(gate_corpus(rng, 20000)):
+        cfg = make_cfg(r_diag=tuple(r))
+        want = ref_gate(P[:4, :4] + np.diag(r))
+        st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, 0.0, 0.0]), P, 1.0)
+        try:
+            ekf_update(st, box, cfg)
+            got = None
+        except FilterDegenerateError as e:
+            got = str(e).split(" at t=")[0].split(" 1e+12")[0]
+        assert got == want, (n, P[:4, :4], r)
+        paths[_innovation_gain(P, cfg.r_floats) is not None, want is None] += 1
+    # every branch is exercised: the fast path takes well-conditioned S;
+    # S near the bound decline and are accepted by the exact gate; the rest
+    # decline and raise.  (The seeded corpus gives 4963 / 1016 / 14021.)
+    assert paths[True, False] == 0, paths
+    assert (paths[True, True] >= 3000 and paths[False, True] >= 500
+            and paths[False, False] >= 10000), paths
+
+
+def test_update_memory_bit_identical_to_norm_form():
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        mem = AppearanceMemory(_rand_unit(rng, 256), rng.uniform(0.0, 1.0))
+        f = rng.normal(size=256) * rng.uniform(0.1, 10.0)
+        blended = mem.alpha * mem.vector + (1.0 - mem.alpha) * f
+        want = blended / np.linalg.norm(blended)
+        assert np.array_equal(update_memory(mem, f).vector, want)
 
 
 def test_cosine_score_bit_identical_to_norm_form():
