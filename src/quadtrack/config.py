@@ -101,6 +101,17 @@ class QuadConfig:
         _require(len(self.start_position) == 3, "quad: start_position must be xyz")
         _require(self.gyro_noise >= 0 and self.motor_lag >= 0,
                  "quad: noise/lag must be non-negative")
+        _check_layer("quad", self.build)
+
+    def build(self):
+        """The simulator's QuadParams (with its MixerGeometry)."""
+        from .controller import MixerGeometry
+        from .simulator import QuadParams
+
+        return QuadParams(self.mass, self.inertia,
+                          MixerGeometry(self.arm_length, self.yaw_coeff,
+                                        self.max_rotor_thrust),
+                          self.motor_lag)
 
 
 @dataclass(frozen=True)
@@ -276,6 +287,22 @@ class ControllerParams:
         _require(0.0 <= self.beta <= 1.0, "controller: beta outside [0, 1]")
         _require(len(self.attitude_kr) == 3 and len(self.attitude_kw) == 3,
                  "controller: attitude gains must be 3-vectors")
+
+    def build(self, quad, camera, control_hz: int):
+        """The VisualController for a built QuadParams `quad` (its mass,
+        inertia and mixer geometry), `camera` and the control rate."""
+        from .controller import AttitudeGains, ControllerGains, VisualController
+
+        gains = ControllerGains(
+            kp_roll=self.kp_roll, kd_roll=self.kd_roll,
+            kp_thrust=self.kp_thrust, kd_thrust=self.kd_thrust,
+            kp_yaw=self.kp_yaw, kd_yaw=self.kd_yaw, beta=self.beta,
+            pitch_accel=self.pitch_accel, mass=quad.mass,
+            min_thrust_frac=self.min_thrust_frac)
+        return VisualController(
+            camera, gains, AttitudeGains(self.attitude_kr, self.attitude_kw),
+            quad.geometry, quad.inertia, 1.0 / control_hz,
+            deriv_tau=self.deriv_tau, literal=self.literal_equations)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,13 @@ keeps e.g. the occlusion threshold monotone on a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (BoundingBox, CameraModel, CameraPose, camera_depth,
+from .geometry import (BoundingBox, CameraModel, CameraPose, camera_point,
                        covered_fraction, project_box)
-from .scene import SceneSnapshot
+from .scene import ObjectState, SceneSnapshot
 
 DESCRIPTOR_DIM = 256
 
@@ -33,6 +34,14 @@ class Detection:
     box: BoundingBox
     confidence: float
     descriptor: np.ndarray
+
+
+class ObjectView(NamedTuple):
+    """One detectable object as a camera frame sees it."""
+
+    state: ObjectState
+    box: BoundingBox | None   # projected box; None when it does not project
+    occluded: float           # fraction of the box behind nearer occluders
 
 
 @dataclass
@@ -92,40 +101,44 @@ def _in_image(box: BoundingBox, cam) -> bool:
 
 
 class SyntheticDetector:
-    """Ground-truth-derived detector.  Deterministic given (config, rng state)."""
+    """Ground-truth-derived detector.  Deterministic given (config, rng state).
+
+    `views` holds the per-object geometry of the last frame passed to
+    `detect`, so that the frame's ground truth reads the same projection."""
 
     def __init__(self, cfg: SyntheticDetectorConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
+        self.views: list[ObjectView] = []
 
     # -- frame geometry ---------------------------------------------------
 
-    def _frame_geometry(self, snapshot: SceneSnapshot, pose: CameraPose, cam: CameraModel):
-        """Project all objects once; returns (detectable list, occluder boxes).
-
-        Detectable entries are (state, box, occluded_fraction); box is None
-        when the object does not project.  Occlusion counts only occluder
-        boxes strictly nearer the camera than the object.
+    def _frame_geometry(self, snapshot: SceneSnapshot, pose: CameraPose,
+                        cam: CameraModel) -> list[ObjectView]:
+        """Transform each object into the camera frame once; the camera
+        point gives both the projected box and the depth.  Returns a view of
+        every detectable object, in snapshot order.  Occlusion counts only
+        occluder boxes strictly nearer the camera than the object.
         """
         projected = []
         occluders = []
         for st in snapshot.objects:
-            box = project_box(cam, pose, st.center, st.size)
-            depth = camera_depth(pose, st.center)
+            pc = camera_point(pose, st.center)
+            box = project_box(cam, pose, st.center, st.size, pc)
             if st.occluder:
                 if box is not None:
-                    occluders.append((box, depth))
+                    occluders.append((box, pc[2]))
             else:
-                projected.append((st, box, depth))
-        detectable = []
+                projected.append((st, box, pc[2]))
+        views = []
         for st, box, depth in projected:
             frac = 0.0
             if box is not None:
                 nearer = [b for b, d in occluders if d < depth]
                 if nearer:
                     frac = covered_fraction(box, nearer)
-            detectable.append((st, box, frac))
-        return detectable
+            views.append(ObjectView(st, box, frac))
+        return views
 
     # -- detection --------------------------------------------------------
 
@@ -147,11 +160,12 @@ class SyntheticDetector:
     def detect(self, snapshot: SceneSnapshot, pose: CameraPose, cam: CameraModel) -> DetectionSet:
         """One camera frame worth of detections, in object-id order then
         duplicates then false positives (stable order feeds stable argmax
-        tie-breaking downstream)."""
+        tie-breaking downstream).  Keeps the frame's geometry in `views`."""
         cfg = self.cfg
         rng = self.rng
         out: list[Detection] = []
-        for st, box, frac in self._frame_geometry(snapshot, pose, cam):
+        self.views = self._frame_geometry(snapshot, pose, cam)
+        for st, box, frac in self.views:
             # Draws are consumed even for suppressed objects (see module doc).
             drop = rng.uniform() < cfg.p_dropout
             visible = (box is not None and frac < cfg.occlusion_threshold

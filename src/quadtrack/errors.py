@@ -66,3 +66,12 @@ class SimulationAbort(RuntimeAbort):
     def __init__(self, t: float, message: str):
         super().__init__(f"{message} (last good state at t={t:.6f} s)")
         self.t = t
+
+
+class ControllerAbort(RuntimeAbort):
+    """The controller produced a non-finite thrust, desired attitude, torque
+    or rotor thrust.  Carries the tick time."""
+
+    def __init__(self, t: float, message: str):
+        super().__init__(f"controller: {message} at t={t:.6f} s")
+        self.t = t

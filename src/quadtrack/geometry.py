@@ -182,40 +182,48 @@ class CameraPose:
     position: np.ndarray  # (3,)
 
 
+def camera_point(pose: CameraPose, p_world) -> tuple[float, float, float]:
+    """Camera-frame (x, y, z) of a world point: R^T (p - position)."""
+    pc = pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position)
+    x, y, z = pc.tolist()
+    return x, y, z
+
+
 def project_point(cam: CameraModel, pose: CameraPose, p_world) -> tuple[float, float] | None:
     """Project a world point to pixels; None if at or behind the camera plane."""
-    pc = pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position)
-    if pc[2] <= MIN_VIEW_DEPTH:
+    x, y, z = camera_point(pose, p_world)
+    if z <= MIN_VIEW_DEPTH:
         return None
-    u = cam.focal * pc[0] / pc[2] + cam.cx
-    v = cam.focal * pc[1] / pc[2] + cam.cy
-    return (u, v)
+    return (cam.focal * x / z + cam.cx, cam.focal * y / z + cam.cy)
 
 
-def project_box(cam: CameraModel, pose: CameraPose, center, size) -> BoundingBox | None:
+def project_box(cam: CameraModel, pose: CameraPose, center, size,
+                pc: tuple[float, float, float] | None = None) -> BoundingBox | None:
     """Pixel bound of a camera-facing rectangle of physical extent (w, h)
     metres centered at a world point (sprite model: apparent size scales as
     focal * extent / depth).
 
     Returns None (not visible) if the center lies behind the camera or the
     projection subtends less than one pixel in either dimension.  The result
-    is *not* clamped to the image border.
+    is *not* clamped to the image border.  `pc`, the center's camera_point,
+    saves the transform when the caller already has it (the caller also
+    needs the depth, pc[2]).
     """
-    center = np.asarray(center, dtype=float)
-    uv = project_point(cam, pose, center)
-    if uv is None:
+    x, y, z = camera_point(pose, center) if pc is None else pc
+    if z <= MIN_VIEW_DEPTH:
         return None
-    depth = camera_depth(pose, center)
-    w = cam.focal * float(size[0]) / depth
-    h = cam.focal * float(size[1]) / depth
+    u = cam.focal * x / z + cam.cx
+    v = cam.focal * y / z + cam.cy
+    w = cam.focal * float(size[0]) / z
+    h = cam.focal * float(size[1]) / z
     if w < 1.0 or h < 1.0:
         return None
-    return BoundingBox(uv[0] - w / 2.0, uv[1] - h / 2.0, w, h)
+    return BoundingBox(u - w / 2.0, v - h / 2.0, w, h)
 
 
 def camera_depth(pose: CameraPose, p_world) -> float:
     """Camera-frame Z of a world point (distance along the optical axis)."""
-    return float((pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position))[2])
+    return camera_point(pose, p_world)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +252,10 @@ def zyx_matrix(yaw: float, pitch: float, roll: float) -> np.ndarray:
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
+    """Wrap to (-pi, pi]; a non-finite angle gives NaN, for the caller's
+    finiteness check (math.fmod raises on an infinite one)."""
+    if not math.isfinite(a):
+        return math.nan
     w = math.fmod(a + math.pi, 2.0 * math.pi)
     if w < 0.0:
         w += 2.0 * math.pi
@@ -254,18 +265,19 @@ def wrap_angle(a: float) -> float:
     return w
 
 
-def pitch_yaw_from_rotation(R: np.ndarray) -> tuple[float, float]:
-    """(pitch, yaw) of a ZYX-factored rotation.
+def pitch_yaw_from_rotation(R) -> tuple[float, float]:
+    """(pitch, yaw) of a ZYX-factored rotation, given as a 3x3 array or
+    its rows.
 
     pitch in [-pi/2, pi/2], yaw in (-pi, pi].  Raises DegenerateAttitudeError
     within 1e-6 rad of the gimbal-lock pitch +/- pi/2.
     """
-    s = -float(R[2, 0])
+    s = -float(R[2][0])
     s = max(-1.0, min(1.0, s))
     pitch = math.asin(s)
     if math.pi / 2.0 - abs(pitch) < 1e-6:
         raise DegenerateAttitudeError(f"pitch {pitch:.8f} within 1e-6 of gimbal lock")
-    yaw = math.atan2(float(R[1, 0]), float(R[0, 0]))
+    yaw = math.atan2(float(R[1][0]), float(R[0][0]))
     return pitch, wrap_angle(yaw)
 
 
@@ -309,31 +321,25 @@ def vee(M: np.ndarray) -> np.ndarray:
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
-def quat_from_rotation(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with w >= 0 (Shepperd's method)."""
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+def quat_from_rotation(R) -> tuple[float, float, float, float]:
+    """Unit quaternion (w, x, y, z) with w >= 0 (Shepperd's method), from a
+    3x3 array or its rows, as four floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    tr = r00 + r11 + r22
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
+        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
+    elif r00 >= r11 and r00 >= r22:   # the first largest diagonal entry
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
+    elif r11 >= r22:
+        s = math.sqrt(1.0 - r00 + r11 - r22) * 2.0
+        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
     else:
-        i = int(np.argmax([R[0, 0], R[1, 1], R[2, 2]]))
-        if i == 0:
-            s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-            q = np.array([(R[2, 1] - R[1, 2]) / s, 0.25 * s,
-                          (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
-        elif i == 1:
-            s = math.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
-            q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s,
-                          0.25 * s, (R[1, 2] + R[2, 1]) / s])
-        else:
-            s = math.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
-            q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
-                          (R[1, 2] + R[2, 1]) / s, 0.25 * s])
-    q = q / np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+        s = math.sqrt(1.0 - r00 - r11 + r22) * 2.0
+        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if w / n < 0.0:
+        n = -n
+    return (w / n, x / n, y / n, z / n)

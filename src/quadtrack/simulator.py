@@ -31,6 +31,14 @@ tracker-only scenarios an actuation-independent detection stream.  The
 tracker draws nothing (appearance memory follows the accepted detection's
 descriptor), so a scripted stream is independent of the tracker, and a
 closed-loop stream depends on it only through the flight.
+
+Each camera frame transforms each object into the camera frame once: the
+detector keeps the frame's per-object views (box, occluded fraction), and
+the ground-truth row reads the target's from them.  The controller tick runs
+on Python floats and raises ControllerAbort on a non-finite output, so a bad
+command never reaches the plant or commands.jsonl.  The layers are built
+from the scenario by QuadConfig.build, ControllerParams.build and
+TrackerParams.build.
 """
 
 from __future__ import annotations
@@ -41,16 +49,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Scenario, scenario_hash
-from .controller import (AttitudeGains, BodyCommand, ControllerGains,
-                         MixerGeometry, MotorCommand, VisualController,
+from .controller import (BodyCommand, MixerGeometry, MotorCommand,
                          motor_wrench)
 from .detection import GyroSample, SyntheticDetector
 from .errors import SimulationAbort
-from .geometry import (CameraPose, nearest_rotation,
+# project_box is no longer called here (the detector's frame views carry the
+# truth boxes), but perfbench/tracing.py wraps it under this module's name
+from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
                        pitch_yaw_from_rotation, project_box, rot_z)
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
-from .scene import SceneObject, SceneSnapshot, scene_step
+from .scene import SceneObject, scene_step
 from .tracker import Tracker, predicted_box
 
 GRAVITY = 9.81
@@ -275,21 +284,8 @@ def run(scenario: Scenario) -> RunArtifacts:
     detector = SyntheticDetector(sc.detector.build(), rng)
     tracker = Tracker(sc.tracker.build(cam))
     prompt_xy = (sc.prompt.x, sc.prompt.y)
-    params = QuadParams(sc.quad.mass, sc.quad.inertia,
-                        MixerGeometry(sc.quad.arm_length, sc.quad.yaw_coeff,
-                                      sc.quad.max_rotor_thrust),
-                        sc.quad.motor_lag)
-    controller = VisualController(
-        cam,
-        ControllerGains(
-            kp_roll=sc.controller.kp_roll, kd_roll=sc.controller.kd_roll,
-            kp_thrust=sc.controller.kp_thrust, kd_thrust=sc.controller.kd_thrust,
-            kp_yaw=sc.controller.kp_yaw, kd_yaw=sc.controller.kd_yaw,
-            beta=sc.controller.beta, pitch_accel=sc.controller.pitch_accel,
-            mass=sc.quad.mass, min_thrust_frac=sc.controller.min_thrust_frac),
-        AttitudeGains(sc.controller.attitude_kr, sc.controller.attitude_kw),
-        params.geometry, params.inertia, 1.0 / sc.rates.control_hz,
-        deriv_tau=sc.controller.deriv_tau, literal=sc.controller.literal_equations)
+    params = sc.quad.build()
+    controller = sc.controller.build(params, cam, sc.rates.control_hz)
 
     scripted = sc.camera_script.mode != "dynamic"
     script = _Script(sc) if scripted else None
@@ -316,13 +312,10 @@ def run(scenario: Scenario) -> RunArtifacts:
     ip, ic, icam = 1, 0, 0
     PHYS, CTRL, CAM = 0, 1, 2
 
-    def truth_record(t: float, snapshot: SceneSnapshot, pose: CameraPose) -> dict:
-        target = next(o for o in snapshot.objects if o.obj_id == sc.target_id)
-        box = project_box(cam, pose, target.center, target.size)
-        occl = 0.0
-        if box is not None:
-            geom = detector._frame_geometry(snapshot, pose, cam)
-            occl = next(frac for st, b, frac in geom if st.obj_id == sc.target_id)
+    def truth_record(t: float) -> dict:
+        # the target's view of the frame the detector just projected
+        target, box, occl = next(v for v in detector.views
+                                 if v.state.obj_id == sc.target_id)
         center = None if box is None else box.center
         in_view = (center is not None and 0.0 <= center[0] <= cam.width
                    and 0.0 <= center[1] <= cam.height)
@@ -394,7 +387,7 @@ def run(scenario: Scenario) -> RunArtifacts:
             tracker.feed(gyro, prompt_xy, sc.prompt.t)
         dets = detector.detect(snapshot, pose, cam)
         events.append(dets)
-        truth_trace.append(truth_record(t, snapshot, pose))
+        truth_trace.append(truth_record(t))
         row = tracker.feed(dets, prompt_xy, sc.prompt.t)
         if row is not None:
             tracker_trace.append(row)

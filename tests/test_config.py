@@ -209,6 +209,37 @@ def test_section_validation_propagates_through_parse():
                 Scenario.from_dict, bad)
 
 
+def test_quad_rejects_singular_mixer_geometry():
+    d = minimal_scenario().to_dict()
+    d["quad"] = {"yaw_coeff": 0.0}
+    raises_with("scenario.quad: arm_length, yaw_coeff and max_thrust must be positive",
+                Scenario.from_dict, d)
+
+
+def test_layer_builders_carry_every_field():
+    sc = scenarios.get("corridor_approach")
+    quad = sc.quad.build()
+    assert (quad.mass, quad.inertia, quad.motor_lag) == (
+        sc.quad.mass, sc.quad.inertia, sc.quad.motor_lag)
+    assert (quad.geometry.arm_length, quad.geometry.yaw_coeff,
+            quad.geometry.max_thrust) == (sc.quad.arm_length, sc.quad.yaw_coeff,
+                                          sc.quad.max_rotor_thrust)
+    cam = sc.camera.build()
+    ctl = sc.controller.build(quad, cam, sc.rates.control_hz)
+    c = sc.controller
+    g = ctl.gains
+    assert (g.kp_roll, g.kd_roll, g.kp_thrust, g.kd_thrust, g.kp_yaw, g.kd_yaw,
+            g.beta, g.pitch_accel, g.min_thrust_frac) == (
+        c.kp_roll, c.kd_roll, c.kp_thrust, c.kd_thrust, c.kp_yaw, c.kd_yaw,
+        c.beta, c.pitch_accel, c.min_thrust_frac)
+    assert g.mass == sc.quad.mass
+    assert (ctl.att_gains.kr, ctl.att_gains.kw) == (c.attitude_kr, c.attitude_kw)
+    assert ctl.geom is quad.geometry and ctl.cam == cam
+    assert ctl.inertia.tolist() == list(sc.quad.inertia)
+    assert ctl.dt == 1.0 / sc.rates.control_hz
+    assert (ctl.deriv_tau, ctl.literal) == (c.deriv_tau, c.literal_equations)
+
+
 def test_object_size_validation():
     raises_with("object 7: size must be 2 positive values",
                 ObjectConfig, 7, (0.6, -0.6),

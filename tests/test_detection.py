@@ -1,12 +1,16 @@
 """Synthetic detector: failure injection, draw discipline, target features."""
 
+import math
+
 import numpy as np
 import pytest
 
+from quadtrack import detection
 from quadtrack.detection import (DetectionSet, SyntheticDetector,
                                  SyntheticDetectorConfig)
-from quadtrack.geometry import (BoundingBox, CameraModel, CameraPose, iou,
-                                project_box)
+from quadtrack.geometry import (MIN_VIEW_DEPTH, BoundingBox, CameraModel,
+                                CameraPose, camera_depth, covered_fraction,
+                                iou, project_box, project_point, zyx_matrix)
 from quadtrack.scene import ObjectState, SceneSnapshot
 
 CAM = CameraModel.from_focal(960, 544, 500.0)
@@ -244,6 +248,139 @@ def test_extract_feature_noise_stays_near_latent():
     f = det.extract_target_feature(snap([target]), POSE, CAM, box)
     # cos ~ 1/sqrt(1 + dim sigma^2) ~ 0.95 at sigma 0.02
     assert float(f @ unit(0, 256)) > 0.9
+
+
+# ---------------------------------------------------------------------------
+# frame geometry: one transform per object, the same bits as two passes
+# ---------------------------------------------------------------------------
+
+
+def ref_project_point(cam, pose, p_world):
+    pc = pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position)
+    if pc[2] <= MIN_VIEW_DEPTH:
+        return None
+    return (cam.focal * pc[0] / pc[2] + cam.cx, cam.focal * pc[1] / pc[2] + cam.cy)
+
+
+def ref_camera_depth(pose, p_world):
+    return float((pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position))[2])
+
+
+def ref_project_box(cam, pose, center, size):
+    center = np.asarray(center, dtype=float)
+    uv = ref_project_point(cam, pose, center)
+    if uv is None:
+        return None
+    depth = ref_camera_depth(pose, center)
+    w = cam.focal * float(size[0]) / depth
+    h = cam.focal * float(size[1]) / depth
+    if w < 1.0 or h < 1.0:
+        return None
+    return BoundingBox(uv[0] - w / 2.0, uv[1] - h / 2.0, w, h)
+
+
+def ref_frame_geometry(snapshot, pose, cam):
+    """The two-pass geometry: project_box, then camera_depth, per object."""
+    projected, occluders = [], []
+    for st in snapshot.objects:
+        box = ref_project_box(cam, pose, st.center, st.size)
+        depth = ref_camera_depth(pose, st.center)
+        if st.occluder:
+            if box is not None:
+                occluders.append((box, depth))
+        else:
+            projected.append((st, box, depth))
+    out = []
+    for st, box, depth in projected:
+        frac = 0.0
+        if box is not None:
+            nearer = [b for b, d in occluders if d < depth]
+            if nearer:
+                frac = covered_fraction(box, nearer)
+        out.append((st, box, frac))
+    return out
+
+
+def ref_truth(snapshot, pose, cam, target_id):
+    """The truth row's box and occluded fraction, projected once more."""
+    target = next(o for o in snapshot.objects if o.obj_id == target_id)
+    box = ref_project_box(cam, pose, target.center, target.size)
+    occl = 0.0
+    if box is not None:
+        occl = next(f for st, b, f in ref_frame_geometry(snapshot, pose, cam)
+                    if st.obj_id == target_id)
+    return box, occl
+
+
+def _bits(box):
+    return None if box is None else tuple(float(v).hex() for v in box.as_array())
+
+
+def _random_scene(rng):
+    """A random camera pose and 2-7 objects placed in its frame: some behind
+    the camera, some too small or far to span a pixel, and occluders set on
+    the ray to a detectable object, in front of it or behind it."""
+    R = zyx_matrix(rng.uniform(-math.pi, math.pi), rng.uniform(-1.4, 1.4),
+                   rng.uniform(-math.pi, math.pi))
+    pose = CameraPose(R, rng.normal(0.0, 20.0, size=3))
+    objs = []
+    for i in range(int(rng.integers(2, 8))):
+        pc = np.array([rng.uniform(-8.0, 8.0), rng.uniform(-5.0, 5.0),
+                       rng.uniform(-10.0, 60.0)])
+        size = tuple(10.0 ** rng.uniform(-2.0, 0.5, size=3))
+        occluder = bool(objs) and rng.uniform() < 0.4
+        if occluder and rng.uniform() < 0.7:
+            # on the ray to an earlier object, at a random fraction of its range
+            prev = R.T @ (objs[int(rng.integers(len(objs)))].center - pose.position)
+            pc = prev * rng.uniform(0.2, 1.5)
+            size = tuple(10.0 ** rng.uniform(-0.5, 0.5, size=3))
+        objs.append(state(i, pose.position + R @ pc, size=size, occluder=occluder,
+                          latent=None if occluder else unit(i % DIM)))
+    return snap(objs), pose
+
+
+def test_frame_geometry_bit_identical_to_two_pass_form():
+    rng = np.random.default_rng(17)
+    seen = {"behind": 0, "subpixel": 0, "occluded": 0, "visible": 0}
+    for i in range(600):
+        scene, pose = _random_scene(rng)
+        for st in scene.objects:
+            assert _bits(project_box(CAM, pose, st.center, st.size)) \
+                == _bits(ref_project_box(CAM, pose, st.center, st.size)), i
+            assert project_point(CAM, pose, st.center) == ref_project_point(CAM, pose, st.center), i
+            assert camera_depth(pose, st.center) == ref_camera_depth(pose, st.center), i
+        det = SyntheticDetector(quiet_config(), np.random.default_rng(i))
+        det.detect(scene, pose, CAM)
+        want = ref_frame_geometry(scene, pose, CAM)
+        assert [v.state for v in det.views] == [st for st, _, _ in want], i
+        assert [(_bits(v.box), v.occluded) for v in det.views] \
+            == [(_bits(b), f) for _, b, f in want], i
+        for v in det.views:
+            box, occl = ref_truth(scene, pose, CAM, v.state.obj_id)
+            assert (_bits(v.box), v.occluded) == (_bits(box), occl), i
+            depth = ref_camera_depth(pose, v.state.center)
+            seen["behind"] += depth <= MIN_VIEW_DEPTH
+            seen["subpixel"] += depth > MIN_VIEW_DEPTH and v.box is None
+            seen["occluded"] += v.occluded > 0.0
+            seen["visible"] += v.box is not None
+    assert min(seen.values()) > 100, seen
+
+
+def test_detect_transforms_and_projects_each_object_once(monkeypatch):
+    counts = {"camera_point": 0, "project_box": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(detection, name, counting(name, getattr(detection, name)))
+    scene, pose = _random_scene(np.random.default_rng(4))
+    SyntheticDetector(quiet_config(), np.random.default_rng(0)).detect(scene, pose, CAM)
+    assert counts == {"camera_point": len(scene.objects),
+                      "project_box": len(scene.objects)}
 
 
 # ---------------------------------------------------------------------------

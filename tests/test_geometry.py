@@ -272,6 +272,11 @@ def test_wrap_angle_boundaries():
     assert wrap_angle(0.0) == 0.0
 
 
+def test_wrap_angle_non_finite_is_nan():
+    for a in (math.inf, -math.inf, math.nan):
+        assert math.isnan(wrap_angle(a))
+
+
 @given(st.floats(-math.pi, math.pi), st.floats(-1.4, 1.4),
        st.floats(-math.pi, math.pi))
 def test_zyx_matrix_is_rotation(yaw, pitch, roll):

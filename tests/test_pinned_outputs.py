@@ -39,6 +39,15 @@ PINNED_RUNS = {
         "groundtruth.jsonl": "ad44e48fbe936747f04c707243a14b0334dcbe94c93fa95f2e8a35f657646635",
         "summary.json": "3ecae11b6008ed0b02a403c54700046e89f4f6f9c6a2db13e2ac381ef819892d",
     },
+    # a scripted camera with a decoy and two occluders: the occluded
+    # fraction, the occlusion gate and the truth rows' box all take part
+    ("occlusion_decoy", 1, 6.0, None): {
+        "events.jsonl": "24ae54a642d8d3e7931ad68e94415bea4dcc17cfc1b372304166250c9487a169",
+        "tracker.jsonl": "29f953f21785af19199ec6671699a43bba71be5a15992bd4c59a8a476eecc984",
+        "commands.jsonl": "e3c5a873f5129378de987dfab5c3ea02f6adb859fae49a472d2325fddc255ee6",
+        "groundtruth.jsonl": "0d5d65f70b2ad57d09f694fd9f078ba20b1ad2d2c081260a3d2dcdf17c21176e",
+        "summary.json": "081d30f56da632fa11685de602584ed7350db2e0a21329bbf821cfbe8b20b06e",
+    },
 }
 
 # table-2 grid, false_positive_storm seed 2, one seed; digest of the

@@ -9,13 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from quadtrack import cli, scenarios, simulator
+from quadtrack import cli, detection, scenarios, simulator
 from quadtrack.config import (CameraScriptConfig, DetectorParams,
                               MotionConfig, ObjectConfig, PromptConfig,
                               QuadConfig, RatesConfig, Scenario, save_scenario)
 from quadtrack.controller import BodyCommand
 from quadtrack.detection import DetectionSet, GyroSample
-from quadtrack.errors import FilterDegenerateError, SimulationAbort
+from quadtrack.errors import (ControllerAbort, FilterDegenerateError,
+                              SimulationAbort)
 from quadtrack.geometry import (is_rotation, nearest_rotation, rot_z,
                                 zyx_matrix)
 from quadtrack.logio import event_line
@@ -453,6 +454,45 @@ def test_finite_state_whose_sum_overflows_does_not_abort(monkeypatch):
     art = run(make_scenario())
     assert calls[0] > BAD_STEP
     assert art.summary["final_quad_p"][:2].tolist() == [1e308, 1e308]
+
+
+def test_each_frame_projects_each_object_once(monkeypatch):
+    # the detector's views give the truth rows their boxes: one projection
+    # per object per frame, none in the simulator itself
+    calls = []
+    real = detection.project_box
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the simulator projects again")
+
+    monkeypatch.setattr(detection, "project_box", counting)
+    monkeypatch.setattr(simulator, "project_box", forbidden)
+    sc = _bundled("occlusion_decoy", 1, 1.0)
+    art = run(sc)
+    assert len(calls) == len(art.truth_trace) * len(sc.objects) == 60 * 4
+
+
+def test_non_finite_controller_output_aborts_the_run(tmp_path, capsys):
+    # huge outer-loop gains overflow the force demand on a scripted camera:
+    # the run stops in the controller, and the CLI exits 2 with one line
+    # and writes no run directory
+    sc = _bundled("false_positive_storm", 2)
+    sc = dataclasses.replace(sc, duration=3.0, controller=dataclasses.replace(
+        sc.controller, kp_thrust=1e307, kp_roll=1e307))
+    with pytest.raises(ControllerAbort, match=r"^controller: non-finite R_des at t=") as err:
+        run(sc)
+    assert 0.0 < err.value.t < sc.duration
+
+    path, out = tmp_path / "storm.json", tmp_path / "run"
+    save_scenario(sc, path)
+    assert cli.main(["sim", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"abort: {err.value}\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_filter_overflow_aborts_in_the_tracker():
