@@ -15,7 +15,7 @@ from .geometry import BoundingBox, CameraModel, CameraPose, iou
 from .logio import read_events, write_events
 from .metrics import Metrics, MetricsParams, compute_metrics
 from .replay import replay_track
-from .simulator import QuadParams, QuadState, RunArtifacts, run, write_run
+from .simulator import QuadState, RunArtifacts, run, write_run
 from .tracker import Tracker, TrackerConfig, TrackerWeights
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __all__ = [
     "AblationResult", "AttitudeGains", "BoundingBox", "CameraModel",
     "CameraPose", "ConfigError", "ControllerGains", "Detection",
     "DetectionSet", "GyroSample", "LogParseError", "Metrics", "MetricsError",
-    "MetricsParams", "MixerGeometry", "QuadParams", "QuadState",
+    "MetricsParams", "MixerGeometry", "QuadState",
     "QuadtrackError", "RunArtifacts", "RuntimeAbort", "Scenario",
     "StreamOrderError", "SyntheticDetector", "SyntheticDetectorConfig",
     "Tracker", "TrackerConfig", "TrackerWeights", "VisualController",

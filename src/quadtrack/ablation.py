@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .config import Scenario
+from .errors import ConfigError
 from .metrics import Metrics, compute_metrics
 from .replay import replay_track
 from .simulator import run
@@ -81,13 +82,15 @@ def _seed_task(args) -> list[dict]:
     for weights in grid:
         trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
                              sc.prompt.t, sc.tracker.build(cam, weights))
-        m = compute_metrics(trace, art.truth_trace, sc.metrics.build())
+        m = compute_metrics(trace, art.truth_trace, sc.metrics)
         out.append(m.as_dict())
     return out
 
 
 def run_ablation(scenario: Scenario, grid=DEFAULT_GRID, n_seeds: int = 5,
                  parallel: bool = False) -> AblationResult:
+    if n_seeds < 1:
+        raise ConfigError(f"ablation needs at least one seed, got {n_seeds}")
     seeds = tuple(scenario.seed + k for k in range(n_seeds))
     grid = tuple(tuple(float(w) for w in row) for row in grid)
     tasks = [(scenario.to_dict(), s, grid) for s in seeds]

@@ -26,7 +26,7 @@ from .ablation import DEFAULT_GRID, run_ablation
 from .config import Scenario, load_scenario
 from .errors import ConfigError, LogParseError, QuadtrackError, RuntimeAbort
 from .logio import SCENARIO_KEY, read_events, read_jsonl, write_jsonl
-from .metrics import MetricsParams, compute_metrics
+from .metrics import compute_metrics
 from .replay import replay_track
 from .simulator import run, write_run
 
@@ -155,10 +155,14 @@ def cmd_metrics(args) -> int:
     for p in (tracker_path, truth_path):
         if not os.path.isfile(p):
             raise ConfigError(f"missing trace file: {p}")
-    recorded = _recorded_scenario(args.run_dir).metrics
-    params = MetricsParams(
-        recorded.iou_threshold if args.iou_threshold is None else args.iou_threshold,
-        recorded.coast_credit_frames if args.coast_credit is None else args.coast_credit)
+    params = _recorded_scenario(args.run_dir).metrics
+    overrides = {name: value for name, value in (
+        ("iou_threshold", args.iou_threshold),
+        ("coast_credit_frames", args.coast_credit)) if value is not None}
+    try:
+        params = dataclasses.replace(params, **overrides)
+    except ValueError as e:
+        raise ConfigError(f"metrics: {e}") from e
     m = compute_metrics(read_jsonl(tracker_path), read_jsonl(truth_path), params)
     print(json.dumps(m.as_dict()))
     return 0

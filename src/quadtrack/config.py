@@ -4,6 +4,13 @@ Loading is fail-closed: unknown keys, missing required keys, or out-of-range
 values raise ConfigError with a dotted path to the offending field.  A
 scenario survives save -> load -> save byte-identically, and scenario_hash
 gives a stable content address used in run summaries.
+
+The detector, metrics and quad sections are the types their layers run on
+(SyntheticDetectorConfig, MetricsParams and QuadConfig, whose mixer
+geometry is built on first use).  The camera, tracker and controller
+sections build their layer's type (CameraConfig.build, TrackerParams.build,
+ControllerParams.build); the tracker and controller sections take their
+defaults from the types they build, so each default number is written once.
 """
 
 from __future__ import annotations
@@ -12,8 +19,16 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
+from .controller import (DERIV_TAU, AttitudeGains, ControllerGains,
+                         MixerGeometry, VisualController)
+from .detection import SyntheticDetectorConfig
 from .errors import ConfigError
+from .geometry import CameraModel
+from .metrics import MetricsParams
+from .scene import SinusoidMotion, StaticMotion, WaypointMotion
+from .tracker import DEFAULT_WEIGHTS, TrackerConfig, TrackerWeights
 
 SCHEMA_VERSION = 1
 
@@ -46,11 +61,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _check_layer(section: str, build, *args) -> None:
+def _check_layer(section: str, build) -> None:
     """Run a layer config's own validation; its ValueError becomes a
     ConfigError naming the scenario section."""
     try:
-        build(*args)
+        build()
     except ValueError as e:
         raise ConfigError(f"scenario.{section}: {e}") from e
 
@@ -66,8 +81,6 @@ class CameraConfig:
         _require(0.0 < self.vfov < math.pi, "camera: vfov outside (0, pi)")
 
     def build(self):
-        from .geometry import CameraModel
-
         return CameraModel.from_vfov(self.width, self.height, self.vfov)
 
 
@@ -84,15 +97,17 @@ class RatesConfig:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    mass: float = 1.3
-    inertia: tuple = (0.01, 0.01, 0.02)
-    arm_length: float = 0.17
-    yaw_coeff: float = 0.016
-    max_rotor_thrust: float = 8.0
+    """The vehicle: rigid body, mixer geometry, start pose and sensors."""
+
+    mass: float = 1.3                    # kg
+    inertia: tuple = (0.01, 0.01, 0.02)  # kg m^2, body-diagonal
+    arm_length: float = MixerGeometry.arm_length
+    yaw_coeff: float = MixerGeometry.yaw_coeff
+    max_rotor_thrust: float = MixerGeometry.max_thrust
     start_position: tuple = (0.0, 0.0, 1.5)
     start_yaw: float = 0.0
     gyro_noise: float = 0.0
-    motor_lag: float = 0.0
+    motor_lag: float = 0.0               # s; 0 = ideal motors
 
     def __post_init__(self):
         _require(self.mass > 0, "quad: mass must be positive")
@@ -101,17 +116,13 @@ class QuadConfig:
         _require(len(self.start_position) == 3, "quad: start_position must be xyz")
         _require(self.gyro_noise >= 0 and self.motor_lag >= 0,
                  "quad: noise/lag must be non-negative")
-        _check_layer("quad", self.build)
+        _check_layer("quad", lambda: self.geometry)
 
-    def build(self):
-        """The simulator's QuadParams (with its MixerGeometry)."""
-        from .controller import MixerGeometry
-        from .simulator import QuadParams
-
-        return QuadParams(self.mass, self.inertia,
-                          MixerGeometry(self.arm_length, self.yaw_coeff,
-                                        self.max_rotor_thrust),
-                          self.motor_lag)
+    @cached_property
+    def geometry(self) -> MixerGeometry:
+        """The mixer geometry, built once (at load time, which validates it)."""
+        return MixerGeometry(self.arm_length, self.yaw_coeff,
+                             self.max_rotor_thrust)
 
 
 @dataclass(frozen=True)
@@ -170,8 +181,6 @@ class MotionConfig:
                      "motion: sinusoid needs positive period")
 
     def build(self):
-        from .scene import SinusoidMotion, StaticMotion, WaypointMotion
-
         if self.mode == "static":
             return StaticMotion(self.position)
         if self.mode == "waypoints":
@@ -217,70 +226,44 @@ class ObjectConfig:
 
 
 @dataclass(frozen=True)
-class DetectorParams:
-    center_noise_px: float = 2.0
-    size_noise_frac: float = 0.05
-    feature_noise: float = 0.1
-    p_dropout: float = 0.05
-    fp_rate: float = 0.0
-    p_duplicate: float = 0.0
-    occlusion_threshold: float = 0.6
-    descriptor_dim: int = 256
-    fp_size_min: float = 20.0
-    fp_size_max: float = 160.0
-
-    def __post_init__(self):
-        _check_layer("detector", self.build)
-
-    def build(self):
-        from .detection import SyntheticDetectorConfig
-
-        return SyntheticDetectorConfig(**asdict(self))
-
-
-@dataclass(frozen=True)
 class TrackerParams:
-    weights: tuple = (3.0, 3.0, 4.0)
-    memory_alpha: float = 0.9
-    acceptance_fraction: float = 0.05
-    q_diag: tuple = (0.01, 0.01, 0.01, 0.01, 0.1, 0.1)
-    r_diag: tuple = (0.5, 0.5, 0.5, 0.5)
-    p0_diag: tuple = (10.0, 10.0, 10.0, 10.0, 100.0, 100.0)
-    gyro_compensation: bool = True
+    weights: tuple = DEFAULT_WEIGHTS
+    memory_alpha: float = TrackerConfig.memory_alpha
+    acceptance_fraction: float = TrackerConfig.acceptance_fraction
+    q_diag: tuple = TrackerConfig.q_diag
+    r_diag: tuple = TrackerConfig.r_diag
+    p0_diag: tuple = TrackerConfig.p0_diag
+    gyro_compensation: bool = TrackerConfig.gyro_compensation
 
     def __post_init__(self):
         _require(len(self.weights) == 3 and all(w >= 0 for w in self.weights),
                  "tracker: weights must be 3 non-negative values")
-        _check_layer("tracker", self.build, None)
+        _check_layer("tracker", lambda: self.build(None))
 
     def build_weights(self):
-        from .tracker import TrackerWeights
-
         return TrackerWeights(*self.weights)
 
     def build(self, camera, weights=None):
         """The tracker layer's TrackerConfig for `camera`; `weights` (an
         ablation row or a CLI override) replaces the scenario's weights."""
-        from .tracker import TrackerConfig, TrackerWeights
-
         kw = asdict(self if weights is None else replace(self, weights=tuple(weights)))
         return TrackerConfig(camera, TrackerWeights(*kw.pop("weights")), **kw)
 
 
 @dataclass(frozen=True)
 class ControllerParams:
-    kp_roll: float = 0.05
-    kd_roll: float = 0.001
-    kp_thrust: float = 0.08
-    kd_thrust: float = 0.00025
-    kp_yaw: float = 0.095
-    kd_yaw: float = 0.0004
-    beta: float = 0.15
-    pitch_accel: float = 0.5
-    deriv_tau: float = 0.05
-    min_thrust_frac: float = 0.1
-    attitude_kr: tuple = (2.0, 2.0, 0.8)
-    attitude_kw: tuple = (0.3, 0.3, 0.15)
+    kp_roll: float = ControllerGains.kp_roll
+    kd_roll: float = ControllerGains.kd_roll
+    kp_thrust: float = ControllerGains.kp_thrust
+    kd_thrust: float = ControllerGains.kd_thrust
+    kp_yaw: float = ControllerGains.kp_yaw
+    kd_yaw: float = ControllerGains.kd_yaw
+    beta: float = ControllerGains.beta
+    pitch_accel: float = ControllerGains.pitch_accel
+    deriv_tau: float = DERIV_TAU
+    min_thrust_frac: float = ControllerGains.min_thrust_frac
+    attitude_kr: tuple = AttitudeGains.kr
+    attitude_kw: tuple = AttitudeGains.kw
     literal_equations: bool = False
 
     def __post_init__(self):
@@ -288,11 +271,9 @@ class ControllerParams:
         _require(len(self.attitude_kr) == 3 and len(self.attitude_kw) == 3,
                  "controller: attitude gains must be 3-vectors")
 
-    def build(self, quad, camera, control_hz: int):
-        """The VisualController for a built QuadParams `quad` (its mass,
-        inertia and mixer geometry), `camera` and the control rate."""
-        from .controller import AttitudeGains, ControllerGains, VisualController
-
+    def build(self, quad: QuadConfig, camera, control_hz: int):
+        """The VisualController for the vehicle `quad` (its mass, inertia
+        and mixer geometry), `camera` and the control rate."""
         gains = ControllerGains(
             kp_roll=self.kp_roll, kd_roll=self.kd_roll,
             kp_thrust=self.kp_thrust, kd_thrust=self.kd_thrust,
@@ -316,21 +297,6 @@ class PromptConfig:
 
 
 @dataclass(frozen=True)
-class MetricsConfig:
-    iou_threshold: float = 0.3
-    coast_credit_frames: int = 60
-
-    def __post_init__(self):
-        _require(0.0 < self.iou_threshold <= 1.0, "metrics: bad iou_threshold")
-        _require(self.coast_credit_frames >= 0, "metrics: bad coast credit")
-
-    def build(self):
-        from .metrics import MetricsParams
-
-        return MetricsParams(self.iou_threshold, self.coast_credit_frames)
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     seed: int
@@ -343,10 +309,10 @@ class Scenario:
     camera: CameraConfig = field(default_factory=CameraConfig)
     quad: QuadConfig = field(default_factory=QuadConfig)
     camera_script: CameraScriptConfig = field(default_factory=CameraScriptConfig)
-    detector: DetectorParams = field(default_factory=DetectorParams)
+    detector: SyntheticDetectorConfig = field(default_factory=SyntheticDetectorConfig)
     tracker: TrackerParams = field(default_factory=TrackerParams)
     controller: ControllerParams = field(default_factory=ControllerParams)
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
+    metrics: MetricsParams = field(default_factory=MetricsParams)
 
     def __post_init__(self):
         _require(self.schema_version == SCHEMA_VERSION,
@@ -406,10 +372,10 @@ class Scenario:
         for key, cls in (("rates", RatesConfig), ("camera", CameraConfig),
                          ("quad", QuadConfig),
                          ("camera_script", CameraScriptConfig),
-                         ("detector", DetectorParams),
+                         ("detector", SyntheticDetectorConfig),
                          ("tracker", TrackerParams),
                          ("controller", ControllerParams),
-                         ("metrics", MetricsConfig)):
+                         ("metrics", MetricsParams)):
             if key in d:
                 kwargs[key] = _build(cls, d[key], f"scenario.{key}")
         return Scenario(**kwargs)

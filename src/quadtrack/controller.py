@@ -53,20 +53,19 @@ from .geometry import (CameraModel, cross3, pitch_yaw_from_rotation,
 GRAVITY = 9.81  # m/s^2
 GRAVITY_VEC = (0.0, 0.0, -GRAVITY)
 
-DEFAULT_GAINS = dict(kp_roll=0.05, kd_roll=0.001, kp_thrust=0.08,
-                     kd_thrust=0.00025, kp_yaw=0.095, kd_yaw=0.0004)
+DERIV_TAU = 0.05  # s, time constant of the pixel-error derivative filter
 
 
 @dataclass(frozen=True)
 class ControllerGains:
     """Outer-loop gains (pixel error -> m/s^2 or rad)."""
 
-    kp_roll: float = DEFAULT_GAINS["kp_roll"]
-    kd_roll: float = DEFAULT_GAINS["kd_roll"]
-    kp_thrust: float = DEFAULT_GAINS["kp_thrust"]
-    kd_thrust: float = DEFAULT_GAINS["kd_thrust"]
-    kp_yaw: float = DEFAULT_GAINS["kp_yaw"]
-    kd_yaw: float = DEFAULT_GAINS["kd_yaw"]
+    kp_roll: float = 0.05
+    kd_roll: float = 0.001
+    kp_thrust: float = 0.08
+    kd_thrust: float = 0.00025
+    kp_yaw: float = 0.095
+    kd_yaw: float = 0.0004
     beta: float = 0.15            # complementary-filter retention
     pitch_accel: float = 0.5      # forward acceleration reference, m/s^2
     mass: float = 1.3             # kg
@@ -197,7 +196,7 @@ def setpoints(cam: CameraModel, pitch: float, literal: bool = False) -> Setpoint
 
 
 def pixel_errors(state: ControllerState, sp: Setpoints, target_xy,
-                 t: float, deriv_tau: float = 0.05) -> PixelErrors:
+                 t: float, deriv_tau: float = DERIV_TAU) -> PixelErrors:
     """Errors e = setpoint - target, with low-passed backward-difference rates.
 
     First call after reset returns zero derivatives.  The first-order filter
@@ -257,10 +256,13 @@ def desired_force(err: PixelErrors, R, pitch_accel_hat: float,
 
 
 def thrust_from_force(f_des, R) -> float:
-    """Collective thrust: body-z component of the force demand, >= 0."""
+    """Collective thrust: body-z component of the force demand, clamped at
+    0.  A NaN demand stays NaN, so the tick's finiteness check names the
+    thrust."""
     f0, f1, f2 = f_des
     (_, _, r02), (_, _, r12), (_, _, r22) = R
-    return max(0.0, float(r02 * f0 + r12 * f1 + r22 * f2))
+    x = float(r02 * f0 + r12 * f1 + r22 * f2)
+    return 0.0 if x <= 0.0 else x
 
 
 def desired_yaw(yaw: float, err: PixelErrors, gains: ControllerGains,
@@ -369,7 +371,7 @@ class VisualController:
 
     def __init__(self, cam: CameraModel, gains: ControllerGains,
                  att_gains: AttitudeGains, geom: MixerGeometry, inertia,
-                 dt: float, deriv_tau: float = 0.05, literal: bool = False):
+                 dt: float, deriv_tau: float = DERIV_TAU, literal: bool = False):
         self.cam = cam
         self.gains = gains
         self.att_gains = att_gains

@@ -63,8 +63,11 @@ class GyroSample:
     w: np.ndarray  # (3,) camera-frame angular velocity
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticDetectorConfig:
+    """Noise and failure-injection settings; also the scenario's detector
+    section."""
+
     center_noise_px: float = 2.0       # sigma of additive center jitter, px
     size_noise_frac: float = 0.05      # sigma of multiplicative w/h jitter
     feature_noise: float = 0.1         # sigma per descriptor component

@@ -26,8 +26,18 @@ _ALIGN_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MetricsParams:
+    """Scoring settings; also the scenario's metrics section."""
+
     iou_threshold: float = 0.3
     coast_credit_frames: int = 60
+
+    def __post_init__(self):
+        if not 0.0 < self.iou_threshold <= 1.0:
+            raise ValueError(f"bad iou_threshold {self.iou_threshold}, "
+                             "must be in (0, 1]")
+        if not self.coast_credit_frames >= 0:
+            raise ValueError(f"bad coast credit {self.coast_credit_frames}, "
+                             "must be >= 0")
 
 
 @dataclass(frozen=True)

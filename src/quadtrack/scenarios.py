@@ -39,9 +39,9 @@ inside the 60-frame coast credit).
 from __future__ import annotations
 
 from .config import (CameraConfig, CameraScriptConfig, ControllerParams,
-                     DetectorParams, MetricsConfig, MotionConfig,
-                     ObjectConfig, PromptConfig, QuadConfig, Scenario,
-                     TrackerParams)
+                     MotionConfig, ObjectConfig, PromptConfig, QuadConfig,
+                     Scenario, TrackerParams)
+from .detection import SyntheticDetectorConfig
 from .errors import ConfigError
 
 
@@ -93,8 +93,9 @@ def corridor_approach() -> Scenario:
         duration=8.0,
         prompt=PromptConfig(x=480.0, y=272.0, t=0.0),
         quad=QuadConfig(gyro_noise=0.005),
-        detector=DetectorParams(center_noise_px=1.0, size_noise_frac=0.03,
-                                feature_noise=0.08, p_dropout=0.03),
+        detector=SyntheticDetectorConfig(
+            center_noise_px=1.0, size_noise_frac=0.03, feature_noise=0.08,
+            p_dropout=0.03),
         objects=(
             ObjectConfig(0, (0.6, 0.6), _waypoints([
                 (0.0, 8.0, 0.0, 1.5),
@@ -120,8 +121,9 @@ def occlusion_decoy() -> Scenario:
         prompt=PromptConfig(x=527.0, y=272.0, t=0.0),
         camera_script=CameraScriptConfig(mode="static"),
         quad=QuadConfig(gyro_noise=0.005),
-        detector=DetectorParams(center_noise_px=1.0, size_noise_frac=0.02,
-                                feature_noise=0.02, p_dropout=0.0),
+        detector=SyntheticDetectorConfig(
+            center_noise_px=1.0, size_noise_frac=0.02, feature_noise=0.02,
+            p_dropout=0.0),
         tracker=TrackerParams(acceptance_fraction=0.35),
         objects=(
             # target: cross left at 10 m (40 px/s), recede to 17 m while
@@ -163,8 +165,9 @@ def sprint_7ms() -> Scenario:
         prompt=PromptConfig(x=480.0, y=272.0, t=0.0),
         quad=QuadConfig(gyro_noise=0.005),
         controller=ControllerParams(pitch_accel=2.5),
-        detector=DetectorParams(center_noise_px=1.0, size_noise_frac=0.03,
-                                feature_noise=0.08, p_dropout=0.03),
+        detector=SyntheticDetectorConfig(
+            center_noise_px=1.0, size_noise_frac=0.03, feature_noise=0.08,
+            p_dropout=0.03),
         objects=(
             ObjectConfig(0, (0.6, 0.6), _waypoints([
                 (0.0, 12.0, 0.0, 1.5),
@@ -188,8 +191,9 @@ def rotation_only() -> Scenario:
         camera_script=CameraScriptConfig(mode="yaw_sine", amplitude=0.5,
                                          period=3.141592653589793),
         quad=QuadConfig(gyro_noise=0.0),
-        detector=DetectorParams(center_noise_px=0.0, size_noise_frac=0.0,
-                                feature_noise=0.0, p_dropout=0.0),
+        detector=SyntheticDetectorConfig(
+            center_noise_px=0.0, size_noise_frac=0.0, feature_noise=0.0,
+            p_dropout=0.0),
         objects=(
             ObjectConfig(0, (0.6, 0.6), _static((10.0, 0.0, 1.5))),
         ),
@@ -213,10 +217,10 @@ def false_positive_storm() -> Scenario:
         camera=CameraConfig(width=320, height=240, vfov=1.047),
         camera_script=CameraScriptConfig(mode="static"),
         quad=QuadConfig(gyro_noise=0.005),
-        detector=DetectorParams(center_noise_px=1.5, size_noise_frac=0.05,
-                                feature_noise=0.02, p_dropout=0.35,
-                                fp_rate=3.0, p_duplicate=0.5,
-                                fp_size_min=22.0, fp_size_max=36.0),
+        detector=SyntheticDetectorConfig(
+            center_noise_px=1.5, size_noise_frac=0.05, feature_noise=0.02,
+            p_dropout=0.35, fp_rate=3.0, p_duplicate=0.5, fp_size_min=22.0,
+            fp_size_max=36.0),
         tracker=TrackerParams(acceptance_fraction=0.32),
         objects=(
             ObjectConfig(0, (0.8, 0.8), _waypoints([

@@ -36,21 +36,21 @@ Each camera frame transforms each object into the camera frame once: the
 detector keeps the frame's per-object views (box, occluded fraction), and
 the ground-truth row reads the target's from them.  The controller tick runs
 on Python floats and raises ControllerAbort on a non-finite output, so a bad
-command never reaches the plant or commands.jsonl.  The layers are built
-from the scenario by QuadConfig.build, ControllerParams.build and
-TrackerParams.build.
+command never reaches the plant or commands.jsonl.  The detector, the
+plant and the scorer run on the scenario's own detector, quad and metrics
+sections; the camera, controller and tracker are built from their sections
+by CameraConfig.build, ControllerParams.build and TrackerParams.build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Scenario, scenario_hash
-from .controller import (BodyCommand, MixerGeometry, MotorCommand,
-                         motor_wrench)
+from .config import QuadConfig, Scenario, scenario_hash
+from .controller import BodyCommand, MotorCommand, motor_wrench
 from .detection import GyroSample, SyntheticDetector
 from .errors import SimulationAbort
 # project_box is no longer called here (the detector's frame views carry the
@@ -71,14 +71,6 @@ CAMERA_FROM_BODY = np.array([
     [0.0, 0.0, -1.0],   # camera y (down)   = -body z
     [1.0, 0.0, 0.0],    # camera z (forward) = body x
 ])
-
-
-@dataclass
-class QuadParams:
-    mass: float = 1.3
-    inertia: tuple = (0.01, 0.01, 0.02)  # kg m^2, body-diagonal
-    geometry: MixerGeometry = field(default_factory=MixerGeometry)
-    motor_lag: float = 0.0               # s; 0 = ideal motors
 
 
 @dataclass
@@ -158,7 +150,7 @@ def _project_rotation(X) -> np.ndarray:
     return nearest_rotation(np.array(X).reshape(3, 3))
 
 
-def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadParams,
+def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadConfig,
                   dt: float) -> QuadState:
     """One RK4 step under a zero-order-held wrench, then SO(3) projection.
 
@@ -281,11 +273,10 @@ def run(scenario: Scenario) -> RunArtifacts:
     cam = sc.camera.build()
     rng = np.random.default_rng(sc.seed)
     objects = build_scene(sc, rng)
-    detector = SyntheticDetector(sc.detector.build(), rng)
+    detector = SyntheticDetector(sc.detector, rng)
     tracker = Tracker(sc.tracker.build(cam))
     prompt_xy = (sc.prompt.x, sc.prompt.y)
-    params = sc.quad.build()
-    controller = sc.controller.build(params, cam, sc.rates.control_hz)
+    controller = sc.controller.build(sc.quad, cam, sc.rates.control_hz)
 
     scripted = sc.camera_script.mode != "dynamic"
     script = _Script(sc) if scripted else None
@@ -304,8 +295,8 @@ def run(scenario: Scenario) -> RunArtifacts:
     wrench = MotorCommand(np.zeros(4), False)
     # ideal motors: the wrench changes only at a control tick, so it is
     # computed there and held; with lag it moves on every physics step
-    hold_wrench = not scripted and params.motor_lag == 0.0
-    applied = (BodyCommand(*motor_wrench(wrench, params.geometry))
+    hold_wrench = not scripted and sc.quad.motor_lag == 0.0
+    applied = (BodyCommand(*motor_wrench(wrench, sc.quad.geometry))
                if hold_wrench else None)
     rotor_thrusts = np.zeros(4)  # realized thrusts when motor lag is on
     last_phys_t = 0.0
@@ -342,11 +333,11 @@ def run(scenario: Scenario) -> RunArtifacts:
             if not scripted:
                 dt = t - last_phys_t
                 if not hold_wrench:
-                    a = 1.0 - math.exp(-dt / params.motor_lag)
+                    a = 1.0 - math.exp(-dt / sc.quad.motor_lag)
                     rotor_thrusts = rotor_thrusts + a * (wrench.thrusts - rotor_thrusts)
                     applied = BodyCommand(*motor_wrench(
-                        MotorCommand(rotor_thrusts, False), params.geometry))
-                quad = dynamics_step(quad, applied, params, dt)
+                        MotorCommand(rotor_thrusts, False), sc.quad.geometry))
+                quad = dynamics_step(quad, applied, sc.quad, dt)
                 # one sum is finite when every entry is; recheck entry by
                 # entry only when it is not, as finite entries can overflow it
                 if not math.isfinite(sum(quad.p.tolist() + quad.v.tolist()
@@ -374,7 +365,7 @@ def run(scenario: Scenario) -> RunArtifacts:
             command_trace.append(controller.command_record(t, cmd, motors))
             wrench = motors
             if hold_wrench:
-                applied = BodyCommand(*motor_wrench(wrench, params.geometry))
+                applied = BodyCommand(*motor_wrench(wrench, sc.quad.geometry))
             ic += 1
             continue
 
@@ -395,7 +386,7 @@ def run(scenario: Scenario) -> RunArtifacts:
 
     if scripted:
         quad = script.state_at(last_phys_t)
-    metrics = (compute_metrics(tracker_trace, truth_trace, sc.metrics.build())
+    metrics = (compute_metrics(tracker_trace, truth_trace, sc.metrics)
                if tracker_trace else None)
     counts = {"physics": n_phys, "control": n_ctrl, "camera": n_cam}
     summary = {

@@ -6,17 +6,16 @@ import pytest
 
 from quadtrack import cli, scenarios
 from quadtrack.config import (
-    DetectorParams,
-    MetricsConfig,
     MotionConfig,
     ObjectConfig,
     PromptConfig,
     Scenario,
     save_scenario,
 )
+from quadtrack.detection import SyntheticDetectorConfig
 from quadtrack.errors import ConfigError
 from quadtrack.logio import read_events, read_jsonl, write_jsonl
-from quadtrack.metrics import compute_metrics
+from quadtrack.metrics import MetricsParams, compute_metrics
 from quadtrack.replay import replay_track
 
 ALL_NAMES = ["static_target", "corridor_approach", "occlusion_decoy",
@@ -31,9 +30,9 @@ def make_scenario(**kw):
         prompt=PromptConfig(480.0, 272.0),
         objects=(ObjectConfig(0, (0.6, 0.6),
                               MotionConfig("static", position=(12.0, 0.0, 1.5))),),
-        detector=DetectorParams(center_noise_px=0.5, size_noise_frac=0.01,
-                                feature_noise=0.05, p_dropout=0.0,
-                                descriptor_dim=16),
+        detector=SyntheticDetectorConfig(center_noise_px=0.5, size_noise_frac=0.01,
+                                         feature_noise=0.05, p_dropout=0.0,
+                                         descriptor_dim=16),
     )
     base.update(kw)
     return Scenario(**base)
@@ -111,7 +110,7 @@ def test_sim_runtime_abort_exits_2(tmp_path, capsys):
     # a detector that always drops leaves nothing to initialize from
     path = tmp_path / "dropout.json"
     save_scenario(make_scenario(
-        detector=DetectorParams(p_dropout=1.0, descriptor_dim=16)), path)
+        detector=SyntheticDetectorConfig(p_dropout=1.0, descriptor_dim=16)), path)
     assert cli.main(["sim", str(path), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("abort:")
 
@@ -238,7 +237,7 @@ def test_metrics_command(sim_run, capsys):
     truth = read_jsonl(str(out / "groundtruth.jsonl"))
     with open(out / "summary.json") as fp:
         summary = json.load(fp)
-    params = Scenario.from_dict(summary["scenario_config"]).metrics.build()
+    params = Scenario.from_dict(summary["scenario_config"]).metrics
     assert got == compute_metrics(tracker, truth, params).as_dict()
 
     # summary.json holds the live metrics, scored on full-precision boxes;
@@ -269,7 +268,7 @@ def test_metrics_command(sim_run, capsys):
 
 def test_metrics_defaults_to_recorded_settings(tmp_path, capsys):
     path = tmp_path / "strict.json"
-    save_scenario(make_scenario(metrics=MetricsConfig(0.95, 0)), path)
+    save_scenario(make_scenario(metrics=MetricsParams(0.95, 0)), path)
     out = tmp_path / "run"
     assert cli.main(["sim", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
@@ -329,3 +328,30 @@ def test_ablate_command(sim_run, tmp_path, capsys):
                                                       [3.0, 3.0, 4.0]]
     assert all(len(r["per_seed"]) == 1 for r in result["rows"])
     assert all(0.0 <= r["mean"]["tracked_pct"] <= 100.0 for r in result["rows"])
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--iou-threshold", "7"], "bad iou_threshold 7.0"),
+    (["--iou-threshold", "nan"], "bad iou_threshold nan"),
+    (["--iou-threshold", "0"], "bad iou_threshold 0.0"),
+    (["--coast-credit", "-3"], "bad coast credit -3"),
+])
+def test_metrics_rejects_bad_overrides_exits_1(sim_run, capsys, flags, message):
+    # the overrides go through the same checks as the scenario's metrics section
+    _, out = sim_run
+    assert cli.main(["metrics", str(out)] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: metrics: ")
+    assert message in err[0]
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_ablate_rejects_seed_count_below_one_exits_1(sim_run, capsys, seeds):
+    sc_path, _ = sim_run
+    assert cli.main(["ablate", str(sc_path), "--seeds", seeds]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: ablation needs at least one seed, got {seeds}"]

@@ -3,10 +3,11 @@
 import copy
 import json
 import pathlib
+from dataclasses import asdict, astuple, fields, replace
 
 import pytest
 
-from quadtrack import scenarios
+from quadtrack import scenarios, simulator
 from quadtrack.config import (
     MotionConfig,
     ObjectConfig,
@@ -18,6 +19,7 @@ from quadtrack.config import (
     scenario_hash,
 )
 from quadtrack.errors import ConfigError
+from quadtrack.tracker import TrackerWeights
 
 ALL_NAMES = [
     "static_target",
@@ -216,28 +218,61 @@ def test_quad_rejects_singular_mixer_geometry():
                 Scenario.from_dict, d)
 
 
+def _moved(section):
+    """`section` with every field moved off its value (numbers halved,
+    flags flipped), so a builder that drops or swaps a field shows."""
+    def move(v):
+        if isinstance(v, bool):
+            return not v
+        if isinstance(v, tuple):
+            return tuple(move(x) for x in v)
+        return 0.5 * v
+    return replace(section, **{k: move(v) for k, v in asdict(section).items()})
+
+
 def test_layer_builders_carry_every_field():
     sc = scenarios.get("corridor_approach")
-    quad = sc.quad.build()
-    assert (quad.mass, quad.inertia, quad.motor_lag) == (
-        sc.quad.mass, sc.quad.inertia, sc.quad.motor_lag)
-    assert (quad.geometry.arm_length, quad.geometry.yaw_coeff,
-            quad.geometry.max_thrust) == (sc.quad.arm_length, sc.quad.yaw_coeff,
-                                          sc.quad.max_rotor_thrust)
     cam = sc.camera.build()
-    ctl = sc.controller.build(quad, cam, sc.rates.control_hz)
-    c = sc.controller
-    g = ctl.gains
-    assert (g.kp_roll, g.kd_roll, g.kp_thrust, g.kd_thrust, g.kp_yaw, g.kd_yaw,
-            g.beta, g.pitch_accel, g.min_thrust_frac) == (
-        c.kp_roll, c.kd_roll, c.kp_thrust, c.kd_thrust, c.kp_yaw, c.kd_yaw,
-        c.beta, c.pitch_accel, c.min_thrust_frac)
-    assert g.mass == sc.quad.mass
-    assert (ctl.att_gains.kr, ctl.att_gains.kw) == (c.attitude_kr, c.attitude_kw)
-    assert ctl.geom is quad.geometry and ctl.cam == cam
+    c = _moved(sc.controller)
+    ctl = c.build(sc.quad, cam, sc.rates.control_hz)
+    carried = {f.name: getattr(ctl.gains, f.name) for f in fields(ctl.gains)
+               if f.name != "mass"}
+    carried.update(attitude_kr=ctl.att_gains.kr, attitude_kw=ctl.att_gains.kw,
+                   deriv_tau=ctl.deriv_tau, literal_equations=ctl.literal)
+    assert carried == asdict(c)
+    assert ctl.gains.mass == sc.quad.mass
+    assert ctl.geom is sc.quad.geometry and ctl.cam == cam
     assert ctl.inertia.tolist() == list(sc.quad.inertia)
     assert ctl.dt == 1.0 / sc.rates.control_hz
-    assert (ctl.deriv_tau, ctl.literal) == (c.deriv_tau, c.literal_equations)
+
+    t = _moved(sc.tracker)
+    cfg = t.build(cam)
+    carried = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+               if f.name != "camera"}
+    carried["weights"] = astuple(cfg.weights)
+    assert carried == asdict(t) and cfg.camera is cam
+    assert t.build(cam, (1, 2, 3)).weights == TrackerWeights(1.0, 2.0, 3.0)
+    assert t.build_weights() == cfg.weights
+
+
+def test_run_hands_the_scenario_sections_to_their_layers(monkeypatch):
+    sc = minimal_scenario(duration=0.1)
+    seen = {}
+
+    def spy(name, fn, index):
+        def wrapper(*args):
+            seen.setdefault(name, set()).add(id(args[index]))
+            return fn(*args)
+        monkeypatch.setattr(simulator, name, wrapper)
+
+    spy("SyntheticDetector", simulator.SyntheticDetector, 0)
+    spy("dynamics_step", simulator.dynamics_step, 2)
+    spy("compute_metrics", simulator.compute_metrics, 2)
+    art = simulator.run(sc)
+    assert art.metrics is not None
+    assert seen == {"SyntheticDetector": {id(sc.detector)},
+                    "dynamics_step": {id(sc.quad)},
+                    "compute_metrics": {id(sc.metrics)}}
 
 
 def test_object_size_validation():

@@ -193,6 +193,21 @@ def test_thrust_from_force_level_and_tilted():
     assert thrust_from_force(f, rot_x(math.pi / 2.0)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_thrust_from_force_keeps_nan_and_clamps_finite_demands():
+    # max(0.0, nan) is 0.0, which would hide a NaN demand from the tick's
+    # finiteness check; every other demand keeps max(0.0, x) bit for bit
+    level = np.eye(3).tolist()
+    assert math.isnan(thrust_from_force((0.0, 0.0, math.nan), level))
+    for z in (0.0, -0.0, -3.0, 5e-324, -5e-324, 7.25, math.inf, -math.inf):
+        got, want = thrust_from_force((0.0, 0.0, z), level), max(0.0, z)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), z
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        f, R = rng.normal(0.0, 10.0, 3).tolist(), _random_rotation(rng).tolist()
+        (_, _, r02), (_, _, r12), (_, _, r22) = R
+        assert thrust_from_force(f, R) == max(0.0, r02 * f[0] + r12 * f[1] + r22 * f[2])
+
+
 @given(st.floats(-math.pi, math.pi), st.floats(-1.4, 1.4),
        st.floats(-math.pi, math.pi), st.floats(-5.0, 5.0),
        st.floats(-5.0, 5.0), st.floats(0.5, 30.0))
@@ -893,15 +908,17 @@ def test_non_finite_output_aborts_naming_the_controller_and_time(hover):
     assert e.value.t == 0.25
 
 
-@pytest.mark.parametrize("gains", [dict(kp_thrust=1e307, kp_roll=1e307),
-                                   dict(kp_yaw=1e307)], ids=["force", "yaw"])
-def test_huge_gains_abort_on_non_finite_attitude(gains):
-    # an overflowed force demand's inf - inf is NaN, and max(0, NaN) makes
-    # the thrust 0; an infinite yaw reference wraps to NaN.  Either way the
-    # desired attitude is the first non-finite output
+@pytest.mark.parametrize("gains,name", [
+    (dict(kp_thrust=1e307, kp_roll=1e307), "thrust"),
+    (dict(kp_yaw=1e307), "R_des")], ids=["force", "yaw"])
+def test_huge_gains_abort_on_non_finite_attitude(gains, name):
+    # an overflowed force demand's inf - inf is NaN, which the thrust keeps,
+    # so the thrust is the first non-finite output; an infinite yaw
+    # reference wraps to NaN with the thrust still finite, so the first one
+    # is the desired attitude
     ctl = VisualController(CAM, ControllerGains(**gains),
                            AttitudeGains(), MixerGeometry(), INERTIA, dt=0.01)
-    with pytest.raises(ControllerAbort, match=r"non-finite R_des at t=0\.000000 s"):
+    with pytest.raises(ControllerAbort, match=rf"non-finite {name} at t=0\.000000 s"):
         ctl.tick(0.0, (10.0, 10.0), rot_x(0.2), np.zeros(3))
 
 

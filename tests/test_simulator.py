@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from quadtrack import cli, detection, scenarios, simulator
-from quadtrack.config import (CameraScriptConfig, DetectorParams,
-                              MotionConfig, ObjectConfig, PromptConfig,
-                              QuadConfig, RatesConfig, Scenario, save_scenario)
+from quadtrack.config import (CameraScriptConfig, MotionConfig, ObjectConfig,
+                              PromptConfig, QuadConfig, RatesConfig, Scenario,
+                              save_scenario)
 from quadtrack.controller import BodyCommand
-from quadtrack.detection import DetectionSet, GyroSample
+from quadtrack.detection import (DetectionSet, GyroSample,
+                                 SyntheticDetectorConfig)
 from quadtrack.errors import (ControllerAbort, FilterDegenerateError,
                               SimulationAbort)
 from quadtrack.geometry import (is_rotation, nearest_rotation, rot_z,
@@ -23,7 +24,7 @@ from quadtrack.logio import event_line
 from quadtrack.replay import replay_track
 from quadtrack.scene import (SceneObject, SinusoidMotion, StaticMotion,
                              WaypointMotion, scene_step)
-from quadtrack.simulator import (CAMERA_FROM_BODY, QuadParams, QuadState,
+from quadtrack.simulator import (CAMERA_FROM_BODY, QuadState,
                                  _event_count, camera_pose, dynamics_step,
                                  imu_sample, run, write_run)
 
@@ -49,9 +50,9 @@ def make_scenario(**kw):
         prompt=PromptConfig(480.0, 272.0, 0.0),
         objects=(static_object(),),
         target_id=0,
-        detector=DetectorParams(center_noise_px=0.5, size_noise_frac=0.01,
-                                feature_noise=0.05, p_dropout=0.0,
-                                descriptor_dim=16),
+        detector=SyntheticDetectorConfig(center_noise_px=0.5, size_noise_frac=0.01,
+                                         feature_noise=0.05, p_dropout=0.0,
+                                         descriptor_dim=16),
     )
     base.update(kw)
     return Scenario(**base)
@@ -63,7 +64,7 @@ def make_scenario(**kw):
 
 
 def test_free_fall_matches_kinematics():
-    params = QuadParams()
+    params = QuadConfig()
     st = level_state(p=(0.0, 0.0, 100.0))
     t = 0.0
     for _ in range(1000):
@@ -75,7 +76,7 @@ def test_free_fall_matches_kinematics():
 
 
 def test_exact_hover_thrust_is_equilibrium():
-    params = QuadParams()
+    params = QuadConfig()
     st = level_state()
     cmd = BodyCommand(params.mass * GRAVITY, np.zeros(3))
     for _ in range(1000):
@@ -86,7 +87,7 @@ def test_exact_hover_thrust_is_equilibrium():
 
 
 def test_constant_yaw_torque_spins_linearly():
-    params = QuadParams()
+    params = QuadConfig()
     st = level_state()
     tau_z = 0.004
     cmd = BodyCommand(0.0, np.array([0.0, 0.0, tau_z]))
@@ -102,7 +103,7 @@ def test_constant_yaw_torque_spins_linearly():
 def test_step_refinement_converges():
     # 10x finer RK4 reproduces the same trajectory: integration error is
     # far below the mixer/sensor scales
-    params = QuadParams()
+    params = QuadConfig()
     cmd = BodyCommand(13.0, np.array([0.002, -0.001, 0.0005]))
     coarse = level_state()
     for _ in range(100):
@@ -117,7 +118,7 @@ def test_step_refinement_converges():
 
 
 def test_torque_free_flight_conserves_energy():
-    params = QuadParams()
+    params = QuadConfig()
     st = QuadState(np.array([0.0, 0.0, 50.0]), np.array([3.0, -2.0, 4.0]),
                    np.eye(3), np.array([0.3, -0.2, 0.4]))
     J = np.asarray(params.inertia)
@@ -136,7 +137,7 @@ def test_torque_free_flight_conserves_energy():
 
 
 def test_rotation_stays_orthonormal_under_aggressive_commands():
-    params = QuadParams()
+    params = QuadConfig()
     st = level_state()
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -477,13 +478,14 @@ def test_each_frame_projects_each_object_once(monkeypatch):
 
 
 def test_non_finite_controller_output_aborts_the_run(tmp_path, capsys):
-    # huge outer-loop gains overflow the force demand on a scripted camera:
-    # the run stops in the controller, and the CLI exits 2 with one line
-    # and writes no run directory
+    # huge outer-loop gains overflow the force demand to NaN on a scripted
+    # camera: the run stops in the controller, which names the thrust (the
+    # first output the NaN reaches), and the CLI exits 2 with one line and
+    # writes no run directory
     sc = _bundled("false_positive_storm", 2)
     sc = dataclasses.replace(sc, duration=3.0, controller=dataclasses.replace(
         sc.controller, kp_thrust=1e307, kp_roll=1e307))
-    with pytest.raises(ControllerAbort, match=r"^controller: non-finite R_des at t=") as err:
+    with pytest.raises(ControllerAbort, match=r"^controller: non-finite thrust at t=") as err:
         run(sc)
     assert 0.0 < err.value.t < sc.duration
 
@@ -530,7 +532,7 @@ def test_dynamics_step_leaves_non_finite_attitude_unprojected():
     # an SVD of a NaN matrix raises (and of an inf one may not return), so
     # the step hands a non-finite state back for the caller's check
     st = QuadState(np.zeros(3), np.zeros(3), np.eye(3), np.array([np.nan, 0.0, 0.0]))
-    out = dynamics_step(st, BodyCommand(10.0, np.zeros(3)), QuadParams(), 0.001)
+    out = dynamics_step(st, BodyCommand(10.0, np.zeros(3)), QuadConfig(), 0.001)
     assert not np.all(np.isfinite(out.R))
 
 
@@ -596,7 +598,7 @@ def _oracle_cases():
     projection's reflection branch."""
     rng = np.random.default_rng(2024)
     for i in range(200):
-        params = QuadParams(mass=rng.uniform(0.3, 3.0),
+        params = QuadConfig(mass=rng.uniform(0.3, 3.0),
                             inertia=tuple(rng.uniform(0.002, 0.05, size=3)))
         rate_scale = 300.0 if i % 4 == 0 else 3.0
         state = QuadState(rng.normal(0.0, 10.0, size=3), rng.normal(0.0, 3.0, size=3),
