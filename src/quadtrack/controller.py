@@ -281,6 +281,9 @@ def desired_rotation(f_des, yaw_des: float) -> tuple:
     """
     f0, f1, f2 = f_des
     n = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
+    if n == math.inf:
+        # the sum of squares overflows for components above ~1e154
+        n = math.hypot(f0, f1, f2)
     if n <= 1e-6:
         raise DegenerateForceError(f"force demand norm {n:.3e} too small")
     r3 = (f0 / n, f1 / n, f2 / n)

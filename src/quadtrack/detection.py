@@ -15,11 +15,13 @@ keeps e.g. the occlusion threshold monotone on a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DetectorAbort
 from .geometry import (BoundingBox, CameraModel, CameraPose, camera_point,
                        covered_fraction, project_box)
 from .scene import ObjectState, SceneSnapshot
@@ -84,8 +86,15 @@ class SyntheticDetectorConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.fp_rate < 0:
-            raise ValueError("fp_rate must be >= 0")
+        for name in ("center_noise_px", "size_noise_frac", "feature_noise", "fp_rate"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not (0.0 < self.fp_size_min <= self.fp_size_max
+                and math.isfinite(self.fp_size_max)):
+            raise ValueError("false-positive sizes must satisfy 0 < fp_size_min "
+                             f"<= fp_size_max < inf, got {self.fp_size_min}, "
+                             f"{self.fp_size_max}")
         if self.descriptor_dim <= 0:
             raise ValueError("descriptor_dim must be positive")
 
@@ -94,6 +103,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v)
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
+    if not math.isfinite(n):
+        raise ValueError(f"descriptor norm is not finite: {n!r}")
     return v / n
 
 
@@ -145,7 +156,7 @@ class SyntheticDetector:
 
     # -- detection --------------------------------------------------------
 
-    def _perturbed(self, box: BoundingBox, latent: np.ndarray) -> Detection:
+    def _perturbed(self, box: BoundingBox, latent: np.ndarray, t: float) -> Detection:
         cfg = self.cfg
         rng = self.rng
         dc = rng.normal(0.0, 1.0, size=2) * cfg.center_noise_px
@@ -156,14 +167,20 @@ class SyntheticDetector:
         h = max(1.0, box.h * (1.0 + ds[1]))
         # Size scales about the (jittered) center; written as offsets from the
         # clean box so zero noise reproduces it bit-exactly.
-        nb = BoundingBox(box.x + dc[0] - (w - box.w) / 2.0,
-                         box.y + dc[1] - (h - box.h) / 2.0, w, h)
-        return Detection(nb, float(conf), _unit(latent + noise))
+        try:
+            nb = BoundingBox(box.x + dc[0] - (w - box.w) / 2.0,
+                             box.y + dc[1] - (h - box.h) / 2.0, w, h)
+            desc = _unit(latent + noise)
+        except ValueError as e:   # noise settings that overflow the float range
+            raise DetectorAbort(t, str(e)) from e
+        return Detection(nb, float(conf), desc)
 
     def detect(self, snapshot: SceneSnapshot, pose: CameraPose, cam: CameraModel) -> DetectionSet:
         """One camera frame worth of detections, in object-id order then
         duplicates then false positives (stable order feeds stable argmax
-        tie-breaking downstream).  Keeps the frame's geometry in `views`."""
+        tie-breaking downstream).  Keeps the frame's geometry in `views`.
+        A perturbed box or descriptor that is not finite raises
+        DetectorAbort."""
         cfg = self.cfg
         rng = self.rng
         out: list[Detection] = []
@@ -173,11 +190,11 @@ class SyntheticDetector:
             drop = rng.uniform() < cfg.p_dropout
             visible = (box is not None and frac < cfg.occlusion_threshold
                        and _in_image(box, cam))
-            det = self._perturbed(box, st.latent) if visible else self._consume_object_draws()
+            det = self._perturbed(box, st.latent, snapshot.t) if visible else self._consume_object_draws()
             dup = rng.uniform() < cfg.p_duplicate
             dup_det = None
             if dup:
-                dup_det = self._perturbed(box, st.latent) if visible else self._consume_object_draws()
+                dup_det = self._perturbed(box, st.latent, snapshot.t) if visible else self._consume_object_draws()
             if visible and not drop:
                 out.append(det)
                 if dup_det is not None:

@@ -75,3 +75,13 @@ class ControllerAbort(RuntimeAbort):
     def __init__(self, t: float, message: str):
         super().__init__(f"controller: {message} at t={t:.6f} s")
         self.t = t
+
+
+class DetectorAbort(RuntimeAbort):
+    """The synthetic detector produced a box or descriptor that is not
+    finite, as noise settings near the float range can.  Carries the frame
+    time."""
+
+    def __init__(self, t: float, message: str):
+        super().__init__(f"detector: {message} at t={t:.6f} s")
+        self.t = t

@@ -11,12 +11,25 @@ under parse/re-serialize, so record -> replay -> record is byte-identical.
 Timestamps must be non-decreasing; at equal timestamps gyro records come
 before the (single) detection record, i.e. a detection closes its timestamp.
 
+Encoder contract (`event_line`): a record is one `%` call.  Its format string
+is built once per record shape -- the gyro shape is fixed, a detection
+frame's shape is the tuple of its descriptor lengths, so ragged frames need
+no second encoder -- and kept in a bounded cache.  The record's floats go in
+flat, as Python floats, and are checked for finiteness at once by summing
+them; only when the sum is not finite is each value checked on its own, so
+the ValueError names the culprit, and a finite record whose sum merely
+overflows is still written.
+'%.9g' % x equals format(x, '.9g') for every finite double.
+
 Trace files reuse the same float formatting with one flat JSON object per
 line; their field sets are fixed by the writers in simulator/tracker code.
+`_json_compact` dispatches on a value's exact type through one table and
+walks an isinstance chain only for subclasses the table does not list.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Iterable, Union
@@ -36,37 +49,69 @@ def fmt_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite float {x!r}")
-    return format(x, ".9g")
+    return "%.9g" % x
 
 
-_FMT_9G = "{:.9g}".format   # format(x, ".9g") with one bound method
-
-
-def _fmt_list(xs) -> str:
-    """A float sequence as a JSON list in fmt_float's format: one finiteness
-    check for the whole sequence, then one formatting pass."""
-    vals = np.asarray(xs, dtype=float).tolist()
-    # a sum is non-finite when any term is (or when it overflows); only
-    # then is each entry checked, so that the error names the culprit
+def _check_finite(vals) -> None:
+    """Raise fmt_float's ValueError for the first non-finite value.  A sum
+    is non-finite when any term is (or when it overflows); only then is
+    each value checked, so that the error names the culprit."""
     if not math.isfinite(sum(vals)):
         for x in vals:
             fmt_float(x)
-    return "[" + ",".join(map(_FMT_9G, vals)) + "]"
 
 
-def _fmt_nested(xss) -> str:
-    return "[" + ",".join(_fmt_list(xs) for xs in xss) + "]"
+@functools.lru_cache(maxsize=64)
+def _list_format(n: int) -> str:
+    return "[" + ",".join(["%.9g"] * n) + "]"
+
+
+def _fmt_floats(vals: list) -> str:
+    """A list of floats as a JSON list in fmt_float's format: one finiteness
+    check for the whole list, then one `%` call."""
+    _check_finite(vals)
+    return _list_format(len(vals)) % tuple(vals)
+
+
+_GYRO_LINE = '{"t":%.9g,"kind":"gyro","w":[%.9g,%.9g,%.9g]}'
+
+
+@functools.lru_cache(maxsize=64)
+def _det_format(desc_lens: tuple[int, ...]) -> str:
+    """The `%` format string of a detection record whose descriptors have
+    these lengths; its fields take t, every box, every confidence, then
+    every descriptor."""
+    boxes = ",".join([_list_format(4)] * len(desc_lens))
+    conf = _list_format(len(desc_lens))
+    desc = ",".join(map(_list_format, desc_lens))
+    return (f'{{"t":%.9g,"kind":"det","boxes":[{boxes}],"conf":{conf},'
+            f'"desc":[{desc}]}}')
 
 
 def event_line(ev: Event) -> str:
-    if isinstance(ev, GyroSample):
-        return f'{{"t":{fmt_float(ev.t)},"kind":"gyro","w":{_fmt_list(ev.w)}}}'
     if isinstance(ev, DetectionSet):
-        boxes = _fmt_nested(d.box.as_array() for d in ev.detections)
-        conf = _fmt_list([d.confidence for d in ev.detections])
-        desc = _fmt_nested(d.descriptor for d in ev.detections)
-        return (f'{{"t":{fmt_float(ev.t)},"kind":"det","boxes":{boxes},'
-                f'"conf":{conf},"desc":{desc}}}')
+        dets = ev.detections
+        head = [ev.t]
+        for d in dets:
+            b = d.box
+            head += (b.x, b.y, b.w, b.h)
+        head += [d.confidence for d in dets]
+        # Python floats: numpy scalars (box fields) would warn on an
+        # overflowing sum and leave sum's float fast path
+        head = list(map(float, head))
+        descs = [np.asarray(d.descriptor, dtype=float).tolist() for d in dets]
+        desc = []
+        for xs in descs:
+            desc += xs
+        if not math.isfinite(sum(head) + sum(desc)):
+            _check_finite(head + desc)
+        return _det_format(tuple(map(len, descs))) % (*head, *desc)
+    if isinstance(ev, GyroSample):
+        vals = [float(ev.t), *np.asarray(ev.w, dtype=float).tolist()]
+        if len(vals) != 4:
+            raise ValueError(f"gyro 'w' must have 3 components, got {len(vals) - 1}")
+        _check_finite(vals)
+        return _GYRO_LINE % tuple(vals)
     raise TypeError(f"not a loggable event: {type(ev).__name__}")
 
 
@@ -156,21 +201,62 @@ def read_events(path) -> list[Event]:
 # ---------------------------------------------------------------------------
 
 
+def _json_dict(value: dict) -> str:
+    return "{" + ",".join([f'"{k}":{_json_compact(v)}'
+                           for k, v in value.items()]) + "}"
+
+
+def _json_seq(value) -> str:
+    return "[" + ",".join(map(_json_compact, value)) + "]"
+
+
+def _json_array(value: np.ndarray) -> str:
+    if value.ndim == 1 and value.dtype.kind == "f":
+        return _fmt_floats(value.tolist())
+    return _json_seq(value)
+
+
+def _json_bool(value) -> str:
+    return "true" if value else "false"
+
+
+def _json_int(value) -> str:
+    return str(int(value))
+
+
+# exact type -> encoder; the trace writers' value types
+_JSON_ENCODERS = {
+    dict: _json_dict,
+    float: fmt_float,
+    np.float64: fmt_float,
+    int: _json_int,
+    np.int64: _json_int,
+    bool: _json_bool,
+    np.bool_: _json_bool,
+    type(None): lambda value: "null",
+    str: json.dumps,
+    list: _json_seq,
+    tuple: _json_seq,
+    np.ndarray: _json_array,
+}
+
+
 def _json_compact(value) -> str:
     """JSON with %.9g floats; dict key order preserved (insertion order)."""
+    encode = _JSON_ENCODERS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    # subclasses and other numpy scalars, in the table's precedence
     if isinstance(value, dict):
-        items = (f'"{k}":{_json_compact(v)}' for k, v in value.items())
-        return "{" + ",".join(items) + "}"
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-        return _fmt_list(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_json_compact(v) for v in value) + "]"
+        return _json_dict(value)
+    if isinstance(value, np.ndarray):
+        return _json_array(value)
+    if isinstance(value, (list, tuple)):
+        return _json_seq(value)
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+        return _json_bool(value)
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return _json_int(value)
     if isinstance(value, (float, np.floating)):
         return fmt_float(value)
     if isinstance(value, str):

@@ -1,9 +1,13 @@
 """Command-line harness: subcommands, scenario resolution, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quadtrack
 from quadtrack import cli, scenarios
 from quadtrack.config import (
     MotionConfig,
@@ -130,6 +134,39 @@ def test_sim_rejects_bad_layer_values_exits_1(tmp_path, capsys, section, key,
     assert cli.main(["sim", str(path), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def _bad_runs():
+    """Three scenarios that fail in different layers, with the exit code and
+    the stderr line `quadtrack sim` owes each."""
+    ctrl = make_scenario().to_dict()
+    ctrl["controller"].update(kp_thrust=1e307, kp_roll=1e307)
+    fp_size = scenarios.get("false_positive_storm").to_dict()
+    fp_size["detector"].update(fp_size_min=-50.0, fp_size_max=-10.0)
+    noise = scenarios.get("false_positive_storm").to_dict()
+    noise["detector"]["center_noise_px"] = 1e308
+    return [
+        ("controller_overflow", ctrl, 2, "abort: controller: non-finite thrust at t="),
+        ("negative_fp_sizes", fp_size, 1, "error: scenario.detector: false-positive sizes"),
+        ("detector_overflow", noise, 2, "abort: detector: box field"),
+    ]
+
+
+@pytest.mark.parametrize("name,scenario,code,message", _bad_runs(),
+                         ids=[r[0] for r in _bad_runs()])
+def test_sim_process_fails_with_exit_code_and_no_traceback(tmp_path, name, scenario,
+                                                           code, message):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scenario))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadtrack.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadtrack", "sim", str(path), "--out",
+         str(tmp_path / "run")], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(message), proc.stderr
 
 
 def test_override_flags():

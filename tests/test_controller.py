@@ -262,6 +262,13 @@ def test_desired_rotation_degenerate_inputs():
         desired_rotation(np.array([5.0, 0.0, 0.0]), 0.0)
 
 
+def test_desired_rotation_survives_overflowing_sum_of_squares():
+    # |f|^2 overflows above ~1e154 per component; the norm does not
+    R = np.asarray(desired_rotation((3e200, 0.0, 4e200), 0.0))
+    assert np.allclose(R[:, 2], [0.6, 0.0, 0.8], rtol=0.0, atol=1e-15)
+    assert is_rotation(R, tol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # kept numpy forms: the controller as it ran on arrays, the oracles' reference
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from quadtrack import detection
 from quadtrack.detection import (DetectionSet, SyntheticDetector,
                                  SyntheticDetectorConfig)
+from quadtrack.errors import DetectorAbort
 from quadtrack.geometry import (MIN_VIEW_DEPTH, BoundingBox, CameraModel,
                                 CameraPose, camera_depth, covered_fraction,
                                 iou, project_box, project_point, zyx_matrix)
@@ -397,3 +398,43 @@ def test_config_rejects_out_of_range_values():
         SyntheticDetectorConfig(fp_rate=-1.0)
     with pytest.raises(ValueError):
         SyntheticDetectorConfig(descriptor_dim=0)
+
+
+@pytest.mark.parametrize("name", ["center_noise_px", "size_noise_frac",
+                                  "feature_noise", "fp_rate"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_config_rejects_negative_or_non_finite_noise(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        SyntheticDetectorConfig(**{name: value})
+
+
+@pytest.mark.parametrize("lo,hi", [(-50.0, -10.0), (0.0, 10.0), (30.0, 20.0),
+                                   (20.0, math.inf), (math.nan, 20.0)])
+def test_config_rejects_bad_false_positive_sizes(lo, hi):
+    with pytest.raises(ValueError, match="0 < fp_size_min <= fp_size_max"):
+        SyntheticDetectorConfig(fp_size_min=lo, fp_size_max=hi)
+
+
+def test_config_accepts_equal_false_positive_sizes():
+    assert SyntheticDetectorConfig(fp_size_min=30.0, fp_size_max=30.0).fp_size_max == 30.0
+
+
+# ---------------------------------------------------------------------------
+# runtime overflow
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy overflow notes
+@pytest.mark.parametrize("name,message", [
+    ("center_noise_px", "box field . is not finite"),
+    ("size_noise_frac", "box field . is not finite"),
+    ("feature_noise", "descriptor norm is not finite"),
+])
+def test_noise_overflow_raises_detector_abort_with_frame_time(name, message):
+    # on seed 6 every setting overflows: a centre draw beyond 1.8 sigma and
+    # a positive size draw (a negative one clamps the box to 1 px)
+    det = SyntheticDetector(quiet_config(**{name: 1e308}), np.random.default_rng(6))
+    target = state(1, (0.0, 0.0, 10.0), latent=unit(0))
+    with pytest.raises(DetectorAbort, match=f"^detector: {message}.* at t=1.250000 s$") as err:
+        det.detect(snap([target], t=1.25), POSE, CAM)
+    assert err.value.t == 1.25

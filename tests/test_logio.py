@@ -1,5 +1,9 @@
 """Sensor-log serialization: formatting, ordering, parse errors."""
 
+import collections
+import dataclasses
+import enum
+import json
 import math
 
 import numpy as np
@@ -10,8 +14,8 @@ from hypothesis import strategies as st
 from quadtrack.detection import Detection, DetectionSet, GyroSample
 from quadtrack.errors import LogParseError, StreamOrderError
 from quadtrack.geometry import BoundingBox
-from quadtrack.logio import (EventWriter, event_line, fmt_float, read_events,
-                             read_jsonl, write_events, write_jsonl)
+from quadtrack.logio import (EventWriter, _json_compact, event_line, fmt_float,
+                             read_events, read_jsonl, write_events, write_jsonl)
 
 
 def gyro(t, w=(0.1, 0.2, 0.3)):
@@ -273,3 +277,239 @@ def test_read_jsonl_reports_bad_line(tmp_path):
     with pytest.raises(LogParseError) as err:
         read_jsonl(path)
     assert err.value.line_no == 2
+
+
+# ---------------------------------------------------------------------------
+# the one-call encoders against the per-value reference encoders
+# ---------------------------------------------------------------------------
+# The reference copies below are the per-value encoders that the
+# one-format-call encoders replaced: format(x, ".9g") per float, nested joins
+# and an isinstance chain per trace value.
+
+
+def ref_fmt_float(x) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"refusing to serialize non-finite float {x!r}")
+    return format(x, ".9g")
+
+
+def ref_fmt_list(xs) -> str:
+    vals = np.asarray(xs, dtype=float).tolist()
+    if not math.isfinite(sum(vals)):
+        for x in vals:
+            ref_fmt_float(x)
+    return "[" + ",".join(map("{:.9g}".format, vals)) + "]"
+
+
+def ref_fmt_nested(xss) -> str:
+    return "[" + ",".join(ref_fmt_list(xs) for xs in xss) + "]"
+
+
+def ref_event_line(ev) -> str:
+    if isinstance(ev, GyroSample):
+        return f'{{"t":{ref_fmt_float(ev.t)},"kind":"gyro","w":{ref_fmt_list(ev.w)}}}'
+    if isinstance(ev, DetectionSet):
+        boxes = ref_fmt_nested(d.box.as_array() for d in ev.detections)
+        conf = ref_fmt_list([d.confidence for d in ev.detections])
+        desc = ref_fmt_nested(d.descriptor for d in ev.detections)
+        return (f'{{"t":{ref_fmt_float(ev.t)},"kind":"det","boxes":{boxes},'
+                f'"conf":{conf},"desc":{desc}}}')
+    raise TypeError(f"not a loggable event: {type(ev).__name__}")
+
+
+def ref_json_compact(value) -> str:
+    if isinstance(value, dict):
+        items = (f'"{k}":{ref_json_compact(v)}' for k, v in value.items())
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+        return ref_fmt_list(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(ref_json_compact(v) for v in value) + "]"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return ref_fmt_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"unsupported trace value type {type(value).__name__}")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e-5, 9.9999999995e-5, 1e-4, 999999999.5,
+               1e16, 0.1, 1 / 3]
+
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def scalars(draw, elements=finite):
+    """A finite float, as a Python float or as np.float64."""
+    x = draw(elements)
+    return np.float64(x) if draw(st.booleans()) else x
+
+
+@st.composite
+def log_boxes(draw):
+    positive = st.one_of(st.floats(5e-324, 1e308), st.sampled_from([5e-324, 1e308]))
+    fields = (draw(scalars()), draw(scalars()),
+              draw(scalars(positive)), draw(scalars(positive)))
+    # BoundingBox's finiteness check sums the fields, which numpy scalars
+    # report when the sum overflows
+    with np.errstate(over="ignore"):
+        return BoundingBox(*fields)
+
+
+@st.composite
+def detections(draw):
+    n = draw(st.integers(0, 12))
+    desc = np.array(draw(st.lists(finite, min_size=n, max_size=n)), dtype=float)
+    return Detection(draw(log_boxes()), draw(scalars()), desc)
+
+
+@st.composite
+def events(draw):
+    t = draw(scalars())
+    if draw(st.booleans()):
+        return GyroSample(t, np.array(draw(st.lists(finite, min_size=3, max_size=3))))
+    return DetectionSet(t, draw(st.lists(detections(), min_size=0, max_size=6)))
+
+
+@given(events())
+def test_event_line_equals_reference_encoder(ev):
+    assert event_line(ev) == ref_event_line(ev)
+
+
+@given(st.lists(events(), min_size=1, max_size=4), st.data())
+def test_event_line_names_the_same_culprit_as_reference(evs, data):
+    # one non-finite value in a timestamp, a gyro rate, a confidence or a
+    # descriptor entry
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    ev = data.draw(st.sampled_from(evs))
+    slots = ["t"] + (["w"] if isinstance(ev, GyroSample) else
+                     [("conf", i) for i in range(len(ev))]
+                     + [("desc", i) for i, d in enumerate(ev.detections)
+                        if len(d.descriptor)])
+    slot = data.draw(st.sampled_from(slots))
+    if slot == "t":
+        ev = dataclasses.replace(ev, t=bad)
+    elif slot == "w":
+        w = ev.w.copy()
+        w[data.draw(st.integers(0, 2))] = bad
+        ev = dataclasses.replace(ev, w=w)
+    else:
+        field, i = slot
+        dets = list(ev.detections)
+        d = dets[i]
+        if field == "conf":
+            dets[i] = dataclasses.replace(d, confidence=bad)
+        else:
+            desc = d.descriptor.copy()
+            desc[data.draw(st.integers(0, len(desc) - 1))] = bad
+            dets[i] = dataclasses.replace(d, descriptor=desc)
+        ev = DetectionSet(ev.t, dets)
+    with pytest.raises(ValueError) as want:
+        ref_event_line(ev)
+    with pytest.raises(ValueError) as got:
+        event_line(ev)
+    assert str(got.value) == str(want.value)
+
+
+def test_event_line_ragged_frames_beyond_the_format_cache():
+    # more record shapes than the cache holds, each encoded like the reference
+    for n in range(1, 150):
+        lens = (n % 7, n, 3 * n % 11)
+        ev = DetectionSet(n / 60, [Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5,
+                                             np.linspace(-1.0, 1.0, k))
+                                   for k in lens])
+        assert event_line(ev) == ref_event_line(ev)
+
+
+def test_event_line_rejects_gyro_without_three_rates():
+    with pytest.raises(ValueError, match="must have 3 components"):
+        event_line(gyro(0.5, (0.1, 0.2)))
+
+
+def test_percent_g_equals_format_g_on_random_bit_patterns():
+    # event_line formats with '%.9g' % x; fmt_float's contract is
+    # format(x, '.9g'), so the two must agree on every finite double
+    bits = np.random.default_rng(2024).integers(0, 2**64, size=200_000,
+                                                dtype=np.uint64, endpoint=False)
+    xs = bits.view(np.float64)
+    xs = xs[np.isfinite(xs)].tolist() + EDGE_FLOATS
+    assert [x for x in xs if "%.9g" % x != format(x, ".9g")] == []
+
+
+@st.composite
+def tracker_rows(draw):
+    coasting = draw(st.booleans())
+    scores = draw(st.one_of(st.none(), st.lists(scalars(), min_size=4, max_size=4)))
+    return {
+        "t": draw(finite),
+        "status": "coasting" if coasting else "tracking",
+        "box": None if coasting else np.array(draw(st.lists(finite, min_size=4, max_size=4))),
+        "s_iou": None if scores is None else scores[0],
+        "s_ekf": None if scores is None else scores[1],
+        "s_map": None if scores is None else scores[2],
+        "s_total": None if scores is None else scores[3],
+        "pred": np.array(draw(st.lists(finite, min_size=4, max_size=4))),
+        "mean": np.array(draw(st.lists(finite, min_size=6, max_size=6))),
+        "coast": draw(st.integers(0, 10**12)),
+    }
+
+
+@st.composite
+def command_rows(draw):
+    row = {k: draw(finite) for k in ("t", "ew", "eh", "dew", "deh", "thrust", "yaw_des")}
+    row["quat_des"] = np.array(draw(st.lists(finite, min_size=4, max_size=4)))
+    row["a_pitch"] = draw(finite)
+    row["sp_sat"] = draw(st.booleans())
+    row["motor_sat"] = draw(st.booleans())
+    return row
+
+
+@st.composite
+def truth_rows(draw):
+    seen = draw(st.booleans())
+    vec = st.lists(finite, min_size=3, max_size=3).map(np.array)
+    return {
+        "t": draw(finite),
+        "box": np.array(draw(st.lists(finite, min_size=4, max_size=4))) if seen else None,
+        "center": (draw(scalars()), draw(scalars())) if seen else None,
+        "occluded": draw(finite),
+        "in_view": draw(st.booleans()),
+        "quad_p": draw(vec),
+        "quad_yaw": draw(finite),
+        "target_p": draw(vec),
+        "dist_xy": draw(scalars()),
+    }
+
+
+@given(st.one_of(tracker_rows(), command_rows(), truth_rows()))
+def test_json_compact_equals_reference_on_trace_rows(row):
+    assert _json_compact(row) == ref_json_compact(row)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+def test_json_compact_numpy_types_and_subclasses_match_reference():
+    # np.int64 is in the dispatch table; the other types take the
+    # isinstance chain
+    row = collections.OrderedDict(
+        i64=np.int64(12345678901), f32=np.float32(0.1), i32=np.int32(-7), u8=np.uint8(200), level=_Level.HIGH,
+        f32s=np.array([0.1, 2.5], dtype=np.float32), ints=np.arange(3),
+        flags=np.array([True, False]), grid=np.eye(2), nested=[(1, 2.5), [None, "x"]],
+        key=collections.UserString("k").data, sub=collections.OrderedDict(a=1.0))
+    assert _json_compact(row) == ref_json_compact(row)
+    with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
+        _json_compact({"x": np.float32("inf")})
+    with pytest.raises(TypeError):
+        _json_compact({"x": {1, 2}})
