@@ -73,17 +73,16 @@ class AblationResult:
         return "\n".join(lines) + "\n"
 
 
-def _seed_task(args) -> list[dict]:
-    scenario_dict, seed, grid = args
-    sc = Scenario.from_dict(scenario_dict).with_seed(seed)
+def _seed_task(args) -> list[Metrics]:
+    scenario, seed, grid = args
+    sc = scenario.with_seed(seed)
     art = run(sc)
     cam = sc.camera.build()
     out = []
     for weights in grid:
         trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
                              sc.prompt.t, sc.tracker.build(cam, weights))
-        m = compute_metrics(trace, art.truth_trace, sc.metrics)
-        out.append(m.as_dict())
+        out.append(compute_metrics(trace, art.truth_trace, sc.metrics))
     return out
 
 
@@ -93,15 +92,13 @@ def run_ablation(scenario: Scenario, grid=DEFAULT_GRID, n_seeds: int = 5,
         raise ConfigError(f"ablation needs at least one seed, got {n_seeds}")
     seeds = tuple(scenario.seed + k for k in range(n_seeds))
     grid = tuple(tuple(float(w) for w in row) for row in grid)
-    tasks = [(scenario.to_dict(), s, grid) for s in seeds]
+    tasks = [(scenario, s, grid) for s in seeds]
     if parallel:
         with ProcessPoolExecutor() as pool:
             per_seed = list(pool.map(_seed_task, tasks))
     else:
         per_seed = [_seed_task(t) for t in tasks]
 
-    rows = []
-    for j, weights in enumerate(grid):
-        ms = tuple(Metrics(**per_seed[i][j]) for i in range(len(seeds)))
-        rows.append(AblationRow(weights, ms))
-    return AblationResult(scenario.name, seeds, tuple(rows))
+    rows = tuple(AblationRow(weights, tuple(ms[j] for ms in per_seed))
+                 for j, weights in enumerate(grid))
+    return AblationResult(scenario.name, seeds, rows)

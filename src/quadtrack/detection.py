@@ -100,7 +100,13 @@ class SyntheticDetectorConfig:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
+    if not math.isfinite(n) and np.isfinite(v).all():
+        # finite entries above ~1e154 overflow the plain norm: scale by the
+        # largest magnitude first (the normal path keeps its bits)
+        v = v / np.abs(v).max()
+        n = np.linalg.norm(v)
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     if not math.isfinite(n):

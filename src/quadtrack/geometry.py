@@ -45,8 +45,10 @@ class BoundingBox:
 
     def __post_init__(self):
         # one sum is finite when every field is; only a non-finite (or
-        # overflowed) sum or a bad extent pays for the per-field messages
-        if math.isfinite(self.x + self.y + self.w + self.h) and self.w > 0 and self.h > 0:
+        # overflowed) sum or a bad extent pays for the per-field messages.
+        # The sum is of Python floats, as numpy scalars warn on overflow.
+        if (math.isfinite(float(self.x) + float(self.y) + float(self.w) + float(self.h))
+                and self.w > 0 and self.h > 0):
             return
         for name in ("x", "y", "w", "h"):
             v = getattr(self, name)

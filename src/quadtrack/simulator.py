@@ -15,22 +15,26 @@ once per control tick and zero-order-held over the physics steps up to the
 next tick.  An optional first-order lag models spin-up; the realized
 thrusts, and so the wrench, then move on every physics step.
 
-Scheduling: three periodic event streams -- physics (integrate the interval
-ending at t), control/gyro, camera -- merged by timestamp with ties ordered
-physics < control < camera, so sensors always observe a fully integrated
-state.  Event times are k/rate with integer k; per simulated second the
-stream carries exactly `rate` events.  All randomness (detector noise, gyro
-noise, object latents) flows from one seeded generator in a fixed draw
-order, so a (scenario, seed) pair fixes every output byte.
+Scheduling: the sensor layer (`sensor_stream`) merges the control/gyro and
+camera streams by timestamp, control first on ties, and reads the platform,
+a callable t -> state at the latest physics tick at or before t (a scripted
+closed form, or the closed loop's integration of every physics step up to
+t), so sensors always observe a fully integrated state.  Event times are
+k/rate with integer k; per simulated second each stream carries exactly
+`rate` events.  All randomness (detector noise, gyro noise, object latents)
+flows from one seeded generator in a fixed draw order, so a (scenario, seed)
+pair fixes every output byte.
 
 The camera is rigidly mounted looking along body x: camera X right = -body y,
 camera Y down = -body z, camera Z forward = +body x.  Scenarios may script
 the camera platform ("static", "yaw_sine") instead of flying the closed loop;
 commands are still computed and logged but not applied, which gives
 tracker-only scenarios an actuation-independent detection stream.  The
-tracker draws nothing (appearance memory follows the accepted detection's
-descriptor), so a scripted stream is independent of the tracker, and a
-closed-loop stream depends on it only through the flight.
+sensor layer reads no tracker state (its frame-time gyro rule reads the
+stream's own history), and the tracker draws nothing (appearance memory
+follows the accepted detection's descriptor), so a scripted stream is
+independent of the tracker, and a closed-loop stream depends on it only
+through the flight.
 
 Each camera frame transforms each object into the camera frame once: the
 detector keeps the frame's per-object views (box, occluded fraction), and
@@ -60,7 +64,7 @@ from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
 from .scene import SceneObject, scene_step
-from .tracker import Tracker, predicted_box
+from .tracker import PROMPT_TOL, Tracker, predicted_box
 
 GRAVITY = 9.81
 GRAVITY_VEC = (0.0, 0.0, -GRAVITY)
@@ -205,35 +209,36 @@ def camera_pose(state: QuadState) -> CameraPose:
 
 
 # ---------------------------------------------------------------------------
-# camera platform scripts
+# camera platform scripts, sensor layer and closed loop
 # ---------------------------------------------------------------------------
 
 
 class _Script:
-    """Closed-form platform state for non-closed-loop scenarios."""
+    """Scripted platform: t -> the closed-form state at the latest physics
+    tick at or before t, built once per tick that a sensor reads (once in
+    all for "static", whose state does not move)."""
 
     def __init__(self, scenario: Scenario):
-        cs = scenario.camera_script
-        self.mode = cs.mode
-        self.amplitude = cs.amplitude
-        self.period = cs.period
+        self.script, self.hz = scenario.camera_script, scenario.rates.physics_hz
         self.p0 = np.asarray(scenario.quad.start_position, dtype=float)
         self.yaw0 = scenario.quad.start_yaw
+        self.tick = self.state = None
 
-    def state_at(self, t: float) -> QuadState:
-        if self.mode == "static":
+    def __call__(self, t: float) -> QuadState:
+        cs, k = self.script, 0
+        if cs.mode == "yaw_sine":
+            k = math.floor(t * self.hz)  # then undo the product's rounding
+            k += (k + 1) / self.hz <= t
+            k -= k / self.hz > t
+        if k != self.tick:
             yaw, rate = self.yaw0, 0.0
-        else:  # yaw_sine
-            w0 = 2.0 * math.pi / self.period
-            yaw = self.yaw0 + self.amplitude * math.sin(w0 * t)
-            rate = self.amplitude * w0 * math.cos(w0 * t)
-        return QuadState(self.p0.copy(), np.zeros(3), rot_z(yaw),
-                         np.array([0.0, 0.0, rate]))
-
-
-# ---------------------------------------------------------------------------
-# run loop
-# ---------------------------------------------------------------------------
+            if cs.mode == "yaw_sine":
+                w0, t = 2.0 * math.pi / cs.period, k / self.hz
+                yaw = self.yaw0 + cs.amplitude * math.sin(w0 * t)
+                rate = cs.amplitude * w0 * math.cos(w0 * t)
+            self.tick, self.state = k, QuadState(
+                self.p0.copy(), np.zeros(3), rot_z(yaw), np.array([0.0, 0.0, rate]))
+        return self.state
 
 
 @dataclass
@@ -268,30 +273,78 @@ def build_scene(scenario: Scenario, rng: np.random.Generator) -> list[SceneObjec
     return objects
 
 
-def run(scenario: Scenario) -> RunArtifacts:
-    sc = scenario
+def _truth_record(t: float, quad: QuadState, detector: SyntheticDetector,
+                  target_id: int, cam) -> dict:
+    # the target's view of the frame the detector just projected
+    target, box, occl = next(v for v in detector.views
+                             if v.state.obj_id == target_id)
+    center = None if box is None else box.center
+    in_view = (center is not None and 0.0 <= center[0] <= cam.width
+               and 0.0 <= center[1] <= cam.height)
+    _, yaw = pitch_yaw_from_rotation(quad.R)
+    return {
+        "t": t,
+        "box": None if box is None else box.as_array(),
+        "center": center,
+        "occluded": occl,
+        "in_view": bool(in_view),
+        "quad_p": quad.p,
+        "quad_yaw": yaw,
+        "target_p": target.center,
+        "dist_xy": float(np.hypot(*(quad.p[:2] - target.center[:2]))),
+    }
+
+
+CONTROL, CAMERA = "control", "camera"
+
+
+def sensor_stream(sc: Scenario, platform, truth_trace: list):
+    """The sensor layer: yields (kind, event) in stream order, control-rate
+    gyro samples (CONTROL) and camera frames (CAMERA) on one schedule,
+    control first on ties.  It owns the seeded generator, the scene, the
+    detector and the gyro, reads `platform(t)`, the state at the latest
+    physics tick at or before t, and appends each frame's ground-truth row
+    to `truth_trace`.  Once the prompt frame has passed, a frame whose last
+    event is older than it is preceded by a gyro sample at its time."""
     cam = sc.camera.build()
     rng = np.random.default_rng(sc.seed)
     objects = build_scene(sc, rng)
     detector = SyntheticDetector(sc.detector, rng)
-    tracker = Tracker(sc.tracker.build(cam))
-    prompt_xy = (sc.prompt.x, sc.prompt.y)
-    controller = sc.controller.build(sc.quad, cam, sc.rates.control_hz)
-
-    scripted = sc.camera_script.mode != "dynamic"
-    script = _Script(sc) if scripted else None
-    quad = (script.state_at(0.0) if scripted else
-            QuadState(np.asarray(sc.quad.start_position, float), np.zeros(3),
-                      rot_z(sc.quad.start_yaw), np.zeros(3)))
-
-    n_phys = _event_count(sc.duration, sc.rates.physics_hz)
     n_ctrl = _event_count(sc.duration, sc.rates.control_hz)
     n_cam = _event_count(sc.duration, sc.rates.camera_hz)
+    prompted, last_t = False, -math.inf
+    ic = icam = 0
+    while ic < n_ctrl or icam < n_cam:
+        t_c = ic / sc.rates.control_hz if ic < n_ctrl else math.inf
+        t = icam / sc.rates.camera_hz if icam < n_cam else math.inf
+        if t_c <= t:
+            last_t = t_c
+            yield CONTROL, imu_sample(t_c, platform(t_c), sc.quad.gyro_noise, rng)
+            ic += 1
+            continue
+        quad = platform(t)
+        snapshot = scene_step(objects, t)
+        pose = camera_pose(quad)
+        if prompted and last_t < t:
+            yield CAMERA, imu_sample(t, quad, sc.quad.gyro_noise, rng)
+        dets = detector.detect(snapshot, pose, cam)
+        truth_trace.append(_truth_record(t, quad, detector, sc.target_id, cam))
+        prompted = prompted or t >= sc.prompt.t - PROMPT_TOL
+        last_t = t
+        yield CAMERA, dets
+        icam += 1
 
-    events: list = []
-    tracker_trace: list[dict] = []
-    command_trace: list[dict] = []
-    truth_trace: list[dict] = []
+
+def run(scenario: Scenario) -> RunArtifacts:
+    sc = scenario
+    cam = sc.camera.build()
+    tracker = Tracker(sc.tracker.build(cam))
+    controller = sc.controller.build(sc.quad, cam, sc.rates.control_hz)
+    hz = sc.rates.physics_hz
+    n_phys = _event_count(sc.duration, hz)
+
+    events, tracker_trace, command_trace, truth_trace = [], [], [], []
+    scripted = sc.camera_script.mode != "dynamic"
     wrench = MotorCommand(np.zeros(4), False)
     # ideal motors: the wrench changes only at a control tick, so it is
     # computed there and held; with lag it moves on every physics step
@@ -299,96 +352,55 @@ def run(scenario: Scenario) -> RunArtifacts:
     applied = (BodyCommand(*motor_wrench(wrench, sc.quad.geometry))
                if hold_wrench else None)
     rotor_thrusts = np.zeros(4)  # realized thrusts when motor lag is on
-    last_phys_t = 0.0
-    ip, ic, icam = 1, 0, 0
-    PHYS, CTRL, CAM = 0, 1, 2
+    quad = QuadState(np.asarray(sc.quad.start_position, float), np.zeros(3),
+                     rot_z(sc.quad.start_yaw), np.zeros(3))
+    ip, last_phys_t = 1, 0.0
 
-    def truth_record(t: float) -> dict:
-        # the target's view of the frame the detector just projected
-        target, box, occl = next(v for v in detector.views
-                                 if v.state.obj_id == sc.target_id)
-        center = None if box is None else box.center
-        in_view = (center is not None and 0.0 <= center[0] <= cam.width
-                   and 0.0 <= center[1] <= cam.height)
-        _, yaw = pitch_yaw_from_rotation(quad.R)
-        return {
-            "t": t,
-            "box": None if box is None else box.as_array(),
-            "center": center,
-            "occluded": occl,
-            "in_view": bool(in_view),
-            "quad_p": quad.p,
-            "quad_yaw": yaw,
-            "target_p": target.center,
-            "dist_xy": float(np.hypot(*(quad.p[:2] - target.center[:2]))),
-        }
-
-    while ip <= n_phys or ic < n_ctrl or icam < n_cam:
-        t_p = ip / sc.rates.physics_hz if ip <= n_phys else math.inf
-        t_c = ic / sc.rates.control_hz if ic < n_ctrl else math.inf
-        t_k = icam / sc.rates.camera_hz if icam < n_cam else math.inf
-        t, kind = min((t_p, PHYS), (t_c, CTRL), (t_k, CAM))
-
-        if kind == PHYS:
-            if not scripted:
-                dt = t - last_phys_t
-                if not hold_wrench:
-                    a = 1.0 - math.exp(-dt / sc.quad.motor_lag)
-                    rotor_thrusts = rotor_thrusts + a * (wrench.thrusts - rotor_thrusts)
-                    applied = BodyCommand(*motor_wrench(
-                        MotorCommand(rotor_thrusts, False), sc.quad.geometry))
-                quad = dynamics_step(quad, applied, sc.quad, dt)
-                # one sum is finite when every entry is; recheck entry by
-                # entry only when it is not, as finite entries can overflow it
-                if not math.isfinite(sum(quad.p.tolist() + quad.v.tolist()
-                                         + quad.R.ravel().tolist()
-                                         + quad.omega.tolist())) \
-                        and not np.isfinite(np.concatenate(
-                            (quad.p, quad.v, quad.R.ravel(), quad.omega))).all():
-                    raise SimulationAbort(last_phys_t, "non-finite state")
-            last_phys_t = t
+    def fly(t: float) -> QuadState:
+        # integrate every physics step at or before t
+        nonlocal quad, applied, rotor_thrusts, ip, last_phys_t
+        while ip <= n_phys and ip / hz <= t:
+            t_p = ip / hz
+            dt = t_p - last_phys_t
+            if not hold_wrench:
+                a = 1.0 - math.exp(-dt / sc.quad.motor_lag)
+                rotor_thrusts = rotor_thrusts + a * (wrench.thrusts - rotor_thrusts)
+                applied = BodyCommand(*motor_wrench(
+                    MotorCommand(rotor_thrusts, False), sc.quad.geometry))
+            quad = dynamics_step(quad, applied, sc.quad, dt)
+            flat = (quad.p.tolist() + quad.v.tolist() + quad.R.ravel().tolist()
+                    + quad.omega.tolist())
+            # a finite sum means finite entries; finite entries can overflow it
+            if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
+                raise SimulationAbort(last_phys_t, "non-finite state")
+            last_phys_t = t_p
             ip += 1
-            continue
+        return quad
 
-        if scripted:
-            # sensors read the state held at the most recent physics tick
-            quad = script.state_at(last_phys_t)
-        if kind == CTRL:
-            gyro = imu_sample(t, quad, sc.quad.gyro_noise, rng)
-            events.append(gyro)
-            tracker.feed(gyro, prompt_xy, sc.prompt.t)
+    platform = _Script(sc) if scripted else fly
+    for kind, ev in sensor_stream(sc, platform, truth_trace):
+        events.append(ev)
+        row = tracker.feed(ev, (sc.prompt.x, sc.prompt.y), sc.prompt.t)
+        if row is not None:
+            tracker_trace.append(row)
+        if kind == CONTROL:
+            t, state = ev.t, platform(ev.t)
             if tracker.initialized:
                 px, py = predicted_center(tracker)
-                cmd, motors = controller.tick(t, (px, py), quad.R, quad.omega)
+                cmd, motors = controller.tick(t, (px, py), state.R, state.omega)
             else:
-                cmd, motors = controller.hover_tick(t, quad.R, quad.omega)
+                cmd, motors = controller.hover_tick(t, state.R, state.omega)
             command_trace.append(controller.command_record(t, cmd, motors))
             wrench = motors
             if hold_wrench:
                 applied = BodyCommand(*motor_wrench(wrench, sc.quad.geometry))
-            ic += 1
-            continue
 
-        # camera frame
-        snapshot = scene_step(objects, t)
-        pose = camera_pose(quad)
-        if tracker.initialized and tracker.state.ekf.t < t:
-            gyro = imu_sample(t, quad, sc.quad.gyro_noise, rng)
-            events.append(gyro)
-            tracker.feed(gyro, prompt_xy, sc.prompt.t)
-        dets = detector.detect(snapshot, pose, cam)
-        events.append(dets)
-        truth_trace.append(truth_record(t))
-        row = tracker.feed(dets, prompt_xy, sc.prompt.t)
-        if row is not None:
-            tracker_trace.append(row)
-        icam += 1
-
-    if scripted:
-        quad = script.state_at(last_phys_t)
+    final = platform(n_phys / hz)
     metrics = (compute_metrics(tracker_trace, truth_trace, sc.metrics)
                if tracker_trace else None)
-    counts = {"physics": n_phys, "control": n_ctrl, "camera": n_cam}
+    counts = {"physics": n_phys,
+              "control": _event_count(sc.duration, sc.rates.control_hz),
+              "camera": _event_count(sc.duration, sc.rates.camera_hz)}
     summary = {
         "schema_version": 1,
         "scenario": sc.name,
@@ -397,7 +409,7 @@ def run(scenario: Scenario) -> RunArtifacts:
         "duration_s": sc.duration,
         "counts": counts,
         "metrics": None if metrics is None else metrics.as_dict(),
-        "final_quad_p": quad.p,
+        "final_quad_p": final.p,
         "final_dist_xy": truth_trace[-1]["dist_xy"] if truth_trace else None,
     }
     return RunArtifacts(sc, events, tracker_trace, command_trace, truth_trace,

@@ -50,6 +50,7 @@ log = logging.getLogger(__name__)
 
 MIN_BOX_SIZE = 1.0       # px; filter mean w/h are clamped here
 STALE_GYRO_DT = 0.1      # s; longer prediction gaps are flagged as stale
+PROMPT_TOL = 1e-9        # s; a frame this close before the prompt time is the prompt frame
 MAX_INNOVATION_COND = 1e12
 
 DEFAULT_WEIGHTS = (3.0, 3.0, 4.0)
@@ -203,11 +204,19 @@ def _rotational_flow(mean, w, cam: CameraModel):
     return du, dv, a, b, c, d
 
 
+def _gyro_rows(dt: float, a: float, b: float, c: float, d: float) -> tuple:
+    """Columns 0..3 of F's rows 0 and 1, where the flow partials (a, b, c, d)
+    enter; `ekf_predict` and `predict_jacobian` share this definition."""
+    return ((1.0 + dt * a, dt * b, dt * a / 2.0, dt * b / 2.0),
+            (dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0))
+
+
 def _transition(dt: float, a: float, b: float, c: float, d: float) -> np.ndarray:
     """F for flow partials (a, b, c, d); all zero without gyro compensation."""
+    g0, g1 = _gyro_rows(dt, a, b, c, d)
     return np.array([
-        [1.0 + dt * a, dt * b, dt * a / 2.0, dt * b / 2.0, dt, 0.0],
-        [dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0, 0.0, dt],
+        [*g0, dt, 0.0],
+        [*g1, 0.0, dt],
         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
@@ -278,8 +287,7 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
          max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy]
     # rows 0 and 1 of F (_transition): g0 = [f00 f01 f02 f03 dt 0],
     # g1 = [f10 f11 f12 f13 0 dt]
-    f00, f01, f02, f03 = 1.0 + dt * a, dt * b, dt * a / 2.0, dt * b / 2.0
-    f10, f11, f12, f13 = dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0
+    (f00, f01, f02, f03), (f10, f11, f12, f13) = _gyro_rows(dt, a, b, c, d)
     P = state.cov.tolist()
     u0 = [p0 * f00 + p1 * f01 + p2 * f02 + p3 * f03 + p4 * dt
           for p0, p1, p2, p3, p4, _ in P]
@@ -571,7 +579,7 @@ class Tracker:
             raise TypeError(f"unexpected event type {type(ev).__name__}")
         if self.state is not None:
             res = self.step(ev)
-        elif ev.t < prompt_t - 1e-9:
+        elif ev.t < prompt_t - PROMPT_TOL:
             return None
         else:
             # the initialization frame counts as a lock, unscored, with the

@@ -1,11 +1,13 @@
 """Synthetic detector: failure injection, draw discipline, target features."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from quadtrack import detection
+from quadtrack import detection, scenarios, simulator
 from quadtrack.detection import (DetectionSet, SyntheticDetector,
                                  SyntheticDetectorConfig)
 from quadtrack.errors import DetectorAbort
@@ -431,10 +433,41 @@ def test_config_accepts_equal_false_positive_sizes():
     ("feature_noise", "descriptor norm is not finite"),
 ])
 def test_noise_overflow_raises_detector_abort_with_frame_time(name, message):
-    # on seed 6 every setting overflows: a centre draw beyond 1.8 sigma and
-    # a positive size draw (a negative one clamps the box to 1 px)
-    det = SyntheticDetector(quiet_config(**{name: 1e308}), np.random.default_rng(6))
+    # on seed 13 every setting overflows to inf: a centre draw beyond 1.8
+    # sigma, a positive size draw (a negative one clamps the box to 1 px),
+    # and a descriptor draw beyond 1.8 sigma (finite descriptor entries,
+    # however large, are normalised)
+    det = SyntheticDetector(quiet_config(**{name: 1e308}), np.random.default_rng(13))
     target = state(1, (0.0, 0.0, 10.0), latent=unit(0))
     with pytest.raises(DetectorAbort, match=f"^detector: {message}.* at t=1.250000 s$") as err:
         det.detect(snap([target], t=1.25), POSE, CAM)
     assert err.value.t == 1.25
+
+
+def test_unit_scales_finite_entries_whose_norm_overflows():
+    # the plain norm of entries above ~1e154 overflows; the vector is then
+    # scaled by its largest magnitude before normalising, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = detection._unit(np.array([3e200, -4e200, 0.0]))
+    np.testing.assert_allclose(u, [0.6, -0.8, 0.0], rtol=1e-15)
+    # the normal path keeps its bits
+    v = np.random.default_rng(3).normal(size=256)
+    assert np.array_equal(detection._unit(v), v / np.linalg.norm(v))
+    with pytest.raises(ValueError, match="descriptor norm is not finite"):
+        detection._unit(np.array([np.inf, 1.0]))
+
+
+def test_finite_feature_noise_beyond_the_norm_range_runs_to_the_end():
+    # storm with feature_noise = 1e200: latent + noise is finite, so every
+    # descriptor normalises and the run ends without a RuntimeWarning
+    sc = scenarios.get("false_positive_storm")
+    sc = dataclasses.replace(
+        sc, detector=dataclasses.replace(sc.detector, feature_noise=1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        art = simulator.run(sc)
+    assert len(art.truth_trace) == art.counts["camera"]
+    assert all(np.isclose(np.linalg.norm(d.descriptor), 1.0)
+               for ev in art.events if isinstance(ev, DetectionSet)
+               for d in ev.detections)

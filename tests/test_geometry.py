@@ -1,6 +1,7 @@
 """Boxes, IOU, pinhole projection, and rotation helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_box_accepts_finite_fields_whose_sum_overflows():
     # sum of finite fields falls back to the per-field check and passes
     b = BoundingBox(1e308, 1e308, 1e308, 1e308)
     assert b.x == 1e308 and b.h == 1e308
+
+
+def test_box_with_numpy_fields_whose_sum_overflows_does_not_warn():
+    # numpy scalars warn when their sum overflows, and Tier-1 turns a
+    # RuntimeWarning into an error; the check sums Python floats instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = BoundingBox(0.0, np.float64(0.0), 1e308, 1e308)
+    assert b.w == 1e308
 
 
 def test_box_array_round_trip():

@@ -20,7 +20,7 @@ from quadtrack.errors import (ControllerAbort, FilterDegenerateError,
                               SimulationAbort)
 from quadtrack.geometry import (is_rotation, nearest_rotation, rot_z,
                                 zyx_matrix)
-from quadtrack.logio import event_line
+from quadtrack.logio import _json_compact, event_line
 from quadtrack.replay import replay_track
 from quadtrack.scene import (SceneObject, SinusoidMotion, StaticMotion,
                              WaypointMotion, scene_step)
@@ -332,6 +332,29 @@ def test_scripted_stream_independent_of_tracker_weights(name, seed):
     assert sc.tracker.weights == (3.0, 3.0, 4.0)
     assert ([event_line(e) for e in run(iou_only).events]
             == [event_line(e) for e in run(sc).events])
+
+
+@pytest.mark.parametrize("name,seed,duration", [
+    ("occlusion_decoy", 1, None),          # the default seeds
+    ("false_positive_storm", 2, None),
+    ("rotation_only", 41, None),
+    ("occlusion_decoy", 7001, 10.0),       # held out
+    ("false_positive_storm", 7002, None),
+    ("rotation_only", 7041, None),
+])
+def test_sensor_layer_alone_reproduces_the_run_stream(name, seed, duration):
+    # the scripted platform and the sensor layer, with no tracker and no
+    # controller, give run()'s events and truth rows
+    sc = _bundled(name, seed, duration)
+    art = run(sc)
+    truth = []
+    stream = list(simulator.sensor_stream(sc, simulator._Script(sc), truth))
+    assert [event_line(e) for _, e in stream] == [event_line(e) for e in art.events]
+    assert [_json_compact(r) for r in truth] == [_json_compact(r) for r in art.truth_trace]
+    assert _exact(truth) == _exact(art.truth_trace)
+    # the frame-time gyro samples belong to their frames
+    gyros = [k for k, e in stream if isinstance(e, GyroSample)]
+    assert gyros.count(simulator.CONTROL) == art.counts["control"]
 
 
 def test_scripted_camera_holds_position():
