@@ -5,12 +5,14 @@ values raise ConfigError with a dotted path to the offending field.  A
 scenario survives save -> load -> save byte-identically, and scenario_hash
 gives a stable content address used in run summaries.
 
-The detector, metrics and quad sections are the types their layers run on
-(SyntheticDetectorConfig, MetricsParams and QuadConfig, whose mixer
-geometry is built on first use).  The camera, tracker and controller
-sections build their layer's type (CameraConfig.build, TrackerParams.build,
-ControllerParams.build); the tracker and controller sections take their
-defaults from the types they build, so each default number is written once.
+The detector, metrics, quad and objects sections are the types their
+layers run on (SyntheticDetectorConfig, MetricsParams, QuadConfig, whose
+mixer geometry is built on first use, and ObjectConfig, whose
+MotionConfig.at(t) gives the object's position).  The camera, tracker and
+controller sections build their layer's type (CameraConfig.build,
+TrackerParams.build, ControllerParams.build); the tracker and controller
+sections take their defaults from the types they build, so each default
+number is written once.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
+
+import numpy as np
 
 from .controller import (DERIV_TAU, AttitudeGains, ControllerGains,
                          MixerGeometry, VisualController)
@@ -27,7 +32,6 @@ from .detection import SyntheticDetectorConfig
 from .errors import ConfigError
 from .geometry import CameraModel
 from .metrics import MetricsParams
-from .scene import SinusoidMotion, StaticMotion, WaypointMotion
 from .tracker import DEFAULT_WEIGHTS, TrackerConfig, TrackerWeights
 
 SCHEMA_VERSION = 1
@@ -59,6 +63,27 @@ def _build(cls, d: dict, ctx: str):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _finite(x) -> bool:
+    """x is a finite real number (a bool is not a number here)."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _numbers(v, n: int) -> bool:
+    """v is a tuple or list of n finite real numbers."""
+    return (isinstance(v, (tuple, list)) and len(v) == n
+            and all(map(_finite, v)))
+
+
+def _cast(kind, v, ctx: str):
+    """kind(v) for a JSON number; anything kind() rejects is a ConfigError
+    naming the field."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{ctx}: expected a number, got {v!r}") from None
 
 
 def _check_layer(section: str, build) -> None:
@@ -146,6 +171,11 @@ _MOTION_KEYS = {
 
 @dataclass(frozen=True)
 class MotionConfig:
+    """An object's closed-form position script, evaluated by `at(t)`:
+    static; waypoints (t, x, y, z), linear between them and clamped outside
+    them, so an object parks at its last one; or sinusoid, center +
+    amplitude * sin(2 pi t / period + phase) componentwise."""
+
     mode: str
     position: tuple | None = None
     waypoints: tuple | None = None
@@ -165,27 +195,41 @@ class MotionConfig:
                 raise ConfigError(
                     f"motion: key {f.name!r} not valid for mode {self.mode!r}")
         if self.mode == "static":
-            _require(self.position is not None and len(self.position) == 3,
-                     "motion: static needs position = xyz")
+            _require(_numbers(self.position, 3),
+                     "motion: static needs position = xyz, finite numbers")
         elif self.mode == "waypoints":
-            _require(self.waypoints is not None and len(self.waypoints) >= 2,
+            wps = self.waypoints
+            _require(isinstance(wps, (tuple, list)) and len(wps) >= 2,
                      "motion: waypoints needs >= 2 entries")
-            for wp in self.waypoints:
-                _require(len(wp) == 4, "motion: waypoint entries are (t, x, y, z)")
+            for wp in wps:
+                _require(_numbers(wp, 4), "motion: waypoint entries are "
+                         "(t, x, y, z), finite numbers")
+            _require(all(a[0] < b[0] for a, b in zip(wps, wps[1:])),
+                     "motion: waypoint times must be strictly increasing")
         else:
-            _require(self.center is not None and len(self.center) == 3,
-                     "motion: sinusoid needs center = xyz")
-            _require(self.amplitude is not None and len(self.amplitude) == 3,
-                     "motion: sinusoid needs amplitude = xyz")
-            _require(self.period is not None and self.period > 0,
-                     "motion: sinusoid needs positive period")
+            for name in ("center", "amplitude"):
+                _require(_numbers(getattr(self, name), 3),
+                         f"motion: sinusoid needs {name} = xyz, finite numbers")
+            _require(_finite(self.period) and self.period > 0,
+                     "motion: sinusoid needs positive period, a finite number")
+            _require(_finite(self.phase), "motion: phase must be a finite number")
 
-    def build(self):
+    def at(self, t: float) -> np.ndarray:
+        """World position at time t; closed-form, so any t in any order."""
         if self.mode == "static":
-            return StaticMotion(self.position)
+            return np.asarray(self.position, dtype=float)
         if self.mode == "waypoints":
-            return WaypointMotion([(w[0], w[1:]) for w in self.waypoints])
-        return SinusoidMotion(self.center, self.amplitude, self.period, self.phase)
+            wps = self.waypoints
+            if t <= wps[0][0]:
+                return np.asarray(wps[0][1:], dtype=float)
+            for w0, w1 in zip(wps, wps[1:]):
+                if t <= w1[0]:
+                    a = (t - w0[0]) / (w1[0] - w0[0])
+                    p0, p1 = np.asarray(w0[1:], float), np.asarray(w1[1:], float)
+                    return (1.0 - a) * p0 + a * p1
+            return np.asarray(wps[-1][1:], dtype=float)
+        arg = 2.0 * np.pi * t / self.period + self.phase
+        return np.asarray(self.center, float) + np.asarray(self.amplitude, float) * np.sin(arg)
 
     def to_dict(self) -> dict:
         out = {"mode": self.mode}
@@ -206,8 +250,9 @@ class ObjectConfig:
     occluder: bool = False
 
     def __post_init__(self):
-        _require(len(self.size) == 2 and all(s > 0 for s in self.size),
-                 f"object {self.obj_id}: size must be 2 positive values (w, h)")
+        _require(_numbers(self.size, 2) and all(s > 0 for s in self.size),
+                 f"object {self.obj_id}: size must be 2 positive values (w, h), "
+                 "finite numbers")
 
     @staticmethod
     def from_dict(d: dict, ctx: str) -> "ObjectConfig":
@@ -217,8 +262,9 @@ class ObjectConfig:
         for key in ("obj_id", "size", "motion"):
             _require(key in d, f"{ctx}: missing {key!r}")
         motion = _build(MotionConfig, d["motion"], f"{ctx}.motion")
-        return ObjectConfig(int(d["obj_id"]), tuple(d["size"]), motion,
-                            bool(d.get("occluder", False)))
+        size = tuple(d["size"]) if isinstance(d["size"], list) else d["size"]
+        return ObjectConfig(_cast(int, d["obj_id"], f"{ctx}.obj_id"), size,
+                            motion, bool(d.get("occluder", False)))
 
     def to_dict(self) -> dict:
         return {"obj_id": self.obj_id, "size": self.size,
@@ -293,6 +339,9 @@ class PromptConfig:
     t: float = 0.0
 
     def __post_init__(self):
+        for name in ("x", "y", "t"):
+            _require(_finite(getattr(self, name)),
+                     f"prompt: {name} must be a finite number")
         _require(self.t >= 0, "prompt: time must be non-negative")
 
 
@@ -317,7 +366,11 @@ class Scenario:
     def __post_init__(self):
         _require(self.schema_version == SCHEMA_VERSION,
                  f"scenario: unsupported schema_version {self.schema_version}")
-        _require(self.duration > 0, "scenario: duration must be positive")
+        _require(isinstance(self.seed, numbers.Integral)
+                 and not isinstance(self.seed, bool) and self.seed >= 0,
+                 f"scenario: seed must be an integer >= 0, got {self.seed!r}")
+        _require(_finite(self.duration) and self.duration > 0,
+                 "scenario: duration must be positive and finite")
         _require(len(self.objects) > 0, "scenario: needs at least one object")
         ids = [o.obj_id for o in self.objects]
         _require(len(ids) == len(set(ids)), "scenario: duplicate obj_id")
@@ -362,10 +415,11 @@ class Scenario:
                         for i, o in enumerate(objs))
         kwargs = dict(
             name=str(d["name"]),
-            seed=int(d["seed"]),
-            duration=float(d["duration"]),
-            target_id=int(d.get("target_id", 0)),
-            schema_version=int(d.get("schema_version", SCHEMA_VERSION)),
+            seed=d["seed"],
+            duration=_cast(float, d["duration"], "scenario.duration"),
+            target_id=_cast(int, d.get("target_id", 0), "scenario.target_id"),
+            schema_version=_cast(int, d.get("schema_version", SCHEMA_VERSION),
+                                 "scenario.schema_version"),
             objects=objects,
             prompt=_build(PromptConfig, d["prompt"], "scenario.prompt"),
         )

@@ -33,7 +33,8 @@ allocation inverse, kept as floats on the MixerGeometry, instead of a
 solve.  Only the rotor thrusts leave as an array.  A tick fails closed: a
 non-finite thrust, desired attitude, torque or rotor thrust raises
 ControllerAbort with the tick time, instead of reaching the plant or the
-command log.
+command log; a force demand or heading that no attitude realizes raises
+DegenerateForceError or DegenerateHeadingError, also with the tick time.
 """
 
 from __future__ import annotations
@@ -412,9 +413,12 @@ class VisualController:
     def _attitude(self, t, Rl, omega, f_des, yaw_d, err, sp, pitch_accel_hat):
         """Thrust, desired attitude, torques and rotor thrusts for a force
         demand and heading; raises ControllerAbort when any of them is not
-        finite."""
+        finite, and a degenerate demand's error with the tick time."""
         tau_d = thrust_from_force(f_des, Rl)
-        R_des = desired_rotation(f_des, yaw_d)
+        try:
+            R_des = desired_rotation(f_des, yaw_d)
+        except (DegenerateForceError, DegenerateHeadingError) as e:
+            raise type(e)(str(e), t) from None
         torques = attitude_control(Rl, omega.tolist(), R_des, self.att_gains,
                                    self.inertia)
         motors = mix(tau_d, torques, self.geom)

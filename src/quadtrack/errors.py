@@ -21,11 +21,22 @@ class DegenerateAttitudeError(RuntimeAbort):
     """Pitch within 1e-6 of +/- pi/2: yaw/pitch extraction is undefined."""
 
 
-class DegenerateForceError(RuntimeAbort):
+class _DegenerateDemand(RuntimeAbort):
+    """A force demand and heading that no attitude realizes.  Raised from a
+    control tick, it names the controller and carries the tick time, as
+    ControllerAbort does; raised with the message alone, t is None."""
+
+    def __init__(self, message: str, t: float | None = None):
+        super().__init__(message if t is None
+                         else f"controller: {message} at t={t:.6f} s")
+        self.t = t
+
+
+class DegenerateForceError(_DegenerateDemand):
     """Desired force vector has near-zero norm; no attitude can realize it."""
 
 
-class DegenerateHeadingError(RuntimeAbort):
+class DegenerateHeadingError(_DegenerateDemand):
     """Heading reference (anti)parallel to the desired thrust axis."""
 
 

@@ -1,10 +1,12 @@
 """Scripted 3-D scenes: objects with closed-form trajectories.
 
-Objects are world-axis-aligned boxes.  Detectable objects carry a unit
-"latent" appearance vector that the synthetic detector perturbs into
-descriptors.  Objects flagged as occluders are scenery: they block the view
-of whatever lies behind them but never emit detections themselves and carry
-no latent.
+Objects are world-axis-aligned boxes.  The scene runs on the scenario's
+objects section: `simulator.build_scene` pairs each ObjectConfig with its
+latent in object-id order, and `scene_step` evaluates each object's
+MotionConfig.at(t).  Detectable objects carry a unit "latent" appearance
+vector that the synthetic detector perturbs into descriptors.  Objects
+flagged as occluders are scenery: they block the view of whatever lies
+behind them but never emit detections themselves and carry no latent.
 """
 
 from __future__ import annotations
@@ -14,87 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class Motion:
-    """Closed-form position script; subclasses implement position(t)."""
-
-    def position(self, t: float) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-@dataclass
-class StaticMotion(Motion):
-    point: np.ndarray
-
-    def position(self, t: float) -> np.ndarray:
-        return np.asarray(self.point, dtype=float)
-
-
-@dataclass
-class WaypointMotion(Motion):
-    """Piecewise-linear interpolation through (t, xyz) waypoints.
-
-    Clamps to the first/last waypoint outside the scripted interval, so an
-    object parks at its final position instead of extrapolating.
-    """
-
-    waypoints: list[tuple[float, np.ndarray]]
-
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
-            raise ValueError("waypoint motion needs at least two waypoints")
-        ts = [t for t, _ in self.waypoints]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("waypoint times must be strictly increasing")
-
-    def position(self, t: float) -> np.ndarray:
-        wps = self.waypoints
-        if t <= wps[0][0]:
-            return np.asarray(wps[0][1], dtype=float)
-        for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
-            if t <= t1:
-                a = (t - t0) / (t1 - t0)
-                return (1.0 - a) * np.asarray(p0, float) + a * np.asarray(p1, float)
-        return np.asarray(wps[-1][1], dtype=float)
-
-
-@dataclass
-class SinusoidMotion(Motion):
-    """center + amplitude * sin(2 pi t / period + phase), componentwise."""
-
-    center: np.ndarray
-    amplitude: np.ndarray
-    period: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("sinusoid period must be positive")
-
-    def position(self, t: float) -> np.ndarray:
-        arg = 2.0 * np.pi * t / self.period + self.phase
-        return np.asarray(self.center, float) + np.asarray(self.amplitude, float) * np.sin(arg)
-
-
-@dataclass
-class SceneObject:
-    """A scripted box in the world.
-
-    latent is None exactly when occluder is True; detectable objects get
-    their latent assigned when the scene is instantiated for a run.
-    """
-
-    obj_id: int
-    size: np.ndarray  # (3,) extent, m
-    motion: Motion
-    occluder: bool = False
-    latent: np.ndarray | None = None
-
-
 @dataclass
 class ObjectState:
     obj_id: int
     center: np.ndarray
-    size: np.ndarray
+    size: tuple                  # (w, h) extent, m, as the scenario gives it
     occluder: bool
     latent: np.ndarray | None
 
@@ -107,12 +33,12 @@ class SceneSnapshot:
     objects: list[ObjectState] = field(default_factory=list)
 
 
-def scene_step(objects: list[SceneObject], t: float) -> SceneSnapshot:
-    """Evaluate every motion script at time t (scripts are closed-form, so
-    this is random-access: any t, any order)."""
-    states = [
-        ObjectState(o.obj_id, o.motion.position(t), np.asarray(o.size, float),
-                    o.occluder, o.latent)
-        for o in sorted(objects, key=lambda o: o.obj_id)
-    ]
-    return SceneSnapshot(t, states)
+def scene_step(objects: list, t: float) -> SceneSnapshot:
+    """Evaluate every object's motion at time t.  `objects` are
+    (ObjectConfig, latent) pairs in object-id order, as build_scene returns
+    them; motions are closed-form, so this is random-access: any t, any
+    order."""
+    return SceneSnapshot(t, [
+        ObjectState(o.obj_id, o.motion.at(t), o.size, o.occluder, latent)
+        for o, latent in objects
+    ])

@@ -36,7 +36,10 @@ follows the accepted detection's descriptor), so a scripted stream is
 independent of the tracker, and a closed-loop stream depends on it only
 through the flight.
 
-Each camera frame transforms each object into the camera frame once: the
+The scene is the scenario's objects section: `build_scene` pairs each
+ObjectConfig with its latent in object-id order, and each camera frame's
+`scene_step` evaluates every object's MotionConfig.at(t).  Each camera
+frame transforms each object into the camera frame once: the
 detector keeps the frame's per-object views (box, occluded fraction), and
 the ground-truth row reads the target's from them.  The controller tick runs
 on Python floats and raises ControllerAbort on a non-finite output, so a bad
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import QuadConfig, Scenario, scenario_hash
-from .controller import BodyCommand, MotorCommand, motor_wrench
+from .controller import GRAVITY_VEC, BodyCommand, MotorCommand, motor_wrench
 from .detection import GyroSample, SyntheticDetector
 from .errors import SimulationAbort
 # project_box is no longer called here (the detector's frame views carry the
@@ -63,11 +66,8 @@ from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
                        pitch_yaw_from_rotation, project_box, rot_z)
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
-from .scene import SceneObject, scene_step
+from .scene import scene_step
 from .tracker import PROMPT_TOL, Tracker, predicted_box
-
-GRAVITY = 9.81
-GRAVITY_VEC = (0.0, 0.0, -GRAVITY)
 
 # camera-from-body: rows are the camera axes expressed in body coordinates.
 CAMERA_FROM_BODY = np.array([
@@ -259,17 +259,18 @@ def _event_count(duration: float, rate: int) -> int:
     return int(r) if abs(n - r) < 1e-6 else math.ceil(n)
 
 
-def build_scene(scenario: Scenario, rng: np.random.Generator) -> list[SceneObject]:
-    """Instantiate scene objects; detectable ones draw their latent vectors
-    from `rng` in object-id order (part of the run's fixed draw order)."""
+def build_scene(scenario: Scenario, rng: np.random.Generator) -> list[tuple]:
+    """The scene: (ObjectConfig, latent) pairs in object-id order, which is
+    the order scene_step evaluates them in.  Detectable objects draw their
+    latent vectors from `rng` in that order (part of the run's fixed draw
+    order); occluders get None."""
     objects = []
     for oc in sorted(scenario.objects, key=lambda o: o.obj_id):
         latent = None
         if not oc.occluder:
             raw = rng.normal(0.0, 1.0, size=scenario.detector.descriptor_dim)
             latent = raw / np.linalg.norm(raw)
-        objects.append(SceneObject(oc.obj_id, np.asarray(oc.size, float),
-                                   oc.motion.build(), oc.occluder, latent))
+        objects.append((oc, latent))
     return objects
 
 

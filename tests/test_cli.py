@@ -137,32 +137,59 @@ def test_sim_rejects_bad_layer_values_exits_1(tmp_path, capsys, section, key,
 
 
 def _bad_runs():
-    """Three scenarios that fail in different layers, with the exit code and
-    the stderr line `quadtrack sim` owes each."""
+    """Scenarios (and flags) that fail in different layers or at load, with
+    the exit code and the stderr line `quadtrack sim` owes each."""
     ctrl = make_scenario().to_dict()
     ctrl["controller"].update(kp_thrust=1e307, kp_roll=1e307)
     fp_size = scenarios.get("false_positive_storm").to_dict()
     fp_size["detector"].update(fp_size_min=-50.0, fp_size_max=-10.0)
     noise = scenarios.get("false_positive_storm").to_dict()
     noise["detector"]["center_noise_px"] = 1e308
+
+    def edit(change):
+        d = make_scenario().to_dict()
+        change(d)
+        return d
+
+    def backwards(d):
+        d["objects"][0]["motion"] = {"mode": "waypoints", "waypoints": [
+            [0.0, 12.0, 0.0, 1.5], [2.0, 14.0, 0.0, 1.5], [1.0, 16.0, 0.0, 1.5]]}
+
+    position = lambda v: lambda d: d["objects"][0]["motion"].update(position=v)
     return [
-        ("controller_overflow", ctrl, 2, "abort: controller: non-finite thrust at t="),
-        ("negative_fp_sizes", fp_size, 1, "error: scenario.detector: false-positive sizes"),
-        ("detector_overflow", noise, 2, "abort: detector: box field"),
+        ("controller_overflow", ctrl, (), 2, "abort: controller: non-finite thrust at t="),
+        ("negative_fp_sizes", fp_size, (), 1, "error: scenario.detector: false-positive sizes"),
+        ("detector_overflow", noise, (), 2, "abort: detector: box field"),
+        ("negative_seed", edit(lambda d: d.update(seed=-1)), (), 1,
+         "error: scenario: seed must be an integer >= 0"),
+        ("negative_seed_flag", make_scenario().to_dict(), ("--seed", "-1"), 1,
+         "error: scenario: seed must be an integer >= 0"),
+        ("duration_string", edit(lambda d: d.update(duration="x")), (), 1,
+         "error: scenario.duration: expected a number"),
+        ("size_string", edit(lambda d: d["objects"][0].update(size=["a", 1])), (), 1,
+         "error: object 0: size must be 2 positive values"),
+        ("position_string", edit(position([10, 0, "x"])), (), 1,
+         "error: motion: static needs position = xyz, finite numbers"),
+        ("position_nan", edit(position([10, 0, float("nan")])), (), 1,
+         "error: motion: static needs position = xyz, finite numbers"),
+        ("prompt_string", edit(lambda d: d["prompt"].update(x="a")), (), 1,
+         "error: prompt: x must be a finite number"),
+        ("waypoints_backwards", edit(backwards), (), 1,
+         "error: motion: waypoint times must be strictly increasing"),
     ]
 
 
-@pytest.mark.parametrize("name,scenario,code,message", _bad_runs(),
+@pytest.mark.parametrize("name,scenario,flags,code,message", _bad_runs(),
                          ids=[r[0] for r in _bad_runs()])
 def test_sim_process_fails_with_exit_code_and_no_traceback(tmp_path, name, scenario,
-                                                           code, message):
+                                                           flags, code, message):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(scenario))
     src = os.path.dirname(os.path.dirname(os.path.abspath(quadtrack.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
-        [sys.executable, "-m", "quadtrack", "sim", str(path), "--out",
+        [sys.executable, "-m", "quadtrack", "sim", str(path), *flags, "--out",
          str(tmp_path / "run")], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

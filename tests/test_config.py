@@ -176,6 +176,11 @@ def test_non_object_sections_raise():
 
 def test_scenario_validation():
     raises_with("duration must be positive", minimal_scenario, duration=0.0)
+    raises_with("duration must be positive and finite", minimal_scenario,
+                duration=float("inf"))
+    raises_with("seed must be an integer >= 0", minimal_scenario, seed=-1)
+    raises_with("seed must be an integer >= 0", minimal_scenario, seed=1.5)
+    raises_with("seed must be an integer >= 0", minimal_scenario().with_seed, -3)
     raises_with("needs at least one object", minimal_scenario, objects=())
     obj = minimal_scenario().objects[0]
     raises_with("duplicate obj_id", minimal_scenario, objects=(obj, obj))
@@ -296,6 +301,22 @@ def test_motion_mode_validation():
     raises_with("sinusoid needs positive period",
                 MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
                 amplitude=(1.0, 0.0, 0.0), period=0.0)
+    # coordinates are finite numbers, and waypoint times increase
+    raises_with("sinusoid needs amplitude = xyz, finite numbers",
+                MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
+                amplitude=(1.0, float("nan"), 0.0), period=2.0)
+    raises_with("sinusoid needs positive period, a finite number",
+                MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
+                amplitude=(1.0, 0.0, 0.0), period=float("inf"))
+    raises_with("phase must be a finite number",
+                MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
+                amplitude=(1.0, 0.0, 0.0), period=2.0, phase="0")
+    raises_with("waypoint entries are (t, x, y, z), finite numbers",
+                MotionConfig, "waypoints",
+                waypoints=((0.0, 1.0, 2.0, "3"), (1.0, 2.0, 3.0, 4.0)))
+    raises_with("waypoint times must be strictly increasing",
+                MotionConfig, "waypoints",
+                waypoints=((1.0, 1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)))
 
 
 def test_motion_to_dict_drops_inapplicable_fields():
@@ -309,6 +330,7 @@ def test_motion_to_dict_drops_inapplicable_fields():
 
 def test_prompt_and_rates_validation():
     raises_with("prompt: time must be non-negative", PromptConfig, 1.0, 2.0, -0.5)
+    raises_with("prompt: y must be a finite number", PromptConfig, 1.0, float("inf"))
     raises_with("rates: require", RatesConfig, 1000, 100, 0)
 
 

@@ -755,6 +755,25 @@ def test_tick_centered_target_requests_forward_lean():
     assert is_rotation(cmd.rotation_des, tol=1e-9)
 
 
+@pytest.mark.parametrize("pitch_accel,error,message", [
+    # the floored demand is (0, 0, 0): no thrust axis
+    (0.0, DegenerateForceError, "controller: force demand norm 0.000e+00 too small"),
+    # the demand lies along body x, the heading
+    (0.5, DegenerateHeadingError, "controller: heading parallel to thrust axis"),
+])
+def test_tick_degenerate_demand_names_the_controller_and_the_time(pitch_accel, error,
+                                                                  message):
+    # literal force f_d = m (R a_b + g) points down at level attitude with the
+    # target on the setpoint; a zero floor leaves only a_pitch_hat along x
+    gains = ControllerGains(pitch_accel=pitch_accel, min_thrust_frac=0.0)
+    ctl = VisualController(CAM, gains, AttitudeGains(), MixerGeometry(), INERTIA,
+                           dt=0.01, literal=True)
+    with pytest.raises(error) as ei:
+        ctl.tick(0.25, (480.0, 272.0), np.eye(3), np.zeros(3))
+    assert str(ei.value) == f"{message} at t=0.250000 s"
+    assert ei.value.t == 0.25
+
+
 def test_tick_command_record_schema():
     ctl = make_controller()
     cmd, motors = ctl.tick(0.0, (500.0, 250.0), np.eye(3), np.zeros(3))

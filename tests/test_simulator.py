@@ -16,14 +16,13 @@ from quadtrack.config import (CameraScriptConfig, MotionConfig, ObjectConfig,
 from quadtrack.controller import BodyCommand
 from quadtrack.detection import (DetectionSet, GyroSample,
                                  SyntheticDetectorConfig)
-from quadtrack.errors import (ControllerAbort, FilterDegenerateError,
-                              SimulationAbort)
+from quadtrack.errors import (ConfigError, ControllerAbort,
+                              FilterDegenerateError, SimulationAbort)
 from quadtrack.geometry import (is_rotation, nearest_rotation, rot_z,
                                 zyx_matrix)
 from quadtrack.logio import _json_compact, event_line
 from quadtrack.replay import replay_track
-from quadtrack.scene import (SceneObject, SinusoidMotion, StaticMotion,
-                             WaypointMotion, scene_step)
+from quadtrack.scene import scene_step
 from quadtrack.simulator import (CAMERA_FROM_BODY, QuadState,
                                  _event_count, camera_pose, dynamics_step,
                                  imu_sample, run, write_run)
@@ -193,41 +192,83 @@ def test_camera_mount_definition():
 
 
 def test_static_motion():
-    m = StaticMotion(np.array([1.0, 2.0, 3.0]))
-    assert np.array_equal(m.position(0.0), [1.0, 2.0, 3.0])
-    assert np.array_equal(m.position(99.0), [1.0, 2.0, 3.0])
+    m = MotionConfig("static", position=(1.0, 2.0, 3.0))
+    assert np.array_equal(m.at(0.0), [1.0, 2.0, 3.0])
+    assert np.array_equal(m.at(99.0), [1.0, 2.0, 3.0])
 
 
 def test_waypoint_motion_interpolates_and_clamps():
-    m = WaypointMotion([(0.0, np.array([0.0, 0.0, 0.0])),
-                        (10.0, np.array([70.0, 0.0, 0.0]))])
-    assert np.allclose(m.position(5.0), [35.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(m.position(2.0), [14.0, 0.0, 0.0], atol=1e-12)
-    assert np.array_equal(m.position(-1.0), [0.0, 0.0, 0.0])
-    assert np.array_equal(m.position(25.0), [70.0, 0.0, 0.0])
+    m = MotionConfig("waypoints", waypoints=((0.0, 0.0, 0.0, 0.0),
+                                             (10.0, 70.0, 0.0, 0.0)))
+    assert np.allclose(m.at(5.0), [35.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(m.at(2.0), [14.0, 0.0, 0.0], atol=1e-12)
+    assert np.array_equal(m.at(-1.0), [0.0, 0.0, 0.0])
+    assert np.array_equal(m.at(25.0), [70.0, 0.0, 0.0])
 
 
 def test_waypoint_motion_validation():
-    with pytest.raises(ValueError):
-        WaypointMotion([(0.0, np.zeros(3))])
-    with pytest.raises(ValueError):
-        WaypointMotion([(0.0, np.zeros(3)), (0.0, np.ones(3))])
-    with pytest.raises(ValueError):
-        WaypointMotion([(1.0, np.zeros(3)), (0.5, np.ones(3))])
+    with pytest.raises(ConfigError):
+        MotionConfig("waypoints", waypoints=((0.0, 0.0, 0.0, 0.0),))
+    with pytest.raises(ConfigError):
+        MotionConfig("waypoints", waypoints=((0.0, 0.0, 0.0, 0.0),
+                                             (0.0, 1.0, 1.0, 1.0)))
+    with pytest.raises(ConfigError):
+        MotionConfig("waypoints", waypoints=((1.0, 0.0, 0.0, 0.0),
+                                             (0.5, 1.0, 1.0, 1.0)))
 
 
 def test_sinusoid_motion_periodic():
-    m = SinusoidMotion(np.array([5.0, 0.0, 1.0]), np.array([2.0, 0.0, 0.0]),
-                       period=4.0, phase=0.3)
+    m = MotionConfig("sinusoid", center=(5.0, 0.0, 1.0),
+                     amplitude=(2.0, 0.0, 0.0), period=4.0, phase=0.3)
     for t in (0.0, 0.7, 2.1):
-        assert np.allclose(m.position(t), m.position(t + 4.0), atol=1e-12)
-    with pytest.raises(ValueError):
-        SinusoidMotion(np.zeros(3), np.zeros(3), period=0.0)
+        assert np.allclose(m.at(t), m.at(t + 4.0), atol=1e-12)
+    with pytest.raises(ConfigError):
+        MotionConfig("sinusoid", center=(0.0, 0.0, 0.0),
+                     amplitude=(0.0, 0.0, 0.0), period=0.0)
+
+
+def _reference_position(m: MotionConfig, t: float) -> np.ndarray:
+    """The position expressions of the motion classes MotionConfig.at
+    replaced, kept as the bit-for-bit reference."""
+    if m.mode == "static":
+        return np.asarray(m.position, dtype=float)
+    if m.mode == "waypoints":
+        wps = [(w[0], w[1:]) for w in m.waypoints]
+        if t <= wps[0][0]:
+            return np.asarray(wps[0][1], dtype=float)
+        for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
+            if t <= t1:
+                a = (t - t0) / (t1 - t0)
+                return (1.0 - a) * np.asarray(p0, float) + a * np.asarray(p1, float)
+        return np.asarray(wps[-1][1], dtype=float)
+    arg = 2.0 * np.pi * t / m.period + m.phase
+    return np.asarray(m.center, float) + np.asarray(m.amplitude, float) * np.sin(arg)
+
+
+def test_motion_at_matches_the_reference_bit_for_bit():
+    motions = [
+        MotionConfig("static", position=(1.5, -2, 0.3)),
+        MotionConfig("waypoints", waypoints=((0, 10, 0, 1.5), (2.5, 12.25, 0.1, 1.5),
+                                             (7.0, 30.0, -3.7, 2.0),
+                                             (9.9, 31.0, -3.7, 0.9))),
+        MotionConfig("sinusoid", center=(8.0, 0.5, 1.2),
+                     amplitude=(0.0, 1.7, -0.3), period=3.3, phase=0.7),
+        MotionConfig("sinusoid", center=(1, 2, 3), amplitude=(1, 1, 1), period=2),
+    ]
+    rng = np.random.default_rng(12)
+    # before, at, between and after the waypoint times, plus random times
+    times = [-1.0, 0.0, 1e-9, 1.3, 2.5, 2.5 + 1e-12, 4.0, 7.0, 9.9, 9.9 + 1e-9,
+             12.0, 1 / 60, 301 / 60, *rng.uniform(-1.0, 11.0, 200)]
+    for m in motions:
+        for t in times:
+            assert np.array_equal(m.at(t), _reference_position(m, t)), (m.mode, t)
 
 
 def test_scene_step_orders_by_object_id():
-    objs = [SceneObject(3, np.ones(3), StaticMotion(np.zeros(3))),
-            SceneObject(1, np.ones(3), StaticMotion(np.ones(3)))]
+    sc = make_scenario(objects=(static_object(3, position=(0.0, 0.0, 0.0)),
+                                static_object(1, position=(1.0, 1.0, 1.0))),
+                       target_id=1)
+    objs = simulator.build_scene(sc, np.random.default_rng(0))
     snap = scene_step(objs, 2.0)
     assert snap.t == 2.0
     assert [o.obj_id for o in snap.objects] == [1, 3]
