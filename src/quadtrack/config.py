@@ -1,7 +1,9 @@
 """Scenario schema: typed dataclasses with strict JSON (de)serialization.
 
 Loading is fail-closed: unknown keys, missing required keys, or out-of-range
-values raise ConfigError with a dotted path to the offending field.  A
+values raise ConfigError with a dotted path to the offending field.  Every
+number a section reads from a file is finite: after the section's own
+checks, a NaN or infinity in any field is a ConfigError naming the field.  A
 scenario survives save -> load -> save byte-identically, and scenario_hash
 gives a stable content address used in run summaries.
 
@@ -44,7 +46,8 @@ def _check_keys(d: dict, allowed: set, ctx: str) -> None:
 
 
 def _build(cls, d: dict, ctx: str):
-    """Populate a flat dataclass from a dict, coercing lists to tuples."""
+    """Populate a flat dataclass from a dict, coercing lists to tuples.  After
+    the class's own checks, a NaN or infinity in any field is a ConfigError."""
     if not isinstance(d, dict):
         raise ConfigError(f"{ctx}: expected an object")
     names = {f.name for f in fields(cls)}
@@ -55,9 +58,16 @@ def _build(cls, d: dict, ctx: str):
             v = tuple(tuple(x) if isinstance(x, list) else x for x in v)
         kwargs[k] = v
     try:
-        return cls(**kwargs)
+        built = cls(**kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{ctx}: {e}") from e
+    for k, v in kwargs.items():
+        try:   # strict JSON has no NaN or infinity
+            json.dumps(v, allow_nan=False)
+        except ValueError:
+            raise ConfigError(f"{ctx}.{k}: every number must be finite, "
+                              f"got {v!r}") from None
+    return built
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -263,8 +273,11 @@ class ObjectConfig:
             _require(key in d, f"{ctx}: missing {key!r}")
         motion = _build(MotionConfig, d["motion"], f"{ctx}.motion")
         size = tuple(d["size"]) if isinstance(d["size"], list) else d["size"]
+        occluder = d.get("occluder", False)
+        _require(isinstance(occluder, bool),
+                 f"{ctx}.occluder: expected true or false, got {occluder!r}")
         return ObjectConfig(_cast(int, d["obj_id"], f"{ctx}.obj_id"), size,
-                            motion, bool(d.get("occluder", False)))
+                            motion, occluder)
 
     def to_dict(self) -> dict:
         return {"obj_id": self.obj_id, "size": self.size,
@@ -436,10 +449,6 @@ class Scenario:
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
-
-    def with_weights(self, weights) -> "Scenario":
-        return replace(self, tracker=replace(self.tracker,
-                                             weights=tuple(float(w) for w in weights)))
 
 
 def save_scenario(sc: Scenario, path) -> None:

@@ -307,7 +307,7 @@ def attitude_control(R, omega, R_des, gains: AttitudeGains, inertia) -> tuple:
     with eR = 0.5 vee(R_des^T R - R^T R_des).
 
     R and R_des are rows (arrays or nested sequences), `inertia` the body
-    diagonal or the full 3x3; the result is a 3-tuple of floats.  Entry
+    diagonal (three floats); the result is a 3-tuple of floats.  Entry
     (i, j) of R_des^T R is column i of R_des dotted with column j of R, and
     (R^T R_des)[i][j] is the same product with the roles swapped; vee takes
     the entries (2, 1), (0, 2) and (1, 0)."""
@@ -320,12 +320,8 @@ def attitude_control(R, omega, R_des, gains: AttitudeGains, inertia) -> tuple:
     e2 = 0.5 * ((d01 * a00 + d11 * a10 + d21 * a20)
                 - (a01 * d00 + a11 * d10 + a21 * d20))
     wx, wy, wz = omega
-    J = inertia.tolist() if isinstance(inertia, np.ndarray) else inertia
-    if isinstance(J[0], (list, tuple)):
-        Jw = tuple(j0 * wx + j1 * wy + j2 * wz for j0, j1, j2 in J)
-    else:
-        Jw = (J[0] * wx, J[1] * wy, J[2] * wz)
-    c0, c1, c2 = cross3(omega, Jw)
+    j0, j1, j2 = inertia
+    c0, c1, c2 = cross3(omega, (j0 * wx, j1 * wy, j2 * wz))
     (kr0, kr1, kr2), (kw0, kw1, kw2) = gains.kr, gains.kw
     return (-kr0 * e0 - kw0 * wx + c0,
             -kr1 * e1 - kw1 * wy + c1,
@@ -380,7 +376,7 @@ class VisualController:
         self.gains = gains
         self.att_gains = att_gains
         self.geom = geom
-        self.inertia = np.asarray(inertia, dtype=float)
+        self.inertia = tuple(map(float, inertia))  # body diagonal
         self.dt = dt
         self.deriv_tau = deriv_tau
         self.literal = literal

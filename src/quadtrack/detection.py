@@ -9,7 +9,8 @@ boxes, Poisson false positives, and occlusion suppression.
 Draw discipline: for a fixed seed the generator is consumed in a fixed order
 (per object: dropout, center, size, confidence, descriptor, duplicate gate
 [, duplicate draws]; then false positives), *regardless* of whether a gate
-suppresses the detection.  Gates therefore never shift later draws, which
+suppresses the detection.  `_perturbed` takes an object's draws before it
+looks at the visibility gates, so gates never shift later draws, which
 keeps e.g. the occlusion threshold monotone on a fixed seed.
 """
 
@@ -162,13 +163,20 @@ class SyntheticDetector:
 
     # -- detection --------------------------------------------------------
 
-    def _perturbed(self, box: BoundingBox, latent: np.ndarray, t: float) -> Detection:
+    def _perturbed(self, box: BoundingBox | None, latent: np.ndarray, t: float,
+                   visible: bool) -> Detection | None:
+        """One noisy detection of `box`, or None when the object is not
+        visible.  The draws (center, size, confidence, descriptor) are taken
+        first, visible or not, so that a gate never shifts later draws."""
         cfg = self.cfg
         rng = self.rng
-        dc = rng.normal(0.0, 1.0, size=2) * cfg.center_noise_px
-        ds = rng.normal(0.0, 1.0, size=2) * cfg.size_noise_frac
+        dc = rng.normal(0.0, 1.0, size=2)
+        ds = rng.normal(0.0, 1.0, size=2)
         conf = rng.uniform(0.5, 1.0)
-        noise = rng.normal(0.0, 1.0, size=cfg.descriptor_dim) * cfg.feature_noise
+        noise = rng.normal(0.0, 1.0, size=cfg.descriptor_dim)
+        if not visible:
+            return None
+        dc, ds = dc * cfg.center_noise_px, ds * cfg.size_noise_frac
         w = max(1.0, box.w * (1.0 + ds[0]))
         h = max(1.0, box.h * (1.0 + ds[1]))
         # Size scales about the (jittered) center; written as offsets from the
@@ -176,7 +184,7 @@ class SyntheticDetector:
         try:
             nb = BoundingBox(box.x + dc[0] - (w - box.w) / 2.0,
                              box.y + dc[1] - (h - box.h) / 2.0, w, h)
-            desc = _unit(latent + noise)
+            desc = _unit(latent + noise * cfg.feature_noise)
         except ValueError as e:   # noise settings that overflow the float range
             raise DetectorAbort(t, str(e)) from e
         return Detection(nb, float(conf), desc)
@@ -192,19 +200,16 @@ class SyntheticDetector:
         out: list[Detection] = []
         self.views = self._frame_geometry(snapshot, pose, cam)
         for st, box, frac in self.views:
-            # Draws are consumed even for suppressed objects (see module doc).
             drop = rng.uniform() < cfg.p_dropout
             visible = (box is not None and frac < cfg.occlusion_threshold
                        and _in_image(box, cam))
-            det = self._perturbed(box, st.latent, snapshot.t) if visible else self._consume_object_draws()
-            dup = rng.uniform() < cfg.p_duplicate
-            dup_det = None
-            if dup:
-                dup_det = self._perturbed(box, st.latent, snapshot.t) if visible else self._consume_object_draws()
+            det = self._perturbed(box, st.latent, snapshot.t, visible)
+            dup = (self._perturbed(box, st.latent, snapshot.t, visible)
+                   if rng.uniform() < cfg.p_duplicate else None)
             if visible and not drop:
                 out.append(det)
-                if dup_det is not None:
-                    out.append(dup_det)
+                if dup is not None:
+                    out.append(dup)
         k = rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0 else 0
         for _ in range(int(k)):
             cx = rng.uniform(0.0, cam.width)
@@ -215,16 +220,6 @@ class SyntheticDetector:
             desc = _unit(rng.normal(0.0, 1.0, size=cfg.descriptor_dim))
             out.append(Detection(BoundingBox(cx - w / 2, cy - h / 2, w, h), float(conf), desc))
         return DetectionSet(snapshot.t, out)
-
-    def _consume_object_draws(self) -> None:
-        """Burn exactly the draws _perturbed would take, keeping draw order
-        independent of visibility gates."""
-        cfg = self.cfg
-        self.rng.normal(0.0, 1.0, size=2)
-        self.rng.normal(0.0, 1.0, size=2)
-        self.rng.uniform()
-        self.rng.normal(0.0, 1.0, size=cfg.descriptor_dim)
-        return None
 
     # -- target-conditioned descriptor query -------------------------------
 

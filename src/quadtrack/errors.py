@@ -2,6 +2,10 @@
 
 Every deliberate failure path raises one of these so callers can map them
 to exit codes: ConfigError -> 1, anything derived from RuntimeAbort -> 2.
+
+Every error survives a pickle round trip, which is how a process pool
+returns a worker's error: an error whose message formats several
+constructor arguments keeps them as `args` and formats in `__str__`.
 """
 
 
@@ -59,8 +63,12 @@ class LogParseError(QuadtrackError):
     """Malformed record/replay log line.  Carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(line_no, message)
         self.line_no = line_no
+
+    def __str__(self):
+        line_no, message = self.args
+        return f"line {line_no}: {message}"
 
 
 class StreamOrderError(QuadtrackError):
@@ -75,24 +83,39 @@ class SimulationAbort(RuntimeAbort):
     """Simulation produced a non-finite state.  Carries the last good time."""
 
     def __init__(self, t: float, message: str):
-        super().__init__(f"{message} (last good state at t={t:.6f} s)")
+        super().__init__(t, message)
         self.t = t
 
+    def __str__(self):
+        t, message = self.args
+        return f"{message} (last good state at t={t:.6f} s)"
 
-class ControllerAbort(RuntimeAbort):
+
+class _LayerAbort(RuntimeAbort):
+    """A non-finite output of one layer at sim time t: "<layer>: <message>
+    at t=<t> s"."""
+
+    layer = ""
+
+    def __init__(self, t: float, message: str):
+        super().__init__(t, message)
+        self.t = t
+
+    def __str__(self):
+        t, message = self.args
+        return f"{self.layer}: {message} at t={t:.6f} s"
+
+
+class ControllerAbort(_LayerAbort):
     """The controller produced a non-finite thrust, desired attitude, torque
     or rotor thrust.  Carries the tick time."""
 
-    def __init__(self, t: float, message: str):
-        super().__init__(f"controller: {message} at t={t:.6f} s")
-        self.t = t
+    layer = "controller"
 
 
-class DetectorAbort(RuntimeAbort):
+class DetectorAbort(_LayerAbort):
     """The synthetic detector produced a box or descriptor that is not
     finite, as noise settings near the float range can.  Carries the frame
     time."""
 
-    def __init__(self, t: float, message: str):
-        super().__init__(f"detector: {message} at t={t:.6f} s")
-        self.t = t
+    layer = "detector"

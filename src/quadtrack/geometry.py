@@ -160,20 +160,14 @@ class CameraModel:
             )
 
     @staticmethod
-    def from_vfov(width: int, height: int, vfov: float,
-                  cx: float | None = None, cy: float | None = None) -> "CameraModel":
+    def from_vfov(width: int, height: int, vfov: float) -> "CameraModel":
         focal = (height / 2.0) / math.tan(vfov / 2.0)
-        return CameraModel(width, height, vfov, focal,
-                           width / 2.0 if cx is None else cx,
-                           height / 2.0 if cy is None else cy)
+        return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
 
     @staticmethod
-    def from_focal(width: int, height: int, focal: float,
-                   cx: float | None = None, cy: float | None = None) -> "CameraModel":
+    def from_focal(width: int, height: int, focal: float) -> "CameraModel":
         vfov = 2.0 * math.atan((height / 2.0) / focal)
-        return CameraModel(width, height, vfov, focal,
-                           width / 2.0 if cx is None else cx,
-                           height / 2.0 if cy is None else cy)
+        return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
 
 
 @dataclass(frozen=True)

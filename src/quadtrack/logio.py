@@ -129,24 +129,15 @@ def _check_order(prev: Event | None, ev: Event, where: str = "") -> None:
             f"{where}event follows a detection at equal t={ev.t!r}")
 
 
-class EventWriter:
-    """Validating writer: enforces the stream-order contract on append."""
-
-    def __init__(self, fp):
-        self.fp = fp
-        self._last: Event | None = None
-
-    def append(self, ev: Event) -> None:
-        _check_order(self._last, ev)
-        self.fp.write(event_line(ev) + "\n")
-        self._last = ev
-
-
 def write_events(path, events: Iterable[Event]) -> None:
+    """Write a sensor log, enforcing the stream-order contract per event
+    (StreamOrderError)."""
+    prev = None
     with open(path, "w") as fp:
-        w = EventWriter(fp)
         for ev in events:
-            w.append(ev)
+            _check_order(prev, ev)
+            fp.write(event_line(ev) + "\n")
+            prev = ev
 
 
 def _parse_event(obj: dict, line_no: int) -> Event:

@@ -53,11 +53,7 @@ class Metrics:
 
 
 def _as_box(value) -> BoundingBox | None:
-    if value is None:
-        return None
-    if isinstance(value, BoundingBox):
-        return value
-    return BoundingBox.from_array(value)
+    return None if value is None else BoundingBox.from_array(value)
 
 
 def _align(tracker_trace, truth_trace):

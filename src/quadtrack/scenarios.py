@@ -55,11 +55,6 @@ def _waypoints(points) -> MotionConfig:
                                         for t, x, y, z in points))
 
 
-def _sinusoid(center, amplitude, period, phase=0.0) -> MotionConfig:
-    return MotionConfig(mode="sinusoid", center=tuple(center),
-                        amplitude=tuple(amplitude), period=period, phase=phase)
-
-
 def static_target() -> Scenario:
     """Stationary object 10 m ahead; the vehicle closes to inside 2 m by
     t ~ 5.8 s under the default 0.5 m/s^2 forward-acceleration shaping.

@@ -144,7 +144,7 @@ class StepResult:
     selected: Detection | None
     index: int | None
     scores: tuple[float, float, float, float] | None  # (s_iou, s_ekf, s_map, total)
-    pred_box: BoundingBox | None = None  # prediction at frame time, before update
+    pred_box: BoundingBox  # prediction at frame time, before update
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +470,11 @@ def cosine_score(memory: AppearanceMemory, descriptor: np.ndarray) -> float:
 
 
 def score(det: Detection, state: TrackerState, weights: TrackerWeights,
-          pred: BoundingBox | None = None) -> tuple[float, float, float, float]:
+          pred: BoundingBox) -> tuple[float, float, float, float]:
     """(s_iou, s_ekf, s_map, weighted total) for one candidate.  `pred` is
-    the filter's predicted box; by default it is taken from state.ekf."""
+    the filter's predicted box at the frame time."""
     s_iou = iou(state.last_box, det.box)
-    s_ekf = iou(predicted_box(state.ekf) if pred is None else pred, det.box)
+    s_ekf = iou(pred, det.box)
     s_map = cosine_score(state.memory, det.descriptor)
     total = weights.w_iou * s_iou + weights.w_ekf * s_ekf + weights.w_map * s_map
     return (s_iou, s_ekf, s_map, total)
@@ -596,7 +596,6 @@ class Tracker:
         that scored the candidates -- while "mean" is the post-update state.
         """
         st = self.state
-        pred = res.pred_box if res.pred_box is not None else predicted_box(st.ekf)
         rec = {
             "t": t,
             "status": st.status,
@@ -605,7 +604,7 @@ class Tracker:
             "s_ekf": None if res.scores is None else res.scores[1],
             "s_map": None if res.scores is None else res.scores[2],
             "s_total": None if res.scores is None else res.scores[3],
-            "pred": pred.as_array(),
+            "pred": res.pred_box.as_array(),
             "mean": st.ekf.mean,
             "coast": st.coast_frames,
         }

@@ -1,14 +1,16 @@
 """Command-line harness: subcommands, scenario resolution, exit codes."""
 
+import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 import quadtrack
-from quadtrack import cli, scenarios
+from quadtrack import cli, errors, scenarios
 from quadtrack.config import (
     MotionConfig,
     ObjectConfig,
@@ -155,6 +157,14 @@ def _bad_runs():
         d["objects"][0]["motion"] = {"mode": "waypoints", "waypoints": [
             [0.0, 12.0, 0.0, 1.5], [2.0, 14.0, 0.0, 1.5], [1.0, 16.0, 0.0, 1.5]]}
 
+    def bundled(name, section, **values):
+        d = scenarios.get(name).to_dict()
+        d[section].update(values)
+        return d
+
+    nan, inf = float("nan"), float("inf")
+    decoy_flag = scenarios.get("occlusion_decoy").to_dict()
+    decoy_flag["objects"][2]["occluder"] = "false"
     position = lambda v: lambda d: d["objects"][0]["motion"].update(position=v)
     return [
         ("controller_overflow", ctrl, (), 2, "abort: controller: non-finite thrust at t="),
@@ -176,6 +186,23 @@ def _bad_runs():
          "error: prompt: x must be a finite number"),
         ("waypoints_backwards", edit(backwards), (), 1,
          "error: motion: waypoint times must be strictly increasing"),
+        ("occluder_string", decoy_flag, (), 1,
+         "error: scenario.objects[2].occluder: expected true or false"),
+        ("start_position_nan",
+         bundled("corridor_approach", "quad", start_position=[0.0, 0.0, nan]), (), 1,
+         "error: scenario.quad.start_position: every number must be finite"),
+        ("physics_hz_inf", bundled("rotation_only", "rates", physics_hz=inf), (), 1,
+         "error: scenario.rates.physics_hz: every number must be finite"),
+        ("camera_width_inf", bundled("rotation_only", "camera", width=inf), (), 1,
+         "error: scenario.camera.width: every number must be finite"),
+        ("acceptance_nan",
+         bundled("occlusion_decoy", "tracker", acceptance_fraction=nan), (), 1,
+         "error: scenario.tracker.acceptance_fraction: every number must be finite"),
+        ("gyro_noise_inf", bundled("rotation_only", "quad", gyro_noise=inf), (), 1,
+         "error: scenario.quad.gyro_noise: every number must be finite"),
+        ("yaw_amplitude_nan",
+         bundled("rotation_only", "camera_script", amplitude=nan), (), 1,
+         "error: scenario.camera_script.amplitude: every number must be finite"),
     ]
 
 
@@ -419,3 +446,43 @@ def test_ablate_rejects_seed_count_below_one_exits_1(sim_run, capsys, seeds):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: ablation needs at least one seed, got {seeds}"]
+
+
+def _error_classes(cls=errors.QuadtrackError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(_error_classes(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_errors_survive_a_pickle_round_trip(cls):
+    # a process pool (`ablate --parallel`) sends a worker's error back pickled
+    values = {"t": 0.123456789, "line_no": 7, "message": "boom"}
+    params = inspect.signature(cls.__init__).parameters
+    err = cls(*([values[p] for p in params if p in values] or ["boom"]))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err)
+    for attr in ("t", "line_no"):
+        assert getattr(back, attr, None) == getattr(err, attr, None)
+
+
+def test_ablate_parallel_reports_an_abort_like_the_sequential_path(tmp_path):
+    d = make_scenario().to_dict()
+    d["controller"].update(kp_thrust=1e307, kp_roll=1e307)
+    path = tmp_path / "ctrl.json"
+    path.write_text(json.dumps(d))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadtrack.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    runs = [subprocess.run([sys.executable, "-m", "quadtrack", "ablate", str(path),
+                            "--seeds", "2", *flags], capture_output=True, text=True,
+                           env=env, timeout=120)
+            for flags in ((), ("--parallel",))]
+    sequential, parallel = runs
+    assert sequential.returncode == parallel.returncode == 2, parallel.stderr
+    assert "Traceback" not in parallel.stderr
+    line = sequential.stderr.splitlines()[-1]
+    assert line.startswith("abort: controller: non-finite thrust at t=")
+    assert parallel.stderr.splitlines()[-1] == line

@@ -119,21 +119,17 @@ def test_hash_stable_across_rebuild_and_reload(tmp_path):
 def test_hash_sensitive_to_content():
     sc = scenarios.get("static_target")
     assert scenario_hash(sc.with_seed(sc.seed + 1)) != scenario_hash(sc)
-    assert scenario_hash(sc.with_weights((3.0, 0.0, 0.0))) != scenario_hash(sc)
+    reweighted = replace(sc, tracker=replace(sc.tracker, weights=(3.0, 0.0, 0.0)))
+    assert scenario_hash(reweighted) != scenario_hash(sc)
 
 
-def test_with_seed_and_with_weights_replace_only_their_fields():
+def test_with_seed_replaces_only_the_seed():
     sc = scenarios.get("sprint_7ms")
     reseeded = sc.with_seed(99)
     assert reseeded.seed == 99
     assert reseeded == sc.with_seed(99)
     assert reseeded.with_seed(sc.seed) == sc
-
-    reweighted = sc.with_weights([1, 2, 3.5])
-    assert reweighted.tracker.weights == (1.0, 2.0, 3.5)
-    assert reweighted.tracker.memory_alpha == sc.tracker.memory_alpha
-    assert reweighted.with_weights(sc.tracker.weights) == sc
-    assert sc.tracker.weights == scenarios.get("sprint_7ms").tracker.weights
+    assert sc.seed == scenarios.get("sprint_7ms").seed
 
 
 def test_unknown_keys_raise_with_dotted_path():
@@ -216,6 +212,25 @@ def test_section_validation_propagates_through_parse():
                 Scenario.from_dict, bad)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("rates", "physics_hz", float("inf")),
+    ("camera", "height", float("inf")),
+    ("quad", "inertia", [0.01, float("inf"), 0.02]),
+    ("camera_script", "period", float("inf")),
+    ("detector", "descriptor_dim", float("inf")),
+    ("tracker", "q_diag", [0.01, 0.01, 0.01, 0.01, 0.1, float("inf")]),
+    ("controller", "attitude_kw", [0.3, float("nan"), 0.15]),
+    ("metrics", "coast_credit_frames", float("inf")),
+])
+def test_non_finite_numbers_raise_naming_the_field(section, key, value):
+    # each value passes its section's own checks; the finite-number rule
+    # at load names the field
+    d = minimal_scenario().to_dict()
+    d[section][key] = value
+    raises_with(f"scenario.{section}.{key}: every number must be finite",
+                Scenario.from_dict, d)
+
+
 def test_quad_rejects_singular_mixer_geometry():
     d = minimal_scenario().to_dict()
     d["quad"] = {"yaw_coeff": 0.0}
@@ -247,7 +262,7 @@ def test_layer_builders_carry_every_field():
     assert carried == asdict(c)
     assert ctl.gains.mass == sc.quad.mass
     assert ctl.geom is sc.quad.geometry and ctl.cam == cam
-    assert ctl.inertia.tolist() == list(sc.quad.inertia)
+    assert ctl.inertia == tuple(sc.quad.inertia)
     assert ctl.dt == 1.0 / sc.rates.control_hz
 
     t = _moved(sc.tracker)

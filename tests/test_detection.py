@@ -160,6 +160,42 @@ def test_occlusion_threshold_monotone_on_fixed_seed():
     assert sum(len(h) for h in high) > sum(len(l) for l in low)
 
 
+def _det_bits(dets):
+    return [(tuple(float(v).hex() for v in d.box.as_array()), d.confidence.hex(),
+             d.descriptor.tobytes()) for d in dets]
+
+
+@pytest.mark.parametrize("p_duplicate", [0.0, 1.0])
+@pytest.mark.parametrize("gate", ["dropout", "occluder", "outside", "behind"])
+def test_hidden_object_keeps_later_draws_bit_identical(gate, p_duplicate):
+    # object 1 hidden by one gate: object 2's detections and every false
+    # positive keep the bits of the frames where object 1 is visible
+    kw = dict(center_noise_px=1.5, size_noise_frac=0.03, feature_noise=0.2,
+              fp_rate=2.0, p_duplicate=p_duplicate)
+    second = state(2, (3.0, 0.0, 10.0), latent=unit(1))
+    shown = [state(1, (0.0, 0.0, 10.0), latent=unit(0)), second]
+    hidden = {
+        "dropout": shown,
+        "occluder": shown + [state(3, (0.0, 0.0, 5.0), occluder=True)],
+        "outside": [state(1, (100.0, 0.0, 10.0), latent=unit(0)), second],
+        "behind": [state(1, (0.0, 0.0, -10.0), latent=unit(0)), second],
+    }[gate]
+    p_dropout = 0.5 if gate == "dropout" else 0.0
+    ref = _frames(quiet_config(**kw), 11, shown, n=40)
+    got = _frames(quiet_config(p_dropout=p_dropout, **kw), 11, hidden, n=40)
+    k = 2 if p_duplicate else 1   # detections per object
+    hid = 0
+    for fr, fg in zip(ref, got):
+        # per frame: object 1's k detections, object 2's k, false positives
+        r, g = _det_bits(fr.detections), _det_bits(fg.detections)
+        allowed = [r[k:]]
+        if gate == "dropout":   # either object may lose its dropout draw
+            allowed += [r, r[:k] + r[2 * k:], r[2 * k:]]
+        assert g in allowed
+        hid += g == r[k:]
+    assert hid >= 5
+
+
 # ---------------------------------------------------------------------------
 # occlusion and visibility gates
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from quadtrack.detection import Detection, DetectionSet, GyroSample
 from quadtrack.errors import LogParseError, StreamOrderError
 from quadtrack.geometry import BoundingBox
-from quadtrack.logio import (EventWriter, _json_compact, event_line, fmt_float,
-                             read_events, read_jsonl, write_events, write_jsonl)
+from quadtrack.logio import (_json_compact, event_line, fmt_float, read_events,
+                             read_jsonl, write_events, write_jsonl)
 
 
 def gyro(t, w=(0.1, 0.2, 0.3)):
@@ -145,30 +145,23 @@ def test_record_replay_record_is_byte_identical(tmp_path):
 
 def test_writer_allows_gyro_runs_and_closing_detection(tmp_path):
     path = tmp_path / "ok.jsonl"
-    with open(path, "w") as fp:
-        w = EventWriter(fp)
-        w.append(gyro(0.0))
-        w.append(gyro(0.0))     # same-t gyro run is fine
-        w.append(frame(0.0))    # detection closes the timestamp
-        w.append(gyro(0.1))
+    write_events(path, [gyro(0.0),
+                        gyro(0.0),     # same-t gyro run is fine
+                        frame(0.0),    # detection closes the timestamp
+                        gyro(0.1)])
     assert len(read_events(path)) == 4
 
 
 def test_writer_rejects_time_regression(tmp_path):
-    with open(tmp_path / "x.jsonl", "w") as fp:
-        w = EventWriter(fp)
-        w.append(gyro(1.0))
-        with pytest.raises(StreamOrderError):
-            w.append(gyro(0.5))
+    with pytest.raises(StreamOrderError):
+        write_events(tmp_path / "x.jsonl", [gyro(1.0), gyro(0.5)])
 
 
 def test_writer_rejects_events_after_closing_detection(tmp_path):
-    with open(tmp_path / "x.jsonl", "w") as fp:
-        w = EventWriter(fp)
-        w.append(frame(1.0))
-        with pytest.raises(StreamOrderError):
-            w.append(gyro(1.0))
-        w.append(gyro(1.5))  # later timestamps reopen the stream
+    with pytest.raises(StreamOrderError):
+        write_events(tmp_path / "x.jsonl", [frame(1.0), gyro(1.0)])
+    # later timestamps reopen the stream
+    write_events(tmp_path / "x.jsonl", [frame(1.0), gyro(1.5)])
 
 
 def test_reader_rejects_broken_order(tmp_path):

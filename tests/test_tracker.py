@@ -603,14 +603,14 @@ def test_predicted_box_reads_mean_and_clamps():
 def test_score_perfect_candidate_sums_weights():
     st = fresh_state()
     d = det(st.last_box, st.memory.vector)
-    s = score(d, st, TrackerWeights())
+    s = score(d, st, TrackerWeights(), predicted_box(st.ekf))
     assert s == (1.0, 1.0, 1.0, TrackerWeights().total)
 
 
 def test_score_disjoint_orthogonal_is_zero():
     st = fresh_state(BoundingBox(0.0, 0.0, 10.0, 10.0))
     d = det(BoundingBox(500.0, 500.0, 10.0, 10.0), unit(1))
-    assert score(d, st, TrackerWeights()) == (0.0, 0.0, 0.0, 0.0)
+    assert score(d, st, TrackerWeights(), predicted_box(st.ekf)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_score_weighted_sum_example():
@@ -621,7 +621,7 @@ def test_score_weighted_sum_example():
     st.ekf.mean[:4] = [0.0, 0.0, 25.0, 10.0]
     cand = det(BoundingBox(0.0, 0.0, 5.0, 10.0),
                0.9 * unit(0) + math.sqrt(0.19) * unit(1))
-    s = score(cand, st, TrackerWeights(3.0, 3.0, 4.0))
+    s = score(cand, st, TrackerWeights(3.0, 3.0, 4.0), predicted_box(st.ekf))
     assert abs(s[0] - 0.5) < 1e-12
     assert abs(s[1] - 0.2) < 1e-12
     assert abs(s[2] - 0.9) < 1e-12
@@ -631,9 +631,10 @@ def test_score_weighted_sum_example():
 def test_score_negative_or_zero_descriptor_clamps_to_zero():
     st = fresh_state()
     flipped = det(st.last_box, -st.memory.vector)
-    assert score(flipped, st, TrackerWeights())[2] == 0.0
+    pred = predicted_box(st.ekf)
+    assert score(flipped, st, TrackerWeights(), pred)[2] == 0.0
     hollow = Detection(st.last_box, 0.9, np.zeros(DIM))
-    assert score(hollow, st, TrackerWeights())[2] == 0.0
+    assert score(hollow, st, TrackerWeights(), pred)[2] == 0.0
 
 
 def test_cosine_score_clamps_to_unit_interval():
@@ -646,6 +647,7 @@ def test_cosine_score_clamps_to_unit_interval():
 def test_score_scaling_weights_preserves_argmax():
     rng = np.random.default_rng(31)
     st = fresh_state()
+    pred = predicted_box(st.ekf)
     for _ in range(50):
         cands = [det(BoundingBox(rng.uniform(60, 140), rng.uniform(60, 140),
                                  rng.uniform(20, 60), rng.uniform(20, 60)),
@@ -654,7 +656,7 @@ def test_score_scaling_weights_preserves_argmax():
         totals = {}
         for c in (0.1, 1.0, 10.0):
             w = TrackerWeights(3.0 * c, 3.0 * c, 4.0 * c)
-            totals[c] = max(range(5), key=lambda i: score(cands[i], st, w)[3])
+            totals[c] = max(range(5), key=lambda i: score(cands[i], st, w, pred)[3])
         assert totals[0.1] == totals[1.0] == totals[10.0]
 
 
