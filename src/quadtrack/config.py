@@ -1,11 +1,18 @@
 """Scenario schema: typed dataclasses with strict JSON (de)serialization.
 
-Loading is fail-closed: unknown keys, missing required keys, or out-of-range
-values raise ConfigError with a dotted path to the offending field.  Every
-number a section reads from a file is finite: after the section's own
-checks, a NaN or infinity in any field is a ConfigError naming the field.  A
-scenario survives save -> load -> save byte-identically, and scenario_hash
-gives a stable content address used in run summaries.
+The dataclass fields are the file format, in both directions.  One loader
+(_build) walks a section's declared fields: an unknown key, a missing
+required key, or a value that is not of its field's declared type is a
+ConfigError with a dotted path to the field (`scenario.<path>: expected
+<kind>, got <value>`).  A float is a finite real number and an int an
+integer (a bool is neither), a bool is JSON true or false, a tuple is a
+list of finite numbers or of such lists, a section is an object, and
+`objects` is a list of objects; a NaN or infinity anywhere is
+`scenario.<path>: every number must be finite`.  Each section's own range
+and shape checks run after that, so no layer sees a value of a type it was
+not written for.  One dumper (Scenario.to_dict) walks the same fields, so
+a scenario survives save -> load -> save byte-identically, and
+scenario_hash gives a stable content address used in run summaries.
 
 The detector, metrics, quad and objects sections are the types their
 layers run on (SyntheticDetectorConfig, MetricsParams, QuadConfig, whose
@@ -23,8 +30,12 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
+import sys
+import types
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
+from functools import cache, cached_property
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,36 +49,85 @@ from .tracker import DEFAULT_WEIGHTS, TrackerConfig, TrackerWeights
 
 SCHEMA_VERSION = 1
 
+_KINDS = {float: "a number", int: "an integer", bool: "true or false",
+          str: "a string", tuple: "a list of numbers"}
 
-def _check_keys(d: dict, allowed: set, ctx: str) -> None:
-    unknown = set(d) - allowed
+
+@cache
+def _schema(cls) -> tuple:
+    """(name, declared type, required) for each field of cls, in order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def _build(cls, d, ctx: str):
+    """cls from the JSON object d by its declared fields: an unknown key, a
+    missing required key, a value not of its field's type (_value) or one
+    that cls's own checks reject is a ConfigError naming the field."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {d!r}")
+    schema = _schema(cls)
+    unknown = set(d) - {name for name, _, _ in schema}
     if unknown:
         raise ConfigError(f"{ctx}: unknown key(s) {sorted(unknown)}")
-
-
-def _build(cls, d: dict, ctx: str):
-    """Populate a flat dataclass from a dict, coercing lists to tuples.  After
-    the class's own checks, a NaN or infinity in any field is a ConfigError."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{ctx}: expected an object")
-    names = {f.name for f in fields(cls)}
-    _check_keys(d, names, ctx)
     kwargs = {}
-    for k, v in d.items():
-        if isinstance(v, list):
-            v = tuple(tuple(x) if isinstance(x, list) else x for x in v)
-        kwargs[k] = v
+    for name, tp, required in schema:
+        if name in d:
+            kwargs[name] = _value(tp, d[name], f"{ctx}.{name}")
+        elif required:
+            raise ConfigError(f"{ctx}: missing {name!r}")
     try:
-        built = cls(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{ctx}: {e}") from e
-    for k, v in kwargs.items():
-        try:   # strict JSON has no NaN or infinity
-            json.dumps(v, allow_nan=False)
-        except ValueError:
-            raise ConfigError(f"{ctx}.{k}: every number must be finite, "
-                              f"got {v!r}") from None
-    return built
+
+
+def _value(tp, v, ctx: str):
+    """The JSON value v of a field declared `tp`, checked against tp: a
+    section recurses into _build, and a list becomes a tuple."""
+    if isinstance(tp, types.UnionType):     # `X | None` also takes null
+        if v is None:
+            return None
+        tp = next(a for a in get_args(tp) if a is not type(None))
+    if is_dataclass(tp):
+        return _build(tp, v, ctx)
+    if get_origin(tp) is tuple:             # tuple[Section, ...]
+        if not isinstance(v, list):
+            raise ConfigError(f"{ctx}: expected a list, got {v!r}")
+        return tuple(_build(get_args(tp)[0], x, f"{ctx}[{i}]")
+                     for i, x in enumerate(v))
+    rows = v if isinstance(v, list) else [v]
+    leaves = [x for row in rows for x in (row if isinstance(row, list) else [row])]
+    if any(_number(x) and not _finite(x) for x in leaves):
+        raise ConfigError(f"{ctx}: every number must be finite, got {v!r}")
+    if tp is tuple:     # a list of numbers, or a list of lists of numbers
+        ok = (isinstance(v, list) and all(map(_number, leaves))
+              and len({isinstance(row, list) for row in v}) <= 1)
+        if ok:
+            v = tuple(tuple(row) if isinstance(row, list) else row for row in v)
+    elif tp is float:
+        ok = _number(v)
+    else:
+        ok = isinstance(v, tp) and (tp is bool or not isinstance(v, bool))
+    if not ok:
+        raise ConfigError(f"{ctx}: expected {_KINDS[tp]}, got {v!r}")
+    return v
+
+
+def _dump(v):
+    """The JSON form of a field value: a section by its fields (a motion by
+    the keys its mode takes), a tuple as a list."""
+    if isinstance(v, MotionConfig):
+        v = v.to_dict()
+    elif is_dataclass(v):
+        v = {f.name: getattr(v, f.name) for f in fields(v)}
+    if isinstance(v, dict):
+        return {k: _dump(x) for k, x in v.items()}
+    if isinstance(v, tuple):
+        return [_dump(x) for x in v]
+    return v
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -75,25 +135,20 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _number(x) -> bool:
+    """x is a JSON number, an int or a float (a bool is not one here)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _finite(x) -> bool:
-    """x is a finite real number (a bool is not a number here)."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x))
+    """x is a finite number (an int too large for a float is not one)."""
+    return _number(x) and abs(x) <= sys.float_info.max
 
 
 def _numbers(v, n: int) -> bool:
     """v is a tuple or list of n finite real numbers."""
     return (isinstance(v, (tuple, list)) and len(v) == n
             and all(map(_finite, v)))
-
-
-def _cast(kind, v, ctx: str):
-    """kind(v) for a JSON number; anything kind() rejects is a ConfigError
-    naming the field."""
-    try:
-        return kind(v)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{ctx}: expected a number, got {v!r}") from None
 
 
 def _check_layer(section: str, build) -> None:
@@ -242,14 +297,10 @@ class MotionConfig:
         return np.asarray(self.center, float) + np.asarray(self.amplitude, float) * np.sin(arg)
 
     def to_dict(self) -> dict:
-        out = {"mode": self.mode}
-        for name in ("position", "waypoints", "center", "amplitude", "period"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        if self.mode == "sinusoid":
-            out["phase"] = self.phase
-        return out
+        """The fields this mode takes, mode first."""
+        keys = _MOTION_KEYS[self.mode]
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name == "mode" or f.name in keys}
 
 
 @dataclass(frozen=True)
@@ -263,25 +314,6 @@ class ObjectConfig:
         _require(_numbers(self.size, 2) and all(s > 0 for s in self.size),
                  f"object {self.obj_id}: size must be 2 positive values (w, h), "
                  "finite numbers")
-
-    @staticmethod
-    def from_dict(d: dict, ctx: str) -> "ObjectConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"{ctx}: expected an object")
-        _check_keys(d, {"obj_id", "size", "motion", "occluder"}, ctx)
-        for key in ("obj_id", "size", "motion"):
-            _require(key in d, f"{ctx}: missing {key!r}")
-        motion = _build(MotionConfig, d["motion"], f"{ctx}.motion")
-        size = tuple(d["size"]) if isinstance(d["size"], list) else d["size"]
-        occluder = d.get("occluder", False)
-        _require(isinstance(occluder, bool),
-                 f"{ctx}.occluder: expected true or false, got {occluder!r}")
-        return ObjectConfig(_cast(int, d["obj_id"], f"{ctx}.obj_id"), size,
-                            motion, occluder)
-
-    def to_dict(self) -> dict:
-        return {"obj_id": self.obj_id, "size": self.size,
-                "motion": self.motion.to_dict(), "occluder": self.occluder}
 
 
 @dataclass(frozen=True)
@@ -327,6 +359,7 @@ class ControllerParams:
 
     def __post_init__(self):
         _require(0.0 <= self.beta <= 1.0, "controller: beta outside [0, 1]")
+        _require(self.deriv_tau >= 0, "controller: deriv_tau must be >= 0")
         _require(len(self.attitude_kr) == 3 and len(self.attitude_kw) == 3,
                  "controller: attitude gains must be 3-vectors")
 
@@ -358,22 +391,24 @@ class PromptConfig:
         _require(self.t >= 0, "prompt: time must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
+    """A scenario file; its fields are the file's keys, in order."""
+
+    schema_version: int = SCHEMA_VERSION
     name: str
     seed: int
     duration: float
-    prompt: PromptConfig
-    objects: tuple = ()
     target_id: int = 0
-    schema_version: int = SCHEMA_VERSION
     rates: RatesConfig = field(default_factory=RatesConfig)
     camera: CameraConfig = field(default_factory=CameraConfig)
     quad: QuadConfig = field(default_factory=QuadConfig)
     camera_script: CameraScriptConfig = field(default_factory=CameraScriptConfig)
+    objects: tuple[ObjectConfig, ...]
     detector: SyntheticDetectorConfig = field(default_factory=SyntheticDetectorConfig)
     tracker: TrackerParams = field(default_factory=TrackerParams)
     controller: ControllerParams = field(default_factory=ControllerParams)
+    prompt: PromptConfig
     metrics: MetricsParams = field(default_factory=MetricsParams)
 
     def __post_init__(self):
@@ -393,59 +428,11 @@ class Scenario:
         _require(not target.occluder, "scenario: target cannot be an occluder")
 
     def to_dict(self) -> dict:
-        out = {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "seed": self.seed,
-            "duration": self.duration,
-            "target_id": self.target_id,
-            "rates": asdict(self.rates),
-            "camera": asdict(self.camera),
-            "quad": asdict(self.quad),
-            "camera_script": asdict(self.camera_script),
-            "objects": [o.to_dict() for o in self.objects],
-            "detector": asdict(self.detector),
-            "tracker": asdict(self.tracker),
-            "controller": asdict(self.controller),
-            "prompt": asdict(self.prompt),
-            "metrics": asdict(self.metrics),
-        }
-        return out
+        return _dump(self)
 
     @staticmethod
-    def from_dict(d: dict) -> "Scenario":
-        if not isinstance(d, dict):
-            raise ConfigError("scenario: expected a JSON object")
-        allowed = {"schema_version", "name", "seed", "duration", "target_id",
-                   "rates", "camera", "quad", "camera_script", "objects",
-                   "detector", "tracker", "controller", "prompt", "metrics"}
-        _check_keys(d, allowed, "scenario")
-        for key in ("name", "seed", "duration", "prompt", "objects"):
-            _require(key in d, f"scenario: missing {key!r}")
-        objs = d["objects"]
-        _require(isinstance(objs, list), "scenario.objects: expected a list")
-        objects = tuple(ObjectConfig.from_dict(o, f"scenario.objects[{i}]")
-                        for i, o in enumerate(objs))
-        kwargs = dict(
-            name=str(d["name"]),
-            seed=d["seed"],
-            duration=_cast(float, d["duration"], "scenario.duration"),
-            target_id=_cast(int, d.get("target_id", 0), "scenario.target_id"),
-            schema_version=_cast(int, d.get("schema_version", SCHEMA_VERSION),
-                                 "scenario.schema_version"),
-            objects=objects,
-            prompt=_build(PromptConfig, d["prompt"], "scenario.prompt"),
-        )
-        for key, cls in (("rates", RatesConfig), ("camera", CameraConfig),
-                         ("quad", QuadConfig),
-                         ("camera_script", CameraScriptConfig),
-                         ("detector", SyntheticDetectorConfig),
-                         ("tracker", TrackerParams),
-                         ("controller", ControllerParams),
-                         ("metrics", MetricsParams)):
-            if key in d:
-                kwargs[key] = _build(cls, d[key], f"scenario.{key}")
-        return Scenario(**kwargs)
+    def from_dict(d) -> "Scenario":
+        return _build(Scenario, d, "scenario")
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)

@@ -177,13 +177,13 @@ def _bad_runs():
         ("duration_string", edit(lambda d: d.update(duration="x")), (), 1,
          "error: scenario.duration: expected a number"),
         ("size_string", edit(lambda d: d["objects"][0].update(size=["a", 1])), (), 1,
-         "error: object 0: size must be 2 positive values"),
+         "error: scenario.objects[0].size: expected a list of numbers"),
         ("position_string", edit(position([10, 0, "x"])), (), 1,
-         "error: motion: static needs position = xyz, finite numbers"),
+         "error: scenario.objects[0].motion.position: expected a list of numbers"),
         ("position_nan", edit(position([10, 0, float("nan")])), (), 1,
-         "error: motion: static needs position = xyz, finite numbers"),
+         "error: scenario.objects[0].motion.position: every number must be finite"),
         ("prompt_string", edit(lambda d: d["prompt"].update(x="a")), (), 1,
-         "error: prompt: x must be a finite number"),
+         "error: scenario.prompt.x: expected a number"),
         ("waypoints_backwards", edit(backwards), (), 1,
          "error: motion: waypoint times must be strictly increasing"),
         ("occluder_string", decoy_flag, (), 1,
@@ -203,6 +203,37 @@ def _bad_runs():
         ("yaw_amplitude_nan",
          bundled("rotation_only", "camera_script", amplitude=nan), (), 1,
          "error: scenario.camera_script.amplitude: every number must be finite"),
+        # a value of the wrong kind is rejected at load by its declared type,
+        # not run as something else or left to fail in a layer
+        ("literal_equations_string",
+         bundled("rotation_only", "controller", literal_equations="false"), (), 1,
+         "error: scenario.controller.literal_equations: expected true or false"),
+        ("gyro_compensation_string",
+         bundled("rotation_only", "tracker", gyro_compensation="no"), (), 1,
+         "error: scenario.tracker.gyro_compensation: expected true or false"),
+        *((f"{key}_string", bundled("corridor_approach", "controller", **{key: "x"}),
+           (), 1, f"error: scenario.controller.{key}: expected a number")
+          for key in ("kp_roll", "pitch_accel", "min_thrust_frac", "deriv_tau")),
+        ("attitude_kr_string",
+         bundled("corridor_approach", "controller", attitude_kr=["a", 1, 1]), (), 1,
+         "error: scenario.controller.attitude_kr: expected a list of numbers"),
+        ("start_yaw_string", bundled("rotation_only", "quad", start_yaw="x"), (), 1,
+         "error: scenario.quad.start_yaw: expected a number"),
+        ("start_position_string",
+         bundled("corridor_approach", "quad", start_position=["a", 0, 1]), (), 1,
+         "error: scenario.quad.start_position: expected a list of numbers"),
+        ("yaw_amplitude_string",
+         bundled("rotation_only", "camera_script", amplitude="x"), (), 1,
+         "error: scenario.camera_script.amplitude: expected a number"),
+        ("descriptor_dim_float",
+         bundled("rotation_only", "detector", descriptor_dim=8.0), (), 1,
+         "error: scenario.detector.descriptor_dim: expected an integer, got 8.0"),
+        ("descriptor_dim_fraction",
+         bundled("rotation_only", "detector", descriptor_dim=3.5), (), 1,
+         "error: scenario.detector.descriptor_dim: expected an integer, got 3.5"),
+        ("deriv_tau_negative",
+         bundled("corridor_approach", "controller", deriv_tau=-0.01), (), 1,
+         "error: controller: deriv_tau must be >= 0"),
     ]
 
 

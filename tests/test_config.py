@@ -3,7 +3,8 @@
 import copy
 import json
 import pathlib
-from dataclasses import asdict, astuple, fields, replace
+import typing
+from dataclasses import MISSING, asdict, astuple, fields, is_dataclass, replace
 
 import pytest
 
@@ -149,14 +150,26 @@ def test_unknown_keys_raise_with_dotted_path():
 
 
 def test_missing_required_keys_raise():
+    # the fields without a default are the required keys
+    required = [f.name for f in fields(Scenario)
+                if f.default is MISSING and f.default_factory is MISSING]
+    assert required == ["name", "seed", "duration", "objects", "prompt"]
     d = minimal_scenario().to_dict()
-    for key in ("name", "seed", "duration", "prompt", "objects"):
+    for key in required:
         bad = copy.deepcopy(d)
         del bad[key]
         raises_with(f"scenario: missing {key!r}", Scenario.from_dict, bad)
+    for key in ("obj_id", "size", "motion"):
+        bad = copy.deepcopy(d)
+        del bad["objects"][0][key]
+        raises_with(f"scenario.objects[0]: missing {key!r}", Scenario.from_dict, bad)
     bad = copy.deepcopy(d)
-    del bad["objects"][0]["motion"]
-    raises_with("scenario.objects[0]: missing 'motion'", Scenario.from_dict, bad)
+    del bad["objects"][0]["motion"]["mode"]
+    raises_with("scenario.objects[0].motion: missing 'mode'", Scenario.from_dict, bad)
+    for key in ("x", "y"):
+        bad = copy.deepcopy(d)
+        del bad["prompt"][key]
+        raises_with(f"scenario.prompt: missing {key!r}", Scenario.from_dict, bad)
 
 
 def test_non_object_sections_raise():
@@ -167,7 +180,7 @@ def test_non_object_sections_raise():
     bad = copy.deepcopy(d)
     bad["objects"] = {"0": {}}
     raises_with("scenario.objects: expected a list", Scenario.from_dict, bad)
-    raises_with("scenario: expected a JSON object", Scenario.from_dict, [])
+    raises_with("scenario: expected an object, got []", Scenario.from_dict, [])
 
 
 def test_scenario_validation():
@@ -198,6 +211,9 @@ def test_section_validation_propagates_through_parse():
     bad["controller"] = {"beta": 1.5}
     raises_with("controller: beta outside [0, 1]", Scenario.from_dict, bad)
     bad = copy.deepcopy(d)
+    bad["controller"] = {"deriv_tau": -0.01}
+    raises_with("controller: deriv_tau must be >= 0", Scenario.from_dict, bad)
+    bad = copy.deepcopy(d)
     bad["metrics"] = {"iou_threshold": 0.0}
     raises_with("metrics: bad iou_threshold", Scenario.from_dict, bad)
     bad = copy.deepcopy(d)
@@ -221,6 +237,9 @@ def test_section_validation_propagates_through_parse():
     ("tracker", "q_diag", [0.01, 0.01, 0.01, 0.01, 0.1, float("inf")]),
     ("controller", "attitude_kw", [0.3, float("nan"), 0.15]),
     ("metrics", "coast_credit_frames", float("inf")),
+    # an integer too large for a float is not finite either
+    pytest.param("quad", "mass", 10 ** 400, id="quad-mass-10**400"),
+    pytest.param("prompt", "x", 10 ** 400, id="prompt-x-10**400"),
 ])
 def test_non_finite_numbers_raise_naming_the_field(section, key, value):
     # each value passes its section's own checks; the finite-number rule
@@ -229,6 +248,53 @@ def test_non_finite_numbers_raise_naming_the_field(section, key, value):
     d[section][key] = value
     raises_with(f"scenario.{section}.{key}: every number must be finite",
                 Scenario.from_dict, d)
+
+
+# values of the wrong kind for each declared type: a string for a number, a
+# number for a bool, a bool for a number
+_WRONG_KINDS = {
+    float: ("x", True, [1.0]),
+    int: ("x", True, 1.5),
+    bool: (1, 0, "true"),
+    str: (1, True),
+    tuple: ("x", True, ["x", 1.0], [True, 1.0], [[1.0], 2.0]),
+}
+
+
+def _declared_fields(obj, path=()):
+    """(path, declared type) of every leaf field under the dataclass obj;
+    a tuple of sections (objects) is walked at its first entry."""
+    hints = typing.get_type_hints(type(obj))
+    for f in fields(obj):
+        v, p = getattr(obj, f.name), path + (f.name,)
+        if is_dataclass(v):
+            yield from _declared_fields(v, p)
+        elif isinstance(v, tuple) and is_dataclass(v[0]):
+            yield from _declared_fields(v[0], p + (0,))
+        else:
+            kind = hints[f.name]
+            yield p, next((a for a in typing.get_args(kind) if a is not type(None)),
+                          kind)
+
+
+_SOURCE = scenarios.get("corridor_approach")
+
+
+@pytest.mark.parametrize("path,kind", list(_declared_fields(_SOURCE)),
+                         ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple)
+                         else x.__name__)
+def test_every_field_rejects_a_value_of_the_wrong_kind(path, kind):
+    name = "scenario" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                for k in path)
+    for wrong in _WRONG_KINDS[kind]:
+        d = _SOURCE.to_dict()
+        node = d
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = wrong
+        with pytest.raises(ConfigError) as ei:
+            Scenario.from_dict(d)
+        assert str(ei.value).startswith(f"{name}: expected "), (wrong, str(ei.value))
 
 
 def test_quad_rejects_singular_mixer_geometry():
