@@ -10,7 +10,7 @@ the sequential path.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import Scenario
 from .errors import ConfigError
@@ -80,8 +80,9 @@ def _seed_task(args) -> list[Metrics]:
     cam = sc.camera.build()
     out = []
     for weights in grid:
+        cfg = replace(sc.tracker, weights=weights).build(cam)
         trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
-                             sc.prompt.t, sc.tracker.build(cam, weights))
+                             sc.prompt.t, cfg)
         out.append(compute_metrics(trace, art.truth_trace, sc.metrics))
     return out
 

@@ -9,14 +9,17 @@
 <scenario> is a JSON file path or a bundled name (a missing ".json" is
 tried automatically, so `scenarios/occlusion_decoy` works).  `track` and
 `metrics` rebuild the run's configs from the scenario recorded in the
-summary.json beside the log; the flags they take override single recorded
-values.  Exit codes: 0 success, 1 configuration/usage error, 2 runtime abort.
+summary.json beside the log.  Every flag that sets a scenario value is an
+edit of the given or recorded scenario at a dotted path (`--seed` is
+`seed`, `--weights` is `tracker.weights`), and the edited scenario is
+reloaded, so a flag is checked and reported as the same value in a file
+(`error: scenario.<path>: ...`).  Exit codes: 0 success, 1
+configuration/usage error, 2 runtime abort.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -29,6 +32,7 @@ from .logio import SCENARIO_KEY, read_events, read_jsonl, write_jsonl
 from .metrics import compute_metrics
 from .replay import replay_track
 from .simulator import run, write_run
+from .tracker import TrackerWeights
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,25 +94,36 @@ def _parse_grid(text: str) -> tuple:
             or not all(isinstance(r, list) and len(r) == 3 for r in rows)):
         raise ConfigError(f"grid file {text}: expected a JSON list of "
                           "[w_iou, w_ekf, w_map] rows")
-    return tuple(tuple(float(w) for w in r) for r in rows)
+    grid = []
+    for i, row in enumerate(rows):
+        try:
+            grid.append(tuple(float(w) for w in row))
+            TrackerWeights(*grid[-1])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"grid file {text}: row {i}: {e}") from e
+    return tuple(grid)
 
 
-def _apply_overrides(sc: Scenario, args) -> Scenario:
-    if args.seed is not None:
-        sc = sc.with_seed(args.seed)
-    if getattr(args, "eq11_literal", False):
-        sc = dataclasses.replace(
-            sc, controller=dataclasses.replace(sc.controller,
-                                               literal_equations=True))
-    if getattr(args, "no_gyro_comp", False):
-        sc = dataclasses.replace(
-            sc, tracker=dataclasses.replace(sc.tracker,
-                                            gyro_compensation=False))
-    return sc
+def _with_flags(sc: Scenario, flags: dict) -> Scenario:
+    """sc with each flag value that was given (not None) set at its dotted
+    scenario path, reloaded so that it is checked as the same value in a
+    file would be."""
+    d = sc.to_dict()
+    for path, value in flags.items():
+        if value is not None:
+            *parents, key = path.split(".")
+            node = d
+            for k in parents:
+                node = node[k]
+            node[key] = value
+    return Scenario.from_dict(d)
 
 
 def cmd_sim(args) -> int:
-    sc = _apply_overrides(resolve_scenario(args.scenario), args)
+    sc = _with_flags(resolve_scenario(args.scenario), {
+        "seed": args.seed,
+        "controller.literal_equations": args.literal_equations,
+        "tracker.gyro_compensation": args.gyro_compensation})
     art = run(sc)
     out = args.out or os.path.join("runs", f"{sc.name}-s{sc.seed}")
     write_run(art, out)
@@ -120,11 +135,12 @@ def cmd_sim(args) -> int:
 def cmd_track(args) -> int:
     px, py = _parse_floats(args.prompt, 2, "--prompt")
     weights = (None if args.weights is None
-               else _parse_floats(args.weights, 3, "--weights"))
-    sc = _recorded_scenario(os.path.dirname(args.log))
-    cfg = sc.tracker.build(sc.camera.build(), weights)
-    prompt_t = sc.prompt.t if args.prompt_t is None else args.prompt_t
-    trace = replay_track(read_events(args.log), (px, py), prompt_t, cfg)
+               else list(_parse_floats(args.weights, 3, "--weights")))
+    sc = _with_flags(_recorded_scenario(os.path.dirname(args.log)), {
+        "prompt.x": px, "prompt.y": py, "prompt.t": args.prompt_t,
+        "tracker.weights": weights})
+    trace = replay_track(read_events(args.log), (sc.prompt.x, sc.prompt.y),
+                         sc.prompt.t, sc.tracker.build(sc.camera.build()))
     if args.out:
         write_jsonl(args.out, trace)
         print(f"wrote {args.out} ({len(trace)} frames)")
@@ -136,7 +152,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    sc = _apply_overrides(resolve_scenario(args.scenario), args)
+    sc = _with_flags(resolve_scenario(args.scenario), {"seed": args.seed})
     grid = _parse_grid(args.grid)
     result = run_ablation(sc, grid=grid, n_seeds=args.seeds,
                           parallel=args.parallel)
@@ -155,15 +171,15 @@ def cmd_metrics(args) -> int:
     for p in (tracker_path, truth_path):
         if not os.path.isfile(p):
             raise ConfigError(f"missing trace file: {p}")
-    params = _recorded_scenario(args.run_dir).metrics
-    overrides = {name: value for name, value in (
-        ("iou_threshold", args.iou_threshold),
-        ("coast_credit_frames", args.coast_credit)) if value is not None}
+    sc = _with_flags(_recorded_scenario(args.run_dir), {
+        "metrics.iou_threshold": args.iou_threshold,
+        "metrics.coast_credit_frames": args.coast_credit})
+    tracker, truth = read_jsonl(tracker_path), read_jsonl(truth_path)
     try:
-        params = dataclasses.replace(params, **overrides)
-    except ValueError as e:
-        raise ConfigError(f"metrics: {e}") from e
-    m = compute_metrics(read_jsonl(tracker_path), read_jsonl(truth_path), params)
+        m = compute_metrics(tracker, truth, sc.metrics)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{args.run_dir}: malformed trace "
+                          f"({type(e).__name__}: {e})") from e
     print(json.dumps(m.as_dict()))
     return 0
 
@@ -188,9 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("scenario")
     ps.add_argument("--out", default=None, help="output directory")
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--eq11-literal", action="store_true",
+    ps.add_argument("--eq11-literal", dest="literal_equations",
+                    action="store_const", const=True,
                     help="literal setpoint/force equations (no sign/scale repair)")
-    ps.add_argument("--no-gyro-comp", action="store_true",
+    ps.add_argument("--no-gyro-comp", dest="gyro_compensation",
+                    action="store_const", const=False,
                     help="disable gyro compensation in the tracker")
     ps.set_defaults(fn=cmd_sim)
 

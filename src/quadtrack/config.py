@@ -14,21 +14,29 @@ not written for.  One dumper (Scenario.to_dict) walks the same fields, so
 a scenario survives save -> load -> save byte-identically, and
 scenario_hash gives a stable content address used in run summaries.
 
+One error rule: a section, like the layer types, raises a plain ValueError
+with a bare message when it is built directly in Python, and the loader
+alone turns it into a ConfigError naming the value's path
+(`scenario.objects[2].motion: waypoint times must be strictly
+increasing`).  Only _build, _value and load_scenario raise ConfigError.
+Every outside value enters here: the CLI sets a flag's value at its path in
+Scenario.to_dict() and reloads it with Scenario.from_dict.
+
 The detector, metrics, quad and objects sections are the types their
-layers run on (SyntheticDetectorConfig, MetricsParams, QuadConfig, whose
-mixer geometry is built on first use, and ObjectConfig, whose
-MotionConfig.at(t) gives the object's position).  The camera, tracker and
-controller sections build their layer's type (CameraConfig.build,
-TrackerParams.build, ControllerParams.build); the tracker and controller
-sections take their defaults from the types they build, so each default
-number is written once.
+layers run on (SyntheticDetectorConfig, MetricsParams, QuadConfig, which
+builds its mixer geometry, and ObjectConfig, whose MotionConfig.at(t) gives
+the object's position).  The camera, tracker and controller sections build
+their layer's type (CameraConfig.build, TrackerParams.build,
+ControllerParams.build), and the camera and tracker sections build it once
+on construction, so the layer's own checks are theirs; the tracker and
+controller sections take their defaults from the types they build, so each
+default number is written once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
 import sys
 import types
@@ -132,7 +140,7 @@ def _dump(v):
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise ConfigError(msg)
+        raise ValueError(msg)
 
 
 def _number(x) -> bool:
@@ -151,15 +159,6 @@ def _numbers(v, n: int) -> bool:
             and all(map(_finite, v)))
 
 
-def _check_layer(section: str, build) -> None:
-    """Run a layer config's own validation; its ValueError becomes a
-    ConfigError naming the scenario section."""
-    try:
-        build()
-    except ValueError as e:
-        raise ConfigError(f"scenario.{section}: {e}") from e
-
-
 @dataclass(frozen=True)
 class CameraConfig:
     width: int = 960
@@ -167,8 +166,7 @@ class CameraConfig:
     vfov: float = 1.047
 
     def __post_init__(self):
-        _require(self.width > 0 and self.height > 0, "camera: non-positive size")
-        _require(0.0 < self.vfov < math.pi, "camera: vfov outside (0, pi)")
+        self.build()    # the camera model's own checks
 
     def build(self):
         return CameraModel.from_vfov(self.width, self.height, self.vfov)
@@ -182,7 +180,7 @@ class RatesConfig:
 
     def __post_init__(self):
         _require(self.physics_hz >= self.control_hz >= self.camera_hz > 0,
-                 "rates: require physics_hz >= control_hz >= camera_hz > 0")
+                 "require physics_hz >= control_hz >= camera_hz > 0")
 
 
 @dataclass(frozen=True)
@@ -200,13 +198,13 @@ class QuadConfig:
     motor_lag: float = 0.0               # s; 0 = ideal motors
 
     def __post_init__(self):
-        _require(self.mass > 0, "quad: mass must be positive")
+        _require(self.mass > 0, "mass must be positive")
         _require(len(self.inertia) == 3 and all(j > 0 for j in self.inertia),
-                 "quad: inertia must be 3 positive values")
-        _require(len(self.start_position) == 3, "quad: start_position must be xyz")
+                 "inertia must be 3 positive values")
+        _require(len(self.start_position) == 3, "start_position must be xyz")
         _require(self.gyro_noise >= 0 and self.motor_lag >= 0,
-                 "quad: noise/lag must be non-negative")
-        _check_layer("quad", lambda: self.geometry)
+                 "noise/lag must be non-negative")
+        self.geometry   # the mixer geometry's own checks
 
     @cached_property
     def geometry(self) -> MixerGeometry:
@@ -223,8 +221,8 @@ class CameraScriptConfig:
 
     def __post_init__(self):
         _require(self.mode in ("dynamic", "static", "yaw_sine"),
-                 f"camera_script: unknown mode {self.mode!r}")
-        _require(self.period > 0, "camera_script: period must be positive")
+                 f"unknown mode {self.mode!r}")
+        _require(self.period > 0, "period must be positive")
 
 
 _MOTION_KEYS = {
@@ -250,34 +248,34 @@ class MotionConfig:
     phase: float = 0.0
 
     def __post_init__(self):
-        _require(self.mode in _MOTION_KEYS, f"motion: unknown mode {self.mode!r}")
+        _require(self.mode in _MOTION_KEYS, f"unknown mode {self.mode!r}")
         allowed = _MOTION_KEYS[self.mode]
         for f in fields(self):
             if f.name == "mode" or f.name in allowed:
                 continue
             default = f.default
             if getattr(self, f.name) != default:
-                raise ConfigError(
-                    f"motion: key {f.name!r} not valid for mode {self.mode!r}")
+                raise ValueError(
+                    f"key {f.name!r} not valid for mode {self.mode!r}")
         if self.mode == "static":
             _require(_numbers(self.position, 3),
-                     "motion: static needs position = xyz, finite numbers")
+                     "static needs position = xyz, finite numbers")
         elif self.mode == "waypoints":
             wps = self.waypoints
             _require(isinstance(wps, (tuple, list)) and len(wps) >= 2,
-                     "motion: waypoints needs >= 2 entries")
+                     "waypoints needs >= 2 entries")
             for wp in wps:
-                _require(_numbers(wp, 4), "motion: waypoint entries are "
+                _require(_numbers(wp, 4), "waypoint entries are "
                          "(t, x, y, z), finite numbers")
             _require(all(a[0] < b[0] for a, b in zip(wps, wps[1:])),
-                     "motion: waypoint times must be strictly increasing")
+                     "waypoint times must be strictly increasing")
         else:
             for name in ("center", "amplitude"):
                 _require(_numbers(getattr(self, name), 3),
-                         f"motion: sinusoid needs {name} = xyz, finite numbers")
+                         f"sinusoid needs {name} = xyz, finite numbers")
             _require(_finite(self.period) and self.period > 0,
-                     "motion: sinusoid needs positive period, a finite number")
-            _require(_finite(self.phase), "motion: phase must be a finite number")
+                     "sinusoid needs positive period, a finite number")
+            _require(_finite(self.phase), "phase must be a finite number")
 
     def at(self, t: float) -> np.ndarray:
         """World position at time t; closed-form, so any t in any order."""
@@ -312,8 +310,7 @@ class ObjectConfig:
 
     def __post_init__(self):
         _require(_numbers(self.size, 2) and all(s > 0 for s in self.size),
-                 f"object {self.obj_id}: size must be 2 positive values (w, h), "
-                 "finite numbers")
+                 "size must be 2 positive values (w, h), finite numbers")
 
 
 @dataclass(frozen=True)
@@ -328,16 +325,15 @@ class TrackerParams:
 
     def __post_init__(self):
         _require(len(self.weights) == 3 and all(w >= 0 for w in self.weights),
-                 "tracker: weights must be 3 non-negative values")
-        _check_layer("tracker", lambda: self.build(None))
+                 "weights must be 3 non-negative values")
+        self.build(None)    # the tracker layer's own checks
 
     def build_weights(self):
         return TrackerWeights(*self.weights)
 
-    def build(self, camera, weights=None):
-        """The tracker layer's TrackerConfig for `camera`; `weights` (an
-        ablation row or a CLI override) replaces the scenario's weights."""
-        kw = asdict(self if weights is None else replace(self, weights=tuple(weights)))
+    def build(self, camera):
+        """The tracker layer's TrackerConfig for `camera`."""
+        kw = asdict(self)
         return TrackerConfig(camera, TrackerWeights(*kw.pop("weights")), **kw)
 
 
@@ -358,10 +354,10 @@ class ControllerParams:
     literal_equations: bool = False
 
     def __post_init__(self):
-        _require(0.0 <= self.beta <= 1.0, "controller: beta outside [0, 1]")
-        _require(self.deriv_tau >= 0, "controller: deriv_tau must be >= 0")
+        _require(0.0 <= self.beta <= 1.0, "beta outside [0, 1]")
+        _require(self.deriv_tau >= 0, "deriv_tau must be >= 0")
         _require(len(self.attitude_kr) == 3 and len(self.attitude_kw) == 3,
-                 "controller: attitude gains must be 3-vectors")
+                 "attitude gains must be 3-vectors")
 
     def build(self, quad: QuadConfig, camera, control_hz: int):
         """The VisualController for the vehicle `quad` (its mass, inertia
@@ -387,8 +383,8 @@ class PromptConfig:
     def __post_init__(self):
         for name in ("x", "y", "t"):
             _require(_finite(getattr(self, name)),
-                     f"prompt: {name} must be a finite number")
-        _require(self.t >= 0, "prompt: time must be non-negative")
+                     f"{name} must be a finite number")
+        _require(self.t >= 0, "time must be non-negative")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -413,19 +409,19 @@ class Scenario:
 
     def __post_init__(self):
         _require(self.schema_version == SCHEMA_VERSION,
-                 f"scenario: unsupported schema_version {self.schema_version}")
+                 f"unsupported schema_version {self.schema_version}")
         _require(isinstance(self.seed, numbers.Integral)
                  and not isinstance(self.seed, bool) and self.seed >= 0,
-                 f"scenario: seed must be an integer >= 0, got {self.seed!r}")
+                 f"seed must be an integer >= 0, got {self.seed!r}")
         _require(_finite(self.duration) and self.duration > 0,
-                 "scenario: duration must be positive and finite")
-        _require(len(self.objects) > 0, "scenario: needs at least one object")
+                 "duration must be positive and finite")
+        _require(len(self.objects) > 0, "needs at least one object")
         ids = [o.obj_id for o in self.objects]
-        _require(len(ids) == len(set(ids)), "scenario: duplicate obj_id")
+        _require(len(ids) == len(set(ids)), "duplicate obj_id")
         _require(self.target_id in ids,
-                 f"scenario: target_id {self.target_id} not among objects")
+                 f"target_id {self.target_id} not among objects")
         target = next(o for o in self.objects if o.obj_id == self.target_id)
-        _require(not target.occluder, "scenario: target cannot be an occluder")
+        _require(not target.occluder, "target cannot be an occluder")
 
     def to_dict(self) -> dict:
         return _dump(self)

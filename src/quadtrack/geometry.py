@@ -161,6 +161,8 @@ class CameraModel:
 
     @staticmethod
     def from_vfov(width: int, height: int, vfov: float) -> "CameraModel":
+        if not 0.0 < vfov < math.pi:    # before tan(vfov / 2) can be 0
+            raise ValueError(f"vfov out of range (0, pi): {vfov}")
         focal = (height / 2.0) / math.tan(vfov / 2.0)
         return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
 

@@ -166,19 +166,35 @@ def _parse_event(obj: dict, line_no: int) -> Event:
         raise LogParseError(line_no, str(e)) from e
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+# strict JSON: NaN, Infinity and -Infinity are malformed, not numbers; built
+# once, because json.loads(parse_constant=...) builds a decoder per call
+_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+
+
+def _decode(line: str, line_no: int):
+    """One strictly decoded JSON line; LogParseError names the line."""
+    try:
+        return _DECODER.decode(line)
+    except ValueError as e:     # json.JSONDecodeError or _no_constant's
+        raise LogParseError(line_no,
+                            f"invalid JSON: {getattr(e, 'msg', e)}") from e
+
+
 def read_events(path) -> list[Event]:
     """Parse and validate a sensor log.  Raises LogParseError (with the line
-    number) on malformed lines, StreamOrderError on broken ordering."""
+    number) on malformed lines, NaN and infinities included, and
+    StreamOrderError on broken ordering."""
     events: list[Event] = []
     with open(path) as fp:
         for line_no, line in enumerate(fp, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise LogParseError(line_no, f"invalid JSON: {e.msg}") from e
+            obj = _decode(line, line_no)
             if not isinstance(obj, dict):
                 raise LogParseError(line_no, "record is not a JSON object")
             ev = _parse_event(obj, line_no)
@@ -277,8 +293,5 @@ def read_jsonl(path) -> list[dict]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise LogParseError(line_no, f"invalid JSON: {e.msg}") from e
+            out.append(_decode(line, line_no))
     return out

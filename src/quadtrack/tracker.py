@@ -68,6 +68,9 @@ class TrackerWeights:
     w_map: float = DEFAULT_WEIGHTS[2]
 
     def __post_init__(self):
+        # a NaN or infinite weight, or a total that overflows, is not finite
+        if not math.isfinite(self.total):
+            raise ValueError("weights and their total must be finite")
         if min(self.w_iou, self.w_ekf, self.w_map) < 0:
             raise ValueError("weights must be non-negative")
         if self.w_iou + self.w_ekf + self.w_map <= 0:

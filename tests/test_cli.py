@@ -153,9 +153,8 @@ def _bad_runs():
         change(d)
         return d
 
-    def backwards(d):
-        d["objects"][0]["motion"] = {"mode": "waypoints", "waypoints": [
-            [0.0, 12.0, 0.0, 1.5], [2.0, 14.0, 0.0, 1.5], [1.0, 16.0, 0.0, 1.5]]}
+    backwards = {"mode": "waypoints", "waypoints": [
+        [0.0, 12.0, 0.0, 1.5], [2.0, 14.0, 0.0, 1.5], [1.0, 16.0, 0.0, 1.5]]}
 
     def bundled(name, section, **values):
         d = scenarios.get(name).to_dict()
@@ -165,6 +164,8 @@ def _bad_runs():
     nan, inf = float("nan"), float("inf")
     decoy_flag = scenarios.get("occlusion_decoy").to_dict()
     decoy_flag["objects"][2]["occluder"] = "false"
+    decoy_waypoints = scenarios.get("occlusion_decoy").to_dict()
+    decoy_waypoints["objects"][2]["motion"] = backwards
     position = lambda v: lambda d: d["objects"][0]["motion"].update(position=v)
     return [
         ("controller_overflow", ctrl, (), 2, "abort: controller: non-finite thrust at t="),
@@ -184,8 +185,11 @@ def _bad_runs():
          "error: scenario.objects[0].motion.position: every number must be finite"),
         ("prompt_string", edit(lambda d: d["prompt"].update(x="a")), (), 1,
          "error: scenario.prompt.x: expected a number"),
-        ("waypoints_backwards", edit(backwards), (), 1,
-         "error: motion: waypoint times must be strictly increasing"),
+        ("waypoints_backwards",
+         edit(lambda d: d["objects"][0].update(motion=backwards)), (), 1,
+         "error: scenario.objects[0].motion: waypoint times must be strictly increasing"),
+        ("waypoints_backwards_object_2", decoy_waypoints, (), 1,
+         "error: scenario.objects[2].motion: waypoint times must be strictly increasing"),
         ("occluder_string", decoy_flag, (), 1,
          "error: scenario.objects[2].occluder: expected true or false"),
         ("start_position_nan",
@@ -233,37 +237,63 @@ def _bad_runs():
          "error: scenario.detector.descriptor_dim: expected an integer, got 3.5"),
         ("deriv_tau_negative",
          bundled("corridor_approach", "controller", deriv_tau=-0.01), (), 1,
-         "error: controller: deriv_tau must be >= 0"),
+         "error: scenario.controller: deriv_tau must be >= 0"),
     ]
+
+
+def _quadtrack_process(argv):
+    """`python -m quadtrack *argv` in a fresh process: (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadtrack.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "quadtrack", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def assert_fails(capsys, argv, code, message):
+    """cli.main(argv) in process exits `code`, prints nothing to stdout and
+    one stderr line that starts with `message` (a traceback would escape
+    main and fail the test)."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), captured.err
+
+
+# The rows that fail at load run cli.main in process.  The entry point runs
+# in a fresh process for one load error and for the runtime aborts;
+# detector_overflow's detector warns (RuntimeWarning) on its way to the
+# abort, which in process is an error.
+_PROCESS_ROWS = {"negative_seed_flag", "controller_overflow", "detector_overflow"}
 
 
 @pytest.mark.parametrize("name,scenario,flags,code,message", _bad_runs(),
                          ids=[r[0] for r in _bad_runs()])
-def test_sim_process_fails_with_exit_code_and_no_traceback(tmp_path, name, scenario,
-                                                           flags, code, message):
+def test_sim_process_fails_with_exit_code_and_no_traceback(tmp_path, capsys, name,
+                                                           scenario, flags, code,
+                                                           message):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(scenario))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quadtrack.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadtrack", "sim", str(path), *flags, "--out",
-         str(tmp_path / "run")], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith(message), proc.stderr
+    argv = ["sim", str(path), *flags, "--out", str(tmp_path / "run")]
+    if name not in _PROCESS_ROWS:
+        assert_fails(capsys, argv, code, message)
+        return
+    returncode, stderr = _quadtrack_process(argv)
+    assert returncode == code, stderr
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1].startswith(message), stderr
 
 
 def test_override_flags():
-    parser = cli.build_parser()
     sc = make_scenario()
-    args = parser.parse_args(["sim", "x", "--seed", "42", "--eq11-literal",
-                              "--no-gyro-comp"])
-    over = cli._apply_overrides(sc, args)
+    over = cli._with_flags(sc, {"seed": 42, "controller.literal_equations": True,
+                                "tracker.gyro_compensation": False})
     assert over.seed == 42
     assert over.controller.literal_equations is True
     assert over.tracker.gyro_compensation is False
-    plain = cli._apply_overrides(sc, parser.parse_args(["sim", "x"]))
+    plain = cli._with_flags(sc, {"seed": None, "controller.literal_equations": None})
     assert plain == sc
 
 
@@ -454,7 +484,8 @@ def test_ablate_command(sim_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags,message", [
     (["--iou-threshold", "7"], "bad iou_threshold 7.0"),
-    (["--iou-threshold", "nan"], "bad iou_threshold nan"),
+    (["--iou-threshold", "nan"],
+     "scenario.metrics.iou_threshold: every number must be finite"),
     (["--iou-threshold", "0"], "bad iou_threshold 0.0"),
     (["--coast-credit", "-3"], "bad coast credit -3"),
 ])
@@ -465,8 +496,115 @@ def test_metrics_rejects_bad_overrides_exits_1(sim_run, capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: metrics: ")
+    assert len(err) == 1 and err[0].startswith("error: scenario.metrics")
     assert message in err[0]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--prompt", "nan,nan"], "scenario.prompt.x: every number must be finite"),
+    (["--prompt", "inf,272"], "scenario.prompt.x: every number must be finite"),
+    (["--prompt-t", "nan"], "scenario.prompt.t: every number must be finite"),
+    (["--prompt-t", "inf"], "scenario.prompt.t: every number must be finite"),
+    (["--prompt-t", "-5"], "scenario.prompt: time must be non-negative"),
+    (["--weights", "inf,3,4"], "scenario.tracker.weights: every number must be finite"),
+    (["--weights", "1e308,1e308,1e308"],
+     "scenario.tracker: weights and their total must be finite"),
+    (["--weights=-1,3,4"], "scenario.tracker: weights must be 3 non-negative"),
+], ids=["prompt_nan", "prompt_inf", "prompt_t_nan", "prompt_t_inf", "prompt_t_negative",
+        "weights_inf", "weights_total_overflow", "weights_negative"])
+def test_track_checks_its_flags_as_scenario_values(sim_run, capsys, flags, message):
+    # a flag is an edit of the recorded scenario, checked as the same value
+    # in a file would be, not run as given (a NaN prompt locked detection 0)
+    _, out = sim_run
+    argv = ["track", str(out / "events.jsonl"), "--prompt", "480,272", *flags]
+    assert_fails(capsys, argv, 1, f"error: {message}")
+
+
+def test_ablate_checks_its_seed_flag_as_a_scenario_value(sim_run, capsys):
+    sc_path, _ = sim_run
+    assert_fails(capsys, ["ablate", str(sc_path), "--seed", "-1"], 1,
+                 "error: scenario: seed must be an integer >= 0, got -1")
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("[[Infinity, 3, 4], [3, 3, 4]]", "row 0: weights and their total must be finite"),
+    ("[[3, 3, 4], [NaN, 3, 4]]", "row 1: weights and their total must be finite"),
+    ("[[1e308, 1e308, 1e308]]", "row 0: weights and their total must be finite"),
+    ("[[3, 3, 4], [-1, 3, 4]]", "row 1: weights must be non-negative"),
+    ("[[0, 0, 0]]", "row 0: at least one weight must be positive"),
+    ('[["a", 3, 4]]', "row 0: could not convert string to float"),
+], ids=["infinity", "nan", "total_overflow", "negative", "all_zero", "string"])
+def test_ablate_rejects_a_bad_grid_row_naming_it(sim_run, tmp_path, capsys, rows,
+                                                  message):
+    sc_path, _ = sim_run
+    grid = tmp_path / "grid.json"
+    grid.write_text(rows + "\n")
+    assert_fails(capsys, ["ablate", str(sc_path), "--grid", str(grid), "--seeds", "1"],
+                 1, f"error: grid file {grid}: {message}")
+
+
+def _copy_run(src, dst, name, change):
+    """Copy the run directory src to dst, replacing each record of the file
+    `name` for which change(record) gives a new one; the first such line's
+    number."""
+    dst.mkdir()
+    for p in src.iterdir():
+        (dst / p.name).write_bytes(p.read_bytes())
+    lines = (dst / name).read_text().splitlines()
+    changed = []
+    for i, line in enumerate(lines):
+        new = change(json.loads(line))
+        if new is not None:
+            lines[i] = json.dumps(new)      # NaN and Infinity as Python writes them
+            changed.append(i + 1)
+    (dst / name).write_text("\n".join(lines) + "\n")
+    return changed[0]
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kind,change,constant", [
+    ("gyro", lambda r: {**r, "w": [_NAN, 0.0, 0.0]}, "NaN"),
+    ("gyro", lambda r: {**r, "t": _NAN}, "NaN"),
+    ("gyro", lambda r: {**r, "w": [-_INF, 0.0, 0.0]}, "-Infinity"),
+    ("det", lambda r: {**r, "desc": [[_INF, *d[1:]] for d in r["desc"]]} if r["desc"]
+     else None, "Infinity"),
+], ids=["gyro_w_nan", "gyro_t_nan", "gyro_w_minus_infinity", "descriptor_infinity"])
+def test_track_rejects_a_non_finite_log_value_naming_the_line(sim_run, tmp_path, capsys,
+                                                              kind, change, constant):
+    # Python's json reads NaN and Infinity; the log reader does not, so such
+    # a value is a malformed line (exit 1), not a filter abort or a silent 0
+    _, out = sim_run
+    line_no = _copy_run(out, tmp_path / "run", "events.jsonl",
+                        lambda r: change(r) if r["kind"] == kind else None)
+    assert_fails(capsys, ["track", str(tmp_path / "run" / "events.jsonl"),
+                          "--prompt", "480,272"], 1,
+                 f"error: line {line_no}: invalid JSON: {constant} is not a finite number")
+
+
+@pytest.mark.parametrize("name,change,message", [
+    ("groundtruth.jsonl", lambda r: {**r, "box": r["box"][:2]} if r["box"] else None,
+     "malformed trace (ValueError: "),
+    ("tracker.jsonl", lambda r: {k: v for k, v in r.items() if k != "t"},
+     "malformed trace (KeyError: 't')"),
+], ids=["two_element_box", "row_without_t"])
+def test_metrics_reports_a_malformed_trace_naming_the_run(sim_run, tmp_path, capsys,
+                                                          name, change, message):
+    _, out = sim_run
+    run_dir = tmp_path / "run"
+    _copy_run(out, run_dir, name, change)
+    assert_fails(capsys, ["metrics", str(run_dir)], 1, f"error: {run_dir}: {message}")
+
+
+def test_metrics_rejects_a_non_finite_trace_value_naming_the_line(sim_run, tmp_path,
+                                                                  capsys):
+    _, out = sim_run
+    run_dir = tmp_path / "run"
+    line_no = _copy_run(out, run_dir, "groundtruth.jsonl",
+                        lambda r: {**r, "box": [_NAN] * 4} if r["box"] else None)
+    assert_fails(capsys, ["metrics", str(run_dir)], 1,
+                 f"error: line {line_no}: invalid JSON: NaN is not a finite number")
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])

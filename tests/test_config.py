@@ -1,6 +1,8 @@
 """Scenario schema: strict parsing, round trips, hashing, bundled corpus."""
 
+import ast
 import copy
+import inspect
 import json
 import pathlib
 import typing
@@ -8,7 +10,7 @@ from dataclasses import MISSING, asdict, astuple, fields, is_dataclass, replace
 
 import pytest
 
-from quadtrack import scenarios, simulator
+from quadtrack import config, scenarios, simulator
 from quadtrack.config import (
     MotionConfig,
     ObjectConfig,
@@ -49,6 +51,14 @@ def raises_with(msg, fn, *args, **kw):
     with pytest.raises(ConfigError) as ei:
         fn(*args, **kw)
     assert msg in str(ei.value)
+
+
+def rejects(msg, fn, *args, **kw):
+    """A section built directly in Python raises ValueError with the bare
+    message; only the loader adds the value's path."""
+    with pytest.raises(ValueError) as ei:
+        fn(*args, **kw)
+    assert str(ei.value).startswith(msg), str(ei.value)
 
 
 def test_bundled_names():
@@ -184,21 +194,21 @@ def test_non_object_sections_raise():
 
 
 def test_scenario_validation():
-    raises_with("duration must be positive", minimal_scenario, duration=0.0)
-    raises_with("duration must be positive and finite", minimal_scenario,
-                duration=float("inf"))
-    raises_with("seed must be an integer >= 0", minimal_scenario, seed=-1)
-    raises_with("seed must be an integer >= 0", minimal_scenario, seed=1.5)
-    raises_with("seed must be an integer >= 0", minimal_scenario().with_seed, -3)
-    raises_with("needs at least one object", minimal_scenario, objects=())
+    rejects("duration must be positive", minimal_scenario, duration=0.0)
+    rejects("duration must be positive and finite", minimal_scenario,
+            duration=float("inf"))
+    rejects("seed must be an integer >= 0", minimal_scenario, seed=-1)
+    rejects("seed must be an integer >= 0", minimal_scenario, seed=1.5)
+    rejects("seed must be an integer >= 0", minimal_scenario().with_seed, -3)
+    rejects("needs at least one object", minimal_scenario, objects=())
     obj = minimal_scenario().objects[0]
-    raises_with("duplicate obj_id", minimal_scenario, objects=(obj, obj))
-    raises_with("target_id 5 not among objects", minimal_scenario, target_id=5)
+    rejects("duplicate obj_id", minimal_scenario, objects=(obj, obj))
+    rejects("target_id 5 not among objects", minimal_scenario, target_id=5)
     occ = ObjectConfig(0, (0.6, 0.6),
                        MotionConfig("static", position=(10.0, 0.0, 1.5)),
                        occluder=True)
-    raises_with("target cannot be an occluder", minimal_scenario, objects=(occ,))
-    raises_with("unsupported schema_version", minimal_scenario, schema_version=2)
+    rejects("target cannot be an occluder", minimal_scenario, objects=(occ,))
+    rejects("unsupported schema_version", minimal_scenario, schema_version=2)
 
 
 def test_section_validation_propagates_through_parse():
@@ -297,6 +307,48 @@ def test_every_field_rejects_a_value_of_the_wrong_kind(path, kind):
         assert str(ei.value).startswith(f"{name}: expected "), (wrong, str(ei.value))
 
 
+def _edited(change):
+    d = scenarios.get("occlusion_decoy").to_dict()
+    change(d)
+    return d
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda d: d["objects"][2].update(motion={"mode": "waypoints", "waypoints": [
+        [0.0, 1.0, 0.0, 1.0], [2.0, 2.0, 0.0, 1.0], [1.0, 3.0, 0.0, 1.0]]}),
+     "scenario.objects[2].motion: waypoint times must be strictly increasing"),
+    (lambda d: d["objects"][1].update(size=[0.5, -1.0]),
+     "scenario.objects[1]: size must be 2 positive values"),
+    (lambda d: d["objects"][3]["motion"].update(phase=1.0),
+     "scenario.objects[3].motion: key 'phase' not valid for mode 'waypoints'"),
+    (lambda d: d["camera"].update(vfov=0.0),
+     "scenario.camera: vfov out of range (0, pi): 0.0"),
+    (lambda d: d["camera"].update(width=0),
+     "scenario.camera: image dimensions must be positive"),
+    (lambda d: d["prompt"].update(t=-1.0),
+     "scenario.prompt: time must be non-negative"),
+    (lambda d: d["tracker"].update(weights=[1e308, 1e308, 1e308]),
+     "scenario.tracker: weights and their total must be finite"),
+], ids=["waypoints", "size", "motion_key", "vfov", "width", "prompt_t",
+        "weight_total"])
+def test_a_rejected_value_is_named_by_its_path(change, message):
+    # a section's own check raises a bare ValueError; the loader names the
+    # section or object that holds the value
+    with pytest.raises(ConfigError) as ei:
+        Scenario.from_dict(_edited(change))
+    assert str(ei.value).startswith(message), str(ei.value)
+
+
+def test_only_the_loader_raises_config_error():
+    tree = ast.parse(inspect.getsource(config))
+    raisers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Raise) and node.exc is not None
+               and "ConfigError" in ast.unparse(node.exc)}
+    assert raisers == {"_build", "_value", "load_scenario"}
+
+
 def test_quad_rejects_singular_mixer_geometry():
     d = minimal_scenario().to_dict()
     d["quad"] = {"yaw_coeff": 0.0}
@@ -337,7 +389,8 @@ def test_layer_builders_carry_every_field():
                if f.name != "camera"}
     carried["weights"] = astuple(cfg.weights)
     assert carried == asdict(t) and cfg.camera is cam
-    assert t.build(cam, (1, 2, 3)).weights == TrackerWeights(1.0, 2.0, 3.0)
+    assert (replace(t, weights=(1, 2, 3)).build(cam).weights
+            == TrackerWeights(1.0, 2.0, 3.0))
     assert t.build_weights() == cfg.weights
 
 
@@ -362,42 +415,42 @@ def test_run_hands_the_scenario_sections_to_their_layers(monkeypatch):
 
 
 def test_object_size_validation():
-    raises_with("object 7: size must be 2 positive values",
-                ObjectConfig, 7, (0.6, -0.6),
-                MotionConfig("static", position=(0.0, 0.0, 0.0)))
+    rejects("size must be 2 positive values",
+            ObjectConfig, 7, (0.6, -0.6),
+            MotionConfig("static", position=(0.0, 0.0, 0.0)))
 
 
 def test_motion_mode_validation():
-    raises_with("motion: unknown mode 'orbit'", MotionConfig, "orbit")
-    raises_with("key 'period' not valid for mode 'static'",
-                MotionConfig, "static", position=(0.0, 0.0, 0.0), period=2.0)
-    raises_with("static needs position", MotionConfig, "static")
-    raises_with("waypoints needs >= 2 entries",
-                MotionConfig, "waypoints", waypoints=((0.0, 1.0, 2.0, 3.0),))
-    raises_with("waypoint entries are (t, x, y, z)",
-                MotionConfig, "waypoints",
-                waypoints=((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)))
-    raises_with("sinusoid needs center",
-                MotionConfig, "sinusoid", amplitude=(1.0, 0.0, 0.0), period=2.0)
-    raises_with("sinusoid needs positive period",
-                MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
-                amplitude=(1.0, 0.0, 0.0), period=0.0)
+    rejects("unknown mode 'orbit'", MotionConfig, "orbit")
+    rejects("key 'period' not valid for mode 'static'",
+            MotionConfig, "static", position=(0.0, 0.0, 0.0), period=2.0)
+    rejects("static needs position", MotionConfig, "static")
+    rejects("waypoints needs >= 2 entries",
+            MotionConfig, "waypoints", waypoints=((0.0, 1.0, 2.0, 3.0),))
+    rejects("waypoint entries are (t, x, y, z)",
+            MotionConfig, "waypoints",
+            waypoints=((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)))
+    rejects("sinusoid needs center",
+            MotionConfig, "sinusoid", amplitude=(1.0, 0.0, 0.0), period=2.0)
+    rejects("sinusoid needs positive period",
+            MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
+            amplitude=(1.0, 0.0, 0.0), period=0.0)
     # coordinates are finite numbers, and waypoint times increase
-    raises_with("sinusoid needs amplitude = xyz, finite numbers",
-                MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
-                amplitude=(1.0, float("nan"), 0.0), period=2.0)
-    raises_with("sinusoid needs positive period, a finite number",
-                MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
-                amplitude=(1.0, 0.0, 0.0), period=float("inf"))
-    raises_with("phase must be a finite number",
-                MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
-                amplitude=(1.0, 0.0, 0.0), period=2.0, phase="0")
-    raises_with("waypoint entries are (t, x, y, z), finite numbers",
-                MotionConfig, "waypoints",
-                waypoints=((0.0, 1.0, 2.0, "3"), (1.0, 2.0, 3.0, 4.0)))
-    raises_with("waypoint times must be strictly increasing",
-                MotionConfig, "waypoints",
-                waypoints=((1.0, 1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)))
+    rejects("sinusoid needs amplitude = xyz, finite numbers",
+            MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
+            amplitude=(1.0, float("nan"), 0.0), period=2.0)
+    rejects("sinusoid needs positive period, a finite number",
+            MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
+            amplitude=(1.0, 0.0, 0.0), period=float("inf"))
+    rejects("phase must be a finite number",
+            MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
+            amplitude=(1.0, 0.0, 0.0), period=2.0, phase="0")
+    rejects("waypoint entries are (t, x, y, z), finite numbers",
+            MotionConfig, "waypoints",
+            waypoints=((0.0, 1.0, 2.0, "3"), (1.0, 2.0, 3.0, 4.0)))
+    rejects("waypoint times must be strictly increasing",
+            MotionConfig, "waypoints",
+            waypoints=((1.0, 1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)))
 
 
 def test_motion_to_dict_drops_inapplicable_fields():
@@ -410,9 +463,9 @@ def test_motion_to_dict_drops_inapplicable_fields():
 
 
 def test_prompt_and_rates_validation():
-    raises_with("prompt: time must be non-negative", PromptConfig, 1.0, 2.0, -0.5)
-    raises_with("prompt: y must be a finite number", PromptConfig, 1.0, float("inf"))
-    raises_with("rates: require", RatesConfig, 1000, 100, 0)
+    rejects("time must be non-negative", PromptConfig, 1.0, 2.0, -0.5)
+    rejects("y must be a finite number", PromptConfig, 1.0, float("inf"))
+    rejects("require physics_hz", RatesConfig, 1000, 100, 0)
 
 
 def test_load_scenario_invalid_json(tmp_path):

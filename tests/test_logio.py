@@ -193,6 +193,22 @@ def test_parse_error_invalid_json(tmp_path):
     _expect_parse_error(tmp_path, [good, good, '{"t": 0.1, "kind"'], 3)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("template", [
+    '{{"t":0.1,"kind":"gyro","w":[{},0,0]}}',
+    '{{"t":{},"kind":"gyro","w":[0,0,0]}}',
+    '{{"t":0.1,"kind":"det","boxes":[[1,2,3,4]],"conf":[0.9],"desc":[[1,{}]]}}',
+], ids=["gyro_w", "gyro_t", "descriptor"])
+def test_parse_error_non_finite_constant(tmp_path, template, constant):
+    # Python's json reads NaN and +-Infinity; a log holds finite numbers only
+    good = event_line(gyro(0.0))
+    _expect_parse_error(tmp_path, [good, template.format(constant)], 2)
+    path = tmp_path / "trace.jsonl"
+    path.write_text(f'{{"a":1}}\n{{"b":[{constant}]}}\n')
+    with pytest.raises(LogParseError, match=f"line 2: invalid JSON: {constant} is not"):
+        read_jsonl(path)
+
+
 def test_parse_error_non_object(tmp_path):
     _expect_parse_error(tmp_path, [event_line(gyro(0.0)), "[1,2,3]"], 2)
 

@@ -16,8 +16,8 @@ from quadtrack.config import (CameraScriptConfig, MotionConfig, ObjectConfig,
 from quadtrack.controller import BodyCommand
 from quadtrack.detection import (DetectionSet, GyroSample,
                                  SyntheticDetectorConfig)
-from quadtrack.errors import (ConfigError, ControllerAbort,
-                              FilterDegenerateError, SimulationAbort)
+from quadtrack.errors import (ControllerAbort, FilterDegenerateError,
+                              SimulationAbort)
 from quadtrack.geometry import (is_rotation, nearest_rotation, rot_z,
                                 zyx_matrix)
 from quadtrack.logio import _json_compact, event_line
@@ -207,12 +207,12 @@ def test_waypoint_motion_interpolates_and_clamps():
 
 
 def test_waypoint_motion_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         MotionConfig("waypoints", waypoints=((0.0, 0.0, 0.0, 0.0),))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         MotionConfig("waypoints", waypoints=((0.0, 0.0, 0.0, 0.0),
                                              (0.0, 1.0, 1.0, 1.0)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         MotionConfig("waypoints", waypoints=((1.0, 0.0, 0.0, 0.0),
                                              (0.5, 1.0, 1.0, 1.0)))
 
@@ -222,7 +222,7 @@ def test_sinusoid_motion_periodic():
                      amplitude=(2.0, 0.0, 0.0), period=4.0, phase=0.3)
     for t in (0.0, 0.7, 2.1):
         assert np.allclose(m.at(t), m.at(t + 4.0), atol=1e-12)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         MotionConfig("sinusoid", center=(0.0, 0.0, 0.0),
                      amplitude=(0.0, 0.0, 0.0), period=0.0)
 

@@ -876,3 +876,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_cfg(q_diag=(1.0, 1.0))
     assert make_cfg(acceptance_fraction=0.05).s_min == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("weights", [(math.nan, 3.0, 4.0), (3.0, math.inf, 4.0),
+                                     (-math.inf, 3.0, 4.0), (1e308, 1e308, 1e308)],
+                         ids=["nan", "inf", "minus_inf", "total_overflow"])
+def test_weights_and_their_total_must_be_finite(weights):
+    # a NaN weight passed the sign checks, and an infinite total made every
+    # candidate's score and the acceptance threshold inf or NaN
+    with pytest.raises(ValueError, match="weights and their total must be finite"):
+        TrackerWeights(*weights)
