@@ -32,7 +32,6 @@ from .logio import SCENARIO_KEY, read_events, read_jsonl, write_jsonl
 from .metrics import compute_metrics
 from .replay import replay_track
 from .simulator import run, write_run
-from .tracker import TrackerWeights
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +52,7 @@ def resolve_scenario(ref: str) -> Scenario:
     name = os.path.basename(ref)
     if name.endswith(".json"):
         name = name[:-5]
-    if name in bundled.BUILDERS:
+    if name in bundled.names():
         return bundled.get(name)
     raise ConfigError(f"no scenario file or bundled scenario named {ref!r}")
 
@@ -80,7 +79,9 @@ def _recorded_scenario(run_dir: str) -> Scenario:
     return Scenario.from_dict(records[0][SCENARIO_KEY])
 
 
-def _parse_grid(text: str) -> tuple:
+def _parse_grid(text: str, sc: Scenario) -> tuple:
+    """The weight rows of `--grid`: table 2, or a JSON file whose every row
+    is loaded as `sc`'s tracker.weights."""
     if text == "table2":
         return DEFAULT_GRID
     try:
@@ -97,9 +98,8 @@ def _parse_grid(text: str) -> tuple:
     grid = []
     for i, row in enumerate(rows):
         try:
-            grid.append(tuple(float(w) for w in row))
-            TrackerWeights(*grid[-1])
-        except (TypeError, ValueError) as e:
+            grid.append(_with_flags(sc, {"tracker.weights": row}).tracker.weights)
+        except ConfigError as e:
             raise ConfigError(f"grid file {text}: row {i}: {e}") from e
     return tuple(grid)
 
@@ -153,7 +153,7 @@ def cmd_track(args) -> int:
 
 def cmd_ablate(args) -> int:
     sc = _with_flags(resolve_scenario(args.scenario), {"seed": args.seed})
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, sc)
     result = run_ablation(sc, grid=grid, n_seeds=args.seeds,
                           parallel=args.parallel)
     print(result.table(), end="")
@@ -177,7 +177,7 @@ def cmd_metrics(args) -> int:
     tracker, truth = read_jsonl(tracker_path), read_jsonl(truth_path)
     try:
         m = compute_metrics(tracker, truth, sc.metrics)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{args.run_dir}: malformed trace "
                           f"({type(e).__name__}: {e})") from e
     print(json.dumps(m.as_dict()))

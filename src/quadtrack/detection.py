@@ -176,14 +176,17 @@ class SyntheticDetector:
         noise = rng.normal(0.0, 1.0, size=cfg.descriptor_dim)
         if not visible:
             return None
-        dc, ds = dc * cfg.center_noise_px, ds * cfg.size_noise_frac
-        w = max(1.0, box.w * (1.0 + ds[0]))
-        h = max(1.0, box.h * (1.0 + ds[1]))
+        # scaled on Python floats: the same products as numpy's, but an
+        # overflow is an infinity that the box check reports, not a warning
+        dx, dy = [v * cfg.center_noise_px for v in dc.tolist()]
+        sw, sh = [v * cfg.size_noise_frac for v in ds.tolist()]
+        w = max(1.0, box.w * (1.0 + sw))
+        h = max(1.0, box.h * (1.0 + sh))
         # Size scales about the (jittered) center; written as offsets from the
         # clean box so zero noise reproduces it bit-exactly.
         try:
-            nb = BoundingBox(box.x + dc[0] - (w - box.w) / 2.0,
-                             box.y + dc[1] - (h - box.h) / 2.0, w, h)
+            nb = BoundingBox(box.x + dx - (w - box.w) / 2.0,
+                             box.y + dy - (h - box.h) / 2.0, w, h)
             desc = _unit(latent + noise * cfg.feature_noise)
         except ValueError as e:   # noise settings that overflow the float range
             raise DetectorAbort(t, str(e)) from e

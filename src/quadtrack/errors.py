@@ -60,15 +60,17 @@ class FilterDegenerateError(RuntimeAbort):
 
 
 class LogParseError(QuadtrackError):
-    """Malformed record/replay log line.  Carries the 1-based line number."""
+    """Malformed line of a log or trace file.  Carries the file's path and
+    the 1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(line_no, message)
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(path, line_no, message)
+        self.path = path
         self.line_no = line_no
 
     def __str__(self):
-        line_no, message = self.args
-        return f"line {line_no}: {message}"
+        path, line_no, message = self.args
+        return f"{path}: line {line_no}: {message}"
 
 
 class StreamOrderError(QuadtrackError):

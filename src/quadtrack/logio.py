@@ -115,18 +115,17 @@ def event_line(ev: Event) -> str:
     raise TypeError(f"not a loggable event: {type(ev).__name__}")
 
 
-def _check_order(prev: Event | None, ev: Event, where: str = "") -> None:
+def _check_order(prev: Event | None, ev: Event) -> None:
     """Raise StreamOrderError unless `ev` may follow `prev` in a stream:
-    timestamps never decrease and a detection closes its timestamp.
-    `where` prefixes the message (a log line number)."""
+    timestamps never decrease and a detection closes its timestamp."""
     if prev is None:
         return
     if ev.t < prev.t:
         raise StreamOrderError(
-            f"{where}timestamp regressed ({ev.t!r} after {prev.t!r})")
+            f"timestamp regressed ({ev.t!r} after {prev.t!r})")
     if ev.t == prev.t and isinstance(prev, DetectionSet):
         raise StreamOrderError(
-            f"{where}event follows a detection at equal t={ev.t!r}")
+            f"event follows a detection at equal t={ev.t!r}")
 
 
 def write_events(path, events: Iterable[Event]) -> None:
@@ -140,30 +139,45 @@ def write_events(path, events: Iterable[Event]) -> None:
             prev = ev
 
 
-def _parse_event(obj: dict, line_no: int) -> Event:
-    try:
-        t = float(obj["t"])
-        kind = obj["kind"]
-        if kind == "gyro":
-            w = np.asarray(obj["w"], dtype=float)
-            if w.shape != (3,):
-                raise ValueError(f"gyro 'w' must have 3 components, got shape {w.shape}")
-            return GyroSample(t, w)
-        if kind == "det":
-            boxes, conf, desc = obj["boxes"], obj["conf"], obj["desc"]
-            if not (len(boxes) == len(conf) == len(desc)):
-                raise ValueError("boxes/conf/desc lengths disagree")
-            dets = [
-                Detection(BoundingBox.from_array(b), float(c),
-                          np.asarray(d, dtype=float))
-                for b, c, d in zip(boxes, conf, desc)
-            ]
-            return DetectionSet(t, dets)
-        raise ValueError(f"unknown record kind {kind!r}")
-    except LogParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise LogParseError(line_no, str(e)) from e
+def _check_each(fields) -> None:
+    """Raise ValueError naming the first number of `fields` ((name, list of
+    numbers) pairs) that is not finite.  Called only when a record's sum is
+    not finite; a sum of finite numbers that merely overflows passes."""
+    for name, xs in fields:
+        for x in xs:
+            if not math.isfinite(x):
+                raise ValueError(f"{name} is not finite: {x!r}")
+
+
+def _parse_event(obj: dict) -> Event:
+    """One log record; ValueError, TypeError, KeyError or OverflowError when
+    it is malformed.  Each record's numbers are checked by one sum, which is
+    not finite when one of them is not (a JSON integer too large for a float
+    raises OverflowError in the sum)."""
+    t = float(obj["t"])
+    kind = obj["kind"]
+    if kind == "gyro":
+        w = obj["w"]
+        gyro = np.asarray(w, dtype=float)
+        if gyro.shape != (3,):
+            raise ValueError(f"gyro 'w' must have 3 components, got shape {gyro.shape}")
+        if not math.isfinite(t + sum(w)):
+            _check_each([("'t'", [t]), ("'w' entry", w)])
+        return GyroSample(t, gyro)
+    if kind == "det":
+        boxes, conf, desc = obj["boxes"], obj["conf"], obj["desc"]
+        if not (len(boxes) == len(conf) == len(desc)):
+            raise ValueError("boxes/conf/desc lengths disagree")
+        if not math.isfinite(t + sum(conf) + sum(map(sum, desc))):
+            _check_each([("'t'", [t]), ("'conf' entry", conf),
+                         *(("'desc' entry", d) for d in desc)])
+        dets = [
+            Detection(BoundingBox.from_array(b), float(c),
+                      np.asarray(d, dtype=float))
+            for b, c, d in zip(boxes, conf, desc)
+        ]
+        return DetectionSet(t, dets)
+    raise ValueError(f"unknown record kind {kind!r}")
 
 
 def _no_constant(name: str):
@@ -175,30 +189,37 @@ def _no_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_no_constant)
 
 
-def _decode(line: str, line_no: int):
-    """One strictly decoded JSON line; LogParseError names the line."""
+def _decode(line: str, path, line_no: int):
+    """One strictly decoded JSON line; LogParseError names the file and the
+    line."""
     try:
         return _DECODER.decode(line)
     except ValueError as e:     # json.JSONDecodeError or _no_constant's
-        raise LogParseError(line_no,
+        raise LogParseError(path, line_no,
                             f"invalid JSON: {getattr(e, 'msg', e)}") from e
 
 
 def read_events(path) -> list[Event]:
-    """Parse and validate a sensor log.  Raises LogParseError (with the line
-    number) on malformed lines, NaN and infinities included, and
-    StreamOrderError on broken ordering."""
+    """Parse and validate a sensor log.  Raises LogParseError (with the path
+    and line number) on malformed lines, NaN, infinities and numbers too
+    large for a float included, and StreamOrderError on broken ordering."""
     events: list[Event] = []
     with open(path) as fp:
         for line_no, line in enumerate(fp, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = _decode(line, line_no)
+            obj = _decode(line, path, line_no)
             if not isinstance(obj, dict):
-                raise LogParseError(line_no, "record is not a JSON object")
-            ev = _parse_event(obj, line_no)
-            _check_order(events[-1] if events else None, ev, f"line {line_no}: ")
+                raise LogParseError(path, line_no, "record is not a JSON object")
+            try:
+                ev = _parse_event(obj)
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise LogParseError(path, line_no, str(e)) from e
+            try:
+                _check_order(events[-1] if events else None, ev)
+            except StreamOrderError as e:
+                raise StreamOrderError(f"{path}: line {line_no}: {e}") from None
             events.append(ev)
     return events
 
@@ -293,5 +314,5 @@ def read_jsonl(path) -> list[dict]:
             line = line.strip()
             if not line:
                 continue
-            out.append(_decode(line, line_no))
+            out.append(_decode(line, path, line_no))
     return out

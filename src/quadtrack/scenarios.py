@@ -1,7 +1,9 @@
-"""Bundled scenario corpus.
+"""Bundled scenario corpus: the files `scenarios/<name>.json` at the root of
+the source tree, each loaded by `load_scenario`.  The files are the only
+copy of each scenario; to add one, write its JSON and check that it loads
+(`quadtrack scenario describe <name>`).
 
-Each builder returns a fully specified Scenario; numbers are tuned so the
-scenario exercises one failure mode cleanly:
+Each scenario's numbers are tuned so it exercises one failure mode cleanly:
 
   static_target        closed-loop approach to a stationary object
   corridor_approach    pursuit of a receding object past a crossing occluder
@@ -15,236 +17,78 @@ scenario exercises one failure mode cleanly:
                        target-sized false positives on a small image, plus
                        one displacing pillar blackout
 
+static_target: a stationary object 10 m ahead; the vehicle closes to inside
+2 m by t ~ 5.8 s under the default 0.5 m/s^2 forward-acceleration shaping.
+The vertical pixel loop is a double integrator with gain f/depth and almost
+no damping, so the close-range leg amplifies any altitude ring left over
+from the pitch-in transient.  Two choices keep that ring small: a wide lens
+(1.8 rad vertical, f ~ 216 px) halves the loop gain, and the start altitude
+1.296 m is the equilibrium height for the 0.051 rad cruise pitch at 10 m
+range, so the pitch-in step excites almost nothing.  The run ends at ~1.8 m
+range, before the 1/depth gain blowup.
+
+corridor_approach: the object recedes at 1 m/s down a corridor; a crossing
+cart (object 1) occludes it for ~0.5 s mid-pursuit.
+
 occlusion_decoy geometry (image coordinates, f ~ 471 px): the target crosses
 at 10 m depth at ~0.85 m/s (-40 px/s, 28 px box).  Pillar A occludes ~56
 frames starting t=3.5; the crossing drifts 38 px during the blackout, so a
 tracker scoring only previous-box overlap reappears a full box width away
 from its frozen box and never re-associates.  The return leg runs at 17 m
-depth and 0.8 m higher, so when it sweeps back over the frozen boxes the
-small, vertically offset detections stay below every acceptance threshold.
-Pillar B occludes ~59 frames starting t=7.4; the decoy (matched 28 px
-apparent size, depth 6 m) rises vertically through the coasting prediction
-point at t ~ 8.18, in a column 31 px clear of the frozen box.  With
-acceptance_fraction = 0.35, prediction overlap alone (3.0 weighted ~2.4)
-clears the (3,3,0) threshold (2.1) and that row follows the decoy away; by
-the time the true object reappears (t ~ 8.38) the captured filter has been
-dragged far enough above the corridor that the reappearing detection stays
-below threshold and the row never recovers.  Rows carrying the appearance
-cue need more total evidence (2.45 / 3.5) than the decoy's
-spatial-plus-random-cosine score and keep coasting until the true object
-reappears (first visible frame scores ~3.8 on appearance alone, re-locking
-inside the 60-frame coast credit).
+depth and 0.8 m higher (45 px/s), so when it sweeps back over the frozen
+boxes the small, vertically offset detections stay below every acceptance
+threshold.  Pillar B occludes ~59 frames starting t=7.4; the decoy (matched
+28 px apparent size, depth 6 m) rises vertically at 80 px/s from below the
+image through the coasting prediction point (u = 200) at t ~ 8.18, in a
+column 31 px clear of the pillar-B frozen box.  With acceptance_fraction =
+0.35, prediction overlap alone (3.0 weighted ~2.4) clears the (3,3,0)
+threshold (2.1) and that row follows the decoy away.  The decoy crosses
+0.2 s before the true object reappears (t ~ 8.38), which gives the captured
+filter time to be dragged far enough above the corridor, in every seed,
+that the reappearing detection stays below threshold and the row never
+recovers.  Rows carrying the appearance cue need more total evidence (2.45
+/ 3.5) than the decoy's spatial-plus-random-cosine score and keep coasting
+until the true object reappears (first visible frame scores ~3.8 on
+appearance alone, re-locking inside the 60-frame coast credit).
+
+sprint_7ms: the object accelerates away to 7 m/s under outdoor acceleration
+shaping (controller pitch_accel 2.5).
+
+rotation_only: a static object and a sinusoidally yawing camera peaking at
+1 rad/s, with zero noise, isolate rotation-induced image flow in the filter.
+
+false_positive_storm: a small image, 35% dropout, ~3 target-sized false
+positives per frame, frequent duplicate boxes, and one pillar blackout (~55
+frames) while the object drifts at 34 px/s.  The blackout displaces the
+object a full box width, so previous-box-overlap scoring strands on its
+frozen box, and the monotone drift guarantees the box is never re-crossed;
+prediction or appearance carries the other rows through.  False positives
+land on the coasting boxes often enough to cause transient captures, but
+the score threshold keeps them within a box width of the prediction.
 """
 
 from __future__ import annotations
 
-from .config import (CameraConfig, CameraScriptConfig, ControllerParams,
-                     MotionConfig, ObjectConfig, PromptConfig, QuadConfig,
-                     Scenario, TrackerParams)
-from .detection import SyntheticDetectorConfig
+from pathlib import Path
+
+from .config import Scenario, load_scenario
 from .errors import ConfigError
 
-
-def _static(pos) -> MotionConfig:
-    return MotionConfig(mode="static", position=tuple(pos))
-
-
-def _waypoints(points) -> MotionConfig:
-    return MotionConfig(mode="waypoints",
-                        waypoints=tuple((float(t), float(x), float(y), float(z))
-                                        for t, x, y, z in points))
-
-
-def static_target() -> Scenario:
-    """Stationary object 10 m ahead; the vehicle closes to inside 2 m by
-    t ~ 5.8 s under the default 0.5 m/s^2 forward-acceleration shaping.
-
-    The vertical pixel loop is a double integrator with gain f/depth and
-    almost no damping, so the close-range leg amplifies any altitude ring
-    left over from the pitch-in transient.  Two choices keep that ring
-    small: a wide lens (1.8 rad vertical, f ~ 216 px) halves the loop gain,
-    and the start altitude 1.296 m is the equilibrium height for the 0.051
-    rad cruise pitch at 10 m range, so the pitch-in step excites almost
-    nothing.  The run ends at ~1.8 m range, before the 1/depth gain blowup."""
-    return Scenario(
-        name="static_target",
-        seed=11,
-        duration=5.9,
-        prompt=PromptConfig(x=480.0, y=272.0, t=0.0),
-        camera=CameraConfig(vfov=1.8),
-        quad=QuadConfig(gyro_noise=0.005, start_position=(0.0, 0.0, 1.296)),
-        objects=(
-            ObjectConfig(0, (0.6, 0.6), _static((10.0, 0.0, 1.5))),
-        ),
-    )
-
-
-def corridor_approach() -> Scenario:
-    """Object receding at 1 m/s down a corridor; a crossing cart occludes it
-    for ~0.5 s mid-pursuit."""
-    return Scenario(
-        name="corridor_approach",
-        seed=21,
-        duration=8.0,
-        prompt=PromptConfig(x=480.0, y=272.0, t=0.0),
-        quad=QuadConfig(gyro_noise=0.005),
-        detector=SyntheticDetectorConfig(
-            center_noise_px=1.0, size_noise_frac=0.03, feature_noise=0.08,
-            p_dropout=0.03),
-        objects=(
-            ObjectConfig(0, (0.6, 0.6), _waypoints([
-                (0.0, 8.0, 0.0, 1.5),
-                (8.0, 16.0, 0.0, 1.5),
-            ])),
-            ObjectConfig(1, (0.8, 2.5), _waypoints([
-                (0.0, 4.0, -6.0, 1.5),
-                (2.0, 4.0, -2.0, 1.5),
-                (4.0, 4.0, 2.0, 1.5),
-                (8.0, 4.0, 10.0, 1.5),
-            ]), occluder=True),
-        ),
-    )
-
-
-def occlusion_decoy() -> Scenario:
-    """Static camera; crossing target, two pillar occlusions, one decoy.
-    See module docstring for the geometry."""
-    return Scenario(
-        name="occlusion_decoy",
-        seed=1,
-        duration=30.0,
-        prompt=PromptConfig(x=527.0, y=272.0, t=0.0),
-        camera_script=CameraScriptConfig(mode="static"),
-        quad=QuadConfig(gyro_noise=0.005),
-        detector=SyntheticDetectorConfig(
-            center_noise_px=1.0, size_noise_frac=0.02, feature_noise=0.02,
-            p_dropout=0.0),
-        tracker=TrackerParams(acceptance_fraction=0.35),
-        objects=(
-            # target: cross left at 10 m (40 px/s), recede to 17 m while
-            # climbing 0.8 m, sweep back right at 45 px/s on the high line
-            ObjectConfig(0, (0.6, 0.6), _waypoints([
-                (0.0, 10.0, -1.0, 1.5),
-                (11.0, 10.0, 8.34, 1.5),
-                (14.0, 17.0, 14.18, 2.3),
-                (30.0, 17.0, -11.82, 2.3),
-            ])),
-            # pillar A: 56-frame blackout at t ~ 3.5; the crossing drifts
-            # 38 px, one box width past the frozen box
-            ObjectConfig(1, (0.74, 3.0), _static((8.0, 1.90, 1.5)),
-                         occluder=True),
-            # pillar B: the ~1 s blackout hosting the decoy hand-off
-            ObjectConfig(2, (0.762, 3.0), _static((8.0, 4.559, 1.5)),
-                         occluder=True),
-            # decoy: rises from below the image at 80 px/s through the
-            # coasting prediction point (u = 200) at t ~ 8.18 with matched
-            # apparent size; its column is 31 px clear of the pillar-B
-            # frozen box.  Crossing 0.2 s before the object reappears gives
-            # the captured filter time to get dragged upward out of the
-            # reappearance corridor in every seed
-            ObjectConfig(3, (0.36, 0.36), _waypoints([
-                (0.0, 6.0, 3.566, -2.2),
-                (4.548, 6.0, 3.566, -2.2),
-                (30.0, 6.0, 3.566, 23.73),
-            ])),
-        ),
-    )
-
-
-def sprint_7ms() -> Scenario:
-    """Object accelerating away to 7 m/s; outdoor acceleration shaping."""
-    return Scenario(
-        name="sprint_7ms",
-        seed=31,
-        duration=10.0,
-        prompt=PromptConfig(x=480.0, y=272.0, t=0.0),
-        quad=QuadConfig(gyro_noise=0.005),
-        controller=ControllerParams(pitch_accel=2.5),
-        detector=SyntheticDetectorConfig(
-            center_noise_px=1.0, size_noise_frac=0.03, feature_noise=0.08,
-            p_dropout=0.03),
-        objects=(
-            ObjectConfig(0, (0.6, 0.6), _waypoints([
-                (0.0, 12.0, 0.0, 1.5),
-                (2.0, 17.0, 0.0, 1.5),
-                (4.0, 26.0, 0.0, 1.5),
-                (6.0, 38.0, 0.0, 1.5),
-                (10.0, 66.0, 0.0, 1.5),
-            ])),
-        ),
-    )
-
-
-def rotation_only() -> Scenario:
-    """Static object, sinusoidally yawing camera peaking at 1 rad/s, zero
-    noise; isolates rotation-induced image flow in the filter."""
-    return Scenario(
-        name="rotation_only",
-        seed=41,
-        duration=6.0,
-        prompt=PromptConfig(x=480.0, y=272.0, t=0.0),
-        camera_script=CameraScriptConfig(mode="yaw_sine", amplitude=0.5,
-                                         period=3.141592653589793),
-        quad=QuadConfig(gyro_noise=0.0),
-        detector=SyntheticDetectorConfig(
-            center_noise_px=0.0, size_noise_frac=0.0, feature_noise=0.0,
-            p_dropout=0.0),
-        objects=(
-            ObjectConfig(0, (0.6, 0.6), _static((10.0, 0.0, 1.5))),
-        ),
-    )
-
-
-def false_positive_storm() -> Scenario:
-    """Small image, 35% dropout, ~3 target-sized false positives per frame,
-    frequent duplicate boxes, and one pillar blackout (~55 frames) while the
-    object drifts at 34 px/s.  The blackout displaces the object a full box
-    width, so previous-box-overlap scoring strands on its frozen box and the
-    monotone drift guarantees the box is never re-crossed; prediction or
-    appearance carries the other rows through.  False positives land on the
-    coasting boxes often enough to cause transient captures but the score
-    threshold keeps them within a box width of the prediction."""
-    return Scenario(
-        name="false_positive_storm",
-        seed=2,
-        duration=8.0,
-        prompt=PromptConfig(x=287.7, y=116.5, t=0.062),
-        camera=CameraConfig(width=320, height=240, vfov=1.047),
-        camera_script=CameraScriptConfig(mode="static"),
-        quad=QuadConfig(gyro_noise=0.005),
-        detector=SyntheticDetectorConfig(
-            center_noise_px=1.5, size_noise_frac=0.05, feature_noise=0.02,
-            p_dropout=0.35, fp_rate=3.0, p_duplicate=0.5, fp_size_min=22.0,
-            fp_size_max=36.0),
-        tracker=TrackerParams(acceptance_fraction=0.32),
-        objects=(
-            ObjectConfig(0, (0.8, 0.8), _waypoints([
-                (0.0, 6.0, -3.75, 1.6),
-                (8.0, 6.0, 4.10, 1.6),
-            ])),
-            ObjectConfig(1, (0.708, 3.0), _static((4.0, -0.760, 1.5)),
-                         occluder=True),
-        ),
-    )
-
-
-BUILDERS = {
-    "static_target": static_target,
-    "corridor_approach": corridor_approach,
-    "occlusion_decoy": occlusion_decoy,
-    "sprint_7ms": sprint_7ms,
-    "rotation_only": rotation_only,
-    "false_positive_storm": false_positive_storm,
-}
+CORPUS = Path(__file__).resolve().parents[2] / "scenarios"
 
 
 def names() -> list[str]:
-    return list(BUILDERS)
+    """The bundled scenario names, sorted: the corpus's file stems."""
+    if not CORPUS.is_dir():
+        raise ConfigError(f"bundled scenario directory not found: {CORPUS}")
+    return sorted(p.stem for p in CORPUS.glob("*.json"))
 
 
 def get(name: str) -> Scenario:
-    try:
-        return BUILDERS[name]()
-    except KeyError:
+    """The bundled scenario `name`, loaded from its file.  Only a listed
+    name is accepted, so a path-like name is refused."""
+    bundled = names()
+    if name not in bundled:
         raise ConfigError(f"unknown scenario {name!r}; "
-                          f"bundled: {', '.join(BUILDERS)}") from None
+                          f"bundled: {', '.join(bundled)}")
+    return load_scenario(CORPUS / f"{name}.json")

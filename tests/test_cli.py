@@ -24,8 +24,9 @@ from quadtrack.logio import read_events, read_jsonl, write_jsonl
 from quadtrack.metrics import MetricsParams, compute_metrics
 from quadtrack.replay import replay_track
 
-ALL_NAMES = ["static_target", "corridor_approach", "occlusion_decoy",
-             "sprint_7ms", "rotation_only", "false_positive_storm"]
+ALL_NAMES = ["corridor_approach", "false_positive_storm", "occlusion_decoy",
+             "rotation_only", "sprint_7ms", "static_target"]
+_BIG = 10 ** 400      # a 401-digit JSON integer: too large for a float
 
 
 def make_scenario(**kw):
@@ -92,6 +93,20 @@ def test_resolve_scenario(tmp_path):
             == scenarios.get("rotation_only"))
     with pytest.raises(ConfigError, match="no scenario file or bundled"):
         cli.resolve_scenario(str(tmp_path / "missing.json"))
+
+
+def test_resolve_bundled_name_outside_the_repo_root(tmp_path, monkeypatch):
+    # the corpus is found beside the package source, not in the working directory
+    monkeypatch.chdir(tmp_path)
+    assert cli.resolve_scenario("rotation_only") == scenarios.get("rotation_only")
+
+
+def test_scenario_describe_prints_the_corpus_file(capsys):
+    corpus = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+    for name in scenarios.names():
+        assert cli.main(["scenario", "describe", name]) == 0
+        with open(os.path.join(corpus, f"{name}.json")) as fp:
+            assert capsys.readouterr().out == fp.read(), name
 
 
 def test_sim_writes_run_dir(sim_run):
@@ -262,11 +277,10 @@ def assert_fails(capsys, argv, code, message):
     assert len(err) == 1 and err[0].startswith(message), captured.err
 
 
-# The rows that fail at load run cli.main in process.  The entry point runs
-# in a fresh process for one load error and for the runtime aborts;
-# detector_overflow's detector warns (RuntimeWarning) on its way to the
-# abort, which in process is an error.
-_PROCESS_ROWS = {"negative_seed_flag", "controller_overflow", "detector_overflow"}
+# The rows run cli.main in process, where a RuntimeWarning is an error; the
+# entry point runs in a fresh process for one load error and one runtime
+# abort.
+_PROCESS_ROWS = {"negative_seed_flag", "controller_overflow"}
 
 
 @pytest.mark.parametrize("name,scenario,flags,code,message", _bad_runs(),
@@ -441,19 +455,20 @@ def test_metrics_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_ablate_grid_parsing(tmp_path):
-    assert cli._parse_grid("table2") == cli.DEFAULT_GRID
+    sc = make_scenario()
+    assert cli._parse_grid("table2", sc) == cli.DEFAULT_GRID
     grid_path = tmp_path / "grid.json"
     grid_path.write_text("[[3, 0, 0], [3, 3, 4]]\n")
-    assert cli._parse_grid(str(grid_path)) == ((3.0, 0.0, 0.0), (3.0, 3.0, 4.0))
+    assert cli._parse_grid(str(grid_path), sc) == ((3.0, 0.0, 0.0), (3.0, 3.0, 4.0))
     with pytest.raises(ConfigError, match="grid file not found"):
-        cli._parse_grid(str(tmp_path / "none.json"))
+        cli._parse_grid(str(tmp_path / "none.json"), sc)
     bad = tmp_path / "bad.json"
     bad.write_text("[[1, 2]]\n")
     with pytest.raises(ConfigError, match="expected a JSON list"):
-        cli._parse_grid(str(bad))
+        cli._parse_grid(str(bad), sc)
     bad.write_text("{nope\n")
     with pytest.raises(ConfigError, match="invalid JSON"):
-        cli._parse_grid(str(bad))
+        cli._parse_grid(str(bad), sc)
 
 
 def test_ablate_command(sim_run, tmp_path, capsys):
@@ -527,15 +542,24 @@ def test_ablate_checks_its_seed_flag_as_a_scenario_value(sim_run, capsys):
 
 
 @pytest.mark.parametrize("rows,message", [
-    ("[[Infinity, 3, 4], [3, 3, 4]]", "row 0: weights and their total must be finite"),
-    ("[[3, 3, 4], [NaN, 3, 4]]", "row 1: weights and their total must be finite"),
-    ("[[1e308, 1e308, 1e308]]", "row 0: weights and their total must be finite"),
-    ("[[3, 3, 4], [-1, 3, 4]]", "row 1: weights must be non-negative"),
-    ("[[0, 0, 0]]", "row 0: at least one weight must be positive"),
-    ('[["a", 3, 4]]', "row 0: could not convert string to float"),
-], ids=["infinity", "nan", "total_overflow", "negative", "all_zero", "string"])
+    ("[[Infinity, 3, 4], [3, 3, 4]]",
+     "row 0: scenario.tracker.weights: every number must be finite, got [inf, 3, 4]"),
+    ("[[3, 3, 4], [NaN, 3, 4]]",
+     "row 1: scenario.tracker.weights: every number must be finite, got [nan, 3, 4]"),
+    ("[[1e308, 1e308, 1e308]]",
+     "row 0: scenario.tracker: weights and their total must be finite"),
+    (f"[[3, 3, 4], [{_BIG}, 3, 4]]",
+     "row 1: scenario.tracker.weights: every number must be finite, got [1000"),
+    ("[[3, 3, 4], [-1, 3, 4]]", "row 1: scenario.tracker: weights must be 3 non-negative"),
+    ("[[0, 0, 0]]", "row 0: scenario.tracker: at least one weight must be positive"),
+    ('[["a", 3, 4]]',
+     "row 0: scenario.tracker.weights: expected a list of numbers, got ['a', 3, 4]"),
+], ids=["infinity", "nan", "total_overflow", "int_401_digits", "negative", "all_zero",
+        "string"])
 def test_ablate_rejects_a_bad_grid_row_naming_it(sim_run, tmp_path, capsys, rows,
                                                   message):
+    # each row is loaded as the scenario's tracker.weights, so it is checked,
+    # and reported, as the same value in a scenario file would be
     sc_path, _ = sim_run
     grid = tmp_path / "grid.json"
     grid.write_text(rows + "\n")
@@ -578,9 +602,26 @@ def test_track_rejects_a_non_finite_log_value_naming_the_line(sim_run, tmp_path,
     _, out = sim_run
     line_no = _copy_run(out, tmp_path / "run", "events.jsonl",
                         lambda r: change(r) if r["kind"] == kind else None)
-    assert_fails(capsys, ["track", str(tmp_path / "run" / "events.jsonl"),
-                          "--prompt", "480,272"], 1,
-                 f"error: line {line_no}: invalid JSON: {constant} is not a finite number")
+    log = tmp_path / "run" / "events.jsonl"
+    assert_fails(capsys, ["track", str(log), "--prompt", "480,272"], 1,
+                 f"error: {log}: line {line_no}: invalid JSON: {constant} is not a "
+                 "finite number")
+
+
+@pytest.mark.parametrize("number", [str(_BIG), "1e999"], ids=["int_401_digits", "1e999"])
+def test_track_rejects_a_number_beyond_the_float_range_naming_the_file_and_line(
+        sim_run, tmp_path, capsys, number):
+    # json reads a 401-digit integer as an int and 1e999 as an infinity; a
+    # log holds finite floats only, so either is a malformed line, not a
+    # traceback or a filter abort (tests/test_logio.py covers every field)
+    _, out = sim_run
+    line_no = _copy_run(out, tmp_path / "run", "events.jsonl",
+                        lambda r: {**r, "w": ["NUMBER", 0.0, 0.0]}
+                        if r["kind"] == "gyro" else None)
+    log = tmp_path / "run" / "events.jsonl"
+    log.write_text(log.read_text().replace('"NUMBER"', number))
+    assert_fails(capsys, ["track", str(log), "--prompt", "480,272"], 1,
+                 f"error: {log}: line {line_no}: ")
 
 
 @pytest.mark.parametrize("name,change,message", [
@@ -588,7 +629,9 @@ def test_track_rejects_a_non_finite_log_value_naming_the_line(sim_run, tmp_path,
      "malformed trace (ValueError: "),
     ("tracker.jsonl", lambda r: {k: v for k, v in r.items() if k != "t"},
      "malformed trace (KeyError: 't')"),
-], ids=["two_element_box", "row_without_t"])
+    ("tracker.jsonl", lambda r: {**r, "box": [_BIG, *r["box"][1:]]} if r["box"] else None,
+     "malformed trace (OverflowError: "),
+], ids=["two_element_box", "row_without_t", "int_401_digits_in_box"])
 def test_metrics_reports_a_malformed_trace_naming_the_run(sim_run, tmp_path, capsys,
                                                           name, change, message):
     _, out = sim_run
@@ -603,8 +646,10 @@ def test_metrics_rejects_a_non_finite_trace_value_naming_the_line(sim_run, tmp_p
     run_dir = tmp_path / "run"
     line_no = _copy_run(out, run_dir, "groundtruth.jsonl",
                         lambda r: {**r, "box": [_NAN] * 4} if r["box"] else None)
+    # metrics reads three files: the error names the one that holds the line
     assert_fails(capsys, ["metrics", str(run_dir)], 1,
-                 f"error: line {line_no}: invalid JSON: NaN is not a finite number")
+                 f"error: {run_dir / 'groundtruth.jsonl'}: line {line_no}: invalid JSON: "
+                 "NaN is not a finite number")
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
@@ -627,13 +672,14 @@ def _error_classes(cls=errors.QuadtrackError):
                          ids=lambda c: c.__name__)
 def test_errors_survive_a_pickle_round_trip(cls):
     # a process pool (`ablate --parallel`) sends a worker's error back pickled
-    values = {"t": 0.123456789, "line_no": 7, "message": "boom"}
+    values = {"t": 0.123456789, "path": "run/events.jsonl", "line_no": 7,
+              "message": "boom"}
     params = inspect.signature(cls.__init__).parameters
     err = cls(*([values[p] for p in params if p in values] or ["boom"]))
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is cls
     assert str(back) == str(err)
-    for attr in ("t", "line_no"):
+    for attr in ("t", "path", "line_no"):
         assert getattr(back, attr, None) == getattr(err, attr, None)
 
 

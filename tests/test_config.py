@@ -25,13 +25,14 @@ from quadtrack.errors import ConfigError
 from quadtrack.tracker import TrackerWeights
 
 ALL_NAMES = [
-    "static_target",
     "corridor_approach",
-    "occlusion_decoy",
-    "sprint_7ms",
-    "rotation_only",
     "false_positive_storm",
+    "occlusion_decoy",
+    "rotation_only",
+    "sprint_7ms",
+    "static_target",
 ]
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def minimal_scenario(**kw):
@@ -77,6 +78,16 @@ def test_bundled_scenarios_validate():
 
 def test_get_unknown_name_raises():
     raises_with("bundled", scenarios.get, "no_such_scenario")
+    # only a listed name is loaded, so a name cannot reach outside the corpus
+    raises_with("unknown scenario '../rotation_only'; bundled: corridor_approach",
+                scenarios.get, "../rotation_only")
+
+
+def test_missing_corpus_directory_raises_naming_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "CORPUS", tmp_path / "gone")
+    raises_with(f"bundled scenario directory not found: {tmp_path / 'gone'}",
+                scenarios.names)
+    raises_with("bundled scenario directory not found", scenarios.get, "rotation_only")
 
 
 def test_save_load_save_byte_identical(tmp_path):
@@ -91,14 +102,13 @@ def test_save_load_save_byte_identical(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_scenario_corpus_matches_builders(tmp_path):
-    # the benchmark reads scenarios/*.json while the CLI uses the builders
-    corpus = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-    assert sorted(p.stem for p in corpus.glob("*.json")) == sorted(ALL_NAMES)
-    for name in ALL_NAMES:
-        path = tmp_path / f"{name}.json"
-        save_scenario(scenarios.get(name), path)
-        assert path.read_bytes() == (corpus / f"{name}.json").read_bytes(), name
+def test_bundled_names_are_the_corpus_files():
+    assert scenarios.names() == sorted(p.stem for p in CORPUS.glob("*.json"))
+
+
+def test_bundled_get_loads_the_corpus_file():
+    for name in scenarios.names():
+        assert scenarios.get(name) == load_scenario(CORPUS / f"{name}.json"), name
 
 
 def test_dict_round_trip_equality():

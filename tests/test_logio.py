@@ -167,7 +167,7 @@ def test_writer_rejects_events_after_closing_detection(tmp_path):
 def test_reader_rejects_broken_order(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(event_line(frame(1.0)) + "\n" + event_line(gyro(1.0)) + "\n")
-    with pytest.raises(StreamOrderError):
+    with pytest.raises(StreamOrderError, match=f"^{path}: line 2: event follows a detection"):
         read_events(path)
     path.write_text(event_line(gyro(1.0)) + "\n" + event_line(gyro(0.9)) + "\n")
     with pytest.raises(StreamOrderError):
@@ -185,7 +185,8 @@ def _expect_parse_error(tmp_path, lines, line_no):
     with pytest.raises(LogParseError) as err:
         read_events(path)
     assert err.value.line_no == line_no
-    assert f"line {line_no}" in str(err.value)
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: line {line_no}: ")
 
 
 def test_parse_error_invalid_json(tmp_path):
@@ -207,6 +208,31 @@ def test_parse_error_non_finite_constant(tmp_path, template, constant):
     path.write_text(f'{{"a":1}}\n{{"b":[{constant}]}}\n')
     with pytest.raises(LogParseError, match=f"line 2: invalid JSON: {constant} is not"):
         read_jsonl(path)
+
+
+_BIG = str(10 ** 400)     # a 401-digit JSON integer: too large for a float
+
+
+@pytest.mark.parametrize("number", [_BIG, "1e999", "-1e999"],
+                         ids=["int_401_digits", "1e999", "minus_1e999"])
+@pytest.mark.parametrize("template", [
+    '{{"t":{},"kind":"gyro","w":[0,0,0]}}',
+    '{{"t":0.1,"kind":"gyro","w":[0,{},0]}}',
+    '{{"t":0.1,"kind":"det","boxes":[[{},2,3,4]],"conf":[0.9],"desc":[[1,0]]}}',
+    '{{"t":0.1,"kind":"det","boxes":[[1,2,3,4]],"conf":[{}],"desc":[[1,0]]}}',
+    '{{"t":0.1,"kind":"det","boxes":[[1,2,3,4]],"conf":[0.9],"desc":[[1,{}]]}}',
+], ids=["gyro_t", "gyro_w", "box", "conf", "descriptor"])
+def test_parse_error_number_beyond_the_float_range(tmp_path, template, number):
+    # json reads these as an int too large for a float or as an infinity,
+    # not as a constant; an infinite descriptor entry would zero the
+    # appearance score and turn the memory to NaN
+    _expect_parse_error(tmp_path, [event_line(gyro(0.0)), template.format(number)], 2)
+
+
+def test_reader_accepts_finite_numbers_whose_sum_overflows(tmp_path):
+    path = tmp_path / "big.jsonl"
+    write_events(path, [GyroSample(0.0, np.array([1e308, 1e308, 0.0]))])
+    assert read_events(path)[0].w.tolist() == [1e308, 1e308, 0.0]
 
 
 def test_parse_error_non_object(tmp_path):
@@ -286,6 +312,7 @@ def test_read_jsonl_reports_bad_line(tmp_path):
     with pytest.raises(LogParseError) as err:
         read_jsonl(path)
     assert err.value.line_no == 2
+    assert str(err.value).startswith(f"{path}: line 2: invalid JSON: ")
 
 
 # ---------------------------------------------------------------------------
