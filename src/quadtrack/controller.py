@@ -33,8 +33,8 @@ allocation inverse, kept as floats on the MixerGeometry, instead of a
 solve.  Only the rotor thrusts leave as an array.  A tick fails closed: a
 non-finite thrust, desired attitude, torque or rotor thrust raises
 ControllerAbort with the tick time, instead of reaching the plant or the
-command log; a force demand or heading that no attitude realizes raises
-DegenerateForceError or DegenerateHeadingError, also with the tick time.
+command log, and so do a gimbal-lock attitude and a force demand or heading
+that no attitude realizes (the helpers' ValueError).
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ControllerAbort, DegenerateForceError,
-                     DegenerateHeadingError, TimeRegressionError)
+from .errors import ControllerAbort
 from .geometry import (CameraModel, cross3, pitch_yaw_from_rotation,
                        quat_from_rotation, wrap_angle)
 
@@ -213,7 +212,7 @@ def pixel_errors(state: ControllerState, sp: Setpoints, target_xy,
         return PixelErrors(ew, eh, 0.0, 0.0)
     dt = t - state.last_t
     if dt < 0.0:
-        raise TimeRegressionError(f"controller tick at t={t!r} after t={state.last_t!r}")
+        raise ControllerAbort(t, f"tick precedes the previous tick ({state.last_t!r} s)")
     if dt > 0.0:
         raw = ((ew - state.prev_e[0]) / dt, (eh - state.prev_e[1]) / dt)
         a = dt / (deriv_tau + dt)
@@ -278,7 +277,8 @@ def desired_rotation(f_des, yaw_des: float) -> tuple:
 
     r3 = f_des/|f_des| exactly; the heading vector h = [cos, sin, 0] is
     completed to an orthonormal right-handed frame via r2 = r3 x h (normalized),
-    r1 = r2 x r3, so hover with zero yaw gives the identity.
+    r1 = r2 x r3, so hover with zero yaw gives the identity.  Raises
+    ValueError when f_des is near zero or parallel to the heading.
     """
     f0, f1, f2 = f_des
     n = math.sqrt(f0 * f0 + f1 * f1 + f2 * f2)
@@ -286,12 +286,12 @@ def desired_rotation(f_des, yaw_des: float) -> tuple:
         # the sum of squares overflows for components above ~1e154
         n = math.hypot(f0, f1, f2)
     if n <= 1e-6:
-        raise DegenerateForceError(f"force demand norm {n:.3e} too small")
+        raise ValueError(f"force demand norm {n:.3e} too small")
     r3 = (f0 / n, f1 / n, f2 / n)
     x, y, z = cross3(r3, (math.cos(yaw_des), math.sin(yaw_des), 0.0))
     n2 = math.sqrt(x * x + y * y + z * z)
     if n2 <= 1e-6:
-        raise DegenerateHeadingError("heading parallel to thrust axis")
+        raise ValueError("heading parallel to thrust axis")
     r2 = (x / n2, y / n2, z / n2)
     r1 = cross3(r2, r3)
     return tuple(zip(r1, r2, r3))
@@ -385,7 +385,10 @@ class VisualController:
     def tick(self, t: float, target_xy, R: np.ndarray,
              omega: np.ndarray) -> tuple[ControlCommand, MotorCommand]:
         Rl = R.tolist()
-        pitch, yaw = pitch_yaw_from_rotation(Rl)
+        try:
+            pitch, yaw = pitch_yaw_from_rotation(Rl)
+        except ValueError as e:
+            raise ControllerAbort(t, str(e)) from e
         sp = setpoints(self.cam, pitch, self.literal)
         err = pixel_errors(self.state, sp, target_xy, t, self.deriv_tau)
         self.state.pitch_accel_hat = next_pitch_accel(
@@ -400,7 +403,10 @@ class VisualController:
                    omega: np.ndarray) -> tuple[ControlCommand, MotorCommand]:
         """Level-hover hold for the phase before the tracker locks."""
         Rl = R.tolist()
-        _, yaw = pitch_yaw_from_rotation(Rl)
+        try:
+            _, yaw = pitch_yaw_from_rotation(Rl)
+        except ValueError as e:
+            raise ControllerAbort(t, str(e)) from e
         f_des = (0.0, 0.0, self.gains.mass * GRAVITY)
         err = PixelErrors(0.0, 0.0, 0.0, 0.0)
         sp = Setpoints(self.cam.width / 2.0, self.cam.height / 2.0, False)
@@ -409,12 +415,12 @@ class VisualController:
     def _attitude(self, t, Rl, omega, f_des, yaw_d, err, sp, pitch_accel_hat):
         """Thrust, desired attitude, torques and rotor thrusts for a force
         demand and heading; raises ControllerAbort when any of them is not
-        finite, and a degenerate demand's error with the tick time."""
+        finite or no attitude realizes the demand."""
         tau_d = thrust_from_force(f_des, Rl)
         try:
             R_des = desired_rotation(f_des, yaw_d)
-        except (DegenerateForceError, DegenerateHeadingError) as e:
-            raise type(e)(str(e), t) from None
+        except ValueError as e:
+            raise ControllerAbort(t, str(e)) from e
         torques = attitude_control(Rl, omega.tolist(), R_des, self.att_gains,
                                    self.inertia)
         motors = mix(tau_d, torques, self.geom)

@@ -100,8 +100,14 @@ class SyntheticDetectorConfig:
             raise ValueError("descriptor_dim must be positive")
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
+def _unit(v: np.ndarray, noise: np.ndarray | None = None,
+          scale: float = 0.0) -> np.ndarray:
+    """v + noise * scale (v alone without noise), normalized.  Noise
+    settings near the float range overflow to inf unwarned, and the
+    ValueError names the norm."""
     with np.errstate(over="ignore"):
+        if noise is not None:
+            v = v + noise * scale
         n = np.linalg.norm(v)
     if not math.isfinite(n) and np.isfinite(v).all():
         # finite entries above ~1e154 overflow the plain norm: scale by the
@@ -111,7 +117,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     if not math.isfinite(n):
-        raise ValueError(f"descriptor norm is not finite: {n!r}")
+        raise ValueError(f"descriptor norm is not finite: {float(n)!r}")
     return v / n
 
 
@@ -187,7 +193,7 @@ class SyntheticDetector:
         try:
             nb = BoundingBox(box.x + dx - (w - box.w) / 2.0,
                              box.y + dy - (h - box.h) / 2.0, w, h)
-            desc = _unit(latent + noise * cfg.feature_noise)
+            desc = _unit(latent, noise, cfg.feature_noise)
         except ValueError as e:   # noise settings that overflow the float range
             raise DetectorAbort(t, str(e)) from e
         return Detection(nb, float(conf), desc)
@@ -250,4 +256,4 @@ class SyntheticDetector:
         noise = self.rng.normal(0.0, 1.0, size=self.cfg.descriptor_dim)
         if best is None:
             return _unit(noise)
-        return _unit(best.latent + self.cfg.feature_noise * noise)
+        return _unit(best.latent, noise, self.cfg.feature_noise)

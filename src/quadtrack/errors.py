@@ -3,6 +3,13 @@
 Every deliberate failure path raises one of these so callers can map them
 to exit codes: ConfigError -> 1, anything derived from RuntimeAbort -> 2.
 
+One error rule for a run: a function that knows the sim time raises its
+layer's abort with that time, and every abort prints as
+"<layer>: <what> at t=<t> s".  A helper with no sim time (a box, an
+attitude extraction, a normalization) raises ValueError with a bare
+message; the layer's entry point that called it catches that error around
+that call only and raises its own abort.
+
 Every error survives a pickle round trip, which is how a process pool
 returns a worker's error: an error whose message formats several
 constructor arguments keeps them as `args` and formats in `__str__`.
@@ -15,48 +22,6 @@ class QuadtrackError(Exception):
 
 class ConfigError(QuadtrackError):
     """Malformed or rejected configuration (unknown keys, bad values)."""
-
-
-class RuntimeAbort(QuadtrackError):
-    """Base class for errors that abort a run after config was accepted."""
-
-
-class DegenerateAttitudeError(RuntimeAbort):
-    """Pitch within 1e-6 of +/- pi/2: yaw/pitch extraction is undefined."""
-
-
-class _DegenerateDemand(RuntimeAbort):
-    """A force demand and heading that no attitude realizes.  Raised from a
-    control tick, it names the controller and carries the tick time, as
-    ControllerAbort does; raised with the message alone, t is None."""
-
-    def __init__(self, message: str, t: float | None = None):
-        super().__init__(message if t is None
-                         else f"controller: {message} at t={t:.6f} s")
-        self.t = t
-
-
-class DegenerateForceError(_DegenerateDemand):
-    """Desired force vector has near-zero norm; no attitude can realize it."""
-
-
-class DegenerateHeadingError(_DegenerateDemand):
-    """Heading reference (anti)parallel to the desired thrust axis."""
-
-
-class TimeRegressionError(RuntimeAbort):
-    """An event arrived with a timestamp earlier than already-processed state."""
-
-
-class InitializationError(RuntimeAbort):
-    """Tracker could not initialize (e.g. empty detection set at prompt time)."""
-
-
-class FilterDegenerateError(RuntimeAbort):
-    """The tracker's filter broke down: a predicted or updated mean or
-    covariance that is not finite, or an innovation covariance S that is not
-    finite, not positive definite, or numerically singular (condition number
-    > 1e12).  The message carries the filter time."""
 
 
 class LogParseError(QuadtrackError):
@@ -81,21 +46,10 @@ class MetricsError(QuadtrackError):
     """Metrics requested on an empty or misaligned trace."""
 
 
-class SimulationAbort(RuntimeAbort):
-    """Simulation produced a non-finite state.  Carries the last good time."""
-
-    def __init__(self, t: float, message: str):
-        super().__init__(t, message)
-        self.t = t
-
-    def __str__(self):
-        t, message = self.args
-        return f"{message} (last good state at t={t:.6f} s)"
-
-
-class _LayerAbort(RuntimeAbort):
-    """A non-finite output of one layer at sim time t: "<layer>: <message>
-    at t=<t> s"."""
+class RuntimeAbort(QuadtrackError):
+    """A run aborted after config was accepted: one layer's output was not
+    finite or degenerate at sim time t.  Prints as "<layer>: <message> at
+    t=<t> s"."""
 
     layer = ""
 
@@ -108,16 +62,31 @@ class _LayerAbort(RuntimeAbort):
         return f"{self.layer}: {message} at t={t:.6f} s"
 
 
-class ControllerAbort(_LayerAbort):
-    """The controller produced a non-finite thrust, desired attitude, torque
-    or rotor thrust.  Carries the tick time."""
+class SimulationAbort(RuntimeAbort):
+    """A non-finite plant state (at the last good time) or a degenerate
+    attitude in a ground-truth row."""
+
+    layer = "physics"
+
+
+class ControllerAbort(RuntimeAbort):
+    """A non-finite or unrealizable output of a control tick, or a tick
+    that no attitude or clock admits.  Carries the tick time."""
 
     layer = "controller"
 
 
-class DetectorAbort(_LayerAbort):
-    """The synthetic detector produced a box or descriptor that is not
-    finite, as noise settings near the float range can.  Carries the frame
-    time."""
+class DetectorAbort(RuntimeAbort):
+    """A detected box or descriptor that is not finite, as noise settings
+    near the float range can give.  Carries the frame time."""
 
     layer = "detector"
+
+
+class TrackerAbort(RuntimeAbort):
+    """No detection to initialize from, an event before the filter state,
+    or a filter that broke down (a mean or covariance that is not finite,
+    or an innovation covariance that is not finite, not positive definite
+    or numerically singular).  Carries the filter or frame time."""
+
+    layer = "tracker"

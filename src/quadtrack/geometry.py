@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAttitudeError
-
 # A projected point closer than this (camera Z, meters) counts as behind the lens.
 MIN_VIEW_DEPTH = 1e-6
 
@@ -94,6 +92,14 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     # exceeds either box's area, and the cap keeps the ratio inside [0, 1]
     inter = min(iw * ih, a.area, b.area)
     union = a.area + b.area - inter
+    if not union < math.inf:
+        # an area beyond the float range (inf - inf is NaN): the same ratio
+        # with every length divided by the largest side, the product last
+        # so that an inf * 0 = NaN loses to the caps
+        m = max(a.w, a.h, b.w, b.h)
+        sa, sb = (a.w / m) * (a.h / m), (b.w / m) * (b.h / m)
+        inter = min(sa, sb, (iw / m) * (ih / m))
+        union = sa + sb - inter
     return inter / union
 
 
@@ -267,14 +273,14 @@ def pitch_yaw_from_rotation(R) -> tuple[float, float]:
     """(pitch, yaw) of a ZYX-factored rotation, given as a 3x3 array or
     its rows.
 
-    pitch in [-pi/2, pi/2], yaw in (-pi, pi].  Raises DegenerateAttitudeError
-    within 1e-6 rad of the gimbal-lock pitch +/- pi/2.
+    pitch in [-pi/2, pi/2], yaw in (-pi, pi].  Raises ValueError within
+    1e-6 rad of the gimbal-lock pitch +/- pi/2.
     """
     s = -float(R[2][0])
     s = max(-1.0, min(1.0, s))
     pitch = math.asin(s)
     if math.pi / 2.0 - abs(pitch) < 1e-6:
-        raise DegenerateAttitudeError(f"pitch {pitch:.8f} within 1e-6 of gimbal lock")
+        raise ValueError(f"pitch {pitch:.8f} within 1e-6 of gimbal lock")
     yaw = math.atan2(float(R[1][0]), float(R[0][0]))
     return pitch, wrap_angle(yaw)
 

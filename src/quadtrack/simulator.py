@@ -282,7 +282,10 @@ def _truth_record(t: float, quad: QuadState, detector: SyntheticDetector,
     center = None if box is None else box.center
     in_view = (center is not None and 0.0 <= center[0] <= cam.width
                and 0.0 <= center[1] <= cam.height)
-    _, yaw = pitch_yaw_from_rotation(quad.R)
+    try:
+        _, yaw = pitch_yaw_from_rotation(quad.R)
+    except ValueError as e:
+        raise SimulationAbort(t, str(e)) from e
     return {
         "t": t,
         "box": None if box is None else box.as_array(),
@@ -373,7 +376,8 @@ def run(scenario: Scenario) -> RunArtifacts:
                     + quad.omega.tolist())
             # a finite sum means finite entries; finite entries can overflow it
             if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
-                raise SimulationAbort(last_phys_t, "non-finite state")
+                raise SimulationAbort(last_phys_t,
+                                      "non-finite state after the last good state")
             last_phys_t = t_p
             ip += 1
         return quad

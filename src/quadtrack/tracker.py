@@ -31,7 +31,7 @@ overhead would dominate.  Predict forms F P Fᵀ from F's structure (the
 identity but for two rows).  Update takes its gain from a 4×4 Cholesky of
 the innovation covariance S; an S that this fast path cannot vouch for goes
 to the exact gate (eigenvalues of S, then an LU solve), so every
-FilterDegenerateError on S comes from that gate.
+TrackerAbort on S comes from that gate.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import Detection, DetectionSet, GyroSample
-from .errors import FilterDegenerateError, InitializationError, TimeRegressionError
+from .errors import TrackerAbort
 from .geometry import BoundingBox, CameraModel, iou
 
 log = logging.getLogger(__name__)
@@ -158,12 +158,11 @@ class StepResult:
 def initialize(prompt_xy, dets: DetectionSet, cfg: TrackerConfig) -> TrackerState:
     """Lock onto the detection whose box center is nearest the prompt point.
 
-    Ties keep the earliest detection in list order.  Raises
-    InitializationError when the frame has no detections.
+    Ties keep the earliest detection in list order.  Raises TrackerAbort
+    when the frame has no detections.
     """
     if not dets.detections:
-        raise InitializationError(
-            f"no detections at prompt time t={dets.t:.6f}; cannot initialize")
+        raise TrackerAbort(dets.t, "no detections at prompt time; cannot initialize")
     px, py = float(prompt_xy[0]), float(prompt_xy[1])
     best_i = 0
     best_d = math.inf
@@ -179,7 +178,7 @@ def initialize(prompt_xy, dets: DetectionSet, cfg: TrackerConfig) -> TrackerStat
     state = EkfState(mean, np.diag(cfg.p0_diag).astype(float), dets.t)
     norm = np.linalg.norm(chosen.descriptor)
     if norm == 0.0:
-        raise InitializationError("chosen detection has a zero descriptor")
+        raise TrackerAbort(dets.t, "chosen detection has a zero descriptor")
     memory = AppearanceMemory(chosen.descriptor / norm, cfg.memory_alpha)
     return TrackerState(state, memory, chosen.box)
 
@@ -242,16 +241,14 @@ _EYE_6 = _frozen(np.eye(6))
 
 def _finite_state(mean: np.ndarray, total: float, cov: np.ndarray,
                   t: float, step: str) -> EkfState:
-    """EkfState(mean, cov, t), or FilterDegenerateError naming the step and
-    the filter time if an entry is NaN or infinite.  `total`, the caller's
+    """EkfState(mean, cov, t), or TrackerAbort naming the step at the
+    filter time if an entry is NaN or infinite.  `total`, the caller's
     sum of every entry of the mean and the covariance, is non-finite when
     any entry is; only then, or if it overflowed, are the entries checked
     one by one."""
     if (not math.isfinite(total)
             and not (np.isfinite(cov).all() and np.isfinite(mean).all())):
-        raise FilterDegenerateError(
-            f"filter mean or covariance is not finite after {step} "
-            f"at t={t:.6f}")
+        raise TrackerAbort(t, f"filter mean or covariance is not finite after {step}")
     return EkfState(mean, cov, t)
 
 
@@ -259,7 +256,7 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     """Propagate to gyro.t under constant velocity plus rotational flow.
 
     dt = 0 is a no-op on the mean and adds no process noise.  A negative dt
-    raises TimeRegressionError; dt beyond STALE_GYRO_DT logs a warning but
+    raises TrackerAbort; dt beyond STALE_GYRO_DT logs a warning but
     still propagates.  The mean is stepped on Python floats, with the same
     operations in the same order as the array form, so the same bits.
 
@@ -269,13 +266,11 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     P's (its upper triangle, mirrored) plus Q dt.  So the result is
     symmetric by construction, with no averaging pass.
 
-    Fails closed: a non-finite mean or covariance raises
-    FilterDegenerateError.
+    Fails closed: a non-finite mean or covariance raises TrackerAbort.
     """
     dt = gyro.t - state.t
     if dt < 0.0:
-        raise TimeRegressionError(
-            f"gyro at t={gyro.t!r} precedes filter state at t={state.t!r}")
+        raise TrackerAbort(gyro.t, f"gyro sample precedes the filter state ({state.t!r} s)")
     if dt > STALE_GYRO_DT:
         log.warning("stale gyro: dt=%.4f s exceeds %.2f s, propagating anyway",
                     dt, STALE_GYRO_DT)
@@ -400,20 +395,19 @@ def _innovation_gain(P: np.ndarray, r: tuple) -> np.ndarray | None:
 
 def _exact_gain(P: np.ndarray, cfg: TrackerConfig, t: float) -> np.ndarray:
     """K = P[:, :4] S⁻¹ by LU solve, behind the exact gate on S: raises
-    FilterDegenerateError when S is not finite, not positive definite, or
-    has condition number above MAX_INNOVATION_COND."""
+    TrackerAbort at filter time t when S is not finite, not positive
+    definite, or has condition number above MAX_INNOVATION_COND."""
     S = P[:4, :4] + np.diag(cfg.r_vector)
     if not np.isfinite(S).all():
-        raise FilterDegenerateError(
-            f"innovation covariance is not finite at t={t:.6f}")
-    ev = np.linalg.eigvalsh(S)  # ascending; reads S's lower triangle
+        raise TrackerAbort(t, "innovation covariance is not finite")
+    # ascending, read from S's lower triangle; compared as Python floats,
+    # which overflow to inf without a warning
+    ev = np.linalg.eigvalsh(S).tolist()
     if not ev[0] > 0.0:
-        raise FilterDegenerateError(
-            f"innovation covariance is not positive definite at t={t:.6f}")
+        raise TrackerAbort(t, "innovation covariance is not positive definite")
     if ev[-1] > MAX_INNOVATION_COND * ev[0]:
-        raise FilterDegenerateError(
-            f"innovation covariance condition number exceeds "
-            f"{MAX_INNOVATION_COND:g} at t={t:.6f}")
+        raise TrackerAbort(t, "innovation covariance condition number exceeds "
+                              f"{MAX_INNOVATION_COND:g}")
     return np.linalg.solve(S.T, P[:, :4].T).T
 
 
@@ -433,7 +427,7 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
 
     Fails closed: an innovation covariance S that is not finite, not
     positive definite, or has condition number above MAX_INNOVATION_COND
-    raises FilterDegenerateError, and so does a non-finite updated mean or
+    raises TrackerAbort, and so does a non-finite updated mean or
     covariance.
     """
     P = state.cov
@@ -452,7 +446,8 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
 
 
 def predicted_box(state: EkfState) -> BoundingBox:
-    m = state.mean
+    # Python floats: the box's area and overlaps overflow to inf, unwarned
+    m = state.mean.tolist()
     return BoundingBox(m[0], m[1], max(MIN_BOX_SIZE, m[2]), max(MIN_BOX_SIZE, m[3]))
 
 
@@ -509,8 +504,7 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepRes
     """
     ekf = state.ekf
     if dets.t < ekf.t - 1e-12:
-        raise TimeRegressionError(
-            f"detections at t={dets.t!r} precede filter state at t={ekf.t!r}")
+        raise TrackerAbort(dets.t, f"detections precede the filter state ({ekf.t!r} s)")
     if dets.t > ekf.t:
         ekf = ekf_predict(ekf, GyroSample(dets.t, state.last_gyro_w), cfg)
 
@@ -555,13 +549,13 @@ class Tracker:
 
     def predict(self, gyro: GyroSample) -> None:
         if self.state is None:
-            raise InitializationError("predict before initialize")
+            raise TrackerAbort(gyro.t, "predict before initialize")
         self.state.ekf = ekf_predict(self.state.ekf, gyro, self.cfg)
         self.state.last_gyro_w = np.asarray(gyro.w, dtype=float)
 
     def step(self, dets: DetectionSet) -> StepResult:
         if self.state is None:
-            raise InitializationError("step before initialize")
+            raise TrackerAbort(dets.t, "step before initialize")
         res = step(self.state, dets, self.cfg)
         self.state = res.state
         return res

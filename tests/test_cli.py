@@ -1,13 +1,20 @@
 """Command-line harness: subcommands, scenario resolution, exit codes."""
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadtrack
 from quadtrack import cli, errors, scenarios
@@ -27,6 +34,9 @@ from quadtrack.replay import replay_track
 ALL_NAMES = ["corridor_approach", "false_positive_storm", "occlusion_decoy",
              "rotation_only", "sprint_7ms", "static_target"]
 _BIG = 10 ** 400      # a 401-digit JSON integer: too large for a float
+# the one line every runtime abort prints (exit code 2)
+ABORT_LINE = re.compile(
+    r"^abort: (physics|controller|detector|tracker): .+ at t=\d+\.\d{6} s$")
 
 
 def make_scenario(**kw):
@@ -133,7 +143,53 @@ def test_sim_runtime_abort_exits_2(tmp_path, capsys):
     save_scenario(make_scenario(
         detector=SyntheticDetectorConfig(p_dropout=1.0, descriptor_dim=16)), path)
     assert cli.main(["sim", str(path), "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err.startswith("abort:")
+    assert capsys.readouterr().err == (
+        "abort: tracker: no detections at prompt time; cannot initialize at t=0.000000 s\n")
+
+
+# one noise, gain, vehicle or covariance value of a run, by section
+_FUZZ_FIELDS = (
+    *(("detector", key) for key in ("center_noise_px", "size_noise_frac",
+                                    "feature_noise")),
+    *(("controller", key) for key in ("kp_roll", "kd_roll", "kp_thrust", "kd_thrust",
+                                      "kp_yaw", "kd_yaw", "attitude_kr", "attitude_kw")),
+    *(("quad", key) for key in ("gyro_noise", "motor_lag", "mass")),
+    *(("tracker", key) for key in ("q_diag", "r_diag", "p0_diag")),
+)
+
+
+def _scaled(v, k: int):
+    """v times 10^k, entry by entry; a zero is scaled from 1, so that no
+    case leaves its value as it was."""
+    if isinstance(v, list):
+        return [_scaled(x, k) for x in v]
+    return (v or 1.0) * 10.0 ** k
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_FIELDS),
+       st.integers(-3, 308))
+def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
+    # a bundled scenario at 0.5 s with one value scaled by 10^k, run in
+    # process with every warning an error: the run ends, is rejected at
+    # load (a value scaled past the float range), or aborts in one layer
+    # with one line in the abort shape; nothing escapes cli.main
+    section, key = field
+    d = scenarios.get(name).to_dict()
+    d["duration"] = 0.5
+    d[section][key] = _scaled(d[section][key], k)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = os.path.join(tmp, "scaled.json")
+        with open(path, "w") as fp:
+            json.dump(d, fp)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["sim", path, "--out", os.path.join(tmp, "run")])
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and ABORT_LINE.match(lines[0]), err.getvalue()
 
 
 @pytest.mark.parametrize("section,key,value,message", [
@@ -162,6 +218,17 @@ def _bad_runs():
     fp_size["detector"].update(fp_size_min=-50.0, fp_size_max=-10.0)
     noise = scenarios.get("false_positive_storm").to_dict()
     noise["detector"]["center_noise_px"] = 1e308
+    feature = scenarios.get("false_positive_storm").to_dict()
+    feature["detector"]["feature_noise"] = 1e308
+    dropout = scenarios.get("static_target").to_dict()
+    dropout["detector"]["p_dropout"] = 1.0
+    # huge centre and gyro noise with an aggressive pitch law overflow the
+    # filter's covariance in predict
+    filter_overflow = scenarios.get("corridor_approach").to_dict()
+    filter_overflow["seed"] = 21
+    filter_overflow["detector"]["center_noise_px"] = 400.0
+    filter_overflow["quad"]["gyro_noise"] = 1.0
+    filter_overflow["controller"]["pitch_accel"] = 30.0
 
     def edit(change):
         d = make_scenario().to_dict()
@@ -186,6 +253,13 @@ def _bad_runs():
         ("controller_overflow", ctrl, (), 2, "abort: controller: non-finite thrust at t="),
         ("negative_fp_sizes", fp_size, (), 1, "error: scenario.detector: false-positive sizes"),
         ("detector_overflow", noise, (), 2, "abort: detector: box field"),
+        ("descriptor_overflow", feature, (), 2,
+         "abort: detector: descriptor norm is not finite: inf at t=0.000000 s"),
+        ("tracker_initialization", dropout, (), 2,
+         "abort: tracker: no detections at prompt time; cannot initialize at t=0.000000 s"),
+        ("filter_overflow", filter_overflow, (), 2,
+         "abort: tracker: filter mean or covariance is not finite after predict "
+         "at t=0.600000 s"),
         ("negative_seed", edit(lambda d: d.update(seed=-1)), (), 1,
          "error: scenario: seed must be an integer >= 0"),
         ("negative_seed_flag", make_scenario().to_dict(), ("--seed", "-1"), 1,
@@ -268,13 +342,14 @@ def _quadtrack_process(argv):
 
 def assert_fails(capsys, argv, code, message):
     """cli.main(argv) in process exits `code`, prints nothing to stdout and
-    one stderr line that starts with `message` (a traceback would escape
-    main and fail the test)."""
+    one stderr line that starts with `message`, an abort's line in the one
+    abort shape (a traceback would escape main and fail the test)."""
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(message), captured.err
+    assert code != 2 or ABORT_LINE.match(err[0]), captured.err
 
 
 # The rows run cli.main in process, where a RuntimeWarning is an error; the
@@ -298,6 +373,7 @@ def test_sim_process_fails_with_exit_code_and_no_traceback(tmp_path, capsys, nam
     assert returncode == code, stderr
     assert "Traceback" not in stderr
     assert stderr.splitlines()[-1].startswith(message), stderr
+    assert code != 2 or ABORT_LINE.match(stderr.splitlines()[-1]), stderr
 
 
 def test_override_flags():
@@ -700,4 +776,5 @@ def test_ablate_parallel_reports_an_abort_like_the_sequential_path(tmp_path):
     assert "Traceback" not in parallel.stderr
     line = sequential.stderr.splitlines()[-1]
     assert line.startswith("abort: controller: non-finite thrust at t=")
+    assert ABORT_LINE.match(line), line
     assert parallel.stderr.splitlines()[-1] == line

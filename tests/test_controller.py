@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,7 @@ from quadtrack.controller import (GRAVITY, AttitudeGains, BodyCommand,
                                   desired_yaw, mix, motor_wrench,
                                   next_pitch_accel, pixel_errors, setpoints,
                                   thrust_from_force)
-from quadtrack.errors import (ControllerAbort, DegenerateForceError,
-                              DegenerateHeadingError, TimeRegressionError)
+from quadtrack.errors import ControllerAbort
 from quadtrack.geometry import (CameraModel, cross3, is_rotation,
                                 pitch_yaw_from_rotation, quat_from_rotation,
                                 rot_x, rot_y, rot_z, vee, zyx_matrix)
@@ -120,7 +120,8 @@ def test_pixel_errors_time_regression_raises():
     state = ControllerState()
     sp = Setpoints(480.0, 272.0, False)
     pixel_errors(state, sp, (480.0, 272.0), 1.0)
-    with pytest.raises(TimeRegressionError):
+    with pytest.raises(ControllerAbort, match=r"^controller: tick precedes the "
+                       r"previous tick \(1\.0 s\) at t=0\.900000 s$"):
         pixel_errors(state, sp, (480.0, 272.0), 0.9)
 
 
@@ -253,12 +254,13 @@ def test_desired_rotation_orthonormal_and_aligned(fx, fy, fz, yaw):
 
 
 def test_desired_rotation_degenerate_inputs():
-    with pytest.raises(DegenerateForceError):
+    # a helper without a sim time: a bare ValueError, which the tick names
+    with pytest.raises(ValueError, match="^force demand norm 1.000e-07 too small$"):
         desired_rotation(np.array([0.0, 0.0, 1e-7]), 0.0)
-    with pytest.raises(DegenerateForceError):
+    with pytest.raises(ValueError, match="^force demand norm"):
         desired_rotation(np.zeros(3), 0.0)
     # force along the heading direction leaves no lateral axis
-    with pytest.raises(DegenerateHeadingError):
+    with pytest.raises(ValueError, match="^heading parallel to thrust axis$"):
         desired_rotation(np.array([5.0, 0.0, 0.0]), 0.0)
 
 
@@ -299,13 +301,13 @@ def ref_thrust_from_force(f_des, R):
 def ref_desired_rotation(f_des, yaw_des):
     n = np.linalg.norm(f_des)
     if n <= 1e-6:
-        raise DegenerateForceError(f"force demand norm {n:.3e} too small")
+        raise ValueError(f"force demand norm {n:.3e} too small")
     r3 = f_des / n
     h = (math.cos(yaw_des), math.sin(yaw_des), 0.0)
     r2 = np.array(cross3(r3, h))
     n2 = np.linalg.norm(r2)
     if n2 <= 1e-6:
-        raise DegenerateHeadingError("heading parallel to thrust axis")
+        raise ValueError("heading parallel to thrust axis")
     r2 = r2 / n2
     r1 = np.array(cross3(r2, r3))
     return np.column_stack([r1, r2, r3])
@@ -752,20 +754,19 @@ def test_tick_centered_target_requests_forward_lean():
     assert is_rotation(cmd.rotation_des, tol=1e-9)
 
 
-@pytest.mark.parametrize("pitch_accel,error,message", [
+@pytest.mark.parametrize("pitch_accel,message", [
     # the floored demand is (0, 0, 0): no thrust axis
-    (0.0, DegenerateForceError, "controller: force demand norm 0.000e+00 too small"),
+    (0.0, "controller: force demand norm 0.000e+00 too small"),
     # the demand lies along body x, the heading
-    (0.5, DegenerateHeadingError, "controller: heading parallel to thrust axis"),
-])
-def test_tick_degenerate_demand_names_the_controller_and_the_time(pitch_accel, error,
-                                                                  message):
+    (0.5, "controller: heading parallel to thrust axis"),
+], ids=["force", "heading"])
+def test_tick_degenerate_demand_names_the_controller_and_the_time(pitch_accel, message):
     # literal force f_d = m (R a_b + g) points down at level attitude with the
     # target on the setpoint; a zero floor leaves only a_pitch_hat along x
     gains = ControllerGains(pitch_accel=pitch_accel, min_thrust_frac=0.0)
     ctl = VisualController(CAM, gains, AttitudeGains(), MixerGeometry(), INERTIA,
                            dt=0.01, literal=True)
-    with pytest.raises(error) as ei:
+    with pytest.raises(ControllerAbort) as ei:
         ctl.tick(0.25, (480.0, 272.0), np.eye(3), np.zeros(3))
     assert str(ei.value) == f"{message} at t=0.250000 s"
     assert ei.value.t == 0.25
@@ -847,8 +848,9 @@ def test_tick_matches_numpy_tick_within_rounding():
                 xy = (480.0 + rng.uniform(-spread, spread), 272.0 + rng.uniform(-spread, spread))
                 try:
                     want, want_motors = ref.tick(t, xy, R, omega)
-                except (DegenerateForceError, DegenerateHeadingError) as e:
-                    with pytest.raises(type(e)):
+                except ValueError as e:
+                    with pytest.raises(ControllerAbort,
+                                       match=f"^controller: {re.escape(str(e))} at t="):
                         new.tick(t, xy, R, omega)
                     continue
                 cmd, motors = new.tick(t, xy, R, omega)
@@ -929,6 +931,21 @@ def test_non_finite_output_aborts_naming_the_controller_and_time(hover):
         else:
             ctl.tick(0.25, (480.0, 272.0), np.eye(3), omega)
     assert e.value.t == 0.25
+
+
+@pytest.mark.parametrize("hover", [False, True], ids=["tick", "hover_tick"])
+def test_gimbal_lock_attitude_aborts_naming_the_controller_and_time(hover):
+    # pitch_yaw_from_rotation knows no sim time and raises ValueError; the
+    # tick that called it raises the controller's abort with the tick time
+    ctl = make_controller()
+    R = rot_y(math.pi / 2.0)
+    with pytest.raises(ControllerAbort, match=r"^controller: pitch 1\.57079633 within "
+                       r"1e-6 of gimbal lock at t=0\.500000 s$") as e:
+        if hover:
+            ctl.hover_tick(0.5, R, np.zeros(3))
+        else:
+            ctl.tick(0.5, (480.0, 272.0), R, np.zeros(3))
+    assert e.value.t == 0.5
 
 
 @pytest.mark.parametrize("gains,name", [

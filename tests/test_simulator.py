@@ -16,9 +16,8 @@ from quadtrack.config import (CameraScriptConfig, MotionConfig, ObjectConfig,
 from quadtrack.controller import BodyCommand
 from quadtrack.detection import (DetectionSet, GyroSample,
                                  SyntheticDetectorConfig)
-from quadtrack.errors import (ControllerAbort, FilterDegenerateError,
-                              SimulationAbort)
-from quadtrack.geometry import (is_rotation, nearest_rotation, rot_z,
+from quadtrack.errors import ControllerAbort, SimulationAbort, TrackerAbort
+from quadtrack.geometry import (is_rotation, nearest_rotation, rot_y, rot_z,
                                 zyx_matrix)
 from quadtrack.logio import _json_compact, event_line
 from quadtrack.replay import replay_track
@@ -455,9 +454,9 @@ def test_write_run_produces_full_directory(tmp_path):
 
 
 def test_simulation_abort_reports_last_good_time():
-    err = SimulationAbort(1.234, "non-finite state")
+    err = SimulationAbort(1.234, "non-finite state after the last good state")
     assert err.t == 1.234
-    assert "1.234" in str(err) and "non-finite" in str(err)
+    assert str(err) == "physics: non-finite state after the last good state at t=1.234000 s"
 
 
 BAD_STEP = 250  # physics step that goes non-finite; step 249 ends at 0.249 s
@@ -490,7 +489,7 @@ def test_non_finite_state_aborts_at_last_good_time(monkeypatch, tmp_path,
                                                    capsys, what):
     sc = make_scenario()
     monkeypatch.setattr(simulator, "dynamics_step", _poison(what))
-    with pytest.raises(SimulationAbort, match="non-finite state") as err:
+    with pytest.raises(SimulationAbort, match="^physics: non-finite state") as err:
         run(sc)
     assert err.value.t == (BAD_STEP - 1) / sc.rates.physics_hz
 
@@ -498,8 +497,28 @@ def test_non_finite_state_aborts_at_last_good_time(monkeypatch, tmp_path,
     path = tmp_path / "unit.json"
     save_scenario(sc, path)
     assert cli.main(["sim", str(path), "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err.startswith(
-        "abort: non-finite state (last good state at t=0.249000 s)")
+    assert capsys.readouterr().err == (
+        "abort: physics: non-finite state after the last good state at t=0.249000 s\n")
+
+
+def test_gimbal_lock_in_a_truth_row_aborts_in_physics(monkeypatch):
+    # from physics step 12 (t = 0.012 s) the plant sits at pitch pi/2, a
+    # finite state; the frame at 1/60 s reads it before the next control
+    # tick, and the truth row, not pitch_yaw_from_rotation's bare
+    # ValueError, names the layer and the frame time
+    real = simulator.dynamics_step
+    calls = [0]
+
+    def step(state, cmd, params, dt):
+        calls[0] += 1
+        out = real(state, cmd, params, dt)
+        return out if calls[0] < 12 else dataclasses.replace(out, R=rot_y(math.pi / 2))
+
+    monkeypatch.setattr(simulator, "dynamics_step", step)
+    with pytest.raises(SimulationAbort) as err:
+        run(make_scenario())
+    assert str(err.value) == ("physics: pitch 1.57079633 within 1e-6 of gimbal lock "
+                              "at t=0.016667 s")
 
 
 def test_finite_state_whose_sum_overflows_does_not_abort(monkeypatch):
@@ -564,7 +583,7 @@ def test_non_finite_controller_output_aborts_the_run(tmp_path, capsys):
 def test_filter_overflow_aborts_in_the_tracker():
     # huge centre noise and gyro noise with an aggressive pitch law: the
     # filter's covariance overflows in predict, and the run must abort there,
-    # in the tracker, not later in the controller (DegenerateHeadingError)
+    # in the tracker, not later in the controller (a degenerate heading)
     sc = _bundled("corridor_approach", 21)
     sc = dataclasses.replace(
         sc,
@@ -572,7 +591,7 @@ def test_filter_overflow_aborts_in_the_tracker():
         quad=dataclasses.replace(sc.quad, gyro_noise=1.0),
         controller=dataclasses.replace(sc.controller, pitch_accel=30.0))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            FilterDegenerateError, match="not finite after predict"):
+            TrackerAbort, match="^tracker: filter mean or covariance is not finite after predict"):
         run(sc)
 
 
@@ -587,9 +606,28 @@ def test_filter_overflow_aborts_without_numpy_warnings():
         controller=dataclasses.replace(sc.controller, pitch_accel=30.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FilterDegenerateError,
-                           match="not finite after predict at t=0.600000"):
+        with pytest.raises(TrackerAbort, match="^tracker: filter mean or covariance is not "
+                                               "finite after predict at t=0.600000 s$"):
             run(sc)
+
+
+def test_boxes_whose_areas_overflow_score_and_log(tmp_path):
+    # size noise of 1e160 gives detections whose areas overflow a float;
+    # without gyro compensation the filter follows them, so the predicted
+    # box overflows too.  Scores stay numbers (a NaN would reach the log
+    # writer as a ValueError) and nothing warns.
+    sc = _bundled("rotation_only", 0, 0.5)
+    sc = dataclasses.replace(
+        sc, detector=dataclasses.replace(sc.detector, size_noise_frac=1e160),
+        tracker=dataclasses.replace(sc.tracker, gyro_compensation=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        art = run(sc)
+        write_run(art, tmp_path / "run")
+    scores = [r[k] for r in art.tracker_trace for k in ("s_iou", "s_ekf", "s_total")
+              if r[k] is not None]
+    assert len(scores) > 50 and all(map(math.isfinite, scores))
+    assert max(min(r["pred"].tolist()[2:]) for r in art.tracker_trace) > 1e155
 
 
 def test_dynamics_step_leaves_non_finite_attitude_unprojected():

@@ -9,8 +9,7 @@ import pytest
 
 from quadtrack import scenarios, tracker
 from quadtrack.detection import Detection, DetectionSet, GyroSample
-from quadtrack.errors import (FilterDegenerateError, InitializationError,
-                              TimeRegressionError)
+from quadtrack.errors import TrackerAbort
 from quadtrack.geometry import BoundingBox, CameraModel
 from quadtrack.replay import replay_track
 from quadtrack.simulator import run
@@ -93,13 +92,15 @@ def test_initialize_tie_keeps_list_order():
 
 
 def test_initialize_empty_frame_raises():
-    with pytest.raises(InitializationError):
-        initialize((0.0, 0.0), DetectionSet(0.0, []), make_cfg())
+    with pytest.raises(TrackerAbort, match=r"^tracker: no detections at prompt time; "
+                       r"cannot initialize at t=0\.250000 s$"):
+        initialize((0.0, 0.0), DetectionSet(0.25, []), make_cfg())
 
 
 def test_initialize_zero_descriptor_raises():
     bad = Detection(BoundingBox(0, 0, 10, 10), 0.9, np.zeros(DIM))
-    with pytest.raises(InitializationError):
+    with pytest.raises(TrackerAbort, match="^tracker: chosen detection has a zero "
+                       "descriptor at t=0.000000 s$"):
         initialize((5.0, 5.0), DetectionSet(0.0, [bad]), make_cfg())
 
 
@@ -154,7 +155,8 @@ def test_predict_zero_dt_is_noop():
 
 def test_predict_negative_dt_raises():
     st = EkfState(np.zeros(6) + 10.0, np.eye(6), 1.0)
-    with pytest.raises(TimeRegressionError):
+    with pytest.raises(TrackerAbort, match=r"^tracker: gyro sample precedes the filter "
+                       r"state \(1\.0 s\) at t=0\.990000 s$"):
         ekf_predict(st, GyroSample(0.99, np.zeros(3)), make_cfg())
 
 
@@ -176,8 +178,9 @@ def test_predict_overflow_raises(vx, p_vx):
     st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, vx, 0.0]),
                   np.diag([1.0, 1.0, 1.0, 1.0, p_vx, 1.0]), 0.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            FilterDegenerateError,
-            match="not finite after predict at t=100.000000"):
+            TrackerAbort,
+            match="^tracker: filter mean or covariance is not finite after predict "
+                  "at t=100.000000 s$"):
         ekf_predict(st, GyroSample(100.0, np.zeros(3)), cfg)
 
 
@@ -285,7 +288,7 @@ def test_update_covariance_stays_symmetric_psd():
 def test_update_degenerate_innovation_raises():
     st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, 0.0, 0.0]),
                   np.diag([1e15, 1.0, 1.0, 1.0, 1.0, 1.0]), 0.0)
-    with pytest.raises(FilterDegenerateError):
+    with pytest.raises(TrackerAbort, match="condition number exceeds 1e"):
         ekf_update(st, BoundingBox(100, 100, 40, 30), make_cfg())
 
 
@@ -294,14 +297,15 @@ def test_update_non_finite_covariance_raises(bad):
     cov = np.eye(6)
     cov[1, 1] = bad
     st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, 0.0, 0.0]), cov, 0.5)
-    with pytest.raises(FilterDegenerateError, match="not finite at t=0.500000"):
+    with pytest.raises(TrackerAbort, match="^tracker: innovation covariance is not "
+                       "finite at t=0.500000 s$"):
         ekf_update(st, BoundingBox(100, 100, 40, 30), make_cfg())
 
 
 def test_update_indefinite_innovation_raises():
     st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, 0.0, 0.0]),
                   np.diag([-10.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 0.0)
-    with pytest.raises(FilterDegenerateError, match="not positive definite"):
+    with pytest.raises(TrackerAbort, match="not positive definite at t=0.000000 s$"):
         ekf_update(st, BoundingBox(100, 100, 40, 30), make_cfg())
 
 
@@ -555,8 +559,8 @@ def test_cholesky_gate_decides_like_the_exact_gate():
         try:
             ekf_update(st, box, cfg)
             got = None
-        except FilterDegenerateError as e:
-            got = str(e).split(" at t=")[0].split(" 1e+12")[0]
+        except TrackerAbort as e:
+            got = e.args[1].split(" 1e+12")[0]
         assert got == want, (n, P[:4, :4], r)
         paths[_innovation_gain(P, cfg.r_floats) is not None, want is None] += 1
     # every branch is exercised: the fast path takes well-conditioned S;
@@ -752,7 +756,8 @@ def test_step_time_regression_raises():
     cfg = make_cfg()
     st = fresh_state(cfg=cfg)
     st.ekf.t = 1.0
-    with pytest.raises(TimeRegressionError):
+    with pytest.raises(TrackerAbort, match=r"^tracker: detections precede the filter "
+                       r"state \(1\.0 s\) at t=0\.500000 s$"):
         step(st, DetectionSet(0.5, [det(st.last_box)]), cfg)
 
 
@@ -843,9 +848,9 @@ def test_step_selection_matches_brute_force_argmax():
 def test_tracker_requires_initialization():
     tr = Tracker(make_cfg())
     assert not tr.initialized
-    with pytest.raises(InitializationError):
+    with pytest.raises(TrackerAbort, match="predict before initialize"):
         tr.predict(GyroSample(0.0, np.zeros(3)))
-    with pytest.raises(InitializationError):
+    with pytest.raises(TrackerAbort, match="step before initialize"):
         tr.step(DetectionSet(0.0, []))
 
 
