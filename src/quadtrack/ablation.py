@@ -1,10 +1,14 @@
-"""Tracker-weight ablation: one recorded stream per seed, many replays.
+"""Tracker-weight ablation: one recorded stream per seed, one tracker pass
+per distinct tracker config.
 
 For each seed the scenario is simulated once and the sensor stream is kept;
-every weight row then replays that identical stream, so rows differ only in
-how the tracker scores candidates.  The optional parallel path farms seeds
-out to worker processes and returns results in seed order, bit-identical to
-the sequential path.
+every weight row then tracks that identical stream, so rows differ only in
+how the tracker scores candidates.  The live run already tracked the stream
+with the scenario's own tracker, so a row with those weights takes the live
+run's metrics; every other distinct row is one replay, and a repeated row
+reuses its first copy.  The optional parallel path farms seeds out to worker
+processes and returns results in seed order, bit-identical to the sequential
+path.
 """
 
 from __future__ import annotations
@@ -78,12 +82,17 @@ def _seed_task(args) -> list[Metrics]:
     sc = scenario.with_seed(seed)
     art = run(sc)
     cam = sc.camera.build()
+    # the live loop fed art.events to the scenario's own tracker through
+    # Tracker.feed, as replay_track does, so its metrics are that row's
+    scored = {} if art.metrics is None else {sc.tracker: art.metrics}
     out = []
     for weights in grid:
-        cfg = replace(sc.tracker, weights=weights).build(cam)
-        trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
-                             sc.prompt.t, cfg)
-        out.append(compute_metrics(trace, art.truth_trace, sc.metrics))
+        params = replace(sc.tracker, weights=weights)
+        if params not in scored:
+            trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
+                                 sc.prompt.t, params.build(cam))
+            scored[params] = compute_metrics(trace, art.truth_trace, sc.metrics)
+        out.append(scored[params])
     return out
 
 

@@ -78,7 +78,9 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     Identical boxes give exactly 1.0; disjoint or merely touching boxes give
     exactly 0.0.  Symmetric in its arguments by construction.
     """
-    if a == b:
+    # field by field: the dataclass __eq__ builds two tuples per call, and
+    # fields are finite, so this is the same test
+    if a.x == b.x and a.y == b.y and a.w == b.w and a.h == b.h:
         return 1.0
     ix = max(a.x, b.x)
     iy = max(a.y, b.y)

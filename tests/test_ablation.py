@@ -1,0 +1,116 @@
+"""The weight ablation against its definition: every row's metrics are those
+of a replay of the seed's recorded stream with that row's tracker, however
+many tracker passes the ablation itself makes."""
+
+from dataclasses import replace
+
+import pytest
+
+from quadtrack import ablation, scenarios
+from quadtrack.ablation import DEFAULT_GRID, run_ablation
+from quadtrack.errors import MetricsError
+from quadtrack.metrics import compute_metrics
+from quadtrack.replay import replay_track
+from quadtrack.simulator import write_run
+
+DUPLICATED = ((3.0, 0.0, 0.0), (3.0, 0.0, 0.0), (3.0, 3.0, 4.0))
+
+
+def _kept_runs(monkeypatch) -> list:
+    """Keep the artifacts of every run the ablation makes."""
+    kept = []
+    inner = ablation.run
+
+    def run(sc):
+        kept.append(inner(sc))
+        return kept[-1]
+
+    monkeypatch.setattr(ablation, "run", run)
+    return kept
+
+
+def _counted_replays(monkeypatch) -> list:
+    """Record the weights of every replay the ablation makes."""
+    weights = []
+    inner = ablation.replay_track
+
+    def counted(events, prompt_xy, prompt_t, cfg):
+        weights.append(cfg.weights)
+        return inner(events, prompt_xy, prompt_t, cfg)
+
+    monkeypatch.setattr(ablation, "replay_track", counted)
+    return weights
+
+
+@pytest.mark.parametrize("seed", [None, 7003], ids=["default", "held_out"])
+@pytest.mark.parametrize("name", ["occlusion_decoy", "false_positive_storm",
+                                  "rotation_only"])
+def test_every_row_equals_a_replay_of_the_recorded_stream(monkeypatch, name, seed):
+    sc = scenarios.get(name)
+    sc = sc if seed is None else sc.with_seed(seed)
+    kept = _kept_runs(monkeypatch)
+    result = run_ablation(sc, n_seeds=1)
+    art, = kept
+    # the scenario's own row, which the live run scores, is on the grid
+    assert sc.tracker.weights in [row.weights for row in result.rows]
+    cam = sc.camera.build()
+    for row in result.rows:
+        cfg = replace(sc.tracker, weights=row.weights).build(cam)
+        trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
+                             sc.prompt.t, cfg)
+        assert row.per_seed == (
+            compute_metrics(trace, art.truth_trace, sc.metrics),), row.weights
+
+
+@pytest.mark.parametrize("weights, grid, per_seed", [
+    (None, DEFAULT_GRID, 3),
+    ((1.0, 2.0, 5.0), DEFAULT_GRID, 4),
+    (None, DUPLICATED, 1),
+], ids=["own_weights_on_grid", "own_weights_off_grid", "duplicated_rows"])
+def test_each_distinct_tracker_config_is_replayed_once_per_seed(
+        monkeypatch, weights, grid, per_seed):
+    sc = scenarios.get("rotation_only")
+    if weights is not None:
+        sc = replace(sc, tracker=replace(sc.tracker, weights=weights))
+    replayed = _counted_replays(monkeypatch)
+    result = run_ablation(sc, grid=grid, n_seeds=2)
+    assert len(replayed) == 2 * per_seed
+    assert len(set(replayed)) == per_seed
+    assert [row.weights for row in result.rows] == list(grid)
+
+
+def test_a_run_without_metrics_replays_its_own_row_and_fails_as_before(monkeypatch):
+    # the prompt comes after the last frame: the live trace is empty, so the
+    # scenario's own row is replayed, and its metrics fail as any row's would
+    sc = scenarios.get("rotation_only")
+    sc = replace(sc, prompt=replace(sc.prompt, t=sc.duration + 1.0))
+    replayed = _counted_replays(monkeypatch)
+    with pytest.raises(MetricsError, match="^empty tracker trace$"):
+        run_ablation(sc, grid=(sc.tracker.weights,), n_seeds=1)
+    assert len(replayed) == 1
+
+
+def test_the_ablation_leaves_the_live_runs_trace_as_it_was(monkeypatch, tmp_path):
+    kept = []
+    inner = ablation.run
+
+    def run_and_write(sc):
+        kept.append(inner(sc))
+        write_run(kept[-1], tmp_path / "before")
+        return kept[-1]
+
+    monkeypatch.setattr(ablation, "run", run_and_write)
+    run_ablation(scenarios.get("rotation_only"), n_seeds=1)
+    write_run(kept[0], tmp_path / "after")
+    for name in ("tracker.jsonl", "summary.json"):
+        assert ((tmp_path / "after" / name).read_bytes()
+                == (tmp_path / "before" / name).read_bytes()), name
+
+
+def test_parallel_equals_sequential_with_a_duplicated_row():
+    sc = scenarios.get("rotation_only")
+    seq = run_ablation(sc, grid=DUPLICATED, n_seeds=2, parallel=False)
+    par = run_ablation(sc, grid=DUPLICATED, n_seeds=2, parallel=True)
+    assert par.as_dict() == seq.as_dict()
+    assert par.table() == seq.table()
+    assert seq.rows[0].per_seed == seq.rows[1].per_seed
