@@ -13,7 +13,6 @@ path.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .config import Scenario
@@ -104,6 +103,9 @@ def run_ablation(scenario: Scenario, grid=DEFAULT_GRID, n_seeds: int = 5,
     grid = tuple(tuple(float(w) for w in row) for row in grid)
     tasks = [(scenario, s, grid) for s in seeds]
     if parallel:
+        # imported here, so that `import quadtrack` does not load the
+        # process pool's modules (multiprocessing among them)
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
             per_seed = list(pool.map(_seed_task, tasks))
     else:

@@ -288,8 +288,14 @@ class MotionConfig:
             for w0, w1 in zip(wps, wps[1:]):
                 if t <= w1[0]:
                     a = (t - w0[0]) / (w1[0] - w0[0])
-                    p0, p1 = np.asarray(w0[1:], float), np.asarray(w1[1:], float)
-                    return (1.0 - a) * p0 + a * p1
+                    # (1 - a) p0 + a p1 on floats, component by component:
+                    # the array form's products and sums, so its bits
+                    b = 1.0 - a
+                    _, x0, y0, z0 = w0
+                    _, x1, y1, z1 = w1
+                    return np.array([b * float(x0) + a * float(x1),
+                                     b * float(y0) + a * float(y1),
+                                     b * float(z0) + a * float(z1)])
             return np.asarray(wps[-1][1:], dtype=float)
         arg = 2.0 * np.pi * t / self.period + self.phase
         return np.asarray(self.center, float) + np.asarray(self.amplitude, float) * np.sin(arg)

@@ -12,6 +12,22 @@ Draw discipline: for a fixed seed the generator is consumed in a fixed order
 suppresses the detection.  `_perturbed` takes an object's draws before it
 looks at the visibility gates, so gates never shift later draws, which
 keeps e.g. the occlusion threshold monotone on a fixed seed.
+
+Each draw goes through the cheapest numpy call that returns the same floats
+and leaves the generator in the same state as the plain form would:
+
+  - the dropout and duplicate gates are `rng.random()`, which is
+    `rng.uniform()`: uniform(low, high) is low + (high - low) * random();
+  - the confidence is 0.5 + 0.5 * rng.random(), numpy's uniform(0.5, 1.0);
+  - the center and size jitter are one rng.normal(0.0, 1.0, size=4), which
+    fills its slots in order as two size-2 calls would.  `normal(0.0, 1.0)`
+    rather than `standard_normal`: normal adds 0.0, which makes a -0.0
+    draw +0.0;
+  - a false positive's center, size and confidence are one rng.random(5),
+    each scaled as low + (high - low) * u with uniform's bounds; its
+    descriptor is a normal draw of its own.
+
+The false-positive count stays a `poisson` draw.
 """
 
 from __future__ import annotations
@@ -100,11 +116,34 @@ class SyntheticDetectorConfig:
             raise ValueError("descriptor_dim must be positive")
 
 
+# Every entry of a standard-normal draw is below 14 in magnitude: numpy's
+# ziggurat returns r + (-log1p(-u)) / r in its tail, with r = 3.6541528853610088
+# and u <= 1 - 2**-53, so at most 3.66 + 36.74 / 3.65 < 13.8; elsewhere it
+# returns less than r.  A latent is unit-norm.  So with scale <= _FAST_SCALE
+# every entry of latent + noise * scale is below 1 + 14e100 < 2e101, its square
+# below 4e202, and a dot over any dimension that fits in memory stays far
+# below the float maximum, 1.8e308: nothing can overflow, so nothing warns.
+# (A bound of 1e300 is not enough: at scale 8e152 the dot overflows.)
+_FAST_SCALE = 1e100
+
+
 def _unit(v: np.ndarray, noise: np.ndarray | None = None,
-          scale: float = 0.0) -> np.ndarray:
-    """v + noise * scale (v alone without noise), normalized.  Noise
-    settings near the float range overflow to inf unwarned, and the
-    ValueError names the norm."""
+          scale: float = 0.0, draws: bool = False) -> np.ndarray:
+    """v + noise * scale (v alone without noise), normalized.
+
+    `draws` says that v is a unit latent or a standard-normal draw and noise
+    a standard-normal draw, as the detector's own are.  Then a scale up to
+    _FAST_SCALE cannot overflow, and the norm is sqrt(v . v), which is how
+    np.linalg.norm computes a 1-D norm: the same bits.  Any other input
+    takes the guarded path: noise settings near the float range overflow
+    to inf unwarned, and the ValueError names the norm."""
+    if draws and scale <= _FAST_SCALE:
+        if noise is not None:
+            v = v + noise * scale
+        n = math.sqrt(v.dot(v))
+        if n == 0.0:
+            raise ValueError("cannot normalize a zero vector")
+        return v / n
     with np.errstate(over="ignore"):
         if noise is not None:
             v = v + noise * scale
@@ -176,16 +215,18 @@ class SyntheticDetector:
         first, visible or not, so that a gate never shifts later draws."""
         cfg = self.cfg
         rng = self.rng
-        dc = rng.normal(0.0, 1.0, size=2)
-        ds = rng.normal(0.0, 1.0, size=2)
-        conf = rng.uniform(0.5, 1.0)
+        jitter = rng.normal(0.0, 1.0, size=4)   # center x, y; size w, h
+        conf = 0.5 + 0.5 * rng.random()
         noise = rng.normal(0.0, 1.0, size=cfg.descriptor_dim)
         if not visible:
             return None
         # scaled on Python floats: the same products as numpy's, but an
         # overflow is an infinity that the box check reports, not a warning
-        dx, dy = [v * cfg.center_noise_px for v in dc.tolist()]
-        sw, sh = [v * cfg.size_noise_frac for v in ds.tolist()]
+        dx, dy, sw, sh = jitter.tolist()
+        dx *= cfg.center_noise_px
+        dy *= cfg.center_noise_px
+        sw *= cfg.size_noise_frac
+        sh *= cfg.size_noise_frac
         w = max(1.0, box.w * (1.0 + sw))
         h = max(1.0, box.h * (1.0 + sh))
         # Size scales about the (jittered) center; written as offsets from the
@@ -193,10 +234,10 @@ class SyntheticDetector:
         try:
             nb = BoundingBox(box.x + dx - (w - box.w) / 2.0,
                              box.y + dy - (h - box.h) / 2.0, w, h)
-            desc = _unit(latent, noise, cfg.feature_noise)
+            desc = _unit(latent, noise, cfg.feature_noise, draws=True)
         except ValueError as e:   # noise settings that overflow the float range
             raise DetectorAbort(t, str(e)) from e
-        return Detection(nb, float(conf), desc)
+        return Detection(nb, conf, desc)
 
     def detect(self, snapshot: SceneSnapshot, pose: CameraPose, cam: CameraModel) -> DetectionSet:
         """One camera frame worth of detections, in object-id order then
@@ -209,25 +250,31 @@ class SyntheticDetector:
         out: list[Detection] = []
         self.views = self._frame_geometry(snapshot, pose, cam)
         for st, box, frac in self.views:
-            drop = rng.uniform() < cfg.p_dropout
+            drop = rng.random() < cfg.p_dropout
             visible = (box is not None and frac < cfg.occlusion_threshold
                        and _in_image(box, cam))
             det = self._perturbed(box, st.latent, snapshot.t, visible)
             dup = (self._perturbed(box, st.latent, snapshot.t, visible)
-                   if rng.uniform() < cfg.p_duplicate else None)
+                   if rng.random() < cfg.p_duplicate else None)
             if visible and not drop:
                 out.append(det)
                 if dup is not None:
                     out.append(dup)
         k = rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0 else 0
+        # uniform's bounds, as the doubles it converts them to; a low bound
+        # of 0.0 adds nothing to the non-negative product
+        width, height = float(cam.width), float(cam.height)
+        lo = float(cfg.fp_size_min)
+        span = float(cfg.fp_size_max) - lo
         for _ in range(int(k)):
-            cx = rng.uniform(0.0, cam.width)
-            cy = rng.uniform(0.0, cam.height)
-            w = rng.uniform(cfg.fp_size_min, cfg.fp_size_max)
-            h = rng.uniform(cfg.fp_size_min, cfg.fp_size_max)
-            conf = rng.uniform(0.3, 0.9)
-            desc = _unit(rng.normal(0.0, 1.0, size=cfg.descriptor_dim))
-            out.append(Detection(BoundingBox(cx - w / 2, cy - h / 2, w, h), float(conf), desc))
+            ux, uy, uw, uh, uc = rng.random(5).tolist()
+            cx = width * ux
+            cy = height * uy
+            w = lo + span * uw
+            h = lo + span * uh
+            conf = 0.3 + (0.9 - 0.3) * uc
+            desc = _unit(rng.normal(0.0, 1.0, size=cfg.descriptor_dim), draws=True)
+            out.append(Detection(BoundingBox(cx - w / 2, cy - h / 2, w, h), conf, desc))
         return DetectionSet(snapshot.t, out)
 
     # -- target-conditioned descriptor query -------------------------------
@@ -255,5 +302,5 @@ class SyntheticDetector:
                 best = st
         noise = self.rng.normal(0.0, 1.0, size=self.cfg.descriptor_dim)
         if best is None:
-            return _unit(noise)
-        return _unit(best.latent, noise, self.cfg.feature_noise)
+            return _unit(noise, draws=True)
+        return _unit(best.latent, noise, self.cfg.feature_noise, draws=True)

@@ -28,32 +28,48 @@ MIN_VIEW_DEPTH = 1e-6
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned pixel box, top-left corner (x, y) plus width/height.
 
     Boxes may extend beyond the image bounds; only w > 0 and h > 0 are
-    enforced.  Instances are immutable value objects.
+    enforced.  Boxes are immutable by convention: value objects with
+    equality, hash and repr by value, whose fields nothing assigns after
+    construction.  A slotted class with a plain __init__, not a frozen
+    dataclass, because every frame builds boxes and a frozen dataclass
+    builds them several times slower.
     """
 
-    x: float
-    y: float
-    w: float
-    h: float
+    __slots__ = ("x", "y", "w", "h")
 
-    def __post_init__(self):
+    def __init__(self, x: float, y: float, w: float, h: float):
         # one sum is finite when every field is; only a non-finite (or
         # overflowed) sum or a bad extent pays for the per-field messages.
         # The sum is of Python floats, as numpy scalars warn on overflow.
-        if (math.isfinite(float(self.x) + float(self.y) + float(self.w) + float(self.h))
-                and self.w > 0 and self.h > 0):
-            return
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"box field {name} is not finite: {v!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box must have positive extent, got w={self.w} h={self.h}")
+        if not (math.isfinite(float(x) + float(y) + float(w) + float(h))
+                and w > 0 and h > 0):
+            for name, v in (("x", x), ("y", y), ("w", w), ("h", h)):
+                if not math.isfinite(v):
+                    raise ValueError(f"box field {name} is not finite: {v!r}")
+            if w <= 0 or h <= 0:
+                raise ValueError(f"box must have positive extent, got w={w} h={h}")
+        self.x = x
+        self.y = y
+        self.w = w
+        self.h = h
+
+    def _fields(self) -> tuple:
+        return (self.x, self.y, self.w, self.h)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"BoundingBox(x={self.x!r}, y={self.y!r}, w={self.w!r}, h={self.h!r})"
 
     @property
     def center(self) -> tuple[float, float]:

@@ -67,7 +67,7 @@ from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
 from .scene import scene_step
-from .tracker import PROMPT_TOL, Tracker, predicted_box
+from .tracker import MIN_BOX_SIZE, PROMPT_TOL, Tracker
 
 # camera-from-body: rows are the camera axes expressed in body coordinates.
 CAMERA_FROM_BODY = np.array([
@@ -422,7 +422,10 @@ def run(scenario: Scenario) -> RunArtifacts:
 
 
 def predicted_center(tracker: Tracker) -> tuple[float, float]:
-    return predicted_box(tracker.state.ekf).center
+    """The center of `predicted_box(tracker.state.ekf)`, with its
+    expressions on the filter mean's floats, without building the box."""
+    x, y, w, h = tracker.state.ekf.mean[:4].tolist()
+    return (x + max(MIN_BOX_SIZE, w) / 2.0, y + max(MIN_BOX_SIZE, h) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 of a replay of the seed's recorded stream with that row's tracker, however
 many tracker passes the ablation itself makes."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import quadtrack
 from quadtrack import ablation, scenarios
 from quadtrack.ablation import DEFAULT_GRID, run_ablation
 from quadtrack.errors import MetricsError
@@ -114,3 +118,15 @@ def test_parallel_equals_sequential_with_a_duplicated_row():
     assert par.as_dict() == seq.as_dict()
     assert par.table() == seq.table()
     assert seq.rows[0].per_seed == seq.rows[1].per_seed
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only run_ablation's parallel branch imports the pool
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadtrack.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, quadtrack; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

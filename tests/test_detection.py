@@ -6,10 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtrack import detection, scenarios, simulator
-from quadtrack.detection import (DetectionSet, SyntheticDetector,
-                                 SyntheticDetectorConfig)
+from quadtrack.detection import (Detection, DetectionSet, SyntheticDetector,
+                                 SyntheticDetectorConfig, _in_image)
 from quadtrack.errors import DetectorAbort
 from quadtrack.geometry import (MIN_VIEW_DEPTH, BoundingBox, CameraModel,
                                 CameraPose, camera_depth, covered_fraction,
@@ -194,6 +196,128 @@ def test_hidden_object_keeps_later_draws_bit_identical(gate, p_duplicate):
         assert g in allowed
         hid += g == r[k:]
     assert hid >= 5
+
+
+# ---------------------------------------------------------------------------
+# draws through the cheapest equal call: each form returns the floats of the
+# plain call it replaces and leaves the generator in the same state
+# ---------------------------------------------------------------------------
+
+seeds = st.integers(0, 2**32 - 1)
+BUNDLED_CAMERAS = sorted({(scenarios.get(n).camera.width, scenarios.get(n).camera.height)
+                          for n in scenarios.names()})
+
+
+def _twins(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
+@given(seeds)
+def test_gate_and_confidence_forms_equal_uniform(seed):
+    plain, fast = _twins(seed)
+    for _ in range(4):
+        assert fast.random() == plain.uniform()
+        assert 0.5 + 0.5 * fast.random() == plain.uniform(0.5, 1.0)
+    assert _same_state(plain, fast)
+
+
+@given(seeds, st.integers(1, 3))
+def test_one_size_four_normal_equals_two_size_two(seed, n):
+    plain, fast = _twins(seed)
+    for _ in range(n):
+        want = np.concatenate([plain.normal(0.0, 1.0, size=2),
+                               plain.normal(0.0, 1.0, size=2)])
+        assert fast.normal(0.0, 1.0, size=4).tobytes() == want.tobytes()
+    assert _same_state(plain, fast)
+
+
+sizes = st.floats(1e-3, 1e6)
+
+
+@settings(max_examples=300)
+@given(seeds, st.sampled_from(BUNDLED_CAMERAS), sizes,
+       st.one_of(st.just(0.0), sizes, st.floats(0.0, 1e300)))
+def test_false_positive_block_equals_five_uniforms(seed, camera, lo, extra):
+    # extra = 0 is fp_size_min == fp_size_max
+    width, height = camera
+    hi = lo + extra
+    plain, fast = _twins(seed)
+    for _ in range(3):
+        want = [plain.uniform(0.0, width), plain.uniform(0.0, height),
+                plain.uniform(lo, hi), plain.uniform(lo, hi),
+                plain.uniform(0.3, 0.9)]
+        ux, uy, uw, uh, uc = fast.random(5).tolist()
+        span = hi - lo
+        got = [float(width) * ux, float(height) * uy, lo + span * uw,
+               lo + span * uh, 0.3 + (0.9 - 0.3) * uc]
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+    assert _same_state(plain, fast)
+
+
+def ref_detect(det, snapshot, pose, cam):
+    """`detect` with the plain numpy calls (uniform, two size-2 normals, a
+    uniform per false-positive value) and the guarded `_unit`."""
+    cfg, rng = det.cfg, det.rng
+
+    def perturbed(box, latent, visible):
+        dc = rng.normal(0.0, 1.0, size=2)
+        ds = rng.normal(0.0, 1.0, size=2)
+        conf = rng.uniform(0.5, 1.0)
+        noise = rng.normal(0.0, 1.0, size=cfg.descriptor_dim)
+        if not visible:
+            return None
+        dx, dy = [v * cfg.center_noise_px for v in dc.tolist()]
+        sw, sh = [v * cfg.size_noise_frac for v in ds.tolist()]
+        w = max(1.0, box.w * (1.0 + sw))
+        h = max(1.0, box.h * (1.0 + sh))
+        nb = BoundingBox(box.x + dx - (w - box.w) / 2.0,
+                         box.y + dy - (h - box.h) / 2.0, w, h)
+        return Detection(nb, float(conf), detection._unit(latent, noise, cfg.feature_noise))
+
+    out = []
+    for st_, box, frac in det._frame_geometry(snapshot, pose, cam):
+        drop = rng.uniform() < cfg.p_dropout
+        visible = (box is not None and frac < cfg.occlusion_threshold
+                   and _in_image(box, cam))
+        d = perturbed(box, st_.latent, visible)
+        dup = perturbed(box, st_.latent, visible) if rng.uniform() < cfg.p_duplicate else None
+        if visible and not drop:
+            out += [d] if dup is None else [d, dup]
+    for _ in range(int(rng.poisson(cfg.fp_rate) if cfg.fp_rate > 0 else 0)):
+        cx = rng.uniform(0.0, cam.width)
+        cy = rng.uniform(0.0, cam.height)
+        w = rng.uniform(cfg.fp_size_min, cfg.fp_size_max)
+        h = rng.uniform(cfg.fp_size_min, cfg.fp_size_max)
+        conf = rng.uniform(0.3, 0.9)
+        desc = detection._unit(rng.normal(0.0, 1.0, size=cfg.descriptor_dim))
+        out.append(Detection(BoundingBox(cx - w / 2, cy - h / 2, w, h), float(conf), desc))
+    return out
+
+
+@pytest.mark.parametrize("fp_sizes", [(20.0, 160.0), (30.0, 30.0)])
+def test_detect_equals_the_plain_call_detector(fp_sizes):
+    # every failure mode on: dropout, duplicates, occlusion, false positives
+    cfg = SyntheticDetectorConfig(center_noise_px=2.0, size_noise_frac=0.05,
+                                  feature_noise=0.1, p_dropout=0.2, fp_rate=3.0,
+                                  p_duplicate=0.3, descriptor_dim=16,
+                                  fp_size_min=fp_sizes[0], fp_size_max=fp_sizes[1])
+    objs = [state(1, (0.0, 0.0, 10.0), latent=unit(0, 16)),
+            state(2, (1.0, 0.2, 8.0), latent=unit(1, 16)),
+            state(3, (0.2, 0.0, 6.0), occluder=True)]
+    fast = SyntheticDetector(cfg, np.random.default_rng(5))
+    plain = SyntheticDetector(cfg, np.random.default_rng(5))
+    n = 0
+    for i in range(200):
+        frame = snap(objs, t=i * 0.05)
+        got = fast.detect(frame, POSE, CAM).detections
+        assert _det_bits(got) == _det_bits(ref_detect(plain, frame, POSE, CAM)), i
+        n += len(got)
+    assert _same_state(fast.rng, plain.rng)
+    assert n > 600
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +616,41 @@ def test_unit_scales_finite_entries_whose_norm_overflows():
     assert np.array_equal(detection._unit(v), v / np.linalg.norm(v))
     with pytest.raises(ValueError, match="^descriptor norm is not finite: inf$"):
         detection._unit(np.array([np.inf, 1.0]))
+
+
+def _guarded_unit(*args):
+    """`_unit`'s guarded path: its result, or its ValueError's message."""
+    try:
+        return detection._unit(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("scale", [
+    0.0, 0.1, 1e100, math.nextafter(1e100, math.inf), 1e150, 8e152, 1e200, 1e308])
+def test_unit_fast_path_equals_the_guarded_path_on_both_sides_of_its_bound(scale):
+    # a unit latent plus standard-normal noise: at and below 1e100 the fast
+    # path, above it the guarded one; either way the bits or the message of
+    # the guarded path, and no warning
+    rng = np.random.default_rng(17)
+    latent = rng.normal(0.0, 1.0, size=256)
+    latent /= np.linalg.norm(latent)
+    for _ in range(20):
+        noise = rng.normal(0.0, 1.0, size=256)
+        want = _guarded_unit(latent, noise, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = detection._unit(latent, noise, scale, draws=True)
+            except ValueError as e:
+                got = str(e)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.tobytes() == want.tobytes()
+            # a draw alone always takes the fast path
+            assert (detection._unit(noise, draws=True).tobytes()
+                    == _guarded_unit(noise).tobytes())
 
 
 def test_finite_feature_noise_beyond_the_norm_range_runs_to_the_end():

@@ -1,6 +1,7 @@
 """Boxes, IOU, pinhole projection, and rotation helpers."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -52,6 +53,11 @@ def test_box_messages_name_the_bad_field():
         BoundingBox(float("nan"), float("-inf"), 10.0, 10.0)
     with pytest.raises(ValueError, match="positive extent, got w=10.0 h=0.0"):
         BoundingBox(0.0, 0.0, 10.0, 0.0)
+    # numpy fields: the field's own repr and str
+    with pytest.raises(ValueError, match=r"^box field w is not finite: np.float64\(inf\)$"):
+        BoundingBox(0.0, 0.0, np.float64(np.inf), 1.0)
+    with pytest.raises(ValueError, match="^box must have positive extent, got w=-1.0 h=2.0$"):
+        BoundingBox(0.0, 0.0, np.float64(-1.0), 2.0)
 
 
 def test_box_accepts_finite_fields_whose_sum_overflows():
@@ -68,6 +74,23 @@ def test_box_with_numpy_fields_whose_sum_overflows_does_not_warn():
         warnings.simplefilter("error")
         b = BoundingBox(0.0, np.float64(0.0), 1e308, 1e308)
     assert b.w == 1e308
+
+
+def test_box_is_a_value_object():
+    # equality, hash and repr by value, as the frozen dataclass it replaced
+    b = BoundingBox(1.5, -2.25, 3.0, 4.0)
+    same = BoundingBox(1.5, -2.25, 3.0, 4.0)
+    assert b == same and not b != same and b is not same
+    assert hash(b) == hash(same) == hash((1.5, -2.25, 3.0, 4.0))
+    for other in (BoundingBox(1.5, -2.25, 3.0, 4.5), (1.5, -2.25, 3.0, 4.0), None):
+        assert b != other and not b == other
+    assert len({b, same, BoundingBox(0.0, 0.0, 1.0, 1.0)}) == 2
+    assert repr(b) == "BoundingBox(x=1.5, y=-2.25, w=3.0, h=4.0)"
+    assert repr(BoundingBox(np.float64(1.0), 0.0, 2.0, 3.0)) \
+        == "BoundingBox(x=np.float64(1.0), y=0.0, w=2.0, h=3.0)"
+    back = pickle.loads(pickle.dumps(b))
+    assert back == b and type(back) is BoundingBox
+    assert not hasattr(b, "__dict__")
 
 
 def test_box_array_round_trip():

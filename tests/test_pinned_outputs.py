@@ -48,6 +48,31 @@ PINNED_RUNS = {
         "groundtruth.jsonl": "0d5d65f70b2ad57d09f694fd9f078ba20b1ad2d2c081260a3d2dcdf17c21176e",
         "summary.json": "081d30f56da632fa11685de602584ed7350db2e0a21329bbf821cfbe8b20b06e",
     },
+    # the only yaw_sine camera pose, with sigma = 0 gyro draws and a
+    # noiseless detector
+    ("rotation_only", 41, None, None): {
+        "events.jsonl": "71d568c2cb9f3f7006930b9016fe56749130d9856ac7afc6a11a8d4d0c5569fa",
+        "tracker.jsonl": "0a84207a8d5b44db9b40f2ad5e578f73359e6c27e52859577afc394329b67db4",
+        "commands.jsonl": "987451f807d1bb48b6313269a09d4956d1e614d9d5f72bef0336f84b53a4c176",
+        "groundtruth.jsonl": "6d9041afea815e9902e9e299e5a8e406ae943503e39cae52720bd579f4968558",
+        "summary.json": "35fb1d2f0098b86ecf26a40f8166b916fac0cea1f5d9198d523cec044d3c823c",
+    },
+    # closed loop on a target that stays put, with a wide field of view
+    ("static_target", 11, 3.0, None): {
+        "events.jsonl": "6ba8cf3df3b7846869518d9491b31d5cc4b206dde4d13af4ba3acc59ee7319ec",
+        "tracker.jsonl": "210d8ad8487d3a33bb076459ba954246f77ecfee8d2728fb2cd5c2b80d9adef5",
+        "commands.jsonl": "6cabbdfda436a5013ffffc061e07bd6fdcd761035fd172e02c4f831489086d94",
+        "groundtruth.jsonl": "c2d8d125753d2ae45d50751fedb5aa2f404d339af0dc57e8c616d9a7333ec462",
+        "summary.json": "7161b29c0855d7d3e623316b5e1a459b9f10e867d64d55358e279c3ebc9ecfbc",
+    },
+    # closed loop on a target that sprints at 7 m/s
+    ("sprint_7ms", 31, 3.0, None): {
+        "events.jsonl": "7e2efbf93ecc3d94ab769dda618a4ec34c2f4bdde6dd9985ffc0bf6206ad18ff",
+        "tracker.jsonl": "9260048cecb88f97db0630c2c37d2e93cbb01ed0459de3433976ff59dc6bff34",
+        "commands.jsonl": "755f25215d911dafb5e02210b2978dc083c03396dca739a2a013adb066e1ed50",
+        "groundtruth.jsonl": "a8ba16e79bbac761c6857b75bac7898e78cce3f7fdf034044f93b67ba6382a88",
+        "summary.json": "0fba6cf0a131f3af22243591b084e6ec99770b2370421a79a08c32b337816cd8",
+    },
 }
 
 # table-2 grid, false_positive_storm seed 2, one seed; digest of the

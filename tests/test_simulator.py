@@ -5,6 +5,7 @@ import json
 import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from quadtrack.replay import replay_track
 from quadtrack.scene import scene_step
 from quadtrack.simulator import (CAMERA_FROM_BODY, QuadState,
                                  _event_count, camera_pose, dynamics_step,
-                                 imu_sample, run, write_run)
+                                 imu_sample, predicted_center, run, write_run)
+from quadtrack.tracker import EkfState, predicted_box
 
 GRAVITY = 9.81
 
@@ -260,7 +262,21 @@ def test_motion_at_matches_the_reference_bit_for_bit():
              12.0, 1 / 60, 301 / 60, *rng.uniform(-1.0, 11.0, 200)]
     for m in motions:
         for t in times:
-            assert np.array_equal(m.at(t), _reference_position(m, t)), (m.mode, t)
+            got, want = m.at(t), _reference_position(m, t)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (m.mode, t)
+
+
+def test_predicted_center_is_the_predicted_box_center():
+    # without the box: the same expressions, the width and height clamp
+    # included (every 3rd mean has w, h below MIN_BOX_SIZE)
+    rng = np.random.default_rng(8)
+    for i in range(300):
+        mean = rng.normal(0.0, 300.0, size=6)
+        if i % 3 == 0:
+            mean[2:4] = rng.uniform(-5.0, 1.0, size=2)
+        ekf = EkfState(mean, np.eye(6), 0.0)
+        tracker = SimpleNamespace(state=SimpleNamespace(ekf=ekf))
+        assert predicted_center(tracker) == predicted_box(ekf).center
 
 
 def test_scene_step_orders_by_object_id():
