@@ -15,12 +15,37 @@ negative Z component), which is the sign the image-space setpoint logic relies o
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 # A projected point closer than this (camera Z, meters) counts as behind the lens.
 MIN_VIEW_DEPTH = 1e-6
+
+
+class ArrayFieldsEq:
+    """Value equality for a dataclass with array fields, declared with
+    eq=False: two instances of one class are equal when every field is,
+    arrays by np.array_equal and other fields by ==, and an instance of any
+    other type gets NotImplemented.  (The generated __eq__ compares field
+    tuples, which asks an array comparison for one truth value and raises
+    for distinct equal arrays.)  The arrays are mutable, so instances are
+    unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if not np.array_equal(a, b):
+                    return False
+            elif not a == b:
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +221,8 @@ class CameraModel:
         return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
 
 
-@dataclass(frozen=True)
-class CameraPose:
+@dataclass(frozen=True, eq=False)
+class CameraPose(ArrayFieldsEq):
     """Camera extrinsics: rotation is world-from-camera, position in world."""
 
     rotation: np.ndarray  # (3,3)

@@ -9,7 +9,14 @@ Plant: standard rigid-body quadrotor,
 
 integrated with fixed-step RK4 at the physics rate, on Python floats (R as
 nine floats), and projected back onto SO(3) after every step by Newton's
-polar iteration, with the SVD nearest rotation as its fallback.  Motors are
+polar iteration, with the SVD nearest rotation as its fallback.  The step
+(`dynamics_step`) is written out as one straight-line block, every stage a
+set of local names, in the operation order of the elementwise form: stage
+states x + a * k, the sum x + dt/6 * (k1 + 2 k2 + 2 k3 + k4) left to right,
+R hat(omega) as row-cross-omega products and omega x J omega as np.cross
+computes it.  The projection converges in one Newton step on every physics
+step of the bundled closed-loop scenarios (corridor_approach 8000,
+static_target 5900, sprint_7ms 10000 steps).  Motors are
 ideal by default: the wrench is computed from the commanded rotor thrusts
 once per control tick and zero-order-held over the physics steps up to the
 next tick.  An optional first-order lag models spin-up; the realized
@@ -62,8 +69,9 @@ from .detection import GyroSample, SyntheticDetector
 from .errors import SimulationAbort
 # project_box is no longer called here (the detector's frame views carry the
 # truth boxes), but perfbench/tracing.py wraps it under this module's name
-from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
-                       pitch_yaw_from_rotation, project_box, rot_z)
+from .geometry import (ArrayFieldsEq, CameraPose,  # noqa: F401
+                       nearest_rotation, pitch_yaw_from_rotation,
+                       project_box, rot_z)
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
 from .scene import scene_step
@@ -77,46 +85,18 @@ CAMERA_FROM_BODY = np.array([
 ])
 
 
-@dataclass
-class QuadState:
+@dataclass(eq=False)
+class QuadState(ArrayFieldsEq):
     p: np.ndarray                        # world position, m
     v: np.ndarray                        # world velocity, m/s
     R: np.ndarray                        # world-from-body
     omega: np.ndarray                    # body rates, rad/s
 
 
-def _deriv(R, w, s, torque, J):
-    """(v', R', omega') at one RK4 stage under specific thrust s = thrust/m;
-    p' = v needs no work.  The 3-vectors are lists of floats and R is the
-    stage's nine floats, row-major.  Row i of R hat(w) is row i of R cross w,
-    and omega x J omega has np.cross's products and differences."""
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
-    wx, wy, wz = w
-    jx, jy, jz = J
-    tx, ty, tz = torque
-    gx, gy, gz = GRAVITY_VEC
-    hx, hy, hz = jx * wx, jy * wy, jz * wz
-    dv = [s * r02 + gx, s * r12 + gy, s * r22 + gz]
-    dR = [r01 * wz - r02 * wy, r02 * wx - r00 * wz, r00 * wy - r01 * wx,
-          r11 * wz - r12 * wy, r12 * wx - r10 * wz, r10 * wy - r11 * wx,
-          r21 * wz - r22 * wy, r22 * wx - r20 * wz, r20 * wy - r21 * wx]
-    dw = [(tx - (wy * hz - wz * hy)) / jx, (ty - (wz * hx - wx * hz)) / jy,
-          (tz - (wx * hy - wy * hx)) / jz]
-    return dv, dR, dw
-
-
-def _axpy(x, a, y):
-    return [xi + a * yi for xi, yi in zip(x, y)]
-
-
-def _rk4_sum(x, c, k1, k2, k3, k4):
-    return [xi + c * (a + 2 * b + 2 * d + e)
-            for xi, a, b, d, e in zip(x, k1, k2, k3, k4)]
-
-
 # Newton polar iteration: stop once no entry moves by more than a few ulps
 # of 1 (the entries of a rotation are at most 1 in magnitude); from an RK4
-# step's near-rotation that takes one or two iterations.
+# step's near-rotation that takes one iteration on every physics step of the
+# bundled closed-loop scenarios.
 POLAR_TOL = 1e-15
 POLAR_MAX_ITER = 8
 
@@ -130,9 +110,11 @@ def _project_rotation(X) -> np.ndarray:
     the cofactor matrix over the determinant.  When det(X) <= 0 (the polar
     factor is then a reflection) or the iteration has not converged within
     POLAR_MAX_ITER steps, the SVD projection `nearest_rotation` is used, so
-    the result is always a proper rotation.
+    the result is always a proper rotation.  An iterate has converged when
+    every entry moved by at most POLAR_TOL; a NaN move never passes.
     """
     a0, a1, a2, b0, b1, b2, c0, c1, c2 = X
+    tol = POLAR_TOL
     for _ in range(POLAR_MAX_ITER):
         # X^-T = cofactor(X) / det(X); the cofactor rows are b x c, c x a
         # and a x b for the rows a, b, c of X
@@ -146,10 +128,12 @@ def _project_rotation(X) -> np.ndarray:
         y0, y1, y2 = 0.5 * a0 + d * k0, 0.5 * a1 + d * k1, 0.5 * a2 + d * k2
         y3, y4, y5 = 0.5 * b0 + d * k3, 0.5 * b1 + d * k4, 0.5 * b2 + d * k5
         y6, y7, y8 = 0.5 * c0 + d * k6, 0.5 * c1 + d * k7, 0.5 * c2 + d * k8
-        if max(abs(y0 - a0), abs(y1 - a1), abs(y2 - a2),
-               abs(y3 - b0), abs(y4 - b1), abs(y5 - b2),
-               abs(y6 - c0), abs(y7 - c1), abs(y8 - c2)) <= POLAR_TOL:
-            return np.array(((y0, y1, y2), (y3, y4, y5), (y6, y7, y8)))
+        if (-tol <= y0 - a0 <= tol and -tol <= y1 - a1 <= tol
+                and -tol <= y2 - a2 <= tol and -tol <= y3 - b0 <= tol
+                and -tol <= y4 - b1 <= tol and -tol <= y5 - b2 <= tol
+                and -tol <= y6 - c0 <= tol and -tol <= y7 - c1 <= tol
+                and -tol <= y8 - c2 <= tol):
+            return np.array([y0, y1, y2, y3, y4, y5, y6, y7, y8]).reshape(3, 3)
         a0, a1, a2, b0, b1, b2, c0, c1, c2 = y0, y1, y2, y3, y4, y5, y6, y7, y8
     return nearest_rotation(np.array(X).reshape(3, 3))
 
@@ -158,38 +142,120 @@ def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadConfig,
                   dt: float) -> QuadState:
     """One RK4 step under a zero-order-held wrench, then SO(3) projection.
 
-    The whole step runs on Python floats: p, v and omega one component at a
-    time and R as nine floats, with the elementwise form's operations (x + h*k
-    per stage, x + dt/6*(k1 + 2k2 + 2k3 + k4) at the end).  The stepped R is
-    projected onto SO(3) by Newton's polar iteration, falling back to the SVD
-    `nearest_rotation` on a reflection or without convergence (see
-    `_project_rotation`).  A non-finite R is returned unprojected for the
-    caller's finiteness check.
+    The step is one straight-line block of Python float expressions: p, v
+    and omega one component at a time and R as nine floats, each stage's
+    state and derivative local names (no per-stage lists or helper calls).
+    It keeps the elementwise form's operands and order: a stage state is
+    x + a * k (a = dt/2, dt/2, dt), the sum is x + c * (k1 + 2 * k2 +
+    2 * k3 + k4) left to right with c = dt/6, row i of R hat(w) is row i of
+    R cross w, and omega x J omega has np.cross's products and differences.
+    v' = (thrust/m) R e3 + g adds g's zero components too (they turn a -0.0
+    product into +0.0).  tests/test_simulator.py keeps the list-wise form
+    as a bit-exact oracle.  The stepped R is projected onto SO(3) by
+    Newton's polar iteration, falling back to the SVD `nearest_rotation` on
+    a reflection or without convergence (see `_project_rotation`); one
+    Newton step converges on every physics step of the bundled closed-loop
+    scenarios.  A non-finite R is returned unprojected for the caller's
+    finiteness check.
     """
-    torque = np.asarray(cmd.torques, dtype=float).tolist()
-    s, J = cmd.thrust / params.mass, [float(j) for j in params.inertia]
-    p, v, w = state.p.tolist(), state.v.tolist(), state.omega.tolist()
-    R = state.R.ravel().tolist()
+    tx, ty, tz = np.asarray(cmd.torques, dtype=float).tolist()
+    s = cmd.thrust / params.mass
+    jx, jy, jz = map(float, params.inertia)
+    gx, gy, gz = GRAVITY_VEC
+    px, py, pz = state.p.tolist()
+    vx, vy, vz = state.v.tolist()
+    wx, wy, wz = state.omega.tolist()
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = state.R.ravel().tolist()
     h = 0.5 * dt
 
-    dv1, dR1, dw1 = _deriv(R, w, s, torque, J)
-    v2, w2 = _axpy(v, h, dv1), _axpy(w, h, dw1)
-    dv2, dR2, dw2 = _deriv(_axpy(R, h, dR1), w2, s, torque, J)
-    v3, w3 = _axpy(v, h, dv2), _axpy(w, h, dw2)
-    dv3, dR3, dw3 = _deriv(_axpy(R, h, dR2), w3, s, torque, J)
-    v4, w4 = _axpy(v, dt, dv3), _axpy(w, dt, dw3)
-    dv4, dR4, dw4 = _deriv(_axpy(R, dt, dR3), w4, s, torque, J)
+    # stage 1 at (v, R, w)
+    hx, hy, hz = jx * wx, jy * wy, jz * wz
+    dv1x, dv1y, dv1z = s * r02 + gx, s * r12 + gy, s * r22 + gz
+    dR1_00, dR1_01, dR1_02 = (r01 * wz - r02 * wy, r02 * wx - r00 * wz,
+                              r00 * wy - r01 * wx)
+    dR1_10, dR1_11, dR1_12 = (r11 * wz - r12 * wy, r12 * wx - r10 * wz,
+                              r10 * wy - r11 * wx)
+    dR1_20, dR1_21, dR1_22 = (r21 * wz - r22 * wy, r22 * wx - r20 * wz,
+                              r20 * wy - r21 * wx)
+    dw1x, dw1y, dw1z = ((tx - (wy * hz - wz * hy)) / jx,
+                        (ty - (wz * hx - wx * hz)) / jy,
+                        (tz - (wx * hy - wy * hx)) / jz)
+    # stage 2 at (v, R, w) + h k1
+    v2x, v2y, v2z = vx + h * dv1x, vy + h * dv1y, vz + h * dv1z
+    ux, uy, uz = wx + h * dw1x, wy + h * dw1y, wz + h * dw1z
+    q00, q01, q02 = r00 + h * dR1_00, r01 + h * dR1_01, r02 + h * dR1_02
+    q10, q11, q12 = r10 + h * dR1_10, r11 + h * dR1_11, r12 + h * dR1_12
+    q20, q21, q22 = r20 + h * dR1_20, r21 + h * dR1_21, r22 + h * dR1_22
+    hx, hy, hz = jx * ux, jy * uy, jz * uz
+    dv2x, dv2y, dv2z = s * q02 + gx, s * q12 + gy, s * q22 + gz
+    dR2_00, dR2_01, dR2_02 = (q01 * uz - q02 * uy, q02 * ux - q00 * uz,
+                              q00 * uy - q01 * ux)
+    dR2_10, dR2_11, dR2_12 = (q11 * uz - q12 * uy, q12 * ux - q10 * uz,
+                              q10 * uy - q11 * ux)
+    dR2_20, dR2_21, dR2_22 = (q21 * uz - q22 * uy, q22 * ux - q20 * uz,
+                              q20 * uy - q21 * ux)
+    dw2x, dw2y, dw2z = ((tx - (uy * hz - uz * hy)) / jx,
+                        (ty - (uz * hx - ux * hz)) / jy,
+                        (tz - (ux * hy - uy * hx)) / jz)
+    # stage 3 at (v, R, w) + h k2
+    v3x, v3y, v3z = vx + h * dv2x, vy + h * dv2y, vz + h * dv2z
+    ux, uy, uz = wx + h * dw2x, wy + h * dw2y, wz + h * dw2z
+    q00, q01, q02 = r00 + h * dR2_00, r01 + h * dR2_01, r02 + h * dR2_02
+    q10, q11, q12 = r10 + h * dR2_10, r11 + h * dR2_11, r12 + h * dR2_12
+    q20, q21, q22 = r20 + h * dR2_20, r21 + h * dR2_21, r22 + h * dR2_22
+    hx, hy, hz = jx * ux, jy * uy, jz * uz
+    dv3x, dv3y, dv3z = s * q02 + gx, s * q12 + gy, s * q22 + gz
+    dR3_00, dR3_01, dR3_02 = (q01 * uz - q02 * uy, q02 * ux - q00 * uz,
+                              q00 * uy - q01 * ux)
+    dR3_10, dR3_11, dR3_12 = (q11 * uz - q12 * uy, q12 * ux - q10 * uz,
+                              q10 * uy - q11 * ux)
+    dR3_20, dR3_21, dR3_22 = (q21 * uz - q22 * uy, q22 * ux - q20 * uz,
+                              q20 * uy - q21 * ux)
+    dw3x, dw3y, dw3z = ((tx - (uy * hz - uz * hy)) / jx,
+                        (ty - (uz * hx - ux * hz)) / jy,
+                        (tz - (ux * hy - uy * hx)) / jz)
+    # stage 4 at (v, R, w) + dt k3
+    v4x, v4y, v4z = vx + dt * dv3x, vy + dt * dv3y, vz + dt * dv3z
+    ux, uy, uz = wx + dt * dw3x, wy + dt * dw3y, wz + dt * dw3z
+    q00, q01, q02 = r00 + dt * dR3_00, r01 + dt * dR3_01, r02 + dt * dR3_02
+    q10, q11, q12 = r10 + dt * dR3_10, r11 + dt * dR3_11, r12 + dt * dR3_12
+    q20, q21, q22 = r20 + dt * dR3_20, r21 + dt * dR3_21, r22 + dt * dR3_22
+    hx, hy, hz = jx * ux, jy * uy, jz * uz
+    dv4x, dv4y, dv4z = s * q02 + gx, s * q12 + gy, s * q22 + gz
+    dR4_00, dR4_01, dR4_02 = (q01 * uz - q02 * uy, q02 * ux - q00 * uz,
+                              q00 * uy - q01 * ux)
+    dR4_10, dR4_11, dR4_12 = (q11 * uz - q12 * uy, q12 * ux - q10 * uz,
+                              q10 * uy - q11 * ux)
+    dR4_20, dR4_21, dR4_22 = (q21 * uz - q22 * uy, q22 * ux - q20 * uz,
+                              q20 * uy - q21 * ux)
+    dw4x, dw4y, dw4z = ((tx - (uy * hz - uz * hy)) / jx,
+                        (ty - (uz * hx - ux * hz)) / jy,
+                        (tz - (ux * hy - uy * hx)) / jz)
 
     c = dt / 6.0
-    p1 = _rk4_sum(p, c, v, v2, v3, v4)
-    v1 = _rk4_sum(v, c, dv1, dv2, dv3, dv4)
-    w1 = _rk4_sum(w, c, dw1, dw2, dw3, dw4)
-    R1 = _rk4_sum(R, c, dR1, dR2, dR3, dR4)
+    p1 = np.array([px + c * (vx + 2 * v2x + 2 * v3x + v4x),
+                   py + c * (vy + 2 * v2y + 2 * v3y + v4y),
+                   pz + c * (vz + 2 * v2z + 2 * v3z + v4z)])
+    v1 = np.array([vx + c * (dv1x + 2 * dv2x + 2 * dv3x + dv4x),
+                   vy + c * (dv1y + 2 * dv2y + 2 * dv3y + dv4y),
+                   vz + c * (dv1z + 2 * dv2z + 2 * dv3z + dv4z)])
+    w1 = np.array([wx + c * (dw1x + 2 * dw2x + 2 * dw3x + dw4x),
+                   wy + c * (dw1y + 2 * dw2y + 2 * dw3y + dw4y),
+                   wz + c * (dw1z + 2 * dw2z + 2 * dw3z + dw4z)])
+    R1 = [r00 + c * (dR1_00 + 2 * dR2_00 + 2 * dR3_00 + dR4_00),
+          r01 + c * (dR1_01 + 2 * dR2_01 + 2 * dR3_01 + dR4_01),
+          r02 + c * (dR1_02 + 2 * dR2_02 + 2 * dR3_02 + dR4_02),
+          r10 + c * (dR1_10 + 2 * dR2_10 + 2 * dR3_10 + dR4_10),
+          r11 + c * (dR1_11 + 2 * dR2_11 + 2 * dR3_11 + dR4_11),
+          r12 + c * (dR1_12 + 2 * dR2_12 + 2 * dR3_12 + dR4_12),
+          r20 + c * (dR1_20 + 2 * dR2_20 + 2 * dR3_20 + dR4_20),
+          r21 + c * (dR1_21 + 2 * dR2_21 + 2 * dR3_21 + dR4_21),
+          r22 + c * (dR1_22 + 2 * dR2_22 + 2 * dR3_22 + dR4_22)]
     if all(map(math.isfinite, R1)):
         R1 = _project_rotation(R1)
     else:
         R1 = np.array(R1).reshape(3, 3)
-    return QuadState(np.array(p1), np.array(v1), R1, np.array(w1))
+    return QuadState(p1, v1, R1, w1)
 
 
 def imu_sample(t: float, state: QuadState, sigma: float,

@@ -93,6 +93,22 @@ def test_box_is_a_value_object():
     assert not hasattr(b, "__dict__")
 
 
+def test_camera_pose_equality_is_by_value():
+    # distinct arrays of equal value compare equal
+    pose = CameraPose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
+    same = CameraPose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
+    assert pose == same and not pose != same
+    for other in (CameraPose(rot_z(0.4), pose.position),
+                  CameraPose(pose.rotation, np.array([1.0, 2.0, 3.5])),
+                  CameraPose(pose.rotation, np.array([1.0, 2.0]))):
+        assert pose != other and not pose == other
+    for other in ((pose.rotation, pose.position), None, 1.0):
+        assert pose.__eq__(other) is NotImplemented
+        assert pose != other and not pose == other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(pose)
+
+
 def test_box_array_round_trip():
     b = BoundingBox(1.5, -2.25, 3.0, 4.0)
     assert BoundingBox.from_array(b.as_array()) == b

@@ -151,6 +151,26 @@ def test_rotation_stays_orthonormal_under_aggressive_commands():
 # ---------------------------------------------------------------------------
 
 
+def test_quad_state_equality_is_by_value():
+    # distinct arrays of equal value compare equal
+    def state(**kw):
+        fields = dict(p=np.array([1.0, 2.0, 3.0]), v=np.array([0.5, 0.0, -0.5]),
+                      R=rot_z(0.3), omega=np.array([0.0, 0.1, 0.2]))
+        return QuadState(**{**fields, **kw})
+
+    s = state()
+    assert s == state() and not s != state()
+    for other in (state(p=np.array([1.0, 2.0, 3.5])), state(v=np.zeros(3)),
+                  state(R=rot_z(0.4)), state(omega=np.zeros(3)),
+                  state(p=np.array([1.0, 2.0]))):
+        assert s != other and not s == other
+    for other in ((s.p, s.v, s.R, s.omega), camera_pose(s), None):
+        assert s.__eq__(other) is NotImplemented
+        assert s != other and not s == other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(s)
+
+
 def test_imu_maps_body_rates_to_camera_axes():
     rng = np.random.default_rng(0)
     st = level_state()
@@ -824,3 +844,127 @@ def test_dynamics_step_hands_fallback_result_back_unchanged(monkeypatch):
             fallbacks += 1
             assert np.array_equal(got.R, nearest_rotation(seen[0])), i
     assert fallbacks > 0
+
+
+# ---------------------------------------------------------------------------
+# bit-exact oracle: the list-wise step dynamics_step was written out from.
+# The rounding bound above cannot see a 1-ulp change; this can.
+# ---------------------------------------------------------------------------
+
+
+def _deriv(R, w, s, torque, J):
+    """(v', R', omega') at one RK4 stage under specific thrust s = thrust/m;
+    p' = v needs no work.  The 3-vectors are lists of floats and R is the
+    stage's nine floats, row-major.  Row i of R hat(w) is row i of R cross w,
+    and omega x J omega has np.cross's products and differences."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R
+    wx, wy, wz = w
+    jx, jy, jz = J
+    tx, ty, tz = torque
+    gx, gy, gz = 0.0, 0.0, -GRAVITY
+    hx, hy, hz = jx * wx, jy * wy, jz * wz
+    dv = [s * r02 + gx, s * r12 + gy, s * r22 + gz]
+    dR = [r01 * wz - r02 * wy, r02 * wx - r00 * wz, r00 * wy - r01 * wx,
+          r11 * wz - r12 * wy, r12 * wx - r10 * wz, r10 * wy - r11 * wx,
+          r21 * wz - r22 * wy, r22 * wx - r20 * wz, r20 * wy - r21 * wx]
+    dw = [(tx - (wy * hz - wz * hy)) / jx, (ty - (wz * hx - wx * hz)) / jy,
+          (tz - (wx * hy - wy * hx)) / jz]
+    return dv, dR, dw
+
+
+def _axpy(x, a, y):
+    return [xi + a * yi for xi, yi in zip(x, y)]
+
+
+def _rk4_sum(x, c, k1, k2, k3, k4):
+    return [xi + c * (a + 2 * b + 2 * d + e)
+            for xi, a, b, d, e in zip(x, k1, k2, k3, k4)]
+
+
+def _listwise_projection(X):
+    """Newton's polar iteration with a max(abs(...)) convergence test and a
+    result built from nested tuples, SVD fallback as in the simulator."""
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = X
+    for _ in range(simulator.POLAR_MAX_ITER):
+        k0, k1, k2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+        k3, k4, k5 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+        k6, k7, k8 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        det = a0 * k0 + a1 * k1 + a2 * k2
+        if not det > 0.0:
+            break
+        d = 0.5 / det
+        y0, y1, y2 = 0.5 * a0 + d * k0, 0.5 * a1 + d * k1, 0.5 * a2 + d * k2
+        y3, y4, y5 = 0.5 * b0 + d * k3, 0.5 * b1 + d * k4, 0.5 * b2 + d * k5
+        y6, y7, y8 = 0.5 * c0 + d * k6, 0.5 * c1 + d * k7, 0.5 * c2 + d * k8
+        if max(abs(y0 - a0), abs(y1 - a1), abs(y2 - a2),
+               abs(y3 - b0), abs(y4 - b1), abs(y5 - b2),
+               abs(y6 - c0), abs(y7 - c1), abs(y8 - c2)) <= simulator.POLAR_TOL:
+            return np.array(((y0, y1, y2), (y3, y4, y5), (y6, y7, y8)))
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = y0, y1, y2, y3, y4, y5, y6, y7, y8
+    return nearest_rotation(np.array(X).reshape(3, 3))
+
+
+def _listwise_step(state, cmd, params, dt):
+    torque = np.asarray(cmd.torques, dtype=float).tolist()
+    s, J = cmd.thrust / params.mass, [float(j) for j in params.inertia]
+    p, v, w = state.p.tolist(), state.v.tolist(), state.omega.tolist()
+    R = state.R.ravel().tolist()
+    h = 0.5 * dt
+
+    dv1, dR1, dw1 = _deriv(R, w, s, torque, J)
+    v2, w2 = _axpy(v, h, dv1), _axpy(w, h, dw1)
+    dv2, dR2, dw2 = _deriv(_axpy(R, h, dR1), w2, s, torque, J)
+    v3, w3 = _axpy(v, h, dv2), _axpy(w, h, dw2)
+    dv3, dR3, dw3 = _deriv(_axpy(R, h, dR2), w3, s, torque, J)
+    v4, w4 = _axpy(v, dt, dv3), _axpy(w, dt, dw3)
+    dv4, dR4, dw4 = _deriv(_axpy(R, dt, dR3), w4, s, torque, J)
+
+    c = dt / 6.0
+    p1 = _rk4_sum(p, c, v, v2, v3, v4)
+    v1 = _rk4_sum(v, c, dv1, dv2, dv3, dv4)
+    w1 = _rk4_sum(w, c, dw1, dw2, dw3, dw4)
+    R1 = _rk4_sum(R, c, dR1, dR2, dR3, dR4)
+    if all(map(math.isfinite, R1)):
+        R1 = _listwise_projection(R1)
+    else:
+        R1 = np.array(R1).reshape(3, 3)
+    return QuadState(np.array(p1), np.array(v1), R1, np.array(w1))
+
+
+def _assert_same_bits(got, want, label):
+    # == compares values (-0.0 equals 0.0); the bytes also see the sign
+    assert got == want, label
+    for f in ("p", "v", "R", "omega"):
+        a, b = getattr(got, f), getattr(want, f)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (label, f)
+
+
+def test_dynamics_step_equals_the_listwise_step_bit_for_bit(monkeypatch):
+    fallbacks = []
+
+    def counting(M):
+        fallbacks.append(1)
+        return nearest_rotation(M)
+
+    monkeypatch.setattr(simulator, "nearest_rotation", counting)
+    for i, state, cmd, params, dt in _oracle_cases():
+        _assert_same_bits(dynamics_step(state, cmd, params, dt),
+                          _listwise_step(state, cmd, params, dt), i)
+    assert fallbacks
+
+
+def test_closed_loop_steps_equal_the_listwise_step_bit_for_bit(monkeypatch):
+    # every physics step of 1 s of the corridor approach, on the states and
+    # wrenches the closed loop actually produces
+    real, steps = simulator.dynamics_step, []
+
+    def recording(state, cmd, params, dt):
+        out = real(state, cmd, params, dt)
+        steps.append((state, cmd, params, dt, out))
+        return out
+
+    monkeypatch.setattr(simulator, "dynamics_step", recording)
+    run(dataclasses.replace(scenarios.get("corridor_approach"), duration=1.0))
+    assert len(steps) == 1000
+    for k, (state, cmd, params, dt, out) in enumerate(steps):
+        _assert_same_bits(out, _listwise_step(state, cmd, params, dt), k)
