@@ -7,20 +7,26 @@ Plant: standard rigid-body quadrotor,
     R' = R hat(omega)
     J omega' = torque - omega x J omega
 
-integrated with fixed-step RK4 at the physics rate, on Python floats (R as
-nine floats), and projected back onto SO(3) after every step by Newton's
-polar iteration, with the SVD nearest rotation as its fallback.  The step
-(`dynamics_step`) is written out as one straight-line block, every stage a
-set of local names, in the operation order of the elementwise form: stage
-states x + a * k, the sum x + dt/6 * (k1 + 2 k2 + 2 k3 + k4) left to right,
-R hat(omega) as row-cross-omega products and omega x J omega as np.cross
-computes it.  The projection converges in one Newton step on every physics
-step of the bundled closed-loop scenarios (corridor_approach 8000,
-static_target 5900, sprint_7ms 10000 steps).  Motors are
-ideal by default: the wrench is computed from the commanded rotor thrusts
-once per control tick and zero-order-held over the physics steps up to the
-next tick.  An optional first-order lag models spin-up; the realized
-thrusts, and so the wrench, then move on every physics step.
+integrated with fixed-step RK4 at the physics rate, on Python floats, and
+projected back onto SO(3) after every step by Newton's polar iteration,
+with the SVD nearest rotation as its fallback.  The step (`dynamics_step`)
+maps the state as 18 floats, p (3), v (3), R row-major (9) and omega (3),
+to the stepped 18 floats.  The closed loop carries those floats from step
+to step, checks them for finiteness after every step, and builds the
+`QuadState` the sensors read (arrays) only when a sensor reads the platform
+after at least one step ran: at most once per control tick or camera
+frame, not once per physics step.  The step is written out as one
+straight-line block, every stage a set of local names, in the operation
+order of the elementwise form: stage states x + a * k, the sum
+x + dt/6 * (k1 + 2 k2 + 2 k3 + k4) left to right, R hat(omega) as
+row-cross-omega products and omega x J omega as np.cross computes it.  The
+projection converges in one Newton step on every physics step of the
+bundled closed-loop scenarios (corridor_approach 8000, static_target 5900,
+sprint_7ms 10000 steps).  Motors are ideal by default: the wrench is
+computed from the commanded rotor thrusts once per control tick and
+zero-order-held over the physics steps up to the next tick.  An optional
+first-order lag models spin-up; the realized thrusts, and so the wrench,
+then move on every physics step.
 
 Scheduling: the sensor layer (`sensor_stream`) merges the control/gyro and
 camera streams by timestamp, control first on ties, and reads the platform,
@@ -87,10 +93,25 @@ CAMERA_FROM_BODY = np.array([
 
 @dataclass(eq=False)
 class QuadState(ArrayFieldsEq):
+    """The plant state as the sensors read it, in arrays.  The closed loop
+    integrates the 18-float form (`floats`) and builds a QuadState from it
+    only when a sensor reads the platform after a physics step."""
+
     p: np.ndarray                        # world position, m
     v: np.ndarray                        # world velocity, m/s
     R: np.ndarray                        # world-from-body
     omega: np.ndarray                    # body rates, rad/s
+
+    @classmethod
+    def from_floats(cls, y) -> QuadState:
+        """The state of 18 floats laid out as `floats` returns them."""
+        return cls(np.array(y[0:3]), np.array(y[3:6]),
+                   np.array(y[6:15]).reshape(3, 3), np.array(y[15:18]))
+
+    def floats(self) -> tuple:
+        """p (3), v (3), R row-major (9), omega (3), as 18 Python floats."""
+        return tuple(self.p.tolist() + self.v.tolist() + self.R.ravel().tolist()
+                     + self.omega.tolist())
 
 
 # Newton polar iteration: stop once no entry moves by more than a few ulps
@@ -101,8 +122,9 @@ POLAR_TOL = 1e-15
 POLAR_MAX_ITER = 8
 
 
-def _project_rotation(X) -> np.ndarray:
-    """Nearest rotation to the 3x3 matrix X given as nine floats, row-major.
+def _project_rotation(X) -> tuple | list:
+    """Nearest rotation to the 3x3 matrix X given as nine floats, row-major,
+    returned as nine floats in the same layout.
 
     Newton's polar iteration X <- (X + X^-T) / 2 (Higham, SIAM J. Sci.
     Stat. Comput. 7(4), 1986) converges quadratically to the orthogonal
@@ -133,14 +155,16 @@ def _project_rotation(X) -> np.ndarray:
                 and -tol <= y4 - b1 <= tol and -tol <= y5 - b2 <= tol
                 and -tol <= y6 - c0 <= tol and -tol <= y7 - c1 <= tol
                 and -tol <= y8 - c2 <= tol):
-            return np.array([y0, y1, y2, y3, y4, y5, y6, y7, y8]).reshape(3, 3)
+            return y0, y1, y2, y3, y4, y5, y6, y7, y8
         a0, a1, a2, b0, b1, b2, c0, c1, c2 = y0, y1, y2, y3, y4, y5, y6, y7, y8
-    return nearest_rotation(np.array(X).reshape(3, 3))
+    return nearest_rotation(np.array(X).reshape(3, 3)).ravel().tolist()
 
 
-def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadConfig,
-                  dt: float) -> QuadState:
-    """One RK4 step under a zero-order-held wrench, then SO(3) projection.
+def dynamics_step(y, cmd: BodyCommand, params: QuadConfig, dt: float) -> tuple:
+    """One RK4 step under a zero-order-held wrench, then SO(3) projection,
+    on the plant state as 18 floats: p (3), v (3), R row-major (9) and
+    omega (3), the layout of `QuadState.floats`.  It returns the stepped
+    state as a tuple of 18 Python floats in the same layout.
 
     The step is one straight-line block of Python float expressions: p, v
     and omega one component at a time and R as nine floats, each stage's
@@ -156,16 +180,14 @@ def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadConfig,
     a reflection or without convergence (see `_project_rotation`); one
     Newton step converges on every physics step of the bundled closed-loop
     scenarios.  A non-finite R is returned unprojected for the caller's
-    finiteness check.
+    finiteness check, which runs on the returned floats.
     """
     tx, ty, tz = np.asarray(cmd.torques, dtype=float).tolist()
     s = cmd.thrust / params.mass
     jx, jy, jz = map(float, params.inertia)
     gx, gy, gz = GRAVITY_VEC
-    px, py, pz = state.p.tolist()
-    vx, vy, vz = state.v.tolist()
-    wx, wy, wz = state.omega.tolist()
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = state.R.ravel().tolist()
+    (px, py, pz, vx, vy, vz, r00, r01, r02, r10, r11, r12, r20, r21, r22,
+     wx, wy, wz) = y
     h = 0.5 * dt
 
     # stage 1 at (v, R, w)
@@ -233,15 +255,6 @@ def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadConfig,
                         (tz - (ux * hy - uy * hx)) / jz)
 
     c = dt / 6.0
-    p1 = np.array([px + c * (vx + 2 * v2x + 2 * v3x + v4x),
-                   py + c * (vy + 2 * v2y + 2 * v3y + v4y),
-                   pz + c * (vz + 2 * v2z + 2 * v3z + v4z)])
-    v1 = np.array([vx + c * (dv1x + 2 * dv2x + 2 * dv3x + dv4x),
-                   vy + c * (dv1y + 2 * dv2y + 2 * dv3y + dv4y),
-                   vz + c * (dv1z + 2 * dv2z + 2 * dv3z + dv4z)])
-    w1 = np.array([wx + c * (dw1x + 2 * dw2x + 2 * dw3x + dw4x),
-                   wy + c * (dw1y + 2 * dw2y + 2 * dw3y + dw4y),
-                   wz + c * (dw1z + 2 * dw2z + 2 * dw3z + dw4z)])
     R1 = [r00 + c * (dR1_00 + 2 * dR2_00 + 2 * dR3_00 + dR4_00),
           r01 + c * (dR1_01 + 2 * dR2_01 + 2 * dR3_01 + dR4_01),
           r02 + c * (dR1_02 + 2 * dR2_02 + 2 * dR3_02 + dR4_02),
@@ -253,9 +266,16 @@ def dynamics_step(state: QuadState, cmd: BodyCommand, params: QuadConfig,
           r22 + c * (dR1_22 + 2 * dR2_22 + 2 * dR3_22 + dR4_22)]
     if all(map(math.isfinite, R1)):
         R1 = _project_rotation(R1)
-    else:
-        R1 = np.array(R1).reshape(3, 3)
-    return QuadState(p1, v1, R1, w1)
+    return (px + c * (vx + 2 * v2x + 2 * v3x + v4x),
+            py + c * (vy + 2 * v2y + 2 * v3y + v4y),
+            pz + c * (vz + 2 * v2z + 2 * v3z + v4z),
+            vx + c * (dv1x + 2 * dv2x + 2 * dv3x + dv4x),
+            vy + c * (dv1y + 2 * dv2y + 2 * dv3y + dv4y),
+            vz + c * (dv1z + 2 * dv2z + 2 * dv3z + dv4z),
+            *R1,
+            wx + c * (dw1x + 2 * dw2x + 2 * dw3x + dw4x),
+            wy + c * (dw1y + 2 * dw2y + 2 * dw3y + dw4y),
+            wz + c * (dw1z + 2 * dw2z + 2 * dw3z + dw4z))
 
 
 def imu_sample(t: float, state: QuadState, sigma: float,
@@ -424,11 +444,14 @@ def run(scenario: Scenario) -> RunArtifacts:
     rotor_thrusts = np.zeros(4)  # realized thrusts when motor lag is on
     quad = QuadState(np.asarray(sc.quad.start_position, float), np.zeros(3),
                      rot_z(sc.quad.start_yaw), np.zeros(3))
+    y = quad.floats()  # the state the physics steps carry
     ip, last_phys_t = 1, 0.0
 
     def fly(t: float) -> QuadState:
-        # integrate every physics step at or before t
-        nonlocal quad, applied, rotor_thrusts, ip, last_phys_t
+        # integrate every physics step at or before t on the floats, then
+        # build the state the sensors read if any step ran since the last
+        nonlocal quad, y, applied, rotor_thrusts, ip, last_phys_t
+        ip0 = ip
         while ip <= n_phys and ip / hz <= t:
             t_p = ip / hz
             dt = t_p - last_phys_t
@@ -437,15 +460,15 @@ def run(scenario: Scenario) -> RunArtifacts:
                 rotor_thrusts = rotor_thrusts + a * (wrench.thrusts - rotor_thrusts)
                 applied = BodyCommand(*motor_wrench(
                     MotorCommand(rotor_thrusts, False), sc.quad.geometry))
-            quad = dynamics_step(quad, applied, sc.quad, dt)
-            flat = (quad.p.tolist() + quad.v.tolist() + quad.R.ravel().tolist()
-                    + quad.omega.tolist())
+            y = dynamics_step(y, applied, sc.quad, dt)
             # a finite sum means finite entries; finite entries can overflow it
-            if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
+            if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
                 raise SimulationAbort(last_phys_t,
                                       "non-finite state after the last good state")
             last_phys_t = t_p
             ip += 1
+        if ip != ip0:
+            quad = QuadState.from_floats(y)
         return quad
 
     platform = _Script(sc) if scripted else fly

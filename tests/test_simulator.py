@@ -36,6 +36,17 @@ def level_state(p=(0.0, 0.0, 1.5)):
                      np.zeros(3))
 
 
+# where each field of QuadState sits among dynamics_step's 18 floats
+FIELD_SLICE = {"p": slice(0, 3), "v": slice(3, 6), "R": slice(6, 15),
+               "omega": slice(15, 18)}
+
+
+def step_state(state, cmd, params, dt):
+    """dynamics_step on a QuadState: the state's 18 floats stepped, and the
+    stepped floats read back as a QuadState."""
+    return QuadState.from_floats(dynamics_step(state.floats(), cmd, params, dt))
+
+
 def static_object(obj_id=0, position=(12.0, 0.0, 1.5), size=(0.6, 0.6),
                   occluder=False):
     return ObjectConfig(obj_id=obj_id, size=size, occluder=occluder,
@@ -68,7 +79,7 @@ def test_free_fall_matches_kinematics():
     st = level_state(p=(0.0, 0.0, 100.0))
     t = 0.0
     for _ in range(1000):
-        st = dynamics_step(st, BodyCommand(0.0, np.zeros(3)), params, 0.001)
+        st = step_state(st, BodyCommand(0.0, np.zeros(3)), params, 0.001)
         t += 0.001
     assert st.v[2] == pytest.approx(-GRAVITY * t, abs=1e-6)
     assert st.p[2] == pytest.approx(100.0 - 0.5 * GRAVITY * t * t, abs=1e-6)
@@ -80,7 +91,7 @@ def test_exact_hover_thrust_is_equilibrium():
     st = level_state()
     cmd = BodyCommand(params.mass * GRAVITY, np.zeros(3))
     for _ in range(1000):
-        st = dynamics_step(st, cmd, params, 0.001)
+        st = step_state(st, cmd, params, 0.001)
     assert np.linalg.norm(st.v) < 1e-9
     assert np.allclose(st.p, [0.0, 0.0, 1.5], atol=1e-9)
     assert np.allclose(st.R, np.eye(3), atol=1e-12)
@@ -92,7 +103,7 @@ def test_constant_yaw_torque_spins_linearly():
     tau_z = 0.004
     cmd = BodyCommand(0.0, np.array([0.0, 0.0, tau_z]))
     for _ in range(1000):
-        st = dynamics_step(st, cmd, params, 0.001)
+        st = step_state(st, cmd, params, 0.001)
     # J3 omega' = tau with the gyroscopic term vanishing for pure yaw spin
     want_rate = tau_z / params.inertia[2] * 1.0
     assert st.omega[2] == pytest.approx(want_rate, abs=1e-9)
@@ -107,10 +118,10 @@ def test_step_refinement_converges():
     cmd = BodyCommand(13.0, np.array([0.002, -0.001, 0.0005]))
     coarse = level_state()
     for _ in range(100):
-        coarse = dynamics_step(coarse, cmd, params, 0.001)
+        coarse = step_state(coarse, cmd, params, 0.001)
     fine = level_state()
     for _ in range(1000):
-        fine = dynamics_step(fine, cmd, params, 0.0001)
+        fine = step_state(fine, cmd, params, 0.0001)
     assert np.allclose(coarse.p, fine.p, atol=1e-6)
     assert np.allclose(coarse.v, fine.v, atol=1e-6)
     assert np.max(np.abs(coarse.R - fine.R)) < 1e-6
@@ -131,7 +142,7 @@ def test_torque_free_flight_conserves_energy():
     e0 = energy(st)
     cmd = BodyCommand(0.0, np.zeros(3))
     for _ in range(1000):
-        st = dynamics_step(st, cmd, params, 0.001)
+        st = step_state(st, cmd, params, 0.001)
         assert is_rotation(st.R, tol=1e-9)
     assert energy(st) == pytest.approx(e0, rel=1e-6)
 
@@ -142,7 +153,7 @@ def test_rotation_stays_orthonormal_under_aggressive_commands():
     rng = np.random.default_rng(8)
     for _ in range(200):
         cmd = BodyCommand(rng.uniform(0.0, 30.0), rng.uniform(-0.5, 0.5, 3))
-        st = dynamics_step(st, cmd, params, 0.001)
+        st = step_state(st, cmd, params, 0.001)
         assert is_rotation(st.R, tol=1e-9)
 
 
@@ -169,6 +180,37 @@ def test_quad_state_equality_is_by_value():
         assert s != other and not s == other
     with pytest.raises(TypeError, match="unhashable"):
         hash(s)
+
+
+def test_quad_state_floats_round_trip_bytewise():
+    # p, v, R row-major, omega; -0.0 keeps its sign both ways
+    st = QuadState(np.array([1.0, -0.0, 3.5]), np.array([0.5, 0.0, -0.5]),
+                   rot_z(0.3) * np.array([1.0, -1.0, 1.0]), np.array([-0.0, 0.1, 1e308]))
+    y = st.floats()
+    assert type(y) is tuple and all(type(x) is float for x in y)
+    assert y == (*st.p, *st.v, *st.R.ravel(), *st.omega)
+    for state in [st, level_state()] + [c[1] for c in _oracle_cases()]:
+        back = QuadState.from_floats(state.floats())
+        assert back == state
+        for f in FIELD_SLICE:
+            a, b = getattr(back, f), getattr(state, f)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f
+
+
+def test_dynamics_step_returns_python_floats(monkeypatch):
+    # an np.float64 in the step keeps the bits but costs the speed
+    fallbacks = []
+
+    def counting(M):
+        fallbacks.append(1)
+        return nearest_rotation(M)
+
+    monkeypatch.setattr(simulator, "nearest_rotation", counting)
+    for i, state, cmd, params, dt in _oracle_cases():
+        out = dynamics_step(state.floats(), cmd, params, dt)
+        assert type(out) is tuple and len(out) == 18, i
+        assert all(type(x) is float for x in out), i
+    assert fallbacks  # the SVD fallback's floats are checked too
 
 
 def test_imu_maps_body_rates_to_camera_axes():
@@ -499,23 +541,23 @@ BAD_STEP = 250  # physics step that goes non-finite; step 249 ends at 0.249 s
 
 
 def _poison(what):
-    """A dynamics_step whose BAD_STEP-th call goes non-finite: one output
-    field set to NaN or inf, or (what == "torque") a NaN torque fed into
-    the real step so that the whole state, R included, turns NaN."""
+    """A dynamics_step whose BAD_STEP-th call goes non-finite: the second
+    entry of one field's slice of the returned floats set to NaN or inf,
+    or (what == "torque") a NaN torque fed into the real step so that the
+    whole state, R included, turns NaN."""
     real = simulator.dynamics_step
     calls = [0]
 
-    def step(state, cmd, params, dt):
+    def step(y, cmd, params, dt):
         calls[0] += 1
         if calls[0] != BAD_STEP:
-            return real(state, cmd, params, dt)
+            return real(y, cmd, params, dt)
         if what == "torque":
-            return real(state, BodyCommand(cmd.thrust, np.array([np.nan, 0.0, 0.0])),
+            return real(y, BodyCommand(cmd.thrust, np.array([np.nan, 0.0, 0.0])),
                         params, dt)
-        out = real(state, cmd, params, dt)
-        bad = getattr(out, what).copy()
-        bad.flat[1] = np.inf if what == "v" else np.nan
-        return dataclasses.replace(out, **{what: bad})
+        out = list(real(y, cmd, params, dt))
+        out[FIELD_SLICE[what].start + 1] = math.inf if what == "v" else math.nan
+        return tuple(out)
 
     return step
 
@@ -545,10 +587,12 @@ def test_gimbal_lock_in_a_truth_row_aborts_in_physics(monkeypatch):
     real = simulator.dynamics_step
     calls = [0]
 
-    def step(state, cmd, params, dt):
+    def step(y, cmd, params, dt):
         calls[0] += 1
-        out = real(state, cmd, params, dt)
-        return out if calls[0] < 12 else dataclasses.replace(out, R=rot_y(math.pi / 2))
+        out = real(y, cmd, params, dt)
+        if calls[0] < 12:
+            return out
+        return out[:6] + tuple(rot_y(math.pi / 2).ravel().tolist()) + out[15:]
 
     monkeypatch.setattr(simulator, "dynamics_step", step)
     with pytest.raises(SimulationAbort) as err:
@@ -563,11 +607,11 @@ def test_finite_state_whose_sum_overflows_does_not_abort(monkeypatch):
     real = simulator.dynamics_step
     calls = [0]
 
-    def step(state, cmd, params, dt):
+    def step(y, cmd, params, dt):
         calls[0] += 1
-        out = real(state, cmd, params, dt)
+        out = real(y, cmd, params, dt)
         if calls[0] == BAD_STEP:
-            out = dataclasses.replace(out, p=np.array([1e308, 1e308, out.p[2]]))
+            out = (1e308, 1e308) + out[2:]
         return out
 
     monkeypatch.setattr(simulator, "dynamics_step", step)
@@ -670,8 +714,8 @@ def test_dynamics_step_leaves_non_finite_attitude_unprojected():
     # an SVD of a NaN matrix raises (and of an inf one may not return), so
     # the step hands a non-finite state back for the caller's check
     st = QuadState(np.zeros(3), np.zeros(3), np.eye(3), np.array([np.nan, 0.0, 0.0]))
-    out = dynamics_step(st, BodyCommand(10.0, np.zeros(3)), QuadConfig(), 0.001)
-    assert not np.all(np.isfinite(out.R))
+    out = dynamics_step(st.floats(), BodyCommand(10.0, np.zeros(3)), QuadConfig(), 0.001)
+    assert not all(map(math.isfinite, out[FIELD_SLICE["R"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +836,7 @@ def test_dynamics_step_matches_numpy_rk4_within_rounding():
     # orthogonality residual of PROJECTION_ALLOWANCE per side; the Newton
     # iteration stops with every entry within POLAR_TOL of its fixed point.
     for i, state, cmd, params, dt in _oracle_cases():
-        got = dynamics_step(state, cmd, params, dt)
+        got = step_state(state, cmd, params, dt)
         want = _ref_dynamics_step(state, cmd, params, dt)
         Mp, Mv, MR = _ref_magnitudes(state, cmd, params, dt)
         assert np.all(np.abs(got.p - want.p) <= 2 * GAMMA_32 * Mp), i
@@ -809,7 +853,7 @@ def test_dynamics_step_matches_numpy_rk4_within_rounding():
 
 def test_dynamics_step_returns_a_rotation_on_every_oracle_state():
     for i, state, cmd, params, dt in _oracle_cases():
-        assert is_rotation(dynamics_step(state, cmd, params, dt).R, tol=1e-12), i
+        assert is_rotation(step_state(state, cmd, params, dt).R, tol=1e-12), i
 
 
 @pytest.mark.parametrize("X", [
@@ -822,7 +866,9 @@ def test_dynamics_step_returns_a_rotation_on_every_oracle_state():
 ], ids=["reflection", "singular", "no_convergence"])
 def test_projection_fallback_equals_nearest_rotation(X):
     got = simulator._project_rotation(X.ravel().tolist())
-    assert np.array_equal(got, nearest_rotation(X.copy()))
+    assert all(type(x) is float for x in got) and len(got) == 9
+    got = np.array(got).reshape(3, 3)
+    assert got.tobytes() == nearest_rotation(X.copy()).tobytes()
     assert is_rotation(got, tol=1e-12)
 
 
@@ -839,10 +885,11 @@ def test_dynamics_step_hands_fallback_result_back_unchanged(monkeypatch):
     fallbacks = 0
     for i, state, cmd, params, dt in _oracle_cases():
         seen.clear()
-        got = dynamics_step(state, cmd, params, dt)
+        got = dynamics_step(state.floats(), cmd, params, dt)
         if seen:
             fallbacks += 1
-            assert np.array_equal(got.R, nearest_rotation(seen[0])), i
+            R = np.array(got[FIELD_SLICE["R"]]).reshape(3, 3)
+            assert R.tobytes() == nearest_rotation(seen[0]).tobytes(), i
     assert fallbacks > 0
 
 
@@ -932,11 +979,14 @@ def _listwise_step(state, cmd, params, dt):
 
 
 def _assert_same_bits(got, want, label):
-    # == compares values (-0.0 equals 0.0); the bytes also see the sign
-    assert got == want, label
-    for f in ("p", "v", "R", "omega"):
-        a, b = getattr(got, f), getattr(want, f)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (label, f)
+    """dynamics_step's 18 floats `got` against the QuadState `want`, field
+    by field; == compares values (-0.0 equals 0.0), the bytes also see the
+    sign."""
+    assert type(got) is tuple and len(got) == 18, label
+    for f, sl in FIELD_SLICE.items():
+        a, b = np.array(got[sl]), getattr(want, f).ravel()
+        assert np.array_equal(a, b), (label, f)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (label, f)
 
 
 def test_dynamics_step_equals_the_listwise_step_bit_for_bit(monkeypatch):
@@ -948,7 +998,7 @@ def test_dynamics_step_equals_the_listwise_step_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(simulator, "nearest_rotation", counting)
     for i, state, cmd, params, dt in _oracle_cases():
-        _assert_same_bits(dynamics_step(state, cmd, params, dt),
+        _assert_same_bits(dynamics_step(state.floats(), cmd, params, dt),
                           _listwise_step(state, cmd, params, dt), i)
     assert fallbacks
 
@@ -958,13 +1008,30 @@ def test_closed_loop_steps_equal_the_listwise_step_bit_for_bit(monkeypatch):
     # wrenches the closed loop actually produces
     real, steps = simulator.dynamics_step, []
 
-    def recording(state, cmd, params, dt):
-        out = real(state, cmd, params, dt)
-        steps.append((state, cmd, params, dt, out))
+    def recording(y, cmd, params, dt):
+        out = real(y, cmd, params, dt)
+        steps.append((y, cmd, params, dt, out))
         return out
 
     monkeypatch.setattr(simulator, "dynamics_step", recording)
     run(dataclasses.replace(scenarios.get("corridor_approach"), duration=1.0))
     assert len(steps) == 1000
-    for k, (state, cmd, params, dt, out) in enumerate(steps):
-        _assert_same_bits(out, _listwise_step(state, cmd, params, dt), k)
+    for k, (y, cmd, params, dt, out) in enumerate(steps):
+        _assert_same_bits(out, _listwise_step(QuadState.from_floats(y), cmd, params, dt), k)
+
+
+def test_closed_loop_builds_a_state_only_for_a_sensor_read(monkeypatch):
+    # the physics steps carry floats; a QuadState is built for the start
+    # state, then at most once per control tick or camera frame after t = 0
+    # and once for the final state
+    real_init, built = QuadState.__init__, [0]
+
+    def counting(self, *args, **kw):
+        built[0] += 1
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(QuadState, "__init__", counting)
+    art = run(dataclasses.replace(scenarios.get("corridor_approach"), duration=1.0))
+    counts = art.counts
+    assert counts == {"physics": 1000, "control": 100, "camera": 60}
+    assert 0 < built[0] <= counts["control"] + counts["camera"] + 1
