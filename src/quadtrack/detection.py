@@ -39,15 +39,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DetectorAbort
-from .geometry import (ArrayFieldsEq, BoundingBox, CameraModel, CameraPose,
-                       camera_point, covered_fraction, project_box)
+from .geometry import (BoundingBox, CameraModel, CameraPose, camera_point,
+                       covered_fraction, project_box)
 from .scene import ObjectState, SceneSnapshot
 
 DESCRIPTOR_DIM = 256
 
 
 @dataclass(frozen=True, eq=False)
-class Detection(ArrayFieldsEq):
+class Detection:
     """One candidate box with its appearance descriptor (unit norm)."""
 
     box: BoundingBox
@@ -75,7 +75,7 @@ class DetectionSet:
 
 
 @dataclass(frozen=True, eq=False)
-class GyroSample(ArrayFieldsEq):
+class GyroSample:
     """Body rates mapped into the camera frame (rad/s) at time t."""
 
     t: float

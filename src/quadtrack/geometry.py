@@ -15,37 +15,12 @@ negative Z component), which is the sign the image-space setpoint logic relies o
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 # A projected point closer than this (camera Z, meters) counts as behind the lens.
 MIN_VIEW_DEPTH = 1e-6
-
-
-class ArrayFieldsEq:
-    """Value equality for a dataclass with array fields, declared with
-    eq=False: two instances of one class are equal when every field is,
-    arrays by np.array_equal and other fields by ==, and an instance of any
-    other type gets NotImplemented.  (The generated __eq__ compares field
-    tuples, which asks an array comparison for one truth value and raises
-    for distinct equal arrays.)  The arrays are mutable, so instances are
-    unhashable."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                if not np.array_equal(a, b):
-                    return False
-            elif not a == b:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +57,14 @@ class BoundingBox:
         self.w = w
         self.h = h
 
-    def _fields(self) -> tuple:
-        return (self.x, self.y, self.w, self.h)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return ((self.x, self.y, self.w, self.h)
+                == (other.x, other.y, other.w, other.h))
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash((self.x, self.y, self.w, self.h))
 
     def __repr__(self) -> str:
         return f"BoundingBox(x={self.x!r}, y={self.y!r}, w={self.w!r}, h={self.h!r})"
@@ -215,14 +188,9 @@ class CameraModel:
         focal = (height / 2.0) / math.tan(vfov / 2.0)
         return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
 
-    @staticmethod
-    def from_focal(width: int, height: int, focal: float) -> "CameraModel":
-        vfov = 2.0 * math.atan((height / 2.0) / focal)
-        return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
-
 
 @dataclass(frozen=True, eq=False)
-class CameraPose(ArrayFieldsEq):
+class CameraPose:
     """Camera extrinsics: rotation is world-from-camera, position in world."""
 
     rotation: np.ndarray  # (3,3)
@@ -234,14 +202,6 @@ def camera_point(pose: CameraPose, p_world) -> tuple[float, float, float]:
     pc = pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position)
     x, y, z = pc.tolist()
     return x, y, z
-
-
-def project_point(cam: CameraModel, pose: CameraPose, p_world) -> tuple[float, float] | None:
-    """Project a world point to pixels; None if at or behind the camera plane."""
-    x, y, z = camera_point(pose, p_world)
-    if z <= MIN_VIEW_DEPTH:
-        return None
-    return (cam.focal * x / z + cam.cx, cam.focal * y / z + cam.cy)
 
 
 def project_box(cam: CameraModel, pose: CameraPose, center, size,
@@ -268,34 +228,14 @@ def project_box(cam: CameraModel, pose: CameraPose, center, size,
     return BoundingBox(u - w / 2.0, v - h / 2.0, w, h)
 
 
-def camera_depth(pose: CameraPose, p_world) -> float:
-    """Camera-frame Z of a world point (distance along the optical axis)."""
-    return camera_point(pose, p_world)[2]
-
-
 # ---------------------------------------------------------------------------
 # rotations
 # ---------------------------------------------------------------------------
 
 
-def rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def zyx_matrix(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
 
 
 def wrap_angle(a: float) -> float:
@@ -328,14 +268,6 @@ def pitch_yaw_from_rotation(R) -> tuple[float, float]:
     return pitch, wrap_angle(yaw)
 
 
-def is_rotation(R: np.ndarray, tol: float = 1e-9) -> bool:
-    R = np.asarray(R)
-    if R.shape != (3, 3):
-        return False
-    return (np.max(np.abs(R.T @ R - np.eye(3))) < tol
-            and abs(np.linalg.det(R) - 1.0) < tol)
-
-
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
     """Orthogonal Procrustes projection of M onto SO(3): U diag(1, 1, d) Vt
     with d the sign of det(U Vt), formed by flipping U's last column only
@@ -355,17 +287,6 @@ def cross3(a, b) -> tuple[float, float, float]:
     ax, ay, az = a
     bx, by, bz = b
     return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-
-
-def hat(w) -> np.ndarray:
-    """Skew matrix such that hat(w) @ v == cross(w, v)."""
-    wx, wy, wz = w
-    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-
-
-def vee(M: np.ndarray) -> np.ndarray:
-    """Inverse of hat for skew-symmetric M."""
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
 def quat_from_rotation(R) -> tuple[float, float, float, float]:

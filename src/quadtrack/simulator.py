@@ -75,9 +75,8 @@ from .detection import GyroSample, SyntheticDetector
 from .errors import SimulationAbort
 # project_box is no longer called here (the detector's frame views carry the
 # truth boxes), but perfbench/tracing.py wraps it under this module's name
-from .geometry import (ArrayFieldsEq, CameraPose,  # noqa: F401
-                       nearest_rotation, pitch_yaw_from_rotation,
-                       project_box, rot_z)
+from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
+                       pitch_yaw_from_rotation, project_box, rot_z)
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
 from .scene import scene_step
@@ -92,7 +91,7 @@ CAMERA_FROM_BODY = np.array([
 
 
 @dataclass(eq=False)
-class QuadState(ArrayFieldsEq):
+class QuadState:
     """The plant state as the sensors read it, in arrays.  The closed loop
     integrates the 18-float form (`floats`) and builds a QuadState from it
     only when a sensor reads the platform after a physics step."""

@@ -213,8 +213,13 @@ def _gyro_rows(dt: float, a: float, b: float, c: float, d: float) -> tuple:
             (dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0))
 
 
-def _transition(dt: float, a: float, b: float, c: float, d: float) -> np.ndarray:
-    """F for flow partials (a, b, c, d); all zero without gyro compensation."""
+def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel,
+                     compensate: bool = True) -> np.ndarray:
+    """State-transition Jacobian F of one predict step, for flow partials
+    (a, b, c, d) that are all zero without gyro compensation."""
+    a = b = c = d = 0.0
+    if compensate:
+        _, _, a, b, c, d = _rotational_flow(state.mean, w, cam)
     g0, g1 = _gyro_rows(dt, a, b, c, d)
     return np.array([
         [*g0, dt, 0.0],
@@ -224,15 +229,6 @@ def _transition(dt: float, a: float, b: float, c: float, d: float) -> np.ndarray
         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
     ])
-
-
-def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel,
-                     compensate: bool = True) -> np.ndarray:
-    """State-transition Jacobian of one predict step."""
-    if not compensate:
-        return _transition(dt, 0.0, 0.0, 0.0, 0.0)
-    _, _, a, b, c, d = _rotational_flow(state.mean, w, cam)
-    return _transition(dt, a, b, c, d)
 
 
 _ONES_36 = np.ones(36)  # cov.ravel() @ _ONES_36 sums a 6x6 covariance
@@ -283,7 +279,7 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     x, y, bw, bh, vx, vy = m
     m = [x + (vx + du) * dt, y + (vy + dv) * dt,
          max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy]
-    # rows 0 and 1 of F (_transition): g0 = [f00 f01 f02 f03 dt 0],
+    # rows 0 and 1 of F (predict_jacobian): g0 = [f00 f01 f02 f03 dt 0],
     # g1 = [f10 f11 f12 f13 0 dt]
     (f00, f01, f02, f03), (f10, f11, f12, f13) = _gyro_rows(dt, a, b, c, d)
     P = state.cov.tolist()

@@ -1,4 +1,5 @@
-"""Shared fixtures, strategies, and independent oracles.
+"""Shared fixtures, strategies, test-only geometry helpers, and independent
+oracles.
 
 The oracles here are deliberately written from the documented behavior, not
 from the library internals: the Jacobian oracle differentiates the actual
@@ -8,12 +9,14 @@ rule in ~20 lines with its own inline IOU.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from quadtrack.geometry import BoundingBox, CameraModel
+from quadtrack.geometry import BoundingBox, CameraModel, rot_z
 from quadtrack.tracker import EkfState, TrackerConfig, ekf_predict
 from quadtrack.detection import GyroSample
 
@@ -49,6 +52,51 @@ def unit_vectors(draw, dim: int = 8) -> np.ndarray:
         v[0] = 1.0
         n = 1.0
     return v / n
+
+
+# ---------------------------------------------------------------------------
+# geometry helpers that only tests need
+# ---------------------------------------------------------------------------
+
+
+def camera_from_focal(width: int, height: int, focal: float) -> CameraModel:
+    """The centred pinhole camera of focal length `focal` px."""
+    vfov = 2.0 * math.atan((height / 2.0) / focal)
+    return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
+
+
+def rot_x(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_y(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def zyx_matrix(yaw: float, pitch: float, roll: float) -> np.ndarray:
+    """R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
+
+
+def is_rotation(R: np.ndarray, tol: float = 1e-9) -> bool:
+    R = np.asarray(R)
+    if R.shape != (3, 3):
+        return False
+    return (np.max(np.abs(R.T @ R - np.eye(3))) < tol
+            and abs(np.linalg.det(R) - 1.0) < tol)
+
+
+def hat(w) -> np.ndarray:
+    """Skew matrix such that hat(w) @ v == cross(w, v)."""
+    wx, wy, wz = w
+    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+
+
+def vee(M: np.ndarray) -> np.ndarray:
+    """Inverse of hat for skew-symmetric M."""
+    return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
 # ---------------------------------------------------------------------------

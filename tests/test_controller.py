@@ -19,9 +19,10 @@ from quadtrack.controller import (GRAVITY, AttitudeGains, BodyCommand,
                                   next_pitch_accel, pixel_errors, setpoints,
                                   thrust_from_force)
 from quadtrack.errors import ControllerAbort
-from quadtrack.geometry import (CameraModel, cross3, is_rotation,
-                                pitch_yaw_from_rotation, quat_from_rotation,
-                                rot_x, rot_y, rot_z, vee, zyx_matrix)
+from quadtrack.geometry import (CameraModel, cross3, pitch_yaw_from_rotation,
+                                quat_from_rotation, rot_z)
+
+from conftest import is_rotation, rot_x, rot_y, vee, zyx_matrix
 
 CAM = CameraModel.from_vfov(960, 544, 1.047)
 GAINS = ControllerGains()

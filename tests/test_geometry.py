@@ -10,13 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quadtrack.geometry import (BoundingBox, CameraModel, CameraPose,
-                                camera_depth, covered_fraction, cross3, hat, iou,
-                                is_rotation, nearest_rotation,
+                                covered_fraction, cross3, iou, nearest_rotation,
                                 pitch_yaw_from_rotation, project_box,
-                                project_point, quat_from_rotation, rot_x,
-                                rot_y, rot_z, vee, wrap_angle, zyx_matrix)
+                                quat_from_rotation, rot_z, wrap_angle)
 
-from conftest import boxes
+from conftest import (boxes, camera_from_focal, hat, is_rotation, rot_x, rot_y,
+                      vee, zyx_matrix)
 
 IDENTITY_POSE = CameraPose(np.eye(3), np.zeros(3))
 
@@ -91,22 +90,6 @@ def test_box_is_a_value_object():
     back = pickle.loads(pickle.dumps(b))
     assert back == b and type(back) is BoundingBox
     assert not hasattr(b, "__dict__")
-
-
-def test_camera_pose_equality_is_by_value():
-    # distinct arrays of equal value compare equal
-    pose = CameraPose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
-    same = CameraPose(rot_z(0.3), np.array([1.0, 2.0, 3.0]))
-    assert pose == same and not pose != same
-    for other in (CameraPose(rot_z(0.4), pose.position),
-                  CameraPose(pose.rotation, np.array([1.0, 2.0, 3.5])),
-                  CameraPose(pose.rotation, np.array([1.0, 2.0]))):
-        assert pose != other and not pose == other
-    for other in ((pose.rotation, pose.position), None, 1.0):
-        assert pose.__eq__(other) is NotImplemented
-        assert pose != other and not pose == other
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(pose)
 
 
 def test_box_array_round_trip():
@@ -202,42 +185,23 @@ def test_covered_fraction_bounded(target, covers):
 # ---------------------------------------------------------------------------
 
 
-def test_project_point_on_optical_axis():
-    cam = CameraModel.from_focal(960, 544, 500.0)
-    for depth in (0.5, 3.0, 100.0):
-        uv = project_point(cam, IDENTITY_POSE, (0.0, 0.0, depth))
-        assert uv == (cam.cx, cam.cy)
-
-
-def test_project_point_known_offset():
-    cam = CameraModel.from_focal(960, 544, 500.0)
-    uv = project_point(cam, IDENTITY_POSE, (1.0, 0.0, 10.0))
-    assert abs(uv[0] - 530.0) < 1e-12 and abs(uv[1] - 272.0) < 1e-12
-
-
-def test_project_point_behind_camera():
-    cam = CameraModel.from_focal(960, 544, 500.0)
-    assert project_point(cam, IDENTITY_POSE, (0.0, 0.0, -1.0)) is None
-    assert project_point(cam, IDENTITY_POSE, (0.0, 0.0, 1e-9)) is None
-
-
 def test_project_box_on_axis_cube():
     # 1 m sprite at 10 m with f = 500 px subtends 50 px about the center
-    cam = CameraModel.from_focal(960, 544, 500.0)
+    cam = camera_from_focal(960, 544, 500.0)
     box = project_box(cam, IDENTITY_POSE, (0.0, 0.0, 10.0), (1.0, 1.0))
     assert abs(box.x - 455.0) < 1e-9 and abs(box.y - 247.0) < 1e-9
     assert abs(box.w - 50.0) < 1e-9 and abs(box.h - 50.0) < 1e-9
 
 
 def test_project_box_behind_and_subpixel():
-    cam = CameraModel.from_focal(960, 544, 500.0)
+    cam = camera_from_focal(960, 544, 500.0)
     assert project_box(cam, IDENTITY_POSE, (0.0, 0.0, -5.0), (1.0, 1.0)) is None
     # 1 cm at 10 m is 0.5 px: below the 1 px visibility floor
     assert project_box(cam, IDENTITY_POSE, (0.0, 0.0, 10.0), (0.01, 0.01)) is None
 
 
 def test_project_box_not_clamped_to_border():
-    cam = CameraModel.from_focal(960, 544, 500.0)
+    cam = camera_from_focal(960, 544, 500.0)
     box = project_box(cam, IDENTITY_POSE, (-11.0, 0.0, 10.0), (1.0, 1.0))
     assert box is not None and box.x < 0.0
 
@@ -247,17 +211,12 @@ def test_project_box_not_clamped_to_border():
 def test_projection_depth_invariance(x, y, z, s, k):
     # scaling a point along its view ray and its size by the same factor
     # leaves the projected box unchanged
-    cam = CameraModel.from_focal(960, 544, 500.0)
+    cam = camera_from_focal(960, 544, 500.0)
     near = project_box(cam, IDENTITY_POSE, (x, y, z), (s, s))
     far = project_box(cam, IDENTITY_POSE, (k * x, k * y, k * z), (k * s, k * s))
     if near is None or far is None:
         return
     assert np.max(np.abs(near.as_array() - far.as_array())) < 1e-9
-
-
-def test_camera_depth_uses_optical_axis():
-    pose = CameraPose(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    assert abs(camera_depth(pose, (1.0, 2.0, 8.0)) - 5.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +227,7 @@ def test_camera_depth_uses_optical_axis():
 def test_camera_model_focal_vfov_consistency():
     cam = CameraModel.from_vfov(960, 544, 1.047)
     assert abs(cam.focal - (544 / 2) / math.tan(1.047 / 2)) < 1e-9
-    cam2 = CameraModel.from_focal(960, 544, cam.focal)
+    cam2 = camera_from_focal(960, 544, cam.focal)
     assert abs(cam2.vfov - 1.047) < 1e-12
 
 

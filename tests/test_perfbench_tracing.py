@@ -1,15 +1,20 @@
-"""perfbench's tracer against the program: every name it wraps still
+"""perfbench against the program: every name its tracer wraps still
 resolves, is called where the benchmark's per-layer metrics expect it, and
-is restored afterwards.  perfbench/tracing.py is loaded read-only."""
+is restored afterwards; its workloads build each scenario's tracker as the
+live loop does.  perfbench/tracing.py and perfbench/workload.py are loaded
+read-only."""
 
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 from quadtrack import ablation, scenarios, simulator
 from quadtrack.ablation import DEFAULT_GRID
+from quadtrack.tracker import TrackerConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 # nothing in the program calls SyntheticDetector.extract_target_feature any
 # more; the method and its metrics go together in a benchmark change
 # (ROADMAP item 1, step 1)
@@ -63,3 +68,34 @@ def test_traced_names_resolve_are_called_and_are_restored(tmp_path):
     spans = {n for n in tr.names if isinstance(n, str)}
     spans |= {"tracker.step.live", "tracker.step.replay"}
     assert {n for n in spans if not tr.durations[n]} == DEAD
+
+
+def _workload():
+    """perfbench/workload.py as a module.  While it runs, perfbench/ is on
+    sys.path for its `import speed`, and the module is in sys.modules for
+    its dataclass."""
+    name = "perfbench_workload"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))
+    sys.modules[name] = workload
+    try:
+        spec.loader.exec_module(workload)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        del sys.modules[name]
+    return workload
+
+
+def test_workload_tracker_config_is_the_live_loops():
+    # perfbench rebuilds the tracker config field by field; a field it
+    # misses, or a rename it depends on, fails here and not only in the
+    # benchmark's smoke run
+    workload = _workload()
+    for spec in workload.WORKLOADS.values():
+        sc = scenarios.get(spec.scenario)
+        got, want = workload.tracker_config(sc), sc.tracker.build(sc.camera.build())
+        assert type(got) is type(want) is TrackerConfig
+        for f in dataclasses.fields(TrackerConfig):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (type(a), a) == (type(b), b), (spec.scenario, f.name)

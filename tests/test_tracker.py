@@ -10,7 +10,7 @@ import pytest
 from quadtrack import scenarios, tracker
 from quadtrack.detection import Detection, DetectionSet, GyroSample
 from quadtrack.errors import TrackerAbort
-from quadtrack.geometry import BoundingBox, CameraModel
+from quadtrack.geometry import BoundingBox
 from quadtrack.replay import replay_track
 from quadtrack.simulator import run
 from quadtrack.tracker import (AppearanceMemory, EkfState, Tracker,
@@ -19,9 +19,9 @@ from quadtrack.tracker import (AppearanceMemory, EkfState, Tracker,
                                ekf_update, initialize, predict_jacobian,
                                predicted_box, score, step, update_memory)
 
-from conftest import fd_transition_jacobian
+from conftest import camera_from_focal, fd_transition_jacobian
 
-CAM = CameraModel.from_focal(960, 544, 500.0)
+CAM = camera_from_focal(960, 544, 500.0)
 DIM = 8
 
 
@@ -545,10 +545,18 @@ def gate_corpus(rng, n):
         yield P, r
 
 
-def test_cholesky_gate_decides_like_the_exact_gate():
+def test_cholesky_gate_decides_like_the_exact_gate(monkeypatch):
     # Every S the fast path declines goes to the exact gate unchanged, so a
     # mismatch could only be an S the fast path accepts and the exact gate
     # rejects.  The corpus straddles the 1e12 condition bound.
+    exact_calls = []
+    exact_gain = tracker._exact_gain
+
+    def counting(P, cfg, t):
+        exact_calls.append(t)
+        return exact_gain(P, cfg, t)
+
+    monkeypatch.setattr(tracker, "_exact_gain", counting)
     rng = np.random.default_rng(7)
     box = BoundingBox(100.0, 100.0, 40.0, 30.0)
     paths = Counter()  # (fast path took S, exact gate accepts S)
@@ -567,6 +575,7 @@ def test_cholesky_gate_decides_like_the_exact_gate():
     # S near the bound decline and are accepted by the exact gate; the rest
     # decline and raise.  (The seeded corpus gives 4963 / 1016 / 14021.)
     assert paths[True, False] == 0, paths
+    assert len(exact_calls) == paths[False, True] + paths[False, False], paths
     assert (paths[True, True] >= 3000 and paths[False, True] >= 500
             and paths[False, False] >= 10000), paths
 
