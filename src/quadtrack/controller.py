@@ -30,11 +30,12 @@ A tick runs on Python floats: R and omega are read once with .tolist(), and
 the pieces below (force, thrust, desired attitude, torques, mix) take and
 return floats and tuples, 3x3s as three rows.  The mixer applies the
 allocation inverse, kept as floats on the MixerGeometry, instead of a
-solve.  Only the rotor thrusts leave as an array.  A tick fails closed: a
-non-finite thrust, desired attitude, torque or rotor thrust raises
-ControllerAbort with the tick time, instead of reaching the plant or the
-command log, and so do a gimbal-lock attitude and a force demand or heading
-that no attitude realizes (the helpers' ValueError).
+solve.  Only the rotor thrusts leave as an array; `motor_wrench` maps them
+to the wrench the plant applies, thrust and three torques as four floats.
+A tick fails closed: a non-finite thrust, desired attitude, torque or rotor
+thrust raises ControllerAbort with the tick time, instead of reaching the
+plant or the command log, and so do a gimbal-lock attitude and a force
+demand or heading that no attitude realizes (the helpers' ValueError).
 """
 
 from __future__ import annotations
@@ -147,14 +148,6 @@ class PixelErrors(NamedTuple):
     eh: float
     dew: float
     deh: float
-
-
-@dataclass(frozen=True)
-class BodyCommand:
-    """Collective thrust (N) plus body torques (N m)."""
-
-    thrust: float
-    torques: np.ndarray  # (3,)
 
 
 @dataclass(frozen=True)
@@ -355,10 +348,10 @@ def mix(thrust: float, torques, geom: MixerGeometry) -> MotorCommand:
     return MotorCommand(np.array(f), False)
 
 
-def motor_wrench(cmd: MotorCommand, geom: MixerGeometry) -> tuple[float, np.ndarray]:
-    """Forward map: rotor thrusts -> (collective, body torques)."""
-    u = geom.allocation @ cmd.thrusts
-    return float(u[0]), u[1:]
+def motor_wrench(thrusts: np.ndarray, geom: MixerGeometry) -> list:
+    """Forward map: the rotor-thrust array -> the wrench the plant applies,
+    four Python floats: collective thrust (N), then the body torques (N m)."""
+    return (geom.allocation @ thrusts).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ overflows is still written.
 
 Trace files reuse the same float formatting with one flat JSON object per
 line; their field sets are fixed by the writers in simulator/tracker code.
-`_json_compact` dispatches on a value's exact type through one table and
-walks an isinstance chain only for subclasses the table does not list.
+`_json_compact` dispatches on a value's exact type through one table; any
+other type, a subclass or a non-1-D or non-float array, is a TypeError.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from itertools import chain
 from typing import Iterable, Union
 
 import numpy as np
@@ -139,44 +140,56 @@ def write_events(path, events: Iterable[Event]) -> None:
             prev = ev
 
 
+# a JSON number decodes to an int or a float; a string or a bool is neither
+_NUMBER = frozenset((int, float))
+
+
 def _check_each(fields) -> None:
-    """Raise ValueError naming the first number of `fields` ((name, list of
-    numbers) pairs) that is not finite.  Called only when a record's sum is
-    not finite; a sum of finite numbers that merely overflows passes."""
+    """Raise TypeError or ValueError naming the first entry of `fields`
+    ((name, list) pairs) that is not a JSON number or not finite.  Called
+    only when a record's one type check or one sum failed; a sum of finite
+    numbers that merely overflows passes."""
     for name, xs in fields:
         for x in xs:
+            if type(x) not in _NUMBER:
+                raise TypeError(f"{name} is not a JSON number: {x!r}")
             if not math.isfinite(x):
                 raise ValueError(f"{name} is not finite: {x!r}")
 
 
 def _parse_event(obj: dict) -> Event:
     """One log record; ValueError, TypeError, KeyError or OverflowError when
-    it is malformed.  Each record's numbers are checked by one sum, which is
-    not finite when one of them is not (a JSON integer too large for a float
-    raises OverflowError in the sum)."""
-    t = float(obj["t"])
+    it is malformed.  The time, rates, box fields and confidences must be
+    JSON numbers, by exact type; descriptor entries are type-checked only
+    when the record's sum is not finite.  Each record's numbers are checked
+    by one sum, which is not finite when one of them is not (a JSON integer
+    too large for a float raises OverflowError in the sum)."""
+    t = obj["t"]
     kind = obj["kind"]
     if kind == "gyro":
         w = obj["w"]
         gyro = np.asarray(w, dtype=float)
         if gyro.shape != (3,):
             raise ValueError(f"gyro 'w' must have 3 components, got shape {gyro.shape}")
-        if not math.isfinite(t + sum(w)):
+        if not (_NUMBER.issuperset(map(type, [t, *w]))
+                and math.isfinite(t + sum(w))):
             _check_each([("'t'", [t]), ("'w' entry", w)])
-        return GyroSample(t, gyro)
+        return GyroSample(float(t), gyro)
     if kind == "det":
         boxes, conf, desc = obj["boxes"], obj["conf"], obj["desc"]
         if not (len(boxes) == len(conf) == len(desc)):
             raise ValueError("boxes/conf/desc lengths disagree")
-        if not math.isfinite(t + sum(conf) + sum(map(sum, desc))):
+        if not (_NUMBER.issuperset(map(type, [t, *conf, *chain.from_iterable(boxes)]))
+                and math.isfinite(t + sum(conf) + sum(map(sum, desc)))):
             _check_each([("'t'", [t]), ("'conf' entry", conf),
+                         *(("'boxes' entry", b) for b in boxes),
                          *(("'desc' entry", d) for d in desc)])
         dets = [
             Detection(BoundingBox.from_array(b), float(c),
                       np.asarray(d, dtype=float))
             for b, c, d in zip(boxes, conf, desc)
         ]
-        return DetectionSet(t, dets)
+        return DetectionSet(float(t), dets)
     raise ValueError(f"unknown record kind {kind!r}")
 
 
@@ -241,7 +254,7 @@ def _json_seq(value) -> str:
 def _json_array(value: np.ndarray) -> str:
     if value.ndim == 1 and value.dtype.kind == "f":
         return _fmt_floats(value.tolist())
-    return _json_seq(value)
+    raise TypeError(f"unsupported trace array: {value.ndim}-D {value.dtype}")
 
 
 def _json_bool(value) -> str:
@@ -252,7 +265,7 @@ def _json_int(value) -> str:
     return str(int(value))
 
 
-# exact type -> encoder; the trace writers' value types
+# exact type -> encoder; the trace writers' value types, arrays 1-D float
 _JSON_ENCODERS = {
     dict: _json_dict,
     float: fmt_float,
@@ -272,24 +285,9 @@ _JSON_ENCODERS = {
 def _json_compact(value) -> str:
     """JSON with %.9g floats; dict key order preserved (insertion order)."""
     encode = _JSON_ENCODERS.get(type(value))
-    if encode is not None:
-        return encode(value)
-    # subclasses and other numpy scalars, in the table's precedence
-    if isinstance(value, dict):
-        return _json_dict(value)
-    if isinstance(value, np.ndarray):
-        return _json_array(value)
-    if isinstance(value, (list, tuple)):
-        return _json_seq(value)
-    if isinstance(value, (bool, np.bool_)):
-        return _json_bool(value)
-    if isinstance(value, (int, np.integer)):
-        return _json_int(value)
-    if isinstance(value, (float, np.floating)):
-        return fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"unsupported trace value type {type(value).__name__}")
+    if encode is None:
+        raise TypeError(f"unsupported trace value type {type(value).__name__}")
+    return encode(value)
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:

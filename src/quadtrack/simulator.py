@@ -22,11 +22,12 @@ x + dt/6 * (k1 + 2 k2 + 2 k3 + k4) left to right, R hat(omega) as
 row-cross-omega products and omega x J omega as np.cross computes it.  The
 projection converges in one Newton step on every physics step of the
 bundled closed-loop scenarios (corridor_approach 8000, static_target 5900,
-sprint_7ms 10000 steps).  Motors are ideal by default: the wrench is
-computed from the commanded rotor thrusts once per control tick and
-zero-order-held over the physics steps up to the next tick.  An optional
-first-order lag models spin-up; the realized thrusts, and so the wrench,
-then move on every physics step.
+sprint_7ms 10000 steps).  Motors are ideal by default: the wrench, four
+floats from `motor_wrench` (thrust, then three body torques) that `run`
+holds in one name, is computed from the commanded rotor thrusts once per
+control tick and zero-order-held over the physics steps up to the next tick.
+An optional first-order lag models spin-up; the realized thrusts, and so the
+wrench, then move on every physics step.
 
 Scheduling: the sensor layer (`sensor_stream`) merges the control/gyro and
 camera streams by timestamp, control first on ties, and reads the platform,
@@ -70,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import QuadConfig, Scenario, scenario_hash
-from .controller import GRAVITY_VEC, BodyCommand, MotorCommand, motor_wrench
+from .controller import GRAVITY_VEC, motor_wrench
 from .detection import GyroSample, SyntheticDetector
 from .errors import SimulationAbort
 # project_box is no longer called here (the detector's frame views carry the
@@ -159,11 +160,12 @@ def _project_rotation(X) -> tuple | list:
     return nearest_rotation(np.array(X).reshape(3, 3)).ravel().tolist()
 
 
-def dynamics_step(y, cmd: BodyCommand, params: QuadConfig, dt: float) -> tuple:
+def dynamics_step(y, wrench, params: QuadConfig, dt: float) -> tuple:
     """One RK4 step under a zero-order-held wrench, then SO(3) projection,
     on the plant state as 18 floats: p (3), v (3), R row-major (9) and
     omega (3), the layout of `QuadState.floats`.  It returns the stepped
-    state as a tuple of 18 Python floats in the same layout.
+    state as a tuple of 18 Python floats in the same layout.  The wrench is
+    `motor_wrench`'s four floats, thrust (N), then body torques (N m).
 
     The step is one straight-line block of Python float expressions: p, v
     and omega one component at a time and R as nine floats, each stage's
@@ -181,8 +183,8 @@ def dynamics_step(y, cmd: BodyCommand, params: QuadConfig, dt: float) -> tuple:
     scenarios.  A non-finite R is returned unprojected for the caller's
     finiteness check, which runs on the returned floats.
     """
-    tx, ty, tz = np.asarray(cmd.torques, dtype=float).tolist()
-    s = cmd.thrust / params.mass
+    thrust, tx, ty, tz = wrench
+    s = thrust / params.mass
     jx, jy, jz = map(float, params.inertia)
     gx, gy, gz = GRAVITY_VEC
     (px, py, pz, vx, vy, vz, r00, r01, r02, r10, r11, r12, r20, r21, r22,
@@ -434,13 +436,12 @@ def run(scenario: Scenario) -> RunArtifacts:
 
     events, tracker_trace, command_trace, truth_trace = [], [], [], []
     scripted = sc.camera_script.mode != "dynamic"
-    wrench = MotorCommand(np.zeros(4), False)
+    # the commanded rotor thrusts, and the realized ones under motor lag
+    commanded = rotor_thrusts = np.zeros(4)
     # ideal motors: the wrench changes only at a control tick, so it is
     # computed there and held; with lag it moves on every physics step
     hold_wrench = not scripted and sc.quad.motor_lag == 0.0
-    applied = (BodyCommand(*motor_wrench(wrench, sc.quad.geometry))
-               if hold_wrench else None)
-    rotor_thrusts = np.zeros(4)  # realized thrusts when motor lag is on
+    wrench = motor_wrench(commanded, sc.quad.geometry) if hold_wrench else None
     quad = QuadState(np.asarray(sc.quad.start_position, float), np.zeros(3),
                      rot_z(sc.quad.start_yaw), np.zeros(3))
     y = quad.floats()  # the state the physics steps carry
@@ -449,17 +450,16 @@ def run(scenario: Scenario) -> RunArtifacts:
     def fly(t: float) -> QuadState:
         # integrate every physics step at or before t on the floats, then
         # build the state the sensors read if any step ran since the last
-        nonlocal quad, y, applied, rotor_thrusts, ip, last_phys_t
+        nonlocal quad, y, wrench, rotor_thrusts, ip, last_phys_t
         ip0 = ip
         while ip <= n_phys and ip / hz <= t:
             t_p = ip / hz
             dt = t_p - last_phys_t
             if not hold_wrench:
                 a = 1.0 - math.exp(-dt / sc.quad.motor_lag)
-                rotor_thrusts = rotor_thrusts + a * (wrench.thrusts - rotor_thrusts)
-                applied = BodyCommand(*motor_wrench(
-                    MotorCommand(rotor_thrusts, False), sc.quad.geometry))
-            y = dynamics_step(y, applied, sc.quad, dt)
+                rotor_thrusts = rotor_thrusts + a * (commanded - rotor_thrusts)
+                wrench = motor_wrench(rotor_thrusts, sc.quad.geometry)
+            y = dynamics_step(y, wrench, sc.quad, dt)
             # a finite sum means finite entries; finite entries can overflow it
             if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
                 raise SimulationAbort(last_phys_t,
@@ -484,9 +484,9 @@ def run(scenario: Scenario) -> RunArtifacts:
             else:
                 cmd, motors = controller.hover_tick(t, state.R, state.omega)
             command_trace.append(controller.command_record(t, cmd, motors))
-            wrench = motors
+            commanded = motors.thrusts
             if hold_wrench:
-                applied = BodyCommand(*motor_wrench(wrench, sc.quad.geometry))
+                wrench = motor_wrench(commanded, sc.quad.geometry)
 
     final = platform(n_phys / hz)
     metrics = (compute_metrics(tracker_trace, truth_trace, sc.metrics)

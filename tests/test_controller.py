@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadtrack.controller import (GRAVITY, AttitudeGains, BodyCommand,
-                                  ControlCommand, ControllerGains, ControllerState,
+from quadtrack.controller import (GRAVITY, AttitudeGains, ControlCommand,
+                                  ControllerGains, ControllerState,
                                   MixerGeometry, MotorCommand, PixelErrors,
                                   Setpoints, VisualController, attitude_control,
                                   desired_force, desired_rotation,
@@ -639,7 +639,7 @@ def test_mix_round_trips_through_forward_map():
         thrust = rng.uniform(1.0, 28.0)
         torques = rng.uniform(-0.2, 0.2, size=3)
         cmd = mix(thrust, torques, GEOM)
-        got_thrust, got_torques = motor_wrench(cmd, GEOM)
+        got_thrust, *got_torques = motor_wrench(cmd.thrusts, GEOM)
         assert got_thrust == pytest.approx(thrust, abs=1e-9)
         if not cmd.saturated:
             assert np.allclose(got_torques, torques, atol=1e-9)
@@ -652,9 +652,9 @@ def test_mix_saturation_scales_torque_keeps_collective():
     torques = np.array([2.0, -1.5, 0.3])
     cmd = mix(thrust, torques, GEOM)
     assert cmd.saturated
-    got_thrust, got_torques = motor_wrench(cmd, GEOM)
+    got_thrust, *got_torques = motor_wrench(cmd.thrusts, GEOM)
     assert got_thrust == pytest.approx(thrust, abs=1e-9)
-    ratios = got_torques / torques
+    ratios = np.array(got_torques) / torques
     assert np.allclose(ratios, ratios[0], atol=1e-9)
     assert 0.0 < ratios[0] < 1.0
     assert np.max(cmd.thrusts) <= GEOM.max_thrust + 1e-12
@@ -679,10 +679,9 @@ def test_mixer_matrix_built_once_is_bit_identical():
         assert geom.allocation_inverse is geom.allocation_inverse
         for _ in range(2):  # the second call reads the kept matrix
             thrusts = rng.uniform(0.0, geom.max_thrust, 4)
-            got_thrust, got_torques = motor_wrench(MotorCommand(thrusts, False), geom)
-            u = per_call_allocation(geom) @ thrusts
-            assert got_thrust == float(u[0])
-            assert np.array_equal(got_torques, u[1:])
+            got = motor_wrench(thrusts, geom)
+            assert got == (per_call_allocation(geom) @ thrusts).tolist()
+            assert len(got) == 4 and all(type(x) is float for x in got)
 
 
 def test_mix_matches_lu_solve_within_rounding():
@@ -783,11 +782,6 @@ def test_tick_command_record_schema():
     assert abs(np.linalg.norm(rec["quat_des"]) - 1.0) < 1e-12
     assert rec["quat_des"][0] >= 0.0
     assert rec["sp_sat"] is False and rec["motor_sat"] is False
-
-
-def test_body_command_container():
-    bc = BodyCommand(5.0, np.zeros(3))
-    assert bc.thrust == 5.0 and np.array_equal(bc.torques, np.zeros(3))
 
 
 def test_gains_validation():

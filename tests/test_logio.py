@@ -213,20 +213,42 @@ def test_parse_error_non_finite_constant(tmp_path, template, constant):
 _BIG = str(10 ** 400)     # a 401-digit JSON integer: too large for a float
 
 
+_NUMBER_TEMPLATES = {
+    "gyro_t": '{{"t":{},"kind":"gyro","w":[0,0,0]}}',
+    "gyro_w": '{{"t":0.1,"kind":"gyro","w":[0,{},0]}}',
+    "box": '{{"t":0.1,"kind":"det","boxes":[[{},2,3,4]],"conf":[0.9],"desc":[[1,0]]}}',
+    "conf": '{{"t":0.1,"kind":"det","boxes":[[1,2,3,4]],"conf":[{}],"desc":[[1,0]]}}',
+    "descriptor": '{{"t":0.1,"kind":"det","boxes":[[1,2,3,4]],"conf":[0.9],"desc":[[1,{}]]}}',
+    "det_t": '{{"t":{},"kind":"det","boxes":[[1,2,3,4]],"conf":[0.9],"desc":[[1,0]]}}',
+}
+
+
 @pytest.mark.parametrize("number", [_BIG, "1e999", "-1e999"],
                          ids=["int_401_digits", "1e999", "minus_1e999"])
-@pytest.mark.parametrize("template", [
-    '{{"t":{},"kind":"gyro","w":[0,0,0]}}',
-    '{{"t":0.1,"kind":"gyro","w":[0,{},0]}}',
-    '{{"t":0.1,"kind":"det","boxes":[[{},2,3,4]],"conf":[0.9],"desc":[[1,0]]}}',
-    '{{"t":0.1,"kind":"det","boxes":[[1,2,3,4]],"conf":[{}],"desc":[[1,0]]}}',
-    '{{"t":0.1,"kind":"det","boxes":[[1,2,3,4]],"conf":[0.9],"desc":[[1,{}]]}}',
-], ids=["gyro_t", "gyro_w", "box", "conf", "descriptor"])
-def test_parse_error_number_beyond_the_float_range(tmp_path, template, number):
+@pytest.mark.parametrize("field", ["gyro_t", "gyro_w", "box", "conf", "descriptor"])
+def test_parse_error_number_beyond_the_float_range(tmp_path, field, number):
     # json reads these as an int too large for a float or as an infinity,
     # not as a constant; an infinite descriptor entry would zero the
     # appearance score and turn the memory to NaN
-    _expect_parse_error(tmp_path, [event_line(gyro(0.0)), template.format(number)], 2)
+    _expect_parse_error(tmp_path, [event_line(gyro(0.0)),
+                                   _NUMBER_TEMPLATES[field].format(number)], 2)
+
+
+@pytest.mark.parametrize("token", ['"0.5"', "true", "false"],
+                         ids=["string", "true", "false"])
+@pytest.mark.parametrize("field", ["gyro_t", "gyro_w", "box", "conf", "det_t"])
+def test_parse_error_value_that_is_not_a_json_number(tmp_path, field, token):
+    # float() reads the string "0.5", and Python counts a bool as an int;
+    # neither is a JSON number, as the scenario loader also holds
+    path = tmp_path / "bad.jsonl"
+    path.write_text(event_line(gyro(0.0)) + "\n"
+                    + _NUMBER_TEMPLATES[field].format(token) + "\n")
+    with pytest.raises(LogParseError) as err:
+        read_events(path)
+    name = {"gyro_w": "'w' entry", "box": "'boxes' entry",
+            "conf": "'conf' entry"}.get(field, "'t'")
+    assert str(err.value) == (f"{path}: line 2: {name} is not a JSON number: "
+                              f"{json.loads(token)!r}")
 
 
 def test_reader_accepts_finite_numbers_whose_sum_overflows(tmp_path):
@@ -534,15 +556,18 @@ class _Level(enum.IntEnum):
 
 
 def test_json_compact_numpy_types_and_subclasses_match_reference():
-    # np.int64 is in the dispatch table; the other types take the
-    # isinstance chain
-    row = collections.OrderedDict(
-        i64=np.int64(12345678901), f32=np.float32(0.1), i32=np.int32(-7), u8=np.uint8(200), level=_Level.HIGH,
-        f32s=np.array([0.1, 2.5], dtype=np.float32), ints=np.arange(3),
-        flags=np.array([True, False]), grid=np.eye(2), nested=[(1, 2.5), [None, "x"]],
-        key=collections.UserString("k").data, sub=collections.OrderedDict(a=1.0))
+    # the dispatch table's numpy types match the reference; 1-D float32
+    # arrays are float arrays too
+    row = dict(i64=np.int64(12345678901), f64=np.float64(0.1), flag=np.bool_(True),
+               f32s=np.array([0.1, 2.5], dtype=np.float32), nested=[(1, 2.5), [None, "x"]],
+               key=collections.UserString("k").data, sub=dict(a=1.0))
     assert _json_compact(row) == ref_json_compact(row)
+    # a type the table does not list, a subclass or another numpy scalar,
+    # and an array that is not 1-D float, are not formatted but refused
+    for value in [collections.OrderedDict(a=1.0), _Level.HIGH, np.float32(0.1),
+                  np.int32(-7), np.uint8(200), np.arange(3), np.array([True, False]),
+                  np.eye(2), {1, 2}]:
+        with pytest.raises(TypeError):
+            _json_compact({"x": value})
     with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
-        _json_compact({"x": np.float32("inf")})
-    with pytest.raises(TypeError):
-        _json_compact({"x": {1, 2}})
+        _json_compact({"x": np.float64("inf")})

@@ -14,7 +14,6 @@ from quadtrack import cli, detection, scenarios, simulator
 from quadtrack.config import (CameraScriptConfig, MotionConfig, ObjectConfig,
                               PromptConfig, QuadConfig, RatesConfig, Scenario,
                               save_scenario)
-from quadtrack.controller import BodyCommand
 from quadtrack.detection import (DetectionSet, GyroSample,
                                  SyntheticDetectorConfig)
 from quadtrack.errors import ControllerAbort, SimulationAbort, TrackerAbort
@@ -42,10 +41,10 @@ FIELD_SLICE = {"p": slice(0, 3), "v": slice(3, 6), "R": slice(6, 15),
                "omega": slice(15, 18)}
 
 
-def step_state(state, cmd, params, dt):
+def step_state(state, wrench, params, dt):
     """dynamics_step on a QuadState: the state's 18 floats stepped, and the
     stepped floats read back as a QuadState."""
-    return QuadState.from_floats(dynamics_step(state.floats(), cmd, params, dt))
+    return QuadState.from_floats(dynamics_step(state.floats(), wrench, params, dt))
 
 
 def static_object(obj_id=0, position=(12.0, 0.0, 1.5), size=(0.6, 0.6),
@@ -80,7 +79,7 @@ def test_free_fall_matches_kinematics():
     st = level_state(p=(0.0, 0.0, 100.0))
     t = 0.0
     for _ in range(1000):
-        st = step_state(st, BodyCommand(0.0, np.zeros(3)), params, 0.001)
+        st = step_state(st, (0.0, 0.0, 0.0, 0.0), params, 0.001)
         t += 0.001
     assert st.v[2] == pytest.approx(-GRAVITY * t, abs=1e-6)
     assert st.p[2] == pytest.approx(100.0 - 0.5 * GRAVITY * t * t, abs=1e-6)
@@ -90,9 +89,9 @@ def test_free_fall_matches_kinematics():
 def test_exact_hover_thrust_is_equilibrium():
     params = QuadConfig()
     st = level_state()
-    cmd = BodyCommand(params.mass * GRAVITY, np.zeros(3))
+    wrench = (params.mass * GRAVITY, 0.0, 0.0, 0.0)
     for _ in range(1000):
-        st = step_state(st, cmd, params, 0.001)
+        st = step_state(st, wrench, params, 0.001)
     assert np.linalg.norm(st.v) < 1e-9
     assert np.allclose(st.p, [0.0, 0.0, 1.5], atol=1e-9)
     assert np.allclose(st.R, np.eye(3), atol=1e-12)
@@ -102,9 +101,9 @@ def test_constant_yaw_torque_spins_linearly():
     params = QuadConfig()
     st = level_state()
     tau_z = 0.004
-    cmd = BodyCommand(0.0, np.array([0.0, 0.0, tau_z]))
+    wrench = (0.0, 0.0, 0.0, tau_z)
     for _ in range(1000):
-        st = step_state(st, cmd, params, 0.001)
+        st = step_state(st, wrench, params, 0.001)
     # J3 omega' = tau with the gyroscopic term vanishing for pure yaw spin
     want_rate = tau_z / params.inertia[2] * 1.0
     assert st.omega[2] == pytest.approx(want_rate, abs=1e-9)
@@ -116,13 +115,13 @@ def test_step_refinement_converges():
     # 10x finer RK4 reproduces the same trajectory: integration error is
     # far below the mixer/sensor scales
     params = QuadConfig()
-    cmd = BodyCommand(13.0, np.array([0.002, -0.001, 0.0005]))
+    wrench = (13.0, 0.002, -0.001, 0.0005)
     coarse = level_state()
     for _ in range(100):
-        coarse = step_state(coarse, cmd, params, 0.001)
+        coarse = step_state(coarse, wrench, params, 0.001)
     fine = level_state()
     for _ in range(1000):
-        fine = step_state(fine, cmd, params, 0.0001)
+        fine = step_state(fine, wrench, params, 0.0001)
     assert np.allclose(coarse.p, fine.p, atol=1e-6)
     assert np.allclose(coarse.v, fine.v, atol=1e-6)
     assert np.max(np.abs(coarse.R - fine.R)) < 1e-6
@@ -141,9 +140,9 @@ def test_torque_free_flight_conserves_energy():
                 + 0.5 * float(s.omega @ (J * s.omega)))
 
     e0 = energy(st)
-    cmd = BodyCommand(0.0, np.zeros(3))
+    wrench = (0.0, 0.0, 0.0, 0.0)
     for _ in range(1000):
-        st = step_state(st, cmd, params, 0.001)
+        st = step_state(st, wrench, params, 0.001)
         assert is_rotation(st.R, tol=1e-9)
     assert energy(st) == pytest.approx(e0, rel=1e-6)
 
@@ -153,8 +152,8 @@ def test_rotation_stays_orthonormal_under_aggressive_commands():
     st = level_state()
     rng = np.random.default_rng(8)
     for _ in range(200):
-        cmd = BodyCommand(rng.uniform(0.0, 30.0), rng.uniform(-0.5, 0.5, 3))
-        st = step_state(st, cmd, params, 0.001)
+        wrench = (rng.uniform(0.0, 30.0), *rng.uniform(-0.5, 0.5, 3).tolist())
+        st = step_state(st, wrench, params, 0.001)
         assert is_rotation(st.R, tol=1e-9)
 
 
@@ -187,8 +186,8 @@ def test_dynamics_step_returns_python_floats(monkeypatch):
         return nearest_rotation(M)
 
     monkeypatch.setattr(simulator, "nearest_rotation", counting)
-    for i, state, cmd, params, dt in _oracle_cases():
-        out = dynamics_step(state.floats(), cmd, params, dt)
+    for i, state, wrench, params, dt in _oracle_cases():
+        out = dynamics_step(state.floats(), wrench, params, dt)
         assert type(out) is tuple and len(out) == 18, i
         assert all(type(x) is float for x in out), i
     assert fallbacks  # the SVD fallback's floats are checked too
@@ -524,19 +523,19 @@ BAD_STEP = 250  # physics step that goes non-finite; step 249 ends at 0.249 s
 def _poison(what):
     """A dynamics_step whose BAD_STEP-th call goes non-finite: the second
     entry of one field's slice of the returned floats set to NaN or inf,
-    or (what == "torque") a NaN torque fed into the real step so that the
-    whole state, R included, turns NaN."""
+    or (what == "torque") a NaN roll torque fed into the real step as the
+    wrench (thrust, nan, 0.0, 0.0), so that the whole state, R included,
+    turns NaN."""
     real = simulator.dynamics_step
     calls = [0]
 
-    def step(y, cmd, params, dt):
+    def step(y, wrench, params, dt):
         calls[0] += 1
         if calls[0] != BAD_STEP:
-            return real(y, cmd, params, dt)
+            return real(y, wrench, params, dt)
         if what == "torque":
-            return real(y, BodyCommand(cmd.thrust, np.array([np.nan, 0.0, 0.0])),
-                        params, dt)
-        out = list(real(y, cmd, params, dt))
+            return real(y, (wrench[0], math.nan, 0.0, 0.0), params, dt)
+        out = list(real(y, wrench, params, dt))
         out[FIELD_SLICE[what].start + 1] = math.inf if what == "v" else math.nan
         return tuple(out)
 
@@ -568,9 +567,9 @@ def test_gimbal_lock_in_a_truth_row_aborts_in_physics(monkeypatch):
     real = simulator.dynamics_step
     calls = [0]
 
-    def step(y, cmd, params, dt):
+    def step(y, wrench, params, dt):
         calls[0] += 1
-        out = real(y, cmd, params, dt)
+        out = real(y, wrench, params, dt)
         if calls[0] < 12:
             return out
         return out[:6] + tuple(rot_y(math.pi / 2).ravel().tolist()) + out[15:]
@@ -588,9 +587,9 @@ def test_finite_state_whose_sum_overflows_does_not_abort(monkeypatch):
     real = simulator.dynamics_step
     calls = [0]
 
-    def step(y, cmd, params, dt):
+    def step(y, wrench, params, dt):
         calls[0] += 1
-        out = real(y, cmd, params, dt)
+        out = real(y, wrench, params, dt)
         if calls[0] == BAD_STEP:
             out = (1e308, 1e308) + out[2:]
         return out
@@ -695,7 +694,7 @@ def test_dynamics_step_leaves_non_finite_attitude_unprojected():
     # an SVD of a NaN matrix raises (and of an inf one may not return), so
     # the step hands a non-finite state back for the caller's check
     st = QuadState(np.zeros(3), np.zeros(3), np.eye(3), np.array([np.nan, 0.0, 0.0]))
-    out = dynamics_step(st.floats(), BodyCommand(10.0, np.zeros(3)), QuadConfig(), 0.001)
+    out = dynamics_step(st.floats(), (10.0, 0.0, 0.0, 0.0), QuadConfig(), 0.001)
     assert not all(map(math.isfinite, out[FIELD_SLICE["R"]]))
 
 
@@ -725,9 +724,9 @@ def _ref_deriv(p, v, R, w, thrust, torque, params):
     return v, dv, dR, dw
 
 
-def _ref_rk4(state, cmd, params, dt):
+def _ref_rk4(state, wrench, params, dt):
     """(p, v, R, omega) after one RK4 step, R not yet projected."""
-    thrust, torque = cmd.thrust, np.asarray(cmd.torques, dtype=float)
+    thrust, torque = wrench[0], np.asarray(wrench[1:], dtype=float)
     p, v, R, w = state.p, state.v, state.R, state.omega
 
     k1 = _ref_deriv(p, v, R, w, thrust, torque, params)
@@ -745,8 +744,8 @@ def _ref_rk4(state, cmd, params, dt):
     return p1, v1, R1, w1
 
 
-def _ref_dynamics_step(state, cmd, params, dt):
-    p1, v1, R1, w1 = _ref_rk4(state, cmd, params, dt)
+def _ref_dynamics_step(state, wrench, params, dt):
+    p1, v1, R1, w1 = _ref_rk4(state, wrench, params, dt)
     return QuadState(p1, v1, _ref_nearest_rotation(R1), w1)
 
 
@@ -756,7 +755,7 @@ PROJECTION_ALLOWANCE = 16 * U
 
 
 def _oracle_cases():
-    """200 random (state, cmd, params, dt); every 4th state spins at
+    """200 random (state, wrench, params, dt); every 4th state spins at
     ~300 rad/s, so that some steps leave SO(3) far enough to take the
     projection's reflection branch."""
     rng = np.random.default_rng(2024)
@@ -770,21 +769,21 @@ def _oracle_cases():
                                      rng.uniform(-math.pi, math.pi)),
                           rng.normal(0.0, rate_scale, size=3))
         thrust = 0.0 if i % 5 == 0 else rng.uniform(0.0, 40.0)
-        cmd = BodyCommand(thrust, rng.normal(0.0, 0.3, size=3))
-        yield i, state, cmd, params, rng.uniform(1e-4, 2e-2)
+        wrench = (thrust, *rng.normal(0.0, 0.3, size=3).tolist())
+        yield i, state, wrench, params, rng.uniform(1e-4, 2e-2)
 
 
-def _ref_magnitudes(state, cmd, params, dt):
+def _ref_magnitudes(state, wrench, params, dt):
     """The reference step evaluated on absolute values: for p, v and the
     unprojected R, every term's magnitude summed (the body rates of the
     four stages taken from the reference itself)."""
-    torque = np.asarray(cmd.torques, dtype=float)
+    thrust, torque = wrench[0], np.asarray(wrench[1:], dtype=float)
     p, v, R, w = state.p, state.v, state.R, state.omega
     rates = [w]
     for a in (0.5 * dt, 0.5 * dt, dt):
-        rates.append(w + a * _ref_deriv(p, v, R, rates[-1], cmd.thrust, torque,
+        rates.append(w + a * _ref_deriv(p, v, R, rates[-1], thrust, torque,
                                         params)[3])
-    s, g = abs(cmd.thrust / params.mass), np.array([0.0, 0.0, GRAVITY])
+    s, g = abs(thrust / params.mass), np.array([0.0, 0.0, GRAVITY])
     A, av = np.abs(R), np.abs(v)
     stage, kR, kv, vs = A, [], [], [av]
     for a, rate in zip((0.5 * dt, 0.5 * dt, dt, None), rates):
@@ -816,14 +815,14 @@ def test_dynamics_step_matches_numpy_rk4_within_rounding():
     # a matrix within PROJECTION_ALLOWANCE * |X|_F of its argument, up to an
     # orthogonality residual of PROJECTION_ALLOWANCE per side; the Newton
     # iteration stops with every entry within POLAR_TOL of its fixed point.
-    for i, state, cmd, params, dt in _oracle_cases():
-        got = step_state(state, cmd, params, dt)
-        want = _ref_dynamics_step(state, cmd, params, dt)
-        Mp, Mv, MR = _ref_magnitudes(state, cmd, params, dt)
+    for i, state, wrench, params, dt in _oracle_cases():
+        got = step_state(state, wrench, params, dt)
+        want = _ref_dynamics_step(state, wrench, params, dt)
+        Mp, Mv, MR = _ref_magnitudes(state, wrench, params, dt)
         assert np.all(np.abs(got.p - want.p) <= 2 * GAMMA_32 * Mp), i
         assert np.all(np.abs(got.v - want.v) <= 2 * GAMMA_32 * Mv), i
         assert np.array_equal(got.omega, want.omega), i
-        X = _ref_rk4(state, cmd, params, dt)[2]
+        X = _ref_rk4(state, wrench, params, dt)[2]
         sv = np.linalg.svd(X, compute_uv=False)
         kappa = 2.0 / (sv[1] + np.sign(np.linalg.det(X)) * sv[2])
         dX = (2 * GAMMA_32 * np.linalg.norm(MR)
@@ -833,8 +832,8 @@ def test_dynamics_step_matches_numpy_rk4_within_rounding():
 
 
 def test_dynamics_step_returns_a_rotation_on_every_oracle_state():
-    for i, state, cmd, params, dt in _oracle_cases():
-        assert is_rotation(step_state(state, cmd, params, dt).R, tol=1e-12), i
+    for i, state, wrench, params, dt in _oracle_cases():
+        assert is_rotation(step_state(state, wrench, params, dt).R, tol=1e-12), i
 
 
 @pytest.mark.parametrize("X", [
@@ -864,9 +863,9 @@ def test_dynamics_step_hands_fallback_result_back_unchanged(monkeypatch):
 
     monkeypatch.setattr(simulator, "nearest_rotation", recording)
     fallbacks = 0
-    for i, state, cmd, params, dt in _oracle_cases():
+    for i, state, wrench, params, dt in _oracle_cases():
         seen.clear()
-        got = dynamics_step(state.floats(), cmd, params, dt)
+        got = dynamics_step(state.floats(), wrench, params, dt)
         if seen:
             fallbacks += 1
             R = np.array(got[FIELD_SLICE["R"]]).reshape(3, 3)
@@ -932,9 +931,11 @@ def _listwise_projection(X):
     return nearest_rotation(np.array(X).reshape(3, 3))
 
 
-def _listwise_step(state, cmd, params, dt):
-    torque = np.asarray(cmd.torques, dtype=float).tolist()
-    s, J = cmd.thrust / params.mass, [float(j) for j in params.inertia]
+def _listwise_step(state, wrench, params, dt):
+    """The step on lists; its torques are read from the wrench's last three
+    entries through an array, whatever their type."""
+    torque = np.asarray(wrench[1:], dtype=float).tolist()
+    s, J = wrench[0] / params.mass, [float(j) for j in params.inertia]
     p, v, w = state.p.tolist(), state.v.tolist(), state.omega.tolist()
     R = state.R.ravel().tolist()
     h = 0.5 * dt
@@ -978,27 +979,29 @@ def test_dynamics_step_equals_the_listwise_step_bit_for_bit(monkeypatch):
         return nearest_rotation(M)
 
     monkeypatch.setattr(simulator, "nearest_rotation", counting)
-    for i, state, cmd, params, dt in _oracle_cases():
-        _assert_same_bits(dynamics_step(state.floats(), cmd, params, dt),
-                          _listwise_step(state, cmd, params, dt), i)
+    for i, state, wrench, params, dt in _oracle_cases():
+        _assert_same_bits(dynamics_step(state.floats(), wrench, params, dt),
+                          _listwise_step(state, wrench, params, dt), i)
     assert fallbacks
 
 
 def test_closed_loop_steps_equal_the_listwise_step_bit_for_bit(monkeypatch):
     # every physics step of 1 s of the corridor approach, on the states and
-    # wrenches the closed loop actually produces
+    # wrenches (four Python floats from motor_wrench) the closed loop
+    # actually produces
     real, steps = simulator.dynamics_step, []
 
-    def recording(y, cmd, params, dt):
-        out = real(y, cmd, params, dt)
-        steps.append((y, cmd, params, dt, out))
+    def recording(y, wrench, params, dt):
+        out = real(y, wrench, params, dt)
+        steps.append((y, wrench, params, dt, out))
         return out
 
     monkeypatch.setattr(simulator, "dynamics_step", recording)
     run(dataclasses.replace(scenarios.get("corridor_approach"), duration=1.0))
     assert len(steps) == 1000
-    for k, (y, cmd, params, dt, out) in enumerate(steps):
-        _assert_same_bits(out, _listwise_step(QuadState.from_floats(y), cmd, params, dt), k)
+    for k, (y, wrench, params, dt, out) in enumerate(steps):
+        assert len(wrench) == 4 and all(type(x) is float for x in wrench), k
+        _assert_same_bits(out, _listwise_step(QuadState.from_floats(y), wrench, params, dt), k)
 
 
 def test_closed_loop_builds_a_state_only_for_a_sensor_read(monkeypatch):
