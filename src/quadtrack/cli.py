@@ -27,7 +27,7 @@ import sys
 from . import scenarios as bundled
 from .ablation import DEFAULT_GRID, run_ablation
 from .config import Scenario, load_scenario
-from .errors import ConfigError, LogParseError, QuadtrackError, RuntimeAbort
+from .errors import ConfigError, QuadtrackError, RuntimeAbort
 from .logio import SCENARIO_KEY, read_events, read_jsonl, write_jsonl
 from .metrics import compute_metrics
 from .replay import replay_track
@@ -254,13 +254,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (ConfigError, LogParseError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except RuntimeAbort as e:
         print(f"abort: {e}", file=sys.stderr)
         return 2
-    except QuadtrackError as e:
+    except (QuadtrackError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

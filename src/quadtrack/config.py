@@ -28,9 +28,9 @@ builds its mixer geometry, and ObjectConfig, whose MotionConfig.at(t) gives
 the object's position).  The camera, tracker and controller sections build
 their layer's type (CameraConfig.build, TrackerParams.build,
 ControllerParams.build), and the camera and tracker sections build it once
-on construction, so the layer's own checks are theirs; the tracker and
-controller sections take their defaults from the types they build, so each
-default number is written once.
+on construction, so the layer's own checks are theirs.  The tracker and
+controller sections, and the quad's mass and mixer, take their defaults
+from the layer types, so each default number is written once.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class RatesConfig:
 class QuadConfig:
     """The vehicle: rigid body, mixer geometry, start pose and sensors."""
 
-    mass: float = 1.3                    # kg
+    mass: float = ControllerGains.mass   # kg
     inertia: tuple = (0.01, 0.01, 0.02)  # kg m^2, body-diagonal
     arm_length: float = MixerGeometry.arm_length
     yaw_coeff: float = MixerGeometry.yaw_coeff

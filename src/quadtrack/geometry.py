@@ -92,7 +92,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     Identical boxes give exactly 1.0; disjoint or merely touching boxes give
     exactly 0.0.  Symmetric in its arguments by construction.
     """
-    # field by field: the dataclass __eq__ builds two tuples per call, and
+    # field by field: BoundingBox.__eq__ builds two tuples per call, and
     # fields are finite, so this is the same test
     if a.x == b.x and a.y == b.y and a.w == b.w and a.h == b.h:
         return 1.0

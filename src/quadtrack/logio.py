@@ -157,13 +157,13 @@ def _check_each(fields) -> None:
                 raise ValueError(f"{name} is not finite: {x!r}")
 
 
-def _parse_event(obj: dict) -> Event:
+def _parse_event(obj: dict, suspect: bool) -> Event:
     """One log record; ValueError, TypeError, KeyError or OverflowError when
     it is malformed.  The time, rates, box fields and confidences must be
-    JSON numbers, by exact type; descriptor entries are type-checked only
-    when the record's sum is not finite.  Each record's numbers are checked
-    by one sum, which is not finite when one of them is not (a JSON integer
-    too large for a float raises OverflowError in the sum)."""
+    JSON numbers, by exact type; descriptor entries are checked one by one
+    when the record is `suspect` or their sum fails.  One sum checks each
+    record's numbers: it is not finite when one of them is not (a JSON
+    integer too large for a float raises OverflowError in the sum)."""
     t = obj["t"]
     kind = obj["kind"]
     if kind == "gyro":
@@ -179,8 +179,13 @@ def _parse_event(obj: dict) -> Event:
         boxes, conf, desc = obj["boxes"], obj["conf"], obj["desc"]
         if not (len(boxes) == len(conf) == len(desc)):
             raise ValueError("boxes/conf/desc lengths disagree")
-        if not (_NUMBER.issuperset(map(type, [t, *conf, *chain.from_iterable(boxes)]))
-                and math.isfinite(t + sum(conf) + sum(map(sum, desc)))):
+        try:
+            ok = (not suspect
+                  and _NUMBER.issuperset(map(type, [t, *conf, *chain.from_iterable(boxes)]))
+                  and math.isfinite(t + sum(conf) + sum(map(sum, desc))))
+        except TypeError:
+            ok = False
+        if not ok:
             _check_each([("'t'", [t]), ("'conf' entry", conf),
                          *(("'boxes' entry", b) for b in boxes),
                          *(("'desc' entry", d) for d in desc)])
@@ -226,7 +231,10 @@ def read_events(path) -> list[Event]:
             if not isinstance(obj, dict):
                 raise LogParseError(path, line_no, "record is not a JSON object")
             try:
-                ev = _parse_event(obj)
+                # true, false and null hold a "u" or an "a", and no key or kind
+                # of a valid record does ("t", "kind", "w", "boxes", "conf",
+                # "desc", "gyro", "det"): only such a line is checked by entry
+                ev = _parse_event(obj, "u" in line or "a" in line)
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise LogParseError(path, line_no, str(e)) from e
             try:

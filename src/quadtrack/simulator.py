@@ -81,7 +81,7 @@ from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
 from .scene import scene_step
-from .tracker import MIN_BOX_SIZE, PROMPT_TOL, Tracker
+from .tracker import Tracker, at_prompt, predicted_box
 
 # camera-from-body: rows are the camera axes expressed in body coordinates.
 CAMERA_FROM_BODY = np.array([
@@ -420,7 +420,7 @@ def sensor_stream(sc: Scenario, platform, truth_trace: list):
             yield CAMERA, imu_sample(t, quad, sc.quad.gyro_noise, rng)
         dets = detector.detect(snapshot, pose, cam)
         truth_trace.append(_truth_record(t, quad, detector, sc.target_id, cam))
-        prompted = prompted or t >= sc.prompt.t - PROMPT_TOL
+        prompted = prompted or at_prompt(t, sc.prompt.t)
         last_t = t
         yield CAMERA, dets
         icam += 1
@@ -510,10 +510,8 @@ def run(scenario: Scenario) -> RunArtifacts:
 
 
 def predicted_center(tracker: Tracker) -> tuple[float, float]:
-    """The center of `predicted_box(tracker.state.ekf)`, with its
-    expressions on the filter mean's floats, without building the box."""
-    x, y, w, h = tracker.state.ekf.mean[:4].tolist()
-    return (x + max(MIN_BOX_SIZE, w) / 2.0, y + max(MIN_BOX_SIZE, h) / 2.0)
+    """The center of the tracker's predicted box, the controller's input."""
+    return predicted_box(tracker.state.ekf).center
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ maximizing a weighted sum of three cues:
   s_iou  overlap with the box accepted on the previous frame,
   s_ekf  overlap with the box predicted by a gyro-compensated
          constant-velocity Kalman filter,
-  s_map  cosine similarity between the candidate's descriptor and a running
-         appearance memory, clamped to [0, 1].
+  s_map  cosine similarity between the candidate's descriptor and the
+         appearance memory, a running unit vector, clamped to [0, 1].
 
 A frame whose best total falls below an acceptance threshold produces no
-selection ("coasting"): the filter keeps predicting, the previous box and
-the memory stay frozen, and a coast counter runs until some candidate scores
-above threshold again.
+selection: the filter keeps predicting, the previous box and the memory
+stay frozen, and the coast count runs until some candidate scores above
+threshold again.  The tracker is coasting exactly while that count is > 0.
 
 Filter state is x = [x, y, w, h, vx, vy] (top-left corner, size, corner
 pixel velocity).  Between detections the state is propagated at gyro rate;
@@ -124,19 +124,13 @@ class EkfState:
 
 
 @dataclass
-class AppearanceMemory:
-    """Unit-norm running appearance vector, complementary-filter updated."""
-
-    vector: np.ndarray
-    alpha: float = 0.9
-
-
-@dataclass
 class TrackerState:
+    """Filter, appearance memory (a unit vector), last accepted box, coast
+    count (positive exactly while coasting) and last gyro rate."""
+
     ekf: EkfState
-    memory: AppearanceMemory
+    memory: np.ndarray             # (D,), unit norm
     last_box: BoundingBox          # most recently *accepted* box
-    status: str = "tracking"       # "tracking" | "coasting"
     coast_frames: int = 0
     last_gyro_w: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
@@ -145,7 +139,6 @@ class TrackerState:
 class StepResult:
     state: TrackerState
     selected: Detection | None
-    index: int | None
     scores: tuple[float, float, float, float] | None  # (s_iou, s_ekf, s_map, total)
     pred_box: BoundingBox  # prediction at frame time, before update
 
@@ -164,23 +157,19 @@ def initialize(prompt_xy, dets: DetectionSet, cfg: TrackerConfig) -> TrackerStat
     if not dets.detections:
         raise TrackerAbort(dets.t, "no detections at prompt time; cannot initialize")
     px, py = float(prompt_xy[0]), float(prompt_xy[1])
-    best_i = 0
-    best_d = math.inf
-    for i, d in enumerate(dets.detections):
+    chosen, best_d = dets.detections[0], math.inf
+    for d in dets.detections:
         cx, cy = d.box.center
         dist = math.hypot(cx - px, cy - py)
         if dist < best_d:
-            best_d = dist
-            best_i = i
-    chosen = dets.detections[best_i]
+            chosen, best_d = d, dist
     mean = np.zeros(6)
     mean[:4] = chosen.box.as_array()
     state = EkfState(mean, np.diag(cfg.p0_diag).astype(float), dets.t)
     norm = np.linalg.norm(chosen.descriptor)
     if norm == 0.0:
         raise TrackerAbort(dets.t, "chosen detection has a zero descriptor")
-    memory = AppearanceMemory(chosen.descriptor / norm, cfg.memory_alpha)
-    return TrackerState(state, memory, chosen.box)
+    return TrackerState(state, chosen.descriptor / norm, chosen.box)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +430,11 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
                          cov, state.t, "update")
 
 
+def at_prompt(t: float, prompt_t: float) -> bool:
+    """Whether a frame at t is the prompt frame (the first such) or later."""
+    return t >= prompt_t - PROMPT_TOL
+
+
 def predicted_box(state: EkfState) -> BoundingBox:
     # Python floats: the box's area and overlaps overflow to inf, unwarned
     m = state.mean.tolist()
@@ -452,14 +446,13 @@ def predicted_box(state: EkfState) -> BoundingBox:
 # ---------------------------------------------------------------------------
 
 
-def cosine_score(memory: AppearanceMemory, descriptor: np.ndarray) -> float:
+def cosine_score(memory: np.ndarray, descriptor: np.ndarray) -> float:
     """Cosine similarity clamped to [0, 1]; zero-norm descriptors score 0."""
     # sqrt(x . x) is how np.linalg.norm computes a 1-D norm: the same bits
-    v = memory.vector
-    n = math.sqrt(descriptor.dot(descriptor)) * math.sqrt(v.dot(v))
+    n = math.sqrt(descriptor.dot(descriptor)) * math.sqrt(memory.dot(memory))
     if n == 0.0:
         return 0.0
-    c = float(v.dot(descriptor) / n)
+    c = float(memory.dot(descriptor) / n)
     return min(1.0, max(0.0, c))
 
 
@@ -474,19 +467,20 @@ def score(det: Detection, state: TrackerState, weights: TrackerWeights,
     return (s_iou, s_ekf, s_map, total)
 
 
-def update_memory(memory: AppearanceMemory, feature: np.ndarray) -> AppearanceMemory:
-    """Complementary blend then re-normalize.
+def update_memory(memory: np.ndarray, feature: np.ndarray, alpha: float) -> np.ndarray:
+    """Complementary blend, retaining `alpha` of the memory, then
+    re-normalize.
 
     alpha = 1 freezes the memory; alpha = 0 replaces it.  A numerically
     cancelled blend (norm ~ 0) keeps the previous memory rather than emit a
     zero vector.
     """
-    blended = memory.alpha * memory.vector + (1.0 - memory.alpha) * feature
+    blended = alpha * memory + (1.0 - alpha) * feature
     n = math.sqrt(blended.dot(blended))  # np.linalg.norm's 1-D form: same bits
     if n < 1e-12:
         log.warning("appearance blend cancelled to zero norm; memory kept")
         return memory
-    return AppearanceMemory(blended / n, memory.alpha)
+    return blended / n
 
 
 def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepResult:
@@ -495,8 +489,9 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepRes
     The filter must have been predicted up to dets.t; if the caller left a
     gap (detections between gyro ticks) it is filled here by zero-order-hold
     on the last seen gyro rate.  On acceptance: Kalman update with the
-    selected box, memory update from the detection's own descriptor, coast
-    counter reset.  Otherwise the frame coasts.
+    selected box, memory blended with the detection's own descriptor at
+    cfg.memory_alpha, coast count reset to 0.  Otherwise the frame coasts:
+    the count goes up by one and the memory and last box stay.
     """
     ekf = state.ekf
     if dets.t < ekf.t - 1e-12:
@@ -505,23 +500,22 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepRes
         ekf = ekf_predict(ekf, GyroSample(dets.t, state.last_gyro_w), cfg)
 
     pred = predicted_box(ekf)
-    best = None  # (index, det, scores)
-    for i, det in enumerate(dets.detections):
+    best = None  # (det, scores)
+    for det in dets.detections:
         s = score(det, state, cfg.weights, pred)
-        if best is None or s[3] > best[2][3]:
-            best = (i, det, s)
+        if best is None or s[3] > best[1][3]:
+            best = (det, s)
 
-    if best is None or best[2][3] < cfg.s_min:
-        new_state = TrackerState(ekf, state.memory, state.last_box, "coasting",
+    if best is None or best[1][3] < cfg.s_min:
+        new_state = TrackerState(ekf, state.memory, state.last_box,
                                  state.coast_frames + 1, state.last_gyro_w)
-        return StepResult(new_state, None, None, None, pred)
+        return StepResult(new_state, None, None, pred)
 
-    i, det, s = best
+    det, s = best
     ekf = ekf_update(ekf, det.box, cfg)
-    memory = update_memory(state.memory, det.descriptor)
-    new_state = TrackerState(ekf, memory, det.box, "tracking", 0,
-                             state.last_gyro_w)
-    return StepResult(new_state, det, i, s, pred)
+    memory = update_memory(state.memory, det.descriptor, cfg.memory_alpha)
+    new_state = TrackerState(ekf, memory, det.box, 0, state.last_gyro_w)
+    return StepResult(new_state, det, s, pred)
 
 
 # ---------------------------------------------------------------------------
@@ -572,27 +566,29 @@ class Tracker:
             raise TypeError(f"unexpected event type {type(ev).__name__}")
         if self.state is not None:
             res = self.step(ev)
-        elif ev.t < prompt_t - PROMPT_TOL:
+        elif not at_prompt(ev.t, prompt_t):
             return None
         else:
             # the initialization frame counts as a lock, unscored, with the
             # locked box as its prediction
             self.initialize(prompt_xy, ev)
-            res = StepResult(self.state, None, None, None, self.state.last_box)
+            res = StepResult(self.state, None, None, self.state.last_box)
         return self.trace_record(res, ev.t)
 
     def trace_record(self, res: StepResult, t: float) -> dict:
         """Per-frame trace row (fixed field order for byte-stable logs).
 
-        "box" is the box locked on this frame (none while coasting).  "pred"
-        is the filter's box *before* the frame's update -- the prediction
-        that scored the candidates -- while "mean" is the post-update state.
+        "status" is "coasting" while the coast count is positive, and "box"
+        is the box locked on this frame (none while coasting).  "pred" is
+        the filter's box *before* the frame's update -- the prediction that
+        scored the candidates -- while "mean" is the post-update state.
         """
         st = self.state
-        rec = {
+        coasting = st.coast_frames > 0
+        return {
             "t": t,
-            "status": st.status,
-            "box": None if st.status == "coasting" else st.last_box.as_array(),
+            "status": "coasting" if coasting else "tracking",
+            "box": None if coasting else st.last_box.as_array(),
             "s_iou": None if res.scores is None else res.scores[0],
             "s_ekf": None if res.scores is None else res.scores[1],
             "s_map": None if res.scores is None else res.scores[2],
@@ -601,4 +597,3 @@ class Tracker:
             "mean": st.ekf.mean,
             "coast": st.coast_frames,
         }
-        return rec

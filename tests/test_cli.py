@@ -260,6 +260,13 @@ def _bad_runs():
         ("filter_overflow", filter_overflow, (), 2,
          "abort: tracker: filter mean or covariance is not finite after predict "
          "at t=0.600000 s"),
+        # the literal equations in the closed loop: the plant stays bounded
+        # (|omega| at most 4.9 rad/s, 3.0 at the abort, motors saturated),
+        # and the coasting filter's rotational flow diverges first
+        ("eq11_literal", scenarios.get("static_target").to_dict(),
+         ("--eq11-literal",), 2,
+         "abort: tracker: filter mean or covariance is not finite after predict "
+         "at t=0.640000 s"),
         ("negative_seed", edit(lambda d: d.update(seed=-1)), (), 1,
          "error: scenario: seed must be an integer >= 0"),
         ("negative_seed_flag", make_scenario().to_dict(), ("--seed", "-1"), 1,

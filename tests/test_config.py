@@ -169,6 +169,17 @@ def test_unknown_keys_raise_with_dotted_path():
                 Scenario.from_dict, bad)
 
 
+def test_quad_defaults_are_the_layer_types_own():
+    # the vehicle's default mass and mixer geometry are written once, in the
+    # controller gains and the mixer geometry
+    from quadtrack.controller import ControllerGains, MixerGeometry
+    defaults = {f.name: f.default for f in fields(config.QuadConfig)}
+    assert defaults["mass"] is ControllerGains.mass
+    assert defaults["arm_length"] is MixerGeometry.arm_length
+    assert defaults["yaw_coeff"] is MixerGeometry.yaw_coeff
+    assert defaults["max_rotor_thrust"] is MixerGeometry.max_thrust
+
+
 def test_missing_required_keys_raise():
     # the fields without a default are the required keys
     required = [f.name for f in fields(Scenario)

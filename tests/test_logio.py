@@ -236,17 +236,19 @@ def test_parse_error_number_beyond_the_float_range(tmp_path, field, number):
 
 @pytest.mark.parametrize("token", ['"0.5"', "true", "false"],
                          ids=["string", "true", "false"])
-@pytest.mark.parametrize("field", ["gyro_t", "gyro_w", "box", "conf", "det_t"])
+@pytest.mark.parametrize("field", ["gyro_t", "gyro_w", "box", "conf", "det_t",
+                                   "descriptor"])
 def test_parse_error_value_that_is_not_a_json_number(tmp_path, field, token):
     # float() reads the string "0.5", and Python counts a bool as an int;
-    # neither is a JSON number, as the scenario loader also holds
+    # neither is a JSON number, as the scenario loader also holds.  A
+    # descriptor's bool would otherwise sum and convert as 1.0 or 0.0
     path = tmp_path / "bad.jsonl"
     path.write_text(event_line(gyro(0.0)) + "\n"
                     + _NUMBER_TEMPLATES[field].format(token) + "\n")
     with pytest.raises(LogParseError) as err:
         read_events(path)
     name = {"gyro_w": "'w' entry", "box": "'boxes' entry",
-            "conf": "'conf' entry"}.get(field, "'t'")
+            "conf": "'conf' entry", "descriptor": "'desc' entry"}.get(field, "'t'")
     assert str(err.value) == (f"{path}: line 2: {name} is not a JSON number: "
                               f"{json.loads(token)!r}")
 

@@ -13,11 +13,11 @@ from quadtrack.errors import TrackerAbort
 from quadtrack.geometry import BoundingBox
 from quadtrack.replay import replay_track
 from quadtrack.simulator import run
-from quadtrack.tracker import (AppearanceMemory, EkfState, Tracker,
-                               TrackerConfig, TrackerState, TrackerWeights,
-                               _innovation_gain, cosine_score, ekf_predict,
-                               ekf_update, initialize, predict_jacobian,
-                               predicted_box, score, step, update_memory)
+from quadtrack.tracker import (EkfState, Tracker, TrackerConfig, TrackerWeights,
+                               _innovation_gain, at_prompt, cosine_score,
+                               ekf_predict, ekf_update, initialize,
+                               predict_jacobian, predicted_box, score, step,
+                               update_memory)
 
 from conftest import camera_from_focal, fd_transition_jacobian
 
@@ -59,8 +59,8 @@ def test_initialize_picks_nearest_center():
     assert np.array_equal(st.ekf.mean, [80.0, 90.0, 20.0, 20.0, 0.0, 0.0])
     assert np.array_equal(st.ekf.cov, np.diag(cfg.p0_diag))
     assert st.ekf.t == 0.5
-    assert np.array_equal(st.memory.vector, unit(0))
-    assert st.status == "tracking" and st.coast_frames == 0
+    assert np.array_equal(st.memory, unit(0))
+    assert st.coast_frames == 0
 
 
 def test_initialize_prompt_at_center_wins():
@@ -88,7 +88,7 @@ def test_initialize_tie_keeps_list_order():
     b = BoundingBox(10.0, 10.0, 20.0, 20.0)
     st = initialize(b.center, DetectionSet(0.0, [det(b, unit(2)), det(b, unit(3))]),
                     make_cfg())
-    assert np.array_equal(st.memory.vector, unit(2))
+    assert np.array_equal(st.memory, unit(2))
 
 
 def test_initialize_empty_frame_raises():
@@ -583,20 +583,20 @@ def test_cholesky_gate_decides_like_the_exact_gate(monkeypatch):
 def test_update_memory_bit_identical_to_norm_form():
     rng = np.random.default_rng(9)
     for _ in range(300):
-        mem = AppearanceMemory(_rand_unit(rng, 256), rng.uniform(0.0, 1.0))
+        mem, alpha = _rand_unit(rng, 256), rng.uniform(0.0, 1.0)
         f = rng.normal(size=256) * rng.uniform(0.1, 10.0)
-        blended = mem.alpha * mem.vector + (1.0 - mem.alpha) * f
+        blended = alpha * mem + (1.0 - alpha) * f
         want = blended / np.linalg.norm(blended)
-        assert np.array_equal(update_memory(mem, f).vector, want)
+        assert np.array_equal(update_memory(mem, f, alpha), want)
 
 
 def test_cosine_score_bit_identical_to_norm_form():
     rng = np.random.default_rng(5)
     for _ in range(300):
-        mem = AppearanceMemory(rng.normal(size=256) * rng.uniform(0.1, 10.0))
-        d = rng.normal(size=256) + rng.uniform(-1, 1) * mem.vector
-        n = np.linalg.norm(d) * np.linalg.norm(mem.vector)
-        want = min(1.0, max(0.0, float(np.dot(mem.vector, d) / n)))
+        mem = rng.normal(size=256) * rng.uniform(0.1, 10.0)
+        d = rng.normal(size=256) + rng.uniform(-1, 1) * mem
+        n = np.linalg.norm(d) * np.linalg.norm(mem)
+        want = min(1.0, max(0.0, float(np.dot(mem, d) / n)))
         assert cosine_score(mem, d) == want
 
 
@@ -615,7 +615,7 @@ def test_predicted_box_reads_mean_and_clamps():
 
 def test_score_perfect_candidate_sums_weights():
     st = fresh_state()
-    d = det(st.last_box, st.memory.vector)
+    d = det(st.last_box, st.memory)
     s = score(d, st, TrackerWeights(), predicted_box(st.ekf))
     assert s == (1.0, 1.0, 1.0, TrackerWeights().total)
 
@@ -643,7 +643,7 @@ def test_score_weighted_sum_example():
 
 def test_score_negative_or_zero_descriptor_clamps_to_zero():
     st = fresh_state()
-    flipped = det(st.last_box, -st.memory.vector)
+    flipped = det(st.last_box, -st.memory)
     pred = predicted_box(st.ekf)
     assert score(flipped, st, TrackerWeights(), pred)[2] == 0.0
     hollow = Detection(st.last_box, 0.9, np.zeros(DIM))
@@ -651,7 +651,7 @@ def test_score_negative_or_zero_descriptor_clamps_to_zero():
 
 
 def test_cosine_score_clamps_to_unit_interval():
-    m = AppearanceMemory(unit(0), 0.9)
+    m = unit(0)
     assert cosine_score(m, 2.0 * unit(0)) == 1.0
     assert cosine_score(m, -3.0 * unit(0)) == 0.0
     assert abs(cosine_score(m, unit(0) + unit(1)) - 1.0 / math.sqrt(2)) < 1e-12
@@ -684,31 +684,28 @@ def _rand_unit(rng, dim=DIM):
 
 
 def test_update_memory_alpha_endpoints():
-    m = AppearanceMemory(unit(0), 1.0)
-    assert np.array_equal(update_memory(m, unit(1)).vector, unit(0))
-    m = AppearanceMemory(unit(0), 0.0)
-    assert np.allclose(update_memory(m, 3.0 * unit(1)).vector, unit(1), atol=1e-12)
+    assert np.array_equal(update_memory(unit(0), unit(1), 1.0), unit(0))
+    assert np.allclose(update_memory(unit(0), 3.0 * unit(1), 0.0), unit(1), atol=1e-12)
 
 
 def test_update_memory_orthogonal_blend():
     # 0.9 e1 + 0.1 e2 has norm sqrt(0.82) before re-normalization
-    m = AppearanceMemory(unit(0), 0.9)
-    out = update_memory(m, unit(1))
+    out = update_memory(unit(0), unit(1), 0.9)
     want = (0.9 * unit(0) + 0.1 * unit(1)) / math.sqrt(0.82)
-    assert np.allclose(out.vector, want, atol=1e-12)
+    assert np.allclose(out, want, atol=1e-12)
 
 
 def test_update_memory_keeps_unit_norm():
     rng = np.random.default_rng(12)
-    m = AppearanceMemory(_rand_unit(rng), 0.9)
+    m = _rand_unit(rng)
     for _ in range(100):
-        m = update_memory(m, _rand_unit(rng))
-        assert abs(np.linalg.norm(m.vector) - 1.0) < 1e-9
+        m = update_memory(m, _rand_unit(rng), 0.9)
+        assert abs(np.linalg.norm(m) - 1.0) < 1e-9
 
 
 def test_update_memory_cancelled_blend_keeps_previous():
-    m = AppearanceMemory(unit(0), 0.5)
-    out = update_memory(m, -unit(0))
+    m = unit(0)
+    out = update_memory(m, -unit(0), 0.5)
     assert out is m
 
 
@@ -720,10 +717,10 @@ def test_update_memory_cancelled_blend_keeps_previous():
 def test_step_accepts_matching_detection():
     cfg = make_cfg()
     st = fresh_state(cfg=cfg)
-    d = det(BoundingBox(101.0, 99.0, 40.0, 30.0), st.memory.vector)
+    d = det(BoundingBox(101.0, 99.0, 40.0, 30.0), st.memory)
     res = step(st, DetectionSet(0.0, [d]), cfg)
-    assert res.index == 0 and res.selected is d
-    assert res.state.status == "tracking" and res.state.coast_frames == 0
+    assert res.selected is d
+    assert res.state.coast_frames == 0
     assert res.state.last_box == d.box
     assert res.scores[3] > cfg.s_min
 
@@ -733,8 +730,7 @@ def test_step_empty_frame_coasts():
     st = fresh_state(cfg=cfg)
     before_mean = st.ekf.mean.copy()
     res = step(st, DetectionSet(0.0, []), cfg)
-    assert res.selected is None and res.index is None and res.scores is None
-    assert res.state.status == "coasting"
+    assert res.selected is None and res.scores is None
     assert res.state.coast_frames == 1
     assert np.array_equal(res.state.ekf.mean, before_mean)
     assert res.state.last_box == st.last_box
@@ -749,16 +745,17 @@ def test_step_below_threshold_coasts():
     st = fresh_state(cfg=cfg)
     weak = det(BoundingBox(800.0, 400.0, 20.0, 20.0), unit(1))
     res = step(st, DetectionSet(0.0, [weak]), cfg)
-    assert res.state.status == "coasting" and res.selected is None
+    assert res.state.coast_frames == 1 and res.selected is None
 
 
 def test_step_tie_prefers_lower_index():
     cfg = make_cfg()
     st = fresh_state(cfg=cfg)
-    d1 = det(st.last_box, st.memory.vector)
-    d2 = det(st.last_box, st.memory.vector)
-    res = step(st, DetectionSet(0.0, [d1, d2]), cfg)
-    assert res.index == 0
+    d1 = det(st.last_box, st.memory)
+    d2 = det(st.last_box, st.memory)
+    dets = DetectionSet(0.0, [d1, d2])
+    res = step(st, dets, cfg)
+    assert res.selected is dets.detections[0]
 
 
 def test_step_time_regression_raises():
@@ -814,7 +811,7 @@ def test_step_selection_matches_brute_force_argmax():
         pred = np.array([tr.state.ekf.mean[0], tr.state.ekf.mean[1],
                          max(1.0, tr.state.ekf.mean[2]),
                          max(1.0, tr.state.ekf.mean[3])])
-        mem = tr.state.memory.vector.copy()
+        mem = tr.state.memory.copy()
         far_frame = rng.uniform() < 0.2
         cands = []
         for _ in range(int(rng.integers(1, 5))):
@@ -839,12 +836,13 @@ def test_step_selection_matches_brute_force_argmax():
             totals.append(cfg.weights.w_iou * s_iou + cfg.weights.w_ekf * s_ekf
                           + cfg.weights.w_map * s_map)
         want = int(np.argmax(totals))
-        res = tr.step(DetectionSet(t, cands))
+        dets = DetectionSet(t, cands)
+        res = tr.step(dets)
         if totals[want] < cfg.s_min:
-            assert res.index is None
+            assert res.selected is None
             coasted += 1
         else:
-            assert res.index == want
+            assert res.selected is dets.detections[want]
             picked += 1
     assert picked > 50 and coasted > 0
 
@@ -876,6 +874,38 @@ def test_trace_record_schema():
     rec = tr.trace_record(res, 2.0 / 60.0)
     assert rec["status"] == "coasting" and rec["box"] is None
     assert rec["s_total"] is None and rec["coast"] == 1
+
+
+@pytest.mark.parametrize("name", scenarios.names())
+def test_trace_status_and_box_follow_the_coast_count(name):
+    # the coast count is the one record of coasting: on every row of the
+    # live trace and of a replay of the run's log, "status" is "coasting"
+    # and "box" is null exactly when "coast" is positive
+    sc = scenarios.get(name)
+    art = run(sc)
+    replayed = replay_track(art.events, (sc.prompt.x, sc.prompt.y), sc.prompt.t,
+                            sc.tracker.build(sc.camera.build()))
+    for trace in (art.tracker_trace, replayed):
+        assert trace
+        for r in trace:
+            coasting = r["coast"] > 0
+            assert r["status"] == ("coasting" if coasting else "tracking"), r
+            assert (r["box"] is None) is coasting, r
+
+
+def test_at_prompt_is_the_prompt_frame_rule():
+    # a frame up to PROMPT_TOL before the prompt time is the prompt frame
+    assert at_prompt(1.0, 1.0) and at_prompt(2.0, 1.0)
+    assert at_prompt(1.0 - 0.5 * tracker.PROMPT_TOL, 1.0)
+    assert not at_prompt(1.0 - 2.0 * tracker.PROMPT_TOL, 1.0)
+    tr = Tracker(make_cfg())
+    box = BoundingBox(100.0, 100.0, 40.0, 30.0)
+    assert tr.feed(DetectionSet(1.0 - 2.0 * tracker.PROMPT_TOL, [det(box)]),
+                   box.center, 1.0) is None
+    assert not tr.initialized
+    row = tr.feed(DetectionSet(1.0 - 0.5 * tracker.PROMPT_TOL, [det(box)]),
+                  box.center, 1.0)
+    assert tr.initialized and row["status"] == "tracking"
 
 
 def test_config_validation():
