@@ -212,6 +212,12 @@ class QuadConfig:
         return MixerGeometry(self.arm_length, self.yaw_coeff,
                              self.max_rotor_thrust)
 
+    @cached_property
+    def inertia_floats(self) -> tuple:
+        """The body-diagonal inertia as three Python floats, built once for
+        the physics step (the `inertia` field keeps its values as given)."""
+        return tuple(map(float, self.inertia))
+
 
 @dataclass(frozen=True)
 class CameraScriptConfig:

@@ -185,7 +185,7 @@ def dynamics_step(y, wrench, params: QuadConfig, dt: float) -> tuple:
     """
     thrust, tx, ty, tz = wrench
     s = thrust / params.mass
-    jx, jy, jz = map(float, params.inertia)
+    jx, jy, jz = params.inertia_floats
     gx, gy, gz = GRAVITY_VEC
     (px, py, pz, vx, vy, vz, r00, r01, r02, r10, r11, r12, r20, r21, r22,
      wx, wy, wz) = y
@@ -338,6 +338,10 @@ class RunArtifacts:
     metrics: Metrics | None
     counts: dict
     summary: dict
+    # one list per frame the live tracker stepped (not the initialization
+    # frame): its candidates' (s_iou, s_ekf, s_map, total), in candidate
+    # order; kept in memory for the ablation, never written
+    frame_scores: list
 
 
 def _event_count(duration: float, rate: int) -> int:
@@ -429,7 +433,8 @@ def sensor_stream(sc: Scenario, platform, truth_trace: list):
 def run(scenario: Scenario) -> RunArtifacts:
     sc = scenario
     cam = sc.camera.build()
-    tracker = Tracker(sc.tracker.build(cam))
+    frame_scores = []
+    tracker = Tracker(sc.tracker.build(cam), frame_scores)
     controller = sc.controller.build(sc.quad, cam, sc.rates.control_hz)
     hz = sc.rates.physics_hz
     n_phys = _event_count(sc.duration, hz)
@@ -506,7 +511,7 @@ def run(scenario: Scenario) -> RunArtifacts:
         "final_dist_xy": truth_trace[-1]["dist_xy"] if truth_trace else None,
     }
     return RunArtifacts(sc, events, tracker_trace, command_trace, truth_trace,
-                        metrics, counts, summary)
+                        metrics, counts, summary, frame_scores)
 
 
 def predicted_center(tracker: Tracker) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Multi-layer single-target box tracker.
 
 Per frame the tracker picks, from the detector's candidate boxes, the one
-maximizing a weighted sum of three cues:
+maximizing a weighted sum of three cues (the first in list order on a tie):
 
   s_iou  overlap with the box accepted on the previous frame,
   s_ekf  overlap with the box predicted by a gyro-compensated
@@ -39,6 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -106,14 +107,12 @@ class TrackerConfig:
             v = getattr(self, name)
             if len(v) != n or any(x < 0 for x in v):
                 raise ValueError(f"{name} must be {n} non-negative entries")
-        # noise diagonals for the filter, built once (not dataclass fields)
+        # noise diagonals for the filter and the acceptance threshold
+        # s_min, built once (not dataclass fields)
         self.q_floats = tuple(float(v) for v in self.q_diag)
         self.r_floats = tuple(float(v) for v in self.r_diag)
         self.r_vector = _frozen(np.array(self.r_floats))
-
-    @property
-    def s_min(self) -> float:
-        return self.acceptance_fraction * self.weights.total
+        self.s_min = self.acceptance_fraction * self.weights.total
 
 
 @dataclass
@@ -456,6 +455,13 @@ def cosine_score(memory: np.ndarray, descriptor: np.ndarray) -> float:
     return min(1.0, max(0.0, c))
 
 
+def weighted_total(weights: TrackerWeights, s_iou: float, s_ekf: float,
+                   s_map: float) -> float:
+    """A candidate's total under `weights`: the one expression `score` and
+    the ablation's reweighting of recorded cues share."""
+    return weights.w_iou * s_iou + weights.w_ekf * s_ekf + weights.w_map * s_map
+
+
 def score(det: Detection, state: TrackerState, weights: TrackerWeights,
           pred: BoundingBox) -> tuple[float, float, float, float]:
     """(s_iou, s_ekf, s_map, weighted total) for one candidate.  `pred` is
@@ -463,8 +469,23 @@ def score(det: Detection, state: TrackerState, weights: TrackerWeights,
     s_iou = iou(state.last_box, det.box)
     s_ekf = iou(pred, det.box)
     s_map = cosine_score(state.memory, det.descriptor)
-    total = weights.w_iou * s_iou + weights.w_ekf * s_ekf + weights.w_map * s_map
-    return (s_iou, s_ekf, s_map, total)
+    return (s_iou, s_ekf, s_map, weighted_total(weights, s_iou, s_ekf, s_map))
+
+
+def choose(scored, s_min: float):
+    """A frame's decision from its candidates' score tuples (s_iou, s_ekf,
+    s_map, total), given in candidate order and read once: (index, scores)
+    of the first candidate with the highest total, or None when the frame
+    coasts, that is when it has no candidate or that total is below
+    s_min.  `step` decides every frame by this rule, and the ablation
+    applies it to the live run's recorded scores."""
+    best = None
+    for k, s in enumerate(scored):
+        if best is None or s[3] > best[1][3]:
+            best = (k, s)
+    if best is None or best[1][3] < s_min:
+        return None
+    return best
 
 
 def update_memory(memory: np.ndarray, feature: np.ndarray, alpha: float) -> np.ndarray:
@@ -483,15 +504,19 @@ def update_memory(memory: np.ndarray, feature: np.ndarray, alpha: float) -> np.n
     return blended / n
 
 
-def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepResult:
+def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig,
+         scores: list | None = None) -> StepResult:
     """Consume one detection frame.
 
     The filter must have been predicted up to dets.t; if the caller left a
     gap (detections between gyro ticks) it is filled here by zero-order-hold
-    on the last seen gyro rate.  On acceptance: Kalman update with the
+    on the last seen gyro rate.  Each candidate is scored once and the
+    frame decided by `choose`.  On acceptance: Kalman update with the
     selected box, memory blended with the detection's own descriptor at
     cfg.memory_alpha, coast count reset to 0.  Otherwise the frame coasts:
-    the count goes up by one and the memory and last box stay.
+    the count goes up by one and the memory and last box stay.  When
+    `scores` is a list, the frame's candidate score tuples are appended to
+    it as one list.
     """
     ekf = state.ekf
     if dets.t < ekf.t - 1e-12:
@@ -500,18 +525,21 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepRes
         ekf = ekf_predict(ekf, GyroSample(dets.t, state.last_gyro_w), cfg)
 
     pred = predicted_box(ekf)
-    best = None  # (det, scores)
-    for det in dets.detections:
-        s = score(det, state, cfg.weights, pred)
-        if best is None or s[3] > best[1][3]:
-            best = (det, s)
+    # one pass: `choose` reads each candidate's scores as `map` makes them
+    scored = map(score, dets.detections, repeat(state), repeat(cfg.weights),
+                 repeat(pred))
+    if scores is not None:
+        scored = list(scored)
+        scores.append(scored)
+    best = choose(scored, cfg.s_min)
 
-    if best is None or best[1][3] < cfg.s_min:
+    if best is None:
         new_state = TrackerState(ekf, state.memory, state.last_box,
                                  state.coast_frames + 1, state.last_gyro_w)
         return StepResult(new_state, None, None, pred)
 
-    det, s = best
+    k, s = best
+    det = dets.detections[k]
     ekf = ekf_update(ekf, det.box, cfg)
     memory = update_memory(state.memory, det.descriptor, cfg.memory_alpha)
     new_state = TrackerState(ekf, memory, det.box, 0, state.last_gyro_w)
@@ -524,10 +552,13 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig) -> StepRes
 
 
 class Tracker:
-    """Holds TrackerState across the gyro/detection event stream."""
+    """Holds TrackerState across the gyro/detection event stream.  Given a
+    list as `scores`, it appends each stepped frame's candidate score tuples
+    there (the live run keeps them for the ablation)."""
 
-    def __init__(self, cfg: TrackerConfig):
+    def __init__(self, cfg: TrackerConfig, scores: list | None = None):
         self.cfg = cfg
+        self.scores = scores
         self.state: TrackerState | None = None
 
     @property
@@ -546,7 +577,7 @@ class Tracker:
     def step(self, dets: DetectionSet) -> StepResult:
         if self.state is None:
             raise TrackerAbort(dets.t, "step before initialize")
-        res = step(self.state, dets, self.cfg)
+        res = step(self.state, dets, self.cfg, self.scores)
         self.state = res.state
         return res
 

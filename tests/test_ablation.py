@@ -1,6 +1,8 @@
 """The weight ablation against its definition: every row's metrics are those
 of a replay of the seed's recorded stream with that row's tracker, however
-many tracker passes the ablation itself makes."""
+many tracker passes the ablation itself makes.  A row is replayed only when
+it chooses unlike the live tracker on some frame; every other row takes the
+live run's metrics."""
 
 import os
 import subprocess
@@ -16,6 +18,7 @@ from quadtrack.errors import MetricsError
 from quadtrack.metrics import compute_metrics
 from quadtrack.replay import replay_track
 from quadtrack.simulator import write_run
+from quadtrack.tracker import choose
 
 DUPLICATED = ((3.0, 0.0, 0.0), (3.0, 0.0, 0.0), (3.0, 3.0, 4.0))
 
@@ -46,9 +49,24 @@ def _counted_replays(monkeypatch) -> list:
     return weights
 
 
-@pytest.mark.parametrize("seed", [None, 7003], ids=["default", "held_out"])
-@pytest.mark.parametrize("name", ["occlusion_decoy", "false_positive_storm",
-                                  "rotation_only"])
+def _without_total(trace) -> list:
+    """A tracker trace without s_total, its arrays as lists.  Two trackers
+    that choose alike on every frame give the same; on the first frame
+    where they do not, the status, the box or the filter mean differs
+    (unless two candidates share a box exactly)."""
+    return [{k: v.tolist() if hasattr(v, "tolist") else v
+             for k, v in row.items() if k != "s_total"} for row in trace]
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("occlusion_decoy", None), ("occlusion_decoy", 7003),
+    ("false_positive_storm", None), ("false_positive_storm", 7003),
+    ("rotation_only", None), ("rotation_only", 7003),
+    ("corridor_approach", None), ("corridor_approach", 7001),
+], ids=["occlusion_decoy-default", "occlusion_decoy-held_out",
+        "false_positive_storm-default", "false_positive_storm-held_out",
+        "rotation_only-default", "rotation_only-held_out",
+        "corridor_approach-default", "corridor_approach-held_out"])
 def test_every_row_equals_a_replay_of_the_recorded_stream(monkeypatch, name, seed):
     sc = scenarios.get(name)
     sc = sc if seed is None else sc.with_seed(seed)
@@ -66,21 +84,57 @@ def test_every_row_equals_a_replay_of_the_recorded_stream(monkeypatch, name, see
             compute_metrics(trace, art.truth_trace, sc.metrics),), row.weights
 
 
-@pytest.mark.parametrize("weights, grid, per_seed", [
-    (None, DEFAULT_GRID, 3),
-    ((1.0, 2.0, 5.0), DEFAULT_GRID, 4),
-    (None, DUPLICATED, 1),
-], ids=["own_weights_on_grid", "own_weights_off_grid", "duplicated_rows"])
+@pytest.mark.parametrize("name, weights, grid, per_seed", [
+    ("false_positive_storm", None, DEFAULT_GRID, 3),
+    ("false_positive_storm", (1.0, 2.0, 5.0), DEFAULT_GRID, 4),
+    ("false_positive_storm", None, DUPLICATED, 1),
+    ("rotation_only", None, DEFAULT_GRID, 0),
+    ("corridor_approach", None, DEFAULT_GRID, 0),
+], ids=["own_weights_on_grid", "own_weights_off_grid", "duplicated_rows",
+        "none_on_rotation_only", "none_on_corridor_approach"])
 def test_each_distinct_tracker_config_is_replayed_once_per_seed(
-        monkeypatch, weights, grid, per_seed):
-    sc = scenarios.get("rotation_only")
+        monkeypatch, name, weights, grid, per_seed):
+    # per_seed distinct rows choose unlike the live tracker on some frame;
+    # each of them is replayed once per seed, and no other row is
+    sc = scenarios.get(name)
     if weights is not None:
         sc = replace(sc, tracker=replace(sc.tracker, weights=weights))
+    kept = _kept_runs(monkeypatch)
     replayed = _counted_replays(monkeypatch)
     result = run_ablation(sc, grid=grid, n_seeds=2)
     assert len(replayed) == 2 * per_seed
     assert len(set(replayed)) == per_seed
     assert [row.weights for row in result.rows] == list(grid)
+    cam = sc.camera.build()
+    differing = []
+    for art in kept:
+        live = _without_total(art.tracker_trace)
+        for w in dict.fromkeys(grid):
+            cfg = replace(sc.tracker, weights=w).build(cam)
+            trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),
+                                 sc.prompt.t, cfg)
+            if _without_total(trace) != live:
+                differing.append(cfg.weights)
+    assert replayed == differing
+
+
+@pytest.mark.parametrize("name", ["false_positive_storm", "corridor_approach"])
+def test_the_live_runs_recorded_scores_give_its_choices(name):
+    # one score list per frame the live tracker stepped; the shared rule
+    # applied to it gives the frame's trace row: the chosen candidate's
+    # scores on a lock, none on a coast
+    sc = replace(scenarios.get(name), duration=4.0)
+    art = ablation.run(sc)
+    s_min = sc.tracker.build(sc.camera.build()).s_min
+    stepped = art.tracker_trace[1:]
+    assert len(art.frame_scores) == len(stepped) > 0
+    for frame, row in zip(art.frame_scores, stepped):
+        best = choose(frame, s_min)
+        got = (row["s_iou"], row["s_ekf"], row["s_map"], row["s_total"])
+        if best is None:
+            assert row["coast"] > 0 and got == (None,) * 4
+        else:
+            assert row["coast"] == 0 and got == best[1]
 
 
 def test_a_run_without_metrics_replays_its_own_row_and_fails_as_before(monkeypatch):

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hst
 
 from quadtrack import scenarios, tracker
 from quadtrack.detection import Detection, DetectionSet, GyroSample
@@ -14,7 +16,7 @@ from quadtrack.geometry import BoundingBox
 from quadtrack.replay import replay_track
 from quadtrack.simulator import run
 from quadtrack.tracker import (EkfState, Tracker, TrackerConfig, TrackerWeights,
-                               _innovation_gain, at_prompt, cosine_score,
+                               _innovation_gain, at_prompt, choose, cosine_score,
                                ekf_predict, ekf_update, initialize,
                                predict_jacobian, predicted_box, score, step,
                                update_memory)
@@ -845,6 +847,53 @@ def test_step_selection_matches_brute_force_argmax():
             assert res.selected is dets.detections[want]
             picked += 1
     assert picked > 50 and coasted > 0
+
+
+def ref_choice(scored, s_min):
+    """The selection loop as `step` once wrote it inline: the index of the
+    candidate it accepts, or None when the frame coasts."""
+    best = None  # (index, scores)
+    for k, s in enumerate(scored):
+        if best is None or s[3] > best[1][3]:
+            best = (k, s)
+    if best is None or best[1][3] < s_min:
+        return None
+    return best[0]
+
+
+# few distinct values, so that frames often hold exact ties and totals equal
+# to s_min
+_TOTALS = hst.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@given(hst.lists(_TOTALS | hst.floats(0.0, 10.0), max_size=6), _TOTALS)
+@example([], 0.0)
+@example([1.0, 2.0, 2.0], 0.5)
+@example([0.5, 0.25], 0.5)
+def test_choose_decides_as_the_inline_loop(totals, s_min):
+    scored = [(0.1 * k, 0.2, 0.3, t) for k, t in enumerate(totals)]
+    want = ref_choice(scored, s_min)
+    # an iterator, read once, as `step` hands it one
+    got = choose(iter(scored), s_min)
+    assert (None if got is None else got[0]) == want
+    if got is not None:
+        assert got[1] is scored[want]
+
+
+def test_step_records_its_candidates_scores_and_decides_by_choose():
+    cfg = make_cfg()
+    st = fresh_state(cfg=cfg)
+    frame = DetectionSet(0.0, [det(BoundingBox(300.0, 300.0, 20.0, 20.0), unit(1)),
+                               det(st.last_box, st.memory),
+                               det(st.last_box, st.memory)])
+    kept = []
+    res = step(st, frame, cfg, kept)
+    assert res.selected is frame.detections[1]
+    scored, = kept
+    assert scored == [score(d, st, cfg.weights, predicted_box(st.ekf))
+                      for d in frame.detections]
+    assert choose(scored, cfg.s_min) == (1, res.scores)
+    assert step(st, frame, cfg).scores == res.scores
 
 
 # ---------------------------------------------------------------------------
