@@ -14,7 +14,8 @@ only in s_total.  So each other distinct row first reweights the recorded
 cues and decides every frame by the tracker's own rule (`choose`); a row
 that makes the live choice on every frame takes the live run's metrics, and
 only a row that differs on some frame is replayed.  A repeated row reuses
-its first copy, and a run without metrics replays every row.  The optional
+its first copy; a run without metrics fails before any replay, as every
+row's replay of the same stream and prompt would.  The optional
 parallel path farms seeds out to worker processes and returns results in
 seed order, bit-identical to the sequential path.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .config import Scenario
-from .errors import ConfigError
+from .errors import ConfigError, MetricsError
 from .metrics import Metrics, compute_metrics
 from .replay import replay_track
 from .simulator import run
@@ -106,18 +107,19 @@ def _seed_task(args) -> list[Metrics]:
     scenario, seed, grid = args
     sc = scenario.with_seed(seed)
     art = run(sc)
+    if art.metrics is None:
+        raise MetricsError("empty tracker trace")
     cam = sc.camera.build()
     # the live loop fed art.events to the scenario's own tracker through
     # Tracker.feed, as replay_track does, so its metrics are that row's
-    scored = {} if art.metrics is None else {sc.tracker: art.metrics}
+    scored = {sc.tracker: art.metrics}
     live_s_min = sc.tracker.build(cam).s_min
     out = []
     for weights in grid:
         params = replace(sc.tracker, weights=weights)
         if params not in scored:
             cfg = params.build(cam)
-            if art.metrics is not None and _makes_live_choices(
-                    art.frame_scores, live_s_min, cfg):
+            if _makes_live_choices(art.frame_scores, live_s_min, cfg):
                 scored[params] = art.metrics
             else:
                 trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),

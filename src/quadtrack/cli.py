@@ -14,7 +14,8 @@ edit of the given or recorded scenario at a dotted path (`--seed` is
 `seed`, `--weights` is `tracker.weights`), and the edited scenario is
 reloaded, so a flag is checked and reported as the same value in a file
 (`error: scenario.<path>: ...`).  Exit codes: 0 success, 1
-configuration/usage error, 2 runtime abort.
+configuration/usage error (a file that cannot be read, written or decoded
+as UTF-8 included), 2 runtime abort.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def _recorded_scenario(run_dir: str) -> Scenario:
     if not os.path.isfile(path):
         raise ConfigError(f"missing run summary: {path}")
     records = read_jsonl(path)
-    if len(records) != 1 or SCENARIO_KEY not in records[0]:
+    if (len(records) != 1 or not isinstance(records[0], dict)
+            or SCENARIO_KEY not in records[0]):
         raise ConfigError(f"{path}: no recorded {SCENARIO_KEY!r}; "
                           "re-run `quadtrack sim`")
     return Scenario.from_dict(records[0][SCENARIO_KEY])
@@ -85,10 +87,12 @@ def _parse_grid(text: str, sc: Scenario) -> tuple:
     if text == "table2":
         return DEFAULT_GRID
     try:
-        with open(text) as fp:
+        with open(text, encoding="utf-8") as fp:
             rows = json.load(fp)
     except FileNotFoundError:
         raise ConfigError(f"grid file not found: {text}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"grid file {text}: not UTF-8 text ({e.reason})") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"grid file {text}: invalid JSON ({e.msg})") from e
     if (not isinstance(rows, list) or not rows
@@ -257,7 +261,7 @@ def main(argv=None) -> int:
     except RuntimeAbort as e:
         print(f"abort: {e}", file=sys.stderr)
         return 2
-    except (QuadtrackError, FileNotFoundError) as e:
+    except (QuadtrackError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -454,8 +454,10 @@ def save_scenario(sc: Scenario, path) -> None:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             d = json.load(fp)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e.msg}, line {e.lineno})") from e
     return Scenario.from_dict(d)

@@ -6,6 +6,9 @@ derived from the object's latent appearance vector.  Failure modes are
 injected on top: center/size jitter, descriptor noise, dropouts, duplicate
 boxes, Poisson false positives, and occlusion suppression.
 
+The sensor layer computes each camera frame's object views once
+(`frame_views`) and hands them to `detect`: the detector keeps no frame state.
+
 Draw discipline: for a fixed seed the generator is consumed in a fixed order
 (per object: dropout, center, size, confidence, descriptor, duplicate gate
 [, duplicate draws]; then false positives), *regardless* of whether a gate
@@ -166,45 +169,41 @@ def _in_image(box: BoundingBox, cam) -> bool:
             and box.y < cam.height and box.y + box.h > 0.0)
 
 
-class SyntheticDetector:
-    """Ground-truth-derived detector.  Deterministic given (config, rng state).
+def frame_views(snapshot: SceneSnapshot, pose: CameraPose,
+                cam: CameraModel) -> list[ObjectView]:
+    """The view of every detectable object in one camera frame, in snapshot
+    order.  Each object is transformed into the camera frame once; the
+    camera point gives both the projected box and the depth.  Occlusion
+    counts only occluder boxes strictly nearer the camera than the object.
+    Draws nothing.
+    """
+    projected = []
+    occluders = []
+    for st in snapshot.objects:
+        pc = camera_point(pose, st.center)
+        box = project_box(cam, pc, st.size)
+        if st.occluder:
+            if box is not None:
+                occluders.append((box, pc[2]))
+        else:
+            projected.append((st, box, pc[2]))
+    views = []
+    for st, box, depth in projected:
+        frac = 0.0
+        if box is not None:
+            nearer = [b for b, d in occluders if d < depth]
+            if nearer:
+                frac = covered_fraction(box, nearer)
+        views.append(ObjectView(st, box, frac))
+    return views
 
-    `views` holds the per-object geometry of the last frame passed to
-    `detect`, so that the frame's ground truth reads the same projection."""
+
+class SyntheticDetector:
+    """Ground-truth-derived detector.  Deterministic given (config, rng state)."""
 
     def __init__(self, cfg: SyntheticDetectorConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
-        self.views: list[ObjectView] = []
-
-    # -- frame geometry ---------------------------------------------------
-
-    def _frame_geometry(self, snapshot: SceneSnapshot, pose: CameraPose,
-                        cam: CameraModel) -> list[ObjectView]:
-        """Transform each object into the camera frame once; the camera
-        point gives both the projected box and the depth.  Returns a view of
-        every detectable object, in snapshot order.  Occlusion counts only
-        occluder boxes strictly nearer the camera than the object.
-        """
-        projected = []
-        occluders = []
-        for st in snapshot.objects:
-            pc = camera_point(pose, st.center)
-            box = project_box(cam, pose, st.center, st.size, pc)
-            if st.occluder:
-                if box is not None:
-                    occluders.append((box, pc[2]))
-            else:
-                projected.append((st, box, pc[2]))
-        views = []
-        for st, box, depth in projected:
-            frac = 0.0
-            if box is not None:
-                nearer = [b for b, d in occluders if d < depth]
-                if nearer:
-                    frac = covered_fraction(box, nearer)
-            views.append(ObjectView(st, box, frac))
-        return views
 
     # -- detection --------------------------------------------------------
 
@@ -239,22 +238,22 @@ class SyntheticDetector:
             raise DetectorAbort(t, str(e)) from e
         return Detection(nb, conf, desc)
 
-    def detect(self, snapshot: SceneSnapshot, pose: CameraPose, cam: CameraModel) -> DetectionSet:
-        """One camera frame worth of detections, in object-id order then
-        duplicates then false positives (stable order feeds stable argmax
-        tie-breaking downstream).  Keeps the frame's geometry in `views`.
-        A perturbed box or descriptor that is not finite raises
-        DetectorAbort."""
+    def detect(self, views: list[ObjectView], t: float,
+               cam: CameraModel) -> DetectionSet:
+        """One camera frame worth of detections at time t, from the frame's
+        `frame_views`: in object-id order then duplicates then false
+        positives (stable order feeds stable argmax tie-breaking
+        downstream).  A perturbed box or descriptor that is not finite
+        raises DetectorAbort."""
         cfg = self.cfg
         rng = self.rng
         out: list[Detection] = []
-        self.views = self._frame_geometry(snapshot, pose, cam)
-        for st, box, frac in self.views:
+        for st, box, frac in views:
             drop = rng.random() < cfg.p_dropout
             visible = (box is not None and frac < cfg.occlusion_threshold
                        and _in_image(box, cam))
-            det = self._perturbed(box, st.latent, snapshot.t, visible)
-            dup = (self._perturbed(box, st.latent, snapshot.t, visible)
+            det = self._perturbed(box, st.latent, t, visible)
+            dup = (self._perturbed(box, st.latent, t, visible)
                    if rng.random() < cfg.p_duplicate else None)
             if visible and not drop:
                 out.append(det)
@@ -275,7 +274,7 @@ class SyntheticDetector:
             conf = 0.3 + (0.9 - 0.3) * uc
             desc = _unit(rng.normal(0.0, 1.0, size=cfg.descriptor_dim), draws=True)
             out.append(Detection(BoundingBox(cx - w / 2, cy - h / 2, w, h), conf, desc))
-        return DetectionSet(snapshot.t, out)
+        return DetectionSet(t, out)
 
     # -- target-conditioned descriptor query -------------------------------
 
@@ -293,7 +292,7 @@ class SyntheticDetector:
 
         best = None
         best_iou = 0.0
-        for st, pbox, _frac in self._frame_geometry(snapshot, pose, cam):
+        for st, pbox, _frac in frame_views(snapshot, pose, cam):
             if pbox is None:
                 continue
             v = _iou(box, pbox)

@@ -204,19 +204,18 @@ def camera_point(pose: CameraPose, p_world) -> tuple[float, float, float]:
     return x, y, z
 
 
-def project_box(cam: CameraModel, pose: CameraPose, center, size,
-                pc: tuple[float, float, float] | None = None) -> BoundingBox | None:
+def project_box(cam: CameraModel, pc: tuple[float, float, float],
+                size) -> BoundingBox | None:
     """Pixel bound of a camera-facing rectangle of physical extent (w, h)
-    metres centered at a world point (sprite model: apparent size scales as
+    metres centered at the camera-frame point pc = (x, y, z), a
+    `camera_point` (sprite model: apparent size scales as
     focal * extent / depth).
 
     Returns None (not visible) if the center lies behind the camera or the
     projection subtends less than one pixel in either dimension.  The result
-    is *not* clamped to the image border.  `pc`, the center's camera_point,
-    saves the transform when the caller already has it (the caller also
-    needs the depth, pc[2]).
+    is *not* clamped to the image border.
     """
-    x, y, z = camera_point(pose, center) if pc is None else pc
+    x, y, z = pc
     if z <= MIN_VIEW_DEPTH:
         return None
     u = cam.focal * x / z + cam.cx

@@ -217,31 +217,46 @@ def _decode(line: str, path, line_no: int):
                             f"invalid JSON: {getattr(e, 'msg', e)}") from e
 
 
+def _lines(path):
+    """(line number, text) of each non-blank line of a UTF-8 file, stripped.
+    A byte that is not UTF-8 is a LogParseError naming its line: it decodes
+    to a lone surrogate in place (surrogateescape), and a line that is not
+    all ASCII is checked by decoding its bytes again, strictly.  (A strict
+    text-mode read decodes ahead in chunks and raises lines early.)"""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fp:
+        for line_no, line in enumerate(fp, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode()
+                except UnicodeDecodeError as e:
+                    raise LogParseError(path, line_no,
+                                        f"not UTF-8 text ({e.reason})") from e
+            line = line.strip()
+            if line:
+                yield line_no, line
+
+
 def read_events(path) -> list[Event]:
     """Parse and validate a sensor log.  Raises LogParseError (with the path
     and line number) on malformed lines, NaN, infinities and numbers too
     large for a float included, and StreamOrderError on broken ordering."""
     events: list[Event] = []
-    with open(path) as fp:
-        for line_no, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = _decode(line, path, line_no)
-            if not isinstance(obj, dict):
-                raise LogParseError(path, line_no, "record is not a JSON object")
-            try:
-                # true, false and null hold a "u" or an "a", and no key or kind
-                # of a valid record does ("t", "kind", "w", "boxes", "conf",
-                # "desc", "gyro", "det"): only such a line is checked by entry
-                ev = _parse_event(obj, "u" in line or "a" in line)
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise LogParseError(path, line_no, str(e)) from e
-            try:
-                _check_order(events[-1] if events else None, ev)
-            except StreamOrderError as e:
-                raise StreamOrderError(f"{path}: line {line_no}: {e}") from None
-            events.append(ev)
+    for line_no, line in _lines(path):
+        obj = _decode(line, path, line_no)
+        if not isinstance(obj, dict):
+            raise LogParseError(path, line_no, "record is not a JSON object")
+        try:
+            # true, false and null hold a "u" or an "a", and no key or kind
+            # of a valid record does ("t", "kind", "w", "boxes", "conf",
+            # "desc", "gyro", "det"): only such a line is checked by entry
+            ev = _parse_event(obj, "u" in line or "a" in line)
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise LogParseError(path, line_no, str(e)) from e
+        try:
+            _check_order(events[-1] if events else None, ev)
+        except StreamOrderError as e:
+            raise StreamOrderError(f"{path}: line {line_no}: {e}") from None
+        events.append(ev)
     return events
 
 
@@ -313,12 +328,5 @@ def write_summary(path, summary: dict, scenario: dict) -> None:
         fp.write(f'{_json_compact(summary)[:-1]},"{SCENARIO_KEY}":{exact}}}\n')
 
 
-def read_jsonl(path) -> list[dict]:
-    out = []
-    with open(path) as fp:
-        for line_no, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            out.append(_decode(line, path, line_no))
-    return out
+def read_jsonl(path) -> list:
+    return [_decode(line, path, line_no) for line_no, line in _lines(path)]

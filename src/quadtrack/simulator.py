@@ -52,10 +52,10 @@ through the flight.
 
 The scene is the scenario's objects section: `build_scene` pairs each
 ObjectConfig with its latent in object-id order, and each camera frame's
-`scene_step` evaluates every object's MotionConfig.at(t).  Each camera
-frame transforms each object into the camera frame once: the
-detector keeps the frame's per-object views (box, occluded fraction), and
-the ground-truth row reads the target's from them.  The controller tick runs
+`scene_step` evaluates every object's MotionConfig.at(t).  The sensor
+layer computes each camera frame's object views (box, occluded fraction)
+once, by `frame_views`, and hands them to the detector, and the target's
+to the ground-truth row.  The controller tick runs
 on Python floats and raises ControllerAbort on a non-finite output, so a bad
 command never reaches the plant or commands.jsonl.  The detector, the
 plant and the scorer run on the scenario's own detector, quad and metrics
@@ -72,10 +72,10 @@ import numpy as np
 
 from .config import QuadConfig, Scenario, scenario_hash
 from .controller import GRAVITY_VEC, motor_wrench
-from .detection import GyroSample, SyntheticDetector
+from .detection import GyroSample, ObjectView, SyntheticDetector, frame_views
 from .errors import SimulationAbort
-# project_box is no longer called here (the detector's frame views carry the
-# truth boxes), but perfbench/tracing.py wraps it under this module's name
+# project_box is not called here (the frame views carry the truth boxes),
+# but perfbench/tracing.py wraps it under this module's name
 from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
                        pitch_yaw_from_rotation, project_box, rot_z)
 from .logio import write_events, write_jsonl, write_summary
@@ -365,11 +365,8 @@ def build_scene(scenario: Scenario, rng: np.random.Generator) -> list[tuple]:
     return objects
 
 
-def _truth_record(t: float, quad: QuadState, detector: SyntheticDetector,
-                  target_id: int, cam) -> dict:
-    # the target's view of the frame the detector just projected
-    target, box, occl = next(v for v in detector.views
-                             if v.state.obj_id == target_id)
+def _truth_record(t: float, quad: QuadState, view: ObjectView, cam) -> dict:
+    target, box, occl = view
     center = None if box is None else box.center
     in_view = (center is not None and 0.0 <= center[0] <= cam.width
                and 0.0 <= center[1] <= cam.height)
@@ -404,6 +401,8 @@ def sensor_stream(sc: Scenario, platform, truth_trace: list):
     cam = sc.camera.build()
     rng = np.random.default_rng(sc.seed)
     objects = build_scene(sc, rng)
+    # the target's index in each frame's views (build_scene's id order)
+    target = [oc.obj_id for oc, _ in objects if not oc.occluder].index(sc.target_id)
     detector = SyntheticDetector(sc.detector, rng)
     n_ctrl = _event_count(sc.duration, sc.rates.control_hz)
     n_cam = _event_count(sc.duration, sc.rates.camera_hz)
@@ -418,12 +417,11 @@ def sensor_stream(sc: Scenario, platform, truth_trace: list):
             ic += 1
             continue
         quad = platform(t)
-        snapshot = scene_step(objects, t)
-        pose = camera_pose(quad)
+        views = frame_views(scene_step(objects, t), camera_pose(quad), cam)
         if prompted and last_t < t:
             yield CAMERA, imu_sample(t, quad, sc.quad.gyro_noise, rng)
-        dets = detector.detect(snapshot, pose, cam)
-        truth_trace.append(_truth_record(t, quad, detector, sc.target_id, cam))
+        dets = detector.detect(views, t, cam)
+        truth_trace.append(_truth_record(t, quad, views[target], cam))
         prompted = prompted or at_prompt(t, sc.prompt.t)
         last_t = t
         yield CAMERA, dets

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from quadtrack.geometry import BoundingBox, CameraModel, rot_z
+from quadtrack.geometry import (BoundingBox, CameraModel, camera_point,
+                                project_box, rot_z)
 from quadtrack.tracker import EkfState, TrackerConfig, ekf_predict
 from quadtrack.detection import GyroSample
 
@@ -63,6 +64,12 @@ def camera_from_focal(width: int, height: int, focal: float) -> CameraModel:
     """The centred pinhole camera of focal length `focal` px."""
     vfov = 2.0 * math.atan((height / 2.0) / focal)
     return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
+
+
+def project_world_box(cam: CameraModel, pose, center, size):
+    """project_box of a sprite centered at a world point: the point's
+    camera_point, projected."""
+    return project_box(cam, camera_point(pose, center), size)
 
 
 def rot_x(a: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from quadtrack.ablation import DEFAULT_GRID, run_ablation
 from quadtrack.errors import MetricsError
 from quadtrack.metrics import compute_metrics
 from quadtrack.replay import replay_track
-from quadtrack.simulator import write_run
+from quadtrack.simulator import run, write_run
 from quadtrack.tracker import choose
 
 DUPLICATED = ((3.0, 0.0, 0.0), (3.0, 0.0, 0.0), (3.0, 3.0, 4.0))
@@ -137,15 +137,22 @@ def test_the_live_runs_recorded_scores_give_its_choices(name):
             assert row["coast"] == 0 and got == best[1]
 
 
-def test_a_run_without_metrics_replays_its_own_row_and_fails_as_before(monkeypatch):
-    # the prompt comes after the last frame: the live trace is empty, so the
-    # scenario's own row is replayed, and its metrics fail as any row's would
+def test_a_run_without_metrics_fails_before_any_replay(monkeypatch):
+    # the prompt comes after the last frame: the live trace is empty, and
+    # so is every row's replay of the same stream and prompt, whose metrics
+    # fail with the error the ablation raises before replaying anything
     sc = scenarios.get("rotation_only")
     sc = replace(sc, prompt=replace(sc.prompt, t=sc.duration + 1.0))
+    art = run(sc)
+    for weights in (sc.tracker.weights, *DEFAULT_GRID):
+        trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y), sc.prompt.t,
+                             replace(sc.tracker, weights=weights).build(sc.camera.build()))
+        with pytest.raises(MetricsError, match="^empty tracker trace$"):
+            compute_metrics(trace, art.truth_trace, sc.metrics)
     replayed = _counted_replays(monkeypatch)
     with pytest.raises(MetricsError, match="^empty tracker trace$"):
-        run_ablation(sc, grid=(sc.tracker.weights,), n_seeds=1)
-    assert len(replayed) == 1
+        run_ablation(sc, grid=(sc.tracker.weights, *DEFAULT_GRID), n_seeds=1)
+    assert replayed == []
 
 
 def test_the_ablation_leaves_the_live_runs_trace_as_it_was(monkeypatch, tmp_path):

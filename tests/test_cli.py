@@ -1,12 +1,14 @@
 """Command-line harness: subcommands, scenario resolution, exit codes."""
 
 import contextlib
+import errno
 import inspect
 import io
 import json
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -785,3 +787,80 @@ def test_ablate_parallel_reports_an_abort_like_the_sequential_path(tmp_path):
     assert line.startswith("abort: controller: non-finite thrust at t=")
     assert ABORT_LINE.match(line), line
     assert parallel.stderr.splitlines()[-1] == line
+
+
+def _errno_line(code, path) -> str:
+    """The text of an OSError with errno `code` on `path`."""
+    return f"[Errno {code}] {os.strerror(code)}: '{path}'"
+
+
+# A file that cannot be read, written or decoded: (name, files made under
+# {tmp}, argv, the error line's text after "error: ").  {sc} is the shared
+# run's scenario file and {run} its run directory; {spoiled} is a copy of
+# the run whose events.jsonl line 40 and tracker.jsonl line 30 begin with a
+# byte that is not UTF-8.
+_FILE_ERRORS = [
+    ("track_a_directory", {}, ["track", "{run}/", "--prompt", "1,2"],
+     _errno_line(errno.EISDIR, "{run}/")),
+    ("sim_out_an_existing_file", {"file": b""}, ["sim", "{sc}", "--out", "{tmp}/file"],
+     _errno_line(errno.EEXIST, "{tmp}/file")),
+    ("sim_out_below_a_file", {"file": b""},
+     ["sim", "{sc}", "--out", "{tmp}/file/sub"],
+     _errno_line(errno.ENOTDIR, "{tmp}/file/sub")),
+    ("ablate_grid_a_directory", {},
+     ["ablate", "{sc}", "--seeds", "1", "--grid", "{tmp}"],
+     _errno_line(errno.EISDIR, "{tmp}")),
+    ("ablate_out_a_directory", {}, ["ablate", "{sc}", "--seeds", "1", "--out", "{tmp}"],
+     _errno_line(errno.EISDIR, "{tmp}")),
+    ("scenario_not_utf8", {"bad.json": b"\xff\xfe{"}, ["sim", "{tmp}/bad.json"],
+     "{tmp}/bad.json: not UTF-8 text (invalid start byte)"),
+    ("events_not_utf8", {}, ["track", "{spoiled}/events.jsonl", "--prompt", "480,272"],
+     "{spoiled}/events.jsonl: line 40: not UTF-8 text (invalid start byte)"),
+    ("tracker_trace_not_utf8", {}, ["metrics", "{spoiled}"],
+     "{spoiled}/tracker.jsonl: line 30: not UTF-8 text (invalid start byte)"),
+    ("grid_not_utf8", {"grid.json": b"[[3, 0, 0]]\xff\n"},
+     ["ablate", "{sc}", "--seeds", "1", "--grid", "{tmp}/grid.json"],
+     "grid file {tmp}/grid.json: not UTF-8 text (invalid start byte)"),
+    ("summary_a_number", {"n/summary.json": b"5\n"},
+     ["track", "{tmp}/n/events.jsonl", "--prompt", "1,2"],
+     "{tmp}/n/summary.json: no recorded 'scenario_config'; re-run `quadtrack sim`"),
+    ("summary_a_string", {"s/summary.json": b'"scenario_config"\n'},
+     ["track", "{tmp}/s/events.jsonl", "--prompt", "1,2"],
+     "{tmp}/s/summary.json: no recorded 'scenario_config'; re-run `quadtrack sim`"),
+]
+
+
+def _file_error(sim_run, tmp_path, files, argv, text):
+    """Make the row's files; its argv and error line, filled in."""
+    sc_path, run_dir = sim_run
+    spoiled = tmp_path / "spoiled"
+    shutil.copytree(run_dir, spoiled)
+    for name, line_no in (("events.jsonl", 40), ("tracker.jsonl", 30)):
+        lines = (spoiled / name).read_bytes().split(b"\n")
+        lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+        (spoiled / name).write_bytes(b"\n".join(lines))
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    fill = dict(sc=sc_path, run=run_dir, tmp=tmp_path, spoiled=spoiled)
+    return [a.format(**fill) for a in argv], "error: " + text.format(**fill)
+
+
+@pytest.mark.parametrize("files,argv,text", [r[1:] for r in _FILE_ERRORS],
+                         ids=[r[0] for r in _FILE_ERRORS])
+def test_a_file_error_exits_1_with_one_error_line(sim_run, tmp_path, capsys,
+                                                  files, argv, text):
+    # an OSError or a file that is not UTF-8 is one error line, never a
+    # traceback; `ablate --out` prints its table before it writes
+    argv, line = _file_error(sim_run, tmp_path, files, argv, text)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_a_file_error_in_a_process_has_no_traceback(sim_run, tmp_path):
+    files, argv, text = _FILE_ERRORS[0][1:]
+    argv, line = _file_error(sim_run, tmp_path, files, argv, text)
+    returncode, stderr = _quadtrack_process(argv)
+    assert returncode == 1, stderr
+    assert "Traceback" not in stderr
+    assert stderr.splitlines() == [line]

@@ -489,6 +489,14 @@ def test_prompt_and_rates_validation():
     rejects("require physics_hz", RatesConfig, 1000, 100, 0)
 
 
+def test_load_scenario_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ConfigError) as ei:
+        load_scenario(path)
+    assert str(ei.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 def test_load_scenario_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "seed": }\n')

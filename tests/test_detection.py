@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from quadtrack import detection, scenarios, simulator
 from quadtrack.detection import (Detection, DetectionSet, SyntheticDetector,
-                                 SyntheticDetectorConfig, _in_image)
+                                 SyntheticDetectorConfig, _in_image, frame_views)
 from quadtrack.errors import DetectorAbort
 from quadtrack.geometry import (MIN_VIEW_DEPTH, BoundingBox, CameraPose,
-                                covered_fraction, iou, project_box)
+                                covered_fraction, iou)
 from quadtrack.scene import ObjectState, SceneSnapshot
 
-from conftest import camera_from_focal, zyx_matrix
+from conftest import camera_from_focal, project_world_box, zyx_matrix
 
 CAM = camera_from_focal(960, 544, 500.0)
 POSE = CameraPose(np.eye(3), np.zeros(3))
@@ -40,6 +40,12 @@ def snap(objects, t=0.0):
     return SceneSnapshot(t=t, objects=objects)
 
 
+def detect(det, snapshot, pose=POSE, cam=CAM):
+    """One frame's detections, from its views as the sensor layer hands
+    them on."""
+    return det.detect(frame_views(snapshot, pose, cam), snapshot.t, cam)
+
+
 def quiet_config(**kw):
     base = dict(center_noise_px=0.0, size_noise_frac=0.0, feature_noise=0.0,
                 p_dropout=0.0, fp_rate=0.0, p_duplicate=0.0,
@@ -56,9 +62,9 @@ def quiet_config(**kw):
 def test_noiseless_detection_reproduces_projection_exactly():
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
     target = state(1, (0.0, 0.0, 10.0), latent=unit(0))
-    out = det.detect(snap([target]), POSE, CAM)
+    out = detect(det, snap([target]))
     assert len(out) == 1
-    expected = project_box(CAM, POSE, target.center, target.size)
+    expected = project_world_box(CAM, POSE, target.center, target.size)
     assert out.detections[0].box == expected
     assert np.allclose(out.detections[0].descriptor, unit(0), atol=1e-12)
     assert 0.5 <= out.detections[0].confidence <= 1.0
@@ -66,7 +72,7 @@ def test_noiseless_detection_reproduces_projection_exactly():
 
 def test_detection_set_carries_frame_time():
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
-    out = det.detect(snap([], t=1.25), POSE, CAM)
+    out = detect(det, snap([], t=1.25))
     assert isinstance(out, DetectionSet)
     assert out.t == 1.25 and len(out) == 0
 
@@ -75,13 +81,13 @@ def test_total_dropout_gives_empty_frames():
     det = SyntheticDetector(quiet_config(p_dropout=1.0), np.random.default_rng(3))
     target = state(1, (0.0, 0.0, 10.0), latent=unit(0))
     for _ in range(20):
-        assert len(det.detect(snap([target]), POSE, CAM)) == 0
+        assert len(detect(det, snap([target]))) == 0
 
 
 def test_duplicate_probability_one_doubles_each_object():
     det = SyntheticDetector(quiet_config(p_duplicate=1.0), np.random.default_rng(0))
     target = state(1, (0.0, 0.0, 10.0), latent=unit(0))
-    out = det.detect(snap([target]), POSE, CAM)
+    out = detect(det, snap([target]))
     assert len(out) == 2
     assert out.detections[0].box == out.detections[1].box
 
@@ -95,14 +101,14 @@ def test_false_positive_rate_matches_poisson_mean():
     # empty scene, lambda = 2: sample mean over 1e4 frames sits in a
     # +/- 4 sigma band around 2
     det = SyntheticDetector(quiet_config(fp_rate=2.0), np.random.default_rng(11))
-    counts = [len(det.detect(snap([], t=i * 0.1), POSE, CAM)) for i in range(10_000)]
+    counts = [len(detect(det, snap([], t=i * 0.1))) for i in range(10_000)]
     assert 1.94 <= float(np.mean(counts)) <= 2.06
 
 
 def test_false_positive_geometry_and_confidence():
     det = SyntheticDetector(quiet_config(fp_rate=5.0), np.random.default_rng(1))
     for _ in range(50):
-        for d in det.detect(snap([]), POSE, CAM).detections:
+        for d in detect(det, snap([])).detections:
             cx, cy = d.box.center
             assert 0.0 <= cx <= CAM.width and 0.0 <= cy <= CAM.height
             assert 20.0 <= d.box.w <= 160.0 and 20.0 <= d.box.h <= 160.0
@@ -118,7 +124,7 @@ def test_all_descriptors_unit_norm_under_noise():
             state(2, (1.0, 0.5, 12.0), latent=unit(1))]
     seen = 0
     for i in range(40):
-        for d in det.detect(snap(objs, t=i * 0.05), POSE, CAM).detections:
+        for d in detect(det, snap(objs, t=i * 0.05)).detections:
             assert abs(np.linalg.norm(d.descriptor) - 1.0) < 1e-9
             seen += 1
     assert seen > 0
@@ -131,7 +137,7 @@ def test_all_descriptors_unit_norm_under_noise():
 
 def _frames(cfg, seed, objs, n=30):
     det = SyntheticDetector(cfg, np.random.default_rng(seed))
-    return [det.detect(snap(objs, t=i * 0.05), POSE, CAM) for i in range(n)]
+    return [detect(det, snap(objs, t=i * 0.05)) for i in range(n)]
 
 
 def test_same_seed_same_output():
@@ -280,7 +286,7 @@ def ref_detect(det, snapshot, pose, cam):
         return Detection(nb, float(conf), detection._unit(latent, noise, cfg.feature_noise))
 
     out = []
-    for st_, box, frac in det._frame_geometry(snapshot, pose, cam):
+    for st_, box, frac in frame_views(snapshot, pose, cam):
         drop = rng.uniform() < cfg.p_dropout
         visible = (box is not None and frac < cfg.occlusion_threshold
                    and _in_image(box, cam))
@@ -314,7 +320,7 @@ def test_detect_equals_the_plain_call_detector(fp_sizes):
     n = 0
     for i in range(200):
         frame = snap(objs, t=i * 0.05)
-        got = fast.detect(frame, POSE, CAM).detections
+        got = detect(fast, frame).detections
         assert _det_bits(got) == _det_bits(ref_detect(plain, frame, POSE, CAM)), i
         n += len(got)
     assert _same_state(fast.rng, plain.rng)
@@ -331,30 +337,29 @@ def test_occluder_in_front_suppresses_but_behind_does_not():
     front = state(2, (0.3, 0.0, 5.0), occluder=True)   # covers ~0.9 of target
     behind = state(3, (0.0, 0.0, 15.0), size=(4.0, 4.0, 4.0), occluder=True)
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
-    assert len(det.detect(snap([target, front]), POSE, CAM)) == 0
-    assert len(det.detect(snap([target, behind]), POSE, CAM)) == 1
+    assert len(detect(det, snap([target, front]))) == 0
+    assert len(detect(det, snap([target, behind]))) == 1
 
 
 def test_occluders_themselves_are_never_reported():
     wall = state(2, (0.0, 0.0, 5.0), size=(3.0, 3.0, 1.0), occluder=True)
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
-    assert len(det.detect(snap([wall]), POSE, CAM)) == 0
+    assert len(detect(det, snap([wall]))) == 0
 
 
 def test_object_outside_image_is_culled():
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
     off = state(1, (100.0, 0.0, 10.0), latent=unit(0))   # u ~ 5480 px
-    assert len(det.detect(snap([off]), POSE, CAM)) == 0
+    assert len(detect(det, snap([off]))) == 0
     # straddling the left border still counts as in-image
     edge = state(1, (-9.65, 0.0, 10.0), latent=unit(0))
-    out = det.detect(snap([edge]), POSE, CAM)
+    out = detect(det, snap([edge]))
     assert len(out) == 1 and out.detections[0].box.x < 0.0
 
 
 def test_object_behind_camera_not_detected():
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
-    assert len(det.detect(snap([state(1, (0.0, 0.0, -10.0), latent=unit(0))]),
-                          POSE, CAM)) == 0
+    assert len(detect(det, snap([state(1, (0.0, 0.0, -10.0), latent=unit(0))]))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +370,7 @@ def test_object_behind_camera_not_detected():
 def test_extract_feature_exact_box_returns_latent():
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
     target = state(1, (0.0, 0.0, 10.0), latent=unit(0))
-    box = project_box(CAM, POSE, target.center, target.size)
+    box = project_world_box(CAM, POSE, target.center, target.size)
     f = det.extract_target_feature(snap([target]), POSE, CAM, box)
     assert np.allclose(f, unit(0), atol=1e-12)
 
@@ -374,8 +379,8 @@ def test_extract_feature_picks_max_overlap_object():
     a = state(1, (0.0, 0.0, 10.0), latent=unit(0))
     b = state(2, (0.2, 0.0, 10.0), latent=unit(1))
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
-    box_a = project_box(CAM, POSE, a.center, a.size)
-    box_b = project_box(CAM, POSE, b.center, b.size)
+    box_a = project_world_box(CAM, POSE, a.center, a.size)
+    box_b = project_world_box(CAM, POSE, b.center, b.size)
     # brute-force argmax over true boxes agrees with the query for both
     assert iou(box_a, box_a) > iou(box_a, box_b)
     f = det.extract_target_feature(snap([a, b]), POSE, CAM, box_a)
@@ -388,7 +393,7 @@ def test_extract_feature_tie_breaks_to_lower_id():
     a = state(1, (0.0, 0.0, 10.0), latent=unit(0))
     b = state(2, (0.0, 0.0, 10.0), latent=unit(1))   # identical projection
     det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
-    box = project_box(CAM, POSE, a.center, a.size)
+    box = project_world_box(CAM, POSE, a.center, a.size)
     f = det.extract_target_feature(snap([a, b]), POSE, CAM, box)
     assert np.allclose(f, unit(0), atol=1e-12)
 
@@ -408,7 +413,7 @@ def test_extract_feature_noise_stays_near_latent():
     target = state(1, (0.0, 0.0, 10.0), latent=unit(0, 256))
     det = SyntheticDetector(quiet_config(descriptor_dim=256, feature_noise=0.02),
                             np.random.default_rng(2))
-    box = project_box(CAM, POSE, target.center, target.size)
+    box = project_world_box(CAM, POSE, target.center, target.size)
     f = det.extract_target_feature(snap([target]), POSE, CAM, box)
     # cos ~ 1/sqrt(1 + dim sigma^2) ~ 0.95 at sigma 0.02
     assert float(f @ unit(0, 256)) > 0.9
@@ -509,15 +514,14 @@ def test_frame_geometry_bit_identical_to_two_pass_form():
     for i in range(600):
         scene, pose = _random_scene(rng)
         for st in scene.objects:
-            assert _bits(project_box(CAM, pose, st.center, st.size)) \
+            assert _bits(project_world_box(CAM, pose, st.center, st.size)) \
                 == _bits(ref_project_box(CAM, pose, st.center, st.size)), i
-        det = SyntheticDetector(quiet_config(), np.random.default_rng(i))
-        det.detect(scene, pose, CAM)
+        views = frame_views(scene, pose, CAM)
         want = ref_frame_geometry(scene, pose, CAM)
-        assert [v.state for v in det.views] == [st for st, _, _ in want], i
-        assert [(_bits(v.box), v.occluded) for v in det.views] \
+        assert [v.state for v in views] == [st for st, _, _ in want], i
+        assert [(_bits(v.box), v.occluded) for v in views] \
             == [(_bits(b), f) for _, b, f in want], i
-        for v in det.views:
+        for v in views:
             box, occl = ref_truth(scene, pose, CAM, v.state.obj_id)
             assert (_bits(v.box), v.occluded) == (_bits(box), occl), i
             depth = ref_camera_depth(pose, v.state.center)
@@ -528,7 +532,7 @@ def test_frame_geometry_bit_identical_to_two_pass_form():
     assert min(seen.values()) > 100, seen
 
 
-def test_detect_transforms_and_projects_each_object_once(monkeypatch):
+def test_frame_views_transforms_and_projects_each_object_once(monkeypatch):
     counts = {"camera_point": 0, "project_box": 0}
 
     def counting(name, fn):
@@ -540,9 +544,19 @@ def test_detect_transforms_and_projects_each_object_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(detection, name, counting(name, getattr(detection, name)))
     scene, pose = _random_scene(np.random.default_rng(4))
-    SyntheticDetector(quiet_config(), np.random.default_rng(0)).detect(scene, pose, CAM)
+    views = frame_views(scene, pose, CAM)
     assert counts == {"camera_point": len(scene.objects),
                       "project_box": len(scene.objects)}
+    # detect projects nothing: it reads the views it is handed
+    SyntheticDetector(quiet_config(), np.random.default_rng(0)).detect(views, 0.0, CAM)
+    assert counts == {"camera_point": len(scene.objects),
+                      "project_box": len(scene.objects)}
+
+
+def test_the_detector_keeps_no_frame_state():
+    det = SyntheticDetector(quiet_config(), np.random.default_rng(0))
+    detect(det, snap([state(1, (0.0, 0.0, 10.0), latent=unit(0))]))
+    assert vars(det).keys() == {"cfg", "rng"}
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +613,7 @@ def test_noise_overflow_raises_detector_abort_with_frame_time(name, message):
     det = SyntheticDetector(quiet_config(**{name: 1e308}), np.random.default_rng(13))
     target = state(1, (0.0, 0.0, 10.0), latent=unit(0))
     with pytest.raises(DetectorAbort, match=f"^detector: {message} at t=1.250000 s$") as err:
-        det.detect(snap([target], t=1.25), POSE, CAM)
+        detect(det, snap([target], t=1.25))
     assert err.value.t == 1.25
 
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from quadtrack.geometry import (BoundingBox, CameraModel, CameraPose,
                                 covered_fraction, cross3, iou, nearest_rotation,
-                                pitch_yaw_from_rotation, project_box,
-                                quat_from_rotation, rot_z, wrap_angle)
+                                pitch_yaw_from_rotation, quat_from_rotation,
+                                rot_z, wrap_angle)
 
-from conftest import (boxes, camera_from_focal, hat, is_rotation, rot_x, rot_y,
-                      vee, zyx_matrix)
+from conftest import (boxes, camera_from_focal, hat, is_rotation,
+                      project_world_box, rot_x, rot_y, vee, zyx_matrix)
 
 IDENTITY_POSE = CameraPose(np.eye(3), np.zeros(3))
 
@@ -188,21 +188,21 @@ def test_covered_fraction_bounded(target, covers):
 def test_project_box_on_axis_cube():
     # 1 m sprite at 10 m with f = 500 px subtends 50 px about the center
     cam = camera_from_focal(960, 544, 500.0)
-    box = project_box(cam, IDENTITY_POSE, (0.0, 0.0, 10.0), (1.0, 1.0))
+    box = project_world_box(cam, IDENTITY_POSE, (0.0, 0.0, 10.0), (1.0, 1.0))
     assert abs(box.x - 455.0) < 1e-9 and abs(box.y - 247.0) < 1e-9
     assert abs(box.w - 50.0) < 1e-9 and abs(box.h - 50.0) < 1e-9
 
 
 def test_project_box_behind_and_subpixel():
     cam = camera_from_focal(960, 544, 500.0)
-    assert project_box(cam, IDENTITY_POSE, (0.0, 0.0, -5.0), (1.0, 1.0)) is None
+    assert project_world_box(cam, IDENTITY_POSE, (0.0, 0.0, -5.0), (1.0, 1.0)) is None
     # 1 cm at 10 m is 0.5 px: below the 1 px visibility floor
-    assert project_box(cam, IDENTITY_POSE, (0.0, 0.0, 10.0), (0.01, 0.01)) is None
+    assert project_world_box(cam, IDENTITY_POSE, (0.0, 0.0, 10.0), (0.01, 0.01)) is None
 
 
 def test_project_box_not_clamped_to_border():
     cam = camera_from_focal(960, 544, 500.0)
-    box = project_box(cam, IDENTITY_POSE, (-11.0, 0.0, 10.0), (1.0, 1.0))
+    box = project_world_box(cam, IDENTITY_POSE, (-11.0, 0.0, 10.0), (1.0, 1.0))
     assert box is not None and box.x < 0.0
 
 
@@ -212,8 +212,8 @@ def test_projection_depth_invariance(x, y, z, s, k):
     # scaling a point along its view ray and its size by the same factor
     # leaves the projected box unchanged
     cam = camera_from_focal(960, 544, 500.0)
-    near = project_box(cam, IDENTITY_POSE, (x, y, z), (s, s))
-    far = project_box(cam, IDENTITY_POSE, (k * x, k * y, k * z), (k * s, k * s))
+    near = project_world_box(cam, IDENTITY_POSE, (x, y, z), (s, s))
+    far = project_world_box(cam, IDENTITY_POSE, (k * x, k * y, k * z), (k * s, k * s))
     if near is None or far is None:
         return
     assert np.max(np.abs(near.as_array() - far.as_array())) < 1e-9

@@ -339,6 +339,27 @@ def test_read_jsonl_reports_bad_line(tmp_path):
     assert str(err.value).startswith(f"{path}: line 2: invalid JSON: ")
 
 
+@pytest.mark.parametrize("reader", [read_events, read_jsonl])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, reader):
+    # 2000 lines, about 80 KB: a text-mode reader decodes in chunks and
+    # would report the byte at the start of its chunk, lines too early
+    lines = [event_line(gyro(i / 100.0, (0.1, -0.2, 0.3))).encode()
+             for i in range(2000)]
+    lines[1499] = lines[1499].replace(b'"gyro"', b'"gyr\xffo"')
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(LogParseError) as err:
+        reader(path)
+    assert err.value.line_no == 1500
+    assert str(err.value) == f"{path}: line 1500: not UTF-8 text (invalid start byte)"
+
+
+def test_read_jsonl_decodes_utf8_text(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes('{"name":"d\u00e9j\u00e0 vu"}\n\n{"a":1}\r\n'.encode())
+    assert read_jsonl(path) == [{"name": "d\u00e9j\u00e0 vu"}, {"a": 1}]
+
+
 # ---------------------------------------------------------------------------
 # the one-call encoders against the per-value reference encoders
 # ---------------------------------------------------------------------------

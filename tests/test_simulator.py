@@ -620,6 +620,48 @@ def test_each_frame_projects_each_object_once(monkeypatch):
     assert len(calls) == len(art.truth_trace) * len(sc.objects) == 60 * 4
 
 
+# the target (id 3) after an occluder and two other detectable objects,
+# listed out of id order; the occluder covers part of the target's box, and
+# the yawing camera sweeps it past the target
+_BEHIND_OTHERS = make_scenario(
+    duration=2.0, target_id=3,
+    camera_script=CameraScriptConfig("yaw_sine", amplitude=0.3, period=2.0),
+    objects=(static_object(2, (12.0, -2.0, 1.5)), static_object(3),
+             static_object(1, (12.0, 2.0, 1.5)),
+             static_object(0, (6.0, 0.1, 1.5), (0.3, 0.3), occluder=True)))
+
+
+@pytest.mark.parametrize("sc", [_bundled("occlusion_decoy", 1, 4.0), _BEHIND_OTHERS],
+                         ids=["occlusion_decoy", "target_behind_others"])
+def test_each_camera_frame_computes_its_views_once_and_hands_them_on(monkeypatch,
+                                                                     sc):
+    # one frame_views call per camera frame, and the frame's truth row takes
+    # the target's view of that call, found here by its id
+    frames = []
+    real = simulator.frame_views
+
+    def recording(*args):
+        frames.append(real(*args))
+        return frames[-1]
+
+    monkeypatch.setattr(simulator, "frame_views", recording)
+    art = run(sc)
+    assert len(frames) == art.counts["camera"] == len(art.truth_trace)
+    occluded = 0
+    for views, row in zip(frames, art.truth_trace):
+        view = next(v for v in views if v.state.obj_id == sc.target_id)
+        assert _bits(row["box"]) == _bits(None if view.box is None
+                                          else view.box.as_array())
+        assert row["occluded"] == view.occluded
+        assert row["target_p"] is view.state.center
+        occluded += view.occluded > 0.0
+    assert occluded > 0
+
+
+def _bits(a):
+    return None if a is None else a.tobytes()
+
+
 def test_non_finite_controller_output_aborts_the_run(tmp_path, capsys):
     # huge outer-loop gains overflow the force demand to NaN on a scripted
     # camera: the run stops in the controller, which names the thrust (the
