@@ -6,14 +6,15 @@ every weight row then tracks that identical stream, so rows differ only in
 how the tracker scores candidates.  The live run already tracked the stream
 with the scenario's own tracker, so a row with those weights takes the live
 run's metrics.  The live run also keeps, for every frame it stepped, each
-candidate's three cues and total.  A row's weights change its tracker state
-only through its choices: while it accepts the same candidate as the live
-tracker, or coasts with it, on every frame, its filter, memory and last box
-are the live tracker's, its cues are the recorded ones and its trace differs
-only in s_total.  So each other distinct row first reweights the recorded
-cues and decides every frame by the tracker's own rule (`choose`); a row
-that makes the live choice on every frame takes the live run's metrics, and
-only a row that differs on some frame is replayed.  A repeated row reuses
+candidate's three cues, which carry no weights.  A row's weights change its
+tracker state only through its choices: while it accepts the same candidate
+as the live tracker, or coasts with it, on every frame, its filter, memory
+and last box are the live tracker's, its cues are the recorded ones and its
+trace differs only in s_total.  So each other distinct row first decides
+every frame with its own weights on the live run's recorded cues, by the
+tracker's own rule (`choose`); a row that makes the live choice on every
+frame takes the live run's metrics, and only a row that differs on some
+frame is replayed.  A repeated row reuses
 its first copy; a run without metrics fails before any replay, as every
 row's replay of the same stream and prompt would.  The optional
 parallel path farms seeds out to worker processes and returns results in
@@ -29,7 +30,7 @@ from .errors import ConfigError, MetricsError
 from .metrics import Metrics, compute_metrics
 from .replay import replay_track
 from .simulator import run
-from .tracker import TrackerConfig, choose, weighted_total
+from .tracker import TrackerConfig, choose
 
 DEFAULT_GRID = ((3.0, 0.0, 0.0), (3.0, 3.0, 0.0), (3.0, 0.0, 4.0),
                 (3.0, 3.0, 4.0))
@@ -86,21 +87,15 @@ class AblationResult:
         return "\n".join(lines) + "\n"
 
 
-def _index(choice) -> int | None:
-    return None if choice is None else choice[0]
-
-
-def _makes_live_choices(frame_scores: list, live_s_min: float,
+def _makes_live_choices(frame_scores: list, live: TrackerConfig,
                         cfg: TrackerConfig) -> bool:
     """Whether a tracker built as `cfg` accepts the live tracker's candidate,
-    or coasts with it, on every frame the live tracker stepped, judged from
-    the live run's recorded scores; stops at the first frame that differs."""
-    w, s_min = cfg.weights, cfg.s_min
-    for frame in frame_scores:
-        reweighted = [(a, b, c, weighted_total(w, a, b, c)) for a, b, c, _ in frame]
-        if _index(choose(reweighted, s_min)) != _index(choose(frame, live_s_min)):
-            return False
-    return True
+    or coasts with it, on every frame the live tracker stepped, each frame
+    decided by either config's weights on the live run's recorded cues;
+    stops at the first frame that differs."""
+    return all(choose(frame, cfg.weights, cfg.s_min)
+               == choose(frame, live.weights, live.s_min)
+               for frame in frame_scores)
 
 
 def _seed_task(args) -> list[Metrics]:
@@ -113,13 +108,13 @@ def _seed_task(args) -> list[Metrics]:
     # the live loop fed art.events to the scenario's own tracker through
     # Tracker.feed, as replay_track does, so its metrics are that row's
     scored = {sc.tracker: art.metrics}
-    live_s_min = sc.tracker.build(cam).s_min
+    live = sc.tracker.build(cam)
     out = []
     for weights in grid:
         params = replace(sc.tracker, weights=weights)
         if params not in scored:
             cfg = params.build(cam)
-            if _makes_live_choices(art.frame_scores, live_s_min, cfg):
+            if _makes_live_choices(art.frame_scores, live, cfg):
                 scored[params] = art.metrics
             else:
                 trace = replay_track(art.events, (sc.prompt.x, sc.prompt.y),

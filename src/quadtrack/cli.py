@@ -128,8 +128,17 @@ def cmd_sim(args) -> int:
         "seed": args.seed,
         "controller.literal_equations": args.literal_equations,
         "tracker.gyro_compensation": args.gyro_compensation})
-    art = run(sc)
     out = args.out or os.path.join("runs", f"{sc.name}-s{sc.seed}")
+    # an --out that cannot be made fails before the run, and a failed run
+    # leaves no directory of its own
+    made = not os.path.isdir(out)
+    os.makedirs(out, exist_ok=True)
+    try:
+        art = run(sc)
+    except BaseException:
+        if made:
+            os.rmdir(out)
+        raise
     write_run(art, out)
     print(f"wrote {out}")
     print(json.dumps(art.summary["metrics"]))
@@ -158,8 +167,20 @@ def cmd_track(args) -> int:
 def cmd_ablate(args) -> int:
     sc = _with_flags(resolve_scenario(args.scenario), {"seed": args.seed})
     grid = _parse_grid(args.grid, sc)
-    result = run_ablation(sc, grid=grid, n_seeds=args.seeds,
-                          parallel=args.parallel)
+    # an --out that cannot be opened fails before the first seed; opening
+    # to append leaves an existing file as it is, and a failed ablation
+    # leaves no file of its own
+    made = False
+    if args.out:
+        made = not os.path.exists(args.out)
+        open(args.out, "a").close()
+    try:
+        result = run_ablation(sc, grid=grid, n_seeds=args.seeds,
+                              parallel=args.parallel)
+    except BaseException:
+        if made:
+            os.remove(args.out)
+        raise
     print(result.table(), end="")
     if args.out:
         with open(args.out, "w") as fp:

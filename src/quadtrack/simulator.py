@@ -339,8 +339,8 @@ class RunArtifacts:
     counts: dict
     summary: dict
     # one list per frame the live tracker stepped (not the initialization
-    # frame): its candidates' (s_iou, s_ekf, s_map, total), in candidate
-    # order; kept in memory for the ablation, never written
+    # frame): its candidates' three weight-free cues (s_iou, s_ekf, s_map),
+    # in candidate order; kept in memory for the ablation, never written
     frame_scores: list
 
 

@@ -9,6 +9,10 @@ maximizing a weighted sum of three cues (the first in list order on a tie):
   s_map  cosine similarity between the candidate's descriptor and the
          appearance memory, a running unit vector, clamped to [0, 1].
 
+The cues carry no weights (`score`); the decision applies them
+(`choose`, through `weighted_total`), so one frame's cues can be decided
+again under other weights.
+
 A frame whose best total falls below an acceptance threshold produces no
 selection: the filter keeps predicting, the previous box and the memory
 stay frozen, and the coast count runs until some candidate scores above
@@ -39,7 +43,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -457,33 +460,32 @@ def cosine_score(memory: np.ndarray, descriptor: np.ndarray) -> float:
 
 def weighted_total(weights: TrackerWeights, s_iou: float, s_ekf: float,
                    s_map: float) -> float:
-    """A candidate's total under `weights`: the one expression `score` and
-    the ablation's reweighting of recorded cues share."""
+    """A candidate's total under `weights`: the one place the weights meet
+    the cues."""
     return weights.w_iou * s_iou + weights.w_ekf * s_ekf + weights.w_map * s_map
 
 
-def score(det: Detection, state: TrackerState, weights: TrackerWeights,
-          pred: BoundingBox) -> tuple[float, float, float, float]:
-    """(s_iou, s_ekf, s_map, weighted total) for one candidate.  `pred` is
-    the filter's predicted box at the frame time."""
-    s_iou = iou(state.last_box, det.box)
-    s_ekf = iou(pred, det.box)
-    s_map = cosine_score(state.memory, det.descriptor)
-    return (s_iou, s_ekf, s_map, weighted_total(weights, s_iou, s_ekf, s_map))
+def score(det: Detection, state: TrackerState,
+          pred: BoundingBox) -> tuple[float, float, float]:
+    """The weight-free cues (s_iou, s_ekf, s_map) of one candidate.  `pred`
+    is the filter's predicted box at the frame time."""
+    return (iou(state.last_box, det.box), iou(pred, det.box),
+            cosine_score(state.memory, det.descriptor))
 
 
-def choose(scored, s_min: float):
-    """A frame's decision from its candidates' score tuples (s_iou, s_ekf,
-    s_map, total), given in candidate order and read once: (index, scores)
-    of the first candidate with the highest total, or None when the frame
-    coasts, that is when it has no candidate or that total is below
-    s_min.  `step` decides every frame by this rule, and the ablation
-    applies it to the live run's recorded scores."""
-    best = None
-    for k, s in enumerate(scored):
-        if best is None or s[3] > best[1][3]:
-            best = (k, s)
-    if best is None or best[1][3] < s_min:
+def choose(cues, weights: TrackerWeights, s_min: float) -> int | None:
+    """A frame's decision from its candidates' cues, in candidate order:
+    the index of the first candidate with the highest `weighted_total`, or
+    None when the frame coasts, that is when it has no candidate or that
+    total is below s_min.  `step` decides every frame by this rule, and
+    the ablation applies it, with each row's weights, to the live run's
+    recorded cues."""
+    best = best_total = None
+    for k, (s_iou, s_ekf, s_map) in enumerate(cues):
+        total = weighted_total(weights, s_iou, s_ekf, s_map)
+        if best is None or total > best_total:
+            best, best_total = k, total
+    if best is None or best_total < s_min:
         return None
     return best
 
@@ -510,13 +512,14 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig,
 
     The filter must have been predicted up to dets.t; if the caller left a
     gap (detections between gyro ticks) it is filled here by zero-order-hold
-    on the last seen gyro rate.  Each candidate is scored once and the
-    frame decided by `choose`.  On acceptance: Kalman update with the
-    selected box, memory blended with the detection's own descriptor at
-    cfg.memory_alpha, coast count reset to 0.  Otherwise the frame coasts:
-    the count goes up by one and the memory and last box stay.  When
-    `scores` is a list, the frame's candidate score tuples are appended to
-    it as one list.
+    on the last seen gyro rate.  Each candidate's cues are computed once,
+    with no weights, and `choose` decides the frame by cfg's weights and
+    s_min.  On acceptance: Kalman update with the selected box, memory
+    blended with the detection's own descriptor at cfg.memory_alpha, coast
+    count reset to 0, and `scores` of the result the chosen cues and their
+    weighted total.  Otherwise the frame coasts: the count goes up by one
+    and the memory and last box stay.  When `scores` is a list, the frame's
+    list of candidate cues is appended to it.
     """
     ekf = state.ekf
     if dets.t < ekf.t - 1e-12:
@@ -525,25 +528,21 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig,
         ekf = ekf_predict(ekf, GyroSample(dets.t, state.last_gyro_w), cfg)
 
     pred = predicted_box(ekf)
-    # one pass: `choose` reads each candidate's scores as `map` makes them
-    scored = map(score, dets.detections, repeat(state), repeat(cfg.weights),
-                 repeat(pred))
+    cues = [score(d, state, pred) for d in dets.detections]
     if scores is not None:
-        scored = list(scored)
-        scores.append(scored)
-    best = choose(scored, cfg.s_min)
+        scores.append(cues)
+    k = choose(cues, cfg.weights, cfg.s_min)
 
-    if best is None:
+    if k is None:
         new_state = TrackerState(ekf, state.memory, state.last_box,
                                  state.coast_frames + 1, state.last_gyro_w)
         return StepResult(new_state, None, None, pred)
 
-    k, s = best
-    det = dets.detections[k]
+    det, s = dets.detections[k], cues[k]
     ekf = ekf_update(ekf, det.box, cfg)
     memory = update_memory(state.memory, det.descriptor, cfg.memory_alpha)
     new_state = TrackerState(ekf, memory, det.box, 0, state.last_gyro_w)
-    return StepResult(new_state, det, s, pred)
+    return StepResult(new_state, det, (*s, weighted_total(cfg.weights, *s)), pred)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +552,7 @@ def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig,
 
 class Tracker:
     """Holds TrackerState across the gyro/detection event stream.  Given a
-    list as `scores`, it appends each stepped frame's candidate score tuples
+    list as `scores`, it appends each stepped frame's list of candidate cues
     there (the live run keeps them for the ablation)."""
 
     def __init__(self, cfg: TrackerConfig, scores: list | None = None):

@@ -18,7 +18,7 @@ from quadtrack.errors import MetricsError
 from quadtrack.metrics import compute_metrics
 from quadtrack.replay import replay_track
 from quadtrack.simulator import run, write_run
-from quadtrack.tracker import choose
+from quadtrack.tracker import choose, weighted_total
 
 DUPLICATED = ((3.0, 0.0, 0.0), (3.0, 0.0, 0.0), (3.0, 3.0, 4.0))
 
@@ -120,21 +120,24 @@ def test_each_distinct_tracker_config_is_replayed_once_per_seed(
 
 @pytest.mark.parametrize("name", ["false_positive_storm", "corridor_approach"])
 def test_the_live_runs_recorded_scores_give_its_choices(name):
-    # one score list per frame the live tracker stepped; the shared rule
-    # applied to it gives the frame's trace row: the chosen candidate's
-    # scores on a lock, none on a coast
+    # one list of weight-free cues per frame the live tracker stepped; the
+    # shared rule applied to it with the live weights gives the frame's
+    # trace row: the chosen candidate's cues and their weighted total, bit
+    # for bit, on a lock, none on a coast
     sc = replace(scenarios.get(name), duration=4.0)
     art = ablation.run(sc)
-    s_min = sc.tracker.build(sc.camera.build()).s_min
+    live = sc.tracker.build(sc.camera.build())
     stepped = art.tracker_trace[1:]
     assert len(art.frame_scores) == len(stepped) > 0
     for frame, row in zip(art.frame_scores, stepped):
-        best = choose(frame, s_min)
+        assert all(len(cues) == 3 for cues in frame)
+        k = choose(frame, live.weights, live.s_min)
         got = (row["s_iou"], row["s_ekf"], row["s_map"], row["s_total"])
-        if best is None:
+        if k is None:
             assert row["coast"] > 0 and got == (None,) * 4
         else:
-            assert row["coast"] == 0 and got == best[1]
+            assert row["coast"] == 0 and got[:3] == frame[k]
+            assert got[3] == weighted_total(live.weights, *frame[k])
 
 
 def test_a_run_without_metrics_fails_before_any_replay(monkeypatch):

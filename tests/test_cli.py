@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadtrack
-from quadtrack import cli, errors, scenarios
+from quadtrack import ablation, cli, errors, scenarios, simulator
 from quadtrack.config import (
     MotionConfig,
     ObjectConfig,
@@ -139,12 +139,18 @@ def test_sim_unknown_scenario_exits_1(tmp_path, capsys):
     assert "no scenario file" in capsys.readouterr().err
 
 
-def test_sim_runtime_abort_exits_2(tmp_path, capsys):
-    # a detector that always drops leaves nothing to initialize from
+def _dropout_scenario(tmp_path) -> str:
+    """A scenario file whose every run aborts at the prompt (exit 2): a
+    detector that always drops leaves nothing to initialize from."""
     path = tmp_path / "dropout.json"
     save_scenario(make_scenario(
         detector=SyntheticDetectorConfig(p_dropout=1.0, descriptor_dim=16)), path)
-    assert cli.main(["sim", str(path), "--out", str(tmp_path / "run")]) == 2
+    return str(path)
+
+
+def test_sim_runtime_abort_exits_2(tmp_path, capsys):
+    path = _dropout_scenario(tmp_path)
+    assert cli.main(["sim", path, "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == (
         "abort: tracker: no detections at prompt time; cannot initialize at t=0.000000 s\n")
 
@@ -168,18 +174,18 @@ def _scaled(v, k: int):
     return (v or 1.0) * 10.0 ** k
 
 
-@settings(max_examples=40)
-@given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_FIELDS),
-       st.integers(-3, 308))
-def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
-    # a bundled scenario at 0.5 s with one value scaled by 10^k, run in
-    # process with every warning an error: the run ends, is rejected at
-    # load (a value scaled past the float range), or aborts in one layer
-    # with one line in the abort shape; nothing escapes cli.main
+def _scaled_scenario(name, field, k) -> dict:
+    """A bundled scenario at 0.5 s with one _FUZZ_FIELDS value scaled by 10^k."""
     section, key = field
     d = scenarios.get(name).to_dict()
     d["duration"] = 0.5
     d[section][key] = _scaled(d[section][key], k)
+    return d
+
+
+def _sim_in_process(d) -> tuple[int, str]:
+    """`sim` of scenario dict d through cli.main, in process with every
+    warning an error: (exit code, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -188,10 +194,46 @@ def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
             json.dump(d, fp)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["sim", path, "--out", os.path.join(tmp, "run")])
-    assert code in (0, 1, 2), err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_FIELDS),
+       st.integers(-3, 308))
+def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
+    # the run ends, is rejected at load (a value scaled past the float
+    # range), or aborts in one layer with one line in the abort shape;
+    # nothing escapes cli.main
+    code, err = _sim_in_process(_scaled_scenario(name, field, k))
+    assert code in (0, 1, 2), err
     if code == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and ABORT_LINE.match(lines[0]), err.getvalue()
+        lines = err.splitlines()
+        assert len(lines) == 1 and ABORT_LINE.match(lines[0]), err
+
+
+# the switches that change a run's structure rather than its scale
+_FUZZ_SWITCHES = (("tracker", "gyro_compensation"),
+                  ("controller", "literal_equations"))
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_SWITCHES),
+       st.sampled_from(_FUZZ_FIELDS), st.integers(-3, 308))
+def test_a_flipped_switch_with_a_scaled_value_exits_cleanly_with_one_line(
+        name, switch, field, k):
+    # one switch flipped and one value scaled in the same run: it ends, or
+    # fails at load or in one layer with one line (an abort in the abort
+    # shape); nothing escapes cli.main
+    d = _scaled_scenario(name, field, k)
+    section, key = switch
+    d[section][key] = not d[section][key]
+    code, err = _sim_in_process(d)
+    assert code in (0, 1, 2), err
+    lines = err.splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    if code == 2:
+        assert len(lines) == 1 and ABORT_LINE.match(lines[0]), err
 
 
 @pytest.mark.parametrize("section,key,value,message", [
@@ -851,7 +893,7 @@ def _file_error(sim_run, tmp_path, files, argv, text):
 def test_a_file_error_exits_1_with_one_error_line(sim_run, tmp_path, capsys,
                                                   files, argv, text):
     # an OSError or a file that is not UTF-8 is one error line, never a
-    # traceback; `ablate --out` prints its table before it writes
+    # traceback
     argv, line = _file_error(sim_run, tmp_path, files, argv, text)
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [line]
@@ -864,3 +906,62 @@ def test_a_file_error_in_a_process_has_no_traceback(sim_run, tmp_path):
     assert returncode == 1, stderr
     assert "Traceback" not in stderr
     assert stderr.splitlines() == [line]
+
+
+_OUT_ERRORS = [r for r in _FILE_ERRORS if "_out_" in r[0]]
+
+
+@pytest.mark.parametrize("files,argv,text", [r[1:] for r in _OUT_ERRORS],
+                         ids=[r[0] for r in _OUT_ERRORS])
+def test_an_unusable_out_fails_before_any_simulation(sim_run, tmp_path, capsys,
+                                                     monkeypatch, files, argv, text):
+    # a spy on simulator.run, under each name the commands call it by,
+    # counts no call: the one error line comes first, with no table
+    argv, line = _file_error(sim_run, tmp_path, files, argv, text)
+    calls = []
+    inner = simulator.run
+
+    def spy(sc):
+        calls.append(sc)
+        return inner(sc)
+
+    for module in (simulator, cli, ablation):
+        monkeypatch.setattr(module, "run", spy)
+    assert cli.main(argv) == 1
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [line]
+
+
+def test_an_unusable_out_in_a_process_fails_before_any_simulation(tmp_path):
+    # a simulation of this scenario would abort with exit 2; exit 1 with
+    # the out error shows that none ran
+    sc = _dropout_scenario(tmp_path)
+    (tmp_path / "file").write_text("")
+    for argv, line in (
+            (["sim", sc, "--out", f"{tmp_path}/file"],
+             _errno_line(errno.EEXIST, f"{tmp_path}/file")),
+            (["ablate", sc, "--seeds", "2", "--out", str(tmp_path)],
+             _errno_line(errno.EISDIR, str(tmp_path)))):
+        returncode, stderr = _quadtrack_process(argv)
+        assert returncode == 1, stderr
+        assert "Traceback" not in stderr
+        assert stderr.splitlines() == ["error: " + line]
+
+
+def test_a_failed_command_leaves_its_out_path_as_it_was(tmp_path, capsys):
+    # an existing --out keeps its bytes, and a new one is not left behind
+    sc = _dropout_scenario(tmp_path)
+    old = tmp_path / "old.json"
+    old.write_text("kept\n")
+    (tmp_path / "old_run").mkdir()
+    (tmp_path / "old_run" / "x").write_text("kept\n")
+    for argv in (["ablate", sc, "--seeds", "1", "--out", str(old)],
+                 ["ablate", sc, "--seeds", "1", "--out", f"{tmp_path}/new.json"],
+                 ["sim", sc, "--out", f"{tmp_path}/old_run"],
+                 ["sim", sc, "--out", f"{tmp_path}/new_run"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
+    assert old.read_text() == (tmp_path / "old_run" / "x").read_text() == "kept\n"
+    assert not (tmp_path / "new.json").exists()
+    assert not (tmp_path / "new_run").exists()

@@ -19,7 +19,7 @@ from quadtrack.tracker import (EkfState, Tracker, TrackerConfig, TrackerWeights,
                                _innovation_gain, at_prompt, choose, cosine_score,
                                ekf_predict, ekf_update, initialize,
                                predict_jacobian, predicted_box, score, step,
-                               update_memory)
+                               update_memory, weighted_total)
 
 from conftest import camera_from_focal, fd_transition_jacobian
 
@@ -618,14 +618,17 @@ def test_predicted_box_reads_mean_and_clamps():
 def test_score_perfect_candidate_sums_weights():
     st = fresh_state()
     d = det(st.last_box, st.memory)
-    s = score(d, st, TrackerWeights(), predicted_box(st.ekf))
-    assert s == (1.0, 1.0, 1.0, TrackerWeights().total)
+    s = score(d, st, predicted_box(st.ekf))
+    assert s == (1.0, 1.0, 1.0)
+    assert weighted_total(TrackerWeights(), *s) == TrackerWeights().total
 
 
 def test_score_disjoint_orthogonal_is_zero():
     st = fresh_state(BoundingBox(0.0, 0.0, 10.0, 10.0))
     d = det(BoundingBox(500.0, 500.0, 10.0, 10.0), unit(1))
-    assert score(d, st, TrackerWeights(), predicted_box(st.ekf)) == (0.0, 0.0, 0.0, 0.0)
+    s = score(d, st, predicted_box(st.ekf))
+    assert s == (0.0, 0.0, 0.0)
+    assert weighted_total(TrackerWeights(), *s) == 0.0
 
 
 def test_score_weighted_sum_example():
@@ -636,20 +639,21 @@ def test_score_weighted_sum_example():
     st.ekf.mean[:4] = [0.0, 0.0, 25.0, 10.0]
     cand = det(BoundingBox(0.0, 0.0, 5.0, 10.0),
                0.9 * unit(0) + math.sqrt(0.19) * unit(1))
-    s = score(cand, st, TrackerWeights(3.0, 3.0, 4.0), predicted_box(st.ekf))
+    s = score(cand, st, predicted_box(st.ekf))
+    assert len(s) == 3
     assert abs(s[0] - 0.5) < 1e-12
     assert abs(s[1] - 0.2) < 1e-12
     assert abs(s[2] - 0.9) < 1e-12
-    assert abs(s[3] - 5.7) < 1e-12
+    assert abs(weighted_total(TrackerWeights(3.0, 3.0, 4.0), *s) - 5.7) < 1e-12
 
 
 def test_score_negative_or_zero_descriptor_clamps_to_zero():
     st = fresh_state()
     flipped = det(st.last_box, -st.memory)
     pred = predicted_box(st.ekf)
-    assert score(flipped, st, TrackerWeights(), pred)[2] == 0.0
+    assert score(flipped, st, pred)[2] == 0.0
     hollow = Detection(st.last_box, 0.9, np.zeros(DIM))
-    assert score(hollow, st, TrackerWeights(), pred)[2] == 0.0
+    assert score(hollow, st, pred)[2] == 0.0
 
 
 def test_cosine_score_clamps_to_unit_interval():
@@ -668,11 +672,10 @@ def test_score_scaling_weights_preserves_argmax():
                                  rng.uniform(20, 60), rng.uniform(20, 60)),
                      _rand_unit(rng))
                  for _ in range(5)]
-        totals = {}
-        for c in (0.1, 1.0, 10.0):
-            w = TrackerWeights(3.0 * c, 3.0 * c, 4.0 * c)
-            totals[c] = max(range(5), key=lambda i: score(cands[i], st, w, pred)[3])
-        assert totals[0.1] == totals[1.0] == totals[10.0]
+        cues = [score(c, st, pred) for c in cands]
+        chosen = {c: choose(cues, TrackerWeights(3.0 * c, 3.0 * c, 4.0 * c), 0.0)
+                  for c in (0.1, 1.0, 10.0)}
+        assert chosen[0.1] == chosen[1.0] == chosen[10.0] is not None
 
 
 def _rand_unit(rng, dim=DIM):
@@ -850,8 +853,9 @@ def test_step_selection_matches_brute_force_argmax():
 
 
 def ref_choice(scored, s_min):
-    """The selection loop as `step` once wrote it inline: the index of the
-    candidate it accepts, or None when the frame coasts."""
+    """The selection loop as `step` once wrote it inline, over (s_iou,
+    s_ekf, s_map, total) tuples: the index of the candidate it accepts, or
+    None when the frame coasts."""
     best = None  # (index, scores)
     for k, s in enumerate(scored):
         if best is None or s[3] > best[1][3]:
@@ -861,23 +865,24 @@ def ref_choice(scored, s_min):
     return best[0]
 
 
-# few distinct values, so that frames often hold exact ties and totals equal
-# to s_min
-_TOTALS = hst.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+# few distinct cue values and weights, so that frames often hold exact ties
+# and totals equal to s_min
+_CUE = hst.sampled_from([0.0, 0.25, 0.5, 1.0]) | hst.floats(0.0, 1.0)
+_WEIGHT = hst.sampled_from([0.0, 1.0, 3.0, 4.0]) | hst.floats(0.0, 10.0)
+_WEIGHTS = hst.tuples(_WEIGHT, _WEIGHT, _WEIGHT).filter(lambda w: sum(w) > 0)
 
 
-@given(hst.lists(_TOTALS | hst.floats(0.0, 10.0), max_size=6), _TOTALS)
-@example([], 0.0)
-@example([1.0, 2.0, 2.0], 0.5)
-@example([0.5, 0.25], 0.5)
-def test_choose_decides_as_the_inline_loop(totals, s_min):
-    scored = [(0.1 * k, 0.2, 0.3, t) for k, t in enumerate(totals)]
-    want = ref_choice(scored, s_min)
-    # an iterator, read once, as `step` hands it one
-    got = choose(iter(scored), s_min)
-    assert (None if got is None else got[0]) == want
-    if got is not None:
-        assert got[1] is scored[want]
+@given(hst.lists(hst.tuples(_CUE, _CUE, _CUE), max_size=6), _WEIGHTS,
+       hst.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, 4.0]))
+@example([], (3.0, 3.0, 4.0), 0.0)
+@example([(0.25, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.5, 0.0)], (3.0, 3.0, 4.0), 0.5)
+@example([(0.5, 0.0, 0.0), (0.25, 0.0, 0.0)], (1.0, 1.0, 1.0), 0.5)
+def test_choose_decides_as_the_inline_loop(cues, weights, s_min):
+    # the examples: an empty frame, an exact tie after the first candidate,
+    # and a best total equal to s_min
+    w = TrackerWeights(*weights)
+    scored = [(*c, weighted_total(w, *c)) for c in cues]
+    assert choose(cues, w, s_min) == ref_choice(scored, s_min)
 
 
 def test_step_records_its_candidates_scores_and_decides_by_choose():
@@ -889,10 +894,10 @@ def test_step_records_its_candidates_scores_and_decides_by_choose():
     kept = []
     res = step(st, frame, cfg, kept)
     assert res.selected is frame.detections[1]
-    scored, = kept
-    assert scored == [score(d, st, cfg.weights, predicted_box(st.ekf))
-                      for d in frame.detections]
-    assert choose(scored, cfg.s_min) == (1, res.scores)
+    cues, = kept
+    assert cues == [score(d, st, predicted_box(st.ekf)) for d in frame.detections]
+    assert choose(cues, cfg.weights, cfg.s_min) == 1
+    assert res.scores == (*cues[1], weighted_total(cfg.weights, *cues[1]))
     assert step(st, frame, cfg).scores == res.scores
 
 
