@@ -1,6 +1,6 @@
 """Command-line harness.
 
-    quadtrack sim <scenario> [--out DIR] [--seed N] [--eq11-literal] [--no-gyro-comp]
+    quadtrack sim <scenario> [--out DIR] [--seed N] [--no-gyro-comp]
     quadtrack track <events.jsonl> --prompt X,Y [--prompt-t T] [--weights a,b,c] [--out FILE]
     quadtrack ablate <scenario> [--grid table2|FILE] [--seeds N] [--parallel] [--out FILE]
     quadtrack metrics <run-dir> [--iou-threshold F] [--coast-credit N]
@@ -126,7 +126,6 @@ def _with_flags(sc: Scenario, flags: dict) -> Scenario:
 def cmd_sim(args) -> int:
     sc = _with_flags(resolve_scenario(args.scenario), {
         "seed": args.seed,
-        "controller.literal_equations": args.literal_equations,
         "tracker.gyro_compensation": args.gyro_compensation})
     out = args.out or os.path.join("runs", f"{sc.name}-s{sc.seed}")
     # an --out that cannot be made fails before the run, and a failed run
@@ -229,9 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("scenario")
     ps.add_argument("--out", default=None, help="output directory")
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--eq11-literal", dest="literal_equations",
-                    action="store_const", const=True,
-                    help="literal setpoint/force equations (no sign/scale repair)")
     ps.add_argument("--no-gyro-comp", dest="gyro_compensation",
                     action="store_const", const=False,
                     help="disable gyro compensation in the tracker")

@@ -363,7 +363,6 @@ class ControllerParams:
     min_thrust_frac: float = ControllerGains.min_thrust_frac
     attitude_kr: tuple = AttitudeGains.kr
     attitude_kw: tuple = AttitudeGains.kw
-    literal_equations: bool = False
 
     def __post_init__(self):
         _require(0.0 <= self.beta <= 1.0, "beta outside [0, 1]")
@@ -383,7 +382,7 @@ class ControllerParams:
         return VisualController(
             camera, gains, AttitudeGains(self.attitude_kr, self.attitude_kw),
             quad.geometry, quad.inertia, 1.0 / control_hz,
-            deriv_tau=self.deriv_tau, literal=self.literal_equations)
+            deriv_tau=self.deriv_tau)
 
 
 @dataclass(frozen=True)

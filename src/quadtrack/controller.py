@@ -15,16 +15,13 @@ zero errors and level attitude the commanded thrust is exactly m*g.
 The vertical setpoint moves with pitch: s_y = (H/2) (1 - 2*pitch/vfov).  For
 small angles that equals the pixel shift f*pitch a pitched camera imposes on
 a forward target, so pitching to accelerate does not get mistaken for the
-target moving vertically.
+target moving vertically.  Both are repairs of the published forms, which
+close no stable loop: s_y = H/2 - 2*pitch/vfov mixes pixels with radians,
+and f_d = m (R a_b + g) inverts the hover thrust.
 
 Inner loop: geometric attitude PD on SO(3) with gyroscopic feedforward, then
 an X-configuration mixer that scales torques down (preserving collective
 thrust) when a rotor would leave [0, max_thrust].
-
-A literal_equations flag retains the raw published forms of the setpoint
-(s_y = H/2 - 2*pitch/vfov, mixing pixels with radians) and the force
-(f_d = m (R a_b + g), which inverts the hover thrust sign) for fidelity
-experiments; both are off by default because neither closes a stable loop.
 
 A tick runs on Python floats: R and omega are read once with .tolist(), and
 the pieces below (force, thrust, desired attitude, torques, mix) take and
@@ -174,13 +171,10 @@ class ControlCommand:
 # ---------------------------------------------------------------------------
 
 
-def setpoints(cam: CameraModel, pitch: float, literal: bool = False) -> Setpoints:
+def setpoints(cam: CameraModel, pitch: float) -> Setpoints:
     """Image-space target setpoint as a function of current pitch."""
     sx = cam.width / 2.0
-    if literal:
-        sy = cam.height / 2.0 - 2.0 * pitch / cam.vfov
-    else:
-        sy = (cam.height / 2.0) * (1.0 - 2.0 * pitch / cam.vfov)
+    sy = (cam.height / 2.0) * (1.0 - 2.0 * pitch / cam.vfov)
     saturated = False
     if sy < 0.0 or sy > cam.height:
         sy = min(float(cam.height), max(0.0, sy))
@@ -224,7 +218,7 @@ def next_pitch_accel(prev_hat: float, gains: ControllerGains) -> float:
 
 
 def desired_force(err: PixelErrors, R, pitch_accel_hat: float,
-                  gains: ControllerGains, literal: bool = False) -> tuple:
+                  gains: ControllerGains) -> tuple:
     """World-frame force demand f_d = m (R a_b - g), floor-clamped in z.
 
     R is the attitude's rows (a 3x3 array or its .tolist()); the result is
@@ -238,10 +232,7 @@ def desired_force(err: PixelErrors, R, pitch_accel_hat: float,
     x2 = r20 * a0 + r21 * a1 + r22 * a2
     gx, gy, gz = GRAVITY_VEC
     m = gains.mass
-    if literal:
-        f = (m * (x0 + gx), m * (x1 + gy), m * (x2 + gz))
-    else:
-        f = (m * (x0 - gx), m * (x1 - gy), m * (x2 - gz))
+    f = (m * (x0 - gx), m * (x1 - gy), m * (x2 - gz))
     floor = gains.min_thrust_frac * gains.mass * GRAVITY
     if f[2] < floor:
         f = (f[0], f[1], floor)
@@ -364,7 +355,7 @@ class VisualController:
 
     def __init__(self, cam: CameraModel, gains: ControllerGains,
                  att_gains: AttitudeGains, geom: MixerGeometry, inertia,
-                 dt: float, deriv_tau: float = DERIV_TAU, literal: bool = False):
+                 dt: float, deriv_tau: float = DERIV_TAU):
         self.cam = cam
         self.gains = gains
         self.att_gains = att_gains
@@ -372,7 +363,6 @@ class VisualController:
         self.inertia = tuple(map(float, inertia))  # body diagonal
         self.dt = dt
         self.deriv_tau = deriv_tau
-        self.literal = literal
         self.state = ControllerState()
 
     def tick(self, t: float, target_xy, R: np.ndarray,
@@ -382,12 +372,11 @@ class VisualController:
             pitch, yaw = pitch_yaw_from_rotation(Rl)
         except ValueError as e:
             raise ControllerAbort(t, str(e)) from e
-        sp = setpoints(self.cam, pitch, self.literal)
+        sp = setpoints(self.cam, pitch)
         err = pixel_errors(self.state, sp, target_xy, t, self.deriv_tau)
         self.state.pitch_accel_hat = next_pitch_accel(
             self.state.pitch_accel_hat, self.gains)
-        f_des = desired_force(err, Rl, self.state.pitch_accel_hat,
-                              self.gains, self.literal)
+        f_des = desired_force(err, Rl, self.state.pitch_accel_hat, self.gains)
         yaw_d = desired_yaw(yaw, err, self.gains, self.dt)
         return self._attitude(t, Rl, omega, f_des, yaw_d, err, sp,
                               self.state.pitch_accel_hat)

@@ -284,10 +284,15 @@ def imu_sample(t: float, state: QuadState, sigma: float,
     """Body rates mapped into the camera frame plus white noise.
 
     The noise draw is consumed even at sigma = 0 to keep the run's draw
-    order independent of the noise setting.
+    order independent of the noise setting.  The noise is scaled on Python
+    floats, where an overflow is an unwarned inf, and a non-finite noise
+    sample (the rates themselves are finite) raises SimulationAbort at t.
     """
-    noise = rng.normal(0.0, 1.0, size=3) * sigma
-    return GyroSample(t, CAMERA_FROM_BODY @ state.omega + noise)
+    g0, g1, g2 = rng.normal(0.0, 1.0, size=3).tolist()
+    n0, n1, n2 = g0 * sigma, g1 * sigma, g2 * sigma
+    if not math.isfinite(n0 + n1 + n2) and not all(map(math.isfinite, (n0, n1, n2))):
+        raise SimulationAbort(t, "gyro sample is not finite")
+    return GyroSample(t, CAMERA_FROM_BODY @ state.omega + np.array((n0, n1, n2)))
 
 
 def camera_pose(state: QuadState) -> CameraPose:

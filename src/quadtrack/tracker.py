@@ -376,8 +376,10 @@ def _innovation_gain(P: np.ndarray, r: tuple) -> np.ndarray | None:
     i12 = m21 * m22 + m31 * m32
     i13 = m31 * m33
     i23 = m32 * m33
-    return P[:, :4] @ np.array([[i00, i01, i02, i03], [i01, i11, i12, i13],
-                                [i02, i12, i22, i23], [i03, i13, i23, i33]])
+    # built flat and reshaped: the same array as from nested rows, without
+    # numpy's shape discovery
+    return P[:, :4] @ np.array((i00, i01, i02, i03, i01, i11, i12, i13,
+                                i02, i12, i22, i23, i03, i13, i23, i33)).reshape(4, 4)
 
 
 def _exact_gain(P: np.ndarray, cfg: TrackerConfig, t: float) -> np.ndarray:
@@ -398,6 +400,7 @@ def _exact_gain(P: np.ndarray, cfg: TrackerConfig, t: float) -> np.ndarray:
     return np.linalg.solve(S.T, P[:, :4].T).T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfState:
     """Measurement update with z = [x, y, w, h] (Joseph-form covariance).
 
@@ -415,20 +418,25 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
     Fails closed: an innovation covariance S that is not finite, not
     positive definite, or has condition number above MAX_INNOVATION_COND
     raises TrackerAbort, and so does a non-finite updated mean or
-    covariance.
+    covariance.  The update runs under an errstate that lets an overflow
+    on the way be an inf for that check to report, not a warning.  The
+    innovation and the mean are stepped on Python floats: the same
+    operations as on arrays, so the same bits, in less time.
     """
     P = state.cov
     K = _innovation_gain(P, cfg.r_floats)
     if K is None:
         K = _exact_gain(P, cfg, state.t)
-    mean = state.mean + K @ (box.as_array() - state.mean[:4])
-    mean[2] = max(MIN_BOX_SIZE, mean[2])
-    mean[3] = max(MIN_BOX_SIZE, mean[3])
+    m0, m1, m2, m3, m4, m5 = state.mean.tolist()
+    nu = np.array((box.x - m0, box.y - m1, box.w - m2, box.h - m3))
+    k0, k1, k2, k3, k4, k5 = (K @ nu).tolist()
+    mean = [m0 + k0, m1 + k1, max(MIN_BOX_SIZE, m2 + k2),
+            max(MIN_BOX_SIZE, m3 + k3), m4 + k4, m5 + k5]
     IKH = _EYE_6.copy()
     IKH[:, :4] -= K
     cov = IKH @ P @ IKH.T + (K * cfg.r_vector) @ K.T
     cov = 0.5 * (cov + cov.T)
-    return _finite_state(mean, sum(mean.tolist()) + cov.ravel().dot(_ONES_36),
+    return _finite_state(np.array(mean), sum(mean) + cov.ravel().dot(_ONES_36),
                          cov, state.t, "update")
 
 

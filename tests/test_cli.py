@@ -15,7 +15,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadtrack
@@ -200,6 +200,8 @@ def _sim_in_process(d) -> tuple[int, str]:
 @settings(max_examples=40)
 @given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_FIELDS),
        st.integers(-3, 308))
+# the initial covariance overflows the update's symmetrization
+@example("static_target", ("tracker", "p0_diag"), 306)
 def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
     # the run ends, is rejected at load (a value scaled past the float
     # range), or aborts in one layer with one line in the abort shape;
@@ -211,22 +213,32 @@ def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
         assert len(lines) == 1 and ABORT_LINE.match(lines[0]), err
 
 
-# the switches that change a run's structure rather than its scale
-_FUZZ_SWITCHES = (("tracker", "gyro_compensation"),
-                  ("controller", "literal_equations"))
+# the switches that change a run's structure rather than its scale; an
+# "objects" switch is a key of the object the test draws
+_FUZZ_SWITCHES = (("tracker", "gyro_compensation"), ("objects", "occluder"))
 
 
 @settings(max_examples=20)
 @given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_SWITCHES),
-       st.sampled_from(_FUZZ_FIELDS), st.integers(-3, 308))
+       st.integers(0, 3), st.sampled_from(_FUZZ_FIELDS), st.integers(-3, 308))
+# uncompensated runs never read the gyro: its overflowed noise, and the
+# filter update's product with a huge innovation
+@example("rotation_only", ("tracker", "gyro_compensation"), 0,
+         ("quad", "gyro_noise"), 308)
+@example("static_target", ("tracker", "gyro_compensation"), 0,
+         ("detector", "size_noise_frac"), 308)
 def test_a_flipped_switch_with_a_scaled_value_exits_cleanly_with_one_line(
-        name, switch, field, k):
-    # one switch flipped and one value scaled in the same run: it ends, or
+        name, switch, obj, field, k):
+    # one switch flipped (of object number obj modulo the object count, for
+    # an object switch) and one value scaled in the same run: it ends, or
     # fails at load or in one layer with one line (an abort in the abort
     # shape); nothing escapes cli.main
     d = _scaled_scenario(name, field, k)
     section, key = switch
-    d[section][key] = not d[section][key]
+    node = d[section]
+    if section == "objects":
+        node = node[obj % len(node)]
+    node[key] = not node[key]
     code, err = _sim_in_process(d)
     assert code in (0, 1, 2), err
     lines = err.splitlines()
@@ -304,13 +316,13 @@ def _bad_runs():
         ("filter_overflow", filter_overflow, (), 2,
          "abort: tracker: filter mean or covariance is not finite after predict "
          "at t=0.600000 s"),
-        # the literal equations in the closed loop: the plant stays bounded
-        # (|omega| at most 4.9 rad/s, 3.0 at the abort, motors saturated),
-        # and the coasting filter's rotational flow diverges first
-        ("eq11_literal", scenarios.get("static_target").to_dict(),
-         ("--eq11-literal",), 2,
+        # a scripted yaw swing of +-2 rad turns the camera more than 90 deg
+        # away from the target: the coasting box leaves the image, and its
+        # rotational flow, which grows as (1 + xn^2), diverges in finite time
+        ("coast_off_image", bundled("rotation_only", "camera_script", amplitude=2.0),
+         (), 2,
          "abort: tracker: filter mean or covariance is not finite after predict "
-         "at t=0.640000 s"),
+         "at t=0.560000 s"),
         ("negative_seed", edit(lambda d: d.update(seed=-1)), (), 1,
          "error: scenario: seed must be an integer >= 0"),
         ("negative_seed_flag", make_scenario().to_dict(), ("--seed", "-1"), 1,
@@ -349,9 +361,11 @@ def _bad_runs():
          "error: scenario.camera_script.amplitude: every number must be finite"),
         # a value of the wrong kind is rejected at load by its declared type,
         # not run as something else or left to fail in a layer
-        ("literal_equations_string",
-         bundled("rotation_only", "controller", literal_equations="false"), (), 1,
-         "error: scenario.controller.literal_equations: expected true or false"),
+        # a key that no section declares, such as the removed
+        # controller.literal_equations, is rejected by name
+        ("literal_equations_key",
+         bundled("rotation_only", "controller", literal_equations=False), (), 1,
+         "error: scenario.controller: unknown key(s) ['literal_equations']"),
         ("gyro_compensation_string",
          bundled("rotation_only", "tracker", gyro_compensation="no"), (), 1,
          "error: scenario.tracker.gyro_compensation: expected true or false"),
@@ -429,12 +443,10 @@ def test_sim_process_fails_with_exit_code_and_no_traceback(tmp_path, capsys, nam
 
 def test_override_flags():
     sc = make_scenario()
-    over = cli._with_flags(sc, {"seed": 42, "controller.literal_equations": True,
-                                "tracker.gyro_compensation": False})
+    over = cli._with_flags(sc, {"seed": 42, "tracker.gyro_compensation": False})
     assert over.seed == 42
-    assert over.controller.literal_equations is True
     assert over.tracker.gyro_compensation is False
-    plain = cli._with_flags(sc, {"seed": None, "controller.literal_equations": None})
+    plain = cli._with_flags(sc, {"seed": None, "tracker.gyro_compensation": None})
     assert plain == sc
 
 

@@ -397,7 +397,7 @@ def test_layer_builders_carry_every_field():
     carried = {f.name: getattr(ctl.gains, f.name) for f in fields(ctl.gains)
                if f.name != "mass"}
     carried.update(attitude_kr=ctl.att_gains.kr, attitude_kw=ctl.att_gains.kw,
-                   deriv_tau=ctl.deriv_tau, literal_equations=ctl.literal)
+                   deriv_tau=ctl.deriv_tau)
     assert carried == asdict(c)
     assert ctl.gains.mass == sc.quad.mass
     assert ctl.geom is sc.quad.geometry and ctl.cam == cam

@@ -64,11 +64,6 @@ def test_setpoints_clamped_outside_image():
     assert sp.sy == 544.0 and sp.saturated
 
 
-def test_setpoints_literal_variant_mixes_units():
-    sp = setpoints(CAM, 0.1, literal=True)
-    assert sp.sy == pytest.approx(272.0 - 0.2 / 1.047, abs=1e-12)
-
-
 @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
 def test_setpoints_monotone_in_pitch(p1, p2):
     lo, hi = min(p1, p2), max(p1, p2)
@@ -180,14 +175,6 @@ def test_desired_force_floor_clamp():
     assert f[0] == 0.0 and f[1] == 0.0
 
 
-def test_desired_force_literal_flips_gravity_into_floor():
-    # the raw published sign gives negative hover thrust; the floor is all
-    # that keeps it airborne
-    err = PixelErrors(0.0, 0.0, 0.0, 0.0)
-    f = desired_force(err, np.eye(3), 0.0, GAINS, literal=True)
-    assert f[2] == pytest.approx(0.1 * 1.3 * GRAVITY, abs=1e-12)
-
-
 def test_thrust_from_force_level_and_tilted():
     f = np.array([0.0, 0.0, 1.3 * GRAVITY])
     assert thrust_from_force(f, np.eye(3)) == pytest.approx(1.3 * GRAVITY, abs=1e-12)
@@ -277,17 +264,14 @@ def test_desired_rotation_survives_overflowing_sum_of_squares():
 # ---------------------------------------------------------------------------
 
 
-def ref_desired_force(err, R, pitch_accel_hat, gains, literal=False):
+def ref_desired_force(err, R, pitch_accel_hat, gains):
     a_body = np.array([
         pitch_accel_hat,
         gains.kp_roll * err.ew + gains.kd_roll * err.dew,
         gains.kp_thrust * err.eh + gains.kd_thrust * err.deh,
     ])
     g = np.array([0.0, 0.0, -GRAVITY])
-    if literal:
-        f = gains.mass * (R @ a_body + g)
-    else:
-        f = gains.mass * (R @ a_body - g)
+    f = gains.mass * (R @ a_body - g)
     floor = gains.min_thrust_frac * gains.mass * GRAVITY
     if f[2] < floor:
         f = f.copy()
@@ -354,12 +338,11 @@ class RefController(VisualController):
 
     def tick(self, t, target_xy, R, omega):
         pitch, yaw = pitch_yaw_from_rotation(R)
-        sp = setpoints(self.cam, pitch, self.literal)
+        sp = setpoints(self.cam, pitch)
         err = pixel_errors(self.state, sp, target_xy, t, self.deriv_tau)
         self.state.pitch_accel_hat = next_pitch_accel(
             self.state.pitch_accel_hat, self.gains)
-        f_des = ref_desired_force(err, R, self.state.pitch_accel_hat,
-                                  self.gains, self.literal)
+        f_des = ref_desired_force(err, R, self.state.pitch_accel_hat, self.gains)
         tau_d = ref_thrust_from_force(f_des, R)
         yaw_d = desired_yaw(yaw, err, self.gains, self.dt)
         R_des = ref_desired_rotation(f_des, yaw_d)
@@ -550,9 +533,9 @@ def test_controller_pieces_match_numpy_within_rounding():
         Rl = R.tolist()
         err = PixelErrors(*rng.normal(0.0, 200.0, size=2), *rng.normal(0.0, 2e3, size=2))
         gains = ControllerGains(mass=rng.uniform(0.3, 3.0))
-        hat, literal = rng.uniform(0.0, 2.0), i % 3 == 0
-        f = desired_force(err, Rl, hat, gains, literal)
-        want = ref_desired_force(err, R, hat, gains, literal)
+        hat = rng.uniform(0.0, 2.0)
+        f = desired_force(err, Rl, hat, gains)
+        want = ref_desired_force(err, R, hat, gains)
         assert np.all(np.abs(np.array(f) - want) <= force_bound(err, R, hat, gains)), i
         assert abs(thrust_from_force(f, Rl) - ref_thrust_from_force(want, R)) \
             <= thrust_bound(R, np.array(f), want), i
@@ -761,13 +744,15 @@ def test_tick_centered_target_requests_forward_lean():
     (0.5, "controller: heading parallel to thrust axis"),
 ], ids=["force", "heading"])
 def test_tick_degenerate_demand_names_the_controller_and_the_time(pitch_accel, message):
-    # literal force f_d = m (R a_b + g) points down at level attitude with the
-    # target on the setpoint; a zero floor leaves only a_pitch_hat along x
+    # at level attitude a target 672 px below the setpoint asks for a body
+    # acceleration of 0.08 * -672 m/s^2 in z, far more than gravity, so
+    # f_d = m (R a_b - g) points down; a zero floor leaves only a_pitch_hat
+    # along x
     gains = ControllerGains(pitch_accel=pitch_accel, min_thrust_frac=0.0)
     ctl = VisualController(CAM, gains, AttitudeGains(), MixerGeometry(), INERTIA,
-                           dt=0.01, literal=True)
+                           dt=0.01)
     with pytest.raises(ControllerAbort) as ei:
-        ctl.tick(0.25, (480.0, 272.0), np.eye(3), np.zeros(3))
+        ctl.tick(0.25, (480.0, 944.0), np.eye(3), np.zeros(3))
     assert str(ei.value) == f"{message} at t=0.250000 s"
     assert ei.value.t == 0.25
 
@@ -801,30 +786,28 @@ def test_default_gains_published_values():
     assert g.beta == 0.15 and g.mass == 1.3
 
 
-def _tick_case(rng, i):
+def _tick_case(rng):
     gains = ControllerGains(kp_roll=rng.uniform(0.01, 0.2), kp_thrust=rng.uniform(0.02, 0.3),
                             pitch_accel=rng.uniform(0.0, 3.0), mass=rng.uniform(0.5, 3.0))
     geom = MixerGeometry(rng.uniform(0.08, 0.4), rng.uniform(0.005, 0.04),
                          rng.uniform(3.0, 15.0))
     J = rng.uniform(0.005, 0.05, size=3)
     args = (CAM, gains, AttitudeGains(), geom, J, 0.01)
-    literal = i % 3 == 0
-    return (VisualController(*args, literal=literal), RefController(*args, literal=literal))
+    return VisualController(*args), RefController(*args)
 
 
 def test_tick_matches_numpy_tick_within_rounding():
-    # Seeded corpus: 150 controllers (random gains, mass, geometry, inertia;
-    # every third with the literal equations), each run for 8 ticks at random
-    # attitudes, body rates and targets (wild on odd ticks, gentle on even
-    # ones), the
-    # first two of every other controller as hover ticks.  Scalars from the
+    # Seeded corpus: 150 controllers (random gains, mass, geometry,
+    # inertia), each run for 8 ticks at random attitudes, body rates and
+    # targets (wild on odd ticks, gentle on even ones), the first two of
+    # every other controller as hover ticks.  Scalars from the
     # unchanged pieces (errors, setpoints, yaw, the accel reference) are the
     # same bits; each array output is within its stage's bound given the two
     # sides' own inputs to that stage; the saturation flags are equal.
     rng = np.random.default_rng(8)
     seen = {"tick": 0, "hover": 0, "sp_sat": 0, "motor_sat": 0, "unsat": 0}
     for i in range(150):
-        new, ref = _tick_case(rng, i)
+        new, ref = _tick_case(rng)
         for k in range(8):
             t = 0.01 * k
             # even ticks are gentle (near level, slow, the target near the
@@ -887,7 +870,7 @@ def test_command_record_matches_numpy_form():
     # component within gamma_5 of the exact unit quaternion's
     rng = np.random.default_rng(9)
     for i in range(300):
-        new, ref = _tick_case(rng, i)
+        new, ref = _tick_case(rng)
         R = zyx_matrix(rng.uniform(-math.pi, math.pi), rng.uniform(-1.2, 1.2),
                        rng.uniform(-0.8, 0.8))
         cmd, motors = new.tick(0.0, (rng.uniform(0, 960), rng.uniform(0, 544)), R,

@@ -21,14 +21,14 @@ PINNED_RUNS = {
         "tracker.jsonl": "cb8798d5a5d70d332e68ba9329ee387777893c87c6142d3e1a543d4b299ef215",
         "commands.jsonl": "7e8f9a966d68638e8975363be24cc0788e0ac2363e84056146358fa828df3053",
         "groundtruth.jsonl": "43de0d4d52ac6364043dd6fb17b1fd9ef7f63f4d4426ba43ab779af1b3c86052",
-        "summary.json": "c9d4141e615d02369d9e8f17b8b8a1d3b385a65ab6efd675b8a3cb0bf63e7d8b",
+        "summary.json": "82688753f139dd509223463a87586bd69a5b58010326ef6c4e31708b2f9950b2",
     },
     ("corridor_approach", 21, 2.0, None): {
         "events.jsonl": "9c0d5a69cb878f1d04b70b553516d28fe2f95e173350397ac63872701c1a94bb",
         "tracker.jsonl": "8e90558fad74b952104786ae21d04a99205a159a2f3fbf475af87185f25df83e",
         "commands.jsonl": "5701fa9dd76bed57d2c918cb2920744f3db5f79fe30f4ec637400118acbd8e00",
         "groundtruth.jsonl": "6340cf909969115cb03d45273c0d448eedb006b7c03e44a0f4395307cdd54a75",
-        "summary.json": "fca716f550423e76ea37c3e5ff315a91d4afe672f22c41d778c1e4a930d98fa6",
+        "summary.json": "1b172556391619640419e47d21077c6f4f71a80d8ace110c074806c4a5abf928",
     },
     # first-order motor lag: the rotor thrusts, and so the wrench, move on
     # every physics step rather than once per control tick
@@ -37,7 +37,7 @@ PINNED_RUNS = {
         "tracker.jsonl": "fa383a47dffb2261f9d531de732d91d8a765f99cd26c9dc9e09e89d93593260e",
         "commands.jsonl": "bf14ce1ef51213410b77be941ffeafc5eb498f14b00323b415336b5c00ea4793",
         "groundtruth.jsonl": "ad44e48fbe936747f04c707243a14b0334dcbe94c93fa95f2e8a35f657646635",
-        "summary.json": "3ecae11b6008ed0b02a403c54700046e89f4f6f9c6a2db13e2ac381ef819892d",
+        "summary.json": "f8ff32cfab44f062c8f181498f578b238273b4f47dca5cee0a0d2c173e1df0c4",
     },
     # a scripted camera with a decoy and two occluders: the occluded
     # fraction, the occlusion gate and the truth rows' box all take part
@@ -46,7 +46,7 @@ PINNED_RUNS = {
         "tracker.jsonl": "29f953f21785af19199ec6671699a43bba71be5a15992bd4c59a8a476eecc984",
         "commands.jsonl": "e3c5a873f5129378de987dfab5c3ea02f6adb859fae49a472d2325fddc255ee6",
         "groundtruth.jsonl": "0d5d65f70b2ad57d09f694fd9f078ba20b1ad2d2c081260a3d2dcdf17c21176e",
-        "summary.json": "081d30f56da632fa11685de602584ed7350db2e0a21329bbf821cfbe8b20b06e",
+        "summary.json": "cd809c31902a5eb511e3cb6e66d78aded7f506033ac84131aa54c9ecfe21a0e6",
     },
     # the only yaw_sine camera pose, with sigma = 0 gyro draws and a
     # noiseless detector
@@ -55,7 +55,7 @@ PINNED_RUNS = {
         "tracker.jsonl": "0a84207a8d5b44db9b40f2ad5e578f73359e6c27e52859577afc394329b67db4",
         "commands.jsonl": "987451f807d1bb48b6313269a09d4956d1e614d9d5f72bef0336f84b53a4c176",
         "groundtruth.jsonl": "6d9041afea815e9902e9e299e5a8e406ae943503e39cae52720bd579f4968558",
-        "summary.json": "35fb1d2f0098b86ecf26a40f8166b916fac0cea1f5d9198d523cec044d3c823c",
+        "summary.json": "92e5f825c6d225e360f75f4046e4630c9f080c6542f69e9f5dbfaa3d5279a4a8",
     },
     # closed loop on a target that stays put, with a wide field of view
     ("static_target", 11, 3.0, None): {
@@ -63,7 +63,7 @@ PINNED_RUNS = {
         "tracker.jsonl": "210d8ad8487d3a33bb076459ba954246f77ecfee8d2728fb2cd5c2b80d9adef5",
         "commands.jsonl": "6cabbdfda436a5013ffffc061e07bd6fdcd761035fd172e02c4f831489086d94",
         "groundtruth.jsonl": "c2d8d125753d2ae45d50751fedb5aa2f404d339af0dc57e8c616d9a7333ec462",
-        "summary.json": "7161b29c0855d7d3e623316b5e1a459b9f10e867d64d55358e279c3ebc9ecfbc",
+        "summary.json": "738cefc3bbcabbf9a6f48863cbdcc1bd427b0933e6abafc32fe13e8e3c778a58",
     },
     # closed loop on a target that sprints at 7 m/s
     ("sprint_7ms", 31, 3.0, None): {
@@ -71,7 +71,7 @@ PINNED_RUNS = {
         "tracker.jsonl": "9260048cecb88f97db0630c2c37d2e93cbb01ed0459de3433976ff59dc6bff34",
         "commands.jsonl": "755f25215d911dafb5e02210b2978dc083c03396dca739a2a013adb066e1ed50",
         "groundtruth.jsonl": "a8ba16e79bbac761c6857b75bac7898e78cce3f7fdf034044f93b67ba6382a88",
-        "summary.json": "0fba6cf0a131f3af22243591b084e6ec99770b2370421a79a08c32b337816cd8",
+        "summary.json": "63e3ec6d00d66f700051a281157ecdcb3b3738355a4668bca654363051f41b84",
     },
 }
 
