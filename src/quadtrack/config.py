@@ -17,16 +17,16 @@ scenario_hash gives a stable content address used in run summaries.
 One error rule: a section, like the layer types, raises a plain ValueError
 with a bare message when it is built directly in Python, and the loader
 alone turns it into a ConfigError naming the value's path
-(`scenario.objects[2].motion: waypoint times must be strictly
-increasing`).  Only _build, _value and load_scenario raise ConfigError.
-Every outside value enters here: the CLI sets a flag's value at its path in
+(`scenario.objects[2]: waypoint times must be strictly increasing`).
+Only _build, _value and load_scenario raise ConfigError.  Every outside
+value enters here: the CLI sets a flag's value at its path in
 Scenario.to_dict() and reloads it with Scenario.from_dict.
 
 The detector, metrics, quad and objects sections are the types their
 layers run on (SyntheticDetectorConfig, MetricsParams, QuadConfig, which
-builds its mixer geometry, and ObjectConfig, whose MotionConfig.at(t) gives
-the object's position).  The camera, tracker and controller sections build
-their layer's type (CameraConfig.build, TrackerParams.build,
+builds its mixer geometry, and ObjectConfig, whose at(t) gives the
+object's position on its waypoints).  The camera, tracker and controller
+sections build their layer's type (CameraConfig.build, TrackerParams.build,
 ControllerParams.build), and the camera and tracker sections build it once
 on construction, so the layer's own checks are theirs.  The tracker and
 controller sections, and the quad's mass and mixer, take their defaults
@@ -39,7 +39,6 @@ import hashlib
 import json
 import numbers
 import sys
-import types
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from functools import cache, cached_property
@@ -95,10 +94,6 @@ def _build(cls, d, ctx: str):
 def _value(tp, v, ctx: str):
     """The JSON value v of a field declared `tp`, checked against tp: a
     section recurses into _build, and a list becomes a tuple."""
-    if isinstance(tp, types.UnionType):     # `X | None` also takes null
-        if v is None:
-            return None
-        tp = next(a for a in get_args(tp) if a is not type(None))
     if is_dataclass(tp):
         return _build(tp, v, ctx)
     if get_origin(tp) is tuple:             # tuple[Section, ...]
@@ -125,11 +120,9 @@ def _value(tp, v, ctx: str):
 
 
 def _dump(v):
-    """The JSON form of a field value: a section by its fields (a motion by
-    the keys its mode takes), a tuple as a list."""
-    if isinstance(v, MotionConfig):
-        v = v.to_dict()
-    elif is_dataclass(v):
+    """The JSON form of a field value: a section by its fields, a tuple as a
+    list."""
+    if is_dataclass(v):
         v = {f.name: getattr(v, f.name) for f in fields(v)}
     if isinstance(v, dict):
         return {k: _dump(x) for k, x in v.items()}
@@ -231,98 +224,57 @@ class CameraScriptConfig:
         _require(self.period > 0, "period must be positive")
 
 
-_MOTION_KEYS = {
-    "static": {"position"},
-    "waypoints": {"waypoints"},
-    "sinusoid": {"center", "amplitude", "period", "phase"},
-}
-
-
-@dataclass(frozen=True)
-class MotionConfig:
-    """An object's closed-form position script, evaluated by `at(t)`:
-    static; waypoints (t, x, y, z), linear between them and clamped outside
-    them, so an object parks at its last one; or sinusoid, center +
-    amplitude * sin(2 pi t / period + phase) componentwise."""
-
-    mode: str
-    position: tuple | None = None
-    waypoints: tuple | None = None
-    center: tuple | None = None
-    amplitude: tuple | None = None
-    period: float | None = None
-    phase: float = 0.0
-
-    def __post_init__(self):
-        _require(self.mode in _MOTION_KEYS, f"unknown mode {self.mode!r}")
-        allowed = _MOTION_KEYS[self.mode]
-        for f in fields(self):
-            if f.name == "mode" or f.name in allowed:
-                continue
-            default = f.default
-            if getattr(self, f.name) != default:
-                raise ValueError(
-                    f"key {f.name!r} not valid for mode {self.mode!r}")
-        if self.mode == "static":
-            _require(_numbers(self.position, 3),
-                     "static needs position = xyz, finite numbers")
-        elif self.mode == "waypoints":
-            wps = self.waypoints
-            _require(isinstance(wps, (tuple, list)) and len(wps) >= 2,
-                     "waypoints needs >= 2 entries")
-            for wp in wps:
-                _require(_numbers(wp, 4), "waypoint entries are "
-                         "(t, x, y, z), finite numbers")
-            _require(all(a[0] < b[0] for a, b in zip(wps, wps[1:])),
-                     "waypoint times must be strictly increasing")
-        else:
-            for name in ("center", "amplitude"):
-                _require(_numbers(getattr(self, name), 3),
-                         f"sinusoid needs {name} = xyz, finite numbers")
-            _require(_finite(self.period) and self.period > 0,
-                     "sinusoid needs positive period, a finite number")
-            _require(_finite(self.phase), "phase must be a finite number")
-
-    def at(self, t: float) -> np.ndarray:
-        """World position at time t; closed-form, so any t in any order."""
-        if self.mode == "static":
-            return np.asarray(self.position, dtype=float)
-        if self.mode == "waypoints":
-            wps = self.waypoints
-            if t <= wps[0][0]:
-                return np.asarray(wps[0][1:], dtype=float)
-            for w0, w1 in zip(wps, wps[1:]):
-                if t <= w1[0]:
-                    a = (t - w0[0]) / (w1[0] - w0[0])
-                    # (1 - a) p0 + a p1 on floats, component by component:
-                    # the array form's products and sums, so its bits
-                    b = 1.0 - a
-                    _, x0, y0, z0 = w0
-                    _, x1, y1, z1 = w1
-                    return np.array([b * float(x0) + a * float(x1),
-                                     b * float(y0) + a * float(y1),
-                                     b * float(z0) + a * float(z1)])
-            return np.asarray(wps[-1][1:], dtype=float)
-        arg = 2.0 * np.pi * t / self.period + self.phase
-        return np.asarray(self.center, float) + np.asarray(self.amplitude, float) * np.sin(arg)
-
-    def to_dict(self) -> dict:
-        """The fields this mode takes, mode first."""
-        keys = _MOTION_KEYS[self.mode]
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name == "mode" or f.name in keys}
-
-
 @dataclass(frozen=True)
 class ObjectConfig:
+    """A scene object: a world-axis-aligned box of extent `size` (w, h)
+    moving along its waypoints (t, x, y, z), linearly between them and
+    clamped outside them, so one waypoint is a fixed position and an object
+    parks at its last one."""
+
     obj_id: int
     size: tuple
-    motion: MotionConfig
+    waypoints: tuple
     occluder: bool = False
 
     def __post_init__(self):
         _require(_numbers(self.size, 2) and all(s > 0 for s in self.size),
                  "size must be 2 positive values (w, h), finite numbers")
+        wps = self.waypoints
+        _require(isinstance(wps, (tuple, list)) and len(wps) >= 1,
+                 "waypoints needs >= 1 entry")
+        for wp in wps:
+            _require(_numbers(wp, 4), "waypoint entries are "
+                     "(t, x, y, z), finite numbers")
+        _require(all(a[0] < b[0] for a, b in zip(wps, wps[1:])),
+                 "waypoint times must be strictly increasing")
+
+    @cached_property
+    def _ends(self) -> tuple:
+        """The first and the last waypoint's position as float arrays, built
+        once; `at` returns a copy of one outside the waypoint times."""
+        return (np.asarray(self.waypoints[0][1:], dtype=float),
+                np.asarray(self.waypoints[-1][1:], dtype=float))
+
+    def at(self, t: float) -> np.ndarray:
+        """World position at time t; closed-form, so any t in any order."""
+        wps = self.waypoints
+        # past the last waypoint (or t NaN) first: every frame of a
+        # one-waypoint object after its time takes this one test
+        if not t <= wps[-1][0]:
+            return self._ends[1].copy()
+        if t <= wps[0][0]:
+            return self._ends[0].copy()
+        for w0, w1 in zip(wps, wps[1:]):
+            if t <= w1[0]:
+                a = (t - w0[0]) / (w1[0] - w0[0])
+                # (1 - a) p0 + a p1 on floats, component by component:
+                # the array form's products and sums, so its bits
+                b = 1.0 - a
+                _, x0, y0, z0 = w0
+                _, x1, y1, z1 = w1
+                return np.array([b * float(x0) + a * float(x1),
+                                 b * float(y0) + a * float(y1),
+                                 b * float(z0) + a * float(z1)])
 
 
 @dataclass(frozen=True)

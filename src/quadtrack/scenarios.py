@@ -54,8 +54,9 @@ appearance alone, re-locking inside the 60-frame coast credit).
 sprint_7ms: the object accelerates away to 7 m/s under outdoor acceleration
 shaping (controller pitch_accel 2.5).
 
-rotation_only: a static object and a sinusoidally yawing camera peaking at
-1 rad/s, with zero noise, isolate rotation-induced image flow in the filter.
+rotation_only: a static object and a camera yawing on a sine wave that
+peaks at 1 rad/s, with zero noise, isolate rotation-induced image flow in
+the filter.
 
 false_positive_storm: a small image, 35% dropout, ~3 target-sized false
 positives per frame, frequent duplicate boxes, and one pillar blackout (~55

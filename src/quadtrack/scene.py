@@ -3,10 +3,11 @@
 Objects are world-axis-aligned boxes.  The scene runs on the scenario's
 objects section: `simulator.build_scene` pairs each ObjectConfig with its
 latent in object-id order, and `scene_step` evaluates each object's
-MotionConfig.at(t).  Detectable objects carry a unit "latent" appearance
-vector that the synthetic detector perturbs into descriptors.  Objects
-flagged as occluders are scenery: they block the view of whatever lies
-behind them but never emit detections themselves and carry no latent.
+position on its waypoints, ObjectConfig.at(t).  Detectable objects carry a
+unit "latent" appearance vector that the synthetic detector perturbs into
+descriptors.  Objects flagged as occluders are scenery: they block the view
+of whatever lies behind them but never emit detections themselves and carry
+no latent.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ class SceneSnapshot:
 
 
 def scene_step(objects: list, t: float) -> SceneSnapshot:
-    """Evaluate every object's motion at time t.  `objects` are
+    """Evaluate every object's position at time t.  `objects` are
     (ObjectConfig, latent) pairs in object-id order, as build_scene returns
-    them; motions are closed-form, so this is random-access: any t, any
-    order."""
+    them; waypoint paths are closed-form, so this is random-access: any t,
+    any order."""
     return SceneSnapshot(t, [
-        ObjectState(o.obj_id, o.motion.at(t), o.size, o.occluder, latent)
+        ObjectState(o.obj_id, o.at(t), o.size, o.occluder, latent)
         for o, latent in objects
     ])

@@ -52,15 +52,16 @@ through the flight.
 
 The scene is the scenario's objects section: `build_scene` pairs each
 ObjectConfig with its latent in object-id order, and each camera frame's
-`scene_step` evaluates every object's MotionConfig.at(t).  The sensor
+`scene_step` evaluates every object's ObjectConfig.at(t).  The sensor
 layer computes each camera frame's object views (box, occluded fraction)
 once, by `frame_views`, and hands them to the detector, and the target's
-to the ground-truth row.  The controller tick runs
-on Python floats and raises ControllerAbort on a non-finite output, so a bad
-command never reaches the plant or commands.jsonl.  The detector, the
-plant and the scorer run on the scenario's own detector, quad and metrics
-sections; the camera, controller and tracker are built from their sections
-by CameraConfig.build, ControllerParams.build and TrackerParams.build.
+to the ground-truth row; a box beyond the float range is a DetectorAbort at
+the frame's time.  The controller tick runs on Python floats and raises
+ControllerAbort on a non-finite output, so a bad command never reaches the
+plant or commands.jsonl.  The detector, the plant and the scorer run on
+the scenario's own detector, quad and metrics sections; the camera,
+controller and tracker are built from their sections by CameraConfig.build,
+ControllerParams.build and TrackerParams.build.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import numpy as np
 from .config import QuadConfig, Scenario, scenario_hash
 from .controller import GRAVITY_VEC, motor_wrench
 from .detection import GyroSample, ObjectView, SyntheticDetector, frame_views
-from .errors import SimulationAbort
+from .errors import DetectorAbort, SimulationAbort
 # project_box is not called here (the frame views carry the truth boxes),
 # but perfbench/tracing.py wraps it under this module's name
 from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
@@ -422,7 +423,11 @@ def sensor_stream(sc: Scenario, platform, truth_trace: list):
             ic += 1
             continue
         quad = platform(t)
-        views = frame_views(scene_step(objects, t), camera_pose(quad), cam)
+        snapshot, pose = scene_step(objects, t), camera_pose(quad)
+        try:
+            views = frame_views(snapshot, pose, cam)
+        except ValueError as e:     # a box beyond the float range
+            raise DetectorAbort(t, str(e)) from e
         if prompted and last_t < t:
             yield CAMERA, imu_sample(t, quad, sc.quad.gyro_noise, rng)
         dets = detector.detect(views, t, cam)

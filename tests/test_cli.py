@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import quadtrack
 from quadtrack import ablation, cli, errors, scenarios, simulator
 from quadtrack.config import (
-    MotionConfig,
     ObjectConfig,
     PromptConfig,
     Scenario,
@@ -47,8 +46,7 @@ def make_scenario(**kw):
         seed=5,
         duration=1.0,
         prompt=PromptConfig(480.0, 272.0),
-        objects=(ObjectConfig(0, (0.6, 0.6),
-                              MotionConfig("static", position=(12.0, 0.0, 1.5))),),
+        objects=(ObjectConfig(0, (0.6, 0.6), ((0.0, 12.0, 0.0, 1.5),)),),
         detector=SyntheticDetectorConfig(center_noise_px=0.5, size_noise_frac=0.01,
                                          feature_noise=0.05, p_dropout=0.0,
                                          descriptor_dim=16),
@@ -214,30 +212,41 @@ def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
 
 
 # the switches that change a run's structure rather than its scale; an
-# "objects" switch is a key of the object the test draws
+# "objects" switch is a key of a non-target object the test draws (the
+# target cannot be an occluder), or of the only object
 _FUZZ_SWITCHES = (("tracker", "gyro_compensation"), ("objects", "occluder"))
 
 
 @settings(max_examples=20)
 @given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_SWITCHES),
-       st.integers(0, 3), st.sampled_from(_FUZZ_FIELDS), st.integers(-3, 308))
+       st.integers(0, 3), st.sampled_from(_FUZZ_FIELDS), st.integers(-3, 308),
+       st.integers(0, 3), st.integers(0, 3), st.integers(-3, 308))
 # uncompensated runs never read the gyro: its overflowed noise, and the
 # filter update's product with a huge innovation
 @example("rotation_only", ("tracker", "gyro_compensation"), 0,
-         ("quad", "gyro_noise"), 308)
+         ("quad", "gyro_noise"), 308, 0, 1, 0)
 @example("static_target", ("tracker", "gyro_compensation"), 0,
-         ("detector", "size_noise_frac"), 308)
+         ("detector", "size_noise_frac"), 308, 0, 1, 0)
+# an object far off the image axis: its box is beyond the float range
+@example("static_target", ("tracker", "gyro_compensation"), 0,
+         ("detector", "center_noise_px"), 0, 0, 3, 306)
 def test_a_flipped_switch_with_a_scaled_value_exits_cleanly_with_one_line(
-        name, switch, obj, field, k):
-    # one switch flipped (of object number obj modulo the object count, for
-    # an object switch) and one value scaled in the same run: it ends, or
-    # fails at load or in one layer with one line (an abort in the abort
-    # shape); nothing escapes cli.main
+        name, switch, obj, field, k, waypoint, coord, j):
+    # one switch flipped, one value scaled by 10^k and entry `coord` (t, x,
+    # y or z) of one waypoint of a drawn object scaled by 10^j, in the same
+    # run: it ends, or fails at load or in one layer with one line (an abort
+    # in the abort shape); nothing escapes cli.main.  obj, and waypoint
+    # within the object's path, count modulo the choices.
     d = _scaled_scenario(name, field, k)
+    objects = d["objects"]
+    path = objects[obj % len(objects)]["waypoints"]
+    entry = path[waypoint % len(path)]
+    entry[coord] = _scaled(entry[coord], j)
     section, key = switch
     node = d[section]
     if section == "objects":
-        node = node[obj % len(node)]
+        others = [o for o in objects if o["obj_id"] != d["target_id"]] or objects
+        node = others[obj % len(others)]
     node[key] = not node[key]
     code, err = _sim_in_process(d)
     assert code in (0, 1, 2), err
@@ -286,13 +295,17 @@ def _bad_runs():
     filter_overflow["quad"]["gyro_noise"] = 1.0
     filter_overflow["controller"]["pitch_accel"] = 30.0
 
+    # an object so far off the image axis that its box leaves the float range
+    far = scenarios.get("static_target").to_dict()
+    far["duration"] = 0.5
+    far["objects"][0]["waypoints"][0][3] *= 1e306
+
     def edit(change):
         d = make_scenario().to_dict()
         change(d)
         return d
 
-    backwards = {"mode": "waypoints", "waypoints": [
-        [0.0, 12.0, 0.0, 1.5], [2.0, 14.0, 0.0, 1.5], [1.0, 16.0, 0.0, 1.5]]}
+    backwards = [[0.0, 12.0, 0.0, 1.5], [2.0, 14.0, 0.0, 1.5], [1.0, 16.0, 0.0, 1.5]]
 
     def bundled(name, section, **values):
         d = scenarios.get(name).to_dict()
@@ -303,14 +316,16 @@ def _bad_runs():
     decoy_flag = scenarios.get("occlusion_decoy").to_dict()
     decoy_flag["objects"][2]["occluder"] = "false"
     decoy_waypoints = scenarios.get("occlusion_decoy").to_dict()
-    decoy_waypoints["objects"][2]["motion"] = backwards
-    position = lambda v: lambda d: d["objects"][0]["motion"].update(position=v)
+    decoy_waypoints["objects"][2]["waypoints"] = backwards
+    position = lambda v: lambda d: d["objects"][0].update(waypoints=[[0.0, *v]])
     return [
         ("controller_overflow", ctrl, (), 2, "abort: controller: non-finite thrust at t="),
         ("negative_fp_sizes", fp_size, (), 1, "error: scenario.detector: false-positive sizes"),
         ("detector_overflow", noise, (), 2, "abort: detector: box field"),
         ("descriptor_overflow", feature, (), 2,
          "abort: detector: descriptor norm is not finite: inf at t=0.000000 s"),
+        ("box_overflow", far, (), 2,
+         "abort: detector: box field y is not finite: -inf at t=0.000000 s"),
         ("tracker_initialization", dropout, (), 2,
          "abort: tracker: no detections at prompt time; cannot initialize at t=0.000000 s"),
         ("filter_overflow", filter_overflow, (), 2,
@@ -332,16 +347,16 @@ def _bad_runs():
         ("size_string", edit(lambda d: d["objects"][0].update(size=["a", 1])), (), 1,
          "error: scenario.objects[0].size: expected a list of numbers"),
         ("position_string", edit(position([10, 0, "x"])), (), 1,
-         "error: scenario.objects[0].motion.position: expected a list of numbers"),
+         "error: scenario.objects[0].waypoints: expected a list of numbers"),
         ("position_nan", edit(position([10, 0, float("nan")])), (), 1,
-         "error: scenario.objects[0].motion.position: every number must be finite"),
+         "error: scenario.objects[0].waypoints: every number must be finite"),
         ("prompt_string", edit(lambda d: d["prompt"].update(x="a")), (), 1,
          "error: scenario.prompt.x: expected a number"),
         ("waypoints_backwards",
-         edit(lambda d: d["objects"][0].update(motion=backwards)), (), 1,
-         "error: scenario.objects[0].motion: waypoint times must be strictly increasing"),
+         edit(lambda d: d["objects"][0].update(waypoints=backwards)), (), 1,
+         "error: scenario.objects[0]: waypoint times must be strictly increasing"),
         ("waypoints_backwards_object_2", decoy_waypoints, (), 1,
-         "error: scenario.objects[2].motion: waypoint times must be strictly increasing"),
+         "error: scenario.objects[2]: waypoint times must be strictly increasing"),
         ("occluder_string", decoy_flag, (), 1,
          "error: scenario.objects[2].occluder: expected true or false"),
         ("start_position_nan",

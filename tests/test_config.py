@@ -12,7 +12,6 @@ import pytest
 
 from quadtrack import config, scenarios, simulator
 from quadtrack.config import (
-    MotionConfig,
     ObjectConfig,
     PromptConfig,
     RatesConfig,
@@ -41,8 +40,7 @@ def minimal_scenario(**kw):
         seed=3,
         duration=1.0,
         prompt=PromptConfig(480.0, 272.0),
-        objects=(ObjectConfig(0, (0.6, 0.6),
-                              MotionConfig("static", position=(10.0, 0.0, 1.5))),),
+        objects=(ObjectConfig(0, (0.6, 0.6), ((0.0, 10.0, 0.0, 1.5),)),),
     )
     base.update(kw)
     return Scenario(**base)
@@ -190,13 +188,10 @@ def test_missing_required_keys_raise():
         bad = copy.deepcopy(d)
         del bad[key]
         raises_with(f"scenario: missing {key!r}", Scenario.from_dict, bad)
-    for key in ("obj_id", "size", "motion"):
+    for key in ("obj_id", "size", "waypoints"):
         bad = copy.deepcopy(d)
         del bad["objects"][0][key]
         raises_with(f"scenario.objects[0]: missing {key!r}", Scenario.from_dict, bad)
-    bad = copy.deepcopy(d)
-    del bad["objects"][0]["motion"]["mode"]
-    raises_with("scenario.objects[0].motion: missing 'mode'", Scenario.from_dict, bad)
     for key in ("x", "y"):
         bad = copy.deepcopy(d)
         del bad["prompt"][key]
@@ -225,9 +220,7 @@ def test_scenario_validation():
     obj = minimal_scenario().objects[0]
     rejects("duplicate obj_id", minimal_scenario, objects=(obj, obj))
     rejects("target_id 5 not among objects", minimal_scenario, target_id=5)
-    occ = ObjectConfig(0, (0.6, 0.6),
-                       MotionConfig("static", position=(10.0, 0.0, 1.5)),
-                       occluder=True)
+    occ = ObjectConfig(0, (0.6, 0.6), ((0.0, 10.0, 0.0, 1.5),), occluder=True)
     rejects("target cannot be an occluder", minimal_scenario, objects=(occ,))
     rejects("unsupported schema_version", minimal_scenario, schema_version=2)
 
@@ -303,9 +296,7 @@ def _declared_fields(obj, path=()):
         elif isinstance(v, tuple) and is_dataclass(v[0]):
             yield from _declared_fields(v[0], p + (0,))
         else:
-            kind = hints[f.name]
-            yield p, next((a for a in typing.get_args(kind) if a is not type(None)),
-                          kind)
+            yield p, hints[f.name]
 
 
 _SOURCE = scenarios.get("corridor_approach")
@@ -335,13 +326,15 @@ def _edited(change):
 
 
 @pytest.mark.parametrize("change,message", [
-    (lambda d: d["objects"][2].update(motion={"mode": "waypoints", "waypoints": [
-        [0.0, 1.0, 0.0, 1.0], [2.0, 2.0, 0.0, 1.0], [1.0, 3.0, 0.0, 1.0]]}),
-     "scenario.objects[2].motion: waypoint times must be strictly increasing"),
+    (lambda d: d["objects"][2].update(waypoints=[
+        [0.0, 1.0, 0.0, 1.0], [2.0, 2.0, 0.0, 1.0], [1.0, 3.0, 0.0, 1.0]]),
+     "scenario.objects[2]: waypoint times must be strictly increasing"),
     (lambda d: d["objects"][1].update(size=[0.5, -1.0]),
      "scenario.objects[1]: size must be 2 positive values"),
-    (lambda d: d["objects"][3]["motion"].update(phase=1.0),
-     "scenario.objects[3].motion: key 'phase' not valid for mode 'waypoints'"),
+    # the removed motion section is an unknown key, with no alias
+    (lambda d: d["objects"][3].update(motion={"mode": "static",
+                                              "position": [6.0, 3.566, -2.2]}),
+     "scenario.objects[3]: unknown key(s) ['motion']"),
     (lambda d: d["camera"].update(vfov=0.0),
      "scenario.camera: vfov out of range (0, pi): 0.0"),
     (lambda d: d["camera"].update(width=0),
@@ -437,50 +430,7 @@ def test_run_hands_the_scenario_sections_to_their_layers(monkeypatch):
 
 def test_object_size_validation():
     rejects("size must be 2 positive values",
-            ObjectConfig, 7, (0.6, -0.6),
-            MotionConfig("static", position=(0.0, 0.0, 0.0)))
-
-
-def test_motion_mode_validation():
-    rejects("unknown mode 'orbit'", MotionConfig, "orbit")
-    rejects("key 'period' not valid for mode 'static'",
-            MotionConfig, "static", position=(0.0, 0.0, 0.0), period=2.0)
-    rejects("static needs position", MotionConfig, "static")
-    rejects("waypoints needs >= 2 entries",
-            MotionConfig, "waypoints", waypoints=((0.0, 1.0, 2.0, 3.0),))
-    rejects("waypoint entries are (t, x, y, z)",
-            MotionConfig, "waypoints",
-            waypoints=((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)))
-    rejects("sinusoid needs center",
-            MotionConfig, "sinusoid", amplitude=(1.0, 0.0, 0.0), period=2.0)
-    rejects("sinusoid needs positive period",
-            MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
-            amplitude=(1.0, 0.0, 0.0), period=0.0)
-    # coordinates are finite numbers, and waypoint times increase
-    rejects("sinusoid needs amplitude = xyz, finite numbers",
-            MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
-            amplitude=(1.0, float("nan"), 0.0), period=2.0)
-    rejects("sinusoid needs positive period, a finite number",
-            MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
-            amplitude=(1.0, 0.0, 0.0), period=float("inf"))
-    rejects("phase must be a finite number",
-            MotionConfig, "sinusoid", center=(0.0, 0.0, 1.0),
-            amplitude=(1.0, 0.0, 0.0), period=2.0, phase="0")
-    rejects("waypoint entries are (t, x, y, z), finite numbers",
-            MotionConfig, "waypoints",
-            waypoints=((0.0, 1.0, 2.0, "3"), (1.0, 2.0, 3.0, 4.0)))
-    rejects("waypoint times must be strictly increasing",
-            MotionConfig, "waypoints",
-            waypoints=((1.0, 1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)))
-
-
-def test_motion_to_dict_drops_inapplicable_fields():
-    static = MotionConfig("static", position=(1.0, 2.0, 3.0))
-    assert static.to_dict() == {"mode": "static", "position": (1.0, 2.0, 3.0)}
-    sine = MotionConfig("sinusoid", center=(0.0, 0.0, 1.0),
-                        amplitude=(1.0, 0.0, 0.0), period=4.0)
-    assert sine.to_dict()["phase"] == 0.0
-    assert "waypoints" not in sine.to_dict()
+            ObjectConfig, 7, (0.6, -0.6), ((0.0, 0.0, 0.0, 0.0),))
 
 
 def test_prompt_and_rates_validation():

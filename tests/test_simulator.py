@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -11,9 +12,8 @@ import numpy as np
 import pytest
 
 from quadtrack import cli, detection, scenarios, simulator
-from quadtrack.config import (CameraScriptConfig, MotionConfig, ObjectConfig,
-                              PromptConfig, QuadConfig, RatesConfig, Scenario,
-                              save_scenario)
+from quadtrack.config import (CameraScriptConfig, ObjectConfig, PromptConfig,
+                              QuadConfig, RatesConfig, Scenario, save_scenario)
 from quadtrack.detection import (DetectionSet, GyroSample,
                                  SyntheticDetectorConfig)
 from quadtrack.errors import ControllerAbort, SimulationAbort, TrackerAbort
@@ -50,7 +50,7 @@ def step_state(state, wrench, params, dt):
 def static_object(obj_id=0, position=(12.0, 0.0, 1.5), size=(0.6, 0.6),
                   occluder=False):
     return ObjectConfig(obj_id=obj_id, size=size, occluder=occluder,
-                        motion=MotionConfig(mode="static", position=position))
+                        waypoints=((0.0, *position),))
 
 
 def make_scenario(**kw):
@@ -234,78 +234,85 @@ def test_camera_mount_definition():
 # ---------------------------------------------------------------------------
 
 
+def _path(*waypoints) -> ObjectConfig:
+    return ObjectConfig(0, (0.6, 0.6), waypoints)
+
+
 def test_static_motion():
-    m = MotionConfig("static", position=(1.0, 2.0, 3.0))
-    assert np.array_equal(m.at(0.0), [1.0, 2.0, 3.0])
-    assert np.array_equal(m.at(99.0), [1.0, 2.0, 3.0])
+    # a one-waypoint object is the old `static` motion, bit for bit: its
+    # position expression, np.asarray(p, float), is the oracle at every time
+    rng = np.random.default_rng(29)
+    positions = [(1.0, 2.0, 3.0), (10, 0, -2), (-0.0, 0.0, -0.0), (0, -0.0, 7),
+                 *(tuple(rng.normal(0.0, 50.0, 3)) for _ in range(20)),
+                 *(tuple(int(x) for x in rng.integers(-99, 99, 3)) for _ in range(5))]
+    for p in positions:
+        for t0 in (0.0, 0, -0.0, 2.5, *rng.uniform(-10.0, 10.0, 3)):
+            o = _path((t0, *p))
+            want = np.asarray(p, float)
+            for t in (t0 - 1.0, t0 - 1e-12, t0, t0 + 1e-12, t0 + 1 / 60, t0 + 99.0,
+                      -1e300, 1e300, -math.inf, math.inf, math.nan,
+                      *rng.uniform(-20.0, 20.0, 5)):
+                got = o.at(t)
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (p, t0, t)
 
 
 def test_waypoint_motion_interpolates_and_clamps():
-    m = MotionConfig("waypoints", waypoints=((0.0, 0.0, 0.0, 0.0),
-                                             (10.0, 70.0, 0.0, 0.0)))
-    assert np.allclose(m.at(5.0), [35.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(m.at(2.0), [14.0, 0.0, 0.0], atol=1e-12)
-    assert np.array_equal(m.at(-1.0), [0.0, 0.0, 0.0])
-    assert np.array_equal(m.at(25.0), [70.0, 0.0, 0.0])
+    o = _path((0.0, 0.0, 0.0, 0.0), (10.0, 70.0, 0.0, 0.0))
+    assert np.allclose(o.at(5.0), [35.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(o.at(2.0), [14.0, 0.0, 0.0], atol=1e-12)
+    assert np.array_equal(o.at(-1.0), [0.0, 0.0, 0.0])
+    assert np.array_equal(o.at(25.0), [70.0, 0.0, 0.0])
 
 
 def test_waypoint_motion_validation():
-    with pytest.raises(ValueError):
-        MotionConfig("waypoints", waypoints=((0.0, 0.0, 0.0, 0.0),))
-    with pytest.raises(ValueError):
-        MotionConfig("waypoints", waypoints=((0.0, 0.0, 0.0, 0.0),
-                                             (0.0, 1.0, 1.0, 1.0)))
-    with pytest.raises(ValueError):
-        MotionConfig("waypoints", waypoints=((1.0, 0.0, 0.0, 0.0),
-                                             (0.5, 1.0, 1.0, 1.0)))
+    for waypoints, message in [
+            ((), "waypoints needs >= 1 entry"),
+            (((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)), "waypoint entries are (t, x, y, z)"),
+            # coordinates are finite numbers, and waypoint times increase
+            (((0.0, 1.0, 2.0, "3"), (1.0, 2.0, 3.0, 4.0)),
+             "waypoint entries are (t, x, y, z), finite numbers"),
+            (((0.0, 1.0, math.nan, 3.0),),
+             "waypoint entries are (t, x, y, z), finite numbers"),
+            (((0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 1.0, 1.0)),
+             "waypoint times must be strictly increasing"),
+            (((1.0, 0.0, 0.0, 0.0), (0.5, 1.0, 1.0, 1.0)),
+             "waypoint times must be strictly increasing")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _path(*waypoints)
 
 
-def test_sinusoid_motion_periodic():
-    m = MotionConfig("sinusoid", center=(5.0, 0.0, 1.0),
-                     amplitude=(2.0, 0.0, 0.0), period=4.0, phase=0.3)
-    for t in (0.0, 0.7, 2.1):
-        assert np.allclose(m.at(t), m.at(t + 4.0), atol=1e-12)
-    with pytest.raises(ValueError):
-        MotionConfig("sinusoid", center=(0.0, 0.0, 0.0),
-                     amplitude=(0.0, 0.0, 0.0), period=0.0)
-
-
-def _reference_position(m: MotionConfig, t: float) -> np.ndarray:
-    """The position expressions of the motion classes MotionConfig.at
-    replaced, kept as the bit-for-bit reference."""
-    if m.mode == "static":
-        return np.asarray(m.position, dtype=float)
-    if m.mode == "waypoints":
-        wps = [(w[0], w[1:]) for w in m.waypoints]
-        if t <= wps[0][0]:
-            return np.asarray(wps[0][1], dtype=float)
-        for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
-            if t <= t1:
-                a = (t - t0) / (t1 - t0)
-                return (1.0 - a) * np.asarray(p0, float) + a * np.asarray(p1, float)
-        return np.asarray(wps[-1][1], dtype=float)
-    arg = 2.0 * np.pi * t / m.period + m.phase
-    return np.asarray(m.center, float) + np.asarray(m.amplitude, float) * np.sin(arg)
+def _reference_position(o: ObjectConfig, t: float) -> np.ndarray:
+    """The position expressions of the motion classes ObjectConfig.at
+    replaced, kept as the bit-for-bit reference: the static form for one
+    waypoint, the array form between waypoints."""
+    if len(o.waypoints) == 1:
+        return np.asarray(o.waypoints[0][1:], dtype=float)
+    wps = [(w[0], w[1:]) for w in o.waypoints]
+    if t <= wps[0][0]:
+        return np.asarray(wps[0][1], dtype=float)
+    for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
+        if t <= t1:
+            a = (t - t0) / (t1 - t0)
+            return (1.0 - a) * np.asarray(p0, float) + a * np.asarray(p1, float)
+    return np.asarray(wps[-1][1], dtype=float)
 
 
 def test_motion_at_matches_the_reference_bit_for_bit():
-    motions = [
-        MotionConfig("static", position=(1.5, -2, 0.3)),
-        MotionConfig("waypoints", waypoints=((0, 10, 0, 1.5), (2.5, 12.25, 0.1, 1.5),
-                                             (7.0, 30.0, -3.7, 2.0),
-                                             (9.9, 31.0, -3.7, 0.9))),
-        MotionConfig("sinusoid", center=(8.0, 0.5, 1.2),
-                     amplitude=(0.0, 1.7, -0.3), period=3.3, phase=0.7),
-        MotionConfig("sinusoid", center=(1, 2, 3), amplitude=(1, 1, 1), period=2),
+    paths = [
+        _path((0.0, 1.5, -2, 0.3)),
+        _path((0, 10, 0, 1.5), (2.5, 12.25, 0.1, 1.5), (7.0, 30.0, -3.7, 2.0),
+              (9.9, 31.0, -3.7, 0.9)),
+        # a signed zero at the last waypoint, reached at its exact time
+        _path((0.0, 4.0, 0.0, 1.5), (1.0, -0.0, -0.0, 0.0)),
     ]
     rng = np.random.default_rng(12)
     # before, at, between and after the waypoint times, plus random times
-    times = [-1.0, 0.0, 1e-9, 1.3, 2.5, 2.5 + 1e-12, 4.0, 7.0, 9.9, 9.9 + 1e-9,
+    times = [-1.0, 0.0, 1e-9, 1.0, 1.3, 2.5, 2.5 + 1e-12, 4.0, 7.0, 9.9, 9.9 + 1e-9,
              12.0, 1 / 60, 301 / 60, *rng.uniform(-1.0, 11.0, 200)]
-    for m in motions:
+    for o in paths:
         for t in times:
-            got, want = m.at(t), _reference_position(m, t)
-            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (m.mode, t)
+            got, want = o.at(t), _reference_position(o, t)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (o, t)
 
 
 def test_predicted_center_is_the_predicted_box_center():
