@@ -15,8 +15,9 @@ every frame with its own weights on the live run's recorded cues, by the
 tracker's own rule (`choose`); a row that makes the live choice on every
 frame takes the live run's metrics, and only a row that differs on some
 frame is replayed.  A repeated row reuses
-its first copy; a run without metrics fails before any replay, as every
-row's replay of the same stream and prompt would.  The optional
+its first copy; a run without metrics fails before any replay, with the
+reason the live run's summary gives, as every row's replay of the same
+stream and prompt would.  The optional
 parallel path farms seeds out to worker processes and returns results in
 seed order, bit-identical to the sequential path.
 """
@@ -103,7 +104,7 @@ def _seed_task(args) -> list[Metrics]:
     sc = scenario.with_seed(seed)
     art = run(sc)
     if art.metrics is None:
-        raise MetricsError("empty tracker trace")
+        raise MetricsError(art.summary.get("metrics_error", "empty tracker trace"))
     cam = sc.camera.build()
     # the live loop fed art.events to the scenario's own tracker through
     # Tracker.feed, as replay_track does, so its metrics are that row's

@@ -15,7 +15,10 @@ edit of the given or recorded scenario at a dotted path (`--seed` is
 reloaded, so a flag is checked and reported as the same value in a file
 (`error: scenario.<path>: ...`).  Exit codes: 0 success, 1
 configuration/usage error (a file that cannot be read, written or decoded
-as UTF-8 included), 2 runtime abort.
+as UTF-8 included), 2 runtime abort.  A `sim` whose run flies to its end
+succeeds even when the scorer finds no frame to score: the run is written
+with null metrics, and summary.json's "metrics_error" and one stderr line
+give the reason.
 """
 
 from __future__ import annotations
@@ -141,6 +144,8 @@ def cmd_sim(args) -> int:
     write_run(art, out)
     print(f"wrote {out}")
     print(json.dumps(art.summary["metrics"]))
+    if "metrics_error" in art.summary:
+        print(f"no metrics: {art.summary['metrics_error']}", file=sys.stderr)
     return 0
 
 

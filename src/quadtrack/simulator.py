@@ -74,7 +74,7 @@ import numpy as np
 from .config import QuadConfig, Scenario, scenario_hash
 from .controller import GRAVITY_VEC, motor_wrench
 from .detection import GyroSample, ObjectView, SyntheticDetector, frame_views
-from .errors import DetectorAbort, SimulationAbort
+from .errors import DetectorAbort, MetricsError, SimulationAbort
 # project_box is not called here (the frame views carry the truth boxes),
 # but perfbench/tracing.py wraps it under this module's name
 from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
@@ -502,8 +502,14 @@ def run(scenario: Scenario) -> RunArtifacts:
                 wrench = motor_wrench(commanded, sc.quad.geometry)
 
     final = platform(n_phys / hz)
-    metrics = (compute_metrics(tracker_trace, truth_trace, sc.metrics)
-               if tracker_trace else None)
+    # a flown run is kept when the scorer finds nothing to score; its
+    # summary says why its metrics are null
+    metrics = metrics_error = None
+    if tracker_trace:
+        try:
+            metrics = compute_metrics(tracker_trace, truth_trace, sc.metrics)
+        except MetricsError as e:
+            metrics_error = str(e)
     counts = {"physics": n_phys,
               "control": _event_count(sc.duration, sc.rates.control_hz),
               "camera": _event_count(sc.duration, sc.rates.camera_hz)}
@@ -518,6 +524,8 @@ def run(scenario: Scenario) -> RunArtifacts:
         "final_quad_p": final.p,
         "final_dist_xy": truth_trace[-1]["dist_xy"] if truth_trace else None,
     }
+    if metrics_error is not None:
+        summary["metrics_error"] = metrics_error
     return RunArtifacts(sc, events, tracker_trace, command_trace, truth_trace,
                         metrics, counts, summary, frame_scores)
 

@@ -30,12 +30,19 @@ with w the camera-frame angular rate, so ego-rotation does not masquerade as
 target velocity.  The covariance uses the exact Jacobian of this map,
 including the flow's dependence on (x, y, w, h) through the box center.
 
-The filter runs its small algebra on Python floats where numpy's per-call
-overhead would dominate.  Predict forms F P Fᵀ from F's structure (the
-identity but for two rows).  Update takes its gain from a 4×4 Cholesky of
-the innovation covariance S; an S that this fast path cannot vouch for goes
-to the exact gate (eigenvalues of S, then an LU solve), so every
-TrackerAbort on S comes from that gate.
+The whole filter runs on Python floats: its state carries the mean as 6
+floats and the covariance as 36 (row-major) from step to step, and neither
+step's fast path calls numpy, so no BLAS kernel decides a bit of it.
+Predict forms F P Fᵀ from F's structure (the identity but for two rows).
+Update takes its gain from a 4×4 Cholesky of the innovation covariance S
+and writes out the Joseph-form covariance (Bucy & Joseph, Filtering for
+Stochastic Processes with Applications to Guidance, 1968) in straight-line
+code, upper triangle mirrored, so the result is exactly symmetric.  An S
+that the Cholesky cannot vouch for goes to the exact gate (eigenvalues of
+S, then an LU solve, through LAPACK), so every TrackerAbort on S comes
+from that gate; only that degenerate path depends on the kernel.  Python
+floats overflow to inf without a warning, so the finiteness check that
+ends each step reports an overflow on the way.
 """
 
 from __future__ import annotations
@@ -114,15 +121,38 @@ class TrackerConfig:
         # s_min, built once (not dataclass fields)
         self.q_floats = tuple(float(v) for v in self.q_diag)
         self.r_floats = tuple(float(v) for v in self.r_diag)
-        self.r_vector = _frozen(np.array(self.r_floats))
         self.s_min = self.acceptance_fraction * self.weights.total
 
 
-@dataclass
 class EkfState:
-    mean: np.ndarray  # (6,)
-    cov: np.ndarray   # (6,6)
-    t: float
+    """The filter at time t: mean x (6 floats) and covariance P (36 floats,
+    row-major), held as Python floats between steps.  Built from arrays (or
+    any sequences of numbers) as EkfState(mean, cov, t); `mean` and `cov`
+    read as new read-only arrays.  The filter's steps build states from
+    floats with `of_floats`, with no conversion."""
+
+    __slots__ = ("m", "p", "t")
+
+    def __init__(self, mean, cov, t: float):
+        self.m = tuple(np.asarray(mean, dtype=float).reshape(6).tolist())
+        self.p = tuple(np.asarray(cov, dtype=float).reshape(36).tolist())
+        self.t = t
+
+    @classmethod
+    def of_floats(cls, m: tuple, p: tuple, t: float) -> EkfState:
+        """The state of mean m (6 Python floats) and covariance p (36,
+        row-major), taken as they are."""
+        state = cls.__new__(cls)
+        state.m, state.p, state.t = m, p, t
+        return state
+
+    @property
+    def mean(self) -> np.ndarray:  # (6,)
+        return _frozen(np.array(self.m))
+
+    @property
+    def cov(self) -> np.ndarray:   # (6,6)
+        return _frozen(np.array(self.p).reshape(6, 6))
 
 
 @dataclass
@@ -165,9 +195,8 @@ def initialize(prompt_xy, dets: DetectionSet, cfg: TrackerConfig) -> TrackerStat
         dist = math.hypot(cx - px, cy - py)
         if dist < best_d:
             chosen, best_d = d, dist
-    mean = np.zeros(6)
-    mean[:4] = chosen.box.as_array()
-    state = EkfState(mean, np.diag(cfg.p0_diag).astype(float), dets.t)
+    b = chosen.box
+    state = EkfState((b.x, b.y, b.w, b.h, 0.0, 0.0), np.diag(cfg.p0_diag), dets.t)
     norm = np.linalg.norm(chosen.descriptor)
     if norm == 0.0:
         raise TrackerAbort(dets.t, "chosen detection has a zero descriptor")
@@ -210,7 +239,7 @@ def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel
     (a, b, c, d) that are all zero without gyro compensation."""
     a = b = c = d = 0.0
     if compensate:
-        _, _, a, b, c, d = _rotational_flow(state.mean, w, cam)
+        _, _, a, b, c, d = _rotational_flow(state.m, w, cam)
     g0, g1 = _gyro_rows(dt, a, b, c, d)
     return np.array([
         [*g0, dt, 0.0],
@@ -222,21 +251,15 @@ def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel
     ])
 
 
-_ONES_36 = np.ones(36)  # cov.ravel() @ _ONES_36 sums a 6x6 covariance
-_EYE_6 = _frozen(np.eye(6))
-
-
-def _finite_state(mean: np.ndarray, total: float, cov: np.ndarray,
-                  t: float, step: str) -> EkfState:
-    """EkfState(mean, cov, t), or TrackerAbort naming the step at the
-    filter time if an entry is NaN or infinite.  `total`, the caller's
-    sum of every entry of the mean and the covariance, is non-finite when
-    any entry is; only then, or if it overflowed, are the entries checked
-    one by one."""
-    if (not math.isfinite(total)
-            and not (np.isfinite(cov).all() and np.isfinite(mean).all())):
+def _finite_state(m: tuple, p: tuple, t: float, step: str) -> EkfState:
+    """The state of floats m and p at t, or TrackerAbort naming the step at
+    the filter time if an entry is NaN or infinite.  The sum of every entry
+    is non-finite when any entry is; only then, or if it overflowed, are
+    the entries checked one by one."""
+    if (not math.isfinite(sum(m) + sum(p))
+            and not (all(map(math.isfinite, m)) and all(map(math.isfinite, p)))):
         raise TrackerAbort(t, f"filter mean or covariance is not finite after {step}")
-    return EkfState(mean, cov, t)
+    return EkfState.of_floats(m, p, t)
 
 
 def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfState:
@@ -261,19 +284,19 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     if dt > STALE_GYRO_DT:
         log.warning("stale gyro: dt=%.4f s exceeds %.2f s, propagating anyway",
                     dt, STALE_GYRO_DT)
-    m = state.mean.tolist()
+    m = state.m
     if cfg.gyro_compensation:
-        w = np.asarray(gyro.w, dtype=float).tolist()
-        du, dv, a, b, c, d = _rotational_flow(m, w, cfg.camera)
+        du, dv, a, b, c, d = _rotational_flow(m, gyro.w.tolist(), cfg.camera)
     else:
         du = dv = a = b = c = d = 0.0
     x, y, bw, bh, vx, vy = m
-    m = [x + (vx + du) * dt, y + (vy + dv) * dt,
-         max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy]
+    m = (x + (vx + du) * dt, y + (vy + dv) * dt,
+         max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy)
     # rows 0 and 1 of F (predict_jacobian): g0 = [f00 f01 f02 f03 dt 0],
     # g1 = [f10 f11 f12 f13 0 dt]
     (f00, f01, f02, f03), (f10, f11, f12, f13) = _gyro_rows(dt, a, b, c, d)
-    P = state.cov.tolist()
+    p = state.p
+    P = (p[0:6], p[6:12], p[12:18], p[18:24], p[24:30], p[30:36])
     u0 = [p0 * f00 + p1 * f01 + p2 * f02 + p3 * f03 + p4 * dt
           for p0, p1, p2, p3, p4, _ in P]
     u1 = [p0 * f10 + p1 * f11 + p2 * f12 + p3 * f13 + p5 * dt
@@ -294,20 +317,19 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     p33 += q3 * dt
     p44 += q4 * dt
     p55 += q5 * dt
-    cov = [c00, c01, a2, a3, a4, a5,
-           c01, c11, b2, b3, b4, b5,
-           a2, b2, p22, p23, p24, p25,
-           a3, b3, p23, p33, p34, p35,
-           a4, b4, p24, p34, p44, p45,
-           a5, b5, p25, p35, p45, p55]
-    return _finite_state(np.array(m), sum(m) + sum(cov),
-                         np.array(cov).reshape(6, 6), gyro.t, "predict")
+    return _finite_state(m, (c00, c01, a2, a3, a4, a5,
+                             c01, c11, b2, b3, b4, b5,
+                             a2, b2, p22, p23, p24, p25,
+                             a3, b3, p23, p33, p34, p35,
+                             a4, b4, p24, p34, p44, p45,
+                             a5, b5, p25, p35, p45, p55), gyro.t, "predict")
 
 
-def _innovation_gain(P: np.ndarray, r: tuple) -> np.ndarray | None:
-    """K = P[:, :4] S⁻¹ for S = P[:4, :4] + diag(r), from a Cholesky factor
-    S = L Lᵀ on Python floats and S⁻¹ = L⁻ᵀ L⁻¹; None when the fast path
-    cannot vouch for S.
+def _innovation_gain(p: tuple, r: tuple) -> tuple | None:
+    """K = P[:, :4] S⁻¹ for S = P[:4, :4] + diag(r), on Python floats, as
+    24 floats (K row-major, 6×4), from the covariance P as 36 floats
+    (row-major): a Cholesky factor S = L Lᵀ, S⁻¹ = L⁻ᵀ L⁻¹ and the product
+    written out; None when this fast path cannot vouch for S.
 
     It vouches only when S is exactly symmetric, every pivot is > 0 (so
     not NaN) and trace(S)·trace(S⁻¹), which is at least κ₂(S), is at most
@@ -319,34 +341,35 @@ def _innovation_gain(P: np.ndarray, r: tuple) -> np.ndarray | None:
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §10.1,
     §14.2).
     """
-    (s00, s01, s02, s03, _, _), (s10, s11, s12, s13, _, _), \
-        (s20, s21, s22, s23, _, _), (s30, s31, s32, s33, _, _) = P[:4].tolist()
+    (p00, p01, p02, p03, _, _, p10, p11, p12, p13, _, _,
+     p20, p21, p22, p23, _, _, p30, p31, p32, p33, _, _,
+     p40, p41, p42, p43, _, _, p50, p51, p52, p53, _, _) = p
     # exactly symmetric (a NaN never is), as every filter covariance is
-    if not (s10 == s01 and s20 == s02 and s30 == s03 and s21 == s12
-            and s31 == s13 and s32 == s23):
+    if not (p10 == p01 and p20 == p02 and p30 == p03 and p21 == p12
+            and p31 == p13 and p32 == p23):
         return None
     r0, r1, r2, r3 = r
-    s00 += r0
-    s11 += r1
-    s22 += r2
-    s33 += r3
+    s00 = p00 + r0
+    s11 = p11 + r1
+    s22 = p22 + r2
+    s33 = p33 + r3
     if not s00 > 0.0:
         return None
     l00 = math.sqrt(s00)
-    l10 = s01 / l00
-    l20 = s02 / l00
-    l30 = s03 / l00
+    l10 = p01 / l00
+    l20 = p02 / l00
+    l30 = p03 / l00
     d = s11 - l10 * l10
     if not d > 0.0:
         return None
     l11 = math.sqrt(d)
-    l21 = (s12 - l20 * l10) / l11
-    l31 = (s13 - l30 * l10) / l11
+    l21 = (p12 - l20 * l10) / l11
+    l31 = (p13 - l30 * l10) / l11
     d = s22 - l20 * l20 - l21 * l21
     if not d > 0.0:
         return None
     l22 = math.sqrt(d)
-    l32 = (s23 - l30 * l20 - l31 * l21) / l22
+    l32 = (p23 - l30 * l20 - l31 * l21) / l22
     d = s33 - l30 * l30 - l31 * l31 - l32 * l32
     if not d > 0.0:
         return None
@@ -362,7 +385,7 @@ def _innovation_gain(P: np.ndarray, r: tuple) -> np.ndarray | None:
     m32 = -l32 * m22 * m33
     m31 = -(l31 * m11 + l32 * m21) * m33
     m30 = -(l30 * m00 + l31 * m10 + l32 * m20) * m33
-    # S⁻¹ = Mᵀ M
+    # S⁻¹ = Mᵀ M, symmetric: iᵢⱼ for i ≤ j
     i00 = m00 * m00 + m10 * m10 + m20 * m20 + m30 * m30
     i11 = m11 * m11 + m21 * m21 + m31 * m31
     i22 = m22 * m22 + m32 * m32
@@ -376,17 +399,40 @@ def _innovation_gain(P: np.ndarray, r: tuple) -> np.ndarray | None:
     i12 = m21 * m22 + m31 * m32
     i13 = m31 * m33
     i23 = m32 * m33
-    # built flat and reshaped: the same array as from nested rows, without
-    # numpy's shape discovery
-    return P[:, :4] @ np.array((i00, i01, i02, i03, i01, i11, i12, i13,
-                                i02, i12, i22, i23, i03, i13, i23, i33)).reshape(4, 4)
+    return (p00 * i00 + p01 * i01 + p02 * i02 + p03 * i03,
+            p00 * i01 + p01 * i11 + p02 * i12 + p03 * i13,
+            p00 * i02 + p01 * i12 + p02 * i22 + p03 * i23,
+            p00 * i03 + p01 * i13 + p02 * i23 + p03 * i33,
+            p10 * i00 + p11 * i01 + p12 * i02 + p13 * i03,
+            p10 * i01 + p11 * i11 + p12 * i12 + p13 * i13,
+            p10 * i02 + p11 * i12 + p12 * i22 + p13 * i23,
+            p10 * i03 + p11 * i13 + p12 * i23 + p13 * i33,
+            p20 * i00 + p21 * i01 + p22 * i02 + p23 * i03,
+            p20 * i01 + p21 * i11 + p22 * i12 + p23 * i13,
+            p20 * i02 + p21 * i12 + p22 * i22 + p23 * i23,
+            p20 * i03 + p21 * i13 + p22 * i23 + p23 * i33,
+            p30 * i00 + p31 * i01 + p32 * i02 + p33 * i03,
+            p30 * i01 + p31 * i11 + p32 * i12 + p33 * i13,
+            p30 * i02 + p31 * i12 + p32 * i22 + p33 * i23,
+            p30 * i03 + p31 * i13 + p32 * i23 + p33 * i33,
+            p40 * i00 + p41 * i01 + p42 * i02 + p43 * i03,
+            p40 * i01 + p41 * i11 + p42 * i12 + p43 * i13,
+            p40 * i02 + p41 * i12 + p42 * i22 + p43 * i23,
+            p40 * i03 + p41 * i13 + p42 * i23 + p43 * i33,
+            p50 * i00 + p51 * i01 + p52 * i02 + p53 * i03,
+            p50 * i01 + p51 * i11 + p52 * i12 + p53 * i13,
+            p50 * i02 + p51 * i12 + p52 * i22 + p53 * i23,
+            p50 * i03 + p51 * i13 + p52 * i23 + p53 * i33)
 
 
 def _exact_gain(P: np.ndarray, cfg: TrackerConfig, t: float) -> np.ndarray:
     """K = P[:, :4] S⁻¹ by LU solve, behind the exact gate on S: raises
     TrackerAbort at filter time t when S is not finite, not positive
-    definite, or has condition number above MAX_INNOVATION_COND."""
-    S = P[:4, :4] + np.diag(cfg.r_vector)
+    definite, or has condition number above MAX_INNOVATION_COND.  LAPACK
+    does the work, so this path, and only this one, depends on the BLAS
+    kernel; only an S the Cholesky fast path declines reaches it, and no
+    bundled run does."""
+    S = P[:4, :4] + np.diag(cfg.r_floats)
     if not np.isfinite(S).all():
         raise TrackerAbort(t, "innovation covariance is not finite")
     # ascending, read from S's lower triangle; compared as Python floats,
@@ -400,44 +446,144 @@ def _exact_gain(P: np.ndarray, cfg: TrackerConfig, t: float) -> np.ndarray:
     return np.linalg.solve(S.T, P[:, :4].T).T
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfState:
-    """Measurement update with z = [x, y, w, h] (Joseph-form covariance).
+    """Measurement update with z = [x, y, w, h] (Joseph-form covariance),
+    on Python floats.
 
     H = [I4 0] selects the box from the state, so each product with H is a
     selection: S = H P Hᵀ + R is P[:4, :4] + R, P Hᵀ is P[:, :4], H x is
     x[:4], and I − K H is the identity with K subtracted from its first four
-    columns.  With R diagonal, K R Kᵀ is (K * r) @ Kᵀ.
+    columns.  With R = diag(r), the Joseph form (I − KH) P (I − KH)ᵀ + K R Kᵀ
+    is, with M = (I − KH) P = P − K P[:4],
 
-    The gain K = P Hᵀ S⁻¹ comes from a 4×4 Cholesky of S on Python floats
-    (_innovation_gain).  When that fast path cannot vouch for S (not
-    exactly symmetric, a pivot not > 0, or a condition bound above
-    MAX_INNOVATION_COND / 2), S goes to the exact gate (_exact_gain:
-    eigenvalues, then an LU solve).
+        P⁺ = M + (K R − M[:, :4]) Kᵀ,
+
+    written out here in straight-line code: M's first four columns and its
+    upper triangle, G = K R − M[:, :4], then P⁺'s upper triangle, mirrored,
+    so P⁺ is exactly symmetric.
+
+    The gain K = P Hᵀ S⁻¹ comes from a 4×4 Cholesky of S (_innovation_gain).
+    When that fast path cannot vouch for S (not exactly symmetric, a pivot
+    not > 0, or a condition bound above MAX_INNOVATION_COND / 2), S goes to
+    the exact gate (_exact_gain: eigenvalues, then an LU solve), whose K
+    takes the same written-out update.
 
     Fails closed: an innovation covariance S that is not finite, not
     positive definite, or has condition number above MAX_INNOVATION_COND
     raises TrackerAbort, and so does a non-finite updated mean or
-    covariance.  The update runs under an errstate that lets an overflow
-    on the way be an inf for that check to report, not a warning.  The
-    innovation and the mean are stepped on Python floats: the same
-    operations as on arrays, so the same bits, in less time.
+    covariance.  An overflow on the way is an inf (Python floats raise no
+    warning) that the final check reports.
     """
-    P = state.cov
-    K = _innovation_gain(P, cfg.r_floats)
+    K = _innovation_gain(state.p, cfg.r_floats)
     if K is None:
-        K = _exact_gain(P, cfg, state.t)
-    m0, m1, m2, m3, m4, m5 = state.mean.tolist()
-    nu = np.array((box.x - m0, box.y - m1, box.w - m2, box.h - m3))
-    k0, k1, k2, k3, k4, k5 = (K @ nu).tolist()
-    mean = [m0 + k0, m1 + k1, max(MIN_BOX_SIZE, m2 + k2),
-            max(MIN_BOX_SIZE, m3 + k3), m4 + k4, m5 + k5]
-    IKH = _EYE_6.copy()
-    IKH[:, :4] -= K
-    cov = IKH @ P @ IKH.T + (K * cfg.r_vector) @ K.T
-    cov = 0.5 * (cov + cov.T)
-    return _finite_state(np.array(mean), sum(mean) + cov.ravel().dot(_ONES_36),
-                         cov, state.t, "update")
+        K = _exact_gain(state.cov, cfg, state.t).ravel().tolist()
+    (k00, k01, k02, k03, k10, k11, k12, k13, k20, k21, k22, k23,
+     k30, k31, k32, k33, k40, k41, k42, k43, k50, k51, k52, k53) = K
+    (p00, p01, p02, p03, p04, p05, p10, p11, p12, p13, p14, p15,
+     p20, p21, p22, p23, p24, p25, p30, p31, p32, p33, p34, p35,
+     p40, p41, p42, p43, p44, p45, p50, p51, p52, p53, _, p55) = state.p
+    r0, r1, r2, r3 = cfg.r_floats
+    x0, x1, x2, x3, x4, x5 = state.m
+    n0 = box.x - x0
+    n1 = box.y - x1
+    n2 = box.w - x2
+    n3 = box.h - x3
+    mean = (x0 + (k00 * n0 + k01 * n1 + k02 * n2 + k03 * n3),
+            x1 + (k10 * n0 + k11 * n1 + k12 * n2 + k13 * n3),
+            max(MIN_BOX_SIZE, x2 + (k20 * n0 + k21 * n1 + k22 * n2 + k23 * n3)),
+            max(MIN_BOX_SIZE, x3 + (k30 * n0 + k31 * n1 + k32 * n2 + k33 * n3)),
+            x4 + (k40 * n0 + k41 * n1 + k42 * n2 + k43 * n3),
+            x5 + (k50 * n0 + k51 * n1 + k52 * n2 + k53 * n3))
+    # M = P − K P[:4]: columns 0..3, and the upper triangle of columns 4, 5
+    m00 = p00 - (k00 * p00 + k01 * p10 + k02 * p20 + k03 * p30)
+    m01 = p01 - (k00 * p01 + k01 * p11 + k02 * p21 + k03 * p31)
+    m02 = p02 - (k00 * p02 + k01 * p12 + k02 * p22 + k03 * p32)
+    m03 = p03 - (k00 * p03 + k01 * p13 + k02 * p23 + k03 * p33)
+    m04 = p04 - (k00 * p04 + k01 * p14 + k02 * p24 + k03 * p34)
+    m05 = p05 - (k00 * p05 + k01 * p15 + k02 * p25 + k03 * p35)
+    m10 = p10 - (k10 * p00 + k11 * p10 + k12 * p20 + k13 * p30)
+    m11 = p11 - (k10 * p01 + k11 * p11 + k12 * p21 + k13 * p31)
+    m12 = p12 - (k10 * p02 + k11 * p12 + k12 * p22 + k13 * p32)
+    m13 = p13 - (k10 * p03 + k11 * p13 + k12 * p23 + k13 * p33)
+    m14 = p14 - (k10 * p04 + k11 * p14 + k12 * p24 + k13 * p34)
+    m15 = p15 - (k10 * p05 + k11 * p15 + k12 * p25 + k13 * p35)
+    m20 = p20 - (k20 * p00 + k21 * p10 + k22 * p20 + k23 * p30)
+    m21 = p21 - (k20 * p01 + k21 * p11 + k22 * p21 + k23 * p31)
+    m22 = p22 - (k20 * p02 + k21 * p12 + k22 * p22 + k23 * p32)
+    m23 = p23 - (k20 * p03 + k21 * p13 + k22 * p23 + k23 * p33)
+    m24 = p24 - (k20 * p04 + k21 * p14 + k22 * p24 + k23 * p34)
+    m25 = p25 - (k20 * p05 + k21 * p15 + k22 * p25 + k23 * p35)
+    m30 = p30 - (k30 * p00 + k31 * p10 + k32 * p20 + k33 * p30)
+    m31 = p31 - (k30 * p01 + k31 * p11 + k32 * p21 + k33 * p31)
+    m32 = p32 - (k30 * p02 + k31 * p12 + k32 * p22 + k33 * p32)
+    m33 = p33 - (k30 * p03 + k31 * p13 + k32 * p23 + k33 * p33)
+    m34 = p34 - (k30 * p04 + k31 * p14 + k32 * p24 + k33 * p34)
+    m35 = p35 - (k30 * p05 + k31 * p15 + k32 * p25 + k33 * p35)
+    m40 = p40 - (k40 * p00 + k41 * p10 + k42 * p20 + k43 * p30)
+    m41 = p41 - (k40 * p01 + k41 * p11 + k42 * p21 + k43 * p31)
+    m42 = p42 - (k40 * p02 + k41 * p12 + k42 * p22 + k43 * p32)
+    m43 = p43 - (k40 * p03 + k41 * p13 + k42 * p23 + k43 * p33)
+    m44 = p44 - (k40 * p04 + k41 * p14 + k42 * p24 + k43 * p34)
+    m45 = p45 - (k40 * p05 + k41 * p15 + k42 * p25 + k43 * p35)
+    m50 = p50 - (k50 * p00 + k51 * p10 + k52 * p20 + k53 * p30)
+    m51 = p51 - (k50 * p01 + k51 * p11 + k52 * p21 + k53 * p31)
+    m52 = p52 - (k50 * p02 + k51 * p12 + k52 * p22 + k53 * p32)
+    m53 = p53 - (k50 * p03 + k51 * p13 + k52 * p23 + k53 * p33)
+    m55 = p55 - (k50 * p05 + k51 * p15 + k52 * p25 + k53 * p35)
+    # G = K R − M[:, :4]
+    g00 = k00 * r0 - m00
+    g01 = k01 * r1 - m01
+    g02 = k02 * r2 - m02
+    g03 = k03 * r3 - m03
+    g10 = k10 * r0 - m10
+    g11 = k11 * r1 - m11
+    g12 = k12 * r2 - m12
+    g13 = k13 * r3 - m13
+    g20 = k20 * r0 - m20
+    g21 = k21 * r1 - m21
+    g22 = k22 * r2 - m22
+    g23 = k23 * r3 - m23
+    g30 = k30 * r0 - m30
+    g31 = k31 * r1 - m31
+    g32 = k32 * r2 - m32
+    g33 = k33 * r3 - m33
+    g40 = k40 * r0 - m40
+    g41 = k41 * r1 - m41
+    g42 = k42 * r2 - m42
+    g43 = k43 * r3 - m43
+    g50 = k50 * r0 - m50
+    g51 = k51 * r1 - m51
+    g52 = k52 * r2 - m52
+    g53 = k53 * r3 - m53
+    # P⁺ = M + G Kᵀ, upper triangle
+    c00 = m00 + (g00 * k00 + g01 * k01 + g02 * k02 + g03 * k03)
+    c01 = m01 + (g00 * k10 + g01 * k11 + g02 * k12 + g03 * k13)
+    c02 = m02 + (g00 * k20 + g01 * k21 + g02 * k22 + g03 * k23)
+    c03 = m03 + (g00 * k30 + g01 * k31 + g02 * k32 + g03 * k33)
+    c04 = m04 + (g00 * k40 + g01 * k41 + g02 * k42 + g03 * k43)
+    c05 = m05 + (g00 * k50 + g01 * k51 + g02 * k52 + g03 * k53)
+    c11 = m11 + (g10 * k10 + g11 * k11 + g12 * k12 + g13 * k13)
+    c12 = m12 + (g10 * k20 + g11 * k21 + g12 * k22 + g13 * k23)
+    c13 = m13 + (g10 * k30 + g11 * k31 + g12 * k32 + g13 * k33)
+    c14 = m14 + (g10 * k40 + g11 * k41 + g12 * k42 + g13 * k43)
+    c15 = m15 + (g10 * k50 + g11 * k51 + g12 * k52 + g13 * k53)
+    c22 = m22 + (g20 * k20 + g21 * k21 + g22 * k22 + g23 * k23)
+    c23 = m23 + (g20 * k30 + g21 * k31 + g22 * k32 + g23 * k33)
+    c24 = m24 + (g20 * k40 + g21 * k41 + g22 * k42 + g23 * k43)
+    c25 = m25 + (g20 * k50 + g21 * k51 + g22 * k52 + g23 * k53)
+    c33 = m33 + (g30 * k30 + g31 * k31 + g32 * k32 + g33 * k33)
+    c34 = m34 + (g30 * k40 + g31 * k41 + g32 * k42 + g33 * k43)
+    c35 = m35 + (g30 * k50 + g31 * k51 + g32 * k52 + g33 * k53)
+    c44 = m44 + (g40 * k40 + g41 * k41 + g42 * k42 + g43 * k43)
+    c45 = m45 + (g40 * k50 + g41 * k51 + g42 * k52 + g43 * k53)
+    c55 = m55 + (g50 * k50 + g51 * k51 + g52 * k52 + g53 * k53)
+    return _finite_state(mean, (c00, c01, c02, c03, c04, c05,
+                                c01, c11, c12, c13, c14, c15,
+                                c02, c12, c22, c23, c24, c25,
+                                c03, c13, c23, c33, c34, c35,
+                                c04, c14, c24, c34, c44, c45,
+                                c05, c15, c25, c35, c45, c55),
+                         state.t, "update")
 
 
 def at_prompt(t: float, prompt_t: float) -> bool:
@@ -447,7 +593,7 @@ def at_prompt(t: float, prompt_t: float) -> bool:
 
 def predicted_box(state: EkfState) -> BoundingBox:
     # Python floats: the box's area and overlaps overflow to inf, unwarned
-    m = state.mean.tolist()
+    m = state.m
     return BoundingBox(m[0], m[1], max(MIN_BOX_SIZE, m[2]), max(MIN_BOX_SIZE, m[3]))
 
 

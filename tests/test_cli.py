@@ -153,6 +153,35 @@ def test_sim_runtime_abort_exits_2(tmp_path, capsys):
         "abort: tracker: no detections at prompt time; cannot initialize at t=0.000000 s\n")
 
 
+
+def test_a_flown_run_with_no_scorable_frame_is_written_with_the_reason(tmp_path,
+                                                                      capsys):
+    # the target's first waypoint 100 times farther along x: the target
+    # never projects to a box, the tracker locks a false positive, and no
+    # frame of the flown run can be scored.  The run is written whole, with
+    # null metrics and the scorer's reason, and exits 0 as a run whose
+    # prompt falls after its last frame does; the ablation of the same
+    # scenario fails with the same reason, before any replay
+    d = scenarios.get("false_positive_storm").to_dict()
+    d["duration"] = 0.5
+    target = next(o for o in d["objects"] if o["obj_id"] == d["target_id"])
+    target["waypoints"][0][1] *= 100
+    path, out = tmp_path / "far.json", tmp_path / "run"
+    path.write_text(json.dumps(d))
+    reason = "no scorable frames (target never projectable)"
+    assert cli.main(["sim", str(path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}\nnull\n"
+    assert captured.err == f"no metrics: {reason}\n"
+    assert sorted(os.listdir(out)) == ["commands.jsonl", "events.jsonl",
+                                       "groundtruth.jsonl", "summary.json",
+                                       "tracker.jsonl"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metrics"] is None and summary["metrics_error"] == reason
+    assert any(r["status"] == "tracking" for r in read_jsonl(out / "tracker.jsonl"))
+    assert_fails(capsys, ["metrics", str(out)], 1, f"error: {reason}")
+    assert_fails(capsys, ["ablate", str(path), "--seeds", "1"], 1, f"error: {reason}")
+
 # one noise, gain, vehicle or covariance value of a run, by section
 _FUZZ_FIELDS = (
     *(("detector", key) for key in ("center_noise_px", "size_noise_frac",
@@ -198,7 +227,7 @@ def _sim_in_process(d) -> tuple[int, str]:
 @settings(max_examples=40)
 @given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_FIELDS),
        st.integers(-3, 308))
-# the initial covariance overflows the update's symmetrization
+# an initial covariance near the float range (see the test after next)
 @example("static_target", ("tracker", "p0_diag"), 306)
 def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
     # the run ends, is rejected at load (a value scaled past the float
@@ -209,6 +238,32 @@ def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
     if code == 2:
         lines = err.splitlines()
         assert len(lines) == 1 and ABORT_LINE.match(lines[0]), err
+
+
+def _uncompensated(d) -> dict:
+    d["tracker"]["gyro_compensation"] = False
+    return d
+
+
+@pytest.mark.parametrize("d,line", [
+    # the first update's posterior is finite, but its entries of ~1e275
+    # are the rounding residue of 1e307-scale terms, and the next frame's
+    # innovation covariance fails the exact gate
+    (_scaled_scenario("static_target", ("tracker", "p0_diag"), 306),
+     "abort: tracker: innovation covariance condition number exceeds 1e+12 "
+     "at t=0.033333 s"),
+    # box sizes beyond the float range: the update's product with the
+    # innovation overflows to inf, which the check after it reports
+    (_uncompensated(_scaled_scenario("static_target", ("detector", "size_noise_frac"),
+                                     308)),
+     "abort: tracker: filter mean or covariance is not finite after update "
+     "at t=0.083333 s"),
+], ids=["p0_diag_1e306", "size_noise_frac_1e308"])
+def test_a_filter_near_the_float_range_aborts_with_one_tracker_line(d, line):
+    # two of the fuzz's examples, in process with every warning an error:
+    # the filter's Python floats overflow to inf with no warning, and the
+    # run aborts in the tracker with one line
+    assert _sim_in_process(d) == (2, line + "\n")
 
 
 # the switches that change a run's structure rather than its scale; an
@@ -236,12 +291,21 @@ def test_a_flipped_switch_with_a_scaled_value_exits_cleanly_with_one_line(
     # y or z) of one waypoint of a drawn object scaled by 10^j, in the same
     # run: it ends, or fails at load or in one layer with one line (an abort
     # in the abort shape); nothing escapes cli.main.  obj, and waypoint
-    # within the object's path, count modulo the choices.
+    # within the object's path, count modulo the choices.  A time of a
+    # path with more than one waypoint moves by its gap to its neighbour
+    # scaled by 10^j, so that the times stay strictly increasing and the
+    # run flies: the first waypoint's away from the second, and any other
+    # draw the last waypoint's away from the one before it.
     d = _scaled_scenario(name, field, k)
     objects = d["objects"]
     path = objects[obj % len(objects)]["waypoints"]
-    entry = path[waypoint % len(path)]
-    entry[coord] = _scaled(entry[coord], j)
+    i = waypoint % len(path)
+    if coord == 0 and len(path) > 1:
+        i = 0 if i == 0 else len(path) - 1
+        t_near = path[1 if i == 0 else i - 1][0]
+        path[i][0] = t_near + _scaled(path[i][0] - t_near, j)
+    else:
+        path[i][coord] = _scaled(path[i][coord], j)
     section, key = switch
     node = d[section]
     if section == "objects":

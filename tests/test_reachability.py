@@ -61,6 +61,10 @@ ALLOWED = {
                      "test_dynamics_step_hands_fallback_result_back_unchanged"),
     ("simulator.py", "project_box"):
         ("perfbench", "perfbench/tracing.py", 'w(mod, "project_box"'),
+    # the exact gate reads the covariance as an array; no other run path does
+    ("tracker.py", "EkfState.cov"):
+        ("fallback", "tests/test_tracker.py::"
+                     "test_the_exact_gate_takes_what_the_cholesky_declines"),
     ("tracker.py", "_exact_gain"):
         ("fallback", "tests/test_tracker.py::"
                      "test_cholesky_gate_decides_like_the_exact_gate"),

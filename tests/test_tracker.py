@@ -458,7 +458,7 @@ def test_filter_matches_array_form_within_rounding():
         P, m = want.cov, want.mean
         got_u = ekf_update(want, z, cfg)
         want_u = ref_ekf_update(want, z, cfg)
-        kinds["fast_gain"] += _innovation_gain(P, cfg.r_floats) is not None
+        kinds["fast_gain"] += _innovation_gain(want.p, cfg.r_floats) is not None
         r = np.asarray(cfg.r_diag)
         dK = gain_difference_bound(P, r)
         K = np.linalg.solve(P[:4, :4] + np.diag(r), P[:4, :]).T
@@ -572,7 +572,7 @@ def test_cholesky_gate_decides_like_the_exact_gate(monkeypatch):
         except TrackerAbort as e:
             got = e.args[1].split(" 1e+12")[0]
         assert got == want, (n, P[:4, :4], r)
-        paths[_innovation_gain(P, cfg.r_floats) is not None, want is None] += 1
+        paths[_innovation_gain(st.p, cfg.r_floats) is not None, want is None] += 1
     # every branch is exercised: the fast path takes well-conditioned S;
     # S near the bound decline and are accepted by the exact gate; the rest
     # decline and raise.  (The seeded corpus gives 4963 / 1016 / 14021.)
@@ -580,6 +580,195 @@ def test_cholesky_gate_decides_like_the_exact_gate(monkeypatch):
     assert len(exact_calls) == paths[False, True] + paths[False, False], paths
     assert (paths[True, True] >= 3000 and paths[False, True] >= 500
             and paths[False, False] >= 10000), paths
+
+
+# ---------------------------------------------------------------------------
+# the written-out Joseph update against numpy's, for one gain
+# ---------------------------------------------------------------------------
+
+
+def joseph_reference(state, box, K, r):
+    """The update in numpy for gain K (6×4): m + K ν, and the Joseph form
+    IKH P IKHᵀ + (K r) Kᵀ with IKH = I − K H."""
+    P, m = state.cov, state.mean
+    mean = m + K @ (box.as_array() - m[:4])
+    mean[2:4] = np.maximum(1.0, mean[2:4])
+    IKH = np.eye(6)
+    IKH[:, :4] -= K
+    return mean, IKH @ P @ IKH.T + (K * r) @ K.T
+
+
+def joseph_bound(P, K, r):
+    """Entrywise bound on |ekf_update's P⁺ − joseph_reference's| for the
+    same K.  Both evaluate C = M + (K R − M[:, :4]) Kᵀ, M = P − K P[:4],
+    which is A P Aᵀ + K R Kᵀ (A = I − KH).  Every term of C, written as a
+    sum of products of entries of P, K and r, is one of the terms of
+    |P| + |K||P[:4]| + (|K| r + |P[:, :4]| + |K||P[:4, :4]|)|K|ᵀ, and a
+    sum of products evaluated in any order is within γ_d of that sum of
+    absolute terms, for d the most roundings on one term's path (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, §3.1, §3.5).
+    The written-out form rounds a term at most 11 times (a product and
+    three additions for K P[:4], the subtraction from P, K r − M, a
+    product and three additions for G Kᵀ, the addition of M).  The numpy
+    form rounds at most 14 times (forming A, two 6-term products of 6
+    roundings each, the addition of (K r) Kᵀ), on |A||P||A|ᵀ + |K| r |K|ᵀ,
+    which is at most the sum above since |A| ≤ I + |K| H entrywise.  The
+    mirrored lower triangle keeps the bound, which is symmetric for a
+    symmetric P; for any P the transpose's is added."""
+    aK, aP = np.abs(K), np.abs(P)
+    W = aP + aK @ aP[:4] + (aK * r + aP[:, :4] + aK @ aP[:4, :4]) @ aK.T
+    return 2.0 * gamma(14) * np.maximum(W, W.T)
+
+
+def recorded_updates(name):
+    """(state, box, cfg) of every update of a replay of the bundled run."""
+    sc = scenarios.get(name)
+    events = run(sc).events
+    cfg = sc.tracker.build(sc.camera.build())
+    calls = []
+    real = tracker.ekf_update
+
+    def spy(state, box, cfg):
+        calls.append((state, box, cfg))
+        return real(state, box, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracker, "ekf_update", spy)
+        replay_track(events, (sc.prompt.x, sc.prompt.y), sc.prompt.t, cfg)
+    return calls
+
+
+def random_updates(n):
+    rng = np.random.default_rng(31)
+    for _ in range(n):
+        cfg = make_cfg(r_diag=tuple(rng.uniform(0.01, 5.0, 4)))
+        box = BoundingBox(rng.uniform(-50, 950), rng.uniform(-50, 550),
+                          rng.uniform(1.0, 150), rng.uniform(1.0, 150))
+        yield random_filter_state(rng, 1.0, 200.0), box, cfg
+
+
+def test_update_matches_numpy_joseph_form_within_rounding():
+    # recorded decoy and storm states, and random SPD ones: the gain is the
+    # fast path's own, so only the update's arithmetic is compared.  The
+    # mean's 4-term product and addition round at most 5 times on either
+    # side: |Δ| ≤ 2γ₅(|m| + |K||ν|).  Observed worst: 29% of the mean's
+    # bound and 16% of the covariance's (decoy, storm, random).
+    cases = (recorded_updates("occlusion_decoy")
+             + recorded_updates("false_positive_storm")
+             + list(random_updates(300)))
+    assert len(cases) > 1900
+    for state, box, cfg in cases:
+        r = np.asarray(cfg.r_floats)
+        K = np.array(_innovation_gain(state.p, cfg.r_floats)).reshape(6, 4)
+        got = ekf_update(state, box, cfg)
+        mean, cov = joseph_reference(state, box, K, r)
+        nu = box.as_array() - state.mean[:4]
+        assert np.all(np.abs(got.mean - mean)
+                      <= 2.0 * gamma(5) * (np.abs(state.mean) + np.abs(K) @ np.abs(nu)))
+        assert np.all(np.abs(got.cov - cov) <= joseph_bound(state.cov, K, r))
+
+
+def old_update(state, box, cfg):
+    """The update as the array form computed it before the written-out
+    one: the exact gate's gain, then the Joseph form, averaged with its
+    transpose."""
+    P, r = state.cov, np.asarray(cfg.r_floats)
+    K = tracker._exact_gain(P, cfg, state.t)
+    mean, cov = joseph_reference(state, box, K, r)
+    return mean, 0.5 * (cov + cov.T), K
+
+
+def declined_states():
+    """(name, state, cfg) whose S the Cholesky fast path declines: a P one
+    unit in the last place from symmetric, and S = Q Λ Qᵀ with κ₂(S) on
+    either side of MAX_INNOVATION_COND (above the fast path's bound of
+    MAX_INNOVATION_COND / 2 on trace(S)·trace(S⁻¹) ≥ κ₂(S))."""
+    rng = np.random.default_rng(12)
+    cfg = make_cfg()
+    for k in range(4):
+        P = random_filter_state(rng, 1.0, 200.0).cov.copy()
+        i, j = ((0, 1), (1, 2), (0, 3), (2, 3))[k]
+        P[i, j] = np.nextafter(P[i, j], np.inf)
+        yield f"asymmetric_{k}", EkfState(rng.uniform(10.0, 100.0, 6), P, 1.0), cfg
+    r = np.asarray(cfg.r_floats)
+    for kappa in (0.6e12, 0.9e12, 1.1e12, 3e12):
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        lam = np.array([1.0, 2.0, 3.0, kappa])
+        P = np.eye(6) * 4.0
+        P[:4, :4] = (Q * lam) @ Q.T
+        P[:4, :4] = 0.5 * (P[:4, :4] + P[:4, :4].T) - np.diag(r)
+        yield f"kappa_{kappa:g}", EkfState(rng.uniform(10.0, 100.0, 6), P, 1.0), cfg
+
+
+@pytest.mark.parametrize("name,state,cfg", declined_states(),
+                         ids=[c[0] for c in declined_states()])
+def test_the_exact_gate_takes_what_the_cholesky_declines(monkeypatch, name, state,
+                                                         cfg):
+    # the exact gate decides, aborts as it did, or its gain takes the same
+    # written-out update; that update is the array form's within
+    # joseph_bound (plus a unit for the averaging) and, for an asymmetric
+    # P, half of |A||P − Pᵀ||A|ᵀ, the averaged-away asymmetry
+    exact_calls = []
+    exact_gain = tracker._exact_gain
+
+    def counting(P, cfg, t):
+        exact_calls.append(t)
+        return exact_gain(P, cfg, t)
+
+    monkeypatch.setattr(tracker, "_exact_gain", counting)
+    assert _innovation_gain(state.p, cfg.r_floats) is None
+    box = BoundingBox(30.0, 40.0, 20.0, 10.0)
+    P = state.cov
+    S = P[:4, :4] + np.diag(cfg.r_floats)
+    if ref_gate(S) is not None:
+        assert ref_gate(S) == "innovation covariance condition number exceeds"
+        with pytest.raises(TrackerAbort, match="^tracker: innovation covariance condition "
+                           "number exceeds 1e\\+12 at t=1.000000 s$"):
+            ekf_update(state, box, cfg)
+        assert exact_calls == [1.0]
+        return
+    got = ekf_update(state, box, cfg)
+    assert exact_calls == [1.0]
+    mean, cov, K = old_update(state, box, cfg)
+    A = np.eye(6)
+    A[:, :4] -= K
+    nu = box.as_array() - state.mean[:4]
+    assert np.all(np.abs(got.mean - mean)
+                  <= 2.0 * gamma(5) * (np.abs(state.mean) + np.abs(K) @ np.abs(nu)))
+    bound = (joseph_bound(P, K, np.asarray(cfg.r_floats)) * (1.0 + 2.0 * U)
+             + 0.5 * np.abs(A) @ np.abs(P - P.T) @ np.abs(A).T)
+    assert np.all(np.abs(got.cov - cov) <= bound)
+    assert np.array_equal(got.cov, got.cov.T)
+
+
+def test_updated_covariance_is_exactly_symmetric():
+    # the update computes P⁺'s upper triangle and mirrors it, on the fast
+    # path and behind the exact gate, even from a P that is not symmetric
+    cases = [(s, b, c) for s, b, c in random_updates(200)]
+    cases += [(s, BoundingBox(30.0, 40.0, 20.0, 10.0), c)
+              for name, s, c in declined_states() if name.startswith("asymmetric")]
+    for state, box, cfg in cases:
+        p = ekf_update(state, box, cfg).p
+        assert all(p[6 * i + j] == p[6 * j + i] for i in range(6) for j in range(i))
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called on the filter's fast path")
+
+
+def test_filter_fast_path_calls_no_numpy(monkeypatch):
+    # predict and update on the floats alone, with or without gyro
+    # compensation: no numpy function, so no BLAS kernel, is reached
+    cfg = make_cfg()
+    states = [fresh_state(cfg=cfg).ekf, random_filter_state(np.random.default_rng(4), 0.0, 200.0)]
+    monkeypatch.setattr(tracker, "np", _NoNumpy())
+    for compensate in (True, False):
+        cfg = make_cfg(gyro_compensation=compensate)
+        for ekf in states:
+            ekf = ekf_predict(ekf, GyroSample(0.02, np.array([0.1, -0.2, 0.3])), cfg)
+            ekf = ekf_update(ekf, BoundingBox(101.0, 99.0, 41.0, 29.0), cfg)
+            assert isinstance(ekf.p[0], float) and isinstance(ekf.m[0], float)
 
 
 def test_update_memory_bit_identical_to_norm_form():
@@ -636,7 +825,7 @@ def test_score_weighted_sum_example():
     cfg = make_cfg()
     st = initialize((5.0, 5.0),
                     DetectionSet(0.0, [det(BoundingBox(0, 0, 10, 10))]), cfg)
-    st.ekf.mean[:4] = [0.0, 0.0, 25.0, 10.0]
+    st.ekf = EkfState([0.0, 0.0, 25.0, 10.0, 0.0, 0.0], st.ekf.cov, st.ekf.t)
     cand = det(BoundingBox(0.0, 0.0, 5.0, 10.0),
                0.9 * unit(0) + math.sqrt(0.19) * unit(1))
     s = score(cand, st, predicted_box(st.ekf))
