@@ -49,13 +49,25 @@ from .scene import ObjectState, SceneSnapshot
 DESCRIPTOR_DIM = 256
 
 
-@dataclass(frozen=True, eq=False)
 class Detection:
-    """One candidate box with its appearance descriptor (unit norm)."""
+    """One candidate box with its appearance descriptor (unit norm).
 
-    box: BoundingBox
-    confidence: float
-    descriptor: np.ndarray
+    Immutable by convention: nothing assigns a field after construction.
+    Equal only to itself, with a repr by value.  A slotted class with a
+    plain __init__, not a frozen dataclass, because every frame builds
+    detections and a frozen dataclass builds them several times slower.
+    """
+
+    __slots__ = ("box", "confidence", "descriptor")
+
+    def __init__(self, box: BoundingBox, confidence: float, descriptor: np.ndarray):
+        self.box = box
+        self.confidence = confidence
+        self.descriptor = descriptor
+
+    def __repr__(self) -> str:
+        return (f"Detection(box={self.box!r}, confidence={self.confidence!r}, "
+                f"descriptor={self.descriptor!r})")
 
 
 class ObjectView(NamedTuple):
@@ -77,12 +89,21 @@ class DetectionSet:
         return len(self.detections)
 
 
-@dataclass(frozen=True, eq=False)
 class GyroSample:
-    """Body rates mapped into the camera frame (rad/s) at time t."""
+    """Body rates mapped into the camera frame (rad/s) at time t.
 
-    t: float
-    w: np.ndarray  # (3,) camera-frame angular velocity
+    Immutable by convention, equal only to itself, with a repr by value;
+    slotted, as `Detection` is, because every gyro tick builds one.
+    """
+
+    __slots__ = ("t", "w")
+
+    def __init__(self, t: float, w: np.ndarray):
+        self.t = t
+        self.w = w  # (3,) camera-frame angular velocity
+
+    def __repr__(self) -> str:
+        return f"GyroSample(t={self.t!r}, w={self.w!r})"
 
 
 @dataclass(frozen=True)

@@ -189,12 +189,21 @@ class CameraModel:
         return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
 
 
-@dataclass(frozen=True, eq=False)
 class CameraPose:
-    """Camera extrinsics: rotation is world-from-camera, position in world."""
+    """Camera extrinsics: rotation is world-from-camera, position in world.
 
-    rotation: np.ndarray  # (3,3)
-    position: np.ndarray  # (3,)
+    Immutable by convention, equal only to itself, with a repr by value;
+    slotted, as `BoundingBox` is, because every camera frame builds one.
+    """
+
+    __slots__ = ("rotation", "position")
+
+    def __init__(self, rotation: np.ndarray, position: np.ndarray):
+        self.rotation = rotation  # (3,3)
+        self.position = position  # (3,)
+
+    def __repr__(self) -> str:
+        return f"CameraPose(rotation={self.rotation!r}, position={self.position!r})"
 
 
 def camera_point(pose: CameraPose, p_world) -> tuple[float, float, float]:

@@ -32,12 +32,13 @@ including the flow's dependence on (x, y, w, h) through the box center.
 
 The whole filter runs on Python floats: its state carries the mean as 6
 floats and the covariance as 36 (row-major) from step to step, and neither
-step's fast path calls numpy, so no BLAS kernel decides a bit of it.
-Predict forms F P Fᵀ from F's structure (the identity but for two rows).
-Update takes its gain from a 4×4 Cholesky of the innovation covariance S
-and writes out the Joseph-form covariance (Bucy & Joseph, Filtering for
-Stochastic Processes with Applications to Guidance, 1968) in straight-line
-code, upper triangle mirrored, so the result is exactly symmetric.  An S
+step's fast path calls numpy, so no BLAS kernel decides a bit of it.  Both
+steps are written out in straight-line code.  Predict forms F P Fᵀ from
+F's structure (the identity but for two rows), with the rotational flow
+and F's two rows inline.  Update takes its gain from a 4×4 Cholesky of the
+innovation covariance S and writes out the Joseph-form covariance (Bucy &
+Joseph, Filtering for Stochastic Processes with Applications to Guidance,
+1968), upper triangle mirrored, so the result is exactly symmetric.  An S
 that the Cholesky cannot vouch for goes to the exact gate (eigenvalues of
 S, then an LU solve, through LAPACK), so every TrackerAbort on S comes
 from that gate; only that degenerate path depends on the kernel.  Python
@@ -208,42 +209,29 @@ def initialize(prompt_xy, dets: DetectionSet, cfg: TrackerConfig) -> TrackerStat
 # ---------------------------------------------------------------------------
 
 
-def _rotational_flow(mean, w, cam: CameraModel):
-    """Pixel-rate of the box center induced by camera rotation, plus the
-    partials of (u', v') w.r.t. normalized center coordinates."""
-    f = cam.focal
-    xn = (mean[0] + mean[2] / 2.0 - cam.cx) / f
-    yn = (mean[1] + mean[3] / 2.0 - cam.cy) / f
-    wx, wy, wz = w
-    du = f * (xn * yn * wx - (1.0 + xn * xn) * wy + yn * wz)
-    dv = f * ((1.0 + yn * yn) * wx - xn * yn * wy - xn * wz)
-    # d(du/f)/dxn etc.; multiplied back by f and the 1/f of d(xn)/dx they
-    # become the pixel-space partials directly.
-    a = yn * wx - 2.0 * xn * wy
-    b = xn * wx + wz
-    c = -(yn * wy + wz)
-    d = 2.0 * yn * wx - xn * wy
-    return du, dv, a, b, c, d
-
-
-def _gyro_rows(dt: float, a: float, b: float, c: float, d: float) -> tuple:
-    """Columns 0..3 of F's rows 0 and 1, where the flow partials (a, b, c, d)
-    enter; `ekf_predict` and `predict_jacobian` share this definition."""
-    return ((1.0 + dt * a, dt * b, dt * a / 2.0, dt * b / 2.0),
-            (dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0))
-
-
 def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel,
                      compensate: bool = True) -> np.ndarray:
-    """State-transition Jacobian F of one predict step, for flow partials
-    (a, b, c, d) that are all zero without gyro compensation."""
+    """State-transition Jacobian F of one predict step: the identity but
+    for rows 0 and 1, where dt and the partials (a, b, c, d) of the box
+    center's rotational flow w.r.t. its normalized coordinates enter (all
+    zero without gyro compensation).  This is F's one written definition;
+    `ekf_predict` writes out the same entries with the same operations."""
     a = b = c = d = 0.0
     if compensate:
-        _, _, a, b, c, d = _rotational_flow(state.m, w, cam)
-    g0, g1 = _gyro_rows(dt, a, b, c, d)
+        f = cam.focal
+        x, y, bw, bh, _, _ = state.m
+        xn = (x + bw / 2.0 - cam.cx) / f
+        yn = (y + bh / 2.0 - cam.cy) / f
+        wx, wy, wz = w
+        # d(du/f)/dxn etc.; multiplied back by f and the 1/f of d(xn)/dx
+        # they become the pixel-space partials directly
+        a = yn * wx - 2.0 * xn * wy
+        b = xn * wx + wz
+        c = -(yn * wy + wz)
+        d = 2.0 * yn * wx - xn * wy
     return np.array([
-        [*g0, dt, 0.0],
-        [*g1, 0.0, dt],
+        [1.0 + dt * a, dt * b, dt * a / 2.0, dt * b / 2.0, dt, 0.0],
+        [dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0, 0.0, dt],
         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
@@ -267,62 +255,83 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
 
     dt = 0 is a no-op on the mean and adds no process noise.  A negative dt
     raises TrackerAbort; dt beyond STALE_GYRO_DT logs a warning but
-    still propagates.  The mean is stepped on Python floats, with the same
-    operations in the same order as the array form, so the same bits.
+    still propagates.
 
-    F P Fᵀ + Q dt is formed from F's structure, on Python floats: F is the
-    identity except its rows g0, g1, so only u0 = P g0, u1 = P g1 and the
+    Written out in straight-line code on Python floats, as the update is:
+    the box center's rotational flow (du, dv) and its partials (a, b, c, d)
+    (module docstring), F's rows 0 and 1, g0 = [f00 f01 f02 f03 dt 0] and
+    g1 = [f10 f11 f12 f13 0 dt], with the entries and operations of
+    `predict_jacobian`, then F P Fᵀ + Q dt from F's structure: F is the
+    identity but for those two rows, so only u0 = P g0, u1 = P g1 and the
     2×2 corner gᵢ·uⱼ are computed; the block of rows and columns 2..5 is
     P's (its upper triangle, mirrored) plus Q dt.  So the result is
     symmetric by construction, with no averaging pass.
 
     Fails closed: a non-finite mean or covariance raises TrackerAbort.
     """
-    dt = gyro.t - state.t
+    t = gyro.t
+    dt = t - state.t
     if dt < 0.0:
-        raise TrackerAbort(gyro.t, f"gyro sample precedes the filter state ({state.t!r} s)")
+        raise TrackerAbort(t, f"gyro sample precedes the filter state ({state.t!r} s)")
     if dt > STALE_GYRO_DT:
         log.warning("stale gyro: dt=%.4f s exceeds %.2f s, propagating anyway",
                     dt, STALE_GYRO_DT)
-    m = state.m
+    x, y, bw, bh, vx, vy = state.m
     if cfg.gyro_compensation:
-        du, dv, a, b, c, d = _rotational_flow(m, gyro.w.tolist(), cfg.camera)
+        cam = cfg.camera
+        f = cam.focal
+        xn = (x + bw / 2.0 - cam.cx) / f
+        yn = (y + bh / 2.0 - cam.cy) / f
+        wx, wy, wz = gyro.w.tolist()
+        du = f * (xn * yn * wx - (1.0 + xn * xn) * wy + yn * wz)
+        dv = f * ((1.0 + yn * yn) * wx - xn * yn * wy - xn * wz)
+        a = yn * wx - 2.0 * xn * wy
+        b = xn * wx + wz
+        c = -(yn * wy + wz)
+        d = 2.0 * yn * wx - xn * wy
     else:
         du = dv = a = b = c = d = 0.0
-    x, y, bw, bh, vx, vy = m
-    m = (x + (vx + du) * dt, y + (vy + dv) * dt,
-         max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy)
-    # rows 0 and 1 of F (predict_jacobian): g0 = [f00 f01 f02 f03 dt 0],
-    # g1 = [f10 f11 f12 f13 0 dt]
-    (f00, f01, f02, f03), (f10, f11, f12, f13) = _gyro_rows(dt, a, b, c, d)
-    p = state.p
-    P = (p[0:6], p[6:12], p[12:18], p[18:24], p[24:30], p[30:36])
-    u0 = [p0 * f00 + p1 * f01 + p2 * f02 + p3 * f03 + p4 * dt
-          for p0, p1, p2, p3, p4, _ in P]
-    u1 = [p0 * f10 + p1 * f11 + p2 * f12 + p3 * f13 + p5 * dt
-          for p0, p1, p2, p3, _, p5 in P]
+    f00 = 1.0 + dt * a
+    f01 = dt * b
+    f02 = dt * a / 2.0
+    f03 = dt * b / 2.0
+    f10 = dt * c
+    f11 = 1.0 + dt * d
+    f12 = dt * c / 2.0
+    f13 = dt * d / 2.0
+    (p00, p01, p02, p03, p04, p05, p10, p11, p12, p13, p14, p15,
+     p20, p21, p22, p23, p24, p25, p30, p31, p32, p33, p34, p35,
+     p40, p41, p42, p43, p44, p45, p50, p51, p52, p53, p54, p55) = state.p
+    # u0 = P g0, u1 = P g1
+    u00 = p00 * f00 + p01 * f01 + p02 * f02 + p03 * f03 + p04 * dt
+    u01 = p10 * f00 + p11 * f01 + p12 * f02 + p13 * f03 + p14 * dt
+    u02 = p20 * f00 + p21 * f01 + p22 * f02 + p23 * f03 + p24 * dt
+    u03 = p30 * f00 + p31 * f01 + p32 * f02 + p33 * f03 + p34 * dt
+    u04 = p40 * f00 + p41 * f01 + p42 * f02 + p43 * f03 + p44 * dt
+    u05 = p50 * f00 + p51 * f01 + p52 * f02 + p53 * f03 + p54 * dt
+    u10 = p00 * f10 + p01 * f11 + p02 * f12 + p03 * f13 + p05 * dt
+    u11 = p10 * f10 + p11 * f11 + p12 * f12 + p13 * f13 + p15 * dt
+    u12 = p20 * f10 + p21 * f11 + p22 * f12 + p23 * f13 + p25 * dt
+    u13 = p30 * f10 + p31 * f11 + p32 * f12 + p33 * f13 + p35 * dt
+    u14 = p40 * f10 + p41 * f11 + p42 * f12 + p43 * f13 + p45 * dt
+    u15 = p50 * f10 + p51 * f11 + p52 * f12 + p53 * f13 + p55 * dt
     q0, q1, q2, q3, q4, q5 = cfg.q_floats
-    c00 = (f00 * u0[0] + f01 * u0[1] + f02 * u0[2] + f03 * u0[3] + dt * u0[4]
-           + q0 * dt)
-    c01 = f00 * u1[0] + f01 * u1[1] + f02 * u1[2] + f03 * u1[3] + dt * u1[4]
-    c11 = (f10 * u1[0] + f11 * u1[1] + f12 * u1[2] + f13 * u1[3] + dt * u1[5]
-           + q1 * dt)
-    _, _, a2, a3, a4, a5 = u0
-    _, _, b2, b3, b4, b5 = u1
-    _, _, p22, p23, p24, p25 = P[2]
-    _, _, _, p33, p34, p35 = P[3]
-    _, _, _, _, p44, p45 = P[4]
-    p55 = P[5][5]
+    # the 2×2 corner gᵢ·uⱼ, plus Q dt on its diagonal
+    c00 = f00 * u00 + f01 * u01 + f02 * u02 + f03 * u03 + dt * u04 + q0 * dt
+    c01 = f00 * u10 + f01 * u11 + f02 * u12 + f03 * u13 + dt * u14
+    c11 = f10 * u10 + f11 * u11 + f12 * u12 + f13 * u13 + dt * u15 + q1 * dt
     p22 += q2 * dt
     p33 += q3 * dt
     p44 += q4 * dt
     p55 += q5 * dt
-    return _finite_state(m, (c00, c01, a2, a3, a4, a5,
-                             c01, c11, b2, b3, b4, b5,
-                             a2, b2, p22, p23, p24, p25,
-                             a3, b3, p23, p33, p34, p35,
-                             a4, b4, p24, p34, p44, p45,
-                             a5, b5, p25, p35, p45, p55), gyro.t, "predict")
+    return _finite_state((x + (vx + du) * dt, y + (vy + dv) * dt,
+                          max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy),
+                         (c00, c01, u02, u03, u04, u05,
+                          c01, c11, u12, u13, u14, u15,
+                          u02, u12, p22, p23, p24, p25,
+                          u03, u13, p23, p33, p34, p35,
+                          u04, u14, p24, p34, p44, p45,
+                          u05, u15, p25, p35, p45, p55), t, "predict")
 
 
 def _innovation_gain(p: tuple, r: tuple) -> tuple | None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadtrack import detection, scenarios, simulator
-from quadtrack.detection import (Detection, DetectionSet, SyntheticDetector,
-                                 SyntheticDetectorConfig, _in_image, frame_views)
+from quadtrack.detection import (Detection, DetectionSet, GyroSample,
+                                 SyntheticDetector, SyntheticDetectorConfig,
+                                 _in_image, frame_views)
 from quadtrack.errors import DetectorAbort
 from quadtrack.geometry import (MIN_VIEW_DEPTH, BoundingBox, CameraPose,
                                 covered_fraction, iou)
@@ -75,6 +77,30 @@ def test_detection_set_carries_frame_time():
     out = detect(det, snap([], t=1.25))
     assert isinstance(out, DetectionSet)
     assert out.t == 1.25 and len(out) == 0
+
+
+@pytest.mark.parametrize("cls,args,want", [
+    (Detection, (BoundingBox(1.0, 2.0, 3.0, 4.0), 0.75, np.array([1.0, -0.0])),
+     "Detection(box=BoundingBox(x=1.0, y=2.0, w=3.0, h=4.0), confidence=0.75, "
+     "descriptor=array([ 1., -0.]))"),
+    (GyroSample, (0.5, np.array([0.1, 0.0, -0.2])),
+     "GyroSample(t=0.5, w=array([ 0.1,  0. , -0.2]))"),
+    (CameraPose, (np.eye(2), np.zeros(2)),
+     "CameraPose(rotation=array([[1., 0.],\n       [0., 1.]]), "
+     "position=array([0., 0.]))"),
+], ids=["Detection", "GyroSample", "CameraPose"])
+def test_event_values_are_slotted_with_identity_equality(cls, args, want):
+    # the frozen dataclasses (eq=False) they replaced: positional or keyword
+    # fields, equal only to themselves, a repr by value; and no __dict__
+    names = cls.__slots__
+    a, b = cls(*args), cls(**dict(zip(names, args)))
+    assert all(getattr(a, n) is v and getattr(b, n) is v
+               for n, v in zip(names, args))
+    assert a == a and a != b and hash(a) != hash(b)
+    assert repr(a) == repr(b) == want
+    assert not hasattr(a, "__dict__")
+    back = pickle.loads(pickle.dumps(a))
+    assert type(back) is cls and repr(back) == want
 
 
 def test_total_dropout_gives_empty_frames():

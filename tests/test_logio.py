@@ -1,7 +1,6 @@
 """Sensor-log serialization: formatting, ordering, parse errors."""
 
 import collections
-import dataclasses
 import enum
 import json
 import math
@@ -476,21 +475,22 @@ def test_event_line_names_the_same_culprit_as_reference(evs, data):
                         if len(d.descriptor)])
     slot = data.draw(st.sampled_from(slots))
     if slot == "t":
-        ev = dataclasses.replace(ev, t=bad)
+        ev = (GyroSample(bad, ev.w) if isinstance(ev, GyroSample)
+              else DetectionSet(bad, ev.detections))
     elif slot == "w":
         w = ev.w.copy()
         w[data.draw(st.integers(0, 2))] = bad
-        ev = dataclasses.replace(ev, w=w)
+        ev = GyroSample(ev.t, w)
     else:
         field, i = slot
         dets = list(ev.detections)
         d = dets[i]
         if field == "conf":
-            dets[i] = dataclasses.replace(d, confidence=bad)
+            dets[i] = Detection(d.box, bad, d.descriptor)
         else:
             desc = d.descriptor.copy()
             desc[data.draw(st.integers(0, len(desc) - 1))] = bad
-            dets[i] = dataclasses.replace(d, descriptor=desc)
+            dets[i] = Detection(d.box, d.confidence, desc)
         ev = DetectionSet(ev.t, dets)
     with pytest.raises(ValueError) as want:
         ref_event_line(ev)

@@ -49,13 +49,16 @@ ALLOWED = {
     ("config.py", "save_scenario"): ("api",),
     ("config.py", "TrackerParams.build_weights"):
         ("perfbench", "perfbench/workload.py", "sc.tracker.build_weights()"),
+    ("detection.py", "Detection.__repr__"): ("api",),
     ("detection.py", "DetectionSet.__len__"):
         ("perfbench", "perfbench/tracing.py", "len(result)"),
+    ("detection.py", "GyroSample.__repr__"): ("api",),
     ("detection.py", "SyntheticDetector.extract_target_feature"):
         ("perfbench", "perfbench/tracing.py", '"extract_target_feature"'),
     ("geometry.py", "BoundingBox.__eq__"): ("api",),
     ("geometry.py", "BoundingBox.__hash__"): ("api",),
     ("geometry.py", "BoundingBox.__repr__"): ("api",),
+    ("geometry.py", "CameraPose.__repr__"): ("api",),
     ("geometry.py", "nearest_rotation"):
         ("fallback", "tests/test_simulator.py::"
                      "test_dynamics_step_hands_fallback_result_back_unchanged"),

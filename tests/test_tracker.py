@@ -1,5 +1,6 @@
 """Tracker: initialization, EKF, scoring, per-frame step, memory."""
 
+import functools
 import logging
 import math
 from collections import Counter
@@ -620,22 +621,34 @@ def joseph_bound(P, K, r):
     return 2.0 * gamma(14) * np.maximum(W, W.T)
 
 
-def recorded_updates(name):
-    """(state, box, cfg) of every update of a replay of the bundled run."""
+@functools.cache
+def recorded_calls(name):
+    """The arguments of every `ekf_predict` and `ekf_update` call of a
+    replay of the bundled run, keyed by the function's name: (state, gyro,
+    cfg) and (state, box, cfg)."""
     sc = scenarios.get(name)
     events = run(sc).events
     cfg = sc.tracker.build(sc.camera.build())
-    calls = []
-    real = tracker.ekf_update
+    calls = {"ekf_predict": [], "ekf_update": []}
 
-    def spy(state, box, cfg):
-        calls.append((state, box, cfg))
-        return real(state, box, cfg)
+    def spy(fn):
+        real = getattr(tracker, fn)
+
+        def recording(state, arg, cfg):
+            calls[fn].append((state, arg, cfg))
+            return real(state, arg, cfg)
+        return recording
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tracker, "ekf_update", spy)
+        for fn in calls:
+            mp.setattr(tracker, fn, spy(fn))
         replay_track(events, (sc.prompt.x, sc.prompt.y), sc.prompt.t, cfg)
     return calls
+
+
+def recorded_updates(name):
+    """(state, box, cfg) of every update of a replay of the bundled run."""
+    return recorded_calls(name)["ekf_update"]
 
 
 def random_updates(n):
@@ -666,6 +679,184 @@ def test_update_matches_numpy_joseph_form_within_rounding():
         assert np.all(np.abs(got.mean - mean)
                       <= 2.0 * gamma(5) * (np.abs(state.mean) + np.abs(K) @ np.abs(nu)))
         assert np.all(np.abs(got.cov - cov) <= joseph_bound(state.cov, K, r))
+
+
+# ---------------------------------------------------------------------------
+# the written-out predict against its earlier form, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def old_rotational_flow(mean, w, cam):
+    """Pixel-rate of the box center induced by camera rotation, plus the
+    partials of (u', v') w.r.t. normalized center coordinates."""
+    f = cam.focal
+    xn = (mean[0] + mean[2] / 2.0 - cam.cx) / f
+    yn = (mean[1] + mean[3] / 2.0 - cam.cy) / f
+    wx, wy, wz = w
+    du = f * (xn * yn * wx - (1.0 + xn * xn) * wy + yn * wz)
+    dv = f * ((1.0 + yn * yn) * wx - xn * yn * wy - xn * wz)
+    a = yn * wx - 2.0 * xn * wy
+    b = xn * wx + wz
+    c = -(yn * wy + wz)
+    d = 2.0 * yn * wx - xn * wy
+    return du, dv, a, b, c, d
+
+
+def old_gyro_rows(dt, a, b, c, d):
+    """Columns 0..3 of F's rows 0 and 1, where the flow partials enter."""
+    return ((1.0 + dt * a, dt * b, dt * a / 2.0, dt * b / 2.0),
+            (dt * c, 1.0 + dt * d, dt * c / 2.0, dt * d / 2.0))
+
+
+def old_predict(state, gyro, cfg):
+    """`ekf_predict` as it stood before it was written out: row slices, two
+    comprehensions for P g0 and P g1, and the two helpers above."""
+    dt = gyro.t - state.t
+    if dt < 0.0:
+        raise TrackerAbort(gyro.t, f"gyro sample precedes the filter state ({state.t!r} s)")
+    if dt > tracker.STALE_GYRO_DT:
+        tracker.log.warning("stale gyro: dt=%.4f s exceeds %.2f s, propagating anyway",
+                            dt, tracker.STALE_GYRO_DT)
+    m = state.m
+    if cfg.gyro_compensation:
+        du, dv, a, b, c, d = old_rotational_flow(m, gyro.w.tolist(), cfg.camera)
+    else:
+        du = dv = a = b = c = d = 0.0
+    x, y, bw, bh, vx, vy = m
+    m = (x + (vx + du) * dt, y + (vy + dv) * dt,
+         max(tracker.MIN_BOX_SIZE, bw), max(tracker.MIN_BOX_SIZE, bh), vx, vy)
+    (f00, f01, f02, f03), (f10, f11, f12, f13) = old_gyro_rows(dt, a, b, c, d)
+    p = state.p
+    P = (p[0:6], p[6:12], p[12:18], p[18:24], p[24:30], p[30:36])
+    u0 = [p0 * f00 + p1 * f01 + p2 * f02 + p3 * f03 + p4 * dt
+          for p0, p1, p2, p3, p4, _ in P]
+    u1 = [p0 * f10 + p1 * f11 + p2 * f12 + p3 * f13 + p5 * dt
+          for p0, p1, p2, p3, _, p5 in P]
+    q0, q1, q2, q3, q4, q5 = cfg.q_floats
+    c00 = (f00 * u0[0] + f01 * u0[1] + f02 * u0[2] + f03 * u0[3] + dt * u0[4]
+           + q0 * dt)
+    c01 = f00 * u1[0] + f01 * u1[1] + f02 * u1[2] + f03 * u1[3] + dt * u1[4]
+    c11 = (f10 * u1[0] + f11 * u1[1] + f12 * u1[2] + f13 * u1[3] + dt * u1[5]
+           + q1 * dt)
+    _, _, a2, a3, a4, a5 = u0
+    _, _, b2, b3, b4, b5 = u1
+    _, _, p22, p23, p24, p25 = P[2]
+    _, _, _, p33, p34, p35 = P[3]
+    _, _, _, _, p44, p45 = P[4]
+    p55 = P[5][5]
+    p22 += q2 * dt
+    p33 += q3 * dt
+    p44 += q4 * dt
+    p55 += q5 * dt
+    return tracker._finite_state(m, (c00, c01, a2, a3, a4, a5,
+                                     c01, c11, b2, b3, b4, b5,
+                                     a2, b2, p22, p23, p24, p25,
+                                     a3, b3, p23, p33, p34, p35,
+                                     a4, b4, p24, p34, p44, p45,
+                                     a5, b5, p25, p35, p45, p55), gyro.t, "predict")
+
+
+def float_bits(state):
+    """The 6 + 36 floats and the time of a filter state, as `float.hex`, so
+    that +0.0 and −0.0 (and NaNs) are told apart."""
+    return [v.hex() for v in (*state.m, *state.p, state.t)]
+
+
+def random_predicts(n):
+    """(state, gyro, cfg) cases cycling over compensation on and off; dt of
+    0, in (0, 0.05) and stale; a box below MIN_BOX_SIZE in 2 of every 8,
+    compensated or not; −0.0 in the mean and the rates in every 5th; an
+    asymmetric P in every 7th; and one with dt = −0.0."""
+    rng = np.random.default_rng(32)
+    for i in range(n):
+        cfg = make_cfg(gyro_compensation=bool(i % 2),
+                       q_diag=tuple(rng.uniform(0.0, 1.0, 6)))
+        st = random_filter_state(rng, rng.uniform(0.0, 10.0),
+                                 1.0 if i % 8 < 2 else 200.0)
+        dt = (0.0, rng.uniform(0.0, 0.05), rng.uniform(0.1, 2.0))[i % 3]
+        w = rng.uniform(-3.0, 3.0, 3)
+        t = st.t + dt
+        if i % 5 == 0:
+            mean = st.mean.copy()
+            mean[[0, 4, 5][i % 3]] = -0.0
+            mean[1] = -0.0
+            w[i % 3] = -0.0
+            st = EkfState(mean, st.cov, st.t)
+        if i % 7 == 3:
+            # P g reads P by rows: an asymmetric P tells p_ij from p_ji
+            st = EkfState(st.mean, st.cov + rng.normal(size=(6, 6)), st.t)
+        if i == 5:
+            st, t = EkfState(st.mean, st.cov, 0.0), -0.0
+        yield st, GyroSample(t, w), cfg
+
+
+def test_written_out_predict_is_bit_identical_to_its_earlier_form(caplog):
+    # every predict of three replays and random states with each branch's
+    # edge: the same 42 floats and time, and the same stale-gyro warning
+    cases = [c for name in ("occlusion_decoy", "false_positive_storm",
+                            "corridor_approach")
+             for c in recorded_calls(name)["ekf_predict"]]
+    assert len(cases) > 6000
+    cases += random_predicts(400)
+    kinds = Counter()
+    for state, gyro, cfg in cases:
+        dt = gyro.t - state.t
+        kinds["zero_dt"] += dt == 0.0
+        kinds["negative_zero_dt"] += math.copysign(1.0, dt) < 0.0
+        kinds["stale"] += dt > tracker.STALE_GYRO_DT
+        kinds["clamped"] += (min(state.m[2:4]) < tracker.MIN_BOX_SIZE
+                             and cfg.gyro_compensation)
+        kinds["negative_zero"] += any(math.copysign(1.0, v) < 0.0 and v == 0.0
+                                      for v in (*state.m, *gyro.w.tolist()))
+        kinds["uncompensated"] += not cfg.gyro_compensation
+        kinds["asymmetric"] += state.p[1] != state.p[6]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="quadtrack.tracker"):
+            got = ekf_predict(state, gyro, cfg)
+            logged = caplog.messages
+            caplog.clear()
+            want = old_predict(state, gyro, cfg)
+        assert float_bits(got) == float_bits(want)
+        assert logged == caplog.messages
+    assert kinds["negative_zero_dt"] == 1, kinds
+    assert min(kinds[k] for k in ("zero_dt", "stale", "clamped", "negative_zero",
+                                  "uncompensated", "asymmetric")) >= 40, kinds
+
+
+@pytest.mark.parametrize("vx,p_vx,dt", [
+    (0.0, 1e306, 100.0),   # F P Fᵀ overflows
+    (0.0, 1.7e308, 0.0),   # Q dt is zero, but the sum of every entry overflows
+    (1e308, 1.0, 100.0),   # the mean overflows
+])
+def test_written_out_predict_aborts_as_its_earlier_form(vx, p_vx, dt):
+    cfg = make_cfg()
+    st = EkfState(np.array([100.0, 100.0, 40.0, 30.0, vx, 0.0]),
+                  np.diag([1.0, 1.0, 1.0, 1.0, p_vx, p_vx]), 1.0)
+    gyro = GyroSample(1.0 + dt, np.array([0.1, -0.2, 0.3]))
+    outcomes = []
+    for predict in (ekf_predict, old_predict):
+        try:
+            outcomes.append(float_bits(predict(st, gyro, cfg)))
+        except TrackerAbort as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    if dt:
+        assert outcomes[0].startswith("tracker: filter mean or covariance is not "
+                                      "finite after predict at t=101.000000 s")
+
+
+def test_predict_jacobian_rows_are_the_earlier_gyro_rows():
+    # rows 0 and 1 of the one written F: the earlier _gyro_rows of the
+    # earlier flow partials, then dt; rows 2..5 the identity's
+    for state, gyro, cfg in random_predicts(120):
+        dt = gyro.t - state.t
+        partials = (old_rotational_flow(state.m, gyro.w, CAM)[2:]
+                    if cfg.gyro_compensation else (0.0, 0.0, 0.0, 0.0))
+        g0, g1 = old_gyro_rows(dt, *partials)
+        F = predict_jacobian(state, gyro.w, dt, CAM, cfg.gyro_compensation)
+        assert ([v.hex() for v in F[:2].ravel().tolist()]
+                == [v.hex() for v in (*g0, dt, 0.0, *g1, 0.0, dt)])
+        assert np.array_equal(F[2:], np.eye(6)[2:])
 
 
 def old_update(state, box, cfg):
