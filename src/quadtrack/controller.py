@@ -147,23 +147,41 @@ class PixelErrors(NamedTuple):
     deh: float
 
 
-@dataclass(frozen=True)
 class MotorCommand:
-    thrusts: np.ndarray  # (4,) rotor thrusts, N
-    saturated: bool
+    """Rotor thrusts of one tick and whether the mixer saturated.
+
+    Immutable by convention and equal only to itself; a slotted class with
+    a plain __init__, not a frozen dataclass, because every control tick
+    builds one.
+    """
+
+    __slots__ = ("thrusts", "saturated")
+
+    def __init__(self, thrusts: np.ndarray, saturated: bool):
+        self.thrusts = thrusts  # (4,) rotor thrusts, N
+        self.saturated = saturated
 
 
-@dataclass(frozen=True)
 class ControlCommand:
-    """Outer-loop outputs recorded per tick."""
+    """Outer-loop outputs recorded per tick.
 
-    thrust: float
-    yaw_des: float
-    rotation_des: tuple       # three rows of three floats
-    errors: PixelErrors
-    setpoints: Setpoints
-    pitch_accel_hat: float
-    force_des: tuple          # (3,) world-frame force demand, N
+    Immutable by convention and equal only to itself; slotted, as
+    `MotorCommand` is, because every control tick builds one.
+    """
+
+    __slots__ = ("thrust", "yaw_des", "rotation_des", "errors", "setpoints",
+                 "pitch_accel_hat", "force_des")
+
+    def __init__(self, thrust: float, yaw_des: float, rotation_des: tuple,
+                 errors: PixelErrors, setpoints: Setpoints,
+                 pitch_accel_hat: float, force_des: tuple):
+        self.thrust = thrust
+        self.yaw_des = yaw_des
+        self.rotation_des = rotation_des      # three rows of three floats
+        self.errors = errors
+        self.setpoints = setpoints
+        self.pitch_accel_hat = pitch_accel_hat
+        self.force_des = force_des            # (3,) world-frame force demand, N
 
 
 # ---------------------------------------------------------------------------

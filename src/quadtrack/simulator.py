@@ -15,11 +15,15 @@ to the stepped 18 floats.  The closed loop carries those floats from step
 to step, checks them for finiteness after every step, and builds the
 `QuadState` the sensors read (arrays) only when a sensor reads the platform
 after at least one step ran: at most once per control tick or camera
-frame, not once per physics step.  The step is written out as one
-straight-line block, every stage a set of local names, in the operation
-order of the elementwise form: stage states x + a * k, the sum
-x + dt/6 * (k1 + 2 k2 + 2 k3 + k4) left to right, R hat(omega) as
-row-cross-omega products and omega x J omega as np.cross computes it.  The
+frame, not once per physics step.  A QuadState is immutable by convention,
+so the sensor views derived from it (the camera pose, the body rates in
+camera axes and the heading) are each built once, at their first read, and
+kept on the state: a static scripted platform builds each view once per
+run.  The step is written out as one straight-line block, every stage a
+set of local names, in the operation order of the elementwise form: stage
+states x + a * k, the sum x + dt/6 * (k1 + 2 k2 + 2 k3 + k4) left to right,
+R hat(omega) as row-cross-omega products and omega x J omega as np.cross
+computes it.  The
 projection converges in one Newton step on every physics step of the
 bundled closed-loop scenarios (corridor_approach 8000, static_target 5900,
 sprint_7ms 10000 steps).  Motors are ideal by default: the wrench, four
@@ -68,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +87,7 @@ from .geometry import (CameraPose, nearest_rotation,  # noqa: F401
 from .logio import write_events, write_jsonl, write_summary
 from .metrics import Metrics, compute_metrics
 from .scene import scene_step
-from .tracker import Tracker, at_prompt, predicted_box
+from .tracker import MIN_BOX_SIZE, Tracker, at_prompt
 
 # camera-from-body: rows are the camera axes expressed in body coordinates.
 CAMERA_FROM_BODY = np.array([
@@ -96,12 +101,33 @@ CAMERA_FROM_BODY = np.array([
 class QuadState:
     """The plant state as the sensors read it, in arrays.  The closed loop
     integrates the 18-float form (`floats`) and builds a QuadState from it
-    only when a sensor reads the platform after a physics step."""
+    only when a sensor reads the platform after a physics step.
+
+    Immutable by convention: nothing assigns or writes a field after
+    construction.  So each sensor view of the state (`pose`, `camera_rate`,
+    `yaw`) is computed at its first read, on its own, and every later read
+    at this state reuses it."""
 
     p: np.ndarray                        # world position, m
     v: np.ndarray                        # world velocity, m/s
     R: np.ndarray                        # world-from-body
     omega: np.ndarray                    # body rates, rad/s
+
+    @cached_property
+    def pose(self) -> CameraPose:
+        """Camera rigidly at the body origin: world-from-camera rotation."""
+        return CameraPose(self.R @ CAMERA_FROM_BODY.T, self.p)
+
+    @cached_property
+    def camera_rate(self) -> tuple:
+        """The body rates in camera axes, as three Python floats."""
+        return tuple((CAMERA_FROM_BODY @ self.omega).tolist())
+
+    @cached_property
+    def yaw(self) -> float:
+        """The heading; ValueError within 1e-6 rad of gimbal lock (and
+        nothing kept, so every read raises)."""
+        return pitch_yaw_from_rotation(self.R)[1]
 
     @classmethod
     def from_floats(cls, y) -> QuadState:
@@ -282,23 +308,27 @@ def dynamics_step(y, wrench, params: QuadConfig, dt: float) -> tuple:
 
 def imu_sample(t: float, state: QuadState, sigma: float,
                rng: np.random.Generator) -> GyroSample:
-    """Body rates mapped into the camera frame plus white noise.
+    """Body rates mapped into the camera frame (the state's `camera_rate`)
+    plus white noise.
 
     The noise draw is consumed even at sigma = 0 to keep the run's draw
-    order independent of the noise setting.  The noise is scaled on Python
-    floats, where an overflow is an unwarned inf, and a non-finite noise
-    sample (the rates themselves are finite) raises SimulationAbort at t.
+    order independent of the noise setting.  The noise is scaled and added
+    on Python floats, where an overflow is an unwarned inf, and a
+    non-finite noise sample (the rates themselves are finite) raises
+    SimulationAbort at t.
     """
     g0, g1, g2 = rng.normal(0.0, 1.0, size=3).tolist()
     n0, n1, n2 = g0 * sigma, g1 * sigma, g2 * sigma
     if not math.isfinite(n0 + n1 + n2) and not all(map(math.isfinite, (n0, n1, n2))):
         raise SimulationAbort(t, "gyro sample is not finite")
-    return GyroSample(t, CAMERA_FROM_BODY @ state.omega + np.array((n0, n1, n2)))
+    r0, r1, r2 = state.camera_rate
+    return GyroSample(t, np.array((r0 + n0, r1 + n1, r2 + n2)))
 
 
 def camera_pose(state: QuadState) -> CameraPose:
-    """Camera rigidly at the body origin: world-from-camera rotation."""
-    return CameraPose(state.R @ CAMERA_FROM_BODY.T, state.p)
+    """Camera rigidly at the body origin: world-from-camera rotation (the
+    state's `pose`, built at its first read)."""
+    return state.pose
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +407,11 @@ def _truth_record(t: float, quad: QuadState, view: ObjectView, cam) -> dict:
     in_view = (center is not None and 0.0 <= center[0] <= cam.width
                and 0.0 <= center[1] <= cam.height)
     try:
-        _, yaw = pitch_yaw_from_rotation(quad.R)
+        yaw = quad.yaw
     except ValueError as e:
         raise SimulationAbort(t, str(e)) from e
+    qx, qy, _ = quad.p.tolist()
+    tx, ty, _ = target.center.tolist()
     return {
         "t": t,
         "box": None if box is None else box.as_array(),
@@ -389,7 +421,7 @@ def _truth_record(t: float, quad: QuadState, view: ObjectView, cam) -> dict:
         "quad_p": quad.p,
         "quad_yaw": yaw,
         "target_p": target.center,
-        "dist_xy": float(np.hypot(*(quad.p[:2] - target.center[:2]))),
+        "dist_xy": float(np.hypot(qx - tx, qy - ty)),
     }
 
 
@@ -531,8 +563,11 @@ def run(scenario: Scenario) -> RunArtifacts:
 
 
 def predicted_center(tracker: Tracker) -> tuple[float, float]:
-    """The center of the tracker's predicted box, the controller's input."""
-    return predicted_box(tracker.state.ekf).center
+    """The center of the tracker's predicted box, the controller's input:
+    `predicted_box`'s clamp and `BoundingBox.center`'s expression, on the
+    filter mean's floats, with no box built."""
+    x, y, w, h, _, _ = tracker.state.ekf.m
+    return (x + max(MIN_BOX_SIZE, w) / 2.0, y + max(MIN_BOX_SIZE, h) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,6 @@ class TrackerWeights:
         return self.w_iou + self.w_ekf + self.w_map
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass
 class TrackerConfig:
     camera: CameraModel
@@ -129,8 +124,7 @@ class EkfState:
     """The filter at time t: mean x (6 floats) and covariance P (36 floats,
     row-major), held as Python floats between steps.  Built from arrays (or
     any sequences of numbers) as EkfState(mean, cov, t); `mean` and `cov`
-    read as new read-only arrays.  The filter's steps build states from
-    floats with `of_floats`, with no conversion."""
+    read as new arrays, so writing to one leaves the state as it is."""
 
     __slots__ = ("m", "p", "t")
 
@@ -139,24 +133,16 @@ class EkfState:
         self.p = tuple(np.asarray(cov, dtype=float).reshape(36).tolist())
         self.t = t
 
-    @classmethod
-    def of_floats(cls, m: tuple, p: tuple, t: float) -> EkfState:
-        """The state of mean m (6 Python floats) and covariance p (36,
-        row-major), taken as they are."""
-        state = cls.__new__(cls)
-        state.m, state.p, state.t = m, p, t
-        return state
-
     @property
     def mean(self) -> np.ndarray:  # (6,)
-        return _frozen(np.array(self.m))
+        return np.array(self.m)
 
     @property
     def cov(self) -> np.ndarray:   # (6,6)
-        return _frozen(np.array(self.p).reshape(6, 6))
+        return np.array(self.p).reshape(6, 6)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrackerState:
     """Filter, appearance memory (a unit vector), last accepted box, coast
     count (positive exactly while coasting) and last gyro rate."""
@@ -168,7 +154,7 @@ class TrackerState:
     last_gyro_w: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     state: TrackerState
     selected: Detection | None
@@ -240,14 +226,18 @@ def predict_jacobian(state: EkfState, w: np.ndarray, dt: float, cam: CameraModel
 
 
 def _finite_state(m: tuple, p: tuple, t: float, step: str) -> EkfState:
-    """The state of floats m and p at t, or TrackerAbort naming the step at
-    the filter time if an entry is NaN or infinite.  The sum of every entry
-    is non-finite when any entry is; only then, or if it overflowed, are
-    the entries checked one by one."""
+    """The state of floats m and p at t, taken as they are, or TrackerAbort
+    naming the step at the filter time if an entry is NaN or infinite.
+    The sum of every entry is non-finite when any entry is; only then, or
+    if it overflowed, are the entries checked one by one."""
     if (not math.isfinite(sum(m) + sum(p))
             and not (all(map(math.isfinite, m)) and all(map(math.isfinite, p)))):
         raise TrackerAbort(t, f"filter mean or covariance is not finite after {step}")
-    return EkfState.of_floats(m, p, t)
+    state = EkfState.__new__(EkfState)
+    state.m = m
+    state.p = p
+    state.t = t
+    return state
 
 
 def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfState:
@@ -661,12 +651,16 @@ def update_memory(memory: np.ndarray, feature: np.ndarray, alpha: float) -> np.n
     cancelled blend (norm ~ 0) keeps the previous memory rather than emit a
     zero vector.
     """
-    blended = alpha * memory + (1.0 - alpha) * feature
+    # the blend's own new array takes the sum and the division in place:
+    # the same elementwise operations, so the same bits
+    blended = alpha * memory
+    blended += (1.0 - alpha) * feature
     n = math.sqrt(blended.dot(blended))  # np.linalg.norm's 1-D form: same bits
     if n < 1e-12:
         log.warning("appearance blend cancelled to zero norm; memory kept")
         return memory
-    return blended / n
+    blended /= n
+    return blended
 
 
 def step(state: TrackerState, dets: DetectionSet, cfg: TrackerConfig,
@@ -734,7 +728,7 @@ class Tracker:
         if self.state is None:
             raise TrackerAbort(gyro.t, "predict before initialize")
         self.state.ekf = ekf_predict(self.state.ekf, gyro, self.cfg)
-        self.state.last_gyro_w = np.asarray(gyro.w, dtype=float)
+        self.state.last_gyro_w = gyro.w
 
     def step(self, dets: DetectionSet) -> StepResult:
         if self.state is None:

@@ -1,6 +1,5 @@
 """Outer pixel loop, attitude PD, mixer, and the full controller pipeline."""
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -876,8 +875,9 @@ def test_command_record_matches_numpy_form():
         cmd, motors = new.tick(0.0, (rng.uniform(0, 960), rng.uniform(0, 544)), R,
                                rng.normal(0.0, 1.0, size=3))
         got = new.command_record(0.25, cmd, motors)
-        want = ref.command_record(0.25, dataclasses.replace(
-            cmd, rotation_des=np.asarray(cmd.rotation_des)), motors)
+        want = ref.command_record(0.25, ControlCommand(
+            cmd.thrust, cmd.yaw_des, np.asarray(cmd.rotation_des), cmd.errors,
+            cmd.setpoints, cmd.pitch_accel_hat, cmd.force_des), motors)
         q, q_r = np.array(got.pop("quat_des")), want.pop("quat_des")
         assert got == want, i
         assert np.all(np.abs(q - q_r) <= 2 * gamma(6) * np.abs(q_r)), i

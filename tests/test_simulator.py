@@ -17,7 +17,7 @@ from quadtrack.config import (CameraScriptConfig, ObjectConfig, PromptConfig,
 from quadtrack.detection import (DetectionSet, GyroSample,
                                  SyntheticDetectorConfig)
 from quadtrack.errors import ControllerAbort, SimulationAbort, TrackerAbort
-from quadtrack.geometry import nearest_rotation, rot_z
+from quadtrack.geometry import nearest_rotation, pitch_yaw_from_rotation, rot_z
 from quadtrack.logio import _json_compact, event_line
 from quadtrack.replay import replay_track
 from quadtrack.scene import scene_step
@@ -194,18 +194,85 @@ def test_dynamics_step_returns_python_floats(monkeypatch):
 
 
 def test_imu_maps_body_rates_to_camera_axes():
+    # one state per case: a state is immutable by convention, and it keeps
+    # its camera-frame rate from the first read
+    def spinning(omega):
+        return QuadState(np.array([0.0, 0.0, 1.5]), np.zeros(3), np.eye(3),
+                         np.array(omega))
+
     rng = np.random.default_rng(0)
-    st = level_state()
-    st.omega = np.array([0.0, 0.0, 0.7])  # body yaw
-    g = imu_sample(1.0, st, 0.0, rng)
+    g = imu_sample(1.0, spinning([0.0, 0.0, 0.7]), 0.0, rng)  # body yaw
     assert g.t == 1.0
     assert np.allclose(g.w, [0.0, -0.7, 0.0], atol=1e-15)
-    st.omega = np.array([0.5, 0.0, 0.0])  # body roll = camera forward axis
-    g = imu_sample(1.0, st, 0.0, rng)
+    # body roll = camera forward axis
+    g = imu_sample(1.0, spinning([0.5, 0.0, 0.0]), 0.0, rng)
     assert np.allclose(g.w, [0.0, 0.0, 0.5], atol=1e-15)
-    st.omega = np.zeros(3)
-    g = imu_sample(1.0, st, 0.0, rng)
+    g = imu_sample(1.0, spinning([0.0, 0.0, 0.0]), 0.0, rng)
     assert np.array_equal(g.w, np.zeros(3))
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize("name", scenarios.names())
+def test_sensor_views_equal_a_fresh_computation(name, monkeypatch):
+    # Each camera frame's pose and truth-row yaw, and each gyro sample,
+    # equal by float.hex what the sensor layer computed before a state kept
+    # its views: R Cᵀ, p and the ZYX yaw of a copy of the state read, and
+    # C omega plus the sample's noise (drawn again from a copy of the
+    # generator).  The static scripted platforms read one state throughout.
+    sc = _bundled(name, scenarios.get(name).seed, 0.6)
+    real_pose, real_imu = simulator.camera_pose, simulator.imu_sample
+    poses, samples = [], []
+
+    def pose(state):
+        got = real_pose(state)
+        poses.append((state, got))
+        return got
+
+    def imu(t, state, sigma, rng):
+        copy = np.random.default_rng()
+        copy.bit_generator.state = rng.bit_generator.state
+        got = real_imu(t, state, sigma, rng)
+        samples.append((state, got, copy.normal(0.0, 1.0, size=3) * sigma))
+        return got
+
+    monkeypatch.setattr(simulator, "camera_pose", pose)
+    monkeypatch.setattr(simulator, "imu_sample", imu)
+    art = run(sc)
+    assert len(poses) == len(art.truth_trace) == 36
+    assert len(samples) >= 60
+    for (state, got), row in zip(poses, art.truth_trace):
+        R, p = state.R.copy(), state.p.copy()
+        assert _hex(got.rotation) == _hex(R @ CAMERA_FROM_BODY.T)
+        assert _hex(got.position) == _hex(p)
+        assert _hex([row["quad_yaw"]]) == _hex([pitch_yaw_from_rotation(R)[1]])
+    for state, got, noise in samples:
+        rate = CAMERA_FROM_BODY @ state.omega.copy()
+        assert _hex(state.camera_rate) == _hex(rate)  # signed zeros too
+        assert _hex(got.w) == _hex(rate + np.array(noise.tolist()))
+    if sc.camera_script.mode == "static":
+        assert len({id(read[0]) for read in poses + samples}) == 1
+
+
+def test_static_platform_builds_one_camera_pose(monkeypatch):
+    # a static scripted platform hands every event one state, whose pose
+    # is built at the first frame and reused by the other 59
+    built = []
+
+    class CountedPose(simulator.CameraPose):
+        __slots__ = ()
+
+        def __init__(self, rotation, position):
+            built.append(rotation)
+            super().__init__(rotation, position)
+
+    monkeypatch.setattr(simulator, "CameraPose", CountedPose)
+    sc = _bundled("occlusion_decoy", scenarios.get("occlusion_decoy").seed, 1.0)
+    art = run(sc)
+    assert len(art.truth_trace) == 60
+    assert len(built) == 1
 
 
 def test_imu_noise_statistics():

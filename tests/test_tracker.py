@@ -429,19 +429,23 @@ def test_filter_matches_array_form_within_rounding():
     # bound; the update bounds are looser (5.5e-5 and 2.2e-6 of them), as
     # the worst-case backward-error constant dominates.
     rng = np.random.default_rng(2024)
-    kinds = {"zero_dt": 0, "stale": 0, "clamped": 0, "fast_gain": 0}
+    kinds = {"zero_dt": 0, "stale": 0, "clamped": 0, "clamped_compensated": 0,
+             "fast_gain": 0}
     for i in range(240):
         cfg = make_cfg(gyro_compensation=bool(i % 2),
                        q_diag=tuple(rng.uniform(0.0, 1.0, 6)),
                        r_diag=tuple(rng.uniform(0.01, 5.0, 4)))
-        # every 4th box is below MIN_BOX_SIZE, so the mean gets clamped
+        # two boxes in every 8 are below MIN_BOX_SIZE, so the mean gets
+        # clamped, one predicted with gyro compensation and one without
         st = random_filter_state(rng, rng.uniform(0.0, 10.0),
-                                 1.0 if i % 4 == 0 else 200.0)
+                                 1.0 if i % 8 < 2 else 200.0)
         dt = (0.0, rng.uniform(0.0, 0.05), rng.uniform(0.1, 2.0))[i % 3]
         gyro = GyroSample(st.t + dt, rng.uniform(-3.0, 3.0, 3))
         kinds["zero_dt"] += dt == 0.0
         kinds["stale"] += gyro.t - st.t > 0.1
         kinds["clamped"] += bool(min(st.mean[2:4]) < 1.0)
+        kinds["clamped_compensated"] += bool(min(st.mean[2:4]) < 1.0
+                                             and cfg.gyro_compensation)
         logging.disable(logging.WARNING)
         try:
             got = ekf_predict(st, gyro, cfg)
