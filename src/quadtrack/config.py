@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import sys
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
@@ -214,14 +215,14 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class CameraScriptConfig:
-    mode: str = "dynamic"
+    scripted: bool = False
     amplitude: float = 0.0
     period: float = 1.0
 
     def __post_init__(self):
-        _require(self.mode in ("dynamic", "static", "yaw_sine"),
-                 f"unknown mode {self.mode!r}")
         _require(self.period > 0, "period must be positive")
+        _require(_finite(self.amplitude * (2.0 * math.pi / self.period)),
+                 "peak yaw rate amplitude * 2 pi / period must be finite")
 
 
 @dataclass(frozen=True)

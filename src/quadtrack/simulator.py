@@ -18,7 +18,7 @@ after at least one step ran: at most once per control tick or camera
 frame, not once per physics step.  A QuadState is immutable by convention,
 so the sensor views derived from it (the camera pose, the body rates in
 camera axes and the heading) are each built once, at their first read, and
-kept on the state: a static scripted platform builds each view once per
+kept on the state: a still scripted platform builds each view once per
 run.  The step is written out as one straight-line block, every stage a
 set of local names, in the operation order of the elementwise form: stage
 states x + a * k, the sum x + dt/6 * (k1 + 2 k2 + 2 k3 + k4) left to right,
@@ -44,8 +44,9 @@ flows from one seeded generator in a fixed draw order, so a (scenario, seed)
 pair fixes every output byte.
 
 The camera is rigidly mounted looking along body x: camera X right = -body y,
-camera Y down = -body z, camera Z forward = +body x.  Scenarios may script
-the camera platform ("static", "yaw_sine") instead of flying the closed loop;
+camera Y down = -body z, camera Z forward = +body x.  A scenario may script
+the camera platform (`camera_script.scripted`: held at its start position
+and yawed on a sine, still at amplitude 0) instead of flying the closed loop;
 commands are still computed and logged but not applied, which gives
 tracker-only scenarios an actuation-independent detection stream.  The
 sensor layer reads no tracker state (its frame-time gyro rule reads the
@@ -337,30 +338,30 @@ def camera_pose(state: QuadState) -> CameraPose:
 
 
 class _Script:
-    """Scripted platform: t -> the closed-form state at the latest physics
-    tick at or before t, built once per tick that a sensor reads (once in
-    all for "static", whose state does not move)."""
+    """Scripted platform: t -> the state at the latest physics tick at or
+    before t, at the start position and yawed by amplitude sin(2 pi t /
+    period): built once per tick a sensor reads, once in all at amplitude 0."""
 
     def __init__(self, scenario: Scenario):
-        self.script, self.hz = scenario.camera_script, scenario.rates.physics_hz
+        cs, self.hz = scenario.camera_script, scenario.rates.physics_hz
+        self.amplitude, self.w0 = cs.amplitude, 2.0 * math.pi / cs.period
         self.p0 = np.asarray(scenario.quad.start_position, dtype=float)
         self.yaw0 = scenario.quad.start_yaw
         self.tick = self.state = None
 
     def __call__(self, t: float) -> QuadState:
-        cs, k = self.script, 0
-        if cs.mode == "yaw_sine":
+        a, k = self.amplitude, 0
+        if a != 0.0:
             k = math.floor(t * self.hz)  # then undo the product's rounding
             k += (k + 1) / self.hz <= t
             k -= k / self.hz > t
         if k != self.tick:
-            yaw, rate = self.yaw0, 0.0
-            if cs.mode == "yaw_sine":
-                w0, t = 2.0 * math.pi / cs.period, k / self.hz
-                yaw = self.yaw0 + cs.amplitude * math.sin(w0 * t)
-                rate = cs.amplitude * w0 * math.cos(w0 * t)
+            w0, t = self.w0, k / self.hz
+            if math.isinf(w0 * t):
+                raise SimulationAbort(t, "scripted yaw phase is not finite")
             self.tick, self.state = k, QuadState(
-                self.p0.copy(), np.zeros(3), rot_z(yaw), np.array([0.0, 0.0, rate]))
+                self.p0.copy(), np.zeros(3), rot_z(self.yaw0 + a * math.sin(w0 * t)),
+                np.array([0.0, 0.0, a * w0 * math.cos(w0 * t)]))
         return self.state
 
 
@@ -480,7 +481,7 @@ def run(scenario: Scenario) -> RunArtifacts:
     n_phys = _event_count(sc.duration, hz)
 
     events, tracker_trace, command_trace, truth_trace = [], [], [], []
-    scripted = sc.camera_script.mode != "dynamic"
+    scripted = sc.camera_script.scripted
     # the commanded rotor thrusts, and the realized ones under motor lag
     commanded = rotor_thrusts = np.zeros(4)
     # ideal motors: the wrench changes only at a control tick, so it is

@@ -190,6 +190,7 @@ _FUZZ_FIELDS = (
                                       "kp_yaw", "kd_yaw", "attitude_kr", "attitude_kw")),
     *(("quad", key) for key in ("gyro_noise", "motor_lag", "mass")),
     *(("tracker", key) for key in ("q_diag", "r_diag", "p0_diag")),
+    *(("camera_script", key) for key in ("amplitude", "period")),
 )
 
 
@@ -229,6 +230,9 @@ def _sim_in_process(d) -> tuple[int, str]:
        st.integers(-3, 308))
 # an initial covariance near the float range (see the test after next)
 @example("static_target", ("tracker", "p0_diag"), 306)
+# a still script's amplitude 0 scaled from 1 to 10^308: its peak rate
+# overflows, and the load check rejects it before any matmul warns
+@example("occlusion_decoy", ("camera_script", "amplitude"), 308)
 def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
     # the run ends, is rejected at load (a value scaled past the float
     # range), or aborts in one layer with one line in the abort shape;
@@ -269,7 +273,8 @@ def test_a_filter_near_the_float_range_aborts_with_one_tracker_line(d, line):
 # the switches that change a run's structure rather than its scale; an
 # "objects" switch is a key of a non-target object the test draws (the
 # target cannot be an occluder), or of the only object
-_FUZZ_SWITCHES = (("tracker", "gyro_compensation"), ("objects", "occluder"))
+_FUZZ_SWITCHES = (("tracker", "gyro_compensation"), ("objects", "occluder"),
+                  ("camera_script", "scripted"))
 
 
 @settings(max_examples=20)
@@ -285,6 +290,9 @@ _FUZZ_SWITCHES = (("tracker", "gyro_compensation"), ("objects", "occluder"))
 # an object far off the image axis: its box is beyond the float range
 @example("static_target", ("tracker", "gyro_compensation"), 0,
          ("detector", "center_noise_px"), 0, 0, 3, 306)
+# a flown platform turned scripted, yawing at a peak rate of ~6e307 rad/s
+@example("static_target", ("camera_script", "scripted"), 0,
+         ("camera_script", "amplitude"), 307, 0, 1, 0)
 def test_a_flipped_switch_with_a_scaled_value_exits_cleanly_with_one_line(
         name, switch, obj, field, k, waypoint, coord, j):
     # one switch flipped, one value scaled by 10^k and entry `coord` (t, x,
@@ -376,6 +384,12 @@ def _bad_runs():
         d[section].update(values)
         return d
 
+    def script(name, **values):
+        d = scenarios.get(name).to_dict()
+        d["duration"] = 0.5
+        d["camera_script"].update(values)
+        return d
+
     nan, inf = float("nan"), float("inf")
     decoy_flag = scenarios.get("occlusion_decoy").to_dict()
     decoy_flag["objects"][2]["occluder"] = "false"
@@ -402,6 +416,25 @@ def _bad_runs():
          (), 2,
          "abort: tracker: filter mean or covariance is not finite after predict "
          "at t=0.560000 s"),
+        # a script whose peak yaw rate amplitude * 2 pi / period is not
+        # finite cannot be flown: an overflowing rate, or an infinite
+        # 2 pi / period, which a still script's phase turns into 0 * inf
+        *((row, sc, (), 1, "error: scenario.camera_script: peak yaw rate "
+           "amplitude * 2 pi / period must be finite")
+          for row, sc in (
+              ("script_rate_overflow",
+               script("static_target", scripted=True, amplitude=1e308)),
+              ("script_period_underflow", script("rotation_only", period=1e-320)),
+              ("still_script_period_underflow",
+               script("occlusion_decoy", period=1e-320)))),
+        # a tiny amplitude and period pass that check, but the phase w0 t
+        # overflows within the run
+        ("script_phase_overflow",
+         {**script("rotation_only", amplitude=1e-308, period=4e-308), "duration": 2.0},
+         (), 2, "abort: physics: scripted yaw phase is not finite at t=1.150000 s"),
+        # the removed script mode is a key no section declares
+        ("script_mode_key", bundled("occlusion_decoy", "camera_script", mode="static"),
+         (), 1, "error: scenario.camera_script: unknown key(s) ['mode']"),
         ("negative_seed", edit(lambda d: d.update(seed=-1)), (), 1,
          "error: scenario: seed must be an integer >= 0"),
         ("negative_seed_flag", make_scenario().to_dict(), ("--seed", "-1"), 1,

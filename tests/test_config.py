@@ -4,6 +4,7 @@ import ast
 import copy
 import inspect
 import json
+import math
 import pathlib
 import typing
 from dataclasses import MISSING, asdict, astuple, fields, is_dataclass, replace
@@ -12,6 +13,7 @@ import pytest
 
 from quadtrack import config, scenarios, simulator
 from quadtrack.config import (
+    CameraScriptConfig,
     ObjectConfig,
     PromptConfig,
     RatesConfig,
@@ -244,8 +246,9 @@ def test_section_validation_propagates_through_parse():
     bad["quad"] = {"mass": -1.0}
     raises_with("quad: mass must be positive", Scenario.from_dict, bad)
     bad = copy.deepcopy(d)
-    bad["camera_script"] = {"mode": "orbit"}
-    raises_with("camera_script: unknown mode 'orbit'", Scenario.from_dict, bad)
+    bad["camera_script"] = {"mode": "yaw_sine"}
+    raises_with("scenario.camera_script: unknown key(s) ['mode']",
+                Scenario.from_dict, bad)
     bad = copy.deepcopy(d)
     bad["tracker"] = {"weights": [3, 3]}
     raises_with("tracker: weights must be 3 non-negative values",
@@ -437,6 +440,16 @@ def test_prompt_and_rates_validation():
     rejects("time must be non-negative", PromptConfig, 1.0, 2.0, -0.5)
     rejects("y must be a finite number", PromptConfig, 1.0, float("inf"))
     rejects("require physics_hz", RatesConfig, 1000, 100, 0)
+
+
+def test_camera_script_needs_a_finite_peak_rate():
+    # an overflowing amplitude * 2 pi / period, or an infinite 2 pi / period
+    # (a still script's phase would be 0 * inf); flown or scripted alike
+    rate = "peak yaw rate amplitude * 2 pi / period must be finite"
+    for scripted in (True, False):
+        rejects(rate, CameraScriptConfig, scripted, 1e308, 1.0)
+        rejects(rate, CameraScriptConfig, scripted, 0.0, 1e-320)
+    assert CameraScriptConfig(True, 1.7e308, 2.0 * math.pi).amplitude == 1.7e308
 
 
 def test_load_scenario_rejects_a_file_that_is_not_utf8(tmp_path):

@@ -221,7 +221,8 @@ def test_sensor_views_equal_a_fresh_computation(name, monkeypatch):
     # equal by float.hex what the sensor layer computed before a state kept
     # its views: R Cᵀ, p and the ZYX yaw of a copy of the state read, and
     # C omega plus the sample's noise (drawn again from a copy of the
-    # generator).  The static scripted platforms read one state throughout.
+    # generator).  The scripted platforms at amplitude 0 read one state
+    # throughout.
     sc = _bundled(name, scenarios.get(name).seed, 0.6)
     real_pose, real_imu = simulator.camera_pose, simulator.imu_sample
     poses, samples = [], []
@@ -252,7 +253,7 @@ def test_sensor_views_equal_a_fresh_computation(name, monkeypatch):
         rate = CAMERA_FROM_BODY @ state.omega.copy()
         assert _hex(state.camera_rate) == _hex(rate)  # signed zeros too
         assert _hex(got.w) == _hex(rate + np.array(noise.tolist()))
-    if sc.camera_script.mode == "static":
+    if sc.camera_script.scripted and sc.camera_script.amplitude == 0.0:
         assert len({id(read[0]) for read in poses + samples}) == 1
 
 
@@ -273,6 +274,34 @@ def test_static_platform_builds_one_camera_pose(monkeypatch):
     art = run(sc)
     assert len(art.truth_trace) == 60
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("start_yaw", [0.0, -0.0, 0.3, -1.2])
+def test_a_still_script_is_a_cache_of_the_closed_form(start_yaw):
+    # at amplitude 0 the script builds its state at tick 0 and hands it to
+    # every later read.  Over more than one period of ticks, that state's
+    # sensor views equal by float.hex those of the sine's closed-form state
+    # at the tick read, and its fields equal the closed form's by ==: the
+    # closed form has a rate of -0.0 where cos(w0 t) < 0, and a yaw of -0.0
+    # from a -0.0 start where sin(w0 t) < 0, and the views wash those out
+    period = 0.7
+    sc = make_scenario(quad=QuadConfig(start_yaw=start_yaw),
+                       camera_script=CameraScriptConfig(True, 0.0, period))
+    script, hz, w0 = simulator._Script(sc), sc.rates.physics_hz, 2.0 * math.pi / period
+    first = script(0.0)
+    for k in range(round(1.5 * period * hz)):
+        t = k / hz
+        got = script(t)
+        assert got is first
+        want = QuadState(np.array(sc.quad.start_position), np.zeros(3),
+                         rot_z(start_yaw + 0.0 * math.sin(w0 * t)),
+                         np.array([0.0, 0.0, 0.0 * w0 * math.cos(w0 * t)]))
+        assert _hex(got.pose.rotation) == _hex(want.pose.rotation), k
+        assert _hex(got.pose.position) == _hex(want.pose.position), k
+        assert _hex(got.camera_rate) == _hex(want.camera_rate), k
+        assert _hex([got.yaw]) == _hex([want.yaw]), k
+        for name in ("p", "v", "R", "omega"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
 
 
 def test_imu_noise_statistics():
@@ -531,7 +560,7 @@ def test_sensor_layer_alone_reproduces_the_run_stream(name, seed, duration):
 
 def test_scripted_camera_holds_position():
     sc = make_scenario(
-        camera_script=CameraScriptConfig(mode="yaw_sine", amplitude=0.2,
+        camera_script=CameraScriptConfig(scripted=True, amplitude=0.2,
                                          period=2.0),
         quad=QuadConfig(start_position=(0.0, 0.0, 1.5)),
     )
@@ -699,7 +728,7 @@ def test_each_frame_projects_each_object_once(monkeypatch):
 # the yawing camera sweeps it past the target
 _BEHIND_OTHERS = make_scenario(
     duration=2.0, target_id=3,
-    camera_script=CameraScriptConfig("yaw_sine", amplitude=0.3, period=2.0),
+    camera_script=CameraScriptConfig(scripted=True, amplitude=0.3, period=2.0),
     objects=(static_object(2, (12.0, -2.0, 1.5)), static_object(3),
              static_object(1, (12.0, 2.0, 1.5)),
              static_object(0, (6.0, 0.1, 1.5), (0.3, 0.3), occluder=True)))
