@@ -440,6 +440,9 @@ class VisualController:
 
     def command_record(self, t: float, cmd: ControlCommand,
                        motors: MotorCommand) -> dict:
+        """Per-tick command row (fixed field order for byte-stable logs):
+        Python floats, with the desired attitude as a (w, x, y, z) tuple of
+        floats and the two saturation flags as bools."""
         return {
             "t": t,
             "ew": cmd.errors.ew,
@@ -448,8 +451,8 @@ class VisualController:
             "deh": cmd.errors.deh,
             "thrust": cmd.thrust,
             "yaw_des": cmd.yaw_des,
-            # an array, which the log writer formats in one pass
-            "quat_des": np.array(quat_from_rotation(cmd.rotation_des)),
+            # a tuple of four floats, which the log writer takes in one pass
+            "quat_des": quat_from_rotation(cmd.rotation_des),
             "a_pitch": cmd.pitch_accel_hat,
             "sp_sat": bool(cmd.setpoints.saturated),
             "motor_sat": bool(motors.saturated),

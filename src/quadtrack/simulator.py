@@ -413,6 +413,17 @@ def _truth_record(t: float, quad: QuadState, view: ObjectView, cam) -> dict:
         raise SimulationAbort(t, str(e)) from e
     qx, qy, _ = quad.p.tolist()
     tx, ty, _ = target.center.tolist()
+    dx, dy = qx - tx, qy - ty
+    # the distance is at most |dx| + |dy|, so np.hypot overflows only when
+    # that sum does; only then is it taken without numpy's overflow warning
+    # and checked
+    if math.isfinite(abs(dx) + abs(dy)):
+        dist = float(np.hypot(dx, dy))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = float(np.hypot(dx, dy))
+        if not math.isfinite(dist):
+            raise SimulationAbort(t, "ground-truth distance is not finite")
     return {
         "t": t,
         "box": None if box is None else box.as_array(),
@@ -422,7 +433,7 @@ def _truth_record(t: float, quad: QuadState, view: ObjectView, cam) -> dict:
         "quad_p": quad.p,
         "quad_yaw": yaw,
         "target_p": target.center,
-        "dist_xy": float(np.hypot(qx - tx, qy - ty)),
+        "dist_xy": dist,
     }
 
 

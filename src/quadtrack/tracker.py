@@ -769,18 +769,21 @@ class Tracker:
         is the box locked on this frame (none while coasting).  "pred" is
         the filter's box *before* the frame's update -- the prediction that
         scored the candidates -- while "mean" is the post-update state.
+        Boxes are (x, y, w, h) tuples and "mean" is the filter's own tuple
+        of six floats, as the log writer takes them in one pass.
         """
         st = self.state
         coasting = st.coast_frames > 0
+        b, p = st.last_box, res.pred_box
         return {
             "t": t,
             "status": "coasting" if coasting else "tracking",
-            "box": None if coasting else st.last_box.as_array(),
+            "box": None if coasting else (b.x, b.y, b.w, b.h),
             "s_iou": None if res.scores is None else res.scores[0],
             "s_ekf": None if res.scores is None else res.scores[1],
             "s_map": None if res.scores is None else res.scores[2],
             "s_total": None if res.scores is None else res.scores[3],
-            "pred": res.pred_box.as_array(),
-            "mean": st.ekf.mean,
+            "pred": (p.x, p.y, p.w, p.h),
+            "mean": st.ekf.m,
             "coast": st.coast_frames,
         }

@@ -202,6 +202,17 @@ def _scaled(v, k: int):
     return (v or 1.0) * 10.0 ** k
 
 
+# the lowest power of ten a field is scaled by, when not -3: a script period
+# reaches the subnormal range, where 2 pi / period is infinite
+_LOWEST_K = {("camera_script", "period"): -320}
+
+
+def _fields_and_ks():
+    """A _FUZZ_FIELDS entry and the power k, up to 308, that scales it."""
+    return st.sampled_from(_FUZZ_FIELDS).flatmap(lambda field: st.tuples(
+        st.just(field), st.integers(_LOWEST_K.get(field, -3), 308)))
+
+
 def _scaled_scenario(name, field, k) -> dict:
     """A bundled scenario at 0.5 s with one _FUZZ_FIELDS value scaled by 10^k."""
     section, key = field
@@ -226,18 +237,17 @@ def _sim_in_process(d) -> tuple[int, str]:
 
 
 @settings(max_examples=40)
-@given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_FIELDS),
-       st.integers(-3, 308))
+@given(st.sampled_from(ALL_NAMES), _fields_and_ks())
 # an initial covariance near the float range (see the test after next)
-@example("static_target", ("tracker", "p0_diag"), 306)
+@example("static_target", (("tracker", "p0_diag"), 306))
 # a still script's amplitude 0 scaled from 1 to 10^308: its peak rate
 # overflows, and the load check rejects it before any matmul warns
-@example("occlusion_decoy", ("camera_script", "amplitude"), 308)
-def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field, k):
+@example("occlusion_decoy", (("camera_script", "amplitude"), 308))
+def test_a_scaled_value_exits_cleanly_with_one_abort_line(name, field_k):
     # the run ends, is rejected at load (a value scaled past the float
     # range), or aborts in one layer with one line in the abort shape;
     # nothing escapes cli.main
-    code, err = _sim_in_process(_scaled_scenario(name, field, k))
+    code, err = _sim_in_process(_scaled_scenario(name, *field_k))
     assert code in (0, 1, 2), err
     if code == 2:
         lines = err.splitlines()
@@ -279,22 +289,26 @@ _FUZZ_SWITCHES = (("tracker", "gyro_compensation"), ("objects", "occluder"),
 
 @settings(max_examples=20)
 @given(st.sampled_from(ALL_NAMES), st.sampled_from(_FUZZ_SWITCHES),
-       st.integers(0, 3), st.sampled_from(_FUZZ_FIELDS), st.integers(-3, 308),
+       st.integers(0, 3), _fields_and_ks(),
        st.integers(0, 3), st.integers(0, 3), st.integers(-3, 308))
 # uncompensated runs never read the gyro: its overflowed noise, and the
 # filter update's product with a huge innovation
 @example("rotation_only", ("tracker", "gyro_compensation"), 0,
-         ("quad", "gyro_noise"), 308, 0, 1, 0)
+         (("quad", "gyro_noise"), 308), 0, 1, 0)
 @example("static_target", ("tracker", "gyro_compensation"), 0,
-         ("detector", "size_noise_frac"), 308, 0, 1, 0)
+         (("detector", "size_noise_frac"), 308), 0, 1, 0)
 # an object far off the image axis: its box is beyond the float range
 @example("static_target", ("tracker", "gyro_compensation"), 0,
-         ("detector", "center_noise_px"), 0, 0, 3, 306)
+         (("detector", "center_noise_px"), 0), 0, 3, 306)
 # a flown platform turned scripted, yawing at a peak rate of ~6e307 rad/s
 @example("static_target", ("camera_script", "scripted"), 0,
-         ("camera_script", "amplitude"), 307, 0, 1, 0)
+         (("camera_script", "amplitude"), 307), 0, 1, 0)
+# a still script turned flown, its period scaled to 10^-320: 2 pi / period
+# is infinite, which the load check rejects before the script is built
+@example("occlusion_decoy", ("camera_script", "scripted"), 0,
+         (("camera_script", "period"), -320), 0, 1, 0)
 def test_a_flipped_switch_with_a_scaled_value_exits_cleanly_with_one_line(
-        name, switch, obj, field, k, waypoint, coord, j):
+        name, switch, obj, field_k, waypoint, coord, j):
     # one switch flipped, one value scaled by 10^k and entry `coord` (t, x,
     # y or z) of one waypoint of a drawn object scaled by 10^j, in the same
     # run: it ends, or fails at load or in one layer with one line (an abort
@@ -304,7 +318,7 @@ def test_a_flipped_switch_with_a_scaled_value_exits_cleanly_with_one_line(
     # scaled by 10^j, so that the times stay strictly increasing and the
     # run flies: the first waypoint's away from the second, and any other
     # draw the last waypoint's away from the one before it.
-    d = _scaled_scenario(name, field, k)
+    d = _scaled_scenario(name, *field_k)
     objects = d["objects"]
     path = objects[obj % len(objects)]["waypoints"]
     i = waypoint % len(path)
@@ -371,6 +385,13 @@ def _bad_runs():
     far = scenarios.get("static_target").to_dict()
     far["duration"] = 0.5
     far["objects"][0]["waypoints"][0][3] *= 1e306
+    # a target so far away that its ground-truth distance overflows, with
+    # the decoy to lock on in view
+    far_target = scenarios.get("occlusion_decoy").to_dict()
+    far_target["duration"] = 1.0
+    far_target["objects"][0]["waypoints"] = [[0.0, 1.3e308, 1.3e308, 1.5]]
+    far_target["objects"][3]["waypoints"] = [[0.0, 6.0, 3.566, 1.5]]
+    far_target["prompt"] = {"x": 200.0, "y": 272.0, "t": 0.0}
 
     def edit(change):
         d = make_scenario().to_dict()
@@ -404,6 +425,8 @@ def _bad_runs():
          "abort: detector: descriptor norm is not finite: inf at t=0.000000 s"),
         ("box_overflow", far, (), 2,
          "abort: detector: box field y is not finite: -inf at t=0.000000 s"),
+        ("truth_distance_overflow", far_target, (), 2,
+         "abort: physics: ground-truth distance is not finite at t=0.000000 s"),
         ("tracker_initialization", dropout, (), 2,
          "abort: tracker: no detections at prompt time; cannot initialize at t=0.000000 s"),
         ("filter_overflow", filter_overflow, (), 2,

@@ -1,20 +1,25 @@
 """Sensor-log serialization: formatting, ordering, parse errors."""
 
 import collections
+import dataclasses
 import enum
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quadtrack import scenarios
 from quadtrack.detection import Detection, DetectionSet, GyroSample
 from quadtrack.errors import LogParseError, StreamOrderError
 from quadtrack.geometry import BoundingBox
 from quadtrack.logio import (_json_compact, event_line, fmt_float, read_events,
                              read_jsonl, write_events, write_jsonl)
+from quadtrack.simulator import run, write_run
 
 
 def gyro(t, w=(0.1, 0.2, 0.3)):
@@ -531,13 +536,13 @@ def tracker_rows(draw):
     return {
         "t": draw(finite),
         "status": "coasting" if coasting else "tracking",
-        "box": None if coasting else np.array(draw(st.lists(finite, min_size=4, max_size=4))),
+        "box": None if coasting else tuple(draw(st.lists(finite, min_size=4, max_size=4))),
         "s_iou": None if scores is None else scores[0],
         "s_ekf": None if scores is None else scores[1],
         "s_map": None if scores is None else scores[2],
         "s_total": None if scores is None else scores[3],
-        "pred": np.array(draw(st.lists(finite, min_size=4, max_size=4))),
-        "mean": np.array(draw(st.lists(finite, min_size=6, max_size=6))),
+        "pred": tuple(draw(st.lists(finite, min_size=4, max_size=4))),
+        "mean": tuple(draw(st.lists(finite, min_size=6, max_size=6))),
         "coast": draw(st.integers(0, 10**12)),
     }
 
@@ -545,7 +550,7 @@ def tracker_rows(draw):
 @st.composite
 def command_rows(draw):
     row = {k: draw(finite) for k in ("t", "ew", "eh", "dew", "deh", "thrust", "yaw_des")}
-    row["quat_des"] = np.array(draw(st.lists(finite, min_size=4, max_size=4)))
+    row["quat_des"] = tuple(draw(st.lists(finite, min_size=4, max_size=4)))
     row["a_pitch"] = draw(finite)
     row["sp_sat"] = draw(st.booleans())
     row["motor_sat"] = draw(st.booleans())
@@ -594,3 +599,115 @@ def test_json_compact_numpy_types_and_subclasses_match_reference():
             _json_compact({"x": value})
     with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
         _json_compact({"x": np.float64("inf")})
+    # a key that is not a string is refused, not written as its str()
+    with pytest.raises(TypeError, match="trace keys must be strings"):
+        _json_compact({"x": {1: 2.0}})
+
+
+# ---------------------------------------------------------------------------
+# the one-call row writer against the per-value encoder it replaced
+# ---------------------------------------------------------------------------
+# parent_json_compact is the trace encoder as it stood before rows took one
+# `%` call: one encoder call per value, dispatched on the value's exact type.
+
+
+def _parent_fmt_floats(vals: list) -> str:
+    if not math.isfinite(sum(vals)):
+        for x in vals:
+            fmt_float(x)
+    return ("[" + ",".join(["%.9g"] * len(vals)) + "]") % tuple(vals)
+
+
+def _parent_json_array(value: np.ndarray) -> str:
+    if value.ndim == 1 and value.dtype.kind == "f":
+        return _parent_fmt_floats(value.tolist())
+    raise TypeError(f"unsupported trace array: {value.ndim}-D {value.dtype}")
+
+
+_PARENT_ENCODERS = {
+    dict: lambda value: "{" + ",".join([f'"{k}":{parent_json_compact(v)}'
+                                        for k, v in value.items()]) + "}",
+    float: fmt_float,
+    np.float64: fmt_float,
+    int: lambda value: str(int(value)),
+    np.int64: lambda value: str(int(value)),
+    bool: lambda value: "true" if value else "false",
+    np.bool_: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    str: json.dumps,
+    list: lambda value: "[" + ",".join(map(parent_json_compact, value)) + "]",
+    tuple: lambda value: "[" + ",".join(map(parent_json_compact, value)) + "]",
+    np.ndarray: _parent_json_array,
+}
+
+
+def parent_json_compact(value) -> str:
+    encode = _PARENT_ENCODERS.get(type(value))
+    if encode is None:
+        raise TypeError(f"unsupported trace value type {type(value).__name__}")
+    return encode(value)
+
+
+def _written(rows) -> str:
+    """The text write_jsonl writes for `rows`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.jsonl")
+        write_jsonl(path, rows)
+        with open(path, newline="") as fp:
+            return fp.read()
+
+
+_ints = st.one_of(st.integers(-1000, 1000), st.integers(10**9, 10**400),
+                  st.integers(-2**63, 2**63 - 1).map(np.int64))
+_bools = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+_float_seqs = st.lists(finite, max_size=6).flatmap(
+    lambda xs: st.sampled_from([xs, tuple(xs), np.array(xs, dtype=float)]))
+_leaves = st.one_of(scalars(), _ints, _bools, st.none(), st.text(max_size=6),
+                    _float_seqs)
+# a row value: a leaf, or lists, tuples and dicts of them, nested
+_values = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4)), max_leaves=10)
+_rows = st.dictionaries(st.text(max_size=6), _values, max_size=8)
+
+
+@given(st.lists(_rows, max_size=4))
+def test_write_jsonl_writes_the_parent_encoders_bytes(rows):
+    assert _written(rows) == "".join(parent_json_compact(r) + "\n" for r in rows)
+
+
+@given(_rows, st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.sampled_from(["scalar", "numpy", "list", "tuple", "array", "dict"]),
+       st.data())
+def test_write_jsonl_names_a_non_finite_entry_like_the_parent(row, bad, where, data):
+    # one non-finite float anywhere in a row: the parent's ValueError, which
+    # names the value
+    value = {"scalar": bad, "numpy": np.float64(bad), "list": [1.0, bad],
+             "tuple": (bad, 2.0), "array": np.array([0.5, bad]),
+             "dict": {"a": 1, "b": [bad]}}[where]
+    items = list(row.items())
+    items.insert(data.draw(st.integers(0, len(items))), ("non-finite", value))
+    row = dict(items)
+    with pytest.raises(ValueError) as want:
+        parent_json_compact(row)
+    with pytest.raises(ValueError) as got:
+        _written([row])
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"refusing to serialize non-finite float {float(bad)!r}"
+
+
+def test_write_jsonl_keeps_finite_rows_whose_sum_overflows():
+    row = {"a": 1e308, "b": (1e308, -1e308, 1e308), "n": 10**400}
+    assert _written([row]) == parent_json_compact(row) + "\n"
+
+
+@pytest.mark.parametrize("name", scenarios.names())
+def test_written_trace_files_read_and_rewrite_byte_for_byte(tmp_path, name):
+    # a short run of each bundled scenario: its tracker, command and ground-
+    # truth files, read back as JSON and written again, are the same bytes
+    sc = scenarios.get(name)
+    write_run(run(dataclasses.replace(sc, duration=min(sc.duration, 1.0))), tmp_path)
+    for file in ("tracker.jsonl", "commands.jsonl", "groundtruth.jsonl"):
+        path = tmp_path / file
+        write_jsonl(tmp_path / "again.jsonl", read_jsonl(path))
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes(), file

@@ -832,7 +832,7 @@ def test_boxes_whose_areas_overflow_score_and_log(tmp_path):
     scores = [r[k] for r in art.tracker_trace for k in ("s_iou", "s_ekf", "s_total")
               if r[k] is not None]
     assert len(scores) > 50 and all(map(math.isfinite, scores))
-    assert max(min(r["pred"].tolist()[2:]) for r in art.tracker_trace) > 1e155
+    assert max(min(np.asarray(r["pred"]).tolist()[2:]) for r in art.tracker_trace) > 1e155
 
 
 def test_dynamics_step_leaves_non_finite_attitude_unprojected():

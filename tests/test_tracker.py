@@ -505,7 +505,7 @@ def test_replay_selections_equal_array_form_filter(name, monkeypatch):
     monkeypatch.setattr(tracker, "ekf_update", ref_ekf_update)
     want = replay_track(events, prompt, sc.prompt.t, cfg)
     assert len(got) > 0 and selections(got) == selections(want)
-    assert max(np.max(np.abs(a["mean"] - b["mean"]))
+    assert max(np.max(np.abs(np.asarray(a["mean"]) - np.asarray(b["mean"])))
                for a, b in zip(got, want)) <= 1e-9
 
 
