@@ -23,15 +23,11 @@ overflows is still written.
 
 Trace files reuse the same float formatting with one flat JSON object per
 line; their field sets are fixed by the writers in simulator/tracker code.
-Row writer contract (`write_jsonl`, through `_json_compact`): a row is one
-`%` call, like a record.  Its format string is built once per row shape --
-its keys, each value's kind by exact type, the text of each string, bool and
-None, and each sequence's length and entry kinds -- and kept in a bounded
-cache.  Its numbers go in flat, floats as Python floats (a tuple of floats
-in one step), and one sum checks their finiteness, as for records.  A value
-that is not a float, int, bool, None, string, list, tuple, dict with string
-keys or 1-D float array (of numpy scalars: float64, int64 and bool_ only) is
-a TypeError.
+`_json_compact` dispatches on a value's exact type through one table; any
+other type, a subclass or a non-1-D or non-float array, is a TypeError.
+The rows hold their boxes, means and quaternions as tuples of Python floats;
+a tuple or list of floats only, like a 1-D float array, is written with one
+`%` call and one finiteness sum, and any other one entry at a time.
 """
 
 from __future__ import annotations
@@ -72,6 +68,13 @@ def _check_finite(vals) -> None:
 @functools.lru_cache(maxsize=64)
 def _list_format(n: int) -> str:
     return "[" + ",".join(["%.9g"] * n) + "]"
+
+
+def _fmt_floats(vals) -> str:
+    """A list or tuple of floats as a JSON list in fmt_float's format: one
+    finiteness check for the whole sequence, then one `%` call."""
+    _check_finite(vals)
+    return _list_format(len(vals)) % tuple(vals)
 
 
 _GYRO_LINE = '{"t":%.9g,"kind":"gyro","w":[%.9g,%.9g,%.9g]}'
@@ -265,114 +268,58 @@ def read_events(path) -> list[Event]:
 # ---------------------------------------------------------------------------
 
 
-# a number's exact type -> its `%` field, and how its value goes into the
-# call: as it is (None), or a numpy scalar as a Python number
-_NUMBERS = {
-    float: ("%.9g", None),
-    np.float64: ("%.9g", float),
-    int: ("%d", None),
-    np.int64: ("%d", int),
+def _json_dict(value: dict) -> str:
+    return "{" + ",".join([f'"{k}":{_json_compact(v)}'
+                           for k, v in value.items()]) + "}"
+
+
+_FLOAT = frozenset((float,))
+
+
+def _json_seq(value) -> str:
+    # the writers' rows hold boxes, means and quaternions as float tuples
+    if _FLOAT.issuperset(map(type, value)):
+        return _fmt_floats(value)
+    return "[" + ",".join(map(_json_compact, value)) + "]"
+
+
+def _json_array(value: np.ndarray) -> str:
+    if value.ndim == 1 and value.dtype.kind == "f":
+        return _fmt_floats(value.tolist())
+    raise TypeError(f"unsupported trace array: {value.ndim}-D {value.dtype}")
+
+
+def _json_bool(value) -> str:
+    return "true" if value else "false"
+
+
+def _json_int(value) -> str:
+    return str(int(value))
+
+
+# exact type -> encoder; the trace writers' value types, arrays 1-D float
+_JSON_ENCODERS = {
+    dict: _json_dict,
+    float: fmt_float,
+    np.float64: fmt_float,
+    int: _json_int,
+    np.int64: _json_int,
+    bool: _json_bool,
+    np.bool_: _json_bool,
+    type(None): lambda value: "null",
+    str: json.dumps,
+    list: _json_seq,
+    tuple: _json_seq,
+    np.ndarray: _json_array,
 }
-_NUMBER_TYPES = frozenset(_NUMBERS)
-# values that a shape holds as themselves, and a format as their JSON text
-_LITERALS = frozenset((str, bool, np.bool_, type(None)))
-_SEQUENCES = frozenset((tuple, list))
-# steps that put a value into the call (besides None, which puts nothing,
-# a converter, and a tuple of steps for a container's entries)
-_ONE, _EACH, _ARRAY = "one", "each", "array"
-
-
-def _shape(value):
-    """What the format of `value` depends on: a string, bool or None itself;
-    a list's or tuple's type with its entries' types when they are all
-    numbers, else their shapes; a dict's type, keys and values' shapes; an
-    array's type, dtype and dimensions; the type of anything else."""
-    t = type(value)
-    if t in _SEQUENCES:
-        kinds = (*map(type, value),)
-        if _NUMBER_TYPES.issuperset(kinds):
-            return (t, *kinds)
-        return (t, *map(_shape, value))
-    if t is dict:
-        # a row's floats and literals without a call each
-        return (t, tuple(value), *[u if (u := type(v)) is float
-                                   else v if u in _LITERALS else _shape(v)
-                                   for v in value.values()])
-    if t in _LITERALS:
-        return value
-    if t is np.ndarray:
-        return (t, value.dtype, value.shape)
-    return t
-
-
-@functools.lru_cache(maxsize=256)
-def _format(shape) -> tuple[str, object]:
-    """The `%` format of the values of one shape, and the step that puts
-    such a value's numbers into the call.  TypeError for a value that is not
-    a number, string, bool, None, list, tuple, dict with string keys or 1-D
-    float array (numpy scalars: float64, int64 and bool_ only)."""
-    if type(shape) is not tuple:
-        if shape in _NUMBERS:
-            field, convert = _NUMBERS[shape]
-            return field, convert or _ONE
-        if type(shape) in _LITERALS:
-            text = json.dumps(bool(shape) if type(shape) is np.bool_ else shape)
-            return text.replace("%", "%%"), None
-        raise TypeError(f"unsupported trace value type {shape.__name__}")
-    kind = shape[0]
-    if kind is np.ndarray:
-        _, dtype, dims = shape
-        if len(dims) == 1 and dtype.kind == "f":
-            return _list_format(dims[0]), _ARRAY
-        raise TypeError(f"unsupported trace array: {len(dims)}-D {dtype}")
-    keys, entries = (shape[1], shape[2:]) if kind is dict else ((), shape[1:])
-    fields, steps = zip(*map(_format, entries)) if entries else ((), ())
-    if kind is not dict:
-        # numbers that go in as they are go in with the sequence at once
-        step = _EACH if set(steps) <= {_ONE} else steps
-        return "[" + ",".join(fields) + "]", step
-    for key in keys:
-        if type(key) is not str:
-            raise TypeError(f"trace keys must be strings, got {key!r}")
-    return ("{" + ",".join([f'"{k.replace("%", "%%")}":{f}'
-                            for k, f in zip(keys, fields)]) + "}", steps)
-
-
-def _fill(steps: tuple, values, args: list) -> None:
-    """Append the numbers of `values` to `args`, one step per value."""
-    for step, v in zip(steps, values):
-        if step is _ONE:
-            args.append(v)
-        elif step is None:
-            continue
-        elif step is _EACH:
-            args += v
-        elif step is _ARRAY:
-            args += v.tolist()
-        elif type(step) is tuple:
-            _fill(step, v.values() if type(v) is dict else v, args)
-        else:
-            args.append(step(v))
 
 
 def _json_compact(value) -> str:
-    """JSON with %.9g floats, dict key order preserved (insertion order):
-    one `%` call with the format of the value's shape.  Its numbers go in
-    flat and are checked for finiteness by one sum; only when the sum is not
-    finite is each float checked, so the ValueError names the culprit."""
-    fmt, step = _format(_shape(value))
-    args: list = []
-    if type(value) is dict:         # a row: its steps are its values'
-        _fill(step, value.values(), args)
-    else:
-        _fill((step,), (value,), args)
-    try:
-        finite = math.isfinite(sum(args))
-    except OverflowError:           # an int beyond the float range
-        finite = False
-    if not finite:
-        _check_finite([x for x in args if type(x) is float])
-    return fmt % tuple(args)
+    """JSON with %.9g floats; dict key order preserved (insertion order)."""
+    encode = _JSON_ENCODERS.get(type(value))
+    if encode is None:
+        raise TypeError(f"unsupported trace value type {type(value).__name__}")
+    return encode(value)
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:

@@ -599,16 +599,14 @@ def test_json_compact_numpy_types_and_subclasses_match_reference():
             _json_compact({"x": value})
     with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
         _json_compact({"x": np.float64("inf")})
-    # a key that is not a string is refused, not written as its str()
-    with pytest.raises(TypeError, match="trace keys must be strings"):
-        _json_compact({"x": {1: 2.0}})
 
 
 # ---------------------------------------------------------------------------
-# the one-call row writer against the per-value encoder it replaced
+# the row writer against the encoder it had before float tuples took one call
 # ---------------------------------------------------------------------------
-# parent_json_compact is the trace encoder as it stood before rows took one
-# `%` call: one encoder call per value, dispatched on the value's exact type.
+# parent_json_compact is the trace encoder as it stood before a tuple of
+# floats was written with one `%` call: one encoder call per value,
+# dispatched on the value's exact type.
 
 
 def _parent_fmt_floats(vals: list) -> str:
