@@ -15,10 +15,13 @@ edit of the given or recorded scenario at a dotted path (`--seed` is
 reloaded, so a flag is checked and reported as the same value in a file
 (`error: scenario.<path>: ...`).  Exit codes: 0 success, 1
 configuration/usage error (a file that cannot be read, written or decoded
-as UTF-8 included), 2 runtime abort.  A `sim` whose run flies to its end
-succeeds even when the scorer finds no frame to score: the run is written
-with null metrics, and summary.json's "metrics_error" and one stderr line
-give the reason.
+as UTF-8 included), 2 runtime abort.  `sim` writes a whole run or
+nothing: the five files go to a temporary sibling of --out and move into
+it only once all five are written, so a value a writer refuses (one
+`error:` line, exit 1) leaves --out as it was.  A `sim` whose run flies to
+its end succeeds even when the scorer finds no frame to score: the run is
+written with null metrics, and summary.json's "metrics_error" and one
+stderr line give the reason.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from . import scenarios as bundled
 from .ablation import DEFAULT_GRID, run_ablation
@@ -126,22 +131,41 @@ def _with_flags(sc: Scenario, flags: dict) -> Scenario:
     return Scenario.from_dict(d)
 
 
+def _write_run_whole(art, out: str) -> None:
+    """write_run into a temporary sibling directory of `out`, then move the
+    five files into `out`, each over its old copy, once all five are
+    written.  A value a writer refuses (its ValueError) is one error, and
+    `out` stays as it was; the temporary directory never outlives the
+    call."""
+    parent, base = os.path.split(os.path.abspath(out))
+    tmp = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
+    try:
+        try:
+            write_run(art, tmp)
+        except ValueError as e:
+            raise QuadtrackError(f"{out}: run not written: {e}") from e
+        for name in sorted(os.listdir(tmp)):
+            os.replace(os.path.join(tmp, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def cmd_sim(args) -> int:
     sc = _with_flags(resolve_scenario(args.scenario), {
         "seed": args.seed,
         "tracker.gyro_compensation": args.gyro_compensation})
     out = args.out or os.path.join("runs", f"{sc.name}-s{sc.seed}")
     # an --out that cannot be made fails before the run, and a failed run
-    # leaves no directory of its own
+    # or write leaves no directory of its own
     made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
     try:
         art = run(sc)
+        _write_run_whole(art, out)
     except BaseException:
         if made:
             os.rmdir(out)
         raise
-    write_run(art, out)
     print(f"wrote {out}")
     print(json.dumps(art.summary["metrics"]))
     if "metrics_error" in art.summary:

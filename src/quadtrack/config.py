@@ -45,8 +45,6 @@ from dataclasses import (MISSING, asdict, dataclass, field, fields,
 from functools import cache, cached_property
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .controller import (DERIV_TAU, AttitudeGains, ControllerGains,
                          MixerGeometry, VisualController)
 from .detection import SyntheticDetectorConfig
@@ -251,20 +249,21 @@ class ObjectConfig:
 
     @cached_property
     def _ends(self) -> tuple:
-        """The first and the last waypoint's position as float arrays, built
-        once; `at` returns a copy of one outside the waypoint times."""
-        return (np.asarray(self.waypoints[0][1:], dtype=float),
-                np.asarray(self.waypoints[-1][1:], dtype=float))
+        """The first and the last waypoint's position as 3-tuples of
+        floats, built once; `at` returns one outside the waypoint times."""
+        return (tuple(map(float, self.waypoints[0][1:])),
+                tuple(map(float, self.waypoints[-1][1:])))
 
-    def at(self, t: float) -> np.ndarray:
-        """World position at time t; closed-form, so any t in any order."""
+    def at(self, t: float) -> tuple:
+        """World position at time t, a 3-tuple of floats; closed-form, so
+        any t in any order."""
         wps = self.waypoints
         # past the last waypoint (or t NaN) first: every frame of a
         # one-waypoint object after its time takes this one test
         if not t <= wps[-1][0]:
-            return self._ends[1].copy()
+            return self._ends[1]
         if t <= wps[0][0]:
-            return self._ends[0].copy()
+            return self._ends[0]
         for w0, w1 in zip(wps, wps[1:]):
             if t <= w1[0]:
                 a = (t - w0[0]) / (w1[0] - w0[0])
@@ -273,9 +272,9 @@ class ObjectConfig:
                 b = 1.0 - a
                 _, x0, y0, z0 = w0
                 _, x1, y1, z1 = w1
-                return np.array([b * float(x0) + a * float(x1),
-                                 b * float(y0) + a * float(y1),
-                                 b * float(z0) + a * float(z1)])
+                return (b * float(x0) + a * float(x1),
+                        b * float(y0) + a * float(y1),
+                        b * float(z0) + a * float(z1))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,13 @@ A tick runs on Python floats: R and omega are read once with .tolist(), and
 the pieces below (force, thrust, desired attitude, torques, mix) take and
 return floats and tuples, 3x3s as three rows.  The mixer applies the
 allocation inverse, kept as floats on the MixerGeometry, instead of a
-solve.  Only the rotor thrusts leave as an array; `motor_wrench` maps them
-to the wrench the plant applies, thrust and three torques as four floats.
+solve, and hands over the rotor thrusts as four floats; `motor_wrench` maps
+them to the wrench the plant applies, thrust and three torques as four
+floats.  Every product is summed left to right in its written order, so no
+output depends on the BLAS kernel; in particular wrench row i is
+A[i][0]*f0 + A[i][1]*f1 + A[i][2]*f2 + A[i][3]*f3, the general form, not a
+shorter one that the allocation's structure allows (T = f0 + f1 + f2 + f3
+rounds differently).
 A tick fails closed: a non-finite thrust, desired attitude, torque or rotor
 thrust raises ControllerAbort with the tick time, instead of reaching the
 plant or the command log, and so do a gimbal-lock attitude and a force
@@ -96,21 +101,18 @@ class MixerGeometry:
             raise ValueError("arm_length, yaw_coeff and max_thrust must be positive")
 
     @cached_property
-    def allocation(self) -> np.ndarray:
+    def allocation(self) -> tuple:
         """Rows: collective, roll, pitch, yaw.  Columns: rotors FR, FL, RL, RR.
 
-        Built on first use and kept (read-only) with the frozen geometry.
+        Four rows of four floats, built on first use and kept with the
+        frozen geometry.
         """
         a = self.arm_length / math.sqrt(2.0)
-        k = self.yaw_coeff
-        A = np.array([
-            [1.0, 1.0, 1.0, 1.0],
-            [-a, a, a, -a],
-            [-a, -a, a, a],
-            [k, -k, k, -k],
-        ])
-        A.flags.writeable = False
-        return A
+        k = float(self.yaw_coeff)
+        return ((1.0, 1.0, 1.0, 1.0),
+                (-a, a, a, -a),
+                (-a, -a, a, a),
+                (k, -k, k, -k))
 
     @cached_property
     def allocation_inverse(self) -> tuple:
@@ -119,7 +121,7 @@ class MixerGeometry:
         The allocation's rows are mutually orthogonal (exactly so in floating
         point: their products are sums of +-a^2, +-ak and +-a, +-k that
         cancel in pairs), so A^-1 = A^T diag(1 / |row_j|^2)."""
-        A = self.allocation.tolist()
+        A = self.allocation
         sq = [sum(x * x for x in row) for row in A]
         return tuple(tuple(A[j][i] / sq[j] for j in range(4)) for i in range(4))
 
@@ -157,8 +159,8 @@ class MotorCommand:
 
     __slots__ = ("thrusts", "saturated")
 
-    def __init__(self, thrusts: np.ndarray, saturated: bool):
-        self.thrusts = thrusts  # (4,) rotor thrusts, N
+    def __init__(self, thrusts: tuple, saturated: bool):
+        self.thrusts = thrusts  # four rotor thrusts, N, as floats
         self.saturated = saturated
 
 
@@ -335,13 +337,14 @@ def mix(thrust: float, torques, geom: MixerGeometry) -> MotorCommand:
     toward pure collective (collective has priority and is preserved).
 
     The unsaturated thrusts are the allocation inverse (rows of floats kept
-    on the geometry) applied to (thrust, torques)."""
+    on the geometry) applied to (thrust, torques); the thrusts leave as a
+    tuple of four floats."""
     base = thrust / 4.0
     if base > geom.max_thrust:
         # Even pure collective is infeasible; clamp and report.
-        return MotorCommand(np.full(4, geom.max_thrust), True)
+        return MotorCommand((float(geom.max_thrust),) * 4, True)
     if base < 0.0:
-        return MotorCommand(np.zeros(4), True)
+        return MotorCommand((0.0, 0.0, 0.0, 0.0), True)
     tx, ty, tz = torques
     f = [c0 * thrust + c1 * tx + c2 * ty + c3 * tz
          for c0, c1, c2, c3 in geom.allocation_inverse]
@@ -353,14 +356,22 @@ def mix(thrust: float, torques, geom: MixerGeometry) -> MotorCommand:
         elif base + di < 0.0 and di < 0:
             scale = min(scale, base / -di)
     if scale < 1.0:
-        return MotorCommand(np.array([base + scale * di for di in d]), True)
-    return MotorCommand(np.array(f), False)
+        return MotorCommand(tuple([base + scale * di for di in d]), True)
+    return MotorCommand(tuple(f), False)
 
 
-def motor_wrench(thrusts: np.ndarray, geom: MixerGeometry) -> list:
-    """Forward map: the rotor-thrust array -> the wrench the plant applies,
-    four Python floats: collective thrust (N), then the body torques (N m)."""
-    return (geom.allocation @ thrusts).tolist()
+def motor_wrench(thrusts, geom: MixerGeometry) -> tuple:
+    """Forward map: four rotor thrusts -> the wrench the plant applies,
+    four Python floats: collective thrust (N), then the body torques (N m).
+    Row i is A[i][0]*f0 + A[i][1]*f1 + A[i][2]*f2 + A[i][3]*f3, summed
+    left to right, whatever the BLAS kernel."""
+    f0, f1, f2, f3 = thrusts
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = \
+        geom.allocation
+    return (a0 * f0 + a1 * f1 + a2 * f2 + a3 * f3,
+            b0 * f0 + b1 * f1 + b2 * f2 + b3 * f3,
+            c0 * f0 + c1 * f1 + c2 * f2 + c3 * f3,
+            d0 * f0 + d1 * f1 + d2 * f2 + d3 * f3)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +435,7 @@ class VisualController:
         torques = attitude_control(Rl, omega.tolist(), R_des, self.att_gains,
                                    self.inertia)
         motors = mix(tau_d, torques, self.geom)
-        rotors = motors.thrusts.tolist()
+        rotors = motors.thrusts
         # one sum is finite when every entry is; only a non-finite (or
         # overflowed) sum pays for naming the culprit entry by entry
         if not math.isfinite(tau_d + sum(R_des[0]) + sum(R_des[1])

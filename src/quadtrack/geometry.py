@@ -77,9 +77,6 @@ class BoundingBox:
     def area(self) -> float:
         return self.w * self.h
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.w, self.h], dtype=float)
-
     @staticmethod
     def from_array(a) -> "BoundingBox":
         x, y, w, h = (float(v) for v in a)
@@ -190,27 +187,39 @@ class CameraModel:
 
 
 class CameraPose:
-    """Camera extrinsics: rotation is world-from-camera, position in world.
+    """Camera extrinsics: rotation is world-from-camera, as three rows of
+    three floats, and position is the camera's world position, three
+    floats.
 
     Immutable by convention, equal only to itself, with a repr by value;
-    slotted, as `BoundingBox` is, because every camera frame builds one.
+    slotted, as `BoundingBox` is, because every camera frame reads one.
     """
 
     __slots__ = ("rotation", "position")
 
-    def __init__(self, rotation: np.ndarray, position: np.ndarray):
-        self.rotation = rotation  # (3,3)
-        self.position = position  # (3,)
+    def __init__(self, rotation, position):
+        self.rotation = rotation  # three rows of three floats
+        self.position = position  # three floats
 
     def __repr__(self) -> str:
         return f"CameraPose(rotation={self.rotation!r}, position={self.position!r})"
 
 
 def camera_point(pose: CameraPose, p_world) -> tuple[float, float, float]:
-    """Camera-frame (x, y, z) of a world point: R^T (p - position)."""
-    pc = pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position)
-    x, y, z = pc.tolist()
-    return x, y, z
+    """Camera-frame (x, y, z) of a world point: R^T (p - position), on
+    Python floats.
+
+    The summation order is fixed: with d = p - position, component j is
+    R[0][j]*d0 + R[1][j]*d1 + R[2][j]*d2, summed left to right, so the
+    bits do not depend on the BLAS kernel (a matrix product would round as
+    the kernel's dot product does, with or without FMA)."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = pose.rotation
+    px, py, pz = pose.position
+    x, y, z = p_world
+    d0, d1, d2 = x - px, y - py, z - pz
+    return (r00 * d0 + r10 * d1 + r20 * d2,
+            r01 * d0 + r11 * d1 + r21 * d2,
+            r02 * d0 + r12 * d1 + r22 * d2)
 
 
 def project_box(cam: CameraModel, pc: tuple[float, float, float],
@@ -279,7 +288,8 @@ def pitch_yaw_from_rotation(R) -> tuple[float, float]:
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
     """Orthogonal Procrustes projection of M onto SO(3): U diag(1, 1, d) Vt
     with d the sign of det(U Vt), formed by flipping U's last column only
-    when U Vt is a reflection."""
+    when U Vt is a reflection.  Its LAPACK SVD, and so its last bits,
+    depend on the BLAS kernel; no bundled run reaches it."""
     U, _, Vt = np.linalg.svd(M)
     Q = U @ Vt
     if np.linalg.det(Q) < 0.0:

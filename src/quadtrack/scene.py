@@ -20,7 +20,7 @@ import numpy as np
 @dataclass
 class ObjectState:
     obj_id: int
-    center: np.ndarray
+    center: tuple                # world position, m, three floats
     size: tuple                  # (w, h) extent, m, as the scenario gives it
     occluder: bool
     latent: np.ndarray | None

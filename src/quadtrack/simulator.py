@@ -61,12 +61,15 @@ ObjectConfig with its latent in object-id order, and each camera frame's
 layer computes each camera frame's object views (box, occluded fraction)
 once, by `frame_views`, and hands them to the detector, and the target's
 to the ground-truth row; a box beyond the float range is a DetectorAbort at
-the frame's time.  The controller tick runs on Python floats and raises
-ControllerAbort on a non-finite output, so a bad command never reaches the
-plant or commands.jsonl.  The detector, the plant and the scorer run on
-the scenario's own detector, quad and metrics sections; the camera,
-controller and tracker are built from their sections by CameraConfig.build,
-ControllerParams.build and TrackerParams.build.
+the frame's time.  Object positions, the camera pose and each camera-frame
+point are Python floats (`camera_point` states its summation order), and
+the row's box is an (x, y, w, h) tuple, so no array is built per viewed
+object and no BLAS kernel decides a bit of the views.  The controller tick
+runs on Python floats and raises ControllerAbort on a non-finite output, so
+a bad command never reaches the plant or commands.jsonl.  The detector, the
+plant and the scorer run on the scenario's own detector, quad and metrics
+sections; the camera, controller and tracker are built from their sections
+by CameraConfig.build, ControllerParams.build and TrackerParams.build.
 """
 
 from __future__ import annotations
@@ -116,8 +119,12 @@ class QuadState:
 
     @cached_property
     def pose(self) -> CameraPose:
-        """Camera rigidly at the body origin: world-from-camera rotation."""
-        return CameraPose(self.R @ CAMERA_FROM_BODY.T, self.p)
+        """Camera rigidly at the body origin: world-from-camera rotation, as
+        rows of floats, and the position, as floats.  The mount's entries
+        are 0 and +-1, so every product and sum of R @ CAMERA_FROM_BODY.T
+        is exact, and its bits do not depend on the BLAS kernel."""
+        return CameraPose(tuple(map(tuple, (self.R @ CAMERA_FROM_BODY.T).tolist())),
+                          tuple(self.p.tolist()))
 
     @cached_property
     def camera_rate(self) -> tuple:
@@ -412,7 +419,7 @@ def _truth_record(t: float, quad: QuadState, view: ObjectView, cam) -> dict:
     except ValueError as e:
         raise SimulationAbort(t, str(e)) from e
     qx, qy, _ = quad.p.tolist()
-    tx, ty, _ = target.center.tolist()
+    tx, ty, _ = target.center
     dx, dy = qx - tx, qy - ty
     # the distance is at most |dx| + |dy|, so np.hypot overflows only when
     # that sum does; only then is it taken without numpy's overflow warning
@@ -426,7 +433,7 @@ def _truth_record(t: float, quad: QuadState, view: ObjectView, cam) -> dict:
             raise SimulationAbort(t, "ground-truth distance is not finite")
     return {
         "t": t,
-        "box": None if box is None else box.as_array(),
+        "box": None if box is None else (box.x, box.y, box.w, box.h),
         "center": center,
         "occluded": occl,
         "in_view": bool(in_view),
@@ -493,8 +500,9 @@ def run(scenario: Scenario) -> RunArtifacts:
 
     events, tracker_trace, command_trace, truth_trace = [], [], [], []
     scripted = sc.camera_script.scripted
-    # the commanded rotor thrusts, and the realized ones under motor lag
-    commanded = rotor_thrusts = np.zeros(4)
+    # the commanded rotor thrusts, and the realized ones under motor lag,
+    # four floats each
+    commanded = rotor_thrusts = (0.0, 0.0, 0.0, 0.0)
     # ideal motors: the wrench changes only at a control tick, so it is
     # computed there and held; with lag it moves on every physics step
     hold_wrench = not scripted and sc.quad.motor_lag == 0.0
@@ -514,7 +522,11 @@ def run(scenario: Scenario) -> RunArtifacts:
             dt = t_p - last_phys_t
             if not hold_wrench:
                 a = 1.0 - math.exp(-dt / sc.quad.motor_lag)
-                rotor_thrusts = rotor_thrusts + a * (commanded - rotor_thrusts)
+                # r + a (c - r) per rotor: the array form's operations
+                r0, r1, r2, r3 = rotor_thrusts
+                c0, c1, c2, c3 = commanded
+                rotor_thrusts = (r0 + a * (c0 - r0), r1 + a * (c1 - r1),
+                                 r2 + a * (c2 - r2), r3 + a * (c3 - r3))
                 wrench = motor_wrench(rotor_thrusts, sc.quad.geometry)
             y = dynamics_step(y, wrench, sc.quad, dt)
             # a finite sum means finite entries; finite entries can overflow it

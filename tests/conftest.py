@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from quadtrack.geometry import (BoundingBox, CameraModel, camera_point,
-                                project_box, rot_z)
+from quadtrack.geometry import (BoundingBox, CameraModel, CameraPose,
+                                camera_point, project_box, rot_z)
 from quadtrack.tracker import EkfState, TrackerConfig, ekf_predict
 from quadtrack.detection import GyroSample
 
@@ -64,6 +64,18 @@ def camera_from_focal(width: int, height: int, focal: float) -> CameraModel:
     """The centred pinhole camera of focal length `focal` px."""
     vfov = 2.0 * math.atan((height / 2.0) / focal)
     return CameraModel(width, height, vfov, focal, width / 2.0, height / 2.0)
+
+
+def float_pose(R, p) -> CameraPose:
+    """The CameraPose of a 3x3 rotation and a position, as rows of floats
+    and floats, the form the simulator's states build."""
+    return CameraPose(tuple(map(tuple, np.asarray(R, dtype=float).tolist())),
+                      tuple(np.asarray(p, dtype=float).tolist()))
+
+
+def box_array(box: BoundingBox) -> np.ndarray:
+    """A box's (x, y, w, h) as a float array."""
+    return np.array([box.x, box.y, box.w, box.h], dtype=float)
 
 
 def project_world_box(cam: CameraModel, pose, center, size):

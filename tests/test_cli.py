@@ -1112,3 +1112,39 @@ def test_a_failed_command_leaves_its_out_path_as_it_was(tmp_path, capsys):
     assert old.read_text() == (tmp_path / "old_run" / "x").read_text() == "kept\n"
     assert not (tmp_path / "new.json").exists()
     assert not (tmp_path / "new_run").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+def test_a_refused_row_value_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
+                                                  existing):
+    # one ground-truth value set to NaN after the run: the writer refuses it
+    # once three files are written, and sim prints one error line, exits 1
+    # and leaves --out as it was, with no temporary directory beside it
+    real_run = cli.run
+
+    def nan_row(sc):
+        art = real_run(sc)
+        art.truth_trace[5]["dist_xy"] = float("nan")
+        return art
+
+    monkeypatch.setattr(cli, "run", nan_row)
+    path = tmp_path / "short.json"
+    d = scenarios.get("rotation_only").to_dict()
+    d["duration"] = 0.5
+    path.write_text(json.dumps(d))
+    out = tmp_path / "run"
+    if existing:
+        out.mkdir()
+        (out / "events.jsonl").write_text("kept\n")
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["sim", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {out}: run not written: refusing to serialize non-finite float nan"]
+    assert sorted(os.listdir(tmp_path)) == (before if existing else ["short.json"])
+    if existing:
+        assert os.listdir(out) == ["events.jsonl"]
+        assert (out / "events.jsonl").read_text() == "kept\n"
+    else:
+        assert not out.exists()

@@ -19,10 +19,11 @@ from quadtrack.geometry import (MIN_VIEW_DEPTH, BoundingBox, CameraPose,
                                 covered_fraction, iou)
 from quadtrack.scene import ObjectState, SceneSnapshot
 
-from conftest import camera_from_focal, project_world_box, zyx_matrix
+from conftest import (box_array, camera_from_focal, float_pose, project_world_box,
+                      zyx_matrix)
 
 CAM = camera_from_focal(960, 544, 500.0)
-POSE = CameraPose(np.eye(3), np.zeros(3))
+POSE = float_pose(np.eye(3), np.zeros(3))
 DIM = 8
 
 
@@ -33,7 +34,8 @@ def unit(i, dim=DIM):
 
 
 def state(obj_id, center, size=(1.0, 1.0, 1.0), latent=None, occluder=False):
-    return ObjectState(obj_id=obj_id, center=np.asarray(center, dtype=float),
+    return ObjectState(obj_id=obj_id,
+                       center=tuple(np.asarray(center, dtype=float).tolist()),
                        size=np.asarray(size, dtype=float), occluder=occluder,
                        latent=latent)
 
@@ -85,9 +87,8 @@ def test_detection_set_carries_frame_time():
      "descriptor=array([ 1., -0.]))"),
     (GyroSample, (0.5, np.array([0.1, 0.0, -0.2])),
      "GyroSample(t=0.5, w=array([ 0.1,  0. , -0.2]))"),
-    (CameraPose, (np.eye(2), np.zeros(2)),
-     "CameraPose(rotation=array([[1., 0.],\n       [0., 1.]]), "
-     "position=array([0., 0.]))"),
+    (CameraPose, (((1.0, 0.0), (-0.0, 1.0)), (0.0, 2.5)),
+     "CameraPose(rotation=((1.0, 0.0), (-0.0, 1.0)), position=(0.0, 2.5))"),
 ], ids=["Detection", "GyroSample", "CameraPose"])
 def test_event_values_are_slotted_with_identity_equality(cls, args, want):
     # the frozen dataclasses (eq=False) they replaced: positional or keyword
@@ -196,7 +197,7 @@ def test_occlusion_threshold_monotone_on_fixed_seed():
 
 
 def _det_bits(dets):
-    return [(tuple(float(v).hex() for v in d.box.as_array()), d.confidence.hex(),
+    return [(tuple(float(v).hex() for v in box_array(d.box)), d.confidence.hex(),
              d.descriptor.tobytes()) for d in dets]
 
 
@@ -450,15 +451,28 @@ def test_extract_feature_noise_stays_near_latent():
 # ---------------------------------------------------------------------------
 
 
+def ref_camera_frame(pose, p_world):
+    """R^T (p - position) in a fixed order: component j is sum_i R[i][j] d_i
+    over i = 0, 1, 2, added left to right, whatever the BLAS kernel."""
+    d = [float(a) - float(b) for a, b in zip(p_world, pose.position)]
+    pc = []
+    for j in range(3):
+        acc = pose.rotation[0][j] * d[0]
+        for i in (1, 2):
+            acc = acc + pose.rotation[i][j] * d[i]
+        pc.append(acc)
+    return pc
+
+
 def ref_project_point(cam, pose, p_world):
-    pc = pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position)
+    pc = ref_camera_frame(pose, p_world)
     if pc[2] <= MIN_VIEW_DEPTH:
         return None
     return (cam.focal * pc[0] / pc[2] + cam.cx, cam.focal * pc[1] / pc[2] + cam.cy)
 
 
 def ref_camera_depth(pose, p_world):
-    return float((pose.rotation.T @ (np.asarray(p_world, dtype=float) - pose.position))[2])
+    return ref_camera_frame(pose, p_world)[2]
 
 
 def ref_project_box(cam, pose, center, size):
@@ -508,7 +522,7 @@ def ref_truth(snapshot, pose, cam, target_id):
 
 
 def _bits(box):
-    return None if box is None else tuple(float(v).hex() for v in box.as_array())
+    return None if box is None else tuple(float(v).hex() for v in box_array(box))
 
 
 def _random_scene(rng):
@@ -517,7 +531,8 @@ def _random_scene(rng):
     the ray to a detectable object, in front of it or behind it."""
     R = zyx_matrix(rng.uniform(-math.pi, math.pi), rng.uniform(-1.4, 1.4),
                    rng.uniform(-math.pi, math.pi))
-    pose = CameraPose(R, rng.normal(0.0, 20.0, size=3))
+    pose = float_pose(R, rng.normal(0.0, 20.0, size=3))
+    position = np.array(pose.position)
     objs = []
     for i in range(int(rng.integers(2, 8))):
         pc = np.array([rng.uniform(-8.0, 8.0), rng.uniform(-5.0, 5.0),
@@ -526,10 +541,10 @@ def _random_scene(rng):
         occluder = bool(objs) and rng.uniform() < 0.4
         if occluder and rng.uniform() < 0.7:
             # on the ray to an earlier object, at a random fraction of its range
-            prev = R.T @ (objs[int(rng.integers(len(objs)))].center - pose.position)
+            prev = R.T @ (np.array(objs[int(rng.integers(len(objs)))].center) - position)
             pc = prev * rng.uniform(0.2, 1.5)
             size = tuple(10.0 ** rng.uniform(-0.5, 0.5, size=3))
-        objs.append(state(i, pose.position + R @ pc, size=size, occluder=occluder,
+        objs.append(state(i, position + R @ pc, size=size, occluder=occluder,
                           latent=None if occluder else unit(i % DIM)))
     return snap(objs), pose
 

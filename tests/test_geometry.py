@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadtrack.geometry import (BoundingBox, CameraModel, CameraPose,
-                                covered_fraction, cross3, iou, nearest_rotation,
+from quadtrack.geometry import (BoundingBox, CameraModel, covered_fraction,
+                                cross3, iou, nearest_rotation,
                                 pitch_yaw_from_rotation, quat_from_rotation,
                                 rot_z, wrap_angle)
 
-from conftest import (boxes, camera_from_focal, hat, is_rotation,
-                      project_world_box, rot_x, rot_y, vee, zyx_matrix)
+from conftest import (box_array, boxes, camera_from_focal, float_pose, hat,
+                      is_rotation, project_world_box, rot_x, rot_y, vee,
+                      zyx_matrix)
 
-IDENTITY_POSE = CameraPose(np.eye(3), np.zeros(3))
+IDENTITY_POSE = float_pose(np.eye(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def test_box_is_a_value_object():
 
 def test_box_array_round_trip():
     b = BoundingBox(1.5, -2.25, 3.0, 4.0)
-    assert BoundingBox.from_array(b.as_array()) == b
+    assert BoundingBox.from_array(box_array(b)) == b
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ def test_projection_depth_invariance(x, y, z, s, k):
     far = project_world_box(cam, IDENTITY_POSE, (k * x, k * y, k * z), (k * s, k * s))
     if near is None or far is None:
         return
-    assert np.max(np.abs(near.as_array() - far.as_array())) < 1e-9
+    assert np.max(np.abs(box_array(near) - box_array(far))) < 1e-9
 
 
 # ---------------------------------------------------------------------------

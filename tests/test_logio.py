@@ -21,6 +21,8 @@ from quadtrack.logio import (_json_compact, event_line, fmt_float, read_events,
                              read_jsonl, write_events, write_jsonl)
 from quadtrack.simulator import run, write_run
 
+from conftest import box_array
+
 
 def gyro(t, w=(0.1, 0.2, 0.3)):
     return GyroSample(t, np.asarray(w, dtype=float))
@@ -395,7 +397,7 @@ def ref_event_line(ev) -> str:
     if isinstance(ev, GyroSample):
         return f'{{"t":{ref_fmt_float(ev.t)},"kind":"gyro","w":{ref_fmt_list(ev.w)}}}'
     if isinstance(ev, DetectionSet):
-        boxes = ref_fmt_nested(d.box.as_array() for d in ev.detections)
+        boxes = ref_fmt_nested(box_array(d.box) for d in ev.detections)
         conf = ref_fmt_list([d.confidence for d in ev.detections])
         desc = ref_fmt_nested(d.descriptor for d in ev.detections)
         return (f'{{"t":{ref_fmt_float(ev.t)},"kind":"det","boxes":{boxes},'

@@ -22,7 +22,7 @@ from quadtrack.tracker import (EkfState, Tracker, TrackerConfig, TrackerWeights,
                                predict_jacobian, predicted_box, score, step,
                                update_memory, weighted_total)
 
-from conftest import camera_from_focal, fd_transition_jacobian
+from conftest import box_array, camera_from_focal, fd_transition_jacobian
 
 CAM = camera_from_focal(960, 544, 500.0)
 DIM = 8
@@ -224,7 +224,7 @@ def test_predicted_box_semigroup_without_rotation():
     twice = ekf_predict(ekf_predict(st, GyroSample(0.05, np.zeros(3)), cfg),
                         GyroSample(0.1, np.zeros(3)), cfg)
     a, b = predicted_box(once), predicted_box(twice)
-    assert np.max(np.abs(a.as_array() - b.as_array())) < 1e-9
+    assert np.max(np.abs(box_array(a) - box_array(b))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_update_trusts_tiny_noise_measurement():
                   np.diag(cfg.p0_diag).astype(float), 1.0)
     z = BoundingBox(110.0, 95.0, 42.0, 31.0)
     out = ekf_update(st, z, cfg)
-    assert np.allclose(out.mean[:4], z.as_array(), atol=1e-9)
+    assert np.allclose(out.mean[:4], box_array(z), atol=1e-9)
     assert out.t == 1.0
 
 
@@ -363,7 +363,7 @@ def ref_ekf_update(state, box, cfg):
     R = np.diag(cfg.r_diag).astype(float)
     S = H @ state.cov @ H.T + R
     K = np.linalg.solve(S.T, (state.cov @ H.T).T).T
-    mean = state.mean + K @ (box.as_array() - H @ state.mean)
+    mean = state.mean + K @ (box_array(box) - H @ state.mean)
     mean[2] = max(1.0, mean[2])
     mean[3] = max(1.0, mean[3])
     IKH = np.eye(6) - K @ H
@@ -469,7 +469,7 @@ def test_filter_matches_array_form_within_rounding():
         K = np.linalg.solve(P[:4, :4] + np.diag(r), P[:4, :]).T
         A = np.eye(6)
         A[:, :4] -= K
-        nu = z.as_array() - m[:4]
+        nu = box_array(z) - m[:4]
         mean_bound = (dK * np.linalg.norm(nu)
                       + 2.0 * gamma(5) * (np.abs(m) + np.abs(K) @ np.abs(nu)))
         assert np.all(np.abs(got_u.mean - want_u.mean) <= mean_bound)
@@ -596,7 +596,7 @@ def joseph_reference(state, box, K, r):
     """The update in numpy for gain K (6×4): m + K ν, and the Joseph form
     IKH P IKHᵀ + (K r) Kᵀ with IKH = I − K H."""
     P, m = state.cov, state.mean
-    mean = m + K @ (box.as_array() - m[:4])
+    mean = m + K @ (box_array(box) - m[:4])
     mean[2:4] = np.maximum(1.0, mean[2:4])
     IKH = np.eye(6)
     IKH[:, :4] -= K
@@ -679,7 +679,7 @@ def test_update_matches_numpy_joseph_form_within_rounding():
         K = np.array(_innovation_gain(state.p, cfg.r_floats)).reshape(6, 4)
         got = ekf_update(state, box, cfg)
         mean, cov = joseph_reference(state, box, K, r)
-        nu = box.as_array() - state.mean[:4]
+        nu = box_array(box) - state.mean[:4]
         assert np.all(np.abs(got.mean - mean)
                       <= 2.0 * gamma(5) * (np.abs(state.mean) + np.abs(K) @ np.abs(nu)))
         assert np.all(np.abs(got.cov - cov) <= joseph_bound(state.cov, K, r))
@@ -927,7 +927,7 @@ def test_the_exact_gate_takes_what_the_cholesky_declines(monkeypatch, name, stat
     mean, cov, K = old_update(state, box, cfg)
     A = np.eye(6)
     A[:, :4] -= K
-    nu = box.as_array() - state.mean[:4]
+    nu = box_array(box) - state.mean[:4]
     assert np.all(np.abs(got.mean - mean)
                   <= 2.0 * gamma(5) * (np.abs(state.mean) + np.abs(K) @ np.abs(nu)))
     bound = (joseph_bound(P, K, np.asarray(cfg.r_floats)) * (1.0 + 2.0 * U)
@@ -1169,8 +1169,8 @@ def test_step_fills_gyro_gap_with_zero_order_hold():
                                   tr.state.ekf.cov.copy(), tr.state.ekf.t),
                          GyroSample(0.02, w), cfg)
     res = tr.step(DetectionSet(0.02, []))
-    assert np.allclose(res.pred_box.as_array(),
-                       predicted_box(manual).as_array(), atol=1e-12)
+    assert np.allclose(box_array(res.pred_box),
+                       box_array(predicted_box(manual)), atol=1e-12)
     assert tr.state.ekf.t == 0.02
 
 
@@ -1196,7 +1196,7 @@ def test_step_selection_matches_brute_force_argmax():
     for k in range(1, 101):
         t = k / 60.0
         tr.predict(GyroSample(t, rng.uniform(-0.2, 0.2, 3)))
-        last = tr.state.last_box.as_array()
+        last = box_array(tr.state.last_box)
         pred = np.array([tr.state.ekf.mean[0], tr.state.ekf.mean[1],
                          max(1.0, tr.state.ekf.mean[2]),
                          max(1.0, tr.state.ekf.mean[3])])
@@ -1218,8 +1218,8 @@ def test_step_selection_matches_brute_force_argmax():
             cands.append(det(b, desc))
         totals = []
         for d in cands:
-            s_iou = ref_iou(last, d.box.as_array())
-            s_ekf = ref_iou(pred, d.box.as_array())
+            s_iou = ref_iou(last, box_array(d.box))
+            s_ekf = ref_iou(pred, box_array(d.box))
             c = float(mem @ d.descriptor)
             s_map = min(1.0, max(0.0, c))
             totals.append(cfg.weights.w_iou * s_iou + cfg.weights.w_ekf * s_ekf
@@ -1307,7 +1307,7 @@ def test_trace_record_schema():
     rec = tr.trace_record(res, 1.0 / 60.0)
     assert rec["status"] == "tracking" and rec["coast"] == 0
     assert rec["s_total"] == res.scores[3]
-    assert np.array_equal(rec["box"], box.as_array())
+    assert np.array_equal(rec["box"], box_array(box))
     res = tr.step(DetectionSet(2.0 / 60.0, []))
     rec = tr.trace_record(res, 2.0 / 60.0)
     assert rec["status"] == "coasting" and rec["box"] is None
