@@ -11,14 +11,28 @@ under parse/re-serialize, so record -> replay -> record is byte-identical.
 Timestamps must be non-decreasing; at equal timestamps gyro records come
 before the (single) detection record, i.e. a detection closes its timestamp.
 
-Encoder contract (`event_line`): a record is one `%` call.  Its format string
-is built once per record shape -- the gyro shape is fixed, a detection
-frame's shape is the tuple of its descriptor lengths, so ragged frames need
-no second encoder -- and kept in a bounded cache.  The record's floats go in
-flat, as Python floats, and are checked for finiteness at once by summing
-them; only when the sum is not finite is each value checked on its own, so
-the ValueError names the culprit, and a finite record whose sum merely
-overflows is still written.
+Encoder contract.  `write_events` checks stream order as it collects events
+into blocks of whole events holding about _BLOCK_FLOATS descriptor floats,
+encodes each block's descriptors with one `_desc_lists` call, then builds
+each record with `event_line`, given that record's encoded lists.  Called
+alone, `event_line` encodes its own descriptors with the same encoder.  A
+record's head (t, boxes, confidences) is one `%` call whose format is cached
+by the number of detections; its floats go in flat, as Python floats, and
+are checked for finiteness at once by summing them; only when the sum is not
+finite is each value checked on its own, so the ValueError names the
+culprit, and a finite record whose sum merely overflows is still written.
+
+`_desc_lists` formats every entry in numpy, exactly as '%.9g' % x does.
+An entry with 1e-4 <= |x| < 1 and z zeros after "0." gets its 9 digits by
+rounding y = |x| * 10**(9+z) to an integer: the power is an exact double, so
+y is the exact product rounded once, and its nearest integer is the
+correctly rounded significand unless y is itself a half-integer.  Those
+entries, the ones that round up to 10**9 and every entry out of that range
+(zero, subnormal, tiny, at least 1, not finite) take the slow path,
+'%.9g' % x itself: about 0.1% of a unit descriptor's entries.
+When encoding a block fails (a non-finite entry), its events are written
+one by one instead, so the ValueError names the first non-finite value in
+record order and the file holds the lines before that record.
 '%.9g' % x equals format(x, '.9g') for every finite double.
 
 Trace files reuse the same float formatting with one flat JSON object per
@@ -81,18 +95,111 @@ _GYRO_LINE = '{"t":%.9g,"kind":"gyro","w":[%.9g,%.9g,%.9g]}'
 
 
 @functools.lru_cache(maxsize=64)
-def _det_format(desc_lens: tuple[int, ...]) -> str:
-    """The `%` format string of a detection record whose descriptors have
-    these lengths; its fields take t, every box, every confidence, then
-    every descriptor."""
-    boxes = ",".join([_list_format(4)] * len(desc_lens))
-    conf = _list_format(len(desc_lens))
-    desc = ",".join(map(_list_format, desc_lens))
-    return (f'{{"t":%.9g,"kind":"det","boxes":[{boxes}],"conf":{conf},'
-            f'"desc":[{desc}]}}')
+def _det_head(n: int) -> str:
+    """The `%` format of a detection record with n detections, up to its
+    descriptor lists; its fields take t, every box, then every confidence."""
+    boxes = ",".join([_list_format(4)] * n)
+    return (f'{{"t":%.9g,"kind":"det","boxes":[{boxes}],'
+            f'"conf":{_list_format(n)},"desc":[')
 
 
-def event_line(ev: Event) -> str:
+# ---------------------------------------------------------------------------
+# descriptor lists: '%.9g' for many floats at once
+# ---------------------------------------------------------------------------
+# An entry's text is built in its own 20-byte slot of 5 little-endian 4-byte
+# words, `,`-led, and the slots' unused bytes (_FILL) are deleted at the end.
+# A fast entry's words: [",", sign, "0", "."], [z zeros, the leading digit],
+# then its other 8 digits as two 4-digit groups with trailing zeros unused.
+
+_FILL = 0
+_LIST_MARK = "|"                 # leads a list's first entry in place of ","
+_BLOCK_FLOATS = 2048             # descriptor floats write_events encodes at once
+_SCALE = np.array([1e9, 1e10, 1e11, 1e12])   # 10**(9+z), exact doubles
+
+_group = np.empty((10, 10, 10, 10, 4), np.uint8)       # the digits of 0 .. 9999
+for _k in range(4):
+    _group[..., _k] = np.arange(10).reshape((10,) + (1,) * (3 - _k))
+_group = _group.reshape(10_000, 4)
+_digits = _group + ord("0")                              # "0000" .. "9999"
+# a digit is kept when it or a digit after it in its group is not 0
+_kept = _group > 0
+for _k in (2, 1, 0):
+    _kept[:, _k] |= _kept[:, _k + 1]
+_STRIPPED = np.where(_kept, _digits, _FILL).view("<u4").ravel()
+# index b + 10000 * (c == 0), b the middle 4 digits and c the last 4: the
+# middle group keeps its trailing zeros unless the last group is all zeros
+_GROUPS = np.concatenate([_digits.view("<u4").ravel(), _STRIPPED])
+# index 16 * z + leading digit: z zeros after "0.", then the digit (a slow
+# entry's leading "digit" may be 10, and its words are overwritten)
+_lead = np.full((4, 16, 4), _FILL, np.uint8)
+_lead[..., :3] = np.where(np.arange(3) < np.arange(4)[:, None], ord("0"), _FILL)[:, None]
+_lead[..., 3] = ord("0") + np.arange(16)
+_LEADS = _lead.view("<u4").ravel()
+_SIGNS = np.array([[ord(","), _FILL, ord("0"), ord(".")],    # by x < 0
+                   [ord(","), ord("-"), ord("0"), ord(".")]], np.uint8).view("<u4").ravel()
+del _k, _group, _digits, _kept, _lead
+
+
+def _desc_lists(descs: list) -> list[str]:
+    """The JSON list of each 1-D float sequence in `descs`, each entry as
+    '%.9g' % x writes it, all encoded at once.
+
+    Three comparisons give the count z of zeros after "0." for |x| < 1.
+    y = |x| * 10**(9+z) is one rounding of the exact product v (the powers
+    are exact doubles).  Rounding is monotone and every half-integer below
+    2**53 is a double, so y lies on v's side of each half-integer or on it:
+    n = rint(y) is '%.9g''s 9-digit significand (the integer nearest v)
+    unless y is a half-integer, which v need not be.  When y is no tie and
+    10**8 <= n < 10**9, the text is the sign, "0.", z zeros and n's digits
+    without trailing zeros.  That covers 1e-4 <= |x| < 1, all but about
+    0.1% of a unit descriptor's entries.  Every other entry (a tie,
+    rounding to 10**9, zero, subnormal, below 1e-4, at least 1, not finite)
+    is written by '%.9g' % x into its slot.  Raises fmt_float's ValueError
+    for the first non-finite entry."""
+    sizes = [len(v) for v in descs]
+    x = np.concatenate(descs, dtype=np.float64) if descs else np.empty(0)
+    if x.ndim != 1:
+        raise TypeError(f"descriptors must be 1-D, got {x.ndim}-D")
+    if not x.size:
+        return ["[]"] * len(sizes)
+    a = np.fmin(np.abs(x), 1.0)          # NaN and inf to 1.0: slow
+    z = (a < 0.1).astype(np.intp)
+    z += a < 0.01
+    z += a < 0.001
+    y = a * _SCALE[z]
+    n = np.rint(y)
+    fast = np.abs(y - n) < 0.5          # y - n is exact: 0.5 at a tie
+    fast &= n >= 1e8
+    fast &= n < 1e9
+    n = n.astype(np.intp)
+    hi = n // 10_000
+    c = n - hi * 10_000
+    top = hi // 10_000
+    raw = bytearray(20 * x.size)         # zero-filled: _FILL
+    slots = np.frombuffer(raw, "<u4").reshape(x.size, 5)
+    slots[:, 0] = _SIGNS[(x < 0).view(np.uint8)]
+    slots[:, 1] = _LEADS[16 * z + top]
+    slots[:, 2] = _GROUPS[hi - top * 10_000 + 10_000 * (c == 0)]
+    slots[:, 3] = _STRIPPED[c]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        rows = b"".join([("," + fmt_float(v)).encode().ljust(20, bytes([_FILL]))
+                         for v in x[slow].tolist()])
+        slots[slow] = np.frombuffer(rows, "<u4").reshape(-1, 5)
+    starts, i = [], 0
+    for k in sizes:
+        if k:
+            starts.append(i)
+            i += k
+    slots.view(np.uint8)[starts, 0] = ord(_LIST_MARK)
+    pieces = iter(raw.translate(None, bytes([_FILL])).decode().split(_LIST_MARK)[1:])
+    return [f"[{next(pieces)}]" if k else "[]" for k in sizes]
+
+
+def event_line(ev: Event, descs: list[str] | None = None) -> str:
+    """One log record, without its newline.  A detection record's
+    descriptor lists are `descs` when given (write_events encodes a block's
+    at once), else encoded here by the same encoder."""
     if isinstance(ev, DetectionSet):
         dets = ev.detections
         head = [ev.t]
@@ -103,13 +210,10 @@ def event_line(ev: Event) -> str:
         # Python floats: numpy scalars (box fields) would warn on an
         # overflowing sum and leave sum's float fast path
         head = list(map(float, head))
-        descs = [np.asarray(d.descriptor, dtype=float).tolist() for d in dets]
-        desc = []
-        for xs in descs:
-            desc += xs
-        if not math.isfinite(sum(head) + sum(desc)):
-            _check_finite(head + desc)
-        return _det_format(tuple(map(len, descs))) % (*head, *desc)
+        _check_finite(head)
+        if descs is None:
+            descs = _desc_lists([d.descriptor for d in dets])
+        return _det_head(len(dets)) % tuple(head) + ",".join(descs) + "]}"
     if isinstance(ev, GyroSample):
         vals = [float(ev.t), *np.asarray(ev.w, dtype=float).tolist()]
         if len(vals) != 4:
@@ -132,15 +236,50 @@ def _check_order(prev: Event | None, ev: Event) -> None:
             f"event follows a detection at equal t={ev.t!r}")
 
 
+def _write_block(fp, events: list, descs: list) -> None:
+    """Write `events`, whose descriptors are `descs` in order, encoding the
+    descriptors in one _desc_lists call.  When that refuses an entry, the
+    events are written one by one instead, so that the error names the
+    first refused value in record order and the lines before it are
+    written."""
+    try:
+        lists = _desc_lists(descs)
+    except (TypeError, ValueError):
+        for ev in events:
+            fp.write(event_line(ev) + "\n")
+        raise
+    i = 0
+    for ev in events:
+        k = len(ev.detections) if isinstance(ev, DetectionSet) else 0
+        fp.write(event_line(ev, lists[i:i + k]) + "\n")
+        i += k
+
+
 def write_events(path, events: Iterable[Event]) -> None:
     """Write a sensor log, enforcing the stream-order contract per event
-    (StreamOrderError)."""
+    (StreamOrderError).  Events are written in blocks of whole events with
+    about _BLOCK_FLOATS descriptor floats; on any error, the file holds
+    the lines of the events before the offending one."""
     prev = None
+    block, descs, n = [], [], 0
     with open(path, "w") as fp:
-        for ev in events:
-            _check_order(prev, ev)
-            fp.write(event_line(ev) + "\n")
-            prev = ev
+        try:
+            for ev in events:
+                _check_order(prev, ev)
+                prev = ev
+                block.append(ev)
+                if isinstance(ev, DetectionSet):
+                    for d in ev.detections:
+                        descs.append(d.descriptor)
+                        n += len(d.descriptor)
+                    if n >= _BLOCK_FLOATS:
+                        full = block, descs
+                        block, descs, n = [], [], 0
+                        _write_block(fp, *full)
+        finally:
+            # also when an event is refused: the events before it are
+            # written, and an earlier event's own refusal takes its place
+            _write_block(fp, block, descs)
 
 
 # a JSON number decodes to an int or a float; a string or a bool is neither

@@ -26,7 +26,7 @@ from quadtrack.config import (
     Scenario,
     save_scenario,
 )
-from quadtrack.detection import SyntheticDetectorConfig
+from quadtrack.detection import Detection, DetectionSet, SyntheticDetectorConfig
 from quadtrack.errors import ConfigError
 from quadtrack.logio import read_events, read_jsonl, write_jsonl
 from quadtrack.metrics import MetricsParams, compute_metrics
@@ -1114,37 +1114,53 @@ def test_a_failed_command_leaves_its_out_path_as_it_was(tmp_path, capsys):
     assert not (tmp_path / "new_run").exists()
 
 
+def _nan_truth_row(art):
+    art.truth_trace[5]["dist_xy"] = float("nan")
+    return art
+
+
+def _nan_late_descriptor(art):
+    i = max(i for i, ev in enumerate(art.events)
+            if isinstance(ev, DetectionSet) and len(ev))
+    ev = art.events[i]
+    d = ev.detections[-1]
+    desc = d.descriptor.copy()
+    desc[len(desc) // 2] = float("nan")
+    art.events[i] = DetectionSet(ev.t, [*ev.detections[:-1],
+                                        Detection(d.box, d.confidence, desc)])
+    return art
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
 def test_a_refused_row_value_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
                                                   existing):
-    # one ground-truth value set to NaN after the run: the writer refuses it
-    # once three files are written, and sim prints one error line, exits 1
-    # and leaves --out as it was, with no temporary directory beside it
+    # one value set to NaN after the run, a ground-truth value (refused once
+    # three files are written) or an entry of the last detection's
+    # descriptor (refused by the block encoder, in events.jsonl, the first
+    # file written): sim prints one error line, exits 1 and leaves --out as
+    # it was, with no temporary directory beside it
     real_run = cli.run
-
-    def nan_row(sc):
-        art = real_run(sc)
-        art.truth_trace[5]["dist_xy"] = float("nan")
-        return art
-
-    monkeypatch.setattr(cli, "run", nan_row)
     path = tmp_path / "short.json"
     d = scenarios.get("rotation_only").to_dict()
     d["duration"] = 0.5
     path.write_text(json.dumps(d))
-    out = tmp_path / "run"
-    if existing:
-        out.mkdir()
-        (out / "events.jsonl").write_text("kept\n")
-    before = sorted(os.listdir(tmp_path))
-    assert cli.main(["sim", str(path), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"error: {out}: run not written: refusing to serialize non-finite float nan"]
-    assert sorted(os.listdir(tmp_path)) == (before if existing else ["short.json"])
-    if existing:
-        assert os.listdir(out) == ["events.jsonl"]
-        assert (out / "events.jsonl").read_text() == "kept\n"
-    else:
-        assert not out.exists()
+    for spoil in (_nan_truth_row, _nan_late_descriptor):
+        monkeypatch.setattr(cli, "run", lambda sc, spoil=spoil: spoil(real_run(sc)))
+        work = tmp_path / spoil.__name__
+        work.mkdir()
+        out = work / "run"
+        if existing:
+            out.mkdir()
+            (out / "events.jsonl").write_text("kept\n")
+        before = sorted(os.listdir(work))
+        assert cli.main(["sim", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {out}: run not written: refusing to serialize non-finite float nan"]
+        assert sorted(os.listdir(work)) == before
+        if existing:
+            assert os.listdir(out) == ["events.jsonl"]
+            assert (out / "events.jsonl").read_text() == "kept\n"
+        else:
+            assert not out.exists()

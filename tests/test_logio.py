@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadtrack import scenarios
+from quadtrack import logio, scenarios
 from quadtrack.detection import Detection, DetectionSet, GyroSample
 from quadtrack.errors import LogParseError, StreamOrderError
 from quadtrack.geometry import BoundingBox
@@ -470,35 +470,39 @@ def test_event_line_equals_reference_encoder(ev):
     assert event_line(ev) == ref_event_line(ev)
 
 
-@given(st.lists(events(), min_size=1, max_size=4), st.data())
-def test_event_line_names_the_same_culprit_as_reference(evs, data):
-    # one non-finite value in a timestamp, a gyro rate, a confidence or a
-    # descriptor entry
-    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    ev = data.draw(st.sampled_from(evs))
+def spoil(ev, bad, data):
+    """`ev` with one value, drawn from its timestamp, its gyro rates, its
+    confidences or its descriptor entries, set to `bad`."""
     slots = ["t"] + (["w"] if isinstance(ev, GyroSample) else
                      [("conf", i) for i in range(len(ev))]
                      + [("desc", i) for i, d in enumerate(ev.detections)
                         if len(d.descriptor)])
     slot = data.draw(st.sampled_from(slots))
     if slot == "t":
-        ev = (GyroSample(bad, ev.w) if isinstance(ev, GyroSample)
-              else DetectionSet(bad, ev.detections))
-    elif slot == "w":
+        return (GyroSample(bad, ev.w) if isinstance(ev, GyroSample)
+                else DetectionSet(bad, ev.detections))
+    if slot == "w":
         w = ev.w.copy()
         w[data.draw(st.integers(0, 2))] = bad
-        ev = GyroSample(ev.t, w)
+        return GyroSample(ev.t, w)
+    field, i = slot
+    dets = list(ev.detections)
+    d = dets[i]
+    if field == "conf":
+        dets[i] = Detection(d.box, bad, d.descriptor)
     else:
-        field, i = slot
-        dets = list(ev.detections)
-        d = dets[i]
-        if field == "conf":
-            dets[i] = Detection(d.box, bad, d.descriptor)
-        else:
-            desc = d.descriptor.copy()
-            desc[data.draw(st.integers(0, len(desc) - 1))] = bad
-            dets[i] = Detection(d.box, d.confidence, desc)
-        ev = DetectionSet(ev.t, dets)
+        desc = d.descriptor.copy()
+        desc[data.draw(st.integers(0, len(desc) - 1))] = bad
+        dets[i] = Detection(d.box, d.confidence, desc)
+    return DetectionSet(ev.t, dets)
+
+
+@given(st.lists(events(), min_size=1, max_size=4), st.data())
+def test_event_line_names_the_same_culprit_as_reference(evs, data):
+    # one non-finite value in a timestamp, a gyro rate, a confidence or a
+    # descriptor entry
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    ev = spoil(data.draw(st.sampled_from(evs)), bad, data)
     with pytest.raises(ValueError) as want:
         ref_event_line(ev)
     with pytest.raises(ValueError) as got:
@@ -507,7 +511,7 @@ def test_event_line_names_the_same_culprit_as_reference(evs, data):
 
 
 def test_event_line_ragged_frames_beyond_the_format_cache():
-    # more record shapes than the cache holds, each encoded like the reference
+    # ragged frames of many shapes, each encoded like the reference
     for n in range(1, 150):
         lens = (n % 7, n, 3 * n % 11)
         ev = DetectionSet(n / 60, [Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5,
@@ -711,3 +715,238 @@ def test_written_trace_files_read_and_rewrite_byte_for_byte(tmp_path, name):
         path = tmp_path / file
         write_jsonl(tmp_path / "again.jsonl", read_jsonl(path))
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes(), file
+
+
+# ---------------------------------------------------------------------------
+# descriptors encoded in blocks, against '%.9g' % x per float
+# ---------------------------------------------------------------------------
+# write_events encodes a block's descriptors at once in numpy; g9_line is the
+# oracle, one '%.9g' % x per float, and ref_write_events the writer that
+# encodes event by event.
+
+
+def g9_line(ev) -> str:
+    """A finite record as '%.9g' % x per float writes it."""
+    def g(xs):
+        return "[" + ",".join(["%.9g" % float(x) for x in xs]) + "]"
+    if isinstance(ev, GyroSample):
+        return '{"t":%.9g,"kind":"gyro","w":%s}' % (ev.t, g(ev.w))
+    dets = ev.detections
+    return ('{"t":%.9g,"kind":"det","boxes":[%s],"conf":%s,"desc":[%s]}'
+            % (ev.t, ",".join(g(box_array(d.box)) for d in dets),
+               g([d.confidence for d in dets]),
+               ",".join(g(d.descriptor) for d in dets)))
+
+
+def g9_text(events) -> str:
+    return "".join(g9_line(ev) + "\n" for ev in events)
+
+
+def _write_failure(events):
+    """write_events's text and the error it raised (None when it wrote
+    every event)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.jsonl")
+        try:
+            write_events(path, events)
+            error = None
+        except (StreamOrderError, ValueError) as e:
+            error = e
+        with open(path, newline="") as fp:
+            return fp.read(), error
+
+
+def written_events(events) -> str:
+    """The text write_events writes for `events`, which it must accept."""
+    text, error = _write_failure(events)
+    assert error is None
+    return text
+
+
+def descriptor_frames(values, size=256, per_frame=4):
+    """Frames at t = 0, 1, ..., each with `per_frame` detections whose
+    descriptors hold `values` in order, `size` entries each."""
+    values = np.asarray(values, dtype=float)
+    descs = [values[i:i + size] for i in range(0, len(values), size)]
+    return [DetectionSet(float(k), [Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, d)
+                                    for d in descs[i:i + per_frame]])
+            for k, i in enumerate(range(0, len(descs), per_frame))]
+
+
+def edge_floats() -> list[float]:
+    """Values at and beside every boundary of the block encoder's fast path,
+    with both signs."""
+    xs = [0.0, 5e-324, 1.0, 1e308,
+          # carries: 9 digits round up to the next power of ten
+          0.0999999999951, 9.9999999995e-5, 0.9999999995, 0.00999999999951,
+          0.0999999999949, 9.99999999949e-5, 0.999999999499]
+    for k in range(-6, 2):
+        p = 10.0 ** k
+        xs += [p, np.nextafter(p, 0.0), np.nextafter(p, 20.0)]
+    # 9-digit half-way points with z zeros after "0.", and their neighbours
+    for z in range(4):
+        for m in (100000000, 123456789, 499999999, 999999999):
+            h = (m + 0.5) / 10.0 ** (9 + z)
+            xs += [h, np.nextafter(h, 0.0), np.nextafter(h, 1.0)]
+    # binary fractions, exact ties among them (2**-10 .. 2**-13)
+    xs += [2.0 ** -k for k in range(1, 40)]
+    xs = [float(x) for x in xs]
+    return xs + [-x for x in xs]
+
+
+def test_write_events_equals_the_oracle_on_a_million_descriptor_entries():
+    # unit-descriptor-like entries: all but about 0.1% on the fast path,
+    # across about 500 blocks
+    xs = np.random.default_rng(37).normal(size=10**6) / 16
+    events = descriptor_frames(xs)
+    assert written_events(events) == g9_text(events)
+
+
+def test_edge_floats_equal_the_oracle():
+    xs = edge_floats()
+    # all in one descriptor, one per descriptor, and in short descriptors
+    # three to a frame; through write_events and through event_line alone
+    for events in (descriptor_frames(xs, size=len(xs)), descriptor_frames(xs, size=1),
+                   descriptor_frames(xs * 3, size=7, per_frame=3)):
+        assert written_events(events) == g9_text(events)
+        assert "".join(event_line(ev) + "\n" for ev in events) == g9_text(events)
+
+
+@given(st.lists(finite, max_size=300))
+def test_event_line_equals_the_oracle_on_float_lists(xs):
+    ev = DetectionSet(1.0, [Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5,
+                                      np.array(xs, dtype=float))])
+    assert event_line(ev) == g9_line(ev)
+
+
+ragged_frames = st.lists(
+    st.lists(st.lists(finite, max_size=20).map(np.array), max_size=4).map(
+        lambda descs: [Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, d) for d in descs]),
+    max_size=6).map(lambda frames: [DetectionSet(float(t), dets)
+                                    for t, dets in enumerate(frames)])
+
+
+@given(ragged_frames, st.sampled_from([1, 5, 2048]))
+def test_ragged_and_empty_descriptors_in_any_block_size(events, block):
+    # a block boundary after any frame; descriptors of any length, [] too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logio, "_BLOCK_FLOATS", block)
+        assert written_events(events) == g9_text(events)
+
+
+def test_empty_descriptors_and_frames():
+    empty = np.zeros(0)
+    events = [DetectionSet(0.0),
+              frame(1.0, [(1, 2, 3, 4), (5, 6, 7, 8)], descs=[empty, empty]),
+              frame(2.0, [(1, 2, 3, 4), (5, 6, 7, 8), (9, 9, 9, 9)],
+                    descs=[empty, [0.25, -0.5], empty])]
+    assert [event_line(ev) for ev in events] == [g9_line(ev) for ev in events]
+    assert written_events(events) == g9_text(events)
+    assert event_line(events[1]).endswith('"desc":[[],[]]}')
+
+
+@pytest.mark.parametrize("name", scenarios.names())
+def test_bundled_runs_write_the_oracles_bytes(name):
+    # every event of a 2 s run: write_events, event_line record by record
+    # and the oracle agree byte for byte
+    sc = scenarios.get(name)
+    events = run(dataclasses.replace(sc, duration=min(sc.duration, 2.0))).events
+    assert any(isinstance(ev, DetectionSet) and len(ev) for ev in events)
+    want = g9_text(events)
+    assert written_events(events) == want
+    assert "".join(event_line(ev) + "\n" for ev in events) == want
+
+
+def ref_write_events(events):
+    """The lines a writer that encodes event by event writes, and the error
+    it stops on (None when it writes every event)."""
+    lines, prev = [], None
+    try:
+        for ev in events:
+            if prev is not None and (ev.t < prev.t or (
+                    ev.t == prev.t and isinstance(prev, DetectionSet))):
+                raise StreamOrderError(f"{ev.t!r} may not follow {prev.t!r}")
+            lines.append(ref_event_line(ev))
+            prev = ev
+    except (StreamOrderError, ValueError) as e:
+        return "".join(line + "\n" for line in lines), e
+    return "".join(line + "\n" for line in lines), None
+
+
+def _same_failure(got, want):
+    assert got[0] == want[0]
+    assert type(got[1]) is type(want[1])
+    if isinstance(want[1], ValueError):
+        assert str(got[1]) == str(want[1])
+
+
+@given(st.lists(events(), min_size=1, max_size=6), st.data(),
+       st.sampled_from([1, 7, 2048]))
+def test_write_events_stops_like_the_per_event_writer(evs, data, block):
+    # up to two non-finite values and a timestamp out of order anywhere in
+    # the stream: the first refusal in record order is raised, and the file
+    # holds exactly the lines before the refused event
+    evs = [GyroSample(float(i), ev.w) if isinstance(ev, GyroSample)
+           else DetectionSet(float(i), ev.detections) for i, ev in enumerate(evs)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(evs) - 1))
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        evs[i] = spoil(evs[i], bad, data)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(evs) - 1))
+        ev = evs[i]
+        evs[i] = (GyroSample(-1.0, ev.w) if isinstance(ev, GyroSample)
+                  else DetectionSet(-1.0, ev.detections))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logio, "_BLOCK_FLOATS", block)
+        _same_failure(_write_failure(evs), ref_write_events(evs))
+
+
+def test_the_first_non_finite_value_in_record_order_names_the_error():
+    def record(t, conf=0.5, desc=(0.5, -0.25)):
+        return DetectionSet(t, [Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), conf,
+                                          np.array(desc))])
+
+    # within one block: an inf in a record's head and a NaN in a later
+    # record's descriptor, the other way round, and both in one record,
+    # whose head comes before its descriptors
+    for evs, name in (
+            ([record(0.0), record(1.0, conf=math.inf), record(2.0, desc=(0.5, math.nan))], "inf"),
+            ([record(0.0), record(1.0, desc=(0.5, math.nan)), record(2.0, conf=math.inf)], "nan"),
+            ([record(0.0), record(1.0, conf=math.inf, desc=(math.nan,))], "inf")):
+        text, error = _write_failure(evs)
+        assert text == g9_text(evs[:1])
+        assert isinstance(error, ValueError)
+        assert str(error) == f"refusing to serialize non-finite float {name}"
+
+
+@pytest.mark.parametrize("k, refusal", [
+    (k, refusal) for k in (0, 1, 4, 5, 30, 61)
+    for refusal in ("order", "head", "descriptor")
+    if k or refusal != "order"])     # the first event follows no other
+def test_a_refused_event_leaves_the_lines_before_it(k, refusal):
+    # gyro samples between frames of four 256-entry descriptors, two frames
+    # a block; the refused event at the start, inside or at the end of a block
+    xs = np.random.default_rng(5).normal(size=32 * 1024) / 16
+    events = []
+    for ev in descriptor_frames(xs):
+        events += [gyro(ev.t), ev]
+    ev = events[k]
+    if refusal == "order":
+        events[k] = (DetectionSet(-1.0, ev.detections) if isinstance(ev, DetectionSet)
+                     else gyro(-1.0))
+    elif refusal == "head":
+        events[k] = DetectionSet(math.nan, ev.detections) if isinstance(
+            ev, DetectionSet) else gyro(ev.t, (0.1, math.inf, 0.3))
+    elif isinstance(ev, DetectionSet):
+        desc = ev.detections[3].descriptor.copy()
+        desc[200] = -math.inf
+        events[k] = DetectionSet(ev.t, [*ev.detections[:3], Detection(
+            ev.detections[3].box, 0.5, desc)])
+    else:
+        events[k] = gyro(ev.t, (math.nan, 0.2, 0.3))
+    text, error = _write_failure(events)
+    want = ref_write_events(events)
+    assert want[1] is not None
+    _same_failure((text, error), want)
+    assert text == g9_text(events[:k])
