@@ -41,7 +41,29 @@ line; their field sets are fixed by the writers in simulator/tracker code.
 other type, a subclass or a non-1-D or non-float array, is a TypeError.
 The rows hold their boxes, means and quaternions as tuples of Python floats;
 a tuple or list of floats only, like a 1-D float array, is written with one
-`%` call and one finiteness sum, and any other one entry at a time.
+`%` call and one finiteness sum, and any other one entry at a time.  Keys
+are written as JSON strings, escaped as json.dumps escapes them.
+
+Trace rows and the plan cache.  `write_jsonl` writes each row through the
+plan of its shape: the row's keys in order and the exact type of each
+value.  A plan is one `%` format for the whole line, newline included:
+each key as its JSON string with `%` doubled, `%.9g` per float,
+`[%.9g,...]` per float tuple, list or 1-D float64 array of the length
+the first row of that shape held, `%d` per int, `%s` per str (its JSON
+text) and per bool (true or false), and the literal null per None.  With
+it goes one function generated with exec from positions only, as
+namedtuple builds its methods, which unpacks the row's values, checks each
+sequence's length and each array's dtype and shape, checks that every
+float entry is a float and that their sum is finite, and fills the
+format.  A row its plan cannot place (a tuple holding an int, a bool, None
+or a numpy scalar, another length, a nested list or dict, a non-finite or
+overflowing sum) and a shape with no plan (a key that is not a str, a
+value of another type) go to `_json_compact`, which stays the one
+definition of the format and of its errors: every line is
+_json_compact(row) and a newline, and a refused row raises _json_compact's
+error with the lines before it written.  The cache keeps at most _MAX_PLANS
+plans; a shape beyond them clears it, and so does _row_line.cache_clear().
+What it holds changes the speed of a write, never its bytes.
 """
 
 from __future__ import annotations
@@ -200,6 +222,17 @@ def event_line(ev: Event, descs: list[str] | None = None) -> str:
     """One log record, without its newline.  A detection record's
     descriptor lists are `descs` when given (write_events encodes a block's
     at once), else encoded here by the same encoder."""
+    if isinstance(ev, GyroSample):
+        t, w = float(ev.t), ev.w
+        if type(w) is not np.ndarray or w.dtype.char != "d":
+            w = np.asarray(w, dtype=float)
+        w = w.tolist()
+        if len(w) != 3:
+            raise ValueError(f"gyro 'w' must have 3 components, got {len(w)}")
+        wx, wy, wz = w
+        if not math.isfinite(t + wx + wy + wz):
+            _check_finite([t, *w])
+        return _GYRO_LINE % (t, wx, wy, wz)
     if isinstance(ev, DetectionSet):
         dets = ev.detections
         head = [ev.t]
@@ -214,12 +247,6 @@ def event_line(ev: Event, descs: list[str] | None = None) -> str:
         if descs is None:
             descs = _desc_lists([d.descriptor for d in dets])
         return _det_head(len(dets)) % tuple(head) + ",".join(descs) + "]}"
-    if isinstance(ev, GyroSample):
-        vals = [float(ev.t), *np.asarray(ev.w, dtype=float).tolist()]
-        if len(vals) != 4:
-            raise ValueError(f"gyro 'w' must have 3 components, got {len(vals) - 1}")
-        _check_finite(vals)
-        return _GYRO_LINE % tuple(vals)
     raise TypeError(f"not a loggable event: {type(ev).__name__}")
 
 
@@ -407,8 +434,12 @@ def read_events(path) -> list[Event]:
 # ---------------------------------------------------------------------------
 
 
+# json.dumps's own encoder of a str, which json.dumps(s) returns for a str s
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def _json_dict(value: dict) -> str:
-    return "{" + ",".join([f'"{k}":{_json_compact(v)}'
+    return "{" + ",".join([f'{_json_str(str(k))}:{_json_compact(v)}'
                            for k, v in value.items()]) + "}"
 
 
@@ -446,7 +477,7 @@ _JSON_ENCODERS = {
     bool: _json_bool,
     np.bool_: _json_bool,
     type(None): lambda value: "null",
-    str: json.dumps,
+    str: _json_str,
     list: _json_seq,
     tuple: _json_seq,
     np.ndarray: _json_array,
@@ -461,10 +492,99 @@ def _json_compact(value) -> str:
     return encode(value)
 
 
+# ---------------------------------------------------------------------------
+# trace rows: one `%` call per row shape
+# ---------------------------------------------------------------------------
+
+_MAX_PLANS = 64          # plans kept; one more shape clears the cache
+_PLANS: dict = {}        # row shape -> its plan, or None when it has none
+_PLAN_GLOBALS = {"_FLOAT": _FLOAT, "_isfinite": math.isfinite,
+                 "_str": _json_str, "_tf": ("false", "true")}
+
+
+def _plan(rec: dict):
+    """The plan of `rec`'s shape (see the module docstring): a function
+    that returns a row of that shape as its line, newline included, or None
+    when it cannot place the row.  None when the shape has no plan."""
+    fields, args, floats, guards, lists = [], [], [], [], []
+    for i, (k, v) in enumerate(rec.items()):
+        if type(k) is not str:
+            return None
+        x = f"v{i}"
+        t = type(v)
+        if t is float:
+            form = "%.9g"
+            args.append(x)
+            floats.append(x)
+        elif t is int:
+            form = "%d"
+            args.append(x)
+        elif t is str:
+            form = "%s"
+            args.append(f"_str({x})")
+        elif t is bool:
+            form = "%s"
+            args.append(f"_tf[{x}]")
+        elif v is None:
+            form = "null"
+        elif t is tuple or t is list or t is np.ndarray and v.ndim == 1:
+            n = len(v)
+            form = "[" + ",".join(["%.9g"] * n) + "]"
+            if t is np.ndarray:
+                guards.append(f"{x}.dtype.char == 'd' and {x}.shape == ({n},)")
+                lists.append(f"{x} = {x}.tolist()")
+            else:
+                guards.append(f"len({x}) == {n}")
+            args.append(f"*{x}")
+            floats.append(f"*{x}")
+        else:
+            return None
+        fields.append(_json_str(k).replace("%", "%%") + ":" + form)
+    names = "".join(f"v{i}, " for i in range(len(rec)))
+    src = ["def encode(rec):",
+           f"    [{names}] = rec.values()"]
+    if guards:
+        src.append(f"    if not ({' and '.join(guards)}):")
+        src.append("        return None")
+    src += [f"    {line}" for line in lists]
+    src += [f"    f = ({''.join(x + ', ' for x in floats)})",
+            "    if not (_FLOAT.issuperset(map(type, f)) and _isfinite(sum(f))):",
+            "        return None",
+            f"    return _fmt % ({''.join(x + ', ' for x in args)})"]
+    namespace = dict(_PLAN_GLOBALS, _fmt="{" + ",".join(fields) + "}\n")
+    exec("\n".join(src), namespace)
+    return namespace["encode"]
+
+
+def _row_line(rec) -> str:
+    """`rec` as one JSON line with its newline: through its shape's plan
+    when the plan places it, else through _json_compact."""
+    if type(rec) is dict:
+        # two tuples, not one of all keys and types: CPython 3.11 keeps a
+        # freed 20-tuple (a 10-key row's) but never hands it out again
+        shape = (tuple(rec), tuple(map(type, rec.values())))
+        try:
+            encode = _PLANS[shape]
+        except KeyError:
+            if len(_PLANS) >= _MAX_PLANS:
+                _PLANS.clear()
+            encode = _PLANS[shape] = _plan(rec)
+        if encode is not None:
+            line = encode(rec)
+            if line is not None:
+                return line
+    return _json_compact(rec) + "\n"
+
+
+# the plan cache empties as a functools cache does, through its function
+_row_line.cache_clear = _PLANS.clear
+
+
 def write_jsonl(path, records: Iterable[dict]) -> None:
+    """One JSON line per record, _json_compact(record) and a newline; when a
+    record is refused, the file holds the lines of the records before it."""
     with open(path, "w") as fp:
-        for rec in records:
-            fp.write(_json_compact(rec) + "\n")
+        fp.writelines(map(_row_line, records))
 
 
 def write_summary(path, summary: dict, scenario: dict) -> None:

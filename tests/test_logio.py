@@ -407,7 +407,7 @@ def ref_event_line(ev) -> str:
 
 def ref_json_compact(value) -> str:
     if isinstance(value, dict):
-        items = (f'"{k}":{ref_json_compact(v)}' for k, v in value.items())
+        items = (f'{json.dumps(str(k))}:{ref_json_compact(v)}' for k, v in value.items())
         return "{" + ",".join(items) + "}"
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
         return ref_fmt_list(value)
@@ -525,6 +525,26 @@ def test_event_line_rejects_gyro_without_three_rates():
         event_line(gyro(0.5, (0.1, 0.2)))
 
 
+@pytest.mark.parametrize("w", [
+    [0.1, -0.2, 1e-13], (0.1, -0.2, 1e-13), [1, 2, 3], [np.float64(0.1), 0.2, 0.3],
+    np.array([0.1, -0.2, 1e-13], dtype=np.float32),
+    np.array([0.1, -0.2, 1e-13], dtype=">f8"),
+    np.array([0.1, -0.2, 1e-13], dtype=object)], ids=lambda w: type(w).__name__)
+def test_event_line_takes_gyro_rates_in_any_float_form(w):
+    # a list, a tuple or an array of another float dtype gives the same
+    # line as its float64 array, and its errors
+    ev = GyroSample(0.5, w)
+    assert event_line(ev) == ref_event_line(ev)
+    assert event_line(ev) == event_line(gyro(0.5, w))
+    with pytest.raises(ValueError, match="^gyro 'w' must have 3 components, got 2$"):
+        event_line(GyroSample(0.5, w[:2]))
+    spoiled = [w[0], math.nan, w[2]] if isinstance(w, list) else np.array(w)
+    if not isinstance(w, list):
+        spoiled[1] = math.nan
+    with pytest.raises(ValueError, match="^refusing to serialize non-finite float nan$"):
+        event_line(GyroSample(0.5, spoiled))
+
+
 def test_percent_g_equals_format_g_on_random_bit_patterns():
     # event_line formats with '%.9g' % x; fmt_float's contract is
     # format(x, '.9g'), so the two must agree on every finite double
@@ -612,7 +632,9 @@ def test_json_compact_numpy_types_and_subclasses_match_reference():
 # ---------------------------------------------------------------------------
 # parent_json_compact is the trace encoder as it stood before a tuple of
 # floats was written with one `%` call: one encoder call per value,
-# dispatched on the value's exact type.
+# dispatched on the value's exact type.  Its keys are JSON strings, as
+# json.dumps writes them; the encoder once wrote them unescaped, so a key
+# holding a quote, a backslash or a control character was not JSON.
 
 
 def _parent_fmt_floats(vals: list) -> str:
@@ -629,7 +651,7 @@ def _parent_json_array(value: np.ndarray) -> str:
 
 
 _PARENT_ENCODERS = {
-    dict: lambda value: "{" + ",".join([f'"{k}":{parent_json_compact(v)}'
+    dict: lambda value: "{" + ",".join([f'{json.dumps(str(k))}:{parent_json_compact(v)}'
                                         for k, v in value.items()]) + "}",
     float: fmt_float,
     np.float64: fmt_float,
@@ -715,6 +737,186 @@ def test_written_trace_files_read_and_rewrite_byte_for_byte(tmp_path, name):
         path = tmp_path / file
         write_jsonl(tmp_path / "again.jsonl", read_jsonl(path))
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes(), file
+
+
+# ---------------------------------------------------------------------------
+# trace rows through their shape's plan, against the per-value encoders
+# ---------------------------------------------------------------------------
+# write_jsonl writes a row through the cached plan of its shape (its keys and
+# the exact type of each value) when the plan places it, else through
+# _json_compact; either way the bytes and errors are the per-value
+# encoders'.
+
+
+def _write_rows(rows):
+    """write_jsonl's text for `rows` and the error it raised (None when it
+    wrote every row)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.jsonl")
+        try:
+            write_jsonl(path, rows)
+            error = None
+        except (TypeError, ValueError) as e:
+            error = e
+        with open(path, newline="") as fp:
+            return fp.read(), error
+
+
+def _parent_rows(rows):
+    """The parent encoder's text for `rows`, row by row up to the first it
+    refuses, and that refusal (None when it takes every row)."""
+    lines = []
+    for row in rows:
+        try:
+            lines.append(parent_json_compact(row) + "\n")
+        except (TypeError, ValueError) as e:
+            return "".join(lines), e
+    return "".join(lines), None
+
+
+def _same_rows(got, want):
+    assert got[0] == want[0]
+    assert type(got[1]) is type(want[1])
+    assert str(got[1]) == str(want[1])
+
+
+@pytest.fixture(scope="module")
+def bundled_rows():
+    """Per bundled scenario, the tracker, command and ground-truth rows of
+    its first 2 s.  The target stays projectable there, so each run's truth
+    rows also hold a copy of one row with a null box and centre, as the
+    writer writes a target it cannot project."""
+    rows = {}
+    for name in scenarios.names():
+        sc = scenarios.get(name)
+        art = run(dataclasses.replace(sc, duration=min(sc.duration, 2.0)))
+        truth = list(art.truth_trace)
+        truth.insert(5, {**truth[5], "box": None, "center": None, "in_view": False})
+        rows[name] = (art.tracker_trace, art.command_trace, truth)
+    return rows
+
+
+def test_write_jsonl_writes_the_per_value_bytes_of_bundled_rows(bundled_rows):
+    for name, files in bundled_rows.items():
+        for rows in files:
+            assert _written(rows) == "".join(ref_json_compact(r) + "\n" for r in rows), name
+        # each row is placed by its shape's plan: without _json_compact the
+        # same bytes are written
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(logio, "_json_compact", None)
+            for rows in files:
+                assert _written(rows) == "".join(ref_json_compact(r) + "\n" for r in rows)
+    tracker, commands, truth = (
+        [r for files in bundled_rows.values() for r in files[i]] for i in range(3))
+    assert any(r["status"] == "coasting" for r in tracker)
+    assert any(r["status"] == "tracking" and r["s_iou"] is None for r in tracker)   # prompt
+    assert any(r["s_iou"] is not None for r in tracker)
+    hover = [r["ew"] == r["eh"] == r["dew"] == r["deh"] == 0.0 for r in commands]
+    assert any(hover) and not all(hover)
+    assert any(r["box"] is None and r["center"] is None for r in truth)
+
+
+_PLACED = {"t": 0.5, "box": (1.0, 2.0, 3.0, 4.0), "p": np.array([0.25, -0.5, 1.0]),
+           "n": 3, "ok": True, "name": "tracking", "none": None}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("box", (1.0, 2, 3.0, 4.0)),
+    ("box", (1.0, True, 3.0, 4.0)),
+    ("box", (1.0, None, 3.0, 4.0)),
+    ("box", (1.0, np.float64(2.0), 3.0, 4.0)),
+    ("box", (1.0, 10**400, 3.0, 4.0)),
+    ("box", (1.0, {"a": 2.0}, 3.0, 4.0)),
+    ("box", (1.0, [2.0, 2.5], 3.0, 4.0)),
+    ("box", (1.0, "2", 3.0, 4.0)),
+    ("box", (1.0, 2.0, 3.0)),
+    ("box", (1.0, 2.0, 3.0, 4.0, 5.0)),
+    ("box", (1.0, object(), 3.0, 4.0)),
+    ("box", (1.0, math.nan, 3.0, 4.0)),
+    ("box", (1e308, 1e308, -1e308, 4.0)),
+    ("p", np.array([0.25, -0.5, 1.0], dtype=np.float32)),
+    ("p", np.array([0.25, -0.5, 1.0], dtype=">f8")),
+    ("p", np.array([0.25, -0.5])),
+    ("p", np.array([[0.25, -0.5, 1.0]])),
+    ("p", np.array(0.25)),
+    ("p", np.arange(3)),
+    ("p", np.array([0.25, -0.5, 1.0], dtype=object)),
+    ("p", np.array([0.25, math.inf, 1.0])),
+    ("n", 10**400),
+    ("n", 10**5000),
+    ("name", 'q"\\%s\u00e9\x00'),
+    ("t", -math.inf),
+], ids=lambda v: type(v).__name__)
+def test_a_row_of_a_cached_shape_that_its_plan_cannot_place(field, value):
+    # the same keys and top-level types as a row the plan has placed: the
+    # parent encoder's bytes, or its exception after the rows before it
+    rows = [_PLACED, {**_PLACED, field: value}, _PLACED]
+    _same_rows(_write_rows(rows), _parent_rows(rows))
+
+
+@pytest.mark.parametrize("k", [0, 1, 17, 39])
+@pytest.mark.parametrize("file, field", [
+    (0, "t"), (0, "s_total"), (0, "mean"), (1, "thrust"), (1, "quat_des"),
+    (2, "center"), (2, "quad_p"), (2, "dist_xy")])
+def test_a_non_finite_value_in_row_k_leaves_rows_0_to_k(bundled_rows, file, field, k):
+    rows = list(bundled_rows["occlusion_decoy"][file][:40])
+    bad = [math.nan, math.inf, -math.inf][k % 3]
+    value = rows[k][field]
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[1] = bad
+    elif isinstance(value, tuple):
+        value = (value[0], bad, *value[2:])
+    else:
+        value = bad
+    rows[k] = {**rows[k], field: value}
+    text, error = _write_rows(rows)
+    assert text == "".join(ref_json_compact(r) + "\n" for r in rows[:k])
+    assert isinstance(error, ValueError)
+    assert str(error) == f"refusing to serialize non-finite float {bad!r}"
+    _same_rows((text, error), _parent_rows(rows))
+
+
+def test_more_row_shapes_than_the_plan_cache_holds():
+    # each shape once, then all again after the cache has been cleared
+    rows = [{f"k{i}": 0.5 + i, "v": (1.0 / (i + 1), float(i)), "n": i}
+            for i in range(3 * logio._MAX_PLANS)]
+    rows += [dict(reversed(r.items())) for r in rows] + rows
+    assert _written(rows) == "".join(parent_json_compact(r) + "\n" for r in rows)
+    assert len(logio._PLANS) <= logio._MAX_PLANS
+
+
+def test_values_no_plan_places_take_the_per_type_encoders():
+    # a sequence that is not all floats (_json_seq) and a numpy bool
+    # (_json_bool) are written by the per-type table, also in a cached shape
+    assert logio._json_seq((1.0, 2, None, True)) == "[1,2,null,true]"
+    assert logio._json_bool(np.bool_(False)) == "false"
+    rows = [{"s": (1.0, 2.5), "b": False}, {"s": (1.0, 2, None, True), "b": False},
+            {"s": (0.5, 1.5), "b": np.bool_(True)}]
+    assert _written(rows) == ('{"s":[1,2.5],"b":false}\n{"s":[1,2,null,true],"b":false}\n'
+                              '{"s":[0.5,1.5],"b":true}\n')
+
+
+def test_keys_that_are_not_str_go_through_the_per_value_encoder():
+    # 1, 1.0 and True are equal keys with different text
+    rows = [{1: 0.5}, {1.0: 0.5}, {True: 0.5}, {None: 0.5, 2: "x"}] * 2
+    assert _written(rows) == "".join(parent_json_compact(r) + "\n" for r in rows)
+
+
+def test_trace_keys_are_json_strings_that_read_back(tmp_path):
+    # a quote, a backslash, a percent sign, a non-ASCII and a control
+    # character in keys, each row twice: once to build its plan, once
+    # through it, and once through _json_compact
+    keys = ['a"b', "c\\d", "e%f", "%.9g", "g\u00e9h", "i\x1fj"]
+    rows = [{k: 0.5 * i for i, k in enumerate(keys)},
+            {k: (0.25, float(i)) for i, k in enumerate(keys)},
+            {"%s": "%d", "x": [None, {"y%": 1.5}]}]
+    path = tmp_path / "keys.jsonl"
+    write_jsonl(path, rows + rows)
+    want = json.loads(json.dumps(rows))
+    assert read_jsonl(path) == want + want
+    assert path.read_text() == "".join(_json_compact(r) + "\n" for r in rows) * 2
+    assert _json_compact({'a"b': 1.0}) == '{"a\\"b":1}'
 
 
 # ---------------------------------------------------------------------------
