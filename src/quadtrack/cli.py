@@ -134,15 +134,15 @@ def _with_flags(sc: Scenario, flags: dict) -> Scenario:
 def _write_run_whole(art, out: str) -> None:
     """write_run into a temporary sibling directory of `out`, then move the
     five files into `out`, each over its old copy, once all five are
-    written.  A value a writer refuses (its ValueError) is one error, and
-    `out` stays as it was; the temporary directory never outlives the
-    call."""
+    written.  A value a writer refuses (its ValueError, or its TypeError
+    for a type it does not write) is one error, and `out` stays as it was;
+    the temporary directory never outlives the call."""
     parent, base = os.path.split(os.path.abspath(out))
     tmp = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
     try:
         try:
             write_run(art, tmp)
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise QuadtrackError(f"{out}: run not written: {e}") from e
         for name in sorted(os.listdir(tmp)):
             os.replace(os.path.join(tmp, name), os.path.join(out, name))

@@ -37,29 +37,28 @@ record order and the file holds the lines before that record.
 
 Trace files reuse the same float formatting with one flat JSON object per
 line; their field sets are fixed by the writers in simulator/tracker code.
-`_json_compact` dispatches on a value's exact type through one table; any
-other type, a subclass or a non-1-D or non-float array, is a TypeError.
-The rows hold their boxes, means and quaternions as tuples of Python floats;
-a tuple or list of floats only, like a 1-D float array, is written with one
-`%` call and one finiteness sum, and any other one entry at a time.  Keys
-are written as JSON strings, escaped as json.dumps escapes them.
+The rows and the summary hold Python floats, ints, strs, bools, None and
+tuples of floats (boxes, means, positions, quaternions), and the summary
+dicts of them.  `_json_compact` dispatches on a value's exact type through
+one table and writes a tuple or list entry by entry; any other type, a
+subclass or a numpy value, is a TypeError.  Keys are written as JSON
+strings, escaped as json.dumps escapes them.
 
 Trace rows and the plan cache.  `write_jsonl` writes each row through the
 plan of its shape: the row's keys in order and the exact type of each
 value.  A plan is one `%` format for the whole line, newline included:
 each key as its JSON string with `%` doubled, `%.9g` per float,
-`[%.9g,...]` per float tuple, list or 1-D float64 array of the length
-the first row of that shape held, `%d` per int, `%s` per str (its JSON
-text) and per bool (true or false), and the literal null per None.  With
-it goes one function generated with exec from positions only, as
-namedtuple builds its methods, which unpacks the row's values, checks each
-sequence's length and each array's dtype and shape, checks that every
-float entry is a float and that their sum is finite, and fills the
-format.  A row its plan cannot place (a tuple holding an int, a bool, None
-or a numpy scalar, another length, a nested list or dict, a non-finite or
-overflowing sum) and a shape with no plan (a key that is not a str, a
-value of another type) go to `_json_compact`, which stays the one
-definition of the format and of its errors: every line is
+`[%.9g,...]` per tuple or list of the length the first row of that shape
+held, `%d` per int, `%s` per str (its JSON text) and per bool (true or
+false), and the literal null per None.  With it goes one function
+generated with exec from positions only, as namedtuple builds its
+methods, which unpacks the row's values, checks each sequence's length,
+checks that every float entry is a float and that their sum is finite,
+and fills the format.  A row its plan cannot place (a tuple holding an
+int, a bool, None or a numpy value, another length, a nested list or
+dict, a non-finite or overflowing sum) and a shape with no plan (a key
+that is not a str, a value of another type) go to `_json_compact`, which
+stays the one definition of the format and of its errors: every line is
 _json_compact(row) and a newline, and a refused row raises _json_compact's
 error with the lines before it written.  The cache keeps at most _MAX_PLANS
 plans; a shape beyond them clears it, and so does _row_line.cache_clear().
@@ -104,13 +103,6 @@ def _check_finite(vals) -> None:
 @functools.lru_cache(maxsize=64)
 def _list_format(n: int) -> str:
     return "[" + ",".join(["%.9g"] * n) + "]"
-
-
-def _fmt_floats(vals) -> str:
-    """A list or tuple of floats as a JSON list in fmt_float's format: one
-    finiteness check for the whole sequence, then one `%` call."""
-    _check_finite(vals)
-    return _list_format(len(vals)) % tuple(vals)
 
 
 _GYRO_LINE = '{"t":%.9g,"kind":"gyro","w":[%.9g,%.9g,%.9g]}'
@@ -326,13 +318,15 @@ def _check_each(fields) -> None:
                 raise ValueError(f"{name} is not finite: {x!r}")
 
 
-def _parse_event(obj: dict, suspect: bool) -> Event:
+def _parse_event(obj: dict, suspect: bool, dim: int | None) -> Event:
     """One log record; ValueError, TypeError, KeyError or OverflowError when
     it is malformed.  The time, rates, box fields and confidences must be
     JSON numbers, by exact type; descriptor entries are checked one by one
     when the record is `suspect` or their sum fails.  One sum checks each
     record's numbers: it is not finite when one of them is not (a JSON
-    integer too large for a float raises OverflowError in the sum)."""
+    integer too large for a float raises OverflowError in the sum).  Every
+    descriptor has `dim` entries, or the record's first descriptor's
+    number when `dim` is None (no descriptor before it)."""
     t = obj["t"]
     kind = obj["kind"]
     if kind == "gyro":
@@ -358,6 +352,11 @@ def _parse_event(obj: dict, suspect: bool) -> Event:
             _check_each([("'t'", [t]), ("'conf' entry", conf),
                          *(("'boxes' entry", b) for b in boxes),
                          *(("'desc' entry", d) for d in desc)])
+        if desc and dim is None:
+            dim = len(desc[0])
+        for d in desc:
+            if len(d) != dim:
+                raise ValueError(f"descriptor has {len(d)} entries, the log's first {dim}")
         dets = [
             Detection(BoundingBox.from_array(b), float(c),
                       np.asarray(d, dtype=float))
@@ -407,9 +406,11 @@ def _lines(path):
 
 def read_events(path) -> list[Event]:
     """Parse and validate a sensor log.  Raises LogParseError (with the path
-    and line number) on malformed lines, NaN, infinities and numbers too
-    large for a float included, and StreamOrderError on broken ordering."""
+    and line number) on malformed lines, NaN, infinities, numbers too large
+    for a float and a descriptor whose length is not the log's first one's
+    included, and StreamOrderError on broken ordering."""
     events: list[Event] = []
+    dim = None      # the entries of the log's first descriptor
     for line_no, line in _lines(path):
         obj = _decode(line, path, line_no)
         if not isinstance(obj, dict):
@@ -418,9 +419,11 @@ def read_events(path) -> list[Event]:
             # true, false and null hold a "u" or an "a", and no key or kind
             # of a valid record does ("t", "kind", "w", "boxes", "conf",
             # "desc", "gyro", "det"): only such a line is checked by entry
-            ev = _parse_event(obj, "u" in line or "a" in line)
+            ev = _parse_event(obj, "u" in line or "a" in line, dim)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise LogParseError(path, line_no, str(e)) from e
+        if dim is None and isinstance(ev, DetectionSet) and ev.detections:
+            dim = len(ev.detections[0].descriptor)
         try:
             _check_order(events[-1] if events else None, ev)
         except StreamOrderError as e:
@@ -443,44 +446,24 @@ def _json_dict(value: dict) -> str:
                            for k, v in value.items()]) + "}"
 
 
-_FLOAT = frozenset((float,))
-
-
 def _json_seq(value) -> str:
-    # the writers' rows hold boxes, means and quaternions as float tuples
-    if _FLOAT.issuperset(map(type, value)):
-        return _fmt_floats(value)
     return "[" + ",".join(map(_json_compact, value)) + "]"
-
-
-def _json_array(value: np.ndarray) -> str:
-    if value.ndim == 1 and value.dtype.kind == "f":
-        return _fmt_floats(value.tolist())
-    raise TypeError(f"unsupported trace array: {value.ndim}-D {value.dtype}")
 
 
 def _json_bool(value) -> str:
     return "true" if value else "false"
 
 
-def _json_int(value) -> str:
-    return str(int(value))
-
-
-# exact type -> encoder; the trace writers' value types, arrays 1-D float
+# exact type -> encoder; the trace writers' value types
 _JSON_ENCODERS = {
     dict: _json_dict,
     float: fmt_float,
-    np.float64: fmt_float,
-    int: _json_int,
-    np.int64: _json_int,
+    int: str,
     bool: _json_bool,
-    np.bool_: _json_bool,
     type(None): lambda value: "null",
     str: _json_str,
     list: _json_seq,
     tuple: _json_seq,
-    np.ndarray: _json_array,
 }
 
 
@@ -498,7 +481,7 @@ def _json_compact(value) -> str:
 
 _MAX_PLANS = 64          # plans kept; one more shape clears the cache
 _PLANS: dict = {}        # row shape -> its plan, or None when it has none
-_PLAN_GLOBALS = {"_FLOAT": _FLOAT, "_isfinite": math.isfinite,
+_PLAN_GLOBALS = {"_FLOAT": frozenset((float,)), "_isfinite": math.isfinite,
                  "_str": _json_str, "_tf": ("false", "true")}
 
 
@@ -506,7 +489,7 @@ def _plan(rec: dict):
     """The plan of `rec`'s shape (see the module docstring): a function
     that returns a row of that shape as its line, newline included, or None
     when it cannot place the row.  None when the shape has no plan."""
-    fields, args, floats, guards, lists = [], [], [], [], []
+    fields, args, floats, guards = [], [], [], []
     for i, (k, v) in enumerate(rec.items()):
         if type(k) is not str:
             return None
@@ -527,14 +510,10 @@ def _plan(rec: dict):
             args.append(f"_tf[{x}]")
         elif v is None:
             form = "null"
-        elif t is tuple or t is list or t is np.ndarray and v.ndim == 1:
+        elif t is tuple or t is list:
             n = len(v)
             form = "[" + ",".join(["%.9g"] * n) + "]"
-            if t is np.ndarray:
-                guards.append(f"{x}.dtype.char == 'd' and {x}.shape == ({n},)")
-                lists.append(f"{x} = {x}.tolist()")
-            else:
-                guards.append(f"len({x}) == {n}")
+            guards.append(f"len({x}) == {n}")
             args.append(f"*{x}")
             floats.append(f"*{x}")
         else:
@@ -546,7 +525,6 @@ def _plan(rec: dict):
     if guards:
         src.append(f"    if not ({' and '.join(guards)}):")
         src.append("        return None")
-    src += [f"    {line}" for line in lists]
     src += [f"    f = ({''.join(x + ', ' for x in floats)})",
             "    if not (_FLOAT.issuperset(map(type, f)) and _isfinite(sum(f))):",
             "        return None",

@@ -437,7 +437,7 @@ def _truth_record(t: float, quad: QuadState, view: ObjectView, cam) -> dict:
         "center": center,
         "occluded": occl,
         "in_view": bool(in_view),
-        "quad_p": quad.p,
+        "quad_p": quad.pose.position,
         "quad_yaw": yaw,
         "target_p": target.center,
         "dist_xy": dist,
@@ -577,7 +577,7 @@ def run(scenario: Scenario) -> RunArtifacts:
         "duration_s": sc.duration,
         "counts": counts,
         "metrics": None if metrics is None else metrics.as_dict(),
-        "final_quad_p": final.p,
+        "final_quad_p": final.pose.position,
         "final_dist_xy": truth_trace[-1]["dist_xy"] if truth_trace else None,
     }
     if metrics_error is not None:

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from quadtrack.errors import ConfigError
 from quadtrack.logio import read_events, read_jsonl, write_jsonl
 from quadtrack.metrics import MetricsParams, compute_metrics
 from quadtrack.replay import replay_track
+from quadtrack.tracker import Tracker
 
 ALL_NAMES = ["corridor_approach", "false_positive_storm", "occlusion_decoy",
              "rotation_only", "sprint_7ms", "static_target"]
@@ -898,6 +900,23 @@ def test_track_rejects_a_number_beyond_the_float_range_naming_the_file_and_line(
                  f"error: {log}: line {line_no}: ")
 
 
+@pytest.mark.parametrize("cut", [8, 0], ids=["eight_entries", "empty"])
+def test_track_rejects_a_descriptor_of_another_length_naming_the_line(
+        sim_run, tmp_path, capsys, cut):
+    # the tracker scores descriptors against a memory of the log's first
+    # one's length (the run's descriptor_dim, 16); a shorter one later in
+    # the log is a malformed line, not a shape error in the scorer or in the
+    # memory update
+    _, out = sim_run
+    line_no = _copy_run(out, tmp_path / "run", "events.jsonl",
+                        lambda r: {**r, "desc": [d[:cut] for d in r["desc"]]}
+                        if r["kind"] == "det" and r["desc"] and r["t"] > 0.5 else None)
+    log = tmp_path / "run" / "events.jsonl"
+    assert_fails(capsys, ["track", str(log), "--prompt", "480,272"], 1,
+                 f"error: {log}: line {line_no}: descriptor has {cut} entries, "
+                 "the log's first 16")
+
+
 @pytest.mark.parametrize("name,change,message", [
     ("groundtruth.jsonl", lambda r: {**r, "box": r["box"][:2]} if r["box"] else None,
      "malformed trace (ValueError: "),
@@ -1164,3 +1183,40 @@ def test_a_refused_row_value_leaves_out_as_it_was(tmp_path, capsys, monkeypatch,
             assert (out / "events.jsonl").read_text() == "kept\n"
         else:
             assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+def test_a_value_of_a_type_no_writer_takes_leaves_out_as_it_was(tmp_path, capsys,
+                                                                monkeypatch, existing):
+    # a numpy float in every tracker row's total score, which the metrics
+    # never read: the trace writer's TypeError is one error line, exit 1,
+    # and --out is left as it was, with no temporary directory beside it
+    real = Tracker.trace_record
+
+    def trace_record(self, res, t):
+        row = real(self, res, t)
+        if row["s_total"] is not None:
+            row["s_total"] = np.float32(row["s_total"])
+        return row
+
+    monkeypatch.setattr(Tracker, "trace_record", trace_record)
+    path = tmp_path / "short.json"
+    d = scenarios.get("rotation_only").to_dict()
+    d["duration"] = 0.5
+    path.write_text(json.dumps(d))
+    out = tmp_path / "run"
+    if existing:
+        out.mkdir()
+        (out / "tracker.jsonl").write_text("kept\n")
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["sim", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {out}: run not written: unsupported trace value type float32"]
+    assert sorted(os.listdir(tmp_path)) == before
+    if existing:
+        assert os.listdir(out) == ["tracker.jsonl"]
+        assert (out / "tracker.jsonl").read_text() == "kept\n"
+    else:
+        assert not out.exists()

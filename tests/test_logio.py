@@ -282,6 +282,29 @@ def test_parse_error_mismatched_detection_arrays(tmp_path):
     _expect_parse_error(tmp_path, [bad], 1)
 
 
+@pytest.mark.parametrize("sizes, line_no, got, first", [
+    ([[4], [], [4, 4], [4, 3]], 4, 3, 4),
+    ([[4], [4], [0]], 3, 0, 4),
+    ([[], [0, 0], [2]], 3, 2, 0),
+    ([[2, 4]], 1, 4, 2),
+], ids=["shorter", "empty", "after_empty", "within_the_first"])
+def test_a_descriptor_of_another_length_than_the_first_names_its_line(
+        tmp_path, sizes, line_no, got, first):
+    # every descriptor of a log has the length of its first one, which the
+    # tracker's appearance memory takes; a frame without detections sets none
+    path = tmp_path / "desc.jsonl"
+    write_events(path, [frame(0.1 * i, [(1.0, 2.0, 3.0, 4.0)] * len(ks),
+                              [np.full(k, 0.5) for k in ks])
+                        for i, ks in enumerate(sizes)])
+    with pytest.raises(LogParseError) as err:
+        read_events(path)
+    assert str(err.value) == (f"{path}: line {line_no}: descriptor has {got} entries, "
+                              f"the log's first {first}")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:line_no - 1]) + "\n")
+    assert len(read_events(path)) == line_no - 1
+
+
 def test_parse_error_missing_field(tmp_path):
     _expect_parse_error(tmp_path, ['{"t":0,"kind":"gyro"}'], 1)
 
@@ -297,43 +320,41 @@ def test_reader_skips_blank_lines(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_write_jsonl_handles_numpy_and_null(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    rec = {
-        "t": np.float64(0.25),
-        "n": np.int64(7),
-        "flag": np.bool_(True),
-        "plain": False,
-        "box": np.array([1.0, 2.0, 3.0, 4.0]),
-        "nothing": None,
-        "name": "run/1 \"quoted\"",
-    }
-    write_jsonl(path, [rec])
-    back = read_jsonl(path)
-    assert back == [{"t": 0.25, "n": 7, "flag": True, "plain": False,
-                     "box": [1.0, 2.0, 3.0, 4.0], "nothing": None,
-                     "name": 'run/1 "quoted"'}]
-
-
 def test_write_jsonl_rounds_floats_to_nine_digits(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_jsonl(path, [{"x": 1.0 / 3.0}])
     assert path.read_text() == '{"x":0.333333333}\n'
 
 
-def test_write_jsonl_float_arrays_as_float_lists(tmp_path):
-    rec = {"a": np.array([1.0 / 3.0, -2.5e-7, 1e308]),
-           "b": np.array([1.0, 2.0], dtype=np.float32)}
-    path = tmp_path / "t.jsonl"
-    write_jsonl(path, [rec])
-    assert path.read_text() == '{"a":[0.333333333,-2.5e-07,1e+308],"b":[1,2]}\n'
-    with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
-        write_jsonl(path, [{"a": np.array([0.0, float("nan")])}])
-
-
 def test_write_jsonl_rejects_unknown_types(tmp_path):
     with pytest.raises(TypeError):
         write_jsonl(tmp_path / "x.jsonl", [{"bad": object()}])
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+@pytest.mark.parametrize("value", [
+    np.float64(0.25), np.int64(7), np.bool_(True), np.array([0.25, -0.5, 1.0]),
+    np.array([0.25, -0.5, 1.0], dtype=np.float32), np.float32(0.25), np.int32(-7),
+    np.eye(2), collections.OrderedDict(a=1.0), _Level.HIGH, {1, 2}],
+    ids=["np_float64", "np_int64", "np_bool", "float64_array", "float32_array",
+         "np_float32", "np_int32", "2d_array", "OrderedDict", "IntEnum", "set"])
+@pytest.mark.parametrize("where", ["scalar", "tuple", "nested"])
+def test_a_value_of_a_type_the_writers_do_not_produce_is_refused(tmp_path, value, where):
+    # the trace writers hand over Python values only; a numpy value, a
+    # subclass or any other type is a TypeError naming its type, in the
+    # shape of a placed row or nested in a tuple or dict, and the rows
+    # before it are written
+    placed = {"t": 0.5, "p": (0.25, -0.5, 1.0), "ok": True}
+    bad = {"scalar": {**placed, "p": value}, "tuple": {**placed, "p": (0.25, value, 1.0)},
+           "nested": {**placed, "p": [{"x": value}]}}[where]
+    path = tmp_path / "rows.jsonl"
+    with pytest.raises(TypeError) as err:
+        write_jsonl(path, [placed, placed, bad, placed])
+    assert str(err.value) == f"unsupported trace value type {type(value).__name__}"
+    assert path.read_text() == '{"t":0.5,"p":[0.25,-0.5,1],"ok":true}\n' * 2
 
 
 def test_read_jsonl_reports_bad_line(tmp_path):
@@ -409,17 +430,15 @@ def ref_json_compact(value) -> str:
     if isinstance(value, dict):
         items = (f'{json.dumps(str(k))}:{ref_json_compact(v)}' for k, v in value.items())
         return "{" + ",".join(items) + "}"
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-        return ref_fmt_list(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ",".join(ref_json_compact(v) for v in value) + "]"
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         return ref_fmt_float(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -558,7 +577,7 @@ def test_percent_g_equals_format_g_on_random_bit_patterns():
 @st.composite
 def tracker_rows(draw):
     coasting = draw(st.booleans())
-    scores = draw(st.one_of(st.none(), st.lists(scalars(), min_size=4, max_size=4)))
+    scores = draw(st.one_of(st.none(), st.lists(finite, min_size=4, max_size=4)))
     return {
         "t": draw(finite),
         "status": "coasting" if coasting else "tracking",
@@ -586,45 +605,23 @@ def command_rows(draw):
 @st.composite
 def truth_rows(draw):
     seen = draw(st.booleans())
-    vec = st.lists(finite, min_size=3, max_size=3).map(np.array)
+    vec = st.lists(finite, min_size=3, max_size=3).map(tuple)
     return {
         "t": draw(finite),
-        "box": np.array(draw(st.lists(finite, min_size=4, max_size=4))) if seen else None,
-        "center": (draw(scalars()), draw(scalars())) if seen else None,
+        "box": tuple(draw(st.lists(finite, min_size=4, max_size=4))) if seen else None,
+        "center": (draw(finite), draw(finite)) if seen else None,
         "occluded": draw(finite),
         "in_view": draw(st.booleans()),
         "quad_p": draw(vec),
         "quad_yaw": draw(finite),
         "target_p": draw(vec),
-        "dist_xy": draw(scalars()),
+        "dist_xy": draw(finite),
     }
 
 
 @given(st.one_of(tracker_rows(), command_rows(), truth_rows()))
 def test_json_compact_equals_reference_on_trace_rows(row):
     assert _json_compact(row) == ref_json_compact(row)
-
-
-class _Level(enum.IntEnum):
-    HIGH = 3
-
-
-def test_json_compact_numpy_types_and_subclasses_match_reference():
-    # the dispatch table's numpy types match the reference; 1-D float32
-    # arrays are float arrays too
-    row = dict(i64=np.int64(12345678901), f64=np.float64(0.1), flag=np.bool_(True),
-               f32s=np.array([0.1, 2.5], dtype=np.float32), nested=[(1, 2.5), [None, "x"]],
-               key=collections.UserString("k").data, sub=dict(a=1.0))
-    assert _json_compact(row) == ref_json_compact(row)
-    # a type the table does not list, a subclass or another numpy scalar,
-    # and an array that is not 1-D float, are not formatted but refused
-    for value in [collections.OrderedDict(a=1.0), _Level.HIGH, np.float32(0.1),
-                  np.int32(-7), np.uint8(200), np.arange(3), np.array([True, False]),
-                  np.eye(2), {1, 2}]:
-        with pytest.raises(TypeError):
-            _json_compact({"x": value})
-    with pytest.raises(ValueError, match="refusing to serialize non-finite float"):
-        _json_compact({"x": np.float64("inf")})
 
 
 # ---------------------------------------------------------------------------
@@ -637,33 +634,16 @@ def test_json_compact_numpy_types_and_subclasses_match_reference():
 # holding a quote, a backslash or a control character was not JSON.
 
 
-def _parent_fmt_floats(vals: list) -> str:
-    if not math.isfinite(sum(vals)):
-        for x in vals:
-            fmt_float(x)
-    return ("[" + ",".join(["%.9g"] * len(vals)) + "]") % tuple(vals)
-
-
-def _parent_json_array(value: np.ndarray) -> str:
-    if value.ndim == 1 and value.dtype.kind == "f":
-        return _parent_fmt_floats(value.tolist())
-    raise TypeError(f"unsupported trace array: {value.ndim}-D {value.dtype}")
-
-
 _PARENT_ENCODERS = {
     dict: lambda value: "{" + ",".join([f'{json.dumps(str(k))}:{parent_json_compact(v)}'
                                         for k, v in value.items()]) + "}",
     float: fmt_float,
-    np.float64: fmt_float,
     int: lambda value: str(int(value)),
-    np.int64: lambda value: str(int(value)),
     bool: lambda value: "true" if value else "false",
-    np.bool_: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
     str: json.dumps,
     list: lambda value: "[" + ",".join(map(parent_json_compact, value)) + "]",
     tuple: lambda value: "[" + ",".join(map(parent_json_compact, value)) + "]",
-    np.ndarray: _parent_json_array,
 }
 
 
@@ -684,11 +664,10 @@ def _written(rows) -> str:
 
 
 _ints = st.one_of(st.integers(-1000, 1000), st.integers(10**9, 10**400),
-                  st.integers(-2**63, 2**63 - 1).map(np.int64))
-_bools = st.one_of(st.booleans(), st.booleans().map(np.bool_))
+                  st.integers(-2**63, 2**63 - 1))
 _float_seqs = st.lists(finite, max_size=6).flatmap(
-    lambda xs: st.sampled_from([xs, tuple(xs), np.array(xs, dtype=float)]))
-_leaves = st.one_of(scalars(), _ints, _bools, st.none(), st.text(max_size=6),
+    lambda xs: st.sampled_from([xs, tuple(xs)]))
+_leaves = st.one_of(finite, _ints, st.booleans(), st.none(), st.text(max_size=6),
                     _float_seqs)
 # a row value: a leaf, or lists, tuples and dicts of them, nested
 _values = st.recursive(_leaves, lambda inner: st.one_of(
@@ -703,13 +682,12 @@ def test_write_jsonl_writes_the_parent_encoders_bytes(rows):
 
 
 @given(_rows, st.sampled_from([math.nan, math.inf, -math.inf]),
-       st.sampled_from(["scalar", "numpy", "list", "tuple", "array", "dict"]),
+       st.sampled_from(["scalar", "list", "tuple", "dict"]),
        st.data())
 def test_write_jsonl_names_a_non_finite_entry_like_the_parent(row, bad, where, data):
     # one non-finite float anywhere in a row: the parent's ValueError, which
     # names the value
-    value = {"scalar": bad, "numpy": np.float64(bad), "list": [1.0, bad],
-             "tuple": (bad, 2.0), "array": np.array([0.5, bad]),
+    value = {"scalar": bad, "list": [1.0, bad], "tuple": (bad, 2.0),
              "dict": {"a": 1, "b": [bad]}}[where]
     items = list(row.items())
     items.insert(data.draw(st.integers(0, len(items))), ("non-finite", value))
@@ -781,29 +759,59 @@ def _same_rows(got, want):
 
 
 @pytest.fixture(scope="module")
-def bundled_rows():
+def bundled_runs():
+    """Each bundled scenario's run of its first 2 s."""
+    return {name: run(dataclasses.replace(sc, duration=min(sc.duration, 2.0)))
+            for name, sc in ((name, scenarios.get(name)) for name in scenarios.names())}
+
+
+@pytest.fixture(scope="module")
+def bundled_rows(bundled_runs):
     """Per bundled scenario, the tracker, command and ground-truth rows of
     its first 2 s.  The target stays projectable there, so each run's truth
     rows also hold a copy of one row with a null box and centre, as the
     writer writes a target it cannot project."""
     rows = {}
-    for name in scenarios.names():
-        sc = scenarios.get(name)
-        art = run(dataclasses.replace(sc, duration=min(sc.duration, 2.0)))
+    for name, art in bundled_runs.items():
         truth = list(art.truth_trace)
         truth.insert(5, {**truth[5], "box": None, "center": None, "in_view": False})
         rows[name] = (art.tracker_trace, art.command_trace, truth)
     return rows
 
 
+def _numpy_values(value, where):
+    """Where a numpy object sits in `value`, looked for in dict values and
+    in list and tuple entries."""
+    if type(value).__module__ == "numpy":
+        return [where]
+    if isinstance(value, dict):
+        return [w for k, v in value.items() for w in _numpy_values(v, f"{where}.{k}")]
+    if isinstance(value, (list, tuple)):
+        return [w for v in value for w in _numpy_values(v, where)]
+    return []
+
+
+def test_bundled_rows_and_summaries_hold_python_values_only(bundled_runs):
+    # the writers hand over Python floats, ints, strs, bools, None and float
+    # tuples; the trace encoder refuses a numpy value
+    for name, art in bundled_runs.items():
+        for file, rows in (("tracker", art.tracker_trace), ("commands", art.command_trace),
+                           ("groundtruth", art.truth_trace), ("summary", [art.summary])):
+            assert [w for r in rows for w in _numpy_values(r, file)] == [], name
+
+
+def _refuse(value):
+    raise AssertionError("a row went past its plan")
+
+
 def test_write_jsonl_writes_the_per_value_bytes_of_bundled_rows(bundled_rows):
     for name, files in bundled_rows.items():
         for rows in files:
             assert _written(rows) == "".join(ref_json_compact(r) + "\n" for r in rows), name
-        # each row is placed by its shape's plan: without _json_compact the
-        # same bytes are written
+        # each row is placed by its shape's plan: with a _json_compact that
+        # raises, the same bytes are written
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(logio, "_json_compact", None)
+            mp.setattr(logio, "_json_compact", _refuse)
             for rows in files:
                 assert _written(rows) == "".join(ref_json_compact(r) + "\n" for r in rows)
     tracker, commands, truth = (
@@ -816,7 +824,7 @@ def test_write_jsonl_writes_the_per_value_bytes_of_bundled_rows(bundled_rows):
     assert any(r["box"] is None and r["center"] is None for r in truth)
 
 
-_PLACED = {"t": 0.5, "box": (1.0, 2.0, 3.0, 4.0), "p": np.array([0.25, -0.5, 1.0]),
+_PLACED = {"t": 0.5, "box": (1.0, 2.0, 3.0, 4.0), "p": (0.25, -0.5, 1.0),
            "n": 3, "ok": True, "name": "tracking", "none": None}
 
 
@@ -848,8 +856,10 @@ _PLACED = {"t": 0.5, "box": (1.0, 2.0, 3.0, 4.0), "p": np.array([0.25, -0.5, 1.0
     ("t", -math.inf),
 ], ids=lambda v: type(v).__name__)
 def test_a_row_of_a_cached_shape_that_its_plan_cannot_place(field, value):
-    # the same keys and top-level types as a row the plan has placed: the
-    # parent encoder's bytes, or its exception after the rows before it
+    # the same keys as a row the plan has placed, and mostly the same
+    # top-level types: the parent encoder's bytes, or its exception after
+    # the rows before it (the TypeError of a numpy value, which its table
+    # does not list, in place of a float or of the float tuple "p")
     rows = [_PLACED, {**_PLACED, field: value}, _PLACED]
     _same_rows(_write_rows(rows), _parent_rows(rows))
 
@@ -862,10 +872,7 @@ def test_a_non_finite_value_in_row_k_leaves_rows_0_to_k(bundled_rows, file, fiel
     rows = list(bundled_rows["occlusion_decoy"][file][:40])
     bad = [math.nan, math.inf, -math.inf][k % 3]
     value = rows[k][field]
-    if isinstance(value, np.ndarray):
-        value = value.copy()
-        value[1] = bad
-    elif isinstance(value, tuple):
+    if isinstance(value, tuple):
         value = (value[0], bad, *value[2:])
     else:
         value = bad
@@ -887,12 +894,12 @@ def test_more_row_shapes_than_the_plan_cache_holds():
 
 
 def test_values_no_plan_places_take_the_per_type_encoders():
-    # a sequence that is not all floats (_json_seq) and a numpy bool
-    # (_json_bool) are written by the per-type table, also in a cached shape
+    # a sequence that is not all floats is written by the per-type table
+    # (_json_seq and _json_bool), also in a cached shape
     assert logio._json_seq((1.0, 2, None, True)) == "[1,2,null,true]"
-    assert logio._json_bool(np.bool_(False)) == "false"
+    assert logio._json_bool(False) == "false"
     rows = [{"s": (1.0, 2.5), "b": False}, {"s": (1.0, 2, None, True), "b": False},
-            {"s": (0.5, 1.5), "b": np.bool_(True)}]
+            {"s": (0.5, 1.5), "b": True}]
     assert _written(rows) == ('{"s":[1,2.5],"b":false}\n{"s":[1,2,null,true],"b":false}\n'
                               '{"s":[0.5,1.5],"b":true}\n')
 

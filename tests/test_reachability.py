@@ -62,11 +62,8 @@ ALLOWED = {
     ("geometry.py", "nearest_rotation"):
         ("fallback", "tests/test_simulator.py::"
                      "test_dynamics_step_hands_fallback_result_back_unchanged"),
-    # the per-type encoders of the values that no trace-row plan places
+    # the per-type encoder of a bool that no trace-row plan places
     ("logio.py", "_json_bool"):
-        ("fallback", "tests/test_logio.py::"
-                     "test_values_no_plan_places_take_the_per_type_encoders"),
-    ("logio.py", "_json_seq"):
         ("fallback", "tests/test_logio.py::"
                      "test_values_no_plan_places_take_the_per_type_encoders"),
     ("simulator.py", "project_box"):
