@@ -326,7 +326,7 @@ def _parse_event(obj: dict, suspect: bool, dim: int | None) -> Event:
     record's numbers: it is not finite when one of them is not (a JSON
     integer too large for a float raises OverflowError in the sum).  Every
     descriptor has `dim` entries, or the record's first descriptor's
-    number when `dim` is None (no descriptor before it)."""
+    number (> 0) when `dim` is None (no descriptor before it)."""
     t = obj["t"]
     kind = obj["kind"]
     if kind == "gyro":
@@ -354,6 +354,8 @@ def _parse_event(obj: dict, suspect: bool, dim: int | None) -> Event:
                          *(("'desc' entry", d) for d in desc)])
         if desc and dim is None:
             dim = len(desc[0])
+            if not dim:
+                raise ValueError("descriptor has no entries")
         for d in desc:
             if len(d) != dim:
                 raise ValueError(f"descriptor has {len(d)} entries, the log's first {dim}")
@@ -407,8 +409,8 @@ def _lines(path):
 def read_events(path) -> list[Event]:
     """Parse and validate a sensor log.  Raises LogParseError (with the path
     and line number) on malformed lines, NaN, infinities, numbers too large
-    for a float and a descriptor whose length is not the log's first one's
-    included, and StreamOrderError on broken ordering."""
+    for a float and a descriptor that is empty or not of the log's first
+    one's length included, and StreamOrderError on broken ordering."""
     events: list[Event] = []
     dim = None      # the entries of the log's first descriptor
     for line_no, line in _lines(path):
@@ -471,7 +473,9 @@ def _json_compact(value) -> str:
     """JSON with %.9g floats; dict key order preserved (insertion order)."""
     encode = _JSON_ENCODERS.get(type(value))
     if encode is None:
-        raise TypeError(f"unsupported trace value type {type(value).__name__}")
+        # by module too unless built in: numpy's bool is not Python's
+        name = f"{type(value).__module__}.{type(value).__qualname__}".removeprefix("builtins.")
+        raise TypeError(f"unsupported trace value type {name}")
     return encode(value)
 
 

@@ -31,19 +31,20 @@ target velocity.  The covariance uses the exact Jacobian of this map,
 including the flow's dependence on (x, y, w, h) through the box center.
 
 The whole filter runs on Python floats: its state carries the mean as 6
-floats and the covariance as 36 (row-major) from step to step, and neither
-step's fast path calls numpy, so no BLAS kernel decides a bit of it.  Both
-steps are written out in straight-line code.  Predict forms F P Fᵀ from
-F's structure (the identity but for two rows), with the rotational flow
-and F's two rows inline.  Update takes its gain from a 4×4 Cholesky of the
-innovation covariance S and writes out the Joseph-form covariance (Bucy &
-Joseph, Filtering for Stochastic Processes with Applications to Guidance,
-1968), upper triangle mirrored, so the result is exactly symmetric.  An S
-that the Cholesky cannot vouch for goes to the exact gate (eigenvalues of
-S, then an LU solve, through LAPACK), so every TrackerAbort on S comes
-from that gate; only that degenerate path depends on the kernel.  Python
-floats overflow to inf without a warning, so the finiteness check that
-ends each step reports an overflow on the way.
+floats and the covariance as 21, its upper triangle row by row, so P is
+symmetric by construction, and neither step's fast path calls numpy, so
+no BLAS kernel decides a bit of it.  Both steps are written out in
+straight-line code, reading p_ji for p_ij below the diagonal.  Predict
+forms F P Fᵀ from F's structure (the identity but for two rows), with the
+rotational flow and F's two rows inline.  Update takes its gain from a
+4×4 Cholesky of the innovation covariance S and writes out the
+Joseph-form covariance's upper triangle (Bucy & Joseph, Filtering for
+Stochastic Processes with Applications to Guidance, 1968).  An S that the
+Cholesky cannot vouch for goes to the exact gate (eigenvalues of S, then
+an LU solve, through LAPACK), so every TrackerAbort on S comes from that
+gate; only that degenerate path depends on the kernel.  Python floats
+overflow to inf without a warning, so the finiteness check that ends each
+step reports an overflow on the way.
 """
 
 from __future__ import annotations
@@ -113,24 +114,31 @@ class TrackerConfig:
             v = getattr(self, name)
             if len(v) != n or any(x < 0 for x in v):
                 raise ValueError(f"{name} must be {n} non-negative entries")
-        # noise diagonals for the filter and the acceptance threshold
-        # s_min, built once (not dataclass fields)
+        # the filter's noise diagonals, P0's upper triangle and the
+        # acceptance threshold s_min, built once (not dataclass fields)
         self.q_floats = tuple(float(v) for v in self.q_diag)
         self.r_floats = tuple(float(v) for v in self.r_diag)
+        self.p0_floats = tuple(float(self.p0_diag[i]) if i == j else 0.0
+                               for i in range(6) for j in range(i, 6))
         self.s_min = self.acceptance_fraction * self.weights.total
 
 
 class EkfState:
-    """The filter at time t: mean x (6 floats) and covariance P (36 floats,
-    row-major), held as Python floats between steps.  Built from arrays (or
-    any sequences of numbers) as EkfState(mean, cov, t); `mean` and `cov`
+    """The filter at time t: mean x (6 floats) and covariance P (21 floats,
+    its upper triangle row by row), held as Python floats between steps.
+    Built from arrays as EkfState(mean, cov, t), cov 6×6 and exactly
+    symmetric (a NaN mirroring a NaN), else ValueError; `mean` and `cov`
     read as new arrays, so writing to one leaves the state as it is."""
 
     __slots__ = ("m", "p", "t")
+    _UPPER = np.triu_indices(6)     # p's order: p00…p05, p11…p15, …, p55
 
     def __init__(self, mean, cov, t: float):
+        c = np.asarray(cov, dtype=float).reshape(6, 6)
+        if not np.array_equal(c, c.T, equal_nan=True):
+            raise ValueError("covariance must be exactly symmetric")
         self.m = tuple(np.asarray(mean, dtype=float).reshape(6).tolist())
-        self.p = tuple(np.asarray(cov, dtype=float).reshape(36).tolist())
+        self.p = tuple(c[self._UPPER].tolist())
         self.t = t
 
     @property
@@ -139,7 +147,9 @@ class EkfState:
 
     @property
     def cov(self) -> np.ndarray:   # (6,6)
-        return np.array(self.p).reshape(6, 6)
+        c = np.empty((6, 6))
+        c[self._UPPER] = c.T[self._UPPER] = self.p
+        return c
 
 
 @dataclass(slots=True)
@@ -183,7 +193,7 @@ def initialize(prompt_xy, dets: DetectionSet, cfg: TrackerConfig) -> TrackerStat
         if dist < best_d:
             chosen, best_d = d, dist
     b = chosen.box
-    state = EkfState((b.x, b.y, b.w, b.h, 0.0, 0.0), np.diag(cfg.p0_diag), dets.t)
+    state = _finite_state((b.x, b.y, b.w, b.h, 0.0, 0.0), cfg.p0_floats, dets.t, "initialize")
     norm = np.linalg.norm(chosen.descriptor)
     if norm == 0.0:
         raise TrackerAbort(dets.t, "chosen detection has a zero descriptor")
@@ -251,11 +261,10 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     the box center's rotational flow (du, dv) and its partials (a, b, c, d)
     (module docstring), F's rows 0 and 1, g0 = [f00 f01 f02 f03 dt 0] and
     g1 = [f10 f11 f12 f13 0 dt], with the entries and operations of
-    `predict_jacobian`, then F P Fᵀ + Q dt from F's structure: F is the
-    identity but for those two rows, so only u0 = P g0, u1 = P g1 and the
-    2×2 corner gᵢ·uⱼ are computed; the block of rows and columns 2..5 is
-    P's (its upper triangle, mirrored) plus Q dt.  So the result is
-    symmetric by construction, with no averaging pass.
+    `predict_jacobian`, then the upper triangle of F P Fᵀ + Q dt from F's
+    structure: F is the identity but for those two rows, so only u0 = P g0,
+    u1 = P g1 and the 2×2 corner gᵢ·uⱼ are computed; the block of rows and
+    columns 2..5 is P's plus Q dt.
 
     Fails closed: a non-finite mean or covariance raises TrackerAbort.
     """
@@ -289,22 +298,21 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     f11 = 1.0 + dt * d
     f12 = dt * c / 2.0
     f13 = dt * d / 2.0
-    (p00, p01, p02, p03, p04, p05, p10, p11, p12, p13, p14, p15,
-     p20, p21, p22, p23, p24, p25, p30, p31, p32, p33, p34, p35,
-     p40, p41, p42, p43, p44, p45, p50, p51, p52, p53, p54, p55) = state.p
+    (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
+     p22, p23, p24, p25, p33, p34, p35, p44, p45, p55) = state.p
     # u0 = P g0, u1 = P g1
     u00 = p00 * f00 + p01 * f01 + p02 * f02 + p03 * f03 + p04 * dt
-    u01 = p10 * f00 + p11 * f01 + p12 * f02 + p13 * f03 + p14 * dt
-    u02 = p20 * f00 + p21 * f01 + p22 * f02 + p23 * f03 + p24 * dt
-    u03 = p30 * f00 + p31 * f01 + p32 * f02 + p33 * f03 + p34 * dt
-    u04 = p40 * f00 + p41 * f01 + p42 * f02 + p43 * f03 + p44 * dt
-    u05 = p50 * f00 + p51 * f01 + p52 * f02 + p53 * f03 + p54 * dt
+    u01 = p01 * f00 + p11 * f01 + p12 * f02 + p13 * f03 + p14 * dt
+    u02 = p02 * f00 + p12 * f01 + p22 * f02 + p23 * f03 + p24 * dt
+    u03 = p03 * f00 + p13 * f01 + p23 * f02 + p33 * f03 + p34 * dt
+    u04 = p04 * f00 + p14 * f01 + p24 * f02 + p34 * f03 + p44 * dt
+    u05 = p05 * f00 + p15 * f01 + p25 * f02 + p35 * f03 + p45 * dt
     u10 = p00 * f10 + p01 * f11 + p02 * f12 + p03 * f13 + p05 * dt
-    u11 = p10 * f10 + p11 * f11 + p12 * f12 + p13 * f13 + p15 * dt
-    u12 = p20 * f10 + p21 * f11 + p22 * f12 + p23 * f13 + p25 * dt
-    u13 = p30 * f10 + p31 * f11 + p32 * f12 + p33 * f13 + p35 * dt
-    u14 = p40 * f10 + p41 * f11 + p42 * f12 + p43 * f13 + p45 * dt
-    u15 = p50 * f10 + p51 * f11 + p52 * f12 + p53 * f13 + p55 * dt
+    u11 = p01 * f10 + p11 * f11 + p12 * f12 + p13 * f13 + p15 * dt
+    u12 = p02 * f10 + p12 * f11 + p22 * f12 + p23 * f13 + p25 * dt
+    u13 = p03 * f10 + p13 * f11 + p23 * f12 + p33 * f13 + p35 * dt
+    u14 = p04 * f10 + p14 * f11 + p24 * f12 + p34 * f13 + p45 * dt
+    u15 = p05 * f10 + p15 * f11 + p25 * f12 + p35 * f13 + p55 * dt
     q0, q1, q2, q3, q4, q5 = cfg.q_floats
     # the 2×2 corner gᵢ·uⱼ, plus Q dt on its diagonal
     c00 = f00 * u00 + f01 * u01 + f02 * u02 + f03 * u03 + dt * u04 + q0 * dt
@@ -316,37 +324,29 @@ def ekf_predict(state: EkfState, gyro: GyroSample, cfg: TrackerConfig) -> EkfSta
     p55 += q5 * dt
     return _finite_state((x + (vx + du) * dt, y + (vy + dv) * dt,
                           max(MIN_BOX_SIZE, bw), max(MIN_BOX_SIZE, bh), vx, vy),
-                         (c00, c01, u02, u03, u04, u05,
-                          c01, c11, u12, u13, u14, u15,
-                          u02, u12, p22, p23, p24, p25,
-                          u03, u13, p23, p33, p34, p35,
-                          u04, u14, p24, p34, p44, p45,
-                          u05, u15, p25, p35, p45, p55), t, "predict")
+                         (c00, c01, u02, u03, u04, u05, c11, u12, u13, u14, u15,
+                          p22, p23, p24, p25, p33, p34, p35, p44, p45, p55),
+                         t, "predict")
 
 
 def _innovation_gain(p: tuple, r: tuple) -> tuple | None:
     """K = P[:, :4] S⁻¹ for S = P[:4, :4] + diag(r), on Python floats, as
-    24 floats (K row-major, 6×4), from the covariance P as 36 floats
-    (row-major): a Cholesky factor S = L Lᵀ, S⁻¹ = L⁻ᵀ L⁻¹ and the product
-    written out; None when this fast path cannot vouch for S.
+    24 floats (K row-major, 6×4), from the covariance P as 21 floats, the
+    upper triangle: a Cholesky factor S = L Lᵀ, S⁻¹ = L⁻ᵀ L⁻¹ and the
+    product written out; None when this fast path cannot vouch for S.
 
-    It vouches only when S is exactly symmetric, every pivot is > 0 (so
-    not NaN) and trace(S)·trace(S⁻¹), which is at least κ₂(S), is at most
+    It vouches only when every pivot is > 0 (so not NaN) and
+    trace(S)·trace(S⁻¹), which is at least κ₂(S), is at most
     MAX_INNOVATION_COND / 2.  Both traces are sums of positive terms
     (trace(S⁻¹) is the squared Frobenius norm of L⁻¹), and the computed
     factor is the exact one of S + ΔS with ‖ΔS‖ ≤ c u ‖S‖, so rounding
-    cannot shrink the bound by anything near the factor 2 kept in hand:
-    an S the exact gate (_exact_gain) would reject is never accepted here
+    cannot shrink the bound by anything near the factor 2 kept in hand: an S
+    the exact gate (_exact_gain) would reject is never accepted here
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §10.1,
     §14.2).
     """
-    (p00, p01, p02, p03, _, _, p10, p11, p12, p13, _, _,
-     p20, p21, p22, p23, _, _, p30, p31, p32, p33, _, _,
-     p40, p41, p42, p43, _, _, p50, p51, p52, p53, _, _) = p
-    # exactly symmetric (a NaN never is), as every filter covariance is
-    if not (p10 == p01 and p20 == p02 and p30 == p03 and p21 == p12
-            and p31 == p13 and p32 == p23):
-        return None
+    (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
+     p22, p23, p24, p25, p33, p34, p35, _, _, _) = p
     r0, r1, r2, r3 = r
     s00 = p00 + r0
     s11 = p11 + r1
@@ -402,26 +402,26 @@ def _innovation_gain(p: tuple, r: tuple) -> tuple | None:
             p00 * i01 + p01 * i11 + p02 * i12 + p03 * i13,
             p00 * i02 + p01 * i12 + p02 * i22 + p03 * i23,
             p00 * i03 + p01 * i13 + p02 * i23 + p03 * i33,
-            p10 * i00 + p11 * i01 + p12 * i02 + p13 * i03,
-            p10 * i01 + p11 * i11 + p12 * i12 + p13 * i13,
-            p10 * i02 + p11 * i12 + p12 * i22 + p13 * i23,
-            p10 * i03 + p11 * i13 + p12 * i23 + p13 * i33,
-            p20 * i00 + p21 * i01 + p22 * i02 + p23 * i03,
-            p20 * i01 + p21 * i11 + p22 * i12 + p23 * i13,
-            p20 * i02 + p21 * i12 + p22 * i22 + p23 * i23,
-            p20 * i03 + p21 * i13 + p22 * i23 + p23 * i33,
-            p30 * i00 + p31 * i01 + p32 * i02 + p33 * i03,
-            p30 * i01 + p31 * i11 + p32 * i12 + p33 * i13,
-            p30 * i02 + p31 * i12 + p32 * i22 + p33 * i23,
-            p30 * i03 + p31 * i13 + p32 * i23 + p33 * i33,
-            p40 * i00 + p41 * i01 + p42 * i02 + p43 * i03,
-            p40 * i01 + p41 * i11 + p42 * i12 + p43 * i13,
-            p40 * i02 + p41 * i12 + p42 * i22 + p43 * i23,
-            p40 * i03 + p41 * i13 + p42 * i23 + p43 * i33,
-            p50 * i00 + p51 * i01 + p52 * i02 + p53 * i03,
-            p50 * i01 + p51 * i11 + p52 * i12 + p53 * i13,
-            p50 * i02 + p51 * i12 + p52 * i22 + p53 * i23,
-            p50 * i03 + p51 * i13 + p52 * i23 + p53 * i33)
+            p01 * i00 + p11 * i01 + p12 * i02 + p13 * i03,
+            p01 * i01 + p11 * i11 + p12 * i12 + p13 * i13,
+            p01 * i02 + p11 * i12 + p12 * i22 + p13 * i23,
+            p01 * i03 + p11 * i13 + p12 * i23 + p13 * i33,
+            p02 * i00 + p12 * i01 + p22 * i02 + p23 * i03,
+            p02 * i01 + p12 * i11 + p22 * i12 + p23 * i13,
+            p02 * i02 + p12 * i12 + p22 * i22 + p23 * i23,
+            p02 * i03 + p12 * i13 + p22 * i23 + p23 * i33,
+            p03 * i00 + p13 * i01 + p23 * i02 + p33 * i03,
+            p03 * i01 + p13 * i11 + p23 * i12 + p33 * i13,
+            p03 * i02 + p13 * i12 + p23 * i22 + p33 * i23,
+            p03 * i03 + p13 * i13 + p23 * i23 + p33 * i33,
+            p04 * i00 + p14 * i01 + p24 * i02 + p34 * i03,
+            p04 * i01 + p14 * i11 + p24 * i12 + p34 * i13,
+            p04 * i02 + p14 * i12 + p24 * i22 + p34 * i23,
+            p04 * i03 + p14 * i13 + p24 * i23 + p34 * i33,
+            p05 * i00 + p15 * i01 + p25 * i02 + p35 * i03,
+            p05 * i01 + p15 * i11 + p25 * i12 + p35 * i13,
+            p05 * i02 + p15 * i12 + p25 * i22 + p35 * i23,
+            p05 * i03 + p15 * i13 + p25 * i23 + p35 * i33)
 
 
 def _exact_gain(P: np.ndarray, cfg: TrackerConfig, t: float) -> np.ndarray:
@@ -458,14 +458,14 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
         P⁺ = M + (K R − M[:, :4]) Kᵀ,
 
     written out here in straight-line code: M's first four columns and its
-    upper triangle, G = K R − M[:, :4], then P⁺'s upper triangle, mirrored,
-    so P⁺ is exactly symmetric.
+    upper triangle, G = K R − M[:, :4], then P⁺'s upper triangle, the 21
+    floats of the new state.
 
     The gain K = P Hᵀ S⁻¹ comes from a 4×4 Cholesky of S (_innovation_gain).
-    When that fast path cannot vouch for S (not exactly symmetric, a pivot
-    not > 0, or a condition bound above MAX_INNOVATION_COND / 2), S goes to
-    the exact gate (_exact_gain: eigenvalues, then an LU solve), whose K
-    takes the same written-out update.
+    When that fast path cannot vouch for S (a pivot not > 0, or a condition
+    bound above MAX_INNOVATION_COND / 2), S goes to the exact gate
+    (_exact_gain: eigenvalues, then an LU solve), whose K takes the same
+    written-out update.
 
     Fails closed: an innovation covariance S that is not finite, not
     positive definite, or has condition number above MAX_INNOVATION_COND
@@ -478,9 +478,8 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
         K = _exact_gain(state.cov, cfg, state.t).ravel().tolist()
     (k00, k01, k02, k03, k10, k11, k12, k13, k20, k21, k22, k23,
      k30, k31, k32, k33, k40, k41, k42, k43, k50, k51, k52, k53) = K
-    (p00, p01, p02, p03, p04, p05, p10, p11, p12, p13, p14, p15,
-     p20, p21, p22, p23, p24, p25, p30, p31, p32, p33, p34, p35,
-     p40, p41, p42, p43, p44, p45, p50, p51, p52, p53, _, p55) = state.p
+    (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
+     p22, p23, p24, p25, p33, p34, p35, p44, p45, p55) = state.p
     r0, r1, r2, r3 = cfg.r_floats
     x0, x1, x2, x3, x4, x5 = state.m
     n0 = box.x - x0
@@ -494,40 +493,40 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
             x4 + (k40 * n0 + k41 * n1 + k42 * n2 + k43 * n3),
             x5 + (k50 * n0 + k51 * n1 + k52 * n2 + k53 * n3))
     # M = P − K P[:4]: columns 0..3, and the upper triangle of columns 4, 5
-    m00 = p00 - (k00 * p00 + k01 * p10 + k02 * p20 + k03 * p30)
-    m01 = p01 - (k00 * p01 + k01 * p11 + k02 * p21 + k03 * p31)
-    m02 = p02 - (k00 * p02 + k01 * p12 + k02 * p22 + k03 * p32)
+    m00 = p00 - (k00 * p00 + k01 * p01 + k02 * p02 + k03 * p03)
+    m01 = p01 - (k00 * p01 + k01 * p11 + k02 * p12 + k03 * p13)
+    m02 = p02 - (k00 * p02 + k01 * p12 + k02 * p22 + k03 * p23)
     m03 = p03 - (k00 * p03 + k01 * p13 + k02 * p23 + k03 * p33)
     m04 = p04 - (k00 * p04 + k01 * p14 + k02 * p24 + k03 * p34)
     m05 = p05 - (k00 * p05 + k01 * p15 + k02 * p25 + k03 * p35)
-    m10 = p10 - (k10 * p00 + k11 * p10 + k12 * p20 + k13 * p30)
-    m11 = p11 - (k10 * p01 + k11 * p11 + k12 * p21 + k13 * p31)
-    m12 = p12 - (k10 * p02 + k11 * p12 + k12 * p22 + k13 * p32)
+    m10 = p01 - (k10 * p00 + k11 * p01 + k12 * p02 + k13 * p03)
+    m11 = p11 - (k10 * p01 + k11 * p11 + k12 * p12 + k13 * p13)
+    m12 = p12 - (k10 * p02 + k11 * p12 + k12 * p22 + k13 * p23)
     m13 = p13 - (k10 * p03 + k11 * p13 + k12 * p23 + k13 * p33)
     m14 = p14 - (k10 * p04 + k11 * p14 + k12 * p24 + k13 * p34)
     m15 = p15 - (k10 * p05 + k11 * p15 + k12 * p25 + k13 * p35)
-    m20 = p20 - (k20 * p00 + k21 * p10 + k22 * p20 + k23 * p30)
-    m21 = p21 - (k20 * p01 + k21 * p11 + k22 * p21 + k23 * p31)
-    m22 = p22 - (k20 * p02 + k21 * p12 + k22 * p22 + k23 * p32)
+    m20 = p02 - (k20 * p00 + k21 * p01 + k22 * p02 + k23 * p03)
+    m21 = p12 - (k20 * p01 + k21 * p11 + k22 * p12 + k23 * p13)
+    m22 = p22 - (k20 * p02 + k21 * p12 + k22 * p22 + k23 * p23)
     m23 = p23 - (k20 * p03 + k21 * p13 + k22 * p23 + k23 * p33)
     m24 = p24 - (k20 * p04 + k21 * p14 + k22 * p24 + k23 * p34)
     m25 = p25 - (k20 * p05 + k21 * p15 + k22 * p25 + k23 * p35)
-    m30 = p30 - (k30 * p00 + k31 * p10 + k32 * p20 + k33 * p30)
-    m31 = p31 - (k30 * p01 + k31 * p11 + k32 * p21 + k33 * p31)
-    m32 = p32 - (k30 * p02 + k31 * p12 + k32 * p22 + k33 * p32)
+    m30 = p03 - (k30 * p00 + k31 * p01 + k32 * p02 + k33 * p03)
+    m31 = p13 - (k30 * p01 + k31 * p11 + k32 * p12 + k33 * p13)
+    m32 = p23 - (k30 * p02 + k31 * p12 + k32 * p22 + k33 * p23)
     m33 = p33 - (k30 * p03 + k31 * p13 + k32 * p23 + k33 * p33)
     m34 = p34 - (k30 * p04 + k31 * p14 + k32 * p24 + k33 * p34)
     m35 = p35 - (k30 * p05 + k31 * p15 + k32 * p25 + k33 * p35)
-    m40 = p40 - (k40 * p00 + k41 * p10 + k42 * p20 + k43 * p30)
-    m41 = p41 - (k40 * p01 + k41 * p11 + k42 * p21 + k43 * p31)
-    m42 = p42 - (k40 * p02 + k41 * p12 + k42 * p22 + k43 * p32)
-    m43 = p43 - (k40 * p03 + k41 * p13 + k42 * p23 + k43 * p33)
+    m40 = p04 - (k40 * p00 + k41 * p01 + k42 * p02 + k43 * p03)
+    m41 = p14 - (k40 * p01 + k41 * p11 + k42 * p12 + k43 * p13)
+    m42 = p24 - (k40 * p02 + k41 * p12 + k42 * p22 + k43 * p23)
+    m43 = p34 - (k40 * p03 + k41 * p13 + k42 * p23 + k43 * p33)
     m44 = p44 - (k40 * p04 + k41 * p14 + k42 * p24 + k43 * p34)
     m45 = p45 - (k40 * p05 + k41 * p15 + k42 * p25 + k43 * p35)
-    m50 = p50 - (k50 * p00 + k51 * p10 + k52 * p20 + k53 * p30)
-    m51 = p51 - (k50 * p01 + k51 * p11 + k52 * p21 + k53 * p31)
-    m52 = p52 - (k50 * p02 + k51 * p12 + k52 * p22 + k53 * p32)
-    m53 = p53 - (k50 * p03 + k51 * p13 + k52 * p23 + k53 * p33)
+    m50 = p05 - (k50 * p00 + k51 * p01 + k52 * p02 + k53 * p03)
+    m51 = p15 - (k50 * p01 + k51 * p11 + k52 * p12 + k53 * p13)
+    m52 = p25 - (k50 * p02 + k51 * p12 + k52 * p22 + k53 * p23)
+    m53 = p35 - (k50 * p03 + k51 * p13 + k52 * p23 + k53 * p33)
     m55 = p55 - (k50 * p05 + k51 * p15 + k52 * p25 + k53 * p35)
     # G = K R − M[:, :4]
     g00 = k00 * r0 - m00
@@ -576,12 +575,8 @@ def ekf_update(state: EkfState, box: BoundingBox, cfg: TrackerConfig) -> EkfStat
     c44 = m44 + (g40 * k40 + g41 * k41 + g42 * k42 + g43 * k43)
     c45 = m45 + (g40 * k50 + g41 * k51 + g42 * k52 + g43 * k53)
     c55 = m55 + (g50 * k50 + g51 * k51 + g52 * k52 + g53 * k53)
-    return _finite_state(mean, (c00, c01, c02, c03, c04, c05,
-                                c01, c11, c12, c13, c14, c15,
-                                c02, c12, c22, c23, c24, c25,
-                                c03, c13, c23, c33, c34, c35,
-                                c04, c14, c24, c34, c44, c45,
-                                c05, c15, c25, c35, c45, c55),
+    return _finite_state(mean, (c00, c01, c02, c03, c04, c05, c11, c12, c13, c14, c15,
+                                c22, c23, c24, c25, c33, c34, c35, c44, c45, c55),
                          state.t, "update")
 
 

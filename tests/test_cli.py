@@ -917,6 +917,24 @@ def test_track_rejects_a_descriptor_of_another_length_naming_the_line(
                  "the log's first 16")
 
 
+def test_track_rejects_a_log_of_empty_descriptors_naming_the_line(tmp_path, capsys):
+    # a log whose every descriptor has no entries is malformed at its first
+    # detection (exit 1), not a tracker abort on a zero descriptor (exit 2)
+    d = scenarios.get("rotation_only").to_dict()
+    d["duration"] = 0.5
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["sim", str(path), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    line_no = _copy_run(tmp_path / "run", tmp_path / "empty", "events.jsonl",
+                        lambda r: {**r, "desc": [[] for _ in r["desc"]]}
+                        if r["kind"] == "det" and r["desc"] else None)
+    log = tmp_path / "empty" / "events.jsonl"
+    prompt = f"{d['prompt']['x']},{d['prompt']['y']}"
+    assert_fails(capsys, ["track", str(log), "--prompt", prompt], 1,
+                 f"error: {log}: line {line_no}: descriptor has no entries")
+
+
 @pytest.mark.parametrize("name,change,message", [
     ("groundtruth.jsonl", lambda r: {**r, "box": r["box"][:2]} if r["box"] else None,
      "malformed trace (ValueError: "),
@@ -1213,7 +1231,7 @@ def test_a_value_of_a_type_no_writer_takes_leaves_out_as_it_was(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: {out}: run not written: unsupported trace value type float32"]
+        f"error: {out}: run not written: unsupported trace value type numpy.float32"]
     assert sorted(os.listdir(tmp_path)) == before
     if existing:
         assert os.listdir(out) == ["tracker.jsonl"]

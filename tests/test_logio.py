@@ -285,7 +285,7 @@ def test_parse_error_mismatched_detection_arrays(tmp_path):
 @pytest.mark.parametrize("sizes, line_no, got, first", [
     ([[4], [], [4, 4], [4, 3]], 4, 3, 4),
     ([[4], [4], [0]], 3, 0, 4),
-    ([[], [0, 0], [2]], 3, 2, 0),
+    ([[], [2, 2], [0]], 3, 0, 2),
     ([[2, 4]], 1, 4, 2),
 ], ids=["shorter", "empty", "after_empty", "within_the_first"])
 def test_a_descriptor_of_another_length_than_the_first_names_its_line(
@@ -303,6 +303,21 @@ def test_a_descriptor_of_another_length_than_the_first_names_its_line(
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:line_no - 1]) + "\n")
     assert len(read_events(path)) == line_no - 1
+
+
+@pytest.mark.parametrize("sizes, line_no", [([[0]], 1), ([[], [0, 0]], 2), ([[], [0, 4]], 2)],
+                         ids=["first", "after_a_frame_without_detections", "pair"])
+def test_a_first_descriptor_with_no_entries_names_its_line(tmp_path, sizes, line_no):
+    # every scenario's descriptor_dim is positive, so no log the program
+    # writes holds an empty descriptor; the log's first one is refused by
+    # its line, not taken as the length of the tracker's memory
+    path = tmp_path / "desc.jsonl"
+    write_events(path, [frame(0.1 * i, [(1.0, 2.0, 3.0, 4.0)] * len(ks),
+                              [np.full(k, 0.5) for k in ks])
+                        for i, ks in enumerate(sizes)])
+    with pytest.raises(LogParseError) as err:
+        read_events(path)
+    assert str(err.value) == f"{path}: line {line_no}: descriptor has no entries"
 
 
 def test_parse_error_missing_field(tmp_path):
@@ -335,16 +350,21 @@ class _Level(enum.IntEnum):
     HIGH = 3
 
 
-@pytest.mark.parametrize("value", [
-    np.float64(0.25), np.int64(7), np.bool_(True), np.array([0.25, -0.5, 1.0]),
-    np.array([0.25, -0.5, 1.0], dtype=np.float32), np.float32(0.25), np.int32(-7),
-    np.eye(2), collections.OrderedDict(a=1.0), _Level.HIGH, {1, 2}],
+@pytest.mark.parametrize("value, name", [
+    (np.float64(0.25), "numpy.float64"), (np.int64(7), "numpy.int64"),
+    (np.bool_(True), "numpy.bool"), (np.array([0.25, -0.5, 1.0]), "numpy.ndarray"),
+    (np.array([0.25, -0.5, 1.0], dtype=np.float32), "numpy.ndarray"),
+    (np.float32(0.25), "numpy.float32"), (np.int32(-7), "numpy.int32"),
+    (np.eye(2), "numpy.ndarray"), (collections.OrderedDict(a=1.0), "collections.OrderedDict"),
+    (_Level.HIGH, f"{__name__}._Level"), ({1, 2}, "set")],
     ids=["np_float64", "np_int64", "np_bool", "float64_array", "float32_array",
          "np_float32", "np_int32", "2d_array", "OrderedDict", "IntEnum", "set"])
 @pytest.mark.parametrize("where", ["scalar", "tuple", "nested"])
-def test_a_value_of_a_type_the_writers_do_not_produce_is_refused(tmp_path, value, where):
+def test_a_value_of_a_type_the_writers_do_not_produce_is_refused(tmp_path, value, name,
+                                                                 where):
     # the trace writers hand over Python values only; a numpy value, a
-    # subclass or any other type is a TypeError naming its type, in the
+    # subclass or any other type is a TypeError naming its type, by its
+    # module too unless built in (numpy's bool is not named "bool"), in the
     # shape of a placed row or nested in a tuple or dict, and the rows
     # before it are written
     placed = {"t": 0.5, "p": (0.25, -0.5, 1.0), "ok": True}
@@ -353,7 +373,8 @@ def test_a_value_of_a_type_the_writers_do_not_produce_is_refused(tmp_path, value
     path = tmp_path / "rows.jsonl"
     with pytest.raises(TypeError) as err:
         write_jsonl(path, [placed, placed, bad, placed])
-    assert str(err.value) == f"unsupported trace value type {type(value).__name__}"
+    assert str(err.value) == f"unsupported trace value type {name}"
+    assert type_name(value) == name
     assert path.read_text() == '{"t":0.5,"p":[0.25,-0.5,1],"ok":true}\n' * 2
 
 
@@ -426,6 +447,15 @@ def ref_event_line(ev) -> str:
     raise TypeError(f"not a loggable event: {type(ev).__name__}")
 
 
+def type_name(value) -> str:
+    """The name the trace encoder gives a type it refuses: module.qualname,
+    or the qualname alone for a built-in type."""
+    cls = type(value)
+    if cls.__module__ == "builtins":
+        return cls.__qualname__
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
 def ref_json_compact(value) -> str:
     if isinstance(value, dict):
         items = (f'{json.dumps(str(k))}:{ref_json_compact(v)}' for k, v in value.items())
@@ -442,7 +472,7 @@ def ref_json_compact(value) -> str:
         return ref_fmt_float(value)
     if isinstance(value, str):
         return json.dumps(value)
-    raise TypeError(f"unsupported trace value type {type(value).__name__}")
+    raise TypeError(f"unsupported trace value type {type_name(value)}")
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -650,7 +680,7 @@ _PARENT_ENCODERS = {
 def parent_json_compact(value) -> str:
     encode = _PARENT_ENCODERS.get(type(value))
     if encode is None:
-        raise TypeError(f"unsupported trace value type {type(value).__name__}")
+        raise TypeError(f"unsupported trace value type {type_name(value)}")
     return encode(value)
 
 

@@ -17,7 +17,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 # nothing in the program calls SyntheticDetector.extract_target_feature any
 # more; the method and its metrics go together in a benchmark change
-# (ROADMAP item 1, step 1)
+# (ROADMAP item 4)
 DEAD = {"detection.extract_target_feature"}
 
 

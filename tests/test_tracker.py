@@ -61,6 +61,7 @@ def test_initialize_picks_nearest_center():
     assert st.last_box == b1
     assert np.array_equal(st.ekf.mean, [80.0, 90.0, 20.0, 20.0, 0.0, 0.0])
     assert np.array_equal(st.ekf.cov, np.diag(cfg.p0_diag))
+    assert st.ekf.p is cfg.p0_floats   # the config's packed P0, built once
     assert st.ekf.t == 0.5
     assert np.array_equal(st.memory, unit(0))
     assert st.coast_frames == 0
@@ -525,7 +526,8 @@ def ref_gate(S):
 def gate_corpus(rng, n):
     """(P, r) pairs, S = P[:4, :4] + diag(r) built as Q Λ Qᵀ: 60% positive
     definite with κ log-uniform in [1e10, 1e14], 20% indefinite or
-    singular, 20% well conditioned with NaN or ±inf entries."""
+    singular, 20% well conditioned with a NaN or ±inf entry and its
+    mirror."""
     Q, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)))
     for k in range(n):
         kind = k % 5
@@ -546,9 +548,7 @@ def gate_corpus(rng, n):
         P[:4, :4] = 0.5 * (S + S.T) - np.diag(r)
         if kind == 4:
             i, j = rng.integers(0, 4, 2)
-            P[i, j] = rng.choice([math.nan, math.inf, -math.inf])
-            if rng.uniform() < 0.5:
-                P[j, i] = P[i, j]
+            P[i, j] = P[j, i] = rng.choice([math.nan, math.inf, -math.inf])
         yield P, r
 
 
@@ -580,7 +580,7 @@ def test_cholesky_gate_decides_like_the_exact_gate(monkeypatch):
         paths[_innovation_gain(st.p, cfg.r_floats) is not None, want is None] += 1
     # every branch is exercised: the fast path takes well-conditioned S;
     # S near the bound decline and are accepted by the exact gate; the rest
-    # decline and raise.  (The seeded corpus gives 4963 / 1016 / 14021.)
+    # decline and raise.  (The seeded corpus gives 4918 / 1110 / 13972.)
     assert paths[True, False] == 0, paths
     assert len(exact_calls) == paths[False, True] + paths[False, False], paths
     assert (paths[True, True] >= 3000 and paths[False, True] >= 500
@@ -618,8 +618,8 @@ def joseph_bound(P, K, r):
     form rounds at most 14 times (forming A, two 6-term products of 6
     roundings each, the addition of (K r) Kᵀ), on |A||P||A|ᵀ + |K| r |K|ᵀ,
     which is at most the sum above since |A| ≤ I + |K| H entrywise.  The
-    mirrored lower triangle keeps the bound, which is symmetric for a
-    symmetric P; for any P the transpose's is added."""
+    state keeps the upper triangle, which `cov` mirrors, so the
+    transpose's bound is added."""
     aK, aP = np.abs(K), np.abs(P)
     W = aP + aK @ aP[:4] + (aK * r + aP[:, :4] + aK @ aP[:4, :4]) @ aK.T
     return 2.0 * gamma(14) * np.maximum(W, W.T)
@@ -730,7 +730,7 @@ def old_predict(state, gyro, cfg):
     m = (x + (vx + du) * dt, y + (vy + dv) * dt,
          max(tracker.MIN_BOX_SIZE, bw), max(tracker.MIN_BOX_SIZE, bh), vx, vy)
     (f00, f01, f02, f03), (f10, f11, f12, f13) = old_gyro_rows(dt, a, b, c, d)
-    p = state.p
+    p = state.cov.ravel().tolist()
     P = (p[0:6], p[6:12], p[12:18], p[18:24], p[24:30], p[30:36])
     u0 = [p0 * f00 + p1 * f01 + p2 * f02 + p3 * f03 + p4 * dt
           for p0, p1, p2, p3, p4, _ in P]
@@ -752,16 +752,13 @@ def old_predict(state, gyro, cfg):
     p33 += q3 * dt
     p44 += q4 * dt
     p55 += q5 * dt
-    return tracker._finite_state(m, (c00, c01, a2, a3, a4, a5,
-                                     c01, c11, b2, b3, b4, b5,
-                                     a2, b2, p22, p23, p24, p25,
-                                     a3, b3, p23, p33, p34, p35,
-                                     a4, b4, p24, p34, p44, p45,
-                                     a5, b5, p25, p35, p45, p55), gyro.t, "predict")
+    return tracker._finite_state(m, (c00, c01, a2, a3, a4, a5, c11, b2, b3, b4, b5,
+                                     p22, p23, p24, p25, p33, p34, p35, p44, p45, p55),
+                                 gyro.t, "predict")
 
 
 def float_bits(state):
-    """The 6 + 36 floats and the time of a filter state, as `float.hex`, so
+    """The 6 + 21 floats and the time of a filter state, as `float.hex`, so
     that +0.0 and −0.0 (and NaNs) are told apart."""
     return [v.hex() for v in (*state.m, *state.p, state.t)]
 
@@ -769,8 +766,9 @@ def float_bits(state):
 def random_predicts(n):
     """(state, gyro, cfg) cases cycling over compensation on and off; dt of
     0, in (0, 0.05) and stale; a box below MIN_BOX_SIZE in 2 of every 8,
-    compensated or not; −0.0 in the mean and the rates in every 5th; an
-    asymmetric P in every 7th; and one with dt = −0.0."""
+    compensated or not; −0.0 in the mean and the rates in every 5th; P
+    plus a symmetric normal matrix, not always positive definite, in every
+    7th; and one with dt = −0.0."""
     rng = np.random.default_rng(32)
     for i in range(n):
         cfg = make_cfg(gyro_compensation=bool(i % 2),
@@ -787,8 +785,8 @@ def random_predicts(n):
             w[i % 3] = -0.0
             st = EkfState(mean, st.cov, st.t)
         if i % 7 == 3:
-            # P g reads P by rows: an asymmetric P tells p_ij from p_ji
-            st = EkfState(st.mean, st.cov + rng.normal(size=(6, 6)), st.t)
+            E = rng.normal(size=(6, 6))
+            st = EkfState(st.mean, st.cov + (E + E.T), st.t)
         if i == 5:
             st, t = EkfState(st.mean, st.cov, 0.0), -0.0
         yield st, GyroSample(t, w), cfg
@@ -796,7 +794,7 @@ def random_predicts(n):
 
 def test_written_out_predict_is_bit_identical_to_its_earlier_form(caplog):
     # every predict of three replays and random states with each branch's
-    # edge: the same 42 floats and time, and the same stale-gyro warning
+    # edge: the same 27 floats and time, and the same stale-gyro warning
     cases = [c for name in ("occlusion_decoy", "false_positive_storm",
                             "corridor_approach")
              for c in recorded_calls(name)["ekf_predict"]]
@@ -813,7 +811,6 @@ def test_written_out_predict_is_bit_identical_to_its_earlier_form(caplog):
         kinds["negative_zero"] += any(math.copysign(1.0, v) < 0.0 and v == 0.0
                                       for v in (*state.m, *gyro.w.tolist()))
         kinds["uncompensated"] += not cfg.gyro_compensation
-        kinds["asymmetric"] += state.p[1] != state.p[6]
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="quadtrack.tracker"):
             got = ekf_predict(state, gyro, cfg)
@@ -824,7 +821,7 @@ def test_written_out_predict_is_bit_identical_to_its_earlier_form(caplog):
         assert logged == caplog.messages
     assert kinds["negative_zero_dt"] == 1, kinds
     assert min(kinds[k] for k in ("zero_dt", "stale", "clamped", "negative_zero",
-                                  "uncompensated", "asymmetric")) >= 40, kinds
+                                  "uncompensated")) >= 40, kinds
 
 
 @pytest.mark.parametrize("vx,p_vx,dt", [
@@ -863,6 +860,353 @@ def test_predict_jacobian_rows_are_the_earlier_gyro_rows():
         assert np.array_equal(F[2:], np.eye(6)[2:])
 
 
+# ---------------------------------------------------------------------------
+# the packed covariance against the filter that held all 36 floats
+# ---------------------------------------------------------------------------
+
+
+class FullState:
+    """A filter state as the filter held it before its covariance was
+    packed: the mean as 6 floats and the covariance as 36, row-major."""
+
+    __slots__ = ("m", "p", "t")
+
+    def __init__(self, m, p, t):
+        self.m, self.p, self.t = m, p, t
+
+
+def full_state(state):
+    """`state` with its covariance as 36 floats, row-major."""
+    return FullState(state.m, tuple(state.cov.ravel().tolist()), state.t)
+
+
+def parent_finite_state(m, p, t, step):
+    if (not math.isfinite(sum(m) + sum(p))
+            and not (all(map(math.isfinite, m)) and all(map(math.isfinite, p)))):
+        raise TrackerAbort(t, f"filter mean or covariance is not finite after {step}")
+    return FullState(m, p, t)
+
+
+# parent_predict, parent_gain and parent_update are ekf_predict,
+# _innovation_gain and ekf_update as they stood on 36 covariance floats:
+# they read p_ij below the diagonal as its own name, mirror P's upper
+# triangle on return, and the gain declines a P that is not exactly
+# symmetric.
+
+
+def parent_predict(state, gyro, cfg):
+    t = gyro.t
+    dt = t - state.t
+    if dt < 0.0:
+        raise TrackerAbort(t, f"gyro sample precedes the filter state ({state.t!r} s)")
+    if dt > tracker.STALE_GYRO_DT:
+        tracker.log.warning("stale gyro: dt=%.4f s exceeds %.2f s, propagating anyway",
+                            dt, tracker.STALE_GYRO_DT)
+    x, y, bw, bh, vx, vy = state.m
+    if cfg.gyro_compensation:
+        cam = cfg.camera
+        f = cam.focal
+        xn = (x + bw / 2.0 - cam.cx) / f
+        yn = (y + bh / 2.0 - cam.cy) / f
+        wx, wy, wz = gyro.w.tolist()
+        du = f * (xn * yn * wx - (1.0 + xn * xn) * wy + yn * wz)
+        dv = f * ((1.0 + yn * yn) * wx - xn * yn * wy - xn * wz)
+        a = yn * wx - 2.0 * xn * wy
+        b = xn * wx + wz
+        c = -(yn * wy + wz)
+        d = 2.0 * yn * wx - xn * wy
+    else:
+        du = dv = a = b = c = d = 0.0
+    f00 = 1.0 + dt * a
+    f01 = dt * b
+    f02 = dt * a / 2.0
+    f03 = dt * b / 2.0
+    f10 = dt * c
+    f11 = 1.0 + dt * d
+    f12 = dt * c / 2.0
+    f13 = dt * d / 2.0
+    (p00, p01, p02, p03, p04, p05, p10, p11, p12, p13, p14, p15,
+     p20, p21, p22, p23, p24, p25, p30, p31, p32, p33, p34, p35,
+     p40, p41, p42, p43, p44, p45, p50, p51, p52, p53, p54, p55) = state.p
+    # u0 = P g0, u1 = P g1
+    u00 = p00 * f00 + p01 * f01 + p02 * f02 + p03 * f03 + p04 * dt
+    u01 = p10 * f00 + p11 * f01 + p12 * f02 + p13 * f03 + p14 * dt
+    u02 = p20 * f00 + p21 * f01 + p22 * f02 + p23 * f03 + p24 * dt
+    u03 = p30 * f00 + p31 * f01 + p32 * f02 + p33 * f03 + p34 * dt
+    u04 = p40 * f00 + p41 * f01 + p42 * f02 + p43 * f03 + p44 * dt
+    u05 = p50 * f00 + p51 * f01 + p52 * f02 + p53 * f03 + p54 * dt
+    u10 = p00 * f10 + p01 * f11 + p02 * f12 + p03 * f13 + p05 * dt
+    u11 = p10 * f10 + p11 * f11 + p12 * f12 + p13 * f13 + p15 * dt
+    u12 = p20 * f10 + p21 * f11 + p22 * f12 + p23 * f13 + p25 * dt
+    u13 = p30 * f10 + p31 * f11 + p32 * f12 + p33 * f13 + p35 * dt
+    u14 = p40 * f10 + p41 * f11 + p42 * f12 + p43 * f13 + p45 * dt
+    u15 = p50 * f10 + p51 * f11 + p52 * f12 + p53 * f13 + p55 * dt
+    q0, q1, q2, q3, q4, q5 = cfg.q_floats
+    # the 2×2 corner gᵢ·uⱼ, plus Q dt on its diagonal
+    c00 = f00 * u00 + f01 * u01 + f02 * u02 + f03 * u03 + dt * u04 + q0 * dt
+    c01 = f00 * u10 + f01 * u11 + f02 * u12 + f03 * u13 + dt * u14
+    c11 = f10 * u10 + f11 * u11 + f12 * u12 + f13 * u13 + dt * u15 + q1 * dt
+    p22 += q2 * dt
+    p33 += q3 * dt
+    p44 += q4 * dt
+    p55 += q5 * dt
+    return parent_finite_state((x + (vx + du) * dt, y + (vy + dv) * dt,
+                                max(tracker.MIN_BOX_SIZE, bw),
+                                max(tracker.MIN_BOX_SIZE, bh), vx, vy),
+                               (c00, c01, u02, u03, u04, u05,
+                                c01, c11, u12, u13, u14, u15,
+                                u02, u12, p22, p23, p24, p25,
+                                u03, u13, p23, p33, p34, p35,
+                                u04, u14, p24, p34, p44, p45,
+                                u05, u15, p25, p35, p45, p55), t, "predict")
+
+
+def parent_gain(p, r):
+    (p00, p01, p02, p03, _, _, p10, p11, p12, p13, _, _,
+     p20, p21, p22, p23, _, _, p30, p31, p32, p33, _, _,
+     p40, p41, p42, p43, _, _, p50, p51, p52, p53, _, _) = p
+    # exactly symmetric (a NaN never is), as every filter covariance is
+    if not (p10 == p01 and p20 == p02 and p30 == p03 and p21 == p12
+            and p31 == p13 and p32 == p23):
+        return None
+    r0, r1, r2, r3 = r
+    s00 = p00 + r0
+    s11 = p11 + r1
+    s22 = p22 + r2
+    s33 = p33 + r3
+    if not s00 > 0.0:
+        return None
+    l00 = math.sqrt(s00)
+    l10 = p01 / l00
+    l20 = p02 / l00
+    l30 = p03 / l00
+    d = s11 - l10 * l10
+    if not d > 0.0:
+        return None
+    l11 = math.sqrt(d)
+    l21 = (p12 - l20 * l10) / l11
+    l31 = (p13 - l30 * l10) / l11
+    d = s22 - l20 * l20 - l21 * l21
+    if not d > 0.0:
+        return None
+    l22 = math.sqrt(d)
+    l32 = (p23 - l30 * l20 - l31 * l21) / l22
+    d = s33 - l30 * l30 - l31 * l31 - l32 * l32
+    if not d > 0.0:
+        return None
+    l33 = math.sqrt(d)
+    # M = L⁻¹, lower triangular, by forward substitution
+    m00 = 1.0 / l00
+    m11 = 1.0 / l11
+    m22 = 1.0 / l22
+    m33 = 1.0 / l33
+    m10 = -l10 * m00 * m11
+    m21 = -l21 * m11 * m22
+    m20 = -(l20 * m00 + l21 * m10) * m22
+    m32 = -l32 * m22 * m33
+    m31 = -(l31 * m11 + l32 * m21) * m33
+    m30 = -(l30 * m00 + l31 * m10 + l32 * m20) * m33
+    # S⁻¹ = Mᵀ M, symmetric: iᵢⱼ for i ≤ j
+    i00 = m00 * m00 + m10 * m10 + m20 * m20 + m30 * m30
+    i11 = m11 * m11 + m21 * m21 + m31 * m31
+    i22 = m22 * m22 + m32 * m32
+    i33 = m33 * m33
+    if not ((s00 + s11 + s22 + s33) * (i00 + i11 + i22 + i33)
+            <= tracker.MAX_INNOVATION_COND / 2.0):
+        return None
+    i01 = m10 * m11 + m20 * m21 + m30 * m31
+    i02 = m20 * m22 + m30 * m32
+    i03 = m30 * m33
+    i12 = m21 * m22 + m31 * m32
+    i13 = m31 * m33
+    i23 = m32 * m33
+    return (p00 * i00 + p01 * i01 + p02 * i02 + p03 * i03,
+            p00 * i01 + p01 * i11 + p02 * i12 + p03 * i13,
+            p00 * i02 + p01 * i12 + p02 * i22 + p03 * i23,
+            p00 * i03 + p01 * i13 + p02 * i23 + p03 * i33,
+            p10 * i00 + p11 * i01 + p12 * i02 + p13 * i03,
+            p10 * i01 + p11 * i11 + p12 * i12 + p13 * i13,
+            p10 * i02 + p11 * i12 + p12 * i22 + p13 * i23,
+            p10 * i03 + p11 * i13 + p12 * i23 + p13 * i33,
+            p20 * i00 + p21 * i01 + p22 * i02 + p23 * i03,
+            p20 * i01 + p21 * i11 + p22 * i12 + p23 * i13,
+            p20 * i02 + p21 * i12 + p22 * i22 + p23 * i23,
+            p20 * i03 + p21 * i13 + p22 * i23 + p23 * i33,
+            p30 * i00 + p31 * i01 + p32 * i02 + p33 * i03,
+            p30 * i01 + p31 * i11 + p32 * i12 + p33 * i13,
+            p30 * i02 + p31 * i12 + p32 * i22 + p33 * i23,
+            p30 * i03 + p31 * i13 + p32 * i23 + p33 * i33,
+            p40 * i00 + p41 * i01 + p42 * i02 + p43 * i03,
+            p40 * i01 + p41 * i11 + p42 * i12 + p43 * i13,
+            p40 * i02 + p41 * i12 + p42 * i22 + p43 * i23,
+            p40 * i03 + p41 * i13 + p42 * i23 + p43 * i33,
+            p50 * i00 + p51 * i01 + p52 * i02 + p53 * i03,
+            p50 * i01 + p51 * i11 + p52 * i12 + p53 * i13,
+            p50 * i02 + p51 * i12 + p52 * i22 + p53 * i23,
+            p50 * i03 + p51 * i13 + p52 * i23 + p53 * i33)
+
+
+def parent_update(state, box, cfg):
+    K = parent_gain(state.p, cfg.r_floats)
+    if K is None:
+        P = np.array(state.p).reshape(6, 6)
+        K = tracker._exact_gain(P, cfg, state.t).ravel().tolist()
+    (k00, k01, k02, k03, k10, k11, k12, k13, k20, k21, k22, k23,
+     k30, k31, k32, k33, k40, k41, k42, k43, k50, k51, k52, k53) = K
+    (p00, p01, p02, p03, p04, p05, p10, p11, p12, p13, p14, p15,
+     p20, p21, p22, p23, p24, p25, p30, p31, p32, p33, p34, p35,
+     p40, p41, p42, p43, p44, p45, p50, p51, p52, p53, _, p55) = state.p
+    r0, r1, r2, r3 = cfg.r_floats
+    x0, x1, x2, x3, x4, x5 = state.m
+    n0 = box.x - x0
+    n1 = box.y - x1
+    n2 = box.w - x2
+    n3 = box.h - x3
+    mean = (x0 + (k00 * n0 + k01 * n1 + k02 * n2 + k03 * n3),
+            x1 + (k10 * n0 + k11 * n1 + k12 * n2 + k13 * n3),
+            max(tracker.MIN_BOX_SIZE, x2 + (k20 * n0 + k21 * n1 + k22 * n2 + k23 * n3)),
+            max(tracker.MIN_BOX_SIZE, x3 + (k30 * n0 + k31 * n1 + k32 * n2 + k33 * n3)),
+            x4 + (k40 * n0 + k41 * n1 + k42 * n2 + k43 * n3),
+            x5 + (k50 * n0 + k51 * n1 + k52 * n2 + k53 * n3))
+    # M = P − K P[:4]: columns 0..3, and the upper triangle of columns 4, 5
+    m00 = p00 - (k00 * p00 + k01 * p10 + k02 * p20 + k03 * p30)
+    m01 = p01 - (k00 * p01 + k01 * p11 + k02 * p21 + k03 * p31)
+    m02 = p02 - (k00 * p02 + k01 * p12 + k02 * p22 + k03 * p32)
+    m03 = p03 - (k00 * p03 + k01 * p13 + k02 * p23 + k03 * p33)
+    m04 = p04 - (k00 * p04 + k01 * p14 + k02 * p24 + k03 * p34)
+    m05 = p05 - (k00 * p05 + k01 * p15 + k02 * p25 + k03 * p35)
+    m10 = p10 - (k10 * p00 + k11 * p10 + k12 * p20 + k13 * p30)
+    m11 = p11 - (k10 * p01 + k11 * p11 + k12 * p21 + k13 * p31)
+    m12 = p12 - (k10 * p02 + k11 * p12 + k12 * p22 + k13 * p32)
+    m13 = p13 - (k10 * p03 + k11 * p13 + k12 * p23 + k13 * p33)
+    m14 = p14 - (k10 * p04 + k11 * p14 + k12 * p24 + k13 * p34)
+    m15 = p15 - (k10 * p05 + k11 * p15 + k12 * p25 + k13 * p35)
+    m20 = p20 - (k20 * p00 + k21 * p10 + k22 * p20 + k23 * p30)
+    m21 = p21 - (k20 * p01 + k21 * p11 + k22 * p21 + k23 * p31)
+    m22 = p22 - (k20 * p02 + k21 * p12 + k22 * p22 + k23 * p32)
+    m23 = p23 - (k20 * p03 + k21 * p13 + k22 * p23 + k23 * p33)
+    m24 = p24 - (k20 * p04 + k21 * p14 + k22 * p24 + k23 * p34)
+    m25 = p25 - (k20 * p05 + k21 * p15 + k22 * p25 + k23 * p35)
+    m30 = p30 - (k30 * p00 + k31 * p10 + k32 * p20 + k33 * p30)
+    m31 = p31 - (k30 * p01 + k31 * p11 + k32 * p21 + k33 * p31)
+    m32 = p32 - (k30 * p02 + k31 * p12 + k32 * p22 + k33 * p32)
+    m33 = p33 - (k30 * p03 + k31 * p13 + k32 * p23 + k33 * p33)
+    m34 = p34 - (k30 * p04 + k31 * p14 + k32 * p24 + k33 * p34)
+    m35 = p35 - (k30 * p05 + k31 * p15 + k32 * p25 + k33 * p35)
+    m40 = p40 - (k40 * p00 + k41 * p10 + k42 * p20 + k43 * p30)
+    m41 = p41 - (k40 * p01 + k41 * p11 + k42 * p21 + k43 * p31)
+    m42 = p42 - (k40 * p02 + k41 * p12 + k42 * p22 + k43 * p32)
+    m43 = p43 - (k40 * p03 + k41 * p13 + k42 * p23 + k43 * p33)
+    m44 = p44 - (k40 * p04 + k41 * p14 + k42 * p24 + k43 * p34)
+    m45 = p45 - (k40 * p05 + k41 * p15 + k42 * p25 + k43 * p35)
+    m50 = p50 - (k50 * p00 + k51 * p10 + k52 * p20 + k53 * p30)
+    m51 = p51 - (k50 * p01 + k51 * p11 + k52 * p21 + k53 * p31)
+    m52 = p52 - (k50 * p02 + k51 * p12 + k52 * p22 + k53 * p32)
+    m53 = p53 - (k50 * p03 + k51 * p13 + k52 * p23 + k53 * p33)
+    m55 = p55 - (k50 * p05 + k51 * p15 + k52 * p25 + k53 * p35)
+    # G = K R − M[:, :4]
+    g00 = k00 * r0 - m00
+    g01 = k01 * r1 - m01
+    g02 = k02 * r2 - m02
+    g03 = k03 * r3 - m03
+    g10 = k10 * r0 - m10
+    g11 = k11 * r1 - m11
+    g12 = k12 * r2 - m12
+    g13 = k13 * r3 - m13
+    g20 = k20 * r0 - m20
+    g21 = k21 * r1 - m21
+    g22 = k22 * r2 - m22
+    g23 = k23 * r3 - m23
+    g30 = k30 * r0 - m30
+    g31 = k31 * r1 - m31
+    g32 = k32 * r2 - m32
+    g33 = k33 * r3 - m33
+    g40 = k40 * r0 - m40
+    g41 = k41 * r1 - m41
+    g42 = k42 * r2 - m42
+    g43 = k43 * r3 - m43
+    g50 = k50 * r0 - m50
+    g51 = k51 * r1 - m51
+    g52 = k52 * r2 - m52
+    g53 = k53 * r3 - m53
+    # P⁺ = M + G Kᵀ, upper triangle
+    c00 = m00 + (g00 * k00 + g01 * k01 + g02 * k02 + g03 * k03)
+    c01 = m01 + (g00 * k10 + g01 * k11 + g02 * k12 + g03 * k13)
+    c02 = m02 + (g00 * k20 + g01 * k21 + g02 * k22 + g03 * k23)
+    c03 = m03 + (g00 * k30 + g01 * k31 + g02 * k32 + g03 * k33)
+    c04 = m04 + (g00 * k40 + g01 * k41 + g02 * k42 + g03 * k43)
+    c05 = m05 + (g00 * k50 + g01 * k51 + g02 * k52 + g03 * k53)
+    c11 = m11 + (g10 * k10 + g11 * k11 + g12 * k12 + g13 * k13)
+    c12 = m12 + (g10 * k20 + g11 * k21 + g12 * k22 + g13 * k23)
+    c13 = m13 + (g10 * k30 + g11 * k31 + g12 * k32 + g13 * k33)
+    c14 = m14 + (g10 * k40 + g11 * k41 + g12 * k42 + g13 * k43)
+    c15 = m15 + (g10 * k50 + g11 * k51 + g12 * k52 + g13 * k53)
+    c22 = m22 + (g20 * k20 + g21 * k21 + g22 * k22 + g23 * k23)
+    c23 = m23 + (g20 * k30 + g21 * k31 + g22 * k32 + g23 * k33)
+    c24 = m24 + (g20 * k40 + g21 * k41 + g22 * k42 + g23 * k43)
+    c25 = m25 + (g20 * k50 + g21 * k51 + g22 * k52 + g23 * k53)
+    c33 = m33 + (g30 * k30 + g31 * k31 + g32 * k32 + g33 * k33)
+    c34 = m34 + (g30 * k40 + g31 * k41 + g32 * k42 + g33 * k43)
+    c35 = m35 + (g30 * k50 + g31 * k51 + g32 * k52 + g33 * k53)
+    c44 = m44 + (g40 * k40 + g41 * k41 + g42 * k42 + g43 * k43)
+    c45 = m45 + (g40 * k50 + g41 * k51 + g42 * k52 + g43 * k53)
+    c55 = m55 + (g50 * k50 + g51 * k51 + g52 * k52 + g53 * k53)
+    return parent_finite_state(mean, (c00, c01, c02, c03, c04, c05,
+                                      c01, c11, c12, c13, c14, c15,
+                                      c02, c12, c22, c23, c24, c25,
+                                      c03, c13, c23, c33, c34, c35,
+                                      c04, c14, c24, c34, c44, c45,
+                                      c05, c15, c25, c35, c45, c55),
+                               state.t, "update")
+
+
+def parent_bits(state):
+    """`float_bits` of a FullState whose 36 floats are exactly symmetric:
+    its mean, the upper triangle of its covariance row by row, and its
+    time."""
+    p = state.p
+    assert all(p[6 * i + j] == p[6 * j + i] for i in range(6) for j in range(i))
+    return [v.hex() for v in (*state.m, *(p[6 * i + j] for i in range(6)
+                                         for j in range(i, 6)), state.t)]
+
+
+def outcome(step, bits, *args):
+    """bits(step(*args)), or the message of the TrackerAbort it raises."""
+    try:
+        return bits(step(*args))
+    except TrackerAbort as e:
+        return str(e)
+
+
+def gain_bits(K):
+    return None if K is None else [v.hex() for v in K]
+
+
+def test_packed_filter_is_bit_identical_to_the_full_covariance_form():
+    # every predict and update of three replays, the seeded random states
+    # and the exact gate's cases: the mean, the 21 covariance floats and
+    # the gain are the 36-float form's, bit for bit, as is each abort
+    replays = ("occlusion_decoy", "false_positive_storm", "corridor_approach")
+    predicts = [c for name in replays for c in recorded_calls(name)["ekf_predict"]]
+    updates = [c for name in replays for c in recorded_calls(name)["ekf_update"]]
+    assert len(predicts) > 6000 and len(updates) > 1900
+    predicts += random_predicts(400)
+    updates += random_updates(300)
+    updates += [(s, BoundingBox(30.0, 40.0, 20.0, 10.0), c) for _, s, c in declined_states()]
+    for state, gyro, cfg in predicts:
+        assert (outcome(ekf_predict, float_bits, state, gyro, cfg)
+                == outcome(parent_predict, parent_bits, full_state(state), gyro, cfg))
+    kinds = Counter()
+    for state, box, cfg in updates:
+        gain = _innovation_gain(state.p, cfg.r_floats)
+        assert gain_bits(gain) == gain_bits(parent_gain(full_state(state).p, cfg.r_floats))
+        got = outcome(ekf_update, float_bits, state, box, cfg)
+        assert got == outcome(parent_update, parent_bits, full_state(state), box, cfg)
+        kinds["fast_gain" if gain is not None
+              else "abort" if isinstance(got, str) else "exact_gain"] += 1
+    assert kinds["fast_gain"] > 2200 and kinds["exact_gain"] >= 2 and kinds["abort"] >= 2, kinds
+
+
 def old_update(state, box, cfg):
     """The update as the array form computed it before the written-out
     one: the exact gate's gain, then the Joseph form, averaged with its
@@ -874,17 +1218,11 @@ def old_update(state, box, cfg):
 
 
 def declined_states():
-    """(name, state, cfg) whose S the Cholesky fast path declines: a P one
-    unit in the last place from symmetric, and S = Q Λ Qᵀ with κ₂(S) on
-    either side of MAX_INNOVATION_COND (above the fast path's bound of
-    MAX_INNOVATION_COND / 2 on trace(S)·trace(S⁻¹) ≥ κ₂(S))."""
+    """(name, state, cfg) whose S the Cholesky fast path declines: S = Q Λ Qᵀ
+    with κ₂(S) on either side of MAX_INNOVATION_COND (above the fast path's
+    bound of MAX_INNOVATION_COND / 2 on trace(S)·trace(S⁻¹) ≥ κ₂(S))."""
     rng = np.random.default_rng(12)
     cfg = make_cfg()
-    for k in range(4):
-        P = random_filter_state(rng, 1.0, 200.0).cov.copy()
-        i, j = ((0, 1), (1, 2), (0, 3), (2, 3))[k]
-        P[i, j] = np.nextafter(P[i, j], np.inf)
-        yield f"asymmetric_{k}", EkfState(rng.uniform(10.0, 100.0, 6), P, 1.0), cfg
     r = np.asarray(cfg.r_floats)
     for kappa in (0.6e12, 0.9e12, 1.1e12, 3e12):
         Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
@@ -901,8 +1239,7 @@ def test_the_exact_gate_takes_what_the_cholesky_declines(monkeypatch, name, stat
                                                          cfg):
     # the exact gate decides, aborts as it did, or its gain takes the same
     # written-out update; that update is the array form's within
-    # joseph_bound (plus a unit for the averaging) and, for an asymmetric
-    # P, half of |A||P − Pᵀ||A|ᵀ, the averaged-away asymmetry
+    # joseph_bound (plus a unit for the averaging)
     exact_calls = []
     exact_gain = tracker._exact_gain
 
@@ -925,26 +1262,27 @@ def test_the_exact_gate_takes_what_the_cholesky_declines(monkeypatch, name, stat
     got = ekf_update(state, box, cfg)
     assert exact_calls == [1.0]
     mean, cov, K = old_update(state, box, cfg)
-    A = np.eye(6)
-    A[:, :4] -= K
     nu = box_array(box) - state.mean[:4]
     assert np.all(np.abs(got.mean - mean)
                   <= 2.0 * gamma(5) * (np.abs(state.mean) + np.abs(K) @ np.abs(nu)))
-    bound = (joseph_bound(P, K, np.asarray(cfg.r_floats)) * (1.0 + 2.0 * U)
-             + 0.5 * np.abs(A) @ np.abs(P - P.T) @ np.abs(A).T)
+    bound = joseph_bound(P, K, np.asarray(cfg.r_floats)) * (1.0 + 2.0 * U)
     assert np.all(np.abs(got.cov - cov) <= bound)
-    assert np.array_equal(got.cov, got.cov.T)
 
 
 def test_updated_covariance_is_exactly_symmetric():
-    # the update computes P⁺'s upper triangle and mirrors it, on the fast
-    # path and behind the exact gate, even from a P that is not symmetric
-    cases = [(s, b, c) for s, b, c in random_updates(200)]
+    # the update keeps P⁺'s upper triangle, and its `cov` is the 36 floats
+    # the full-covariance update wrote, mirrored half included, bit for
+    # bit, on the fast path and behind the exact gate
+    cases = list(random_updates(200))
     cases += [(s, BoundingBox(30.0, 40.0, 20.0, 10.0), c)
-              for name, s, c in declined_states() if name.startswith("asymmetric")]
+              for _, s, c in declined_states() if ref_gate(s.cov[:4, :4]
+                                                           + np.diag(c.r_floats)) is None]
+    assert len(cases) == 202
     for state, box, cfg in cases:
-        p = ekf_update(state, box, cfg).p
-        assert all(p[6 * i + j] == p[6 * j + i] for i in range(6) for j in range(i))
+        got = ekf_update(state, box, cfg)
+        assert len(got.p) == 21
+        want = parent_update(full_state(state), box, cfg).p
+        assert [v.hex() for v in got.cov.ravel().tolist()] == [v.hex() for v in want]
 
 
 class _NoNumpy:
@@ -984,6 +1322,32 @@ def test_cosine_score_bit_identical_to_norm_form():
         n = np.linalg.norm(d) * np.linalg.norm(mem)
         want = min(1.0, max(0.0, float(np.dot(mem, d) / n)))
         assert cosine_score(mem, d) == want
+
+
+def test_ekf_state_keeps_the_upper_triangle_of_a_symmetric_covariance():
+    # 21 floats, row by row, and `cov` mirrors them back to the 6×6 it was
+    # given, bit for bit (−0.0 and NaN included); NaN mirroring NaN is
+    # symmetric, one unit in the last place or a lone NaN is not, and the
+    # refusal comes before any field is set
+    A = np.random.default_rng(41).normal(size=(6, 6))
+    C = A + A.T
+    C[2, 5] = C[5, 2] = -0.0
+    C[1, 4] = C[4, 1] = math.nan
+    st = EkfState(np.arange(6.0), C, 0.5)
+    assert all(type(v) is float for v in st.p)
+    assert [v.hex() for v in st.p] == [C[i, j].hex() for i in range(6) for j in range(i, 6)]
+    assert [v.hex() for v in st.cov.ravel()] == [v.hex() for v in C.ravel()]
+    lone_nan = np.eye(6)
+    lone_nan[0, 3] = math.nan
+    for ij in ((0, 1), (3, 2), (5, 0), None):
+        bad = lone_nan
+        if ij is not None:
+            bad = C.copy()
+            bad[ij] = np.nextafter(bad[ij], np.inf)
+        with pytest.raises(ValueError, match="^covariance must be exactly symmetric$"):
+            EkfState.__init__(st, np.zeros(6), bad, 1.0)
+        assert st.m == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0) and st.t == 0.5
+        assert [v.hex() for v in st.cov.ravel()] == [v.hex() for v in C.ravel()]
 
 
 def test_predicted_box_reads_mean_and_clamps():
